@@ -358,7 +358,7 @@ def _batched_det(mats: np.ndarray) -> np.ndarray:
 
 def batched_integer_rank(mats: np.ndarray) -> np.ndarray:
     """Exact rank of stacked small integer matrices via minor enumeration.
-    Supports shapes (..., N, m) with N <= 4 and m <= 4."""
+    Supports shapes (..., N, m) with min(N, m) <= 4."""
     mats = np.asarray(mats, dtype=np.int64)
     n, m = mats.shape[-2], mats.shape[-1]
     if min(n, m) > 4:
@@ -374,12 +374,61 @@ def batched_integer_rank(mats: np.ndarray) -> np.ndarray:
     return rank
 
 
+def shared_minor_ranks(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact rank of stacked integer matrices (..., N, m) with m <= 3, and
+    the rank with each single row deleted, as (full, deleted[i]).
+
+    The rank is the largest k such that some k rows have a nonzero k x k
+    minor: a nonzero row, a row pair with a nonzero 2 x 2 minor (the cross
+    product when m = 3), a row triple with a nonzero triple product.  Each
+    row subset's flag is computed once and shared by the full matrix and by
+    every deletion that keeps the subset's rows."""
+    mats = np.asarray(mats)
+    n, m = mats.shape[-2], mats.shape[-1]
+    if m > 3:
+        raise ValueError("shared-minor ranks implemented for m <= 3")
+    # the largest intermediate is a triple product, |.| <= 6 max|entry|^3
+    bound = 6 * int(np.abs(mats).max(initial=0)) ** 3
+    if bound >= 2**63:
+        raise ValueError("entries too large for exact int64 minors")
+    mats = mats.astype(np.min_scalar_type(-max(bound, 1)), copy=False)
+    rows = [mats[..., i, :] for i in range(n)]
+    flags = {(i,): rows[i].any(axis=-1) for i in range(n)}
+    minors = {}
+    if m >= 2:
+        col_pairs = list(itertools.combinations(range(m), 2))
+        for i, j in itertools.combinations(range(n), 2):
+            a, b = rows[i], rows[j]
+            minors[i, j] = [a[..., p] * b[..., q] - a[..., q] * b[..., p] for p, q in col_pairs]
+            flags[i, j] = np.logical_or.reduce([d != 0 for d in minors[i, j]])
+    if m == 3:
+        for i, j, k in itertools.combinations(range(n), 3):
+            d01, d02, d12 = minors[i, j]
+            c = rows[k]
+            flags[i, j, k] = c[..., 0] * d12 - c[..., 1] * d02 + c[..., 2] * d01 != 0
+
+    def rank_without(deleted) -> np.ndarray:
+        # a nonzero k-minor implies a nonzero (k-1)-minor, so the levels nest
+        rank = np.zeros(mats.shape[:-2], dtype=np.int8)
+        for size in range(1, min(n, m) + 1):
+            kept = [f for s, f in flags.items() if len(s) == size and deleted not in s]
+            if kept:
+                rank += np.logical_or.reduce(kept)
+        return rank
+
+    return rank_without(None), np.stack([rank_without(i) for i in range(n)])
+
+
 def feasibility_oracle(mats: np.ndarray) -> np.ndarray:
     """Rank-based smoothability oracle, independent of the kernel solver:
     an all-nonzero annihilating combination exists iff deleting any single
-    class vector leaves the rank unchanged."""
-    mats = np.asarray(mats, dtype=np.int64)
-    n = mats.shape[-2]
+    class vector leaves the rank unchanged.  Ranks come from shared row
+    minors when m <= 3 and from minor enumeration otherwise."""
+    mats = np.asarray(mats)
+    n, m = mats.shape[-2], mats.shape[-1]
+    if m <= 3:
+        full, deleted = shared_minor_ranks(mats)
+        return np.all(deleted == full, axis=0)
     full = batched_integer_rank(mats)
     ok = np.ones(mats.shape[:-2], dtype=bool)
     for i in range(n):
@@ -388,51 +437,60 @@ def feasibility_oracle(mats: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _canonical_row_keys(mats: np.ndarray) -> np.ndarray:
-    """Per-matrix sorted keys of sign-normalized rows.  Feasibility is
-    invariant under row permutation and row negation, so these keys index
-    equivalence classes."""
-    m = mats.shape[-1]
-    sign = np.zeros(mats.shape[:-1], dtype=np.int64)
-    for j in range(m - 1, -1, -1):
-        col = mats[..., j]
-        sign = np.where(col != 0, np.sign(col), sign)
-    normalized = mats * np.where(sign == 0, 1, sign)[..., None]
-    keys = np.zeros(mats.shape[:-1], dtype=np.int64)
+def _canonical_class_keys(mats: np.ndarray) -> np.ndarray:
+    """One int64 key per matrix naming its equivalence class.  Feasibility
+    is invariant under row permutation and row negation: a row reads as the
+    base-3 number k < 3^m with digits entry + 1, its negation as
+    3^m - 1 - k, and the row's key is the smaller of the two.  The sorted
+    row keys are packed into one integer below 3^(m N), first row most
+    significant."""
+    n, m = mats.shape[-2], mats.shape[-1]
+    assert 3 ** (m * n) <= 2**63, "class keys must fit in int64"
+    row_keys = np.zeros(mats.shape[:-1], dtype=np.int64)
     for j in range(m):
-        keys = keys * 3 + (normalized[..., j] + 1)
-    keys.sort(axis=-1)
+        row_keys = row_keys * 3 + (mats[..., j] + 1)
+    row_keys = np.minimum(row_keys, 3**m - 1 - row_keys)
+    row_keys.sort(axis=-1)
+    keys = np.zeros(mats.shape[:-2], dtype=np.int64)
+    for i in range(n):
+        keys = keys * 3**m + row_keys[..., i]
     return keys
 
 
-def _decode_row_key(key: int, m: int) -> tuple[int, ...]:
+def _decode_class_key(key: int, n: int, m: int) -> list[tuple[int, ...]]:
     digits = []
-    for _ in range(m):
+    for _ in range(n * m):
         digits.append(key % 3 - 1)
         key //= 3
-    return tuple(reversed(digits))
+    digits.reverse()
+    return [tuple(digits[i * m : (i + 1) * m]) for i in range(n)]
 
 
 def exhaustive_friedman_agreement(max_rows: int, max_cols: int = 3) -> tuple[int, int]:
     """Compare the exact witness solver against the rank oracle over every
     class matrix with entries in {-1, 0, 1}, N <= max_rows, m <= max_cols.
-    The exact solver runs once per equivalence class (row order and row
-    signs do not matter); the oracle runs on every matrix.  Returns
-    (matrices checked, mismatches)."""
+
+    The oracle runs on every matrix.  For m <= 3 it takes ranks from row
+    minors computed once per row subset and shared by the full matrix and
+    its single-row deletions: nonzero rows, 2 x 2 minors of row pairs,
+    triple products of row triples.  The exact solver runs once per
+    equivalence class (row order and row signs do not matter); a class is
+    keyed by its sorted sign-normalized rows packed into one int64 below
+    3^(m N), so N m <= 39.  Returns (matrices checked, mismatches)."""
     checked = 0
     mismatches = 0
     values = (-1, 0, 1)
     for n in range(1, max_rows + 1):
         for m in range(1, max_cols + 1):
-            rows_pool = np.array(list(itertools.product(values, repeat=m)), dtype=np.int64)
-            index_grid = np.indices((len(rows_pool),) * n).reshape(n, -1).T
+            rows_pool = np.array(list(itertools.product(values, repeat=m)), dtype=np.int8)
+            index_grid = np.indices((len(rows_pool),) * n, dtype=np.int8).reshape(n, -1).T
             all_matrices = rows_pool[index_grid]  # (3^(n*m), n, m)
             oracle = feasibility_oracle(all_matrices)
-            keys = _canonical_row_keys(all_matrices)
-            unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+            keys = _canonical_class_keys(all_matrices)
+            unique_keys, inverse = np.unique(keys, return_inverse=True)
             solver = np.empty(len(unique_keys), dtype=bool)
-            for idx, key_row in enumerate(unique_keys):
-                rows = [_decode_row_key(int(k), m) for k in key_row]
+            for idx, key in enumerate(unique_keys):
+                rows = _decode_class_key(int(key), n, m)
                 witness = transitions.friedman_witness(transitions.ClassMatrix(rows))
                 solver[idx] = witness is not None
             checked += all_matrices.shape[0]

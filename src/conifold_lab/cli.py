@@ -285,7 +285,11 @@ def _cmd_friedman(args) -> int:
             matrix = transitions.ClassMatrix.from_csv_text(fh.read())
     else:
         rows = json.loads(args.classes_json)
-        matrix = transitions.ClassMatrix(rows)
+        try:
+            matrix = transitions.ClassMatrix(rows)
+        except TypeError as exc:
+            # inexact entries, or rows that are not lists of numbers
+            raise SystemExit2(f"bad class matrix: {exc}") from None
     witness = transitions.friedman_witness(matrix)
     assertions = Assertions()
     results = {

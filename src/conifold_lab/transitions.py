@@ -147,13 +147,14 @@ class ClassMatrix:
         return cls(rows)
 
 
-def _kernel_basis(columns: list[list]) -> list[list]:
-    """Kernel of the linear map lambda -> sum_i lambda_i columns[i], where the
-    i-th unknown multiplies columns[i].  Exact Gauss-Jordan elimination;
-    scalars are Fractions or GaussianRationals."""
-    n = len(columns)
-    m = len(columns[0]) if columns else 0
-    mat = [[columns[i][j] for i in range(n)] for j in range(m)]
+def _all_integers(mat) -> bool:
+    return all(type(x) is Fraction and x.denominator == 1 for row in mat for x in row)
+
+
+def _fraction_rref(mat: list[list], n: int) -> list[int]:
+    """Gauss-Jordan elimination in place over Fractions or GaussianRationals;
+    returns the pivot columns.  Pivot rows end up normalized to pivot 1."""
+    m = len(mat)
     pivots: list[int] = []
     row = 0
     for col in range(n):
@@ -171,6 +172,55 @@ def _kernel_basis(columns: list[list]) -> list[list]:
         row += 1
         if row == m:
             break
+    return pivots
+
+
+def _integer_rref(mat: list[list], n: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination in place over the integers:
+    row operations p * r - f * r_pivot, each row reduced by the gcd of its
+    entries.  Pivot rows are then divided exactly by their pivots, which
+    leaves the same reduced row echelon form as the Fraction path (it is
+    unique).  Returns the pivot columns."""
+    m = len(mat)
+    pivots: list[int] = []
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, m) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        prow = mat[row]
+        p = prow[col]
+        for r in range(m):
+            if r != row and mat[r][col]:
+                f = mat[r][col]
+                new = [p * a - f * b for a, b in zip(mat[r], prow)]
+                g = math.gcd(*new)
+                mat[r] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    for r, col in enumerate(pivots):
+        p = mat[r][col]
+        mat[r] = [Fraction(x, p) for x in mat[r]]
+    return pivots
+
+
+def _kernel_basis(columns: list[list]) -> list[list]:
+    """Kernel of the linear map lambda -> sum_i lambda_i columns[i], where the
+    i-th unknown multiplies columns[i].  Exact Gauss-Jordan elimination:
+    fraction-free over the integers when every entry is an integer,
+    otherwise over Fractions or GaussianRationals.  The basis has one
+    vector per free column f, with vec[f] = 1 and the pivots solved."""
+    n = len(columns)
+    m = len(columns[0]) if columns else 0
+    mat = [[columns[i][j] for i in range(n)] for j in range(m)]
+    if _all_integers(mat):
+        mat = [[x.numerator for x in row] for row in mat]
+        pivots = _integer_rref(mat, n)
+    else:
+        pivots = _fraction_rref(mat, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     zero, one = Fraction(0), Fraction(1)

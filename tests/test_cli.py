@@ -1,10 +1,11 @@
 import json
+import random
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from conifold_lab import cli
+from conifold_lab import cli, transitions
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,43 @@ class TestFriedmanCommand:
         code, text = run_cli(["friedman", "--classes-json", "[[1, 0], [0, 1]]"], tmp_path)
         assert code == 0
         assert json.loads(text)["results"]["feasible"] is False
+
+    @pytest.mark.parametrize(
+        "classes", ["[[0.5]]", "[1,2]", "[[[1]]]", '[[{"a":1}]]'],
+        ids=["inexact", "flat", "nested", "object"],
+    )
+    def test_malformed_json_is_usage_error(self, classes, tmp_path, capsys):
+        code = cli.main(["friedman", "--classes-json", classes, "--output", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (6, 3), (15, 14), (40, 10), (125, 24)])
+    def test_reports_match_between_kernel_paths(self, n, m, tmp_path, monkeypatch):
+        """The integer and the Fraction elimination give byte-identical
+        reports on a feasible and an infeasible class matrix."""
+        rng = random.Random(n * m)
+        lam = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n - 1)]
+        rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n - 1)]
+        feasible = rows + [[-sum(c * r[j] for c, r in zip(lam, rows)) for j in range(m)]]
+        # one row alone is nonzero in the first column: infeasible
+        infeasible = [[0] + row[1:] for row in feasible]
+        infeasible[0][0] = 1
+        integer_rref = transitions._integer_rref
+        calls = []
+        monkeypatch.setattr(
+            transitions, "_integer_rref", lambda *a: calls.append(a) or integer_rref(*a)
+        )
+        for rows, expected in ((feasible, True), (infeasible, False)):
+            argv = ["friedman", "--classes-json", json.dumps(rows)]
+            code, integer_text = run_cli(argv, tmp_path, "integer.json")
+            assert code == 0 and calls
+            assert json.loads(integer_text)["results"]["feasible"] is expected
+            with monkeypatch.context() as patch:
+                patch.setattr(transitions, "_all_integers", lambda mat: False)
+                code, fraction_text = run_cli(argv, tmp_path, "fraction.json")
+            assert code == 0
+            assert integer_text == fraction_text
 
 
 class TestDeterminism:

@@ -1,15 +1,18 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conifold_lab import transitions
 from conifold_lab.acceptance import (
     batched_integer_rank,
     exhaustive_friedman_agreement,
     feasibility_oracle,
+    shared_minor_ranks,
 )
 from conifold_lab.transitions import (
     ClassMatrix,
@@ -189,6 +192,75 @@ class TestFriedmanWitness:
             ClassMatrix([[0.5]])
         ClassMatrix([[2.0]])  # integral floats are accepted
 
+    def test_exhaustive_gate_at_the_full_profile(self):
+        assert exhaustive_friedman_agreement(4) == (559380, 0)
+
+    def test_exhaustive_gate_catches_a_wrong_solver(self, monkeypatch):
+        # flip the answer of the first equivalence class the solver sees
+        real = transitions.friedman_witness
+        calls = []
+
+        def flipped(classes):
+            witness = real(classes)
+            calls.append(classes)
+            if len(calls) > 1:
+                return witness
+            return [Fraction(1)] * classes.n_classes if witness is None else None
+
+        monkeypatch.setattr(transitions, "friedman_witness", flipped)
+        checked, mismatches = exhaustive_friedman_agreement(2, 2)
+        assert calls and mismatches > 0
+
+
+def _fraction_path_kernel(columns):
+    with mock.patch.object(transitions, "_all_integers", lambda mat: False):
+        return transitions._kernel_basis(columns)
+
+
+def _integer_classes(seed: int, n: int, m: int, kind: str) -> list[list[int]]:
+    """n class vectors of length m with entries in [-10^6, 10^6]: dense,
+    mostly zero, or of low rank (integer combinations of a few rows)."""
+    rng = np.random.default_rng(seed)
+    bound = 10**6
+    if kind == "dense":
+        mat = rng.integers(-bound, bound + 1, size=(n, m))
+    elif kind == "sparse":
+        mat = rng.integers(-bound, bound + 1, size=(n, m)) * (rng.random((n, m)) < 0.15)
+    else:
+        r = int(rng.integers(1, min(n, m) + 1))
+        base = rng.integers(-(bound // (3 * r)), bound // (3 * r) + 1, size=(r, m))
+        mat = rng.integers(-3, 4, size=(n, r)) @ base
+    return [[int(x) for x in row] for row in mat]
+
+
+class TestIntegerKernel:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 125),
+        st.integers(1, 24),
+        st.sampled_from(["dense", "sparse", "low_rank"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_path_exactly(self, seed, n, m, kind):
+        columns = [[Fraction(x) for x in row] for row in _integer_classes(seed, n, m, kind)]
+        assert transitions._all_integers(columns)
+        integer = transitions._kernel_basis(columns)
+        reference = _fraction_path_kernel(columns)
+        assert len(integer) == len(reference)
+        for got, want in zip(integer, reference):
+            assert all(type(x) is Fraction for x in got)
+            assert got == want
+
+    @pytest.mark.parametrize("n,m", [(125, 24), (15, 14)])
+    def test_extreme_shapes(self, n, m):
+        for kind in ("dense", "sparse", "low_rank"):
+            columns = [[Fraction(x) for x in row] for row in _integer_classes(n * m, n, m, kind)]
+            assert transitions._kernel_basis(columns) == _fraction_path_kernel(columns)
+
+    def test_non_integer_input_keeps_the_fraction_path(self):
+        assert not transitions._all_integers([[Fraction(1, 2), Fraction(1)]])
+        assert not transitions._all_integers([[GaussianRational(Fraction(1))]])
+
 
 class TestBatchedRank:
     def test_against_numpy(self):
@@ -197,6 +269,41 @@ class TestBatchedRank:
         ours = batched_integer_rank(mats)
         theirs = np.array([np.linalg.matrix_rank(m) for m in mats])
         assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_shared_minor_ranks_on_every_sign_matrix(self, m):
+        """Full ranks against minor enumeration and numpy on every {-1,0,1}
+        matrix with N <= 4.  A row deletion of an N-row matrix is an
+        (N-1)-row matrix whose full rank was checked one step earlier, so the
+        deleted ranks are compared with the full ranks of the deletions."""
+        pool = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.int8)
+        for n in range(1, 5):
+            mats = pool[np.indices((len(pool),) * n).reshape(n, -1).T]
+            full, deleted = shared_minor_ranks(mats)
+            assert np.array_equal(full, batched_integer_rank(mats))
+            assert np.array_equal(full, np.linalg.matrix_rank(mats.astype(float)))
+            for i in range(n):
+                reduced = np.delete(mats, i, axis=-2)
+                expected = shared_minor_ranks(reduced)[0] if n > 1 else np.zeros_like(full)
+                assert np.array_equal(deleted[i], expected)
+
+    @pytest.mark.parametrize("bound", [2, 50, 1000])
+    def test_shared_minor_ranks_on_larger_entries(self, bound):
+        rng = np.random.default_rng(bound)
+        for n, m in itertools.product(range(1, 6), range(1, 4)):
+            mats = rng.integers(-bound, bound + 1, size=(400, n, m))
+            mats[::3, 0] = 0  # force rank drops
+            mats[1::3, -1] = 2 * mats[1::3, 0]
+            full, deleted = shared_minor_ranks(mats)
+            assert np.array_equal(full, batched_integer_rank(mats))
+            for i in range(n):
+                assert np.array_equal(deleted[i], batched_integer_rank(np.delete(mats, i, axis=-2)))
+
+    def test_shared_minor_ranks_reject_overflowing_entries(self):
+        with pytest.raises(ValueError):
+            shared_minor_ranks(np.full((1, 3, 3), 2**21))
+        with pytest.raises(ValueError):
+            shared_minor_ranks(np.zeros((1, 2, 4), dtype=np.int64))
 
 
 class TestDworkPoints:
