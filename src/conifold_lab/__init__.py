@@ -9,69 +9,4 @@ smoothability criterion, and the exact topology-change bookkeeping of
 the standard worked examples.
 """
 
-from conifold_lab.hodge import (
-    EulerCharQuery,
-    HypersurfaceSpec,
-    HodgeDiamond,
-    chi_line_bundle,
-    chi_omega_p_twist,
-    chi_restricted_omega_p,
-    chi_hypersurface_omega_p,
-    hodge_diamond,
-    moduli_dimension,
-    quintic_moduli_dimension,
-    quartic_k3_moduli_dimension,
-)
-from conifold_lab.conifold import (
-    FiberPoint,
-    ResolvedPoint,
-    RealSplitting,
-    ThreeFormValue,
-    on_fiber,
-    rescale_fiber,
-    phi_map,
-    dominant_chart,
-    holomorphic_volume_form,
-    volume_form_value,
-    omega_tilde_1,
-    omega_tilde_1_coefficients,
-    pullback_volume_form,
-    real_coordinates,
-    resolve_project,
-    resolved_rescale,
-)
-from conifold_lab.metrics import (
-    PotentialFamily,
-    PotentialSample,
-    HermitianHessian,
-    gamma_resolved,
-    gamma_resolved_root,
-    potential_value,
-    ode_residual,
-    hermitian_hessian,
-    monge_ampere_residual,
-    asymptotic_deviation,
-    potential_convergence_sup,
-)
-from conifold_lab.slag import (
-    CycleGrid,
-    sample_vanishing_cycle,
-    integrate_volume_form,
-    calibration_residual,
-    exact_cycle_integral,
-)
-from conifold_lab.transitions import (
-    TransitionRecord,
-    ClassMatrix,
-    ProjectivePoint5,
-    Polynomial4,
-    apply_topology_change,
-    infer_counts,
-    friedman_witness,
-    dwork_singular_points,
-    dwork_polynomial,
-    verify_odp,
-    example_catalog,
-)
-
 __version__ = "0.1.0"

@@ -66,27 +66,49 @@ class CriterionResult:
         return f"{self.cid} {status} [{self.elapsed:6.2f}s] {self.title}"
 
 
-class _Check:
-    """Collects named tolerance comparisons for one criterion."""
+class Checks:
+    """Named checks, kept in the order they were made.  Criteria read the
+    `details` and `failures` views; command-line reports read `items`."""
 
     def __init__(self) -> None:
-        self.details: dict = {}
-        self.failures: list[str] = []
+        self._checks: list[tuple[str, bool, str, dict]] = []  # name, passed, failure, detail
 
-    def le(self, name: str, measured: float, bound: float) -> None:
-        self.details[name] = {"measured": measured, "tolerance": bound}
-        if not measured <= bound:
-            self.failures.append(f"{name}: {measured!r} > {bound!r}")
+    def _add(self, name: str, passed, failure: str, **detail) -> None:
+        self._checks.append((name, bool(passed), failure, detail))
 
-    def true(self, name: str, condition: bool, measured=None) -> None:
-        self.details[name] = {"measured": measured if measured is not None else bool(condition)}
-        if not condition:
-            self.failures.append(f"{name}: expected true")
+    def le(self, name: str, measured, bound) -> None:
+        """Passes when measured <= bound; a NaN measurement fails."""
+        failure = f"{name}: {measured!r} > {bound!r}"
+        self._add(name, measured <= bound, failure, measured=measured, tolerance=bound)
+
+    def true(self, name: str, condition, measured=None) -> None:
+        measured = bool(condition) if measured is None else measured
+        self._add(name, condition, f"{name}: expected true", measured=measured)
 
     def equal(self, name: str, measured, expected) -> None:
-        self.details[name] = {"measured": measured, "expected": expected}
-        if measured != expected:
-            self.failures.append(f"{name}: {measured!r} != {expected!r}")
+        failure = f"{name}: {measured!r} != {expected!r}"
+        self._add(name, measured == expected, failure, measured=measured, expected=expected)
+
+    def note(self, name: str, measured) -> None:
+        """Record a measurement that has no pass condition."""
+        self._add(name, True, "", measured=measured)
+
+    @property
+    def details(self) -> dict:
+        return {name: detail for name, _, _, detail in self._checks}
+
+    @property
+    def failures(self) -> list[str]:
+        return [failure for _, passed, failure, _ in self._checks if not passed]
+
+    @property
+    def items(self) -> list[dict]:
+        return [{"name": name, "passed": passed, "tolerance": detail.get("tolerance"),
+                 "measured": detail["measured"]} for name, passed, _, detail in self._checks]
+
+    @property
+    def all_passed(self) -> bool:
+        return all(passed for _, passed, _, _ in self._checks)
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -125,8 +147,8 @@ def sample_resolved_points(a: float, radii, rng: np.random.Generator) -> list[co
 # criteria
 
 
-def criterion_01(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_01(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     spec = hodge.HypersurfaceSpec(4, 5)
     diamond = hodge.hodge_diamond(spec)
     chk.equal("h11", diamond.h(1, 1), 1)
@@ -145,8 +167,8 @@ def criterion_01(profile: Profile) -> tuple[str, float, _Check]:
     return "quintic Hodge diamond exact", 1.0, chk
 
 
-def criterion_02(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_02(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     k3 = hodge.hodge_diamond(hodge.HypersurfaceSpec(3, 4))
     chk.equal("k3_h11", k3.h(1, 1), 20)
     chk.equal("quintic_moduli", hodge.quintic_moduli_dimension(), 101)
@@ -154,8 +176,8 @@ def criterion_02(profile: Profile) -> tuple[str, float, _Check]:
     return "K3 diamond and moduli counts", 1.0, chk
 
 
-def criterion_03(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_03(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     rng = np.random.default_rng(profile.seed)
     n = profile.ma_points
 
@@ -184,15 +206,15 @@ def criterion_03(profile: Profile) -> tuple[str, float, _Check]:
     return "volume-form equation certified along all three families", 30.0, chk
 
 
-def criterion_04(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_04(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     sample = metrics.potential_value(metrics.PotentialFamily.resolved(1.0), 1e-8)
     chk.le("fprime_limit_error", abs(sample.fp - 1.0 / math.sqrt(6.0)), 1e-6)
     return "resolved profile slope limit 1/sqrt(6) at the zero section", 1.0, chk
 
 
-def criterion_05(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_05(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     taus = np.logspace(2, 6, profile.asymptotic_points)
     rs = metrics.PotentialFamily.resolved(1.0)
     weighted = [
@@ -215,8 +237,8 @@ def criterion_05(profile: Profile) -> tuple[str, float, _Check]:
     return "asymptotically conical decay of both potentials", 30.0, chk
 
 
-def criterion_06(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_06(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     a_params = [1.0, 0.5, 0.25, 0.125, 1e-3]
     t_params = [0.5, 0.25, 0.125, 1e-3]
     sups_a = metrics.potential_convergence_sup("resolved", a_params, 1.0, 10.0, profile.convergence_grid)
@@ -236,8 +258,8 @@ def criterion_06(profile: Profile) -> tuple[str, float, _Check]:
     return "potential-level continuity through the transition", 60.0, chk
 
 
-def criterion_07(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_07(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     res = profile.slag_resolution
     for label, t in (("t1", 1.0), ("ti", 1j), ("tgen", 0.3 * cmath.exp(1j * math.pi / 5))):
         grid = slag.sample_vanishing_cycle(t, res)
@@ -246,12 +268,12 @@ def criterion_07(profile: Profile) -> tuple[str, float, _Check]:
         chk.le(f"period_rel_error_{label}", abs(value - exact) / abs(exact), 1e-4)
     err_lo, err_hi, order = slag.convergence_order(1.0, res // 2, res)
     chk.true("order_at_least_2", order >= 2.0, measured=order)
-    chk.details["convergence_errors"] = {"measured": [err_lo, err_hi]}
+    chk.note("convergence_errors", [err_lo, err_hi])
     return "vanishing-cycle period 2 pi^2 t with measured convergence", 60.0, chk
 
 
-def criterion_08(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_08(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     t = cmath.exp(1j * math.pi / 3)
     grid = slag.sample_vanishing_cycle(t, 16)
     rng = np.random.default_rng(profile.seed)
@@ -275,8 +297,8 @@ def _generic_v0_point() -> conifold.FiberPoint:
     return conifold.FiberPoint(np.append(z123, z4), 0.0)
 
 
-def criterion_09(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_09(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     p = _generic_v0_point()
     base = conifold.volume_form_chart_coefficients(p)
     first = conifold.omega_tilde_1_coefficients(p)
@@ -310,8 +332,8 @@ def criterion_09(profile: Profile) -> tuple[str, float, _Check]:
     return "first-order deformation form: expansion, closedness, invariance", 30.0, chk
 
 
-def criterion_10(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_10(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     catalog = transitions.example_catalog()
     chk.equal("catalog_size", len(catalog), 4)
     for rec in catalog:
@@ -498,8 +520,8 @@ def exhaustive_friedman_agreement(max_rows: int, max_cols: int = 3) -> tuple[int
     return checked, mismatches
 
 
-def criterion_11(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_11(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     rows = [[1 if j == i else 0 for j in range(14)] for i in range(14)] + [[-1] * 14]
     witness = transitions.friedman_witness(transitions.ClassMatrix(rows))
     chk.true("tian_yau_witness_found", witness is not None)
@@ -512,12 +534,12 @@ def criterion_11(profile: Profile) -> tuple[str, float, _Check]:
     )
     checked, mismatches = exhaustive_friedman_agreement(profile.friedman_max_rows)
     chk.equal("oracle_mismatches", mismatches, 0)
-    chk.details["oracle_matrices_checked"] = {"measured": checked}
+    chk.note("oracle_matrices_checked", checked)
     return "first-order smoothability solver vs exhaustive oracle", 30.0, chk
 
 
-def criterion_12(profile: Profile) -> tuple[str, float, _Check]:
-    chk = _Check()
+def criterion_12(profile: Profile) -> tuple[str, float, Checks]:
+    chk = Checks()
     points = transitions.dwork_singular_points()
     chk.equal("singular_count", len(points), 125)
     chk.true(
@@ -528,15 +550,11 @@ def criterion_12(profile: Profile) -> tuple[str, float, _Check]:
     poly = transitions.dwork_polynomial()
     certs = [transitions.verify_odp(poly, p.to_affine()) for p in points]
     chk.true("all_odp", all(c.is_odp for c in certs))
-    chk.details["min_det_margin"] = {
-        "measured": min(c.hessian_det / c.det_threshold for c in certs)
-    }
+    chk.note("min_det_margin", min(c.hessian_det / c.det_threshold for c in certs))
     smooth = transitions.random_dwork_smooth_points(profile.smooth_points, seed=profile.seed)
     smooth_certs = [transitions.verify_odp(poly, z) for z in smooth]
     chk.true("smooth_points_not_singular", all(c.status == "not_singular" for c in smooth_certs))
-    chk.details["smooth_min_gradient"] = {
-        "measured": min(c.gradient_norm for c in smooth_certs)
-    }
+    chk.note("smooth_min_gradient", min(c.gradient_norm for c in smooth_certs))
     return "nodal pencil member: 125 double points certified", 60.0, chk
 
 
@@ -561,16 +579,17 @@ def run_criterion(cid: str, profile: Profile) -> CriterionResult:
     start = time.perf_counter()
     title, budget, chk = fn(profile)
     elapsed = time.perf_counter() - start
+    failures = chk.failures
     if elapsed > budget:
-        chk.failures.append(f"runtime {elapsed:.2f}s exceeded budget {budget:.0f}s")
+        failures.append(f"runtime {elapsed:.2f}s exceeded budget {budget:.0f}s")
     return CriterionResult(
         cid=cid,
         title=title,
-        passed=not chk.failures,
+        passed=not failures,
         elapsed=elapsed,
         budget=budget,
         details=chk.details,
-        failures=chk.failures,
+        failures=failures,
     )
 
 

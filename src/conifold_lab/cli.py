@@ -15,13 +15,13 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
 import numpy as np
 
 from conifold_lab import acceptance, hodge, metrics, slag, transitions
+from conifold_lab.acceptance import Checks
 
 SCHEMA_VERSION = 1
 
@@ -40,23 +40,7 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-class Assertions:
-    def __init__(self) -> None:
-        self.items: list[dict] = []
-
-    def check(self, name: str, measured, tolerance=None, passed=None) -> None:
-        if passed is None:
-            passed = bool(measured <= tolerance)
-        self.items.append(
-            {"name": name, "passed": bool(passed), "tolerance": tolerance, "measured": measured}
-        )
-
-    @property
-    def all_passed(self) -> bool:
-        return all(item["passed"] for item in self.items)
-
-
-def _emit_report(args, command: str, config: dict, results, assertions: Assertions, timings) -> int:
+def _emit_report(args, command: str, config: dict, results, assertions: Checks, timings) -> int:
     report = {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -101,17 +85,12 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
     _write_output(path, buf.getvalue())
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("CONIFOLD_LAB_THREADS")
-    return int(raw) if raw else None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_hodge(args) -> int:
-    assertions = Assertions()
+    assertions = Checks()
     spec = hodge.HypersurfaceSpec(args.n, args.d)
     diamond = hodge.hodge_diamond(spec)
     results = diamond.to_json_dict()
@@ -124,9 +103,9 @@ def _cmd_hodge(args) -> int:
     results["moduli_dimension"] = hodge.moduli_dimension(args.n, args.d)
     try:
         diamond.check_invariants()
-        assertions.check("diamond_invariants", "exact", passed=True)
+        assertions.true("diamond_invariants", True, "exact")
     except AssertionError as exc:
-        assertions.check("diamond_invariants", str(exc), passed=False)
+        assertions.true("diamond_invariants", False, str(exc))
     return _emit_report(args, "hodge", vars_config(args), results, assertions, {})
 
 
@@ -148,8 +127,7 @@ def _metric_row(family: metrics.PotentialFamily, tau: float) -> list:
     sample = metrics.potential_value(family, tau)
     ode = metrics.ode_residual(family, tau)
     ma = metrics.monge_ampere_residual(family, _metric_point(family, tau))
-    threshold = 10.0 * max(abs(family.t), family.a**3 if family.kind == "resolved" else 0.0)
-    if family.kind != "cone" and tau < threshold:
+    if family.kind != "cone" and tau < metrics.asymptotic_threshold(family):
         deviation = ""
     else:
         deviation = metrics.asymptotic_deviation(family, tau, subtract_gauge=True)
@@ -172,12 +150,9 @@ def _cmd_metric(args) -> int:
             _write_csv(args.output, ["family", "param", "sup_deviation"],
                        [[kind, p, s] for p, s in zip(params, sups)])
             return 0
-        assertions = Assertions()
-        assertions.check(
-            "sups_decreasing",
-            sups,
-            passed=all(sups[i + 1] < sups[i] for i in range(len(sups) - 1)),
-        )
+        assertions = Checks()
+        decreasing = all(sups[i + 1] < sups[i] for i in range(len(sups) - 1))
+        assertions.true("sups_decreasing", decreasing, sups)
         config = vars_config(args)
         return _emit_report(args, "metric", config, {"params": params, "sups": sups}, assertions, {})
 
@@ -192,11 +167,11 @@ def _cmd_metric(args) -> int:
     if args.format == "csv":
         _write_csv(args.output, METRIC_HEADER, rows)
         return 0
-    assertions = Assertions()
+    assertions = Checks()
     worst_ode = max(r[6] for r in rows)
     worst_ma = max(r[7] for r in rows)
-    assertions.check("ode_residual_max", worst_ode, args.tolerances.get("ode", 1e-8))
-    assertions.check("ma_residual_max", worst_ma, args.tolerances.get("ma", 1e-7))
+    assertions.le("ode_residual_max", worst_ode, args.tolerances.get("ode", 1e-8))
+    assertions.le("ma_residual_max", worst_ma, args.tolerances.get("ma", 1e-7))
     results = {"header": METRIC_HEADER, "rows": rows}
     return _emit_report(args, "metric", vars_config(args), results, assertions, {})
 
@@ -230,34 +205,34 @@ def _cmd_slag(args) -> int:
         "exact_im": exact.imag,
         "rel_error": rel_error,
     }
-    assertions = Assertions()
-    assertions.check("rel_error", rel_error, args.tolerances.get("slag", 1e-4))
+    assertions = Checks()
+    assertions.le("rel_error", rel_error, args.tolerances.get("slag", 1e-4))
     return _emit_report(args, "slag", vars_config(args), results, assertions, {})
 
 
 def _cmd_transition(args) -> int:
-    assertions = Assertions()
+    assertions = Checks()
     if args.catalog:
         records = [rec.to_json_dict() for rec in transitions.example_catalog()]
         for rec in transitions.example_catalog():
-            assertions.check(f"{rec.name}_split", rec.N, passed=rec.N == rec.k + rec.c)
+            assertions.true(f"{rec.name}_split", rec.N == rec.k + rec.c, rec.N)
         return _emit_report(args, "transition", vars_config(args), {"catalog": records}, assertions, {})
     betti = tuple(int(x) for x in args.betti.split(","))
     record = transitions.apply_topology_change(
         args.h11, args.h21, betti, N=args.N, k=args.k, c=args.c
     )
     k, c = transitions.infer_counts(record.hodge_before, record.hodge_after, record.N)
-    assertions.check("round_trip", [k, c], passed=(k, c) == (record.k, record.c))
+    assertions.true("round_trip", (k, c) == (record.k, record.c), [k, c])
     return _emit_report(args, "transition", vars_config(args), record.to_json_dict(), assertions, {})
 
 
 def _cmd_dwork(args) -> int:
-    assertions = Assertions()
+    assertions = Checks()
     points = transitions.dwork_singular_points()
     poly = transitions.dwork_polynomial()
     certs = [transitions.verify_odp(poly, p.to_affine()) for p in points]
-    assertions.check("count", len(points), passed=len(points) == 125)
-    assertions.check("all_odp", sum(c.is_odp for c in certs), passed=all(c.is_odp for c in certs))
+    assertions.true("count", len(points) == 125, len(points))
+    assertions.true("all_odp", all(c.is_odp for c in certs), sum(c.is_odp for c in certs))
     results = {
         "count": len(points),
         "points": [list(p.exponents) for p in points],
@@ -265,13 +240,13 @@ def _cmd_dwork(args) -> int:
     }
     if args.exact:
         exact_ok = all(transitions.verify_dwork_point_exact(p) for p in points)
-        assertions.check("exact_cyclotomic", exact_ok, passed=exact_ok)
+        assertions.true("exact_cyclotomic", exact_ok)
         results["exact_cyclotomic"] = exact_ok
     if args.smooth_points:
         smooth = transitions.random_dwork_smooth_points(args.smooth_points, seed=args.seed)
         smooth_certs = [transitions.verify_odp(poly, z) for z in smooth]
         ok = all(c.status == "not_singular" for c in smooth_certs)
-        assertions.check("smooth_sample_not_singular", args.smooth_points, passed=ok)
+        assertions.true("smooth_sample_not_singular", ok, args.smooth_points)
         results["smooth_sample"] = {
             "count": args.smooth_points,
             "min_gradient": min(c.gradient_norm for c in smooth_certs),
@@ -291,7 +266,7 @@ def _cmd_friedman(args) -> int:
             # inexact entries, or rows that are not lists of numbers
             raise SystemExit2(f"bad class matrix: {exc}") from None
     witness = transitions.friedman_witness(matrix)
-    assertions = Assertions()
+    assertions = Checks()
     results = {
         "n_classes": matrix.n_classes,
         "ambient_rank": matrix.ambient_rank,
@@ -299,7 +274,7 @@ def _cmd_friedman(args) -> int:
     }
     if witness is not None:
         results["witness"] = [str(x) for x in witness]
-        assertions.check("witness_nonzero", results["witness"], passed=all(witness))
+        assertions.true("witness_nonzero", all(witness), results["witness"])
     return _emit_report(args, "friedman", vars_config(args), results, assertions, {})
 
 
@@ -309,11 +284,11 @@ def _cmd_verify_all(args) -> int:
     start = time.perf_counter()
     outcomes = acceptance.run_criteria(profile, only)
     total = time.perf_counter() - start
-    assertions = Assertions()
+    assertions = Checks()
     timings = {}
     for res in outcomes:
         print(res.line(), file=sys.stderr)
-        assertions.check(res.cid, res.failures or "ok", passed=res.passed)
+        assertions.true(res.cid, res.passed, res.failures or "ok")
         timings[res.cid] = res.elapsed
     timings["total"] = total
     results = {
@@ -344,9 +319,25 @@ class SystemExit2(SystemExit):
 
 def vars_config(args) -> dict:
     skip = {"func", "output", "timings"}
-    config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
-    config["thread_cap"] = _thread_cap()
-    return config
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _betti_text(text: str) -> str:
+    """Check b1,b2,b3; the text itself is kept, so the report config echoes it."""
+    try:
+        if len([int(x) for x in text.split(",")]) == 3:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected three comma-separated integers b1,b2,b3, got {text!r}"
+    )
 
 
 def _tolerance_map(pairs) -> dict:
@@ -403,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", action="store_true", help="emit the worked-example catalog")
     p.add_argument("--h11", type=int, default=None)
     p.add_argument("--h21", type=int, default=None)
-    p.add_argument("--betti", default="0,0,0", help="b1,b2,b3 before the transition")
+    p.add_argument("--betti", type=_betti_text, default="0,0,0", help="b1,b2,b3 before transition")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--c", type=int, default=None)
@@ -411,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dwork", parents=[common], help="nodal pencil member certification")
     p.add_argument("--exact", action="store_true", help="exact cyclotomic verification")
-    p.add_argument("--smooth-points", dest="smooth_points", type=int, default=0)
+    p.add_argument("--smooth-points", dest="smooth_points", type=_nonnegative_int, default=0)
     p.set_defaults(func=_cmd_dwork)
 
     p = sub.add_parser("friedman", parents=[common], help="first-order smoothability witness")

@@ -160,10 +160,6 @@ def phi_map(p: FiberPoint, t: complex) -> FiberPoint:
     return FiberPoint(w, t)
 
 
-def conjugate_point(p: FiberPoint) -> FiberPoint:
-    return FiberPoint(np.conj(p.z), np.conj(p.t))
-
-
 # ---------------------------------------------------------------------------
 # charts and the holomorphic volume form
 
@@ -259,9 +255,6 @@ def random_tangent_frame(p: FiberPoint, rng: np.random.Generator) -> list[np.nda
 # On the fiber, dz_4 = -(z_1 dz_1 + z_2 dz_2 + z_3 dz_3)/z_4 and conjugately
 # for conj(dz_4).  Forms restricted to chart 4 live over the 6-element basis
 # 0,1,2 = dz_1..dz_3 and 3,4,5 = conj(dz_1..dz_3).
-
-FIBER_BASIS_LABELS = ("dz1", "dz2", "dz3", "dz1bar", "dz2bar", "dz3bar")
-
 
 def _fiber_component(v: np.ndarray, idx: int) -> complex:
     return v[idx] if idx < 3 else np.conj(v[idx - 3])
@@ -468,14 +461,6 @@ def real_coordinates(p: FiberPoint, tol: float = 1e-9) -> RealSplitting:
     return RealSplitting(u=x / nx, v=y * ny)
 
 
-def splitting_to_point(split: RealSplitting, t: float) -> FiberPoint:
-    """Inverse of real_coordinates: x = sqrt(|v| + t) u, y = v / sqrt(|v|)."""
-    nv = float(np.linalg.norm(split.v))
-    x = np.sqrt(nv + t) * split.u
-    y = split.v / np.sqrt(nv) if nv > 0 else np.zeros(4)
-    return FiberPoint(x + 1j * y, t)
-
-
 # ---------------------------------------------------------------------------
 # small resolution
 
@@ -487,21 +472,6 @@ def resolve_project(q: ResolvedPoint) -> np.ndarray:
     u1, u2 = q.u
     w1, w2 = q.w
     return np.array([u1 * w1, u2 * w2, u1 * w2, u2 * w1], dtype=complex)
-
-
-def quadric_residual(xyzw: np.ndarray) -> float:
-    x, y, z, w = xyzw
-    return abs(x * y - z * w)
-
-
-def quadric_to_fiber(xyzw: np.ndarray) -> FiberPoint:
-    """Linear change of variables from {xy - zw = 0} to {sum z_i^2 = 0}."""
-    x, y, z, w = np.asarray(xyzw, dtype=complex)
-    coords = np.array(
-        [(x + y) / 2, (x - y) / 2j, (z - w) / 2, (z + w) / 2j],
-        dtype=complex,
-    )
-    return FiberPoint(coords, 0.0)
 
 
 def resolved_rescale(q: ResolvedPoint, a: float) -> ResolvedPoint:

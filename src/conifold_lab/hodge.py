@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 
 def ext_binomial(m: int, n: int) -> int:
@@ -116,36 +115,6 @@ def chi_hypersurface_omega_p(spec: HypersurfaceSpec, p: int, r: int = 0) -> int:
     return chi
 
 
-@dataclass(frozen=True)
-class EulerCharQuery:
-    """One twisted Euler-characteristic request, dispatched by target:
-    'projective_space' for chi(Omega_P^p(-r)), 'restricted_to_X' for the
-    ambient forms restricted to the hypersurface, 'hypersurface' for
-    chi(Omega_X^p(-r))."""
-
-    n: int
-    p: int
-    r: int
-    d: int = 0
-    target: str = "projective_space"
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.p <= self.n:
-            raise ValueError("need 0 <= p <= n")
-        if self.r < 0:
-            raise ValueError("need r >= 0")
-        if self.target not in ("projective_space", "restricted_to_X", "hypersurface"):
-            raise ValueError(f"unknown target {self.target!r}")
-
-    def evaluate(self) -> int:
-        if self.target == "projective_space":
-            return chi_omega_p_twist(self.n, self.p, self.r)
-        spec = HypersurfaceSpec(self.n, self.d)
-        if self.target == "restricted_to_X":
-            return chi_restricted_omega_p(spec, self.p, self.r)
-        return chi_hypersurface_omega_p(spec, self.p, self.r)
-
-
 @dataclass
 class HodgeDiamond:
     """Exact Hodge numbers h^{p,q} of a compact complex manifold of dimension dim."""
@@ -223,14 +192,3 @@ def quintic_moduli_dimension() -> int:
 def quartic_k3_moduli_dimension() -> int:
     """Moduli count for quartic K3 surfaces in P^3 (equals 19)."""
     return moduli_dimension(3, 4)
-
-
-def chi_line_bundle_fraction(n: int, m: int) -> Fraction:
-    """Same polynomial as chi_line_bundle but evaluated in Fraction arithmetic.
-
-    Used by tests as an independent route to the integer value.
-    """
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        out *= Fraction(m + i, i)
-    return out

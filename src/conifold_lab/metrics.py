@@ -34,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from conifold_lab.conifold import FiberPoint, ResolvedPoint, dominant_chart, on_fiber
 
@@ -188,31 +187,6 @@ def gamma_resolved(tau: float, a: float = 1.0) -> float:
     if tau < 0:
         raise ValueError("tau must be >= 0")
     return a**2 * _gamma_unit_closed_form(tau / a**3)
-
-
-def gamma_resolved_root(tau: float, a: float = 1.0) -> float:
-    """Safeguarded root-finder oracle for the same cubic (bisection bracket
-    plus Newton polish), independent of the radical formula."""
-    if not a > 0:
-        raise ValueError("a must be positive")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if tau == 0.0:
-        return 0.0
-
-    def cubic(g: float) -> float:
-        return g**3 + 6.0 * a**2 * g**2 - tau**2
-
-    hi = max(tau ** (2.0 / 3.0), tau / (math.sqrt(6.0) * a))
-    while cubic(hi) <= 0.0:
-        hi *= 2.0
-    g = brentq(cubic, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    for _ in range(2):
-        slope = 3.0 * g**2 + 12.0 * a**2 * g
-        if slope == 0.0:
-            break
-        g -= cubic(g) / slope
-    return g
 
 
 def _f1_resolved(sigma: float, epsabs: float = QUAD_EPSABS) -> tuple[float, float]:
@@ -509,6 +483,11 @@ def resolved_gauge_constant() -> float:
     )
 
 
+def asymptotic_threshold(family: PotentialFamily) -> float:
+    """Smallest tau where the large-tau expansion applies: ten parameter scales."""
+    return 10.0 * family.scale
+
+
 def asymptotic_deviation(
     family: PotentialFamily, tau: float, subtract_gauge: bool = False
 ) -> float:
@@ -520,7 +499,7 @@ def asymptotic_deviation(
     result decays to zero at the rate the expansions predict.
     """
     tau = float(tau)
-    threshold = 10.0 * max(abs(family.t), family.a**3 if family.kind == "resolved" else 0.0)
+    threshold = asymptotic_threshold(family)
     if family.kind != "cone" and tau < threshold:
         raise ValueError(f"tau = {tau} below the asymptotic threshold {threshold}")
     if family.kind == "cone":

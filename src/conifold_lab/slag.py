@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conifold_lab.conifold import FiberPoint, on_fiber
-
 SPHERE_VOLUME = 2.0 * math.pi**2
 
 # axis order making the period of the t = 1 cycle positive
@@ -219,18 +217,6 @@ def calibration_residual(t: complex, node: np.ndarray, frame: np.ndarray) -> flo
     return abs(rotated.imag) / abs(rotated)
 
 
-def lagrangian_residual(node: np.ndarray, frame: np.ndarray) -> float:
-    """Largest value of the flat Kaehler form on frame pairs; vanishes when
-    the frame spans a Lagrangian subspace."""
-    frame = np.asarray(frame, dtype=complex)
-    worst = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pairing = np.sum(np.conj(frame[i]) * frame[j])
-            worst = max(worst, abs(pairing.imag))
-    return worst
-
-
 def perturbed_frame(frame: np.ndarray, angle: float = 0.2) -> np.ndarray:
     """Negative control: rotate the last leg toward its complex-structure
     image (the normal direction inside the fiber).  Fiber tangency survives,
@@ -241,13 +227,6 @@ def perturbed_frame(frame: np.ndarray, angle: float = 0.2) -> np.ndarray:
     leg = frame[2]
     frame[2] = (math.cos(angle) * leg + math.sin(angle) * 1j * leg)
     return frame
-
-
-def grid_on_fiber_residual(grid: CycleGrid) -> float:
-    """Max fiber-equation and radius residual over all grid nodes."""
-    fiber = np.abs(np.sum(grid.nodes**2, axis=1) - grid.t)
-    radius = np.abs(np.sum(np.abs(grid.nodes) ** 2, axis=1) - abs(grid.t))
-    return float(max(fiber.max(), radius.max()))
 
 
 def convergence_order(t: complex, res_low: int = 16, res_high: int = 32) -> tuple[float, float, float]:
@@ -261,9 +240,3 @@ def convergence_order(t: complex, res_low: int = 16, res_high: int = 32) -> tupl
         errs.append(abs(val - exact) / abs(exact))
     order = math.log2(errs[0] / errs[1]) if errs[1] > 0 else math.inf
     return errs[0], errs[1], order
-
-
-def node_as_fiber_point(grid: CycleGrid, index: int) -> FiberPoint:
-    p = FiberPoint(grid.nodes[index], grid.t)
-    assert on_fiber(p, 1e-12)
-    return p

@@ -10,8 +10,8 @@ Three independent pieces of machinery live here.
 
 * The first-order smoothability criterion: the nodal variety smooths to
   first order iff some combination sum lambda_i [C_i] = 0 has every
-  lambda_i nonzero.  The solver works over exact rationals (optionally
-  Gaussian rationals) and returns an explicit witness or None.
+  lambda_i nonzero.  The solver works over exact rationals (integral curve
+  classes in the geometric case) and returns an explicit witness or None.
 
 * The quintic pencil's nodal member: enumeration of its 125 singular
   points, exact cyclotomic verification that they are critical, and a
@@ -29,88 +29,19 @@ from fractions import Fraction
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# exact scalars: rationals with an adjoined imaginary unit
+# the smoothability criterion
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    @classmethod
-    def of(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(Fraction(value))
-        if isinstance(value, complex):
-            if value.real != int(value.real) or value.imag != int(value.imag):
-                raise TypeError("inexact complex input; build GaussianRational explicitly")
-            return cls(Fraction(int(value.real)), Fraction(int(value.imag)))
-        raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
-
-    def __rsub__(self, other):
-        return GaussianRational.of(other) + (-self)
-
-    def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational.of(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-
-def _as_exact(value):
-    """Coerce CSV/JSON scalars to Fraction, or GaussianRational when complex."""
-    if isinstance(value, (int, Fraction)):
+def _as_exact(value) -> Fraction:
+    """Coerce CSV/JSON scalars (integers, rationals, rational strings such as
+    "1/2", integral floats) to Fraction."""
+    if isinstance(value, (int, Fraction, str)):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, complex):
-        return GaussianRational.of(value)
     if isinstance(value, float):
         if value != int(value):
             raise TypeError("class vectors must be exact; got a non-integral float")
         return Fraction(int(value))
     raise TypeError(f"unsupported class-vector entry of type {type(value).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# the smoothability criterion
 
 
 @dataclass
@@ -147,40 +78,12 @@ class ClassMatrix:
         return cls(rows)
 
 
-def _all_integers(mat) -> bool:
-    return all(type(x) is Fraction and x.denominator == 1 for row in mat for x in row)
-
-
-def _fraction_rref(mat: list[list], n: int) -> list[int]:
-    """Gauss-Jordan elimination in place over Fractions or GaussianRationals;
-    returns the pivot columns.  Pivot rows end up normalized to pivot 1."""
-    m = len(mat)
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = mat[row][col]
-        mat[row] = [x / inv for x in mat[row]]
-        for r in range(m):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    return pivots
-
-
 def _integer_rref(mat: list[list], n: int) -> list[int]:
     """Fraction-free Gauss-Jordan elimination in place over the integers:
     row operations p * r - f * r_pivot, each row reduced by the gcd of its
     entries.  Pivot rows are then divided exactly by their pivots, which
-    leaves the same reduced row echelon form as the Fraction path (it is
-    unique).  Returns the pivot columns."""
+    leaves the reduced row echelon form over the rationals (it is unique).
+    Returns the pivot columns."""
     m = len(mat)
     pivots: list[int] = []
     row = 0
@@ -207,20 +110,19 @@ def _integer_rref(mat: list[list], n: int) -> list[int]:
     return pivots
 
 
-def _kernel_basis(columns: list[list]) -> list[list]:
+def _kernel_basis(columns) -> list[list]:
     """Kernel of the linear map lambda -> sum_i lambda_i columns[i], where the
-    i-th unknown multiplies columns[i].  Exact Gauss-Jordan elimination:
-    fraction-free over the integers when every entry is an integer,
-    otherwise over Fractions or GaussianRationals.  The basis has one
-    vector per free column f, with vec[f] = 1 and the pivots solved."""
+    i-th unknown multiplies columns[i], with Fraction entries.  The system is
+    multiplied by the lcm of all denominators, which leaves its row space and
+    so its reduced row echelon form unchanged, and then eliminated
+    fraction-free over the integers.  The basis has one vector per free
+    column f, with vec[f] = 1 and the pivots solved."""
     n = len(columns)
     m = len(columns[0]) if columns else 0
     mat = [[columns[i][j] for i in range(n)] for j in range(m)]
-    if _all_integers(mat):
-        mat = [[x.numerator for x in row] for row in mat]
-        pivots = _integer_rref(mat, n)
-    else:
-        pivots = _fraction_rref(mat, n)
+    scale = math.lcm(*(x.denominator for row in mat for x in row))
+    mat = [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
+    pivots = _integer_rref(mat, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     zero, one = Fraction(0), Fraction(1)
@@ -244,8 +146,7 @@ def friedman_witness(classes: ClassMatrix):
     in s, so at most n_classes * dim(kernel) values can fail.
     """
     n = classes.n_classes
-    columns = [list(r) for r in classes.rows]
-    basis = _kernel_basis(columns)
+    basis = _kernel_basis(classes.rows)
     if not basis:
         return None
     for i in range(n):
@@ -259,8 +160,6 @@ def friedman_witness(classes: ClassMatrix):
             lam = [acc + power * x for acc, x in zip(lam, vec)]
             power = power * s
         if all(lam):
-            if any(isinstance(x, GaussianRational) for x in lam):
-                lam = [GaussianRational.of(x) for x in lam]
             _assert_witness(classes, lam)
             return lam
     raise AssertionError("witness search exceeded its deterministic bound")
@@ -639,6 +538,8 @@ def random_dwork_smooth_points(count: int, seed: int = 0) -> np.ndarray:
     """Deterministic sample of points on the nodal pencil member away from its
     singular set: random (z1, z2, z3), the quintic in z_4 solved by companion
     roots, singular-point neighborhoods excluded."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     poly = dwork_polynomial()
     singular = np.array([p.to_affine() for p in dwork_singular_points()])
     rng = np.random.default_rng(seed)

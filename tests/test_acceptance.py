@@ -2,11 +2,15 @@
 
 Run with -v to see one test per criterion; each prints its PASS/FAIL line
 with the elapsed time and asserts both the checks and the runtime budget.
+The check collector that criteria and command-line reports share is tested
+at the end.
 """
+
+import math
 
 import pytest
 
-from conifold_lab.acceptance import CRITERIA, Profile, run_criterion
+from conifold_lab.acceptance import CRITERIA, Checks, Profile, run_criterion
 
 FULL = Profile.full(seed=0)
 
@@ -19,3 +23,42 @@ def test_criterion(cid):
         print(f"    {name}: {info}")
     assert result.passed, "; ".join(result.failures)
     assert result.elapsed < result.budget
+
+
+class TestChecks:
+    def test_nan_measurement_fails_le(self):
+        chk = Checks()
+        chk.le("residual", float("nan"), 1e-8)
+        assert not chk.all_passed
+        assert chk.failures == ["residual: nan > 1e-08"]
+        [item] = chk.items
+        assert (item["name"], item["passed"], item["tolerance"]) == ("residual", False, 1e-8)
+        assert math.isnan(item["measured"])
+
+    def test_views_agree(self):
+        chk = Checks()
+        chk.le("small", 0.5, 1.0)
+        chk.le("large", 2.0, 1.0)
+        chk.true("flag", False, measured="reason")
+        chk.true("plain", True)
+        chk.equal("count", 3, 4)
+        chk.note("info", [1, 2])
+        assert [item["name"] for item in chk.items] == list(chk.details)
+        assert [item["passed"] for item in chk.items] == [True, False, False, True, False, True]
+        assert chk.failures == ["large: 2.0 > 1.0", "flag: expected true", "count: 3 != 4"]
+        assert chk.details == {
+            "small": {"measured": 0.5, "tolerance": 1.0},
+            "large": {"measured": 2.0, "tolerance": 1.0},
+            "flag": {"measured": "reason"},
+            "plain": {"measured": True},
+            "count": {"measured": 3, "expected": 4},
+            "info": {"measured": [1, 2]},
+        }
+        for item in chk.items:
+            assert item["measured"] == chk.details[item["name"]]["measured"]
+            assert item["tolerance"] == chk.details[item["name"]].get("tolerance")
+        assert not chk.all_passed
+        passing = Checks()
+        passing.le("small", 0.5, 1.0)
+        passing.note("info", 1)
+        assert passing.all_passed and passing.failures == []

@@ -5,6 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import reference
 from conifold_lab import cli, transitions
 
 
@@ -155,14 +156,20 @@ class TestFriedmanCommand:
         assert report["results"]["feasible"] is True
         assert report["results"]["witness"] == ["1", "1", "1"]
 
+    def test_rational_input(self, tmp_path):
+        rows = '[["1/2","1/3"],["-1/2","2/3"],["0","-1"],["3","7/5"]]'
+        code, text = run_cli(["friedman", "--classes-json", rows], tmp_path)
+        assert code == 0
+        assert json.loads(text)["results"]["witness"] == ["-22/5", "8/5", "1", "1"]
+
     def test_json_input_infeasible(self, tmp_path):
         code, text = run_cli(["friedman", "--classes-json", "[[1, 0], [0, 1]]"], tmp_path)
         assert code == 0
         assert json.loads(text)["results"]["feasible"] is False
 
     @pytest.mark.parametrize(
-        "classes", ["[[0.5]]", "[1,2]", "[[[1]]]", '[[{"a":1}]]'],
-        ids=["inexact", "flat", "nested", "object"],
+        "classes", ["[[0.5]]", "[1,2]", "[[[1]]]", '[[{"a":1}]]', '[["1j", "1"]]'],
+        ids=["inexact", "flat", "nested", "object", "complex"],
     )
     def test_malformed_json_is_usage_error(self, classes, tmp_path, capsys):
         code = cli.main(["friedman", "--classes-json", classes, "--output", str(tmp_path / "x")])
@@ -172,8 +179,8 @@ class TestFriedmanCommand:
 
     @pytest.mark.parametrize("n,m", [(3, 2), (6, 3), (15, 14), (40, 10), (125, 24)])
     def test_reports_match_between_kernel_paths(self, n, m, tmp_path, monkeypatch):
-        """The integer and the Fraction elimination give byte-identical
-        reports on a feasible and an infeasible class matrix."""
+        """The integer elimination and the Fraction reference elimination give
+        byte-identical reports on a feasible and an infeasible class matrix."""
         rng = random.Random(n * m)
         lam = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n - 1)]
         rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n - 1)]
@@ -192,7 +199,7 @@ class TestFriedmanCommand:
             assert code == 0 and calls
             assert json.loads(integer_text)["results"]["feasible"] is expected
             with monkeypatch.context() as patch:
-                patch.setattr(transitions, "_all_integers", lambda mat: False)
+                patch.setattr(transitions, "_kernel_basis", reference.fraction_kernel_basis)
                 code, fraction_text = run_cli(argv, tmp_path, "fraction.json")
             assert code == 0
             assert integer_text == fraction_text
@@ -215,11 +222,6 @@ class TestDeterminism:
         assert json.loads(text)["timings"] is not None
         _, text = run_cli(["slag", "--t", "1", "--resolution", "8"], tmp_path)
         assert json.loads(text)["timings"] is None
-
-    def test_thread_cap_echoed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONIFOLD_LAB_THREADS", "4")
-        _, text = run_cli(["hodge", "--n", "3", "--d", "4"], tmp_path)
-        assert json.loads(text)["config"]["thread_cap"] == 4
 
 
 class TestVerifyAll:
@@ -264,3 +266,18 @@ class TestUsageErrors:
     def test_bad_tolerance_syntax(self, capsys):
         assert cli.main(["slag", "--t", "1", "--tol", "oops"]) == 2
         assert "NAME=VALUE" in capsys.readouterr().err
+
+    def test_negative_smooth_point_count(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["dwork", "--smooth-points", "-5"])
+        assert err.value.code == 2
+        assert "--smooth-points: expected an integer >= 0, got '-5'" in capsys.readouterr().err
+
+    def test_betti_needs_three_numbers(self, capsys):
+        argv = ["transition", "--h11", "2", "--h21", "1", "--N", "1", "--k", "1", "--c", "0"]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + ["--betti", "0,0"])
+        assert err.value.code == 2
+        assert "--betti: expected three comma-separated integers b1,b2,b3, got '0,0'" in (
+            capsys.readouterr().err
+        )

@@ -10,7 +10,6 @@ from conifold_lab.conifold import (
     FiberPoint,
     ResolvedPoint,
     chart_margin,
-    conjugate_point,
     dominant_chart,
     fd_exterior_derivative,
     fiber_form_value,
@@ -21,19 +20,17 @@ from conifold_lab.conifold import (
     on_fiber,
     phi_map,
     pullback_volume_form,
-    quadric_residual,
-    quadric_to_fiber,
     random_tangent_frame,
     real_coordinates,
     rescale_fiber,
     resolve_project,
     resolved_rescale,
-    splitting_to_point,
     tangent_frame,
     volume_form_chart_coefficients,
     volume_form_value,
     OMEGA_TILDE_BASIS,
 )
+from reference import conjugate_point, quadric_residual, quadric_to_fiber, splitting_to_point
 
 
 def cone_point_with_dominant_z4() -> FiberPoint:

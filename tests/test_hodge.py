@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conifold_lab.hodge import (
-    EulerCharQuery,
     HypersurfaceSpec,
     chi_hypersurface_omega_p,
     chi_line_bundle,
-    chi_line_bundle_fraction,
     chi_omega_p_twist,
     ext_binomial,
     hodge_diamond,
@@ -18,6 +16,7 @@ from conifold_lab.hodge import (
     quartic_k3_moduli_dimension,
     quintic_moduli_dimension,
 )
+from reference import EulerCharQuery, chi_line_bundle_fraction
 
 
 def product_oracle(n: int, m: int) -> Fraction:

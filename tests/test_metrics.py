@@ -9,7 +9,6 @@ from conifold_lab.metrics import (
     asymptotic_deviation,
     cone_point,
     gamma_resolved,
-    gamma_resolved_root,
     hermitian_hessian,
     monge_ampere_calibration,
     monge_ampere_residual,
@@ -25,6 +24,7 @@ from conifold_lab.metrics import (
     _f1p_smoothed,
     _f1pp_smoothed,
 )
+from reference import gamma_resolved_root
 
 CONE = PotentialFamily.cone()
 SMOOTHED = PotentialFamily.smoothed(1.0)

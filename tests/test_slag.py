@@ -11,13 +11,11 @@ from conifold_lab.slag import (
     convergence_order,
     exact_cycle_integral,
     frame_tangency_residual,
-    grid_on_fiber_residual,
     integrate_volume_form,
-    lagrangian_residual,
-    node_as_fiber_point,
     perturbed_frame,
     sample_vanishing_cycle,
 )
+from reference import grid_on_fiber_residual, lagrangian_residual, node_as_fiber_point
 
 GENERIC_T = 0.3 * cmath.exp(1j * math.pi / 5)
 

@@ -1,12 +1,12 @@
 import itertools
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conifold_lab import transitions
 from conifold_lab.acceptance import (
     batched_integer_rank,
@@ -16,7 +16,6 @@ from conifold_lab.acceptance import (
 )
 from conifold_lab.transitions import (
     ClassMatrix,
-    GaussianRational,
     NotOnVarietyError,
     Polynomial4,
     ProjectivePoint5,
@@ -147,13 +146,6 @@ class TestFriedmanWitness:
     def test_standard_basis_infeasible(self):
         assert friedman_witness(ClassMatrix([[1, 0], [0, 1]])) is None
 
-    def test_gaussian_rational_input(self):
-        one_plus_i = GaussianRational(Fraction(1), Fraction(1))
-        witness = friedman_witness(ClassMatrix([[one_plus_i], [-one_plus_i]]))
-        assert witness is not None
-        total = witness[0] * one_plus_i + witness[1] * (-one_plus_i)
-        assert not total
-
     def test_witness_soundness_is_exact(self):
         rows = [[2, 4], [1, 2], [-3, -6]]
         witness = friedman_witness(ClassMatrix(rows))
@@ -191,6 +183,9 @@ class TestFriedmanWitness:
         with pytest.raises(TypeError):
             ClassMatrix([[0.5]])
         ClassMatrix([[2.0]])  # integral floats are accepted
+        for entry in (1j, 1 + 1j, 2 + 0j):
+            with pytest.raises(TypeError):
+                ClassMatrix([[1, entry]])
 
     def test_exhaustive_gate_at_the_full_profile(self):
         assert exhaustive_friedman_agreement(4) == (559380, 0)
@@ -210,11 +205,6 @@ class TestFriedmanWitness:
         monkeypatch.setattr(transitions, "friedman_witness", flipped)
         checked, mismatches = exhaustive_friedman_agreement(2, 2)
         assert calls and mismatches > 0
-
-
-def _fraction_path_kernel(columns):
-    with mock.patch.object(transitions, "_all_integers", lambda mat: False):
-        return transitions._kernel_basis(columns)
 
 
 def _integer_classes(seed: int, n: int, m: int, kind: str) -> list[list[int]]:
@@ -243,23 +233,53 @@ class TestIntegerKernel:
     @settings(max_examples=40, deadline=None)
     def test_matches_fraction_path_exactly(self, seed, n, m, kind):
         columns = [[Fraction(x) for x in row] for row in _integer_classes(seed, n, m, kind)]
-        assert transitions._all_integers(columns)
-        integer = transitions._kernel_basis(columns)
-        reference = _fraction_path_kernel(columns)
-        assert len(integer) == len(reference)
-        for got, want in zip(integer, reference):
-            assert all(type(x) is Fraction for x in got)
-            assert got == want
+        _assert_kernel_matches_oracle(columns)
 
     @pytest.mark.parametrize("n,m", [(125, 24), (15, 14)])
     def test_extreme_shapes(self, n, m):
         for kind in ("dense", "sparse", "low_rank"):
             columns = [[Fraction(x) for x in row] for row in _integer_classes(n * m, n, m, kind)]
-            assert transitions._kernel_basis(columns) == _fraction_path_kernel(columns)
+            assert transitions._kernel_basis(columns) == reference.fraction_kernel_basis(columns)
 
     def test_non_integer_input_keeps_the_fraction_path(self):
-        assert not transitions._all_integers([[Fraction(1, 2), Fraction(1)]])
-        assert not transitions._all_integers([[GaussianRational(Fraction(1))]])
+        """Rational entries are scaled to integers by the lcm of their
+        denominators; the basis is still the one elimination over Fractions
+        gives."""
+        for rows in (
+            [[Fraction(1, 2), Fraction(1)]],
+            [[Fraction(1, 2), Fraction(1, 3)], [Fraction(-1, 2), Fraction(2, 3)],
+             [Fraction(0), Fraction(-1)], [Fraction(3), Fraction(7, 5)]],
+            [[Fraction(1, 6)], [Fraction(-1, 4)], [Fraction(5, 9)]],
+        ):
+            _assert_kernel_matches_oracle(rows)
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.integers(1, 10).flatmap(
+                lambda m: st.lists(
+                    st.lists(
+                        st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60)),
+                        min_size=m,
+                        max_size=m,
+                    ),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rational_input_matches_the_fraction_oracle(self, rows):
+        _assert_kernel_matches_oracle(rows)
+
+
+def _assert_kernel_matches_oracle(columns):
+    got = transitions._kernel_basis(columns)
+    want = reference.fraction_kernel_basis(columns)
+    assert len(got) == len(want)
+    for vec, ref in zip(got, want):
+        assert all(type(x) is Fraction for x in vec)
+        assert vec == ref
 
 
 class TestBatchedRank:
@@ -375,6 +395,9 @@ class TestVerifyOdp:
 
     def test_smooth_points_not_singular(self):
         poly = dwork_polynomial()
+        assert len(random_dwork_smooth_points(0)) == 0
+        with pytest.raises(ValueError):
+            random_dwork_smooth_points(-1)
         for z in random_dwork_smooth_points(200, seed=0):
             cert = verify_odp(poly, z)
             assert cert.status == "not_singular"
@@ -386,23 +409,6 @@ class TestVerifyOdp:
         assert poly(z) == pytest.approx(6.0 - 5.0)
         assert poly.derivative(0)(z) == pytest.approx(12.0)
         assert poly.hessian(z)[0, 1] == pytest.approx(6.0)
-
-
-class TestGaussianRational:
-    def test_field_operations(self):
-        i = GaussianRational(Fraction(0), Fraction(1))
-        one = GaussianRational(Fraction(1))
-        assert i * i == -one
-        assert (one + i) / (one + i) == one
-        assert not (i - i)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            GaussianRational(Fraction(1)) / GaussianRational(Fraction(0))
-
-    def test_complex_conversion(self):
-        value = GaussianRational(Fraction(3, 2), Fraction(-1, 2))
-        assert complex(value) == 1.5 - 0.5j
 
 
 class TestRecordValidation:
