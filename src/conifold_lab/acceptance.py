@@ -362,40 +362,6 @@ def criterion_10(profile: Profile) -> tuple[str, float, Checks]:
     return "catalog transitions round-trip exactly", 1.0, chk
 
 
-def _batched_det(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of stacked k x k integer matrices, k <= 4, by
-    cofactor expansion (no floating point)."""
-    k = mats.shape[-1]
-    if k == 1:
-        return mats[..., 0, 0]
-    if k == 2:
-        return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    total = np.zeros(mats.shape[:-2], dtype=np.int64)
-    cols = list(range(k))
-    for j in range(k):
-        minor = mats[..., 1:, :][..., :, cols[:j] + cols[j + 1 :]]
-        total += (-1) ** j * mats[..., 0, j] * _batched_det(minor)
-    return total
-
-
-def batched_integer_rank(mats: np.ndarray) -> np.ndarray:
-    """Exact rank of stacked small integer matrices via minor enumeration.
-    Supports shapes (..., N, m) with min(N, m) <= 4."""
-    mats = np.asarray(mats, dtype=np.int64)
-    n, m = mats.shape[-2], mats.shape[-1]
-    if min(n, m) > 4:
-        raise ValueError("minor enumeration implemented up to 4x4")
-    rank = (np.abs(mats).sum(axis=(-2, -1)) > 0).astype(np.int64)
-    for size in range(2, min(n, m) + 1):
-        has = np.zeros(mats.shape[:-2], dtype=bool)
-        for rows in itertools.combinations(range(n), size):
-            for cols in itertools.combinations(range(m), size):
-                sub = mats[..., rows, :][..., :, cols]
-                has |= _batched_det(sub) != 0
-        rank = np.where(has, size, rank)
-    return rank
-
-
 def shared_minor_ranks(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact rank of stacked integer matrices (..., N, m) with m <= 3, and
     the rank with each single row deleted, as (full, deleted[i]).
@@ -445,18 +411,9 @@ def feasibility_oracle(mats: np.ndarray) -> np.ndarray:
     """Rank-based smoothability oracle, independent of the kernel solver:
     an all-nonzero annihilating combination exists iff deleting any single
     class vector leaves the rank unchanged.  Ranks come from shared row
-    minors when m <= 3 and from minor enumeration otherwise."""
-    mats = np.asarray(mats)
-    n, m = mats.shape[-2], mats.shape[-1]
-    if m <= 3:
-        full, deleted = shared_minor_ranks(mats)
-        return np.all(deleted == full, axis=0)
-    full = batched_integer_rank(mats)
-    ok = np.ones(mats.shape[:-2], dtype=bool)
-    for i in range(n):
-        reduced = np.delete(mats, i, axis=-2)
-        ok &= batched_integer_rank(reduced) == full
-    return ok
+    minors, so m <= 3."""
+    full, deleted = shared_minor_ranks(mats)
+    return np.all(deleted == full, axis=0)
 
 
 def _canonical_class_keys(mats: np.ndarray) -> np.ndarray:
@@ -488,14 +445,14 @@ def _decode_class_key(key: int, n: int, m: int) -> list[tuple[int, ...]]:
     return [tuple(digits[i * m : (i + 1) * m]) for i in range(n)]
 
 
-def exhaustive_friedman_agreement(max_rows: int, max_cols: int = 3) -> tuple[int, int]:
+def exhaustive_friedman_agreement(max_rows: int) -> tuple[int, int]:
     """Compare the exact witness solver against the rank oracle over every
-    class matrix with entries in {-1, 0, 1}, N <= max_rows, m <= max_cols.
+    class matrix with entries in {-1, 0, 1}, N <= max_rows, m <= 3.
 
-    The oracle runs on every matrix.  For m <= 3 it takes ranks from row
-    minors computed once per row subset and shared by the full matrix and
-    its single-row deletions: nonzero rows, 2 x 2 minors of row pairs,
-    triple products of row triples.  The exact solver runs once per
+    The oracle runs on every matrix.  It takes ranks from row minors
+    computed once per row subset and shared by the full matrix and its
+    single-row deletions: nonzero rows, 2 x 2 minors of row pairs, triple
+    products of row triples.  The exact solver runs once per
     equivalence class (row order and row signs do not matter); a class is
     keyed by its sorted sign-normalized rows packed into one int64 below
     3^(m N), so N m <= 39.  Returns (matrices checked, mismatches)."""
@@ -503,7 +460,7 @@ def exhaustive_friedman_agreement(max_rows: int, max_cols: int = 3) -> tuple[int
     mismatches = 0
     values = (-1, 0, 1)
     for n in range(1, max_rows + 1):
-        for m in range(1, max_cols + 1):
+        for m in range(1, 4):
             rows_pool = np.array(list(itertools.product(values, repeat=m)), dtype=np.int8)
             index_grid = np.indices((len(rows_pool),) * n, dtype=np.int8).reshape(n, -1).T
             all_matrices = rows_pool[index_grid]  # (3^(n*m), n, m)
@@ -547,7 +504,7 @@ def criterion_12(profile: Profile) -> tuple[str, float, Checks]:
         any(p.exponents == (0, 0, 0, 0, 0) for p in points),
     )
     chk.true("exact_cyclotomic_all", all(transitions.verify_dwork_point_exact(p) for p in points))
-    poly = transitions.dwork_polynomial()
+    poly = transitions.DworkQuintic()
     certs = [transitions.verify_odp(poly, p.to_affine()) for p in points]
     chk.true("all_odp", all(c.is_odp for c in certs))
     chk.note("min_det_margin", min(c.hessian_det / c.det_threshold for c in certs))

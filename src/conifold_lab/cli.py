@@ -213,10 +213,11 @@ def _cmd_slag(args) -> int:
 def _cmd_transition(args) -> int:
     assertions = Checks()
     if args.catalog:
-        records = [rec.to_json_dict() for rec in transitions.example_catalog()]
-        for rec in transitions.example_catalog():
+        catalog = transitions.example_catalog()
+        for rec in catalog:
             assertions.true(f"{rec.name}_split", rec.N == rec.k + rec.c, rec.N)
-        return _emit_report(args, "transition", vars_config(args), {"catalog": records}, assertions, {})
+        results = {"catalog": [rec.to_json_dict() for rec in catalog]}
+        return _emit_report(args, "transition", vars_config(args), results, assertions, {})
     betti = tuple(int(x) for x in args.betti.split(","))
     record = transitions.apply_topology_change(
         args.h11, args.h21, betti, N=args.N, k=args.k, c=args.c
@@ -229,7 +230,7 @@ def _cmd_transition(args) -> int:
 def _cmd_dwork(args) -> int:
     assertions = Checks()
     points = transitions.dwork_singular_points()
-    poly = transitions.dwork_polynomial()
+    poly = transitions.DworkQuintic()
     certs = [transitions.verify_odp(poly, p.to_affine()) for p in points]
     assertions.true("count", len(points) == 125, len(points))
     assertions.true("all_odp", all(c.is_odp for c in certs), sum(c.is_odp for c in certs))

@@ -8,6 +8,7 @@ and so on) and supply a component extractor when contracting with vectors.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable
 
 import numpy as np
@@ -16,19 +17,13 @@ Form = dict[tuple[int, ...], complex]
 
 
 def _sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Sort basis indices, tracking the permutation sign; repeated index kills the term."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(idx)):
-        if idx[i - 1] == idx[i]:
-            return tuple(idx), 0
-    return tuple(idx), sign
+    """Sort basis indices; the sign is the parity of the inversions, and a
+    repeated index kills the term (sign 0)."""
+    key = tuple(sorted(indices))
+    if len(set(key)) < len(key):
+        return key, 0
+    inversions = sum(1 for a, b in itertools.combinations(indices, 2) if a > b)
+    return key, -1 if inversions % 2 else 1
 
 
 def form_scale(a: Form, c: complex) -> Form:

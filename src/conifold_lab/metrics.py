@@ -66,19 +66,22 @@ class PotentialFamily:
     """One of the three radial potential families.
 
     kind is 'cone', 'smoothed' or 'resolved'; t is the smoothing parameter
-    (nonzero complex), a the resolution parameter (positive real).  c is the
-    ODE constant; 2/3 matches the closed forms used here for every family
+    (finite nonzero complex), a the resolution parameter (finite positive
+    real).  Every family solves its ODE with the constant ODE_CONSTANT = 2/3
     (the cone value is the smoothed one continued to t = 0).
     """
 
     kind: str
     t: complex = 0.0
     a: float = 1.0
-    c: float = ODE_CONSTANT
 
     def __post_init__(self) -> None:
         if self.kind not in ("cone", "smoothed", "resolved"):
             raise ValueError(f"unknown family kind {self.kind!r}")
+        if not cmath.isfinite(self.t):
+            raise ValueError(f"the smoothing parameter t must be finite, got {self.t}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"the resolution parameter a must be finite, got {self.a}")
         if self.kind == "smoothed" and self.t == 0:
             raise ValueError("smoothed family needs t != 0")
         if self.kind == "resolved" and not self.a > 0:
@@ -335,7 +338,7 @@ def ode_residual(family: PotentialFamily, tau: float) -> float:
         lhs = s.fp**3 * tau + s.fp**2 * s.fpp * (tau**2 - at**2)
     else:
         lhs = (4.0 * family.a**2 + tau * s.fp) * (s.fp**2 + tau * s.fp * s.fpp)
-    return abs(lhs - family.c) / family.c
+    return abs(lhs - ODE_CONSTANT) / ODE_CONSTANT
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,8 @@ def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:
     midpoint nodes off the x_4 = 0 seam of the t = 1 normal form.
     """
     t = complex(t)
+    if not cmath.isfinite(t):
+        raise ValueError(f"the vanishing cycle needs a finite t, got {t}")
     if t == 0:
         raise ValueError("the vanishing cycle needs t != 0")
     if resolution < MIN_RESOLUTION:

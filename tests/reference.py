@@ -10,11 +10,16 @@ against.  None of them runs on the package's own code paths.
   splitting, and the quadric {xy = zw} with its change of variables to the
   singular fiber.
 * transitions: Gauss-Jordan elimination over Fractions and the kernel basis
-  built from it.
+  built from it; a sparse polynomial in four variables with derivatives
+  rebuilt term by term (Polynomial4), which gives the Dwork quintic and the
+  non-Dwork polynomials of the double-point tests.
+* acceptance: exact ranks of stacked integer matrices by enumerating every
+  minor up to 4 x 4 (batched_integer_rank), with cofactor determinants.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,3 +215,100 @@ def fraction_kernel_basis(columns: list[list]) -> list[list]:
             vec[pcol] = -mat[prow][f]
         basis.append(vec)
     return basis
+
+
+@dataclass
+class Polynomial4:
+    """Sparse polynomial in four variables: exponent tuple -> complex coefficient."""
+
+    terms: dict
+
+    def __post_init__(self) -> None:
+        clean = {}
+        for exps, coeff in self.terms.items():
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != 4 or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent tuple {exps}")
+            if coeff != 0:
+                clean[exps] = complex(coeff)
+        self.terms = clean
+
+    def __call__(self, z) -> complex:
+        z = np.asarray(z, dtype=complex)
+        return sum(
+            coeff * np.prod([z[i] ** e for i, e in enumerate(exps) if e])
+            for exps, coeff in self.terms.items()
+        )
+
+    def derivative(self, i: int) -> "Polynomial4":
+        out: dict = {}
+        for exps, coeff in self.terms.items():
+            if exps[i] == 0:
+                continue
+            new = list(exps)
+            new[i] -= 1
+            key = tuple(new)
+            out[key] = out.get(key, 0.0) + coeff * exps[i]
+        return Polynomial4(out)
+
+    def gradient(self, z) -> np.ndarray:
+        return np.array([self.derivative(i)(z) for i in range(4)], dtype=complex)
+
+    def hessian(self, z) -> np.ndarray:
+        H = np.empty((4, 4), dtype=complex)
+        for i in range(4):
+            di = self.derivative(i)
+            for j in range(i, 4):
+                H[i, j] = H[j, i] = di.derivative(j)(z)
+        return H
+
+    @classmethod
+    def sum_of_squares(cls) -> "Polynomial4":
+        return cls({tuple(2 if j == i else 0 for j in range(4)): 1.0 for i in range(4)})
+
+
+def dwork_polynomial() -> Polynomial4:
+    """The nodal quintic pencil member in the chart Z_0 = 1:
+    1 + z_1^5 + z_2^5 + z_3^5 + z_4^5 - 5 z_1 z_2 z_3 z_4."""
+    terms = {(0, 0, 0, 0): 1.0, (1, 1, 1, 1): -5.0}
+    for i in range(4):
+        terms[tuple(5 if j == i else 0 for j in range(4))] = 1.0
+    return Polynomial4(terms)
+
+
+# ---------------------------------------------------------------------------
+# acceptance
+
+
+def _batched_det(mats: np.ndarray) -> np.ndarray:
+    """Exact determinants of stacked k x k integer matrices, k <= 4, by
+    cofactor expansion (no floating point)."""
+    k = mats.shape[-1]
+    if k == 1:
+        return mats[..., 0, 0]
+    if k == 2:
+        return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+    total = np.zeros(mats.shape[:-2], dtype=np.int64)
+    cols = list(range(k))
+    for j in range(k):
+        minor = mats[..., 1:, :][..., :, cols[:j] + cols[j + 1 :]]
+        total += (-1) ** j * mats[..., 0, j] * _batched_det(minor)
+    return total
+
+
+def batched_integer_rank(mats: np.ndarray) -> np.ndarray:
+    """Exact rank of stacked small integer matrices via minor enumeration.
+    Supports shapes (..., N, m) with min(N, m) <= 4."""
+    mats = np.asarray(mats, dtype=np.int64)
+    n, m = mats.shape[-2], mats.shape[-1]
+    if min(n, m) > 4:
+        raise ValueError("minor enumeration implemented up to 4x4")
+    rank = (np.abs(mats).sum(axis=(-2, -1)) > 0).astype(np.int64)
+    for size in range(2, min(n, m) + 1):
+        has = np.zeros(mats.shape[:-2], dtype=bool)
+        for rows in itertools.combinations(range(n), size):
+            for cols in itertools.combinations(range(m), size):
+                sub = mats[..., rows, :][..., :, cols]
+                has |= _batched_det(sub) != 0
+        rank = np.where(has, size, rank)
+    return rank

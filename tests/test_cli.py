@@ -281,3 +281,25 @@ class TestUsageErrors:
         assert "--betti: expected three comma-separated integers b1,b2,b3, got '0,0'" in (
             capsys.readouterr().err
         )
+
+    def test_negative_input_is_named(self, capsys):
+        argv = ["transition", "--h11", "1", "--h21", "1", "--N", "1", "--k", "0", "--c", "1"]
+        assert cli.main(argv + ["--betti", "0,-3,0"]) == 2
+        assert capsys.readouterr().err == "error: inputs must be nonnegative, got b2=-3\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["slag", "--t", "nan"], "the vanishing cycle needs a finite t, got (nan+0j)"),
+            (["slag", "--t", "inf"], "the vanishing cycle needs a finite t, got (inf+0j)"),
+            (["metric", "--family", "resolved", "--a", "inf"],
+             "the resolution parameter a must be finite, got inf"),
+            (["metric", "--family", "smoothed", "--t", "nan"],
+             "the smoothing parameter t must be finite, got (nan+0j)"),
+        ],
+        ids=["slag-nan", "slag-inf", "metric-a-inf", "metric-t-nan"],
+    )
+    def test_non_finite_parameter(self, argv, message, tmp_path, capsys):
+        assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()

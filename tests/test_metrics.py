@@ -5,6 +5,7 @@ import pytest
 
 from conifold_lab.conifold import FiberPoint, ResolvedPoint
 from conifold_lab.metrics import (
+    ODE_CONSTANT,
     PotentialFamily,
     asymptotic_deviation,
     cone_point,
@@ -184,7 +185,7 @@ class TestOdeResidual:
                 fp_bad = at ** (-5.0 / 3.0) * _f1p_smoothed(sigma)
                 fpp_bad = at ** (-8.0 / 3.0) * _f1pp_smoothed(sigma)
                 lhs = fp_bad**3 * tau + fp_bad**2 * fpp_bad * (tau**2 - at**2)
-                assert abs(lhs - family.c) / family.c > 0.1
+                assert abs(lhs - ODE_CONSTANT) / ODE_CONSTANT > 0.1
 
 
 class TestHermitianHessian:
@@ -391,6 +392,14 @@ class TestFamilyValidation:
     def test_resolved_needs_positive_parameter(self):
         with pytest.raises(ValueError):
             PotentialFamily.resolved(-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_parameters(self, value):
+        with pytest.raises(ValueError, match="resolution parameter a must be finite"):
+            PotentialFamily.resolved(value)
+        for t in (value, complex(1.0, value)):
+            with pytest.raises(ValueError, match="smoothing parameter t must be finite"):
+                PotentialFamily.smoothed(t)
 
     def test_scales(self):
         assert PotentialFamily.smoothed(2j).scale == 2.0

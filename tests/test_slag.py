@@ -51,6 +51,11 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             sample_vanishing_cycle(0.0, 8)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, complex(1.0, math.nan)])
+    def test_rejects_non_finite_parameter(self, t):
+        with pytest.raises(ValueError, match="needs a finite t"):
+            sample_vanishing_cycle(t, 8)
+
     def test_node_as_fiber_point(self):
         grid = sample_vanishing_cycle(GENERIC_T, 8)
         p = node_as_fiber_point(grid, 17)

@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 import reference
 from conifold_lab import transitions
 from conifold_lab.acceptance import (
-    batched_integer_rank,
     exhaustive_friedman_agreement,
     feasibility_oracle,
     shared_minor_ranks,
 )
 from conifold_lab.transitions import (
     ClassMatrix,
+    DworkQuintic,
     NotOnVarietyError,
-    Polynomial4,
     ProjectivePoint5,
     TransitionRecord,
     apply_topology_change,
-    dwork_polynomial,
     dwork_singular_points,
     euler_characteristic_from_betti,
     example_catalog,
@@ -55,6 +53,32 @@ class TestTopologyChange:
     def test_rejects_negative_hodge(self):
         with pytest.raises(ValueError):
             apply_topology_change(3, 0, (0, 3, 2), N=5, k=5, c=0)
+
+    @pytest.mark.parametrize(
+        "h11,h21,betti,k,c,named",
+        [
+            (1, 1, (0, -3, 0), 0, 1, "b2=-3"),
+            (-1, 1, (0, 1, 0), 0, 1, "h11=-1"),
+            (1, -2, (0, 1, 0), 0, 1, "h21=-2"),
+            (1, 1, (-1, 1, 0), 0, 1, "b1=-1"),
+            (1, 1, (0, 1, -4), 0, 1, "b3=-4"),
+            (1, 1, (0, 1, 0), -1, 2, "k=-1"),
+            (2, 1, (0, 2, 0), 2, -1, "c=-1"),
+        ],
+    )
+    def test_negative_input_is_named_before_the_contraction_checks(
+        self, h11, h21, betti, k, c, named
+    ):
+        with pytest.raises(ValueError, match=f"^inputs must be nonnegative, got {named}$"):
+            apply_topology_change(h11, h21, betti, N=k + c, k=k, c=c)
+
+    def test_underflow_messages_are_unchanged(self):
+        with pytest.raises(ValueError) as err:
+            apply_topology_change(3, 0, (0, 3, 2), N=5, k=5, c=0)
+        assert str(err.value) == "h11=3 < k=5: contraction would leave a negative Hodge number"
+        with pytest.raises(ValueError) as err:
+            apply_topology_change(5, 0, (0, 3, 2), N=5, k=5, c=0)
+        assert str(err.value) == "b2=3 < k=5: contraction would leave a negative Betti number"
 
     def test_infer_counts_examples(self):
         assert infer_counts((25, 0), (1, 101), 125) == (24, 101)
@@ -168,14 +192,19 @@ class TestFriedmanWitness:
     @settings(max_examples=150, deadline=None)
     def test_matches_rank_oracle(self, rows):
         witness = friedman_witness(ClassMatrix(rows))
-        expected = bool(feasibility_oracle(np.array([rows], dtype=np.int64))[0])
+        mats = np.array([rows], dtype=np.int64)
+        if mats.shape[-1] <= 3:
+            expected = bool(feasibility_oracle(mats)[0])
+        else:  # m = 4: ranks by minor enumeration
+            rank = reference.batched_integer_rank
+            expected = all(rank(np.delete(mats, i, axis=-2)) == rank(mats) for i in range(len(rows)))
         assert (witness is not None) == expected
         if witness is not None:
             for j in range(len(rows[0])):
                 assert sum(w * r[j] for w, r in zip(witness, rows)) == 0
 
     def test_exhaustive_small_matrices(self):
-        checked, mismatches = exhaustive_friedman_agreement(3, 3)
+        checked, mismatches = exhaustive_friedman_agreement(3)
         assert mismatches == 0
         assert checked == sum(3 ** (n * m) for n in range(1, 4) for m in range(1, 4))
 
@@ -203,7 +232,7 @@ class TestFriedmanWitness:
             return [Fraction(1)] * classes.n_classes if witness is None else None
 
         monkeypatch.setattr(transitions, "friedman_witness", flipped)
-        checked, mismatches = exhaustive_friedman_agreement(2, 2)
+        checked, mismatches = exhaustive_friedman_agreement(2)
         assert calls and mismatches > 0
 
 
@@ -286,7 +315,7 @@ class TestBatchedRank:
     def test_against_numpy(self):
         rng = np.random.default_rng(1)
         mats = rng.integers(-1, 2, size=(500, 4, 3))
-        ours = batched_integer_rank(mats)
+        ours = reference.batched_integer_rank(mats)
         theirs = np.array([np.linalg.matrix_rank(m) for m in mats])
         assert np.array_equal(ours, theirs)
 
@@ -300,7 +329,7 @@ class TestBatchedRank:
         for n in range(1, 5):
             mats = pool[np.indices((len(pool),) * n).reshape(n, -1).T]
             full, deleted = shared_minor_ranks(mats)
-            assert np.array_equal(full, batched_integer_rank(mats))
+            assert np.array_equal(full, reference.batched_integer_rank(mats))
             assert np.array_equal(full, np.linalg.matrix_rank(mats.astype(float)))
             for i in range(n):
                 reduced = np.delete(mats, i, axis=-2)
@@ -315,9 +344,15 @@ class TestBatchedRank:
             mats[::3, 0] = 0  # force rank drops
             mats[1::3, -1] = 2 * mats[1::3, 0]
             full, deleted = shared_minor_ranks(mats)
-            assert np.array_equal(full, batched_integer_rank(mats))
+            assert np.array_equal(full, reference.batched_integer_rank(mats))
             for i in range(n):
-                assert np.array_equal(deleted[i], batched_integer_rank(np.delete(mats, i, axis=-2)))
+                reduced = np.delete(mats, i, axis=-2)
+                assert np.array_equal(deleted[i], reference.batched_integer_rank(reduced))
+
+    def test_feasibility_oracle_rejects_four_columns(self):
+        feasibility_oracle(np.zeros((2, 3, 3), dtype=np.int8))
+        with pytest.raises(ValueError, match="m <= 3"):
+            feasibility_oracle(np.zeros((2, 3, 4), dtype=np.int8))
 
     def test_shared_minor_ranks_reject_overflowing_entries(self):
         with pytest.raises(ValueError):
@@ -353,13 +388,13 @@ class TestDworkPoints:
         assert all(verify_dwork_point_exact(p) for p in dwork_singular_points())
 
     def test_unit_point_by_direct_substitution(self):
-        poly = dwork_polynomial()
+        poly = DworkQuintic()
         z = np.ones(4, dtype=complex)
         assert abs(poly(z)) < 1e-14
         assert np.max(np.abs(poly.gradient(z))) < 1e-14
 
     def test_float_verification(self):
-        poly = dwork_polynomial()
+        poly = DworkQuintic()
         for p in dwork_singular_points():
             z = p.to_affine()
             assert abs(poly(z)) < 1e-10
@@ -370,20 +405,62 @@ class TestDworkPoints:
             ProjectivePoint5((1, 0, 0, 0, 0))
 
 
+def _assert_matches_term_by_term(z) -> None:
+    """DworkQuintic against the sparse polynomial built from the quintic's
+    terms: the same value, gradient and Hessian, compared with ==."""
+    z = np.asarray(z, dtype=complex)
+    quintic, ref = DworkQuintic(), reference.dwork_polynomial()
+    assert quintic(z) == ref(z)
+    assert np.array_equal(quintic.gradient(z), ref.gradient(z))
+    assert np.array_equal(quintic.hessian(z), ref.hessian(z))
+
+
+class TestDworkQuintic:
+    """The closed form reproduces the term-by-term evaluation exactly, so
+    the double-point certificates (and the C12 and dwork reports) keep their
+    bits."""
+
+    def test_nodes(self):
+        for p in dwork_singular_points():
+            z = p.to_affine()
+            _assert_matches_term_by_term(z)
+            assert verify_odp(DworkQuintic(), z) == verify_odp(reference.dwork_polynomial(), z)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_smooth_points(self, seed):
+        for z in random_dwork_smooth_points(200, seed):
+            _assert_matches_term_by_term(z)
+            assert verify_odp(DworkQuintic(), z) == verify_odp(reference.dwork_polynomial(), z)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 1.0)), min_size=4, max_size=4
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_points_across_magnitudes(self, coords):
+        """|z_i| from 1e-3 to 1e3 with arbitrary phases."""
+        _assert_matches_term_by_term(
+            [10.0**exponent * np.exp(2j * np.pi * phase) for exponent, phase in coords]
+        )
+
+
 class TestVerifyOdp:
     def test_model_double_point(self):
-        cert = verify_odp(Polynomial4.sum_of_squares(), [0, 0, 0, 0])
+        cert = verify_odp(reference.Polynomial4.sum_of_squares(), [0, 0, 0, 0])
         assert cert.is_odp
         assert cert.hessian_det == pytest.approx(16.0)
 
     def test_cubic_direction_is_degenerate(self):
-        poly = Polynomial4({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 3): 1})
+        poly = reference.Polynomial4(
+            {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 3): 1}
+        )
         cert = verify_odp(poly, [0, 0, 0, 0])
         assert cert.status == "degenerate_singularity"
         assert not cert.is_odp
 
     def test_all_pencil_nodes_certified(self):
-        poly = dwork_polynomial()
+        poly = DworkQuintic()
         for p in dwork_singular_points():
             cert = verify_odp(poly, p.to_affine())
             assert cert.is_odp
@@ -391,10 +468,10 @@ class TestVerifyOdp:
 
     def test_off_variety_raises(self):
         with pytest.raises(NotOnVarietyError):
-            verify_odp(dwork_polynomial(), [10.0, 0, 0, 0])
+            verify_odp(DworkQuintic(), [10.0, 0, 0, 0])
 
     def test_smooth_points_not_singular(self):
-        poly = dwork_polynomial()
+        poly = DworkQuintic()
         assert len(random_dwork_smooth_points(0)) == 0
         with pytest.raises(ValueError):
             random_dwork_smooth_points(-1)
@@ -404,7 +481,7 @@ class TestVerifyOdp:
             assert cert.gradient_norm > 1e-3
 
     def test_polynomial_calculus(self):
-        poly = Polynomial4({(2, 1, 0, 0): 3.0, (0, 0, 0, 1): -1.0})
+        poly = reference.Polynomial4({(2, 1, 0, 0): 3.0, (0, 0, 0, 1): -1.0})
         z = np.array([1.0, 2.0, 0.0, 5.0], dtype=complex)
         assert poly(z) == pytest.approx(6.0 - 5.0)
         assert poly.derivative(0)(z) == pytest.approx(12.0)
