@@ -153,7 +153,7 @@ def criterion_01(profile: Profile) -> tuple[str, float, Checks]:
     diamond = hodge.hodge_diamond(spec)
     chk.equal("h11", diamond.h(1, 1), 1)
     chk.equal("h21", diamond.h(2, 1), 101)
-    chk.equal("chi_omega1", hodge.chi_hypersurface_omega_p(spec, 1, 0), 100)
+    chk.equal("chi_omega1", hodge.chi_hypersurface_omega_p(spec, 1), 100)
     chk.equal("middle_row", list(diamond.middle_row()), [1, 101, 101, 1])
     try:
         diamond.check_invariants()

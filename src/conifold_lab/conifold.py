@@ -392,23 +392,20 @@ def _chart4_point(coords: np.ndarray, z4_ref: complex, t: complex) -> FiberPoint
     return FiberPoint(np.array([coords[0], coords[1], coords[2], z4]), t)
 
 
-def fd_exterior_derivative(p: FiberPoint, coeff_fn=None, step_factor: float = 1e-4) -> Form:
-    """Finite-difference exterior derivative of a chart-4 fiber form at p.
+def fd_exterior_derivative(p: FiberPoint) -> Form:
+    """Finite-difference exterior derivative of the first-order deformation
+    form in chart 4 at p.
 
-    coeff_fn maps a chart coordinate triple to a Form; default is the
-    first-order deformation form.  Uses 4th-order central stencils with
-    step h = step_factor * ||z||, differentiating each coefficient in the
-    Wirtinger sense and wedging with the corresponding basis covector.
+    Uses 4th-order central stencils with step h = 1e-4 * ||z||,
+    differentiating each coefficient in the Wirtinger sense and wedging with
+    the corresponding basis covector.
     """
-    if coeff_fn is None:
-        z4_ref = p.z[3]
-        t = p.t
 
-        def coeff_fn(coords: np.ndarray) -> Form:
-            return omega_tilde_1_coefficients(_chart4_point(coords, z4_ref, t))
+    def coeff_fn(coords: np.ndarray) -> Form:
+        return omega_tilde_1_coefficients(_chart4_point(coords, p.z[3], p.t))
 
     base = np.array(p.z[:3], dtype=complex)
-    h = step_factor * np.sqrt(p.norm_sq)
+    h = 1e-4 * np.sqrt(p.norm_sq)
     keys = sorted(coeff_fn(base).keys())
 
     def coeffs_at(coords: np.ndarray) -> np.ndarray:

@@ -56,6 +56,14 @@ _SERIES_CUTOFF = 1e-4
 _SMOOTHED_GAUGE_ANCHOR = 1e8
 _RESOLVED_GAUGE_ANCHOR = 1e10
 
+# Window for |t| and a, a few decades inside the tightest end that the
+# largest powers allow on the default sweeps (tau up to 1e6 * max(scale, 1)):
+# the resolved closed form's sigma^4, sigma = tau / a^3, needs a > 4e-24;
+# the smoothed f'' takes sigma^3, sigma = tau / |t| (|t| > 2e-97); the chart
+# Hessian tau^2 ~ a^6 (a < 1e49) and the smoothed ODE tau^2 (|t| < 1e148).
+PARAMETER_MIN = 1e-20
+PARAMETER_MAX = 1e20
+
 
 # ---------------------------------------------------------------------------
 # families
@@ -66,9 +74,10 @@ class PotentialFamily:
     """One of the three radial potential families.
 
     kind is 'cone', 'smoothed' or 'resolved'; t is the smoothing parameter
-    (finite nonzero complex), a the resolution parameter (finite positive
-    real).  Every family solves its ODE with the constant ODE_CONSTANT = 2/3
-    (the cone value is the smoothed one continued to t = 0).
+    (complex, PARAMETER_MIN <= |t| <= PARAMETER_MAX), a the resolution
+    parameter (real, in the same window).  Every family solves its ODE with
+    the constant ODE_CONSTANT = 2/3 (the cone value is the smoothed one
+    continued to t = 0).
     """
 
     kind: str
@@ -82,10 +91,11 @@ class PotentialFamily:
             raise ValueError(f"the smoothing parameter t must be finite, got {self.t}")
         if not math.isfinite(self.a):
             raise ValueError(f"the resolution parameter a must be finite, got {self.a}")
-        if self.kind == "smoothed" and self.t == 0:
-            raise ValueError("smoothed family needs t != 0")
-        if self.kind == "resolved" and not self.a > 0:
-            raise ValueError("resolved family needs a > 0")
+        window = f"[{PARAMETER_MIN:g}, {PARAMETER_MAX:g}]"
+        if self.kind == "smoothed" and not PARAMETER_MIN <= abs(self.t) <= PARAMETER_MAX:
+            raise ValueError(f"the smoothing parameter |t| must lie in {window}, got {abs(self.t):g}")
+        if self.kind == "resolved" and not PARAMETER_MIN <= self.a <= PARAMETER_MAX:
+            raise ValueError(f"the resolution parameter a must lie in {window}, got {self.a:g}")
 
     @classmethod
     def cone(cls) -> "PotentialFamily":

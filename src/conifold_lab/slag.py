@@ -36,6 +36,13 @@ SPHERE_VOLUME = 2.0 * math.pi**2
 ORIENTED_FRAME_ORDER = (1, 0, 2)
 
 MIN_RESOLUTION = 8
+# resolution^3 nodes in several float arrays: 128 already needs about 1.6 GB
+MAX_RESOLUTION = 128
+
+# |t| window where the period's scale |t|^{3/2} and 2 pi^2 |t| stay normal
+# floats (|t|^{3/2} leaves the normal range below ~7.9e-206 and above ~3.2e205)
+MIN_ABS_T = 1e-200
+MAX_ABS_T = 1e200
 
 
 @dataclass
@@ -83,16 +90,19 @@ def _composite_gauss2(a: float, b: float, ncells: int) -> tuple[np.ndarray, np.n
 def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:
     """Build the product quadrature grid on L_t with resolution^3 nodes.
 
-    resolution must be even and at least 8: even keeps the periodic
-    midpoint nodes off the x_4 = 0 seam of the t = 1 normal form.
+    resolution must be even and lie in [MIN_RESOLUTION, MAX_RESOLUTION]:
+    even keeps the periodic midpoint nodes off the x_4 = 0 seam of the
+    t = 1 normal form.  |t| must lie in [MIN_ABS_T, MAX_ABS_T].
     """
     t = complex(t)
     if not cmath.isfinite(t):
         raise ValueError(f"the vanishing cycle needs a finite t, got {t}")
-    if t == 0:
-        raise ValueError("the vanishing cycle needs t != 0")
+    if not MIN_ABS_T <= abs(t) <= MAX_ABS_T:
+        raise ValueError(f"|t| must lie in [{MIN_ABS_T:g}, {MAX_ABS_T:g}], got {abs(t):g}")
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
     if resolution % 2:
         raise ValueError("resolution must be even")
 
@@ -155,9 +165,7 @@ def _chart_form_values(nodes: np.ndarray, frames: np.ndarray, charts: np.ndarray
     return values
 
 
-def integrate_volume_form(
-    grid: CycleGrid, orientation: int = 1, method: str = "real_slice"
-) -> complex:
+def integrate_volume_form(grid: CycleGrid, method: str = "real_slice") -> complex:
     """Quadrature of the volume form over the cycle; exact answer is 2 pi^2 t.
 
     'real_slice' evaluates in the chart of the last coordinate, where the
@@ -167,8 +175,6 @@ def integrate_volume_form(
     Summation is pairwise (numpy) over a fixed node order, so results are
     reproducible.
     """
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
     st = grid.sqrt_t
     frames = grid.sphere_frames.astype(complex) * (st / abs(st))
     if method == "real_slice":
@@ -182,7 +188,7 @@ def integrate_volume_form(
         raise ValueError(f"unknown method {method!r}")
     values = _chart_form_values(grid.nodes, frames, charts)
     scale = abs(grid.t) ** 1.5  # conformal volume factor of z = t^{1/2} u
-    return orientation * scale * complex(np.sum(grid.weights * values))
+    return scale * complex(np.sum(grid.weights * values))
 
 
 def frame_tangency_residual(node: np.ndarray, frame: np.ndarray, t: complex) -> float:

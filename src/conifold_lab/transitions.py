@@ -84,9 +84,10 @@ class ClassMatrix:
 def _integer_rref(mat: list[list], n: int) -> list[int]:
     """Fraction-free Gauss-Jordan elimination in place over the integers:
     row operations p * r - f * r_pivot, each row reduced by the gcd of its
-    entries.  Pivot rows are then divided exactly by their pivots, which
-    leaves the reduced row echelon form over the rationals (it is unique).
-    Returns the pivot columns."""
+    entries.  Pivot row r ends with a nonzero integer p_r in its pivot
+    column and zeros in every other pivot column, so dividing it by p_r
+    gives the reduced row echelon form over the rationals.  Returns the
+    pivot columns."""
     m = len(mat)
     pivots: list[int] = []
     row = 0
@@ -107,62 +108,41 @@ def _integer_rref(mat: list[list], n: int) -> list[int]:
         row += 1
         if row == m:
             break
-    for r, col in enumerate(pivots):
-        p = mat[r][col]
-        mat[r] = [Fraction(x, p) for x in mat[r]]
     return pivots
-
-
-def _kernel_basis(columns) -> list[list]:
-    """Kernel of the linear map lambda -> sum_i lambda_i columns[i], where the
-    i-th unknown multiplies columns[i], with Fraction entries.  The system is
-    multiplied by the lcm of all denominators, which leaves its row space and
-    so its reduced row echelon form unchanged, and then eliminated
-    fraction-free over the integers.  The basis has one vector per free
-    column f, with vec[f] = 1 and the pivots solved."""
-    n = len(columns)
-    m = len(columns[0]) if columns else 0
-    mat = [[columns[i][j] for i in range(n)] for j in range(m)]
-    scale = math.lcm(*(x.denominator for row in mat for x in row))
-    mat = [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
-    pivots = _integer_rref(mat, n)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    zero, one = Fraction(0), Fraction(1)
-    for f in free:
-        vec = [zero] * n
-        vec[f] = one
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -mat[prow][f]
-        basis.append(vec)
-    return basis
 
 
 def friedman_witness(classes: ClassMatrix):
     """An all-nonzero exact combination annihilating the class vectors, or None.
 
-    Feasibility holds iff for every index i some kernel vector is nonzero in
-    coordinate i (a vector space over an infinite field is never a finite
-    union of proper subspaces).  The witness is sum_j s^j k_j over the kernel
-    basis with s = 1, 2, 3, ... the first value making every coordinate
-    nonzero; each coordinate is a nonzero polynomial of degree < dim(kernel)
-    in s, so at most n_classes * dim(kernel) values can fail.
+    The system sum_i lambda_i classes[i] = 0, scaled by the lcm of its
+    denominators (same row space), is eliminated fraction-free to rows R
+    with pivots p_r.  The kernel basis vector of free column f_j is 1 at f_j
+    and -R[r][f_j] / p_r at pivot column r.  Feasibility holds iff every
+    coordinate is nonzero in some basis vector (a vector space over an
+    infinite field is never a finite union of proper subspaces).  The
+    witness sum_j s^j (basis vector j) takes the first s = 1, 2, ... with
+    every P_r(s) = sum_j R[r][f_j] s^j nonzero; each P_r has degree
+    < dim(kernel), so at most n_classes * dim(kernel) values of s fail.
     """
     n = classes.n_classes
-    basis = _kernel_basis(classes.rows)
-    if not basis:
+    mat = [list(col) for col in zip(*classes.rows)]
+    scale = math.lcm(*(x.denominator for row in mat for x in row))
+    mat = [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
+    pivots = _integer_rref(mat, n)
+    free = [c for c in range(n) if c not in pivots]
+    coeffs = [[mat[r][f] for f in free] for r in range(len(pivots))]
+    if not free or not all(any(row) for row in coeffs):
         return None
-    for i in range(n):
-        if not any(vec[i] for vec in basis):
-            return None
-    bound = n * len(basis) + 1
+    bound = n * len(free) + 1
     for s in range(1, bound + 1):
-        lam = [Fraction(0)] * n
-        power = Fraction(1)
-        for vec in basis:
-            lam = [acc + power * x for acc, x in zip(lam, vec)]
-            power = power * s
-        if all(lam):
+        powers = [s**j for j in range(len(free))]
+        values = [sum(x * w for x, w in zip(row, powers)) for row in coeffs]
+        if all(values):
+            lam = [Fraction(0)] * n
+            for f, w in zip(free, powers):
+                lam[f] = Fraction(w)
+            for r, (pcol, value) in enumerate(zip(pivots, values)):
+                lam[pcol] = Fraction(-value, mat[r][pcol])
             _assert_witness(classes, lam)
             return lam
     raise AssertionError("witness search exceeded its deterministic bound")
@@ -470,12 +450,7 @@ ODP_VALUE_TOL = 1e-8
 ODP_GRADIENT_TOL = 1e-6
 
 
-def verify_odp(
-    poly,
-    point,
-    value_tol: float = ODP_VALUE_TOL,
-    gradient_tol: float = ODP_GRADIENT_TOL,
-) -> OdpCertificate:
+def verify_odp(poly, point) -> OdpCertificate:
     """Certify that a critical point of the polynomial is an ordinary double
     point.  poly is any callable with gradient and hessian methods, such as
     DworkQuintic; the complex 4x4 Hessian must be nondegenerate, which by the
@@ -487,14 +462,14 @@ def verify_odp(
     z = np.asarray(point, dtype=complex)
     scale_ref = float(1.0 + np.max(np.abs(z))) ** 2
     value = abs(poly(z))
-    if value > value_tol * scale_ref:
+    if value > ODP_VALUE_TOL * scale_ref:
         raise NotOnVarietyError(f"polynomial value {value:.3e} exceeds tolerance at the point")
     grad_norm = float(np.linalg.norm(poly.gradient(z)))
     H = poly.hessian(z)
     hess_scale = float(np.linalg.norm(H, 2))
     det = abs(np.linalg.det(H))
     threshold = ODP_DET_RTOL * hess_scale**4
-    if grad_norm > gradient_tol * scale_ref:
+    if grad_norm > ODP_GRADIENT_TOL * scale_ref:
         status = "not_singular"
     elif det > threshold:
         status = "odp"

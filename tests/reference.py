@@ -2,17 +2,21 @@
 against.  None of them runs on the package's own code paths.
 
 * metrics: a root-finder route to the resolved cubic's positive root.
-* hodge: chi(O(m)) in Fraction arithmetic and a dispatcher over the twisted
-  Euler-characteristic functions.
+* hodge: twisted Euler characteristics chi(Omega^p(-r)) of P^n and of the
+  hypersurface by the recursion over the Euler, conormal and restriction
+  sequences (chi_hypersurface_omega_p_recursion, the oracle for the Jacobian
+  ring closed form), chi(O(m)) in Fraction arithmetic, and a dispatcher over
+  the twisted Euler-characteristic functions.
 * slag: the flat Lagrangian residual of a frame, the fiber residual of a
   cycle grid, and a grid node as a checked fiber point.
 * conifold: complex conjugation of fiber points, the inverse of the real
   splitting, and the quadric {xy = zw} with its change of variables to the
   singular fiber.
-* transitions: Gauss-Jordan elimination over Fractions and the kernel basis
-  built from it; a sparse polynomial in four variables with derivatives
-  rebuilt term by term (Polynomial4), which gives the Dwork quintic and the
-  non-Dwork polynomials of the double-point tests.
+* transitions: Gauss-Jordan elimination over Fractions, the kernel basis
+  built from it and the smoothability witness searched over that basis
+  (kernel_basis_witness); a sparse polynomial in four variables with
+  derivatives rebuilt term by term (Polynomial4), which gives the Dwork
+  quintic and the non-Dwork polynomials of the double-point tests.
 * acceptance: exact ranks of stacked integer matrices by enumerating every
   minor up to 4 x 4 (batched_integer_rank), with cofactor determinants.
 """
@@ -28,13 +32,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from conifold_lab.conifold import FiberPoint, RealSplitting, on_fiber
-from conifold_lab.hodge import (
-    HypersurfaceSpec,
-    chi_hypersurface_omega_p,
-    chi_omega_p_twist,
-    chi_restricted_omega_p,
-)
+from conifold_lab.hodge import HypersurfaceSpec
 from conifold_lab.slag import CycleGrid
+from conifold_lab.transitions import ClassMatrix, _assert_witness
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -67,6 +67,78 @@ def gamma_resolved_root(tau: float, a: float = 1.0) -> float:
 
 # ---------------------------------------------------------------------------
 # hodge
+
+
+def ext_binomial(m: int, n: int) -> int:
+    """Binomial coefficient extended to all integer m as a degree-n polynomial.
+
+    Defined by ``prod_{i=0..n-1}(m - i) / n!``.  Agrees with math.comb for
+    m >= n >= 0, vanishes for 0 <= m < n, and takes signed values for m < 0.
+    """
+    if n < 0:
+        raise ValueError("lower index must be >= 0")
+    num = 1
+    for i in range(n):
+        num *= m - i
+    q, rem = divmod(num, math.factorial(n))
+    assert rem == 0, "product of consecutive integers must divide n!"
+    return q
+
+
+def chi_line_bundle(n: int, m: int) -> int:
+    """chi(O_{P^n}(m)) as an exact integer, for any integer twist m.
+
+    This is the polynomial ``prod_{i=1..n}(m + i) / n!``, the unique
+    polynomial extension of dim H^0(P^n, O(m)) = C(n+m, n); for m = -r < 0
+    it equals (-1)^n * C(r-1, n).
+    """
+    if n < 1:
+        raise ValueError("projective dimension must be >= 1")
+    return ext_binomial(m + n, n)
+
+
+def chi_omega_p_twist(n: int, p: int, r: int) -> int:
+    """chi(Omega_{P^n}^p(-r)) by the wedge-power recursion on the Euler sequence.
+
+    chi(Omega^p(-r)) = C(n+1, p) * chi(O(-p-r)) - chi(Omega^{p-1}(-r)),
+    with base case p = 0 given by chi_line_bundle.
+    """
+    if n < 1:
+        raise ValueError("projective dimension must be >= 1")
+    if p < 0 or p > n:
+        raise ValueError(f"form degree p={p} out of range [0, {n}]")
+    if r < 0:
+        raise ValueError("twist r must be >= 0")
+    chi = chi_line_bundle(n, -r)  # p = 0
+    for q in range(1, p + 1):
+        chi = math.comb(n + 1, q) * chi_line_bundle(n, -q - r) - chi
+    return chi
+
+
+def chi_restricted_omega_p(spec: HypersurfaceSpec, p: int, r: int = 0) -> int:
+    """chi of the ambient p-forms restricted to X, twisted by O(-r):
+    the restriction sequence gives chi(Omega_P^p(-r)) - chi(Omega_P^p(-r-d))."""
+    n, d = spec.n, spec.d
+    return chi_omega_p_twist(n, p, r) - chi_omega_p_twist(n, p, r + d)
+
+
+def chi_hypersurface_omega_p_recursion(spec: HypersurfaceSpec, p: int, r: int = 0) -> int:
+    """chi(Omega_X^p(-r)) for the hypersurface X, exact.
+
+    Conormal sequence plus restriction sequence give
+    chi(Omega_X^p(-r)) = [chi(Omega_P^p(-r)) - chi(Omega_P^p(-r-d))]
+                          - chi(Omega_X^{p-1}(-r-d)),
+    with the p = 0 base case chi(O_X(-r)) = chi(O_P(-r)) - chi(O_P(-r-d)).
+    """
+    n, d = spec.n, spec.d
+    if p < 0 or p > n - 1:
+        raise ValueError(f"form degree p={p} out of range [0, {n - 1}]")
+    if r < 0:
+        raise ValueError("twist r must be >= 0")
+    chi = chi_line_bundle(n, -(r + p * d)) - chi_line_bundle(n, -(r + (p + 1) * d))
+    for q in range(1, p + 1):
+        chi = chi_restricted_omega_p(spec, q, r + (p - q) * d) - chi
+    return chi
 
 
 def chi_line_bundle_fraction(n: int, m: int) -> Fraction:
@@ -107,7 +179,7 @@ class EulerCharQuery:
         spec = HypersurfaceSpec(self.n, self.d)
         if self.target == "restricted_to_X":
             return chi_restricted_omega_p(spec, self.p, self.r)
-        return chi_hypersurface_omega_p(spec, self.p, self.r)
+        return chi_hypersurface_omega_p_recursion(spec, self.p, self.r)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +273,7 @@ def fraction_rref(mat: list[list], n: int) -> list[int]:
 def fraction_kernel_basis(columns: list[list]) -> list[list]:
     """Kernel basis of lambda -> sum_i lambda_i columns[i] by elimination over
     Fractions: one vector per free column f, with vec[f] = 1 and the pivots
-    solved.  The package's fraction-free integer elimination must return
-    exactly this basis."""
+    solved.  kernel_basis_witness searches for the witness over it."""
     n = len(columns)
     m = len(columns[0]) if columns else 0
     mat = [[Fraction(columns[i][j]) for i in range(n)] for j in range(m)]
@@ -215,6 +286,37 @@ def fraction_kernel_basis(columns: list[list]) -> list[list]:
             vec[pcol] = -mat[prow][f]
         basis.append(vec)
     return basis
+
+
+def kernel_basis_witness(classes: ClassMatrix):
+    """The smoothability witness by the kernel-basis route: the same search as
+    transitions.friedman_witness, run over the Fraction kernel basis.
+
+    Feasibility holds iff for every index i some kernel vector is nonzero in
+    coordinate i (a vector space over an infinite field is never a finite
+    union of proper subspaces).  The witness is sum_j s^j k_j over the kernel
+    basis with s = 1, 2, 3, ... the first value making every coordinate
+    nonzero; each coordinate is a nonzero polynomial of degree < dim(kernel)
+    in s, so at most n_classes * dim(kernel) values can fail.
+    """
+    n = classes.n_classes
+    basis = fraction_kernel_basis(classes.rows)
+    if not basis:
+        return None
+    for i in range(n):
+        if not any(vec[i] for vec in basis):
+            return None
+    bound = n * len(basis) + 1
+    for s in range(1, bound + 1):
+        lam = [Fraction(0)] * n
+        power = Fraction(1)
+        for vec in basis:
+            lam = [acc + power * x for acc, x in zip(lam, vec)]
+            power = power * s
+        if all(lam):
+            _assert_witness(classes, lam)
+            return lam
+    raise AssertionError("witness search exceeded its deterministic bound")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from importlib import resources
 
@@ -6,7 +7,7 @@ import jsonschema
 import pytest
 
 import reference
-from conifold_lab import cli, transitions
+from conifold_lab import cli, metrics, transitions
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,26 @@ class TestMetricCommand:
         assert code == 0
         report = json.loads(text)
         assert report["assertions"][0]["passed"]
+
+    @pytest.mark.parametrize("family,flag", [("resolved", "--a"), ("smoothed", "--t")])
+    @pytest.mark.parametrize("end", [metrics.PARAMETER_MIN, metrics.PARAMETER_MAX])
+    def test_every_sweep_is_finite_at_the_parameter_window_ends(self, family, flag, end, tmp_path):
+        base = ["metric", "--family", family, flag, repr(end), "--points", "6"]
+        for sweep in ("profile", "deviation", "residuals"):
+            code, text = run_cli(base + ["--sweep", sweep], tmp_path)
+            assert code == 0, sweep
+            report = json.loads(text)
+            cells = [x for row in report["results"]["rows"] for x in row[1:] if x != ""]
+            assert len(cells) >= 6 * 7 and all(math.isfinite(x) for x in cells), sweep
+        params = [end, end / 2] if end > 1 else [2 * end, end]
+        argv = ["metric", "--family", family, "--sweep", "convergence", "--points", "6",
+                "--params", ",".join(map(repr, params))]
+        if family == "smoothed":  # a tau grid inside the domain, which starts at |t|
+            argv += ["--tau-min", repr(2 * end), "--tau-max", repr(20 * end)]
+        code, text = run_cli(argv, tmp_path)
+        assert code in (0, 1)  # 1: the sups need not decrease this far out
+        sups = json.loads(text)["results"]["sups"]
+        assert len(sups) == 2 and all(math.isfinite(x) for x in sups)
 
     def test_empty_grid_is_usage_error(self, tmp_path):
         code = cli.main(
@@ -179,8 +200,9 @@ class TestFriedmanCommand:
 
     @pytest.mark.parametrize("n,m", [(3, 2), (6, 3), (15, 14), (40, 10), (125, 24)])
     def test_reports_match_between_kernel_paths(self, n, m, tmp_path, monkeypatch):
-        """The integer elimination and the Fraction reference elimination give
-        byte-identical reports on a feasible and an infeasible class matrix."""
+        """The integer-row witness search and the Fraction kernel-basis oracle
+        give byte-identical reports on a feasible and an infeasible class
+        matrix."""
         rng = random.Random(n * m)
         lam = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n - 1)]
         rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n - 1)]
@@ -199,7 +221,7 @@ class TestFriedmanCommand:
             assert code == 0 and calls
             assert json.loads(integer_text)["results"]["feasible"] is expected
             with monkeypatch.context() as patch:
-                patch.setattr(transitions, "_kernel_basis", reference.fraction_kernel_basis)
+                patch.setattr(transitions, "friedman_witness", reference.kernel_basis_witness)
                 code, fraction_text = run_cli(argv, tmp_path, "fraction.json")
             assert code == 0
             assert integer_text == fraction_text
@@ -286,6 +308,36 @@ class TestUsageErrors:
         argv = ["transition", "--h11", "1", "--h21", "1", "--N", "1", "--k", "0", "--c", "1"]
         assert cli.main(argv + ["--betti", "0,-3,0"]) == 2
         assert capsys.readouterr().err == "error: inputs must be nonnegative, got b2=-3\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["hodge", "--n", "201", "--d", "5"],
+             "ambient projective dimension n must lie in [2, 200], got 201"),
+            (["hodge", "--n", "4", "--d", "301"], "degree d must lie in [1, 300], got 301"),
+            (["slag", "--t", "1", "--resolution", "100000"], "resolution must be <= 128, got 100000"),
+            (["slag", "--t", "1", "--resolution", "130"], "resolution must be <= 128, got 130"),
+            (["slag", "--t", "1e-300"], "|t| must lie in [1e-200, 1e+200], got 1e-300"),
+            (["slag", "--t", "1e300@45"], "|t| must lie in [1e-200, 1e+200], got 1e+300"),
+            (["metric", "--family", "resolved", "--a", "1e-300"],
+             "the resolution parameter a must lie in [1e-20, 1e+20], got 1e-300"),
+            (["metric", "--family", "resolved", "--a", "1e30"],
+             "the resolution parameter a must lie in [1e-20, 1e+20], got 1e+30"),
+            (["metric", "--family", "smoothed", "--t", "1e-30"],
+             "the smoothing parameter |t| must lie in [1e-20, 1e+20], got 1e-30"),
+            (["metric", "--family", "smoothed", "--t", "1e300"],
+             "the smoothing parameter |t| must lie in [1e-20, 1e+20], got 1e+300"),
+            (["metric", "--family", "resolved", "--sweep", "convergence", "--params", "1,1e-30"],
+             "the resolution parameter a must lie in [1e-20, 1e+20], got 1e-30"),
+        ],
+        ids=["hodge-n", "hodge-d", "slag-resolution-huge", "slag-resolution", "slag-t-tiny",
+             "slag-t-huge", "metric-a-tiny", "metric-a-huge", "metric-t-tiny", "metric-t-huge",
+             "metric-convergence-param"],
+    )
+    def test_parameter_outside_its_bound(self, argv, message, tmp_path, capsys):
+        assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -5,18 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conifold_lab.hodge import (
+    MAX_DEGREE,
+    MAX_DIMENSION,
     HypersurfaceSpec,
     chi_hypersurface_omega_p,
-    chi_line_bundle,
-    chi_omega_p_twist,
-    ext_binomial,
     hodge_diamond,
+    jacobian_ring_dimension,
     moduli_dimension,
     quartic_k3_moduli_dimension,
     quintic_moduli_dimension,
 )
-from reference import EulerCharQuery, chi_line_bundle_fraction
+from reference import (
+    EulerCharQuery,
+    chi_line_bundle,
+    chi_line_bundle_fraction,
+    chi_omega_p_twist,
+    ext_binomial,
+)
 
 
 def product_oracle(n: int, m: int) -> Fraction:
@@ -108,7 +116,7 @@ class TestEulerCharQuery:
 
 class TestChiHypersurface:
     def test_quintic_cotangent(self):
-        assert chi_hypersurface_omega_p(HypersurfaceSpec(4, 5), 1, 0) == 100
+        assert chi_hypersurface_omega_p(HypersurfaceSpec(4, 5), 1) == 100
 
     def test_quartic_cotangent(self):
         # chi(restricted 1-forms) - chi(O_X(-4)) = 14 - 34, each via line bundles
@@ -120,22 +128,22 @@ class TestChiHypersurface:
         twisted_structure = chi_line_bundle(3, -4) - chi_line_bundle(3, -8)
         assert restricted == 14
         assert twisted_structure == 34
-        assert chi_hypersurface_omega_p(spec, 1, 0) == restricted - twisted_structure == -20
+        assert chi_hypersurface_omega_p(spec, 1) == restricted - twisted_structure == -20
 
     def test_quintic_structure_sheaf(self):
         spec = HypersurfaceSpec(4, 5)
         expected = chi_line_bundle(4, 0) - chi_line_bundle(4, -5)
-        assert chi_hypersurface_omega_p(spec, 0, 0) == expected == 0
+        assert chi_hypersurface_omega_p(spec, 0) == expected == 0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            chi_hypersurface_omega_p(HypersurfaceSpec(4, 5), 4, 0)
+            chi_hypersurface_omega_p(HypersurfaceSpec(4, 5), 4)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_calabi_yau_closed_form(self, n):
         spec = HypersurfaceSpec(n, n + 1)
         closed = -1 - (-1) ** n * (n + 1) ** 2 + (-1) ** n * math.comb(2 * n + 1, n)
-        assert chi_hypersurface_omega_p(spec, 1, 0) == closed
+        assert chi_hypersurface_omega_p(spec, 1) == closed
         # the middle Hodge number h^{n-2,1} follows from the same chi
         diamond = hodge_diamond(spec)
         if n == 3:  # middle diagonal: the delta term is part of the entry
@@ -152,7 +160,7 @@ class TestChiHypersurface:
                     - (-1) ** n * (n + 1) * ext_binomial(d, n)
                     + (-1) ** n * ext_binomial(2 * d - 1, n)
                 )
-                assert chi_hypersurface_omega_p(HypersurfaceSpec(n, d), 1, 0) == closed
+                assert chi_hypersurface_omega_p(HypersurfaceSpec(n, d), 1) == closed
 
 
 class TestHodgeDiamond:
@@ -214,6 +222,54 @@ class TestHodgeDiamond:
             diamond = hodge_diamond(HypersurfaceSpec(n, d))
             assert diamond.euler_characteristic() == d * coefficient
 
+
+class TestJacobianRing:
+    def test_quintic_deformations(self):
+        # 126 quintic monomials minus the 25-dimensional span of x_i dF/dx_j
+        assert jacobian_ring_dimension(HypersurfaceSpec(4, 5), 5) == 101
+
+    @pytest.mark.parametrize("n,d", [(3, 4), (4, 5), (5, 3), (6, 2), (7, 9)])
+    def test_gorenstein_symmetry(self, n, d):
+        # the ring is Gorenstein with a one-dimensional socle in degree (n+1)(d-2)
+        spec = HypersurfaceSpec(n, d)
+        socle = (n + 1) * (d - 2)
+        assert jacobian_ring_dimension(spec, socle) == 1
+        assert jacobian_ring_dimension(spec, -1) == 0
+        # zero above the socle, also where every term of the sum is present
+        for k in range(socle + 1, (n + 1) * (d - 1) + 4):
+            assert jacobian_ring_dimension(spec, k) == 0
+        for k in range(socle + 1):
+            assert jacobian_ring_dimension(spec, k) == jacobian_ring_dimension(spec, socle - k)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_matches_recursion_oracle(self, n, monkeypatch):
+        """Every p and every degree d = 1..n+6 against the exact-sequence
+        recursion.  The oracle's pure helpers are memoized for speed only."""
+        for name in ("chi_line_bundle", "chi_omega_p_twist"):
+            cached = functools.lru_cache(maxsize=None)(getattr(reference, name))
+            monkeypatch.setattr(reference, name, cached)
+        for d in range(1, n + 7):
+            spec = HypersurfaceSpec(n, d)
+            for p in range(n):
+                expected = reference.chi_hypersurface_omega_p_recursion(spec, p, 0)
+                assert chi_hypersurface_omega_p(spec, p) == expected, (n, d, p)
+
+    def test_largest_calabi_yau_diamond(self):
+        n, d = MAX_DIMENSION, MAX_DIMENSION + 1
+        diamond = hodge_diamond(HypersurfaceSpec(n, d))
+        diamond.check_invariants()
+        assert diamond.euler_characteristic() == ((1 - d) ** (n + 1) - 1) // d + n + 1
+
+    def test_rejects_sizes_above_the_bounds(self):
+        HypersurfaceSpec(MAX_DIMENSION, MAX_DEGREE)
+        with pytest.raises(ValueError, match=rf"n must lie in \[2, {MAX_DIMENSION}\]"):
+            HypersurfaceSpec(MAX_DIMENSION + 1, 3)
+        with pytest.raises(ValueError, match=rf"d must lie in \[1, {MAX_DEGREE}\]"):
+            HypersurfaceSpec(4, MAX_DEGREE + 1)
+        with pytest.raises(ValueError):
+            HypersurfaceSpec(1, 3)
+        with pytest.raises(ValueError):
+            HypersurfaceSpec(4, 0)
 
 class TestModuliCounts:
     def test_quintic(self):

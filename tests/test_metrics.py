@@ -6,6 +6,8 @@ import pytest
 from conifold_lab.conifold import FiberPoint, ResolvedPoint
 from conifold_lab.metrics import (
     ODE_CONSTANT,
+    PARAMETER_MAX,
+    PARAMETER_MIN,
     PotentialFamily,
     asymptotic_deviation,
     cone_point,
@@ -400,6 +402,17 @@ class TestFamilyValidation:
         for t in (value, complex(1.0, value)):
             with pytest.raises(ValueError, match="smoothing parameter t must be finite"):
                 PotentialFamily.smoothed(t)
+
+    def test_parameter_window(self):
+        assert PARAMETER_MIN <= 1e-8 and PARAMETER_MAX >= 1e8
+        for end in (PARAMETER_MIN, PARAMETER_MAX):
+            PotentialFamily.resolved(end)
+            PotentialFamily.smoothed(end * 1j)
+        for outside in (PARAMETER_MIN / 10, PARAMETER_MAX * 10, 1e-300, 1e300):
+            with pytest.raises(ValueError, match="resolution parameter a must lie in"):
+                PotentialFamily.resolved(outside)
+            with pytest.raises(ValueError, match=r"smoothing parameter \|t\| must lie in"):
+                PotentialFamily.smoothed(-outside)
 
     def test_scales(self):
         assert PotentialFamily.smoothed(2j).scale == 2.0

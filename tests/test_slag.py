@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from conifold_lab.slag import (
+    MAX_ABS_T,
+    MAX_RESOLUTION,
+    MIN_ABS_T,
     SPHERE_VOLUME,
     CycleGrid,
     calibration_residual,
@@ -56,6 +59,33 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="needs a finite t"):
             sample_vanishing_cycle(t, 8)
 
+    def test_rejects_resolution_above_the_bound_before_allocating(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built for a rejected resolution")
+
+        monkeypatch.setattr("conifold_lab.slag._composite_gauss2", no_grid)
+        with pytest.raises(ValueError, match=f"resolution must be <= {MAX_RESOLUTION}, got 100000"):
+            sample_vanishing_cycle(1.0, 100000)
+
+    @pytest.mark.parametrize("t", [MIN_ABS_T / 10, -MIN_ABS_T / 10, 10 * MAX_ABS_T, 1e-300j])
+    def test_rejects_modulus_outside_the_window(self, t):
+        with pytest.raises(ValueError, match=r"\|t\| must lie in \[1e-200, 1e\+200\]"):
+            sample_vanishing_cycle(t, 8)
+
+    @pytest.mark.parametrize("modulus", [MIN_ABS_T, MAX_ABS_T])
+    def test_period_at_the_window_ends(self, modulus):
+        """Computed at the actual t: the quadrature error at both ends is
+        the unit-modulus error, and the period keeps the 2 pi^2 t law."""
+        unit_error = None
+        for phase in (1.0, cmath.exp(0.7j)):
+            for scale in (1.0, modulus):
+                t = scale * phase
+                value = integrate_volume_form(sample_vanishing_cycle(t, 16))
+                error = abs(value - exact_cycle_integral(t)) / abs(exact_cycle_integral(t))
+                unit_error = error if unit_error is None else unit_error
+                assert error == pytest.approx(unit_error, rel=1e-6)
+                assert value != 0 and math.isfinite(abs(value))
+
     def test_node_as_fiber_point(self):
         grid = sample_vanishing_cycle(GENERIC_T, 8)
         p = node_as_fiber_point(grid, 17)
@@ -91,12 +121,6 @@ class TestPeriodIntegral:
         # errors sit well above the roundoff floor, so the order is measured
         assert err_hi > 1e-12
 
-    def test_orientation_flip_negates(self):
-        grid = sample_vanishing_cycle(GENERIC_T, 8)
-        plus = integrate_volume_form(grid, orientation=1)
-        minus = integrate_volume_form(grid, orientation=-1)
-        assert plus == -minus
-
     def test_chart_stitched_cross_check(self):
         for t in (1.0, GENERIC_T):
             grid = sample_vanishing_cycle(t, 8)
@@ -126,8 +150,6 @@ class TestPeriodIntegral:
         grid = sample_vanishing_cycle(1.0, 8)
         with pytest.raises(ValueError):
             integrate_volume_form(grid, method="monte_carlo")
-        with pytest.raises(ValueError):
-            integrate_volume_form(grid, orientation=2)
 
 
 class TestCalibration:

@@ -262,17 +262,17 @@ class TestIntegerKernel:
     @settings(max_examples=40, deadline=None)
     def test_matches_fraction_path_exactly(self, seed, n, m, kind):
         columns = [[Fraction(x) for x in row] for row in _integer_classes(seed, n, m, kind)]
-        _assert_kernel_matches_oracle(columns)
+        _assert_witness_matches_oracle(columns)
 
     @pytest.mark.parametrize("n,m", [(125, 24), (15, 14)])
     def test_extreme_shapes(self, n, m):
         for kind in ("dense", "sparse", "low_rank"):
             columns = [[Fraction(x) for x in row] for row in _integer_classes(n * m, n, m, kind)]
-            assert transitions._kernel_basis(columns) == reference.fraction_kernel_basis(columns)
+            _assert_witness_matches_oracle(columns)
 
     def test_non_integer_input_keeps_the_fraction_path(self):
         """Rational entries are scaled to integers by the lcm of their
-        denominators; the basis is still the one elimination over Fractions
+        denominators; the witness is still the one the Fraction kernel basis
         gives."""
         for rows in (
             [[Fraction(1, 2), Fraction(1)]],
@@ -280,7 +280,14 @@ class TestIntegerKernel:
              [Fraction(0), Fraction(-1)], [Fraction(3), Fraction(7, 5)]],
             [[Fraction(1, 6)], [Fraction(-1, 4)], [Fraction(5, 9)]],
         ):
-            _assert_kernel_matches_oracle(rows)
+            _assert_witness_matches_oracle(rows)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_small_sign_matrix(self, m):
+        """Every {-1,0,1} class matrix with N <= 3 rows of length m."""
+        for n in range(1, 4):
+            for entries in itertools.product((-1, 0, 1), repeat=n * m):
+                _assert_witness_matches_oracle([entries[i * m:(i + 1) * m] for i in range(n)])
 
     @given(
         st.integers(1, 40).flatmap(
@@ -299,16 +306,21 @@ class TestIntegerKernel:
     )
     @settings(max_examples=60, deadline=None)
     def test_rational_input_matches_the_fraction_oracle(self, rows):
-        _assert_kernel_matches_oracle(rows)
+        _assert_witness_matches_oracle(rows)
 
 
-def _assert_kernel_matches_oracle(columns):
-    got = transitions._kernel_basis(columns)
-    want = reference.fraction_kernel_basis(columns)
-    assert len(got) == len(want)
-    for vec, ref in zip(got, want):
-        assert all(type(x) is Fraction for x in vec)
-        assert vec == ref
+def _assert_witness_matches_oracle(rows):
+    """The integer-row witness equals the Fraction kernel-basis witness:
+    the same feasibility, and the same Fractions with the same text."""
+    classes = ClassMatrix(rows)
+    got = friedman_witness(classes)
+    want = reference.kernel_basis_witness(classes)
+    if want is None:
+        assert got is None
+        return
+    assert all(type(x) is Fraction for x in got)
+    assert got == want
+    assert [str(x) for x in got] == [str(x) for x in want]
 
 
 class TestBatchedRank:
