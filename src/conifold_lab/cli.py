@@ -145,6 +145,9 @@ def _cmd_metric(args) -> int:
         kind = "resolved" if family.kind == "resolved" else "smoothed"
         tau0 = args.tau_min if args.tau_min is not None else 1.0
         tau1 = args.tau_max if args.tau_max is not None else 10.0
+        build = metrics.PotentialFamily.smoothed if kind == "smoothed" else metrics.PotentialFamily.resolved
+        for param in params:
+            _check_tau_window(build(param), tau0, tau1)
         sups = metrics.potential_convergence_sup(kind, params, tau0, tau1, args.points)
         if args.format == "csv":
             _write_csv(args.output, ["family", "param", "sup_deviation"],
@@ -162,6 +165,7 @@ def _cmd_metric(args) -> int:
     hi = args.tau_max if args.tau_max is not None else _default_tau_max(family, args.sweep)
     if not 0 < lo < hi:
         raise SystemExit2(f"bad tau grid [{lo}, {hi}]")
+    _check_tau_window(family, lo, hi)
     taus = np.logspace(math.log10(lo), math.log10(hi), args.points)
     rows = [_metric_row(family, float(t)) for t in taus]
     if args.format == "csv":
@@ -174,6 +178,21 @@ def _cmd_metric(args) -> int:
     assertions.le("ma_residual_max", worst_ma, args.tolerances.get("ma", 1e-7))
     results = {"header": METRIC_HEADER, "rows": rows}
     return _emit_report(args, "metric", vars_config(args), results, assertions, {})
+
+
+TAU_UNITS = {"smoothed": "|t|", "resolved": "a^3"}
+
+
+def _check_tau_window(family: metrics.PotentialFamily, lo: float, hi: float) -> None:
+    wlo, whi = family.tau_window()
+    if not (wlo <= lo and hi <= whi):
+        window = f"[{wlo:g}, {whi:g}]"
+        if family.kind in TAU_UNITS:
+            slo, shi = metrics.TAU_WINDOW[family.kind]
+            window += f" = {TAU_UNITS[family.kind]} * [{slo:g}, {shi:g}]"
+        raise SystemExit2(
+            f"--tau-min/--tau-max: the {family.kind} family needs taus in {window}, got [{lo:g}, {hi:g}]"
+        )
 
 
 def _default_tau_min(family: metrics.PotentialFamily, sweep: str) -> float:

@@ -64,6 +64,18 @@ _RESOLVED_GAUGE_ANCHOR = 1e10
 PARAMETER_MIN = 1e-20
 PARAMETER_MAX = 1e20
 
+# Window for tau in units of the family scale (tau itself for the cone,
+# sigma = tau / |t| for the smoothing, sigma = tau / a^3 for the resolution),
+# a few decades inside where the powers taken stay normal floats:
+#   cone: the ODE's f'^2 f'' = -tau^-2 / 3 overflows below tau = 4.3e-155
+#     and its tau^2 above 1.3e154;
+#   smoothing: f'' takes mu^3 ~ sigma^3, which overflows above 5.6e102, and
+#     sigma >= 1 is the domain (then tau <= 1e120, inside the cone's bounds);
+#   resolution: the closed form takes sigma^4, which overflows above
+#     1.2e77; tau = a^3 sigma leaves the normal floats below sigma = 2.2e-248
+#     at a = PARAMETER_MIN.
+TAU_WINDOW = {"cone": (1e-150, 1e150), "smoothed": (1.0, 1e100), "resolved": (1e-240, 1e75)}
+
 
 # ---------------------------------------------------------------------------
 # families
@@ -120,6 +132,13 @@ class PotentialFamily:
 
     def domain_min(self) -> float:
         return abs(self.t) if self.kind == "smoothed" else 0.0
+
+    def tau_window(self) -> tuple[float, float]:
+        """The taus at which the family can be evaluated: TAU_WINDOW in
+        units of the family scale."""
+        unit = 1.0 if self.kind == "cone" else self.scale
+        lo, hi = TAU_WINDOW[self.kind]
+        return lo * unit, hi * unit
 
 
 @dataclass

@@ -17,6 +17,14 @@ the quadrature error about sixteenfold; this keeps the convergence-order
 audit measurable instead of sitting at the roundoff floor, while the
 resolution-32 error is still far below 1e-4 relative.
 
+Slab accumulation.  A grid stores only the three 1-D axis rules with their
+sine and cosine tables, so trigonometry runs on O(resolution) values.  The
+nodes, weights and oriented frames are built one theta1 index at a time
+(a slab of resolution^2 nodes); the quadrature sums each slab pairwise and
+adds the slab sums in theta1 order.  The summation order is therefore
+fixed, and the working set is O(resolution^2): one slab at resolution 256
+is 65,536 nodes, where the whole grid would be 16.8 million.
+
 Orientation.  The cycle is oriented so that the t = 1 period is +2 pi^2:
 with outward-normal-first conventions this is the frame order
 (e_theta2, e_theta1, e_phi), fixed in ORIENTED_FRAME_ORDER.
@@ -27,6 +35,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +46,9 @@ SPHERE_VOLUME = 2.0 * math.pi**2
 ORIENTED_FRAME_ORDER = (1, 0, 2)
 
 MIN_RESOLUTION = 8
-# resolution^3 nodes in several float arrays: 128 already needs about 1.6 GB
-MAX_RESOLUTION = 128
+# the quadrature holds one resolution^2 slab at a time: about 50 MB of
+# arrays at 256, where building the whole grid took 1.6 GB already at 128
+MAX_RESOLUTION = 256
 
 # |t| window where the period's scale |t|^{3/2} and 2 pi^2 |t| stay normal
 # floats (|t|^{3/2} leaves the normal range below ~7.9e-206 and above ~3.2e205)
@@ -45,26 +56,104 @@ MIN_ABS_T = 1e-200
 MAX_ABS_T = 1e200
 
 
+class AxisRule(NamedTuple):
+    """A 1-D quadrature rule with the sine and cosine of its nodes."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    sin: np.ndarray
+    cos: np.ndarray
+
+
+def _axis_rule(nodes: np.ndarray, weights: np.ndarray) -> AxisRule:
+    return AxisRule(nodes, weights, np.sin(nodes), np.cos(nodes))
+
+
+class Slab(NamedTuple):
+    """The resolution^2 grid nodes of one theta1 index, in (theta2, phi)
+    row-major order."""
+
+    nodes: np.ndarray  # (n, 4) complex cycle points t^{1/2} u
+    weights: np.ndarray  # (n,)
+    sphere_points: np.ndarray  # (n, 4) real
+    sphere_frames: np.ndarray  # (n, 3, 4) real, rows orthonormal
+
+
 @dataclass
 class CycleGrid:
-    """Quadrature grid on the vanishing cycle of V_t.
+    """Product quadrature grid on the vanishing cycle of V_t.
 
-    nodes are the complex cycle points t^{1/2} u; weights carry the unit
-    3-sphere surface measure (they sum to 2 pi^2 up to the rule's error);
-    sphere_frames holds the oriented orthonormal tangent triads of the unit
-    sphere at each node, from which the cycle frames are transported.
+    Only the three 1-D axis rules are stored; slab(i) builds the nodes of
+    one theta1 index.  nodes are the complex cycle points t^{1/2} u; weights
+    carry the unit 3-sphere surface measure (they sum to 2 pi^2 up to the
+    rule's error); sphere_frames holds the oriented orthonormal tangent
+    triads of the unit sphere at each node, from which the cycle frames are
+    transported.  The full node arrays are the slabs stacked in theta1
+    order, built on first access and cached.
     """
 
     t: complex
     resolution: int
-    nodes: np.ndarray  # (N, 4) complex
-    weights: np.ndarray  # (N,)
-    sphere_points: np.ndarray  # (N, 4) real
-    sphere_frames: np.ndarray  # (N, 3, 4) real, rows orthonormal
+    theta1: AxisRule
+    theta2: AxisRule
+    phi: AxisRule
 
     @property
     def sqrt_t(self) -> complex:
         return cmath.sqrt(self.t)
+
+    def slab(self, i: int) -> Slab:
+        """Nodes, weights, sphere points and oriented sphere triads of the
+        nodes with theta1 index i."""
+        s1, c1 = self.theta1.sin[i], self.theta1.cos[i]
+        s2, c2 = self.theta2.sin[:, None], self.theta2.cos[:, None]
+        sp, cp = self.phi.sin[None, :], self.phi.cos[None, :]
+        shape = (self.theta2.nodes.size, self.phi.nodes.size)
+
+        u = np.empty(shape + (4,))
+        u[..., 0] = c1
+        u[..., 1] = s1 * c2
+        u[..., 2] = s1 * s2 * cp
+        u[..., 3] = s1 * s2 * sp
+        frames = np.zeros(shape + (3, 4))
+        # views on each triad's rows, placed in ORIENTED_FRAME_ORDER
+        e_th1, e_th2, e_phi = (frames[..., ORIENTED_FRAME_ORDER.index(leg), :] for leg in range(3))
+        e_th1[..., 0] = -s1
+        e_th1[..., 1] = c1 * c2
+        e_th1[..., 2] = c1 * s2 * cp
+        e_th1[..., 3] = c1 * s2 * sp
+        e_th2[..., 1] = -s2
+        e_th2[..., 2] = c2 * cp
+        e_th2[..., 3] = c2 * sp
+        e_phi[..., 2] = -sp
+        e_phi[..., 3] = cp
+        w1 = (self.theta1.weights * self.theta1.sin**2)[i]
+        w2 = (self.theta2.weights * self.theta2.sin)[:, None]
+        weights = w1 * w2 * self.phi.weights[None, :]
+
+        u = u.reshape(-1, 4)
+        return Slab(self.sqrt_t * u.astype(complex), weights.ravel(), u, frames.reshape(-1, 3, 4))
+
+    @cached_property
+    def _stacked(self) -> Slab:
+        slabs = [self.slab(i) for i in range(self.resolution)]
+        return Slab(*(np.concatenate(parts) for parts in zip(*slabs)))
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._stacked.nodes
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._stacked.weights
+
+    @property
+    def sphere_points(self) -> np.ndarray:
+        return self._stacked.sphere_points
+
+    @property
+    def sphere_frames(self) -> np.ndarray:
+        return self._stacked.sphere_frames
 
     def cycle_frame(self, index: int) -> np.ndarray:
         """Oriented orthonormal tangent 3-frame of L_t at node index."""
@@ -106,37 +195,13 @@ def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:
     if resolution % 2:
         raise ValueError("resolution must be even")
 
-    th1, w1 = _composite_gauss2(0.0, math.pi, resolution // 2)
-    th2, w2 = _composite_gauss2(0.0, math.pi, resolution // 2)
     phi = 2.0 * math.pi * (np.arange(resolution) + 0.5) / resolution
-    wphi = np.full(resolution, 2.0 * math.pi / resolution)
-
-    T1, T2, PH = np.meshgrid(th1, th2, phi, indexing="ij")
-    W = (
-        (w1 * np.sin(th1) ** 2)[:, None, None]
-        * (w2 * np.sin(th2))[None, :, None]
-        * wphi[None, None, :]
-    )
-    T1, T2, PH, W = (arr.ravel() for arr in (T1, T2, PH, W))
-
-    s1, c1 = np.sin(T1), np.cos(T1)
-    s2, c2 = np.sin(T2), np.cos(T2)
-    sp, cp = np.sin(PH), np.cos(PH)
-
-    u = np.stack([c1, s1 * c2, s1 * s2 * cp, s1 * s2 * sp], axis=-1)
-    e_th1 = np.stack([-s1, c1 * c2, c1 * s2 * cp, c1 * s2 * sp], axis=-1)
-    e_th2 = np.stack([np.zeros_like(s1), -s2, c2 * cp, c2 * sp], axis=-1)
-    e_phi = np.stack([np.zeros_like(s1), np.zeros_like(s1), -sp, cp], axis=-1)
-    triads = np.stack([e_th1, e_th2, e_phi], axis=1)[:, list(ORIENTED_FRAME_ORDER), :]
-
-    nodes = cmath.sqrt(t) * u.astype(complex)
     return CycleGrid(
         t=t,
         resolution=resolution,
-        nodes=nodes,
-        weights=W,
-        sphere_points=u,
-        sphere_frames=triads,
+        theta1=_axis_rule(*_composite_gauss2(0.0, math.pi, resolution // 2)),
+        theta2=_axis_rule(*_composite_gauss2(0.0, math.pi, resolution // 2)),
+        phi=_axis_rule(phi, np.full(resolution, 2.0 * math.pi / resolution)),
     )
 
 
@@ -172,23 +237,27 @@ def integrate_volume_form(grid: CycleGrid, method: str = "real_slice") -> comple
     transported real-slice formula dx1^dx2^dx3 / x_4 applies; the
     'chart_stitched' cross-check selects the chart of dominant modulus per
     node.  Both contract the same global form, so they agree up to rounding.
-    Summation is pairwise (numpy) over a fixed node order, so results are
-    reproducible.
+    The rule is accumulated one theta1 slab at a time: each slab's sum is
+    pairwise (numpy) over its fixed node order and the slab sums are added
+    in theta1 order, so results are reproducible.
     """
-    st = grid.sqrt_t
-    frames = grid.sphere_frames.astype(complex) * (st / abs(st))
-    if method == "real_slice":
-        charts = np.full(grid.nodes.shape[0], 3)  # chart 4, zero-based index 3
-        mags = np.abs(grid.nodes[:, 3])
-        if np.any(mags == 0.0):
-            raise ValueError("a node hit the x4 = 0 seam; use an even resolution")
-    elif method == "chart_stitched":
-        charts = np.argmax(np.abs(grid.nodes), axis=1)
-    else:
+    if method not in ("real_slice", "chart_stitched"):
         raise ValueError(f"unknown method {method!r}")
-    values = _chart_form_values(grid.nodes, frames, charts)
+    st = grid.sqrt_t
+    total = 0j
+    for i in range(grid.resolution):
+        slab = grid.slab(i)
+        frames = slab.sphere_frames.astype(complex) * (st / abs(st))
+        if method == "real_slice":
+            charts = np.full(slab.nodes.shape[0], 3)  # chart 4, zero-based index 3
+            if np.any(np.abs(slab.nodes[:, 3]) == 0.0):
+                raise ValueError("a node hit the x4 = 0 seam; use an even resolution")
+        else:
+            charts = np.argmax(np.abs(slab.nodes), axis=1)
+        values = _chart_form_values(slab.nodes, frames, charts)
+        total += complex(np.sum(slab.weights * values))
     scale = abs(grid.t) ** 1.5  # conformal volume factor of z = t^{1/2} u
-    return scale * complex(np.sum(grid.weights * values))
+    return scale * total
 
 
 def frame_tangency_residual(node: np.ndarray, frame: np.ndarray, t: complex) -> float:

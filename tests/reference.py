@@ -8,7 +8,10 @@ against.  None of them runs on the package's own code paths.
   ring closed form), chi(O(m)) in Fraction arithmetic, and a dispatcher over
   the twisted Euler-characteristic functions.
 * slag: the flat Lagrangian residual of a frame, the fiber residual of a
-  cycle grid, and a grid node as a checked fiber point.
+  cycle grid, a grid node as a checked fiber point, and the dense cycle
+  quadrature (every node, weight and frame of the product grid built at
+  once and summed in one pairwise sum), the oracle for the slab-by-slab
+  grid and quadrature.
 * conifold: complex conjugation of fiber points, the inverse of the real
   splitting, and the quadric {xy = zw} with its change of variables to the
   singular fiber.
@@ -23,6 +26,7 @@ against.  None of them runs on the package's own code paths.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +37,7 @@ from scipy.optimize import brentq
 
 from conifold_lab.conifold import FiberPoint, RealSplitting, on_fiber
 from conifold_lab.hodge import HypersurfaceSpec
-from conifold_lab.slag import CycleGrid
+from conifold_lab.slag import ORIENTED_FRAME_ORDER, CycleGrid, _chart_form_values, _composite_gauss2
 from conifold_lab.transitions import ClassMatrix, _assert_witness
 
 # ---------------------------------------------------------------------------
@@ -209,6 +213,49 @@ def node_as_fiber_point(grid: CycleGrid, index: int) -> FiberPoint:
     p = FiberPoint(grid.nodes[index], grid.t)
     assert on_fiber(p, 1e-12)
     return p
+
+
+def dense_cycle_arrays(t: complex, resolution: int) -> tuple[np.ndarray, ...]:
+    """nodes, weights, sphere_points and sphere_frames of the whole product
+    grid on L_t, built at once from resolution^3 angle arrays."""
+    th1, w1 = _composite_gauss2(0.0, math.pi, resolution // 2)
+    th2, w2 = _composite_gauss2(0.0, math.pi, resolution // 2)
+    phi = 2.0 * math.pi * (np.arange(resolution) + 0.5) / resolution
+    wphi = np.full(resolution, 2.0 * math.pi / resolution)
+
+    T1, T2, PH = np.meshgrid(th1, th2, phi, indexing="ij")
+    W = (
+        (w1 * np.sin(th1) ** 2)[:, None, None]
+        * (w2 * np.sin(th2))[None, :, None]
+        * wphi[None, None, :]
+    )
+    T1, T2, PH, W = (arr.ravel() for arr in (T1, T2, PH, W))
+
+    s1, c1 = np.sin(T1), np.cos(T1)
+    s2, c2 = np.sin(T2), np.cos(T2)
+    sp, cp = np.sin(PH), np.cos(PH)
+
+    u = np.stack([c1, s1 * c2, s1 * s2 * cp, s1 * s2 * sp], axis=-1)
+    e_th1 = np.stack([-s1, c1 * c2, c1 * s2 * cp, c1 * s2 * sp], axis=-1)
+    e_th2 = np.stack([np.zeros_like(s1), -s2, c2 * cp, c2 * sp], axis=-1)
+    e_phi = np.stack([np.zeros_like(s1), np.zeros_like(s1), -sp, cp], axis=-1)
+    triads = np.stack([e_th1, e_th2, e_phi], axis=1)[:, list(ORIENTED_FRAME_ORDER), :]
+    return cmath.sqrt(t) * u.astype(complex), W, u, triads
+
+
+def dense_integrate_volume_form(t: complex, resolution: int, method: str = "real_slice") -> complex:
+    """The period quadrature over the dense grid: one chart evaluation and
+    one pairwise sum over all resolution^3 nodes."""
+    t = complex(t)
+    nodes, weights, _, sphere_frames = dense_cycle_arrays(t, resolution)
+    st = cmath.sqrt(t)
+    frames = sphere_frames.astype(complex) * (st / abs(st))
+    if method == "real_slice":
+        charts = np.full(nodes.shape[0], 3)
+    else:
+        charts = np.argmax(np.abs(nodes), axis=1)
+    values = _chart_form_values(nodes, frames, charts)
+    return abs(t) ** 1.5 * complex(np.sum(weights * values))
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,8 @@ class TestUsageErrors:
             (["hodge", "--n", "201", "--d", "5"],
              "ambient projective dimension n must lie in [2, 200], got 201"),
             (["hodge", "--n", "4", "--d", "301"], "degree d must lie in [1, 300], got 301"),
-            (["slag", "--t", "1", "--resolution", "100000"], "resolution must be <= 128, got 100000"),
-            (["slag", "--t", "1", "--resolution", "130"], "resolution must be <= 128, got 130"),
+            (["slag", "--t", "1", "--resolution", "100000"], "resolution must be <= 256, got 100000"),
+            (["slag", "--t", "1", "--resolution", "258"], "resolution must be <= 256, got 258"),
             (["slag", "--t", "1e-300"], "|t| must lie in [1e-200, 1e+200], got 1e-300"),
             (["slag", "--t", "1e300@45"], "|t| must lie in [1e-200, 1e+200], got 1e+300"),
             (["metric", "--family", "resolved", "--a", "1e-300"],
@@ -338,6 +338,28 @@ class TestUsageErrors:
         assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--family", "resolved", "--a", "1", "--tau-max", "1e300"],
+             "the resolved family needs taus in [1e-240, 1e+75] = a^3 * [1e-240, 1e+75], got [0.1, 1e+300]"),
+            (["--family", "cone", "--tau-min", "1e-300", "--tau-max", "1e-200"],
+             "the cone family needs taus in [1e-150, 1e+150], got [1e-300, 1e-200]"),
+            (["--family", "smoothed", "--t", "1", "--tau-max", "1e200"],
+             "the smoothed family needs taus in [1, 1e+100] = |t| * [1, 1e+100], got [1.01, 1e+200]"),
+            (["--family", "resolved", "--a", "2", "--tau-min", "1e-300", "--tau-max", "1"],
+             "the resolved family needs taus in [8e-240, 8e+75] = a^3 * [1e-240, 1e+75], got [1e-300, 1]"),
+            (["--family", "smoothed", "--sweep", "convergence", "--params", "1,0.5", "--tau-max", "1e300"],
+             "the smoothed family needs taus in [1, 1e+100] = |t| * [1, 1e+100], got [1, 1e+300]"),
+        ],
+        ids=["resolved-huge", "cone-tiny", "smoothed-huge", "resolved-tiny", "convergence-huge"],
+    )
+    def test_tau_grid_outside_its_window(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert cli.main(["metric", *argv, "--points", "3", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --tau-min/--tau-max: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv,message",

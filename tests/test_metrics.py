@@ -418,3 +418,27 @@ class TestFamilyValidation:
         assert PotentialFamily.smoothed(2j).scale == 2.0
         assert PotentialFamily.resolved(2.0).scale == 8.0
         assert CONE.scale == 0.0
+
+    @pytest.mark.parametrize(
+        "family",
+        [CONE]
+        + [PotentialFamily.smoothed(end * 1j) for end in (PARAMETER_MIN, PARAMETER_MAX)]
+        + [PotentialFamily.resolved(end) for end in (PARAMETER_MIN, PARAMETER_MAX)],
+        ids=["cone", "smoothed-min", "smoothed-max", "resolved-min", "resolved-max"],
+    )
+    def test_tau_window_ends_are_certified(self, family):
+        """At both ends of the tau window, at both ends of the parameter
+        window, the profile, the ODE and the chart Hessian stay finite and
+        pass their residual gates."""
+        lo, hi = family.tau_window()
+        if family.kind == "smoothed":
+            lo *= 1.01  # f'' is singular at the domain minimum tau = |t|
+        for tau in (lo, hi):
+            sample = potential_value(family, tau)
+            assert all(math.isfinite(x) and x != 0.0 for x in (sample.f, sample.fp, sample.fpp))
+            assert ode_residual(family, tau) < 1e-8
+            if family.kind == "resolved":
+                point = resolved_point_with_tau(family.a, tau)
+            else:
+                point = smoothed_normal_form_point(family.t, tau)
+            assert monge_ampere_residual(family, point) < 1e-7

@@ -1,9 +1,18 @@
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import conifold_lab
+from conifold_lab import cli
 from conifold_lab.slag import (
     MAX_ABS_T,
     MAX_RESOLUTION,
@@ -18,7 +27,13 @@ from conifold_lab.slag import (
     perturbed_frame,
     sample_vanishing_cycle,
 )
-from reference import grid_on_fiber_residual, lagrangian_residual, node_as_fiber_point
+from reference import (
+    dense_cycle_arrays,
+    dense_integrate_volume_form,
+    grid_on_fiber_residual,
+    lagrangian_residual,
+    node_as_fiber_point,
+)
 
 GENERIC_T = 0.3 * cmath.exp(1j * math.pi / 5)
 
@@ -86,10 +101,95 @@ class TestGridConstruction:
                 assert error == pytest.approx(unit_error, rel=1e-6)
                 assert value != 0 and math.isfinite(abs(value))
 
+    def test_resolution_128_runs_in_bounded_memory(self, tmp_path):
+        """The quadrature keeps one slab in memory: resolution 128 (2.1
+        million nodes) stays far below what its full grid would take."""
+        src = str(Path(conifold_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "conifold_lab.cli", "slag", "--t", "1", "--resolution", "128",
+                "--output", str(tmp_path / "report.json")]
+        child = subprocess.Popen(argv, env=env)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0
+        assert json.loads((tmp_path / "report.json").read_text())["results"]["resolution"] == 128
+        assert usage.ru_maxrss < 300 * 1024  # kilobytes
+
     def test_node_as_fiber_point(self):
         grid = sample_vanishing_cycle(GENERIC_T, 8)
         p = node_as_fiber_point(grid, 17)
         assert p.t == GENERIC_T
+
+
+ORACLE_TS = [m * cmath.exp(1j * a) for m in (1e-3, 1.0, 1e3) for a in (0.0, 2.0, -2.9)]
+# streamed and dense quadratures differ only in summation order
+ORACLE_RTOL = 1e-14
+
+
+class TestSlabsAgainstDenseGrid:
+    @pytest.mark.parametrize("resolution", [8, 16])
+    @pytest.mark.parametrize("t", [1.0, GENERIC_T, -1e3j])
+    def test_stacked_slabs_are_the_dense_arrays(self, t, resolution):
+        grid = sample_vanishing_cycle(t, resolution)
+        stacked = (grid.nodes, grid.weights, grid.sphere_points, grid.sphere_frames)
+        for ours, dense in zip(stacked, dense_cycle_arrays(t, resolution)):
+            assert ours.shape == dense.shape
+            assert np.array_equal(ours.view(float), dense.view(float))
+            assert np.array_equal(np.signbit(ours.view(float)), np.signbit(dense.view(float)))
+
+    @pytest.mark.parametrize("method", ["real_slice", "chart_stitched"])
+    @pytest.mark.parametrize("resolution", [8, 16, 32, 48])
+    def test_integral_matches_the_dense_quadrature(self, resolution, method):
+        for t in ORACLE_TS:
+            ours = integrate_volume_form(sample_vanishing_cycle(t, resolution), method)
+            dense = dense_integrate_volume_form(t, resolution, method)
+            assert abs(ours - dense) <= ORACLE_RTOL * abs(exact_cycle_integral(t))
+
+    def test_repeated_calls_return_the_same_bits(self):
+        for method in ("real_slice", "chart_stitched"):
+            grid = sample_vanishing_cycle(GENERIC_T, 16)
+            first = integrate_volume_form(grid, method)
+            assert integrate_volume_form(grid, method) == first
+            assert integrate_volume_form(sample_vanishing_cycle(GENERIC_T, 16), method) == first
+
+    def test_quadrature_never_stacks_the_grid(self):
+        grid = sample_vanishing_cycle(GENERIC_T, 16)
+        for method in ("real_slice", "chart_stitched"):
+            integrate_volume_form(grid, method)
+        assert "_stacked" not in vars(grid)
+
+    def test_cli_report_matches_a_dense_report(self, tmp_path, monkeypatch):
+        argv = ["slag", "--t", "0.3@36", "--resolution", "16", "--output"]
+        assert cli.main(argv + [str(tmp_path / "streamed.json")]) == 0
+        monkeypatch.setattr(
+            "conifold_lab.slag.integrate_volume_form",
+            lambda grid, method="real_slice": dense_integrate_volume_form(grid.t, grid.resolution, method),
+        )
+        assert cli.main(argv + [str(tmp_path / "dense.json")]) == 0
+        ours, dense = (json.loads((tmp_path / name).read_text()) for name in ("streamed.json", "dense.json"))
+        scale = abs(complex(dense["results"]["exact_re"], dense["results"]["exact_im"]))
+        may_differ = {("results", "integral_re"): scale, ("results", "integral_im"): scale,
+                      ("results", "rel_error"): 1.0, ("assertions", 0, "measured"): 1.0}
+        flat_ours, flat_dense = _flatten(ours), _flatten(dense)
+        assert flat_ours.keys() == flat_dense.keys()
+        for path, value in flat_ours.items():
+            if path in may_differ:
+                assert abs(value - flat_dense[path]) <= ORACLE_RTOL * may_differ[path]
+            else:
+                assert value == flat_dense[path], path
+
+
+def _flatten(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return {path: node}
+    out = {}
+    for key, child in items:
+        out.update(_flatten(child, path + (key,)))
+    return out
 
 
 class TestPeriodIntegral:
@@ -120,6 +220,17 @@ class TestPeriodIntegral:
         assert order >= 2.0
         # errors sit well above the roundoff floor, so the order is measured
         assert err_hi > 1e-12
+
+    @given(st.floats(-8.0, 8.0), st.floats(-math.pi, math.pi))
+    @settings(deadline=None)
+    def test_period_is_linear_in_t(self, log_modulus, phase):
+        """I(t) / t is one constant over |t| in 1e-8..1e8 and every phase:
+        the 2 pi^2 t law up to the rule's error, which does not depend on t."""
+        t = 10.0**log_modulus * cmath.exp(1j * phase)
+        unit = integrate_volume_form(sample_vanishing_cycle(1.0, 16))
+        ratio = integrate_volume_form(sample_vanishing_cycle(t, 16)) / t
+        assert abs(ratio - unit) <= 1e-12 * abs(unit)
+        assert abs(unit - SPHERE_VOLUME) < 1e-4 * SPHERE_VOLUME
 
     def test_chart_stitched_cross_check(self):
         for t in (1.0, GENERIC_T):
