@@ -183,24 +183,29 @@ def criterion_03(profile: Profile) -> tuple[str, float, Checks]:
 
     fam = metrics.PotentialFamily.cone()
     taus = np.logspace(-2, 2, n)
-    ode = max(metrics.ode_residual(fam, t) for t in taus)
-    ma = max(metrics.monge_ampere_residual(fam, p) for p in sample_fiber_points(0.0, taus, rng))
+    prof = metrics.profile(fam, taus)
+    ode = max(metrics.ode_residual(fam, s) for s in prof)
+    pts = sample_fiber_points(0.0, taus, rng)
+    ma = max(metrics.monge_ampere_residual(fam, p, s) for p, s in zip(pts, prof))
     chk.le("cone_ode_residual", ode, 1e-8)
     chk.le("cone_ma_residual", ma, 1e-7)
 
     fam = metrics.PotentialFamily.smoothed(1.0)
     taus = np.logspace(math.log10(1.01), 3, n)
-    ode = max(metrics.ode_residual(fam, t) for t in taus)
-    ma = max(metrics.monge_ampere_residual(fam, p) for p in sample_fiber_points(1.0, taus, rng))
+    prof = metrics.profile(fam, taus)
+    ode = max(metrics.ode_residual(fam, s) for s in prof)
+    pts = sample_fiber_points(1.0, taus, rng)
+    ma = max(metrics.monge_ampere_residual(fam, p, s) for p, s in zip(pts, prof))
     chk.le("smoothed_ode_residual", ode, 1e-8)
     chk.le("smoothed_ma_residual", ma, 1e-7)
 
     fam = metrics.PotentialFamily.resolved(1.0)
     taus = np.logspace(-1, 3, n)
-    ode = max(metrics.ode_residual(fam, t) for t in taus)
+    ode = max(metrics.ode_residual(fam, s) for s in metrics.profile(fam, taus))
     pts = sample_resolved_points(1.0, np.logspace(-2, 2, n), rng)
     chk.true("resolved_both_charts", {p.chart for p in pts} == {1, 2})
-    ma = max(metrics.monge_ampere_residual(fam, p) for p in pts)
+    prof = metrics.profile(fam, [metrics.point_tau(p) for p in pts])
+    ma = max(metrics.monge_ampere_residual(fam, p, s) for p, s in zip(pts, prof))
     chk.le("resolved_ode_residual", ode, 1e-8)
     chk.le("resolved_ma_residual", ma, 1e-7)
     return "volume-form equation certified along all three families", 30.0, chk
@@ -218,7 +223,8 @@ def criterion_05(profile: Profile) -> tuple[str, float, Checks]:
     taus = np.logspace(2, 6, profile.asymptotic_points)
     rs = metrics.PotentialFamily.resolved(1.0)
     weighted = [
-        abs(metrics.asymptotic_deviation(rs, t, subtract_gauge=True)) * t**0.25 for t in taus
+        abs(metrics.asymptotic_deviation(rs, s, subtract_gauge=True)) * s.tau**0.25
+        for s in metrics.profile(rs, taus)
     ]
     chk.le("resolved_weighted_deviation_max", max(weighted), 2.0)
     chk.true(
@@ -227,7 +233,7 @@ def criterion_05(profile: Profile) -> tuple[str, float, Checks]:
         measured=[weighted[0], weighted[-1]],
     )
     sm = metrics.PotentialFamily.smoothed(1.0)
-    devs = [metrics.asymptotic_deviation(sm, t, subtract_gauge=True) for t in taus]
+    devs = [metrics.asymptotic_deviation(sm, s, subtract_gauge=True) for s in metrics.profile(sm, taus)]
     chk.true(
         "smoothed_deviation_decreasing",
         all(abs(devs[i + 1]) < abs(devs[i]) for i in range(len(devs) - 1)),

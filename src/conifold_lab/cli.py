@@ -123,14 +123,14 @@ def _metric_point(family: metrics.PotentialFamily, tau: float):
     return metrics.smoothed_normal_form_point(family.t, tau)
 
 
-def _metric_row(family: metrics.PotentialFamily, tau: float) -> list:
-    sample = metrics.potential_value(family, tau)
-    ode = metrics.ode_residual(family, tau)
-    ma = metrics.monge_ampere_residual(family, _metric_point(family, tau))
+def _metric_row(family: metrics.PotentialFamily, sample: metrics.PotentialSample) -> list:
+    tau = sample.tau
+    ode = metrics.ode_residual(family, sample)
+    ma = metrics.monge_ampere_residual(family, _metric_point(family, tau), sample)
     if family.kind != "cone" and tau < metrics.asymptotic_threshold(family):
         deviation = ""
     else:
-        deviation = metrics.asymptotic_deviation(family, tau, subtract_gauge=True)
+        deviation = metrics.asymptotic_deviation(family, sample, subtract_gauge=True)
     param = abs(family.t) if family.kind == "smoothed" else (family.a if family.kind == "resolved" else 0.0)
     return [family.kind, param, tau, sample.f, sample.fp, sample.fpp, ode, ma, deviation]
 
@@ -167,7 +167,7 @@ def _cmd_metric(args) -> int:
         raise SystemExit2(f"bad tau grid [{lo}, {hi}]")
     _check_tau_window(family, lo, hi)
     taus = np.logspace(math.log10(lo), math.log10(hi), args.points)
-    rows = [_metric_row(family, float(t)) for t in taus]
+    rows = [_metric_row(family, sample) for sample in metrics.profile(family, taus)]
     if args.format == "csv":
         _write_csv(args.output, METRIC_HEADER, rows)
         return 0

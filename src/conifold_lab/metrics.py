@@ -18,6 +18,11 @@ f_a(tau) = a^2 f_1(a^{-3} tau).  (The +2/3 exponent is the one that leaves
 the ODE constant invariant; the opposite sign fails it, which is how the
 convention is pinned down here.)
 
+A profile is evaluated on a whole tau grid at once (profile): f' and f''
+from vectorised closed forms, f by composite Gauss-Legendre quadrature on
+panels of unit width whose edges sit on a fixed lattice, so a sample's
+value does not depend on the rest of the grid.
+
 Potentials are normalized to vanish at the domain minimum, so their large-tau
 expansions approach the cone profile only up to a family-specific additive
 constant (the potential gauge).  Deviation and convergence utilities can
@@ -33,22 +38,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from conifold_lab.conifold import FiberPoint, ResolvedPoint, dominant_chart, on_fiber
 
 ODE_CONSTANT = 2.0 / 3.0
 
-QUAD_EPSABS = 1e-13
-QUAD_EPSREL = 1e-13
 QUAD_ERROR_BOUND = 1e-10  # potential evaluations must report better than this
 _QUAD_RELATIVE_FLOOR = 1e-12  # attainable accuracy floor for values far above 1
 
 
-def _check_quad_error(err: float, value: float) -> None:
-    bound = max(QUAD_ERROR_BOUND, _QUAD_RELATIVE_FLOOR * abs(value))
-    if err > bound:
-        raise ArithmeticError(f"quadrature error {err:.2e} exceeds {bound:.2e}")
+def _check_quad_error(err: np.ndarray, value: np.ndarray) -> None:
+    """Each sample's reported error must beat its own bound."""
+    bound = np.maximum(QUAD_ERROR_BOUND, _QUAD_RELATIVE_FLOOR * np.abs(value))
+    bad = np.flatnonzero(~(err <= bound))
+    if bad.size:
+        i = bad[0]
+        raise ArithmeticError(f"quadrature error {err[i]:.2e} exceeds {bound[i]:.2e}")
 
 # series gamma(tau)/tau = 1/sqrt(6) - tau/72 + 5 sqrt(6) tau^2 / 10368 - ...
 _SERIES_CUTOFF = 1e-4
@@ -58,9 +63,10 @@ _RESOLVED_GAUGE_ANCHOR = 1e10
 
 # Window for |t| and a, a few decades inside the tightest end that the
 # largest powers allow on the default sweeps (tau up to 1e6 * max(scale, 1)):
-# the resolved closed form's sigma^4, sigma = tau / a^3, needs a > 4e-24;
-# the smoothed f'' takes sigma^3, sigma = tau / |t| (|t| > 2e-97); the chart
-# Hessian tau^2 ~ a^6 (a < 1e49) and the smoothed ODE tau^2 (|t| < 1e148).
+# the resolved profile's sigma^2, sigma = tau / a^3, and its rescaling by
+# a^-4 need a > 4e-24; the smoothed f'' takes sigma^3, sigma = tau / |t|
+# (|t| > 2e-97); the chart Hessian tau^2 ~ a^6 (a < 1e49) and the smoothed
+# ODE tau^2 (|t| < 1e148).
 PARAMETER_MIN = 1e-20
 PARAMETER_MAX = 1e20
 
@@ -71,9 +77,10 @@ PARAMETER_MAX = 1e20
 #     and its tau^2 above 1.3e154;
 #   smoothing: f'' takes mu^3 ~ sigma^3, which overflows above 5.6e102, and
 #     sigma >= 1 is the domain (then tau <= 1e120, inside the cone's bounds);
-#   resolution: the closed form takes sigma^4, which overflows above
-#     1.2e77; tau = a^3 sigma leaves the normal floats below sigma = 2.2e-248
-#     at a = PARAMETER_MIN.
+#   resolution: the ODE at a = PARAMETER_MAX takes tau^2 f'^2 f'' ~
+#     a^6 sigma^{4/3}, and the quadrature lattice below covers
+#     log sigma <= log 1e75 in 192 panels; tau = a^3 sigma leaves the normal
+#     floats below sigma = 2.2e-248 at a = PARAMETER_MIN.
 TAU_WINDOW = {"cone": (1e-150, 1e150), "smoothed": (1.0, 1e100), "resolved": (1e-240, 1e75)}
 
 
@@ -152,6 +159,30 @@ class PotentialSample:
     quad_error: float = 0.0
 
 
+@dataclass(frozen=True)
+class PotentialProfile:
+    """Radial profile on a tau grid: one array per PotentialSample field.
+    Indexing gives the sample at one grid point."""
+
+    tau: np.ndarray
+    f: np.ndarray
+    fp: np.ndarray
+    fpp: np.ndarray
+    quad_error: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    def __getitem__(self, i: int) -> PotentialSample:
+        return PotentialSample(
+            tau=float(self.tau[i]),
+            f=float(self.f[i]),
+            fp=float(self.fp[i]),
+            fpp=float(self.fpp[i]),
+            quad_error=float(self.quad_error[i]),
+        )
+
+
 @dataclass
 class HermitianHessian:
     """Complex Hessian of the potential in a chart, with the reference density."""
@@ -173,42 +204,34 @@ class HermitianHessian:
 # resolved family: the cubic first integral
 
 
-def _gamma_unit_closed_form(tau: float) -> float:
-    """Positive root of g^3 + 6 g^2 = tau^2 by the explicit radical formula.
-
-    The cube-root argument crosses into the complex plane for tau^2 < 32;
-    the combination -2 + z + 4/z stays real across the seam.  A couple of
-    Newton steps absorb roundoff from the branch gymnastics.
-    """
-    tau = float(tau)
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if tau == 0.0:
-        return 0.0
-    if tau < _SERIES_CUTOFF:
-        return tau * _gamma_over_tau_series(tau)
-    disc = cmath.sqrt(complex(tau**4 - 32.0 * tau**2, 0.0))
-    z = 2 ** (-1.0 / 3.0) * (complex(-16.0 + tau**2, 0.0) + disc) ** (1.0 / 3.0)
-    g = (-2.0 + z + 4.0 / z).real
-    for _ in range(2):
-        slope = 3.0 * g**2 + 12.0 * g
-        if slope == 0.0:
-            break
-        g -= (g**3 + 6.0 * g**2 - tau**2) / slope
-    return g
-
-
-def _gamma_over_tau_series(tau: float) -> float:
+def _gamma_over_tau_series(tau: np.ndarray) -> np.ndarray:
     return 1.0 / math.sqrt(6.0) - tau / 72.0 + 5.0 * math.sqrt(6.0) * tau**2 / 10368.0
 
 
-def _gamma_unit_prime(tau: float) -> float:
-    """d gamma / d tau from implicit differentiation; series limit at 0."""
-    if tau < _SERIES_CUTOFF:
-        # gamma' = 1/sqrt(6) - tau/36 + 5 sqrt(6) tau^2/3456 + ...
-        return 1.0 / math.sqrt(6.0) - tau / 36.0 + 5.0 * math.sqrt(6.0) * tau**2 / 3456.0
-    g = _gamma_unit_closed_form(tau)
-    return 2.0 * tau / (3.0 * g**2 + 12.0 * g)
+def _gamma_unit(tau: np.ndarray) -> np.ndarray:
+    """Positive root of g^3 + 6 g^2 = tau^2, elementwise (tau >= 0).
+
+    With g = y - 2 the cubic is y^3 - 12 y + 16 - tau^2 = 0, whose largest
+    root is 4 cos(arccos(c) / 3) for c = tau^2/16 - 1 <= 1 (three real
+    roots, tau^2 <= 32) and 4 cosh(arccosh(c) / 3) beyond the seam.  Two
+    Newton steps absorb the cancellation in y - 2 at small tau; below the
+    series cutoff the series is used instead.
+    """
+    tau = np.asarray(tau, dtype=float)
+    g = tau * _gamma_over_tau_series(tau)
+    big = tau >= _SERIES_CUTOFF
+    tau2 = tau[big] ** 2
+    c = tau2 / 16.0 - 1.0
+    y = np.where(
+        c <= 1.0,
+        np.cos(np.arccos(np.minimum(c, 1.0)) / 3.0),
+        np.cosh(np.arccosh(np.maximum(c, 1.0)) / 3.0),
+    )
+    root = 4.0 * y - 2.0
+    for _ in range(2):
+        root = root - (root * root * (root + 6.0) - tau2) / (root * (3.0 * root + 12.0))
+    g[big] = root
+    return g
 
 
 def gamma_resolved(tau: float, a: float = 1.0) -> float:
@@ -218,125 +241,211 @@ def gamma_resolved(tau: float, a: float = 1.0) -> float:
         raise ValueError("a must be positive")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    return a**2 * _gamma_unit_closed_form(tau / a**3)
+    return a**2 * float(_gamma_unit(np.array([tau / a**3]))[0])
 
 
-def _f1_resolved(sigma: float, epsabs: float = QUAD_EPSABS) -> tuple[float, float]:
-    """Unit-parameter resolved profile f_1(sigma) = int_0^sigma gamma(s)/s ds.
+def _resolved_derivatives(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f_1' = gamma / sigma and f_1'' = -gamma^2 / ((3 gamma + 12) sigma^2).
 
-    The integrand tends to 1/sqrt(6) at 0; the head is done by series, the
-    tail in the log variable so huge upper limits stay cheap."""
-    if sigma < 0:
-        raise ValueError("tau must be >= 0")
-    if sigma == 0.0:
-        return 0.0, 0.0
-    eps = min(1e-8, sigma / 2.0)
-    head = eps / math.sqrt(6.0) - eps**2 / 144.0
-    val, err = quad(
-        lambda x: _gamma_unit_closed_form(math.exp(x)),
-        math.log(eps),
-        math.log(sigma),
-        epsabs=epsabs,
-        epsrel=QUAD_EPSREL,
-        limit=400,
-    )
-    return head + val, err
+    The second form is (gamma' sigma - gamma) / sigma^2 rewritten with the
+    cubic, which removes the cancellation between gamma' and gamma / sigma.
+    """
+    gamma = _gamma_unit(sigma)
+    ratio = _gamma_over_tau_series(sigma)
+    big = sigma >= _SERIES_CUTOFF
+    ratio[big] = gamma[big] / sigma[big]
+    return ratio, -(ratio * ratio) / (3.0 * gamma + 12.0)
 
 
 # ---------------------------------------------------------------------------
-# smoothed family: closed-form derivatives and quadrature profile
+# smoothed family: sigma = cosh(lambda), first integral
+#   g = sigma mu - lambda = (sinh 2 lambda - 2 lambda) / 2,  mu = sinh(lambda),
+# f_1' = g^{1/3} / mu and f_1'' = (2/3) g^{-2/3} - sigma g^{1/3} / mu^3.
+# Below lambda = 1 both cancel; there g = lambda^3 G(lambda^2) and
+#   (2/3) mu^3 - sigma g = -sinh(3 lambda)/12 - (3/4) sinh(lambda)
+#                          + lambda cosh(lambda) = lambda^5 E(lambda^2)
+# by their Taylor series (the first two odd coefficients of the latter
+# vanish), so f_1'' = E (lambda/mu)^3 / G^{2/3} -> -(2/3)^{1/3}/5 at sigma = 1.
+
+_SERIES_LAMBDA = 1.0
+_G_SERIES = tuple(4.0**k / math.factorial(2 * k + 1) for k in range(1, 13))
+_E_SERIES = tuple(
+    (2.0 * k + 0.25 - 9.0**k / 4.0) / math.factorial(2 * k + 1) for k in range(2, 16)
+)
 
 
-def _smoothed_g(sigma: float) -> float:
-    """g(sigma) = sigma sqrt(sigma^2-1) - arccosh sigma, the first integral."""
-    mu = math.sqrt((sigma - 1.0) * (sigma + 1.0))
-    return sigma * mu - math.log1p(sigma - 1.0 + mu)
+def _power_series(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    total = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        total = total * x + c
+    return total
 
 
-def _f1p_smoothed(sigma: float) -> float:
-    if sigma <= 1.0:
-        if sigma == 1.0:
-            return (2.0 / 3.0) ** (1.0 / 3.0)
-        raise ValueError("smoothed profile needs tau >= |t|")
-    mu = math.sqrt((sigma - 1.0) * (sigma + 1.0))
-    return _smoothed_g(sigma) ** (1.0 / 3.0) / mu
+def _smoothed_lambda(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, mu) = (arccosh sigma, sinh lambda), accurate near sigma = 1."""
+    mu = np.sqrt((sigma - 1.0) * (sigma + 1.0))
+    return np.log1p(sigma - 1.0 + mu), mu
 
 
-def _f1pp_smoothed(sigma: float) -> float:
-    if sigma <= 1.0:
-        raise ValueError("the second derivative formula needs tau > |t|")
-    mu2 = (sigma - 1.0) * (sigma + 1.0)
-    g = _smoothed_g(sigma)
-    return (2.0 / 3.0) * g ** (-2.0 / 3.0) - sigma * g ** (1.0 / 3.0) / mu2**1.5
+def _smoothed_integrand(lam: np.ndarray) -> np.ndarray:
+    """g(lambda)^{1/3}, so that f_1(sigma) = int_0^{arccosh sigma} g^{1/3}."""
+    near = lam * np.cbrt(_power_series(_G_SERIES, np.minimum(lam, _SERIES_LAMBDA) ** 2))
+    far = np.cbrt(0.5 * np.sinh(2.0 * lam) - lam)
+    return np.where(lam < _SERIES_LAMBDA, near, far)
 
 
-def _f1_smoothed(sigma: float, epsabs: float = QUAD_EPSABS) -> tuple[float, float]:
-    """f_1(sigma) = 2^{-1/3} int_0^{arccosh sigma} (sinh 2l - 2l)^{1/3} dl."""
-    if sigma < 1.0:
-        raise ValueError("smoothed profile needs tau >= |t|")
-    if sigma == 1.0:
-        return 0.0, 0.0
-    L = math.acosh(sigma)
+def _smoothed_derivatives(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f_1', f_1'') of the unit smoothing, finite at sigma = 1."""
+    lam, mu = _smoothed_lambda(sigma)
+    fp = np.empty_like(sigma)
+    fpp = np.empty_like(sigma)
+    near = lam < _SERIES_LAMBDA
+    l2 = lam[near] ** 2
+    ratio = np.divide(lam[near], mu[near], out=np.ones_like(l2), where=mu[near] > 0.0)
+    root = np.cbrt(_power_series(_G_SERIES, l2))
+    fp[near] = root * ratio
+    fpp[near] = _power_series(_E_SERIES, l2) * ratio**3 / root**2
+    far = ~near
+    s, m = sigma[far], mu[far]
+    root = np.cbrt(s * m - lam[far])
+    fp[far] = root / m
+    fpp[far] = (2.0 / 3.0) / root**2 - s * root / m**3
+    return fp, fpp
 
-    def integrand(lam: float) -> float:
-        if lam < 1e-4:
-            # sinh 2l - 2l = (4/3) l^3 (1 + l^2/5 + ...)
-            return (4.0 / 3.0 * lam**3 * (1.0 + 0.2 * lam**2)) ** (1.0 / 3.0)
-        return (math.sinh(2.0 * lam) - 2.0 * lam) ** (1.0 / 3.0)
 
-    val, err = quad(integrand, 0.0, L, epsabs=epsabs, epsrel=QUAD_EPSREL, limit=400)
-    return 2 ** (-1.0 / 3.0) * val, err
+# ---------------------------------------------------------------------------
+# composite Gauss-Legendre over a fixed panel lattice
+#
+# Resolution: f_1(sigma) = head + int_{log anchor}^{log sigma} gamma(e^x) dx,
+# where the head is the series sigma/sqrt6 - sigma^2/144 + 5 sqrt6 sigma^3/31104
+# at the anchor (sigma <= anchor is pure series).  Smoothing: f_1(sigma) =
+# int_0^{arccosh sigma} g(l)^{1/3} dl.  Panel edges are anchor + k; the
+# cumulative integrals over whole panels are tabulated once per family kind,
+# and each sample adds its last, partial panel.  Every panel also gets a
+# lower-order rule: |main - check| plus a rounding allowance of
+# 50 eps |main| (QUADPACK's) is the panel's error estimate.
+
+_RULE = np.polynomial.legendre.leggauss(20)
+_CHECK_RULE = np.polynomial.legendre.leggauss(10)
+_ROUNDING = 50.0 * np.finfo(float).eps
+_RESOLVED_ANCHOR = 1e-8
+
+
+def _resolved_head(sigma: np.ndarray) -> np.ndarray:
+    return sigma / math.sqrt(6.0) - sigma**2 / 144.0 + 5.0 * math.sqrt(6.0) * sigma**3 / 31104.0
+
+
+def _resolved_integrand(x: np.ndarray) -> np.ndarray:
+    return _gamma_unit(np.exp(x))
+
+
+# kind -> (integration variable of sigma, lattice anchor, integrand)
+_QUADRATURE = {
+    "resolved": (np.log, math.log(_RESOLVED_ANCHOR), _resolved_integrand),
+    "smoothed": (lambda sigma: _smoothed_lambda(sigma)[0], 0.0, _smoothed_integrand),
+}
+
+
+def _panels(integrand, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Main-rule integrals over [lo, hi] and their error estimates.  The
+    weighted sums run node by node, so each panel's bits depend on its own
+    ends only."""
+    mid = (0.5 * (lo + hi))[:, None]
+    half = 0.5 * (hi - lo)
+
+    def rule(nodes, weights):
+        values = integrand(mid + half[:, None] * nodes)
+        total = weights[0] * values[:, 0]
+        for j in range(1, len(weights)):
+            total = total + weights[j] * values[:, j]
+        return half * total
+
+    main = rule(*_RULE)
+    return main, np.abs(main - rule(*_CHECK_RULE)) + _ROUNDING * np.abs(main)
+
+
+@lru_cache(maxsize=None)
+def _lattice(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative integrals and error estimates over the unit panels from
+    the anchor to the top of the family's tau window."""
+    variable, anchor, integrand = _QUADRATURE[kind]
+    top = float(variable(np.array([TAU_WINDOW[kind][1]]))[0])
+    edges = anchor + np.arange(math.ceil(top - anchor) + 1, dtype=float)
+    main, err = _panels(integrand, edges[:-1], edges[1:])
+    return np.concatenate(([0.0], np.cumsum(main))), np.concatenate(([0.0], np.cumsum(err)))
+
+
+def _lattice_integral(kind: str, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integral from the anchor up to each sigma's variable, and its
+    error estimate: whole lattice panels from the table, then one partial
+    panel."""
+    variable, anchor, integrand = _QUADRATURE[kind]
+    cum, cum_err = _lattice(kind)
+    x = variable(sigma)
+    k = np.clip(np.floor(x - anchor).astype(int), 0, len(cum) - 2)
+    part, part_err = _panels(integrand, anchor + k, x)
+    return cum[k] + part, cum_err[k] + part_err
 
 
 # ---------------------------------------------------------------------------
 # unified profile evaluation
 
 
-def potential_value(
-    family: PotentialFamily, tau: float, quad_epsabs: float = QUAD_EPSABS
-) -> PotentialSample:
-    """Evaluate (f, f', f'') of the family's radial potential at tau.
+def profile(family: PotentialFamily, taus) -> PotentialProfile:
+    """(f, f', f'', quad_error) of the family's radial potential on a tau grid.
 
-    f comes from adaptive quadrature (reported absolute error must beat
-    1e-10); f' and f'' come from the closed forms, so residual tests do not
-    inherit quadrature error.  Raises on domain violations.
+    f comes from the lattice quadrature (each sample's reported error must
+    beat max(1e-10, 1e-12 |f|)); f' and f'' come from the closed forms, so
+    residual tests do not inherit quadrature error.  Sample i does not depend
+    on the other taus.  Raises on domain violations.
     """
-    tau = float(tau)
+    tau = np.array(taus, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(tau)):
+        raise ValueError("taus must be finite")
     if family.kind == "cone":
-        if tau <= 0:
+        if np.any(tau <= 0):
             raise ValueError("cone profile derivatives need tau > 0")
-        return PotentialSample(
+        return PotentialProfile(
             tau=tau,
             f=1.5 * tau ** (2.0 / 3.0),
             fp=tau ** (-1.0 / 3.0),
             fpp=-(tau ** (-4.0 / 3.0)) / 3.0,
+            quad_error=np.zeros_like(tau),
         )
     if family.kind == "smoothed":
         at = abs(family.t)
-        if tau < at:
-            raise ValueError(f"tau = {tau} below the smoothed domain minimum |t| = {at}")
+        if np.any(tau < at):
+            below = tau[tau < at][0]
+            raise ValueError(f"tau = {float(below)} below the smoothed domain minimum |t| = {at}")
         sigma = tau / at
-        val, err = _f1_smoothed(sigma, quad_epsabs)
+        val, err = _lattice_integral("smoothed", sigma)
         scale = at ** (2.0 / 3.0)
-        _check_quad_error(scale * err, scale * val)
-        fp = at ** (-1.0 / 3.0) * _f1p_smoothed(sigma)
-        fpp = at ** (-4.0 / 3.0) * _f1pp_smoothed(sigma) if sigma > 1.0 else float("nan")
-        return PotentialSample(tau=tau, f=scale * val, fp=fp, fpp=fpp, quad_error=scale * err)
+        f, err = scale * val, scale * err
+        _check_quad_error(err, f)
+        fp, fpp = _smoothed_derivatives(sigma)
+        return PotentialProfile(
+            tau=tau, f=f, fp=at ** (-1.0 / 3.0) * fp, fpp=at ** (-4.0 / 3.0) * fpp, quad_error=err
+        )
     # resolved
     a = family.a
-    if tau < 0:
+    if np.any(tau < 0):
         raise ValueError("resolved profile needs tau >= 0")
     sigma = tau / a**3
-    val, err = _f1_resolved(sigma, quad_epsabs)
-    _check_quad_error(a**2 * err, a**2 * val)
-    if sigma < _SERIES_CUTOFF:
-        fp = _gamma_over_tau_series(sigma) / a
-        fpp = (-1.0 / 72.0 + 5.0 * math.sqrt(6.0) * sigma / 5184.0) / a**4
-    else:
-        g = _gamma_unit_closed_form(sigma)
-        fp = g / (a * sigma)
-        fpp = (_gamma_unit_prime(sigma) - g / sigma) / (a**4 * sigma)
-    return PotentialSample(tau=tau, f=a**2 * val, fp=fp, fpp=fpp, quad_error=a**2 * err)
+    val = _resolved_head(np.minimum(sigma, _RESOLVED_ANCHOR))
+    err = np.zeros_like(tau)
+    tail = sigma > _RESOLVED_ANCHOR
+    integral, err[tail] = _lattice_integral("resolved", sigma[tail])
+    val[tail] += integral
+    f, err = a**2 * val, a**2 * err
+    _check_quad_error(err, f)
+    fp, fpp = _resolved_derivatives(sigma)
+    return PotentialProfile(tau=tau, f=f, fp=fp / a, fpp=fpp / a**4, quad_error=err)
+
+
+def potential_value(family: PotentialFamily, tau: float) -> PotentialSample:
+    """(f, f', f'') of the family's radial potential at one tau: a
+    one-element profile."""
+    return profile(family, [tau])[0]
 
 
 def positivity_margins(family: PotentialFamily, sample: PotentialSample) -> tuple[float, float]:
@@ -354,19 +463,20 @@ def positivity_margins(family: PotentialFamily, sample: PotentialSample) -> tupl
     return sample.fp, sample.fp + sample.tau * sample.fpp
 
 
-def ode_residual(family: PotentialFamily, tau: float) -> float:
-    """Relative residual |LHS - c| / c of the family's radial ODE at tau,
-    built from the closed-form derivatives.  Raises if the positivity
-    conditions fail (the profile would not define a metric there)."""
-    s = potential_value(family, tau)
-    m1, m2 = positivity_margins(family, s)
+def ode_residual(family: PotentialFamily, sample: PotentialSample) -> float:
+    """Relative residual |LHS - c| / c of the family's radial ODE at the
+    sample's tau, built from the closed-form derivatives.  Raises if the
+    positivity conditions fail (the profile would not define a metric
+    there)."""
+    tau = sample.tau
+    m1, m2 = positivity_margins(family, sample)
     if not (m1 > 0 and m2 > 0):
         raise ValueError(f"positivity violated at tau={tau}: margins {m1:.3e}, {m2:.3e}")
     if family.kind in ("cone", "smoothed"):
         at = abs(family.t) if family.kind == "smoothed" else 0.0
-        lhs = s.fp**3 * tau + s.fp**2 * s.fpp * (tau**2 - at**2)
+        lhs = sample.fp**3 * tau + sample.fp**2 * sample.fpp * (tau**2 - at**2)
     else:
-        lhs = (4.0 * family.a**2 + tau * s.fp) * (s.fp**2 + tau * s.fp * s.fpp)
+        lhs = (4.0 * family.a**2 + tau * sample.fp) * (sample.fp**2 + tau * sample.fp * sample.fpp)
     return abs(lhs - ODE_CONSTANT) / ODE_CONSTANT
 
 
@@ -403,8 +513,31 @@ def resolved_point_with_tau(a: float, tau: float, u=None) -> ResolvedPoint:
     return ResolvedPoint(u, (w1, 0.0))
 
 
-def hermitian_hessian(family: PotentialFamily, point) -> HermitianHessian:
-    """Analytic complex Hessian of the Kaehler potential in the dominant chart.
+def _resolved_chart(q: ResolvedPoint) -> tuple[int, complex, np.ndarray]:
+    """(chart, affine direction u, fiber pair W) of a point of the resolution."""
+    if q.chart == 1:
+        return 1, q.u[1] / q.u[0], q.w * q.u[0]
+    return 2, q.u[0] / q.u[1], q.w[::-1] * q.u[1]
+
+
+def point_tau(point) -> float:
+    """The radial invariant tau of a point: the ambient squared norm on a
+    fiber, (1 + |u|^2) |W|^2 in the dominant chart of the resolution."""
+    if isinstance(point, FiberPoint):
+        return point.norm_sq
+    _, u, W = _resolved_chart(point)
+    return (1.0 + abs(u) ** 2) * float(np.sum(np.abs(W) ** 2))
+
+
+def _check_sample_at(sample: PotentialSample, tau: float) -> None:
+    # a grid point and the point built from it agree to a few ulps
+    if not abs(sample.tau - tau) <= 1e-13 * tau:
+        raise ValueError(f"the profile sample at tau = {sample.tau!r} is not at the point's tau = {tau!r}")
+
+
+def hermitian_hessian(family: PotentialFamily, point, sample: PotentialSample) -> HermitianHessian:
+    """Analytic complex Hessian of the Kaehler potential in the dominant chart,
+    from the profile sample at the point's tau.
 
     Smoothing / cone: the chart drops the coordinate of maximal modulus; the
     Hessian over the remaining three is f' M + f'' T T* with
@@ -423,28 +556,18 @@ def hermitian_hessian(family: PotentialFamily, point) -> HermitianHessian:
         order = [i for i in range(4) if i != chart - 1]
         v = p.z[order]
         zc = p.z[chart - 1]
-        tau = p.norm_sq
-        s = potential_value(family, tau)
+        _check_sample_at(sample, p.norm_sq)
         M = np.eye(3, dtype=complex) + np.outer(v, np.conj(v)) / abs(zc) ** 2
         T = np.conj(v) - (np.conj(zc) / zc) * v
-        H = s.fp * M + s.fpp * np.outer(T, np.conj(T))
+        H = sample.fp * M + sample.fpp * np.outer(T, np.conj(T))
         return HermitianHessian(point=p, H=H, density=1.0 / abs(2 * zc) ** 2, chart=chart)
 
     q: ResolvedPoint = point
-    chart = q.chart
-    if chart == 1:
-        scale = q.u[0]
-        u = q.u[1] / q.u[0]
-        W = q.w * scale
-    else:
-        scale = q.u[1]
-        u = q.u[0] / q.u[1]
-        W = q.w[::-1] * scale
+    chart, u, W = _resolved_chart(q)
     a = family.a
     rho = float(np.sum(np.abs(W) ** 2))
     one_u = 1.0 + abs(u) ** 2
-    tau = one_u * rho
-    s = potential_value(family, tau)
+    _check_sample_at(sample, one_u * rho)
     grad = np.array([np.conj(u) * rho, one_u * np.conj(W[0]), one_u * np.conj(W[1])])
     tau_ab = np.array(
         [
@@ -456,7 +579,7 @@ def hermitian_hessian(family: PotentialFamily, point) -> HermitianHessian:
     )
     L_ab = np.zeros((3, 3), dtype=complex)
     L_ab[0, 0] = 1.0 / one_u**2
-    H = 4.0 * a**2 * L_ab + s.fp * tau_ab + s.fpp * np.outer(grad, np.conj(grad))
+    H = 4.0 * a**2 * L_ab + sample.fp * tau_ab + sample.fpp * np.outer(grad, np.conj(grad))
     return HermitianHessian(point=q, H=H, density=1.0, chart=chart)
 
 
@@ -476,16 +599,18 @@ def monge_ampere_calibration(family: PotentialFamily) -> float:
     volume-form equation says this ratio is the same at every point."""
     key = (family.kind, family.t, family.a)
     if key not in _MA_CALIBRATION:
-        hess = hermitian_hessian(family, _reference_point(family))
+        point = _reference_point(family)
+        hess = hermitian_hessian(family, point, potential_value(family, point_tau(point)))
         _MA_CALIBRATION[key] = float(np.linalg.det(hess.H).real) / hess.density
     return _MA_CALIBRATION[key]
 
 
-def monge_ampere_residual(family: PotentialFamily, point) -> float:
-    """|det(H)/density / calibration - 1| at the point: the constancy of the
-    volume-density ratio, which is the radial ODE certified through an
-    independent code path (chart Hessians instead of the profile identity)."""
-    hess = hermitian_hessian(family, point)
+def monge_ampere_residual(family: PotentialFamily, point, sample: PotentialSample) -> float:
+    """|det(H)/density / calibration - 1| at the point, given the profile
+    sample at its tau: the constancy of the volume-density ratio, which is
+    the radial ODE certified through an independent code path (chart
+    Hessians instead of the profile identity)."""
+    hess = hermitian_hessian(family, point, sample)
     if not hess.is_positive:
         raise ValueError("Hessian not positive definite; not a metric at this point")
     det = float(np.linalg.det(hess.H).real)
@@ -501,7 +626,7 @@ def smoothed_gauge_constant() -> float:
     """Additive constant of the unit-parameter smoothed profile relative to the
     cone profile: lim f_1(sigma) - (3/2) sigma^{2/3}.  The minimum-normalized
     potential does not approach the cone potential without this shift."""
-    val, _ = _f1_smoothed(_SMOOTHED_GAUGE_ANCHOR)
+    val = potential_value(PotentialFamily.smoothed(1.0), _SMOOTHED_GAUGE_ANCHOR).f
     return val - 1.5 * _SMOOTHED_GAUGE_ANCHOR ** (2.0 / 3.0)
 
 
@@ -509,7 +634,7 @@ def smoothed_gauge_constant() -> float:
 def resolved_gauge_constant() -> float:
     """Additive constant of the unit-parameter resolved profile relative to
     (3/2) sigma^{2/3} - 2 log sigma."""
-    val, _ = _f1_resolved(_RESOLVED_GAUGE_ANCHOR)
+    val = potential_value(PotentialFamily.resolved(1.0), _RESOLVED_GAUGE_ANCHOR).f
     return val - (
         1.5 * _RESOLVED_GAUGE_ANCHOR ** (2.0 / 3.0) - 2.0 * math.log(_RESOLVED_GAUGE_ANCHOR)
     )
@@ -521,22 +646,22 @@ def asymptotic_threshold(family: PotentialFamily) -> float:
 
 
 def asymptotic_deviation(
-    family: PotentialFamily, tau: float, subtract_gauge: bool = False
+    family: PotentialFamily, sample: PotentialSample, subtract_gauge: bool = False
 ) -> float:
-    """f(tau) minus the family's leading large-tau terms.
+    """f(tau) minus the family's leading large-tau terms, at the sample's tau.
 
     Leading terms: (3/2) tau^{2/3} for cone and smoothing;
     (3/2) tau^{2/3} - 2 a^2 log(a^{-3} tau) for the resolution.  With
     subtract_gauge the additive potential gauge is removed as well, so the
     result decays to zero at the rate the expansions predict.
     """
-    tau = float(tau)
+    tau = sample.tau
     threshold = asymptotic_threshold(family)
     if family.kind != "cone" and tau < threshold:
         raise ValueError(f"tau = {tau} below the asymptotic threshold {threshold}")
     if family.kind == "cone":
         return 0.0
-    s = potential_value(family, tau)
+    s = sample
     if family.kind == "smoothed":
         dev = s.f - 1.5 * tau ** (2.0 / 3.0)
         if subtract_gauge:
@@ -565,14 +690,13 @@ def potential_convergence_sup(
     if not 0 < tau0 < tau1:
         raise ValueError("need 0 < tau0 < tau1")
     taus = np.logspace(math.log10(tau0), math.log10(tau1), n_grid)
+    cone = 1.5 * taus ** (2.0 / 3.0)
     sups = []
     for param in params:
         family = (
             PotentialFamily.smoothed(param) if kind == "smoothed" else PotentialFamily.resolved(param)
         )
-        devs = np.array(
-            [potential_value(family, t).f - 1.5 * t ** (2.0 / 3.0) for t in taus]
-        )
+        devs = profile(family, taus).f - cone
         devs -= devs[0]
         sups.append(float(np.max(np.abs(devs))))
     return sups

@@ -1,7 +1,10 @@
 """Independent reference implementations that the tests compare the package
 against.  None of them runs on the package's own code paths.
 
-* metrics: a root-finder route to the resolved cubic's positive root.
+* metrics: a root-finder route to the resolved cubic's positive root, and
+  the unit-parameter profiles f_1 by adaptive scipy quadrature of scalar
+  integrands (the resolved one through the complex radical formula of the
+  cubic), the oracle for the batched lattice quadrature.
 * hodge: twisted Euler characteristics chi(Omega^p(-r)) of P^n and of the
   hypersurface by the recursion over the Euler, conormal and restriction
   sequences (chi_hypersurface_omega_p_recursion, the oracle for the Jacobian
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from conifold_lab.conifold import FiberPoint, RealSplitting, on_fiber
@@ -67,6 +71,67 @@ def gamma_resolved_root(tau: float, a: float = 1.0) -> float:
             break
         g -= cubic(g) / slope
     return g
+
+
+def gamma_unit_radical(tau: float) -> float:
+    """Positive root of g^3 + 6 g^2 = tau^2 by the explicit radical formula.
+
+    The cube-root argument crosses into the complex plane for tau^2 < 32;
+    the combination -2 + z + 4/z stays real across the seam.  Two Newton
+    steps absorb roundoff from the branch gymnastics; below 1e-4 the series
+    g/tau = 1/sqrt(6) - tau/72 + 5 sqrt(6) tau^2/10368 is used.
+    """
+    if tau < 1e-4:
+        return tau * (1.0 / math.sqrt(6.0) - tau / 72.0 + 5.0 * math.sqrt(6.0) * tau**2 / 10368.0)
+    disc = cmath.sqrt(complex(tau**4 - 32.0 * tau**2, 0.0))
+    z = 2 ** (-1.0 / 3.0) * (complex(-16.0 + tau**2, 0.0) + disc) ** (1.0 / 3.0)
+    g = (-2.0 + z + 4.0 / z).real
+    for _ in range(2):
+        g -= (g**3 + 6.0 * g**2 - tau**2) / (3.0 * g**2 + 12.0 * g)
+    return g
+
+
+def f1_resolved_quad(sigma: float) -> tuple[float, float]:
+    """Unit-parameter resolved profile f_1(sigma) = int_0^sigma gamma(s)/s ds
+    and scipy's error estimate: a series head up to min(1e-8, sigma/2), the
+    rest adaptively in the log variable."""
+    if sigma == 0.0:
+        return 0.0, 0.0
+    eps = min(1e-8, sigma / 2.0)
+    head = eps / math.sqrt(6.0) - eps**2 / 144.0
+    val, err = quad(
+        lambda x: gamma_unit_radical(math.exp(x)),
+        math.log(eps),
+        math.log(sigma),
+        epsabs=1e-13,
+        epsrel=1e-13,
+        limit=400,
+    )
+    return head + val, err
+
+
+def _sinh_excess(x: float) -> float:
+    """sinh x - x; by its Taylor series below x = 0.5, where the difference
+    cancels."""
+    if x >= 0.5:
+        return math.sinh(x) - x
+    return sum(x ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(1, 10))
+
+
+def f1_smoothed_quad(sigma: float) -> tuple[float, float]:
+    """f_1(sigma) = 2^{-1/3} int_0^{arccosh sigma} (sinh 2l - 2l)^{1/3} dl and
+    scipy's error estimate."""
+    if sigma == 1.0:
+        return 0.0, 0.0
+    val, err = quad(
+        lambda lam: _sinh_excess(2.0 * lam) ** (1.0 / 3.0),
+        0.0,
+        math.acosh(sigma),
+        epsabs=1e-13,
+        epsrel=1e-13,
+        limit=400,
+    )
+    return 2 ** (-1.0 / 3.0) * val, 2 ** (-1.0 / 3.0) * err
 
 
 # ---------------------------------------------------------------------------

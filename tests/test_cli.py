@@ -110,6 +110,31 @@ class TestMetricCommand:
         sups = json.loads(text)["results"]["sups"]
         assert len(sups) == 2 and all(math.isfinite(x) for x in sups)
 
+    @pytest.mark.parametrize(
+        "tau_min,tau_max,fmt",
+        [("1.0000000001", "1.0000001", "csv"), ("1", "10", "json")],
+        ids=["near-domain-minimum", "from-domain-minimum"],
+    )
+    def test_smoothed_grid_at_the_domain_minimum(self, tau_min, tau_max, fmt, tmp_path):
+        """f'' stays finite down to tau = |t|, where it tends to
+        -(2/3)^{1/3}/5 |t|^{-4/3}; every row is certified."""
+        code, text = run_cli(
+            ["metric", "--family", "smoothed", "--t", "1", "--tau-min", tau_min,
+             "--tau-max", tau_max, "--points", "3", "--format", fmt],
+            tmp_path,
+        )
+        assert code == 0
+        if fmt == "csv":
+            rows = [[float(x) for x in ln.split(",")[1:8]] for ln in text.strip().split("\n")[1:]]
+        else:
+            rows = [row[1:8] for row in json.loads(text)["results"]["rows"]]
+        limit = -((2.0 / 3.0) ** (1.0 / 3.0)) / 5.0
+        first = rows[0]
+        assert abs(first[4] - limit) <= (1e-15 if tau_min == "1" else 1e-9) * abs(limit)
+        for row in rows:
+            assert all(math.isfinite(x) for x in row)
+            assert row[5] < 1e-8 and row[6] < 1e-7
+
     def test_empty_grid_is_usage_error(self, tmp_path):
         code = cli.main(
             ["metric", "--family", "cone", "--points", "0", "--output", str(tmp_path / "x")]

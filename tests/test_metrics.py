@@ -1,8 +1,16 @@
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conifold_lab import metrics
 from conifold_lab.conifold import FiberPoint, ResolvedPoint
 from conifold_lab.metrics import (
     ODE_CONSTANT,
@@ -17,21 +25,37 @@ from conifold_lab.metrics import (
     monge_ampere_residual,
     ode_residual,
     positivity_margins,
+    point_tau,
+    profile,
     potential_convergence_sup,
     potential_value,
     resolved_gauge_constant,
     resolved_point_with_tau,
     smoothed_gauge_constant,
     smoothed_normal_form_point,
-    _f1_smoothed,
-    _f1p_smoothed,
-    _f1pp_smoothed,
+    _smoothed_derivatives,
 )
-from reference import gamma_resolved_root
+from reference import f1_resolved_quad, f1_smoothed_quad, gamma_resolved_root
 
 CONE = PotentialFamily.cone()
 SMOOTHED = PotentialFamily.smoothed(1.0)
 RESOLVED = PotentialFamily.resolved(1.0)
+
+
+def _ode(family, tau):
+    return ode_residual(family, potential_value(family, tau))
+
+
+def _hessian(family, point):
+    return hermitian_hessian(family, point, potential_value(family, point_tau(point)))
+
+
+def _ma(family, point):
+    return monge_ampere_residual(family, point, potential_value(family, point_tau(point)))
+
+
+def _deviation(family, tau, subtract_gauge=False):
+    return asymptotic_deviation(family, potential_value(family, tau), subtract_gauge)
 
 
 class TestGammaResolved:
@@ -115,12 +139,18 @@ class TestPotentialValue:
             potential_value(RESOLVED, -0.1)
 
     def test_quadrature_tolerance_refinement(self):
-        # halving the tolerance moves f by less than the reported error bound
-        for family, taus in ((SMOOTHED, (1.5, 7.0, 300.0)), (RESOLVED, (0.3, 4.0, 800.0))):
+        # the same rule on panels of half the width moves f by less than the
+        # reported error bound
+        for family, taus in ((SMOOTHED, (1.5, 7.0, 300.0, 1e9)), (RESOLVED, (0.3, 4.0, 800.0, 1e12))):
+            variable, anchor, integrand = metrics._QUADRATURE[family.kind]
             for tau in taus:
-                coarse = potential_value(family, tau, quad_epsabs=1e-11)
-                fine = potential_value(family, tau, quad_epsabs=5e-12)
-                assert abs(coarse.f - fine.f) <= max(coarse.quad_error, 1e-13)
+                sample = potential_value(family, tau)
+                x = float(variable(np.array([tau]))[0])
+                edges = np.append(np.arange(anchor, x, 0.5), x)
+                halved, _ = metrics._panels(integrand, edges[:-1], edges[1:])
+                head = metrics._resolved_head(metrics._RESOLVED_ANCHOR) if family.kind == "resolved" else 0.0
+                assert np.max(np.diff(edges)) <= 0.5
+                assert abs(head + math.fsum(halved) - sample.f) <= sample.quad_error
 
     def test_smoothed_rescaling_identity(self):
         # profile at parameter t is the unit profile scaled by |t|^{2/3} in
@@ -130,7 +160,7 @@ class TestPotentialValue:
             for sigma in np.linspace(1.2, 40.0, 20):
                 tau = at * sigma
                 s = potential_value(family, tau)
-                f1, _ = _f1_smoothed(float(sigma))
+                f1, _ = f1_smoothed_quad(float(sigma))
                 assert abs(s.f - at ** (2.0 / 3.0) * f1) < 1e-9 * max(1.0, abs(s.f))
 
     @pytest.mark.parametrize(
@@ -163,18 +193,159 @@ class TestPotentialValue:
                 assert m1 > 0 and m2 > 0
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_oracle(kind: str, sigma: float) -> tuple[float, float]:
+    return f1_smoothed_quad(sigma) if kind == "smoothed" else f1_resolved_quad(sigma)
+
+
+def _mp_unit_derivatives(kind: str, sigma: float):
+    """(f_1', f_1'') at 80 digits: the smoothed closed forms (their limit at
+    sigma = 1), the resolved root by mpmath's root-finder and
+    f_1'' = (gamma' sigma - gamma) / sigma^2."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        s = mp.mpf(sigma)
+        if kind == "smoothed":
+            if s == 1:
+                limit = mp.cbrt(mp.mpf(2) / 3)
+                return limit, -limit / 5
+            mu = mp.sqrt(s * s - 1)
+            g = s * mu - mp.acosh(s)
+            return mp.cbrt(g) / mu, mp.mpf(2) / 3 / mp.cbrt(g) ** 2 - s * mp.cbrt(g) / mu**3
+        start = s ** (mp.mpf(2) / 3) if s > 1 else s / mp.sqrt(6)
+        g = mp.findroot(lambda x: x**3 + 6 * x**2 - s * s, start)
+        slope = 2 * s / (3 * g * g + 12 * g)
+        return g / s, (slope * s - g) / s**2
+
+
+def _family(kind: str, param: float) -> PotentialFamily:
+    return PotentialFamily.smoothed(param) if kind == "smoothed" else PotentialFamily.resolved(param)
+
+
+class TestBatchedProfile:
+    @pytest.mark.parametrize("param", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("kind", ["smoothed", "resolved"])
+    def test_f_matches_scipy_oracle(self, kind, param):
+        """Batch f against adaptive scipy quadrature of the scalar integrands,
+        within the oracle's reported error + 1e-13 |f|, for tau / scale in
+        [1e-8, 1e10] (the smoothing from its domain minimum 1)."""
+        family = _family(kind, param)
+        if kind == "smoothed":
+            sigmas = np.concatenate(([1.0, 1 + 1e-12, 1 + 1e-8, 1 + 1e-6, 1.001], np.logspace(0.01, 10, 30)))
+            weight = param ** (2.0 / 3.0)
+        else:
+            sigmas = np.concatenate(([0.0, 1e-9], np.logspace(-8, 10, 37)))
+            weight = param**2
+        scale = family.scale
+        for sample in profile(family, sigmas * scale):
+            ref, err = _unit_oracle(kind, sample.tau / scale)
+            assert abs(sample.f - weight * ref) <= weight * err + 1e-13 * abs(weight * ref)
+
+    @pytest.mark.parametrize(
+        "kind,sigmas",
+        [
+            ("smoothed", np.concatenate(([1.0, 1 + 2**-52, 1 + 1e-12, 1 + 1e-10, 1 + 1e-8], np.linspace(1, 1.01, 40)))),
+            ("resolved", np.concatenate((np.logspace(-6, 6, 97), [1e-4 * (1 - 1e-15), 1e-4, math.sqrt(32.0)]))),
+        ],
+        ids=["smoothed", "resolved"],
+    )
+    def test_derivatives_match_mpmath(self, kind, sigmas):
+        prof = profile(_family(kind, 1.0), sigmas)
+        for sample in prof:
+            fp, fpp = _mp_unit_derivatives(kind, sample.tau)
+            assert abs(sample.fp - fp) <= 1e-13 * abs(fp)
+            assert abs(sample.fpp - fpp) <= 1e-13 * abs(fpp)
+
+    def test_smoothed_second_derivative_limit(self):
+        # f'' is finite at the domain minimum, f_1''(1) = -(2/3)^{1/3}/5
+        at = 2.5
+        sample = potential_value(PotentialFamily.smoothed(at), at)
+        limit = -((2.0 / 3.0) ** (1.0 / 3.0)) / 5.0
+        assert abs(sample.fpp * at ** (4.0 / 3.0) - limit) <= 1e-15 * abs(limit)
+        assert sample.f == 0.0
+
+    @pytest.mark.parametrize(
+        "family",
+        [CONE, PotentialFamily.smoothed(0.37 - 2j), PotentialFamily.resolved(2.3)],
+        ids=["cone", "smoothed", "resolved"],
+    )
+    def test_sample_does_not_depend_on_the_batch(self, family):
+        rng = np.random.default_rng(6)
+        lo, hi = family.tau_window()
+        lo, hi = math.log10(lo), min(math.log10(hi), math.log10(max(family.scale, 1.0)) + 30)
+        for n in (1, 2, 7, 8, 9, 17, 64, 129):
+            taus = np.sort(10.0 ** rng.uniform(lo, hi, n))
+            if family.kind == "smoothed":
+                taus[0] = family.scale
+            batch = profile(family, taus)
+            shuffled = rng.permutation(n)
+            other = profile(family, taus[shuffled])
+            for i in range(n):
+                assert batch[i] == profile(family, [taus[i]])[0]
+                assert other[i] == batch[shuffled[i]]
+
+    def test_window_ends_are_finite_and_certified(self):
+        for family in (CONE, SMOOTHED, RESOLVED, PotentialFamily.smoothed(1e-20j), PotentialFamily.resolved(1e20)):
+            prof = profile(family, family.tau_window())
+            for sample in prof:
+                assert all(math.isfinite(x) for x in (sample.f, sample.fp, sample.fpp, sample.quad_error))
+                assert ode_residual(family, sample) < 1e-8
+
+    def test_rejects_non_finite_taus(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="taus must be finite"):
+                profile(RESOLVED, [1.0, bad])
+
+    @given(
+        st.sampled_from(["smoothed", "resolved"]),
+        st.floats(-8.0, 8.0),
+        st.floats(-6.0, 6.0),
+    )
+    @settings(deadline=None)
+    def test_weighted_rescaling(self, kind, log_param, log_sigma):
+        """f_t(tau) = |t|^{2/3} f_1(tau/|t|) and f_a(tau) = a^2 f_1(a^-3 tau),
+        and the derivatives that follow, for |t|, a in 1e-8..1e8."""
+        param = 10.0**log_param
+        sigma = 10.0**log_sigma
+        if kind == "smoothed":
+            sigma = 1.0 + sigma
+            weights = (param ** (2.0 / 3.0), param ** (-1.0 / 3.0), param ** (-4.0 / 3.0))
+        else:
+            weights = (param**2, 1.0 / param, param**-4)
+        family = _family(kind, param)
+        sample = potential_value(family, sigma * family.scale)
+        unit = potential_value(_family(kind, 1.0), sigma)
+        pairs = zip((sample.f, sample.fp, sample.fpp), weights, (unit.f, unit.fp, unit.fpp))
+        for (value, weight, unit_value), slack in zip(pairs, (sample.quad_error, 0.0, 0.0)):
+            expected = weight * unit_value
+            assert abs(value - expected) <= 1e-13 * abs(expected) + slack + weight * unit.quad_error
+
+    def test_cli_sweeps_run_without_scipy(self):
+        code = (
+            "import io, sys, contextlib\n"
+            "from conifold_lab import cli\n"
+            "for family in ('cone', 'smoothed', 'resolved'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(['metric', '--family', family, '--points', '5']) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(metrics.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
 class TestOdeResidual:
     def test_cone_exact(self):
         for tau in (0.2, 1.0, 17.0, 4e3):
-            assert ode_residual(CONE, tau) < 1e-12
+            assert _ode(CONE, tau) < 1e-12
 
     def test_smoothed_spec_points(self):
         for tau in (1.5, 3.0, 10.0, 100.0):
-            assert ode_residual(SMOOTHED, tau) < 1e-8
+            assert _ode(SMOOTHED, tau) < 1e-8
 
     def test_resolved_spec_points(self):
         for tau in (0.1, 1.0, 10.0, 1e3):
-            assert ode_residual(RESOLVED, tau) < 1e-8
+            assert _ode(RESOLVED, tau) < 1e-8
 
     def test_scaling_exponent_sign(self):
         # the +2/3 exponent keeps the equation's constant; the -2/3 variant
@@ -182,10 +353,10 @@ class TestOdeResidual:
         for at in (0.5, 2.0):
             family = PotentialFamily.smoothed(at)
             for tau in np.linspace(1.3 * at, 20 * at, 20):
-                assert ode_residual(family, float(tau)) < 1e-9
-                sigma = tau / at
-                fp_bad = at ** (-5.0 / 3.0) * _f1p_smoothed(sigma)
-                fpp_bad = at ** (-8.0 / 3.0) * _f1pp_smoothed(sigma)
+                assert _ode(family, float(tau)) < 1e-9
+                fp1, fpp1 = _smoothed_derivatives(np.array([tau / at]))
+                fp_bad = at ** (-5.0 / 3.0) * fp1[0]
+                fpp_bad = at ** (-8.0 / 3.0) * fpp1[0]
                 lhs = fp_bad**3 * tau + fp_bad**2 * fpp_bad * (tau**2 - at**2)
                 assert abs(lhs - ODE_CONSTANT) / ODE_CONSTANT > 0.1
 
@@ -193,7 +364,7 @@ class TestOdeResidual:
 class TestHermitianHessian:
     def test_smoothed_normal_form_eigenvalues(self):
         tau = 5.0
-        hess = hermitian_hessian(SMOOTHED, smoothed_normal_form_point(1.0, tau))
+        hess = _hessian(SMOOTHED, smoothed_normal_form_point(1.0, tau))
         s = potential_value(SMOOTHED, tau)
         expected = sorted(
             [2 * (tau - 1) * s.fpp + 2 * tau / (1 + tau) * s.fp, s.fp, s.fp]
@@ -203,17 +374,17 @@ class TestHermitianHessian:
     def test_hermitian_and_positive(self):
         rng = np.random.default_rng(1)
         for tau in (1.5, 4.0, 50.0):
-            hess = hermitian_hessian(SMOOTHED, smoothed_normal_form_point(1.0, tau))
+            hess = _hessian(SMOOTHED, smoothed_normal_form_point(1.0, tau))
             assert np.allclose(hess.H, hess.H.conj().T)
             assert hess.is_positive
         for radius in (0.05, 1.0, 30.0):
             q = resolved_point_with_tau(1.0, radius**2, u=(1.0, 0.4 + 0.1j))
-            hess = hermitian_hessian(RESOLVED, q)
+            hess = _hessian(RESOLVED, q)
             assert np.allclose(hess.H, hess.H.conj().T)
             assert hess.is_positive
 
     def test_cone_density_matches_calibration(self):
-        hess = hermitian_hessian(CONE, cone_point(1.0))
+        hess = _hessian(CONE, cone_point(1.0))
         det = float(np.linalg.det(hess.H).real)
         assert abs(det / hess.density / monge_ampere_calibration(CONE) - 1.0) < 1e-10
 
@@ -221,9 +392,19 @@ class TestHermitianHessian:
         # at the zero section det H = 4 a^2 f'(0)^2 = 2/3 with unit density
         assert monge_ampere_calibration(RESOLVED) == pytest.approx(2.0 / 3.0, rel=1e-9)
 
+    def test_rejects_sample_at_another_tau(self):
+        for family, point in (
+            (SMOOTHED, smoothed_normal_form_point(1.0, 3.0)),
+            (RESOLVED, resolved_point_with_tau(1.0, 3.0, u=(0.3j, 1.0))),
+        ):
+            near = potential_value(family, 3.0 * (1 + 1e-15))
+            assert _hessian(family, point).H == pytest.approx(hermitian_hessian(family, point, near).H)
+            with pytest.raises(ValueError, match="is not at the point's tau"):
+                hermitian_hessian(family, point, potential_value(family, 3.0 * (1 + 1e-12)))
+
     def test_rejects_off_fiber_point(self):
         with pytest.raises(ValueError):
-            hermitian_hessian(SMOOTHED, FiberPoint([1.0, 0, 0, 0], 0.5))
+            hermitian_hessian(SMOOTHED, FiberPoint([1.0, 0, 0, 0], 0.5), potential_value(SMOOTHED, 1.0))
 
 
 def _fd_complex_hessian(scalar, coords, h):
@@ -269,7 +450,7 @@ class TestHessianFiniteDifferenceCrossCheck:
             point = FiberPoint(np.append(z123, z4), 1.0)
             if int(np.argmax(np.abs(point.z))) != 3:
                 continue
-            hess = hermitian_hessian(family, point)
+            hess = _hessian(family, point)
 
             def potential(coords, _z4ref=z4):
                 w4 = np.sqrt(1.0 - np.sum(coords**2))
@@ -289,7 +470,7 @@ class TestHessianFiniteDifferenceCrossCheck:
             u = 0.6 * (rng.normal() + 1j * rng.normal()) / 2
             w = rng.normal(size=2) + 1j * rng.normal(size=2)
             point = ResolvedPoint([1.0, u], w)
-            hess = hermitian_hessian(family, point)
+            hess = _hessian(family, point)
 
             def potential(coords):
                 uu, w1, w2 = coords
@@ -306,13 +487,13 @@ class TestMongeAmpere:
         rng = np.random.default_rng(4)
         for tau in np.logspace(-2, 2, 25):
             p = cone_point(float(tau))
-            assert monge_ampere_residual(CONE, p) < 1e-10
+            assert _ma(CONE, p) < 1e-10
 
     def test_smoothed_constancy(self):
         # calibration happens at tau = 2; one hundred radii across the domain
         for tau in np.logspace(math.log10(1.01), 3, 100):
             p = smoothed_normal_form_point(1.0, float(tau))
-            assert monge_ampere_residual(SMOOTHED, p) < 1e-7
+            assert _ma(SMOOTHED, p) < 1e-7
 
     def test_resolved_both_charts(self):
         rng = np.random.default_rng(5)
@@ -320,30 +501,30 @@ class TestMongeAmpere:
             for u in ((1.0, 0.35 - 0.2j), (0.15 + 0.4j, 1.0)):
                 q = resolved_point_with_tau(1.0, float(radius) ** 2, u=u)
                 assert q.chart == (1 if abs(u[0]) >= abs(u[1]) else 2)
-                assert monge_ampere_residual(RESOLVED, q) < 1e-7
+                assert _ma(RESOLVED, q) < 1e-7
 
     def test_ode_and_ma_agree_at_shared_points(self):
         # the same identity certified through two independent code paths
         taus = np.logspace(math.log10(1.05), 2.5, 50)
         for tau in taus:
-            assert ode_residual(SMOOTHED, float(tau)) < 1e-7
+            assert _ode(SMOOTHED, float(tau)) < 1e-7
             p = smoothed_normal_form_point(1.0, float(tau))
-            assert monge_ampere_residual(SMOOTHED, p) < 1e-7
+            assert _ma(SMOOTHED, p) < 1e-7
         taus = np.logspace(-1, 2.5, 50)
         for tau in taus:
-            assert ode_residual(RESOLVED, float(tau)) < 1e-7
+            assert _ode(RESOLVED, float(tau)) < 1e-7
             q = resolved_point_with_tau(1.0, float(tau))
-            assert monge_ampere_residual(RESOLVED, q) < 1e-7
+            assert _ma(RESOLVED, q) < 1e-7
 
 
 class TestAsymptotics:
     def test_cone_deviation_identically_zero(self):
-        assert asymptotic_deviation(CONE, 123.0) == 0.0
+        assert _deviation(CONE, 123.0) == 0.0
 
     def test_resolved_weighted_bound_and_decay(self):
         taus = np.logspace(2, 6, 50)
         weighted = [
-            abs(asymptotic_deviation(RESOLVED, float(t), subtract_gauge=True)) * t**0.25
+            abs(_deviation(RESOLVED, float(t), subtract_gauge=True)) * t**0.25
             for t in taus
         ]
         assert max(weighted) < 2.0
@@ -351,7 +532,7 @@ class TestAsymptotics:
 
     def test_smoothed_decay(self):
         taus = np.logspace(2, 6, 50)
-        devs = [asymptotic_deviation(SMOOTHED, float(t), subtract_gauge=True) for t in taus]
+        devs = [_deviation(SMOOTHED, float(t), subtract_gauge=True) for t in taus]
         assert all(abs(b) < abs(a) for a, b in zip(devs, devs[1:]))
         assert abs(devs[-1]) < 1e-6
 
@@ -361,10 +542,10 @@ class TestAsymptotics:
 
     def test_threshold_enforced(self):
         with pytest.raises(ValueError):
-            asymptotic_deviation(SMOOTHED, 5.0)
+            _deviation(SMOOTHED, 5.0)
 
     def test_raw_deviation_tends_to_gauge(self):
-        raw = asymptotic_deviation(SMOOTHED, 1e6)
+        raw = _deviation(SMOOTHED, 1e6)
         assert raw == pytest.approx(smoothed_gauge_constant(), abs=1e-6)
 
 
@@ -436,9 +617,9 @@ class TestFamilyValidation:
         for tau in (lo, hi):
             sample = potential_value(family, tau)
             assert all(math.isfinite(x) and x != 0.0 for x in (sample.f, sample.fp, sample.fpp))
-            assert ode_residual(family, tau) < 1e-8
+            assert ode_residual(family, sample) < 1e-8
             if family.kind == "resolved":
                 point = resolved_point_with_tau(family.a, tau)
             else:
                 point = smoothed_normal_form_point(family.t, tau)
-            assert monge_ampere_residual(family, point) < 1e-7
+            assert monge_ampere_residual(family, point, sample) < 1e-7
