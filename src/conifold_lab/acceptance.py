@@ -119,19 +119,16 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def sample_fiber_points(t: complex, taus, rng: np.random.Generator) -> list[conifold.FiberPoint]:
-    """Generic points of V_t at prescribed radii: real rotations of the normal
-    form preserve both the fiber equation and the radius."""
-    points = []
-    for tau in taus:
-        base = metrics.smoothed_normal_form_point(t, float(tau))
-        points.append(conifold.FiberPoint(_random_rotation(rng) @ base.z, t))
-    return points
+def sample_fiber_points(t: complex, taus, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Generic points (z, t) of V_t at prescribed radii: real rotations of
+    the normal form preserve both the fiber equation and the radius."""
+    base, t_rows = metrics.smoothed_normal_form_points(t, taus)
+    return np.array([_random_rotation(rng) @ z for z in base]), t_rows
 
 
-def sample_resolved_points(a: float, radii, rng: np.random.Generator) -> list[conifold.ResolvedPoint]:
-    """Points of the resolution across both direction charts with the given
-    fiber radii |w|."""
+def sample_resolved_points(a: float, radii, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Points (u, w) of the resolution across both direction charts with the
+    given fiber radii |w|."""
     points = []
     for idx, radius in enumerate(radii):
         phases = np.exp(2j * math.pi * rng.uniform(0, 1, 4))
@@ -140,7 +137,7 @@ def sample_resolved_points(a: float, radii, rng: np.random.Generator) -> list[co
         w_dir = rng.normal(size=2) + 1j * rng.normal(size=2)
         w = radius * w_dir / np.linalg.norm(w_dir)
         points.append(conifold.ResolvedPoint(u, w))
-    return points
+    return np.array([q.u for q in points]), np.array([q.w for q in points])
 
 
 # ---------------------------------------------------------------------------
@@ -184,28 +181,27 @@ def criterion_03(profile: Profile) -> tuple[str, float, Checks]:
     fam = metrics.PotentialFamily.cone()
     taus = np.logspace(-2, 2, n)
     prof = metrics.profile(fam, taus)
-    ode = max(metrics.ode_residual(fam, s) for s in prof)
-    pts = sample_fiber_points(0.0, taus, rng)
-    ma = max(metrics.monge_ampere_residual(fam, p, s) for p, s in zip(pts, prof))
+    ode = float(np.max(metrics.ode_residuals(fam, prof)))
+    ma = float(np.max(metrics.monge_ampere_residuals(fam, sample_fiber_points(0.0, taus, rng), prof)))
     chk.le("cone_ode_residual", ode, 1e-8)
     chk.le("cone_ma_residual", ma, 1e-7)
 
     fam = metrics.PotentialFamily.smoothed(1.0)
     taus = np.logspace(math.log10(1.01), 3, n)
     prof = metrics.profile(fam, taus)
-    ode = max(metrics.ode_residual(fam, s) for s in prof)
-    pts = sample_fiber_points(1.0, taus, rng)
-    ma = max(metrics.monge_ampere_residual(fam, p, s) for p, s in zip(pts, prof))
+    ode = float(np.max(metrics.ode_residuals(fam, prof)))
+    ma = float(np.max(metrics.monge_ampere_residuals(fam, sample_fiber_points(1.0, taus, rng), prof)))
     chk.le("smoothed_ode_residual", ode, 1e-8)
     chk.le("smoothed_ma_residual", ma, 1e-7)
 
     fam = metrics.PotentialFamily.resolved(1.0)
     taus = np.logspace(-1, 3, n)
-    ode = max(metrics.ode_residual(fam, s) for s in metrics.profile(fam, taus))
+    ode = float(np.max(metrics.ode_residuals(fam, metrics.profile(fam, taus))))
     pts = sample_resolved_points(1.0, np.logspace(-2, 2, n), rng)
-    chk.true("resolved_both_charts", {p.chart for p in pts} == {1, 2})
-    prof = metrics.profile(fam, [metrics.point_tau(p) for p in pts])
-    ma = max(metrics.monge_ampere_residual(fam, p, s) for p, s in zip(pts, prof))
+    prof = metrics.profile(fam, metrics.point_taus(pts))
+    _, _, charts = metrics.chart_hessians(fam, pts, prof)
+    chk.true("resolved_both_charts", set(charts.tolist()) == {1, 2})
+    ma = float(np.max(metrics.monge_ampere_residuals(fam, pts, prof)))
     chk.le("resolved_ode_residual", ode, 1e-8)
     chk.le("resolved_ma_residual", ma, 1e-7)
     return "volume-form equation certified along all three families", 30.0, chk
@@ -222,10 +218,8 @@ def criterion_05(profile: Profile) -> tuple[str, float, Checks]:
     chk = Checks()
     taus = np.logspace(2, 6, profile.asymptotic_points)
     rs = metrics.PotentialFamily.resolved(1.0)
-    weighted = [
-        abs(metrics.asymptotic_deviation(rs, s, subtract_gauge=True)) * s.tau**0.25
-        for s in metrics.profile(rs, taus)
-    ]
+    prof = metrics.profile(rs, taus)
+    weighted = (np.abs(metrics.asymptotic_deviations(rs, prof, subtract_gauge=True)) * prof.tau**0.25).tolist()
     chk.le("resolved_weighted_deviation_max", max(weighted), 2.0)
     chk.true(
         "resolved_weighted_deviation_decreasing",
@@ -233,7 +227,7 @@ def criterion_05(profile: Profile) -> tuple[str, float, Checks]:
         measured=[weighted[0], weighted[-1]],
     )
     sm = metrics.PotentialFamily.smoothed(1.0)
-    devs = [metrics.asymptotic_deviation(sm, s, subtract_gauge=True) for s in metrics.profile(sm, taus)]
+    devs = metrics.asymptotic_deviations(sm, metrics.profile(sm, taus), subtract_gauge=True).tolist()
     chk.true(
         "smoothed_deviation_decreasing",
         all(abs(devs[i + 1]) < abs(devs[i]) for i in range(len(devs) - 1)),

@@ -117,24 +117,6 @@ def _family_from_args(args) -> metrics.PotentialFamily:
     return metrics.PotentialFamily.resolved(args.a)
 
 
-def _metric_point(family: metrics.PotentialFamily, tau: float):
-    if family.kind == "resolved":
-        return metrics.resolved_point_with_tau(family.a, tau)
-    return metrics.smoothed_normal_form_point(family.t, tau)
-
-
-def _metric_row(family: metrics.PotentialFamily, sample: metrics.PotentialSample) -> list:
-    tau = sample.tau
-    ode = metrics.ode_residual(family, sample)
-    ma = metrics.monge_ampere_residual(family, _metric_point(family, tau), sample)
-    if family.kind != "cone" and tau < metrics.asymptotic_threshold(family):
-        deviation = ""
-    else:
-        deviation = metrics.asymptotic_deviation(family, sample, subtract_gauge=True)
-    param = abs(family.t) if family.kind == "smoothed" else (family.a if family.kind == "resolved" else 0.0)
-    return [family.kind, param, tau, sample.f, sample.fp, sample.fpp, ode, ma, deviation]
-
-
 METRIC_HEADER = ["family", "param", "tau", "f", "fp", "fpp", "ode_residual", "ma_residual", "deviation"]
 
 
@@ -167,15 +149,24 @@ def _cmd_metric(args) -> int:
         raise SystemExit2(f"bad tau grid [{lo}, {hi}]")
     _check_tau_window(family, lo, hi)
     taus = np.logspace(math.log10(lo), math.log10(hi), args.points)
-    rows = [_metric_row(family, sample) for sample in metrics.profile(family, taus)]
+    prof = metrics.profile(family, taus)
+    if family.kind == "resolved":
+        points = metrics.resolved_points_with_tau(family.a, taus)
+    else:
+        points = metrics.smoothed_normal_form_points(family.t, taus)
+    ode, ma = metrics.metric_residuals(family, points, prof)
+    asymptotic = prof.tau >= metrics.asymptotic_threshold(family)
+    deviations = iter(metrics.asymptotic_deviations(family, prof.take(asymptotic), subtract_gauge=True).tolist())
+    param = abs(family.t) if family.kind == "smoothed" else (family.a if family.kind == "resolved" else 0.0)
+    columns = [prof.tau.tolist(), prof.f.tolist(), prof.fp.tolist(), prof.fpp.tolist(), ode.tolist(), ma.tolist(),
+               [next(deviations) if above else "" for above in asymptotic]]
+    rows = [[family.kind, param, *row] for row in zip(*columns)]
     if args.format == "csv":
         _write_csv(args.output, METRIC_HEADER, rows)
         return 0
     assertions = Checks()
-    worst_ode = max(r[6] for r in rows)
-    worst_ma = max(r[7] for r in rows)
-    assertions.le("ode_residual_max", worst_ode, args.tolerances.get("ode", 1e-8))
-    assertions.le("ma_residual_max", worst_ma, args.tolerances.get("ma", 1e-7))
+    assertions.le("ode_residual_max", float(np.max(ode)), args.tolerances.get("ode", 1e-8))
+    assertions.le("ma_residual_max", float(np.max(ma)), args.tolerances.get("ma", 1e-7))
     results = {"header": METRIC_HEADER, "rows": rows}
     return _emit_report(args, "metric", vars_config(args), results, assertions, {})
 

@@ -3,10 +3,10 @@
 The family is V_t = {z in C^4 : z_1^2 + ... + z_4^2 = t}.  This module
 provides the fiber membership test, the weighted rescaling between fibers,
 the nearest-point identification of the singular fiber with a smooth one,
-chart representations of the holomorphic volume form, the first-order term
-of the volume form's expansion under that identification, real coordinates
-exhibiting a smooth fiber as the tangent bundle of the 3-sphere, and the
-small-resolution projection with its fiberwise rescaling.
+tangent frames, the chart-4 coefficients of the volume form, and the
+first-order term of the volume form's expansion under that identification
+with its finite-difference exterior derivative.  Points of the small
+resolution are a direction [U1:U2] and a fiber pair (ResolvedPoint).
 
 Chart conventions.  Charts are labelled 1..4 by the coordinate of maximal
 modulus; a chart is usable when |z_j| >= ||z||/4 (ties broken by lowest
@@ -93,22 +93,6 @@ class ResolvedPoint:
         return 1 if abs(self.u[0]) >= abs(self.u[1]) else 2
 
 
-@dataclass
-class RealSplitting:
-    """Unit vector on the 3-sphere and an orthogonal tangent vector."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-
-@dataclass
-class ThreeFormValue:
-    """Coefficient of the canonical basis 3-form of a coordinate chart."""
-
-    chart: int
-    coeff: complex
-
-
 # ---------------------------------------------------------------------------
 # fiber membership, rescaling, nearest-point identification
 
@@ -164,12 +148,6 @@ def phi_map(p: FiberPoint, t: complex) -> FiberPoint:
 # charts and the holomorphic volume form
 
 
-def dominant_chart(p: FiberPoint) -> int:
-    """1-based index of the coordinate of maximal modulus (lowest index on ties)."""
-    mags = np.abs(p.z)
-    return int(np.argmax(mags)) + 1
-
-
 def chart_margin(p: FiberPoint) -> float:
     return CHART_MARGIN_FACTOR * np.sqrt(p.norm_sq)
 
@@ -184,48 +162,6 @@ def _require_chart(p: FiberPoint, chart: int) -> None:
             f"chart {chart} degenerate: |z_{chart}| = {abs(p.z[chart - 1]):.3e} "
             f"below margin {chart_margin(p):.3e}"
         )
-
-
-def chart_complement(chart: int) -> tuple[int, int, int]:
-    """0-based indices of the three coordinates other than the chart one."""
-    return tuple(i for i in range(4) if i != chart - 1)
-
-
-def holomorphic_volume_form(p: FiberPoint, chart: int | None = None) -> ThreeFormValue:
-    """Chart coefficient of the residue-normalized holomorphic volume form.
-
-    In chart j the form is (-1)^j / (2 z_j) times dz_a ^ dz_b ^ dz_c, where
-    (a, b, c) is the increasing complement of j.  The signs make the four
-    chart expressions restrict to one global form on the fiber.
-    """
-    if chart is None:
-        chart = dominant_chart(p)
-    _require_chart(p, chart)
-    coeff = (-1) ** chart / (2 * p.z[chart - 1])
-    return ThreeFormValue(chart=chart, coeff=coeff)
-
-
-def _ambient_component(v: np.ndarray, idx: int) -> complex:
-    # ambient covector basis: 0..3 are dz_1..dz_4, 4..7 are conj(dz_1..dz_4)
-    return v[idx] if idx < 4 else np.conj(v[idx - 4])
-
-
-def volume_form_value(
-    p: FiberPoint,
-    frame,
-    chart: int | None = None,
-    convention: str = "residue",
-) -> complex:
-    """Contract the chart expression of the volume form against a tangent 3-frame.
-
-    The value is independent of the chart whenever the frame is tangent to
-    the fiber; 'cycle' normalization is twice the 'residue' one.
-    """
-    tf = holomorphic_volume_form(p, chart)
-    scale = {"residue": 1.0, "cycle": 2.0}[convention]
-    key = chart_complement(tf.chart)
-    form: Form = {key: scale * tf.coeff}
-    return evaluate(form, frame, _ambient_component)
 
 
 def tangent_frame(p: FiberPoint, seeds) -> list[np.ndarray]:
@@ -329,14 +265,6 @@ def pullback_volume_form(p: FiberPoint, t: complex) -> Form:
     return restrict_to_chart4(ambient, p)
 
 
-# canonical ordering of the 10 basis elements carrying the first-order form:
-# the holomorphic top piece, then conj(dz_i) ^ dz_j ^ dz_k lexicographic in
-# (i, (j, k)) for i in 1..3 and j < k in 1..3.
-OMEGA_TILDE_BASIS: tuple[tuple[int, ...], ...] = ((0, 1, 2),) + tuple(
-    (3 + i, j, k) for i in range(3) for (j, k) in ((0, 1), (0, 2), (1, 2))
-)
-
-
 def omega_tilde_1_coefficients(p: FiberPoint) -> Form:
     """Chart-4 coefficients of the first-order term of the volume-form
     expansion under the nearest-point identification.
@@ -370,12 +298,6 @@ def omega_tilde_1_coefficients(p: FiberPoint) -> Form:
 def omega_tilde_1(p: FiberPoint, frame) -> complex:
     """Value of the first-order deformation form on a tangent 3-frame."""
     return fiber_form_value(omega_tilde_1_coefficients(p), frame)
-
-
-def omega_tilde_1_vector(p: FiberPoint) -> np.ndarray:
-    """The 10 coefficients of the deformation form in the canonical ordering."""
-    form = omega_tilde_1_coefficients(p)
-    return np.array([form.get(key, 0.0) for key in OMEGA_TILDE_BASIS], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -435,45 +357,3 @@ def fd_exterior_derivative(p: FiberPoint) -> Form:
                 term = wedge_all([{(which,): val}, {key: 1.0}])
                 out = form_add(out, term)
     return out
-
-
-# ---------------------------------------------------------------------------
-# real coordinates on a smooth fiber
-
-
-def real_coordinates(p: FiberPoint, tol: float = 1e-9) -> RealSplitting:
-    """Split a point of V_t (t real > 0) into a unit sphere vector and an
-    orthogonal tangent vector: u = x/|x|, v = y |y| for z = x + i y."""
-    t = p.t
-    if abs(t.imag) > tol * max(1.0, abs(t)) or t.real <= 0:
-        raise ValueError("real coordinates need a real positive fiber parameter; rotate first")
-    if not on_fiber(p, max(tol, 1e-12)):
-        raise ValueError("point does not lie on the declared fiber")
-    x = p.z.real.astype(float)
-    y = p.z.imag.astype(float)
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0:
-        raise ValueError("|x| vanishes; not a point of a positive real fiber")
-    return RealSplitting(u=x / nx, v=y * ny)
-
-
-# ---------------------------------------------------------------------------
-# small resolution
-
-
-def resolve_project(q: ResolvedPoint) -> np.ndarray:
-    """Blow-down map to the quadric {xy = zw}:
-    (x, y, z, w) = (U1 W1, U2 W2, U1 W2, U2 W1).
-    The zero section collapses to the origin."""
-    u1, u2 = q.u
-    w1, w2 = q.w
-    return np.array([u1 * w1, u2 * w2, u1 * w2, u2 * w1], dtype=complex)
-
-
-def resolved_rescale(q: ResolvedPoint, a: float) -> ResolvedPoint:
-    """Scale the bundle fibers by a^{3/2}; commutes with resolve_project as
-    coordinatewise multiplication by a^{3/2} on the quadric."""
-    if a <= 0:
-        raise ValueError("rescaling parameter must be positive")
-    return ResolvedPoint(q.u.copy(), a**1.5 * q.w)

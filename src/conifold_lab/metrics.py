@@ -21,7 +21,10 @@ convention is pinned down here.)
 A profile is evaluated on a whole tau grid at once (profile): f' and f''
 from vectorised closed forms, f by composite Gauss-Legendre quadrature on
 panels of unit width whose edges sit on a fixed lattice, so a sample's
-value does not depend on the rest of the grid.
+value does not depend on the rest of the grid.  The residuals, chart
+Hessians and deviations run on whole grids as well, as stacked arrays; the
+one-point functions (ode_residual, hermitian_hessian, monge_ampere_residual,
+asymptotic_deviation) are one-element calls of those kernels.
 
 Potentials are normalized to vanish at the domain minimum, so their large-tau
 expansions approach the cone profile only up to a family-specific additive
@@ -34,12 +37,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from conifold_lab.conifold import FiberPoint, ResolvedPoint, dominant_chart, on_fiber
+from conifold_lab.conifold import FiberPoint, ResolvedPoint
 
 ODE_CONSTANT = 2.0 / 3.0
 
@@ -182,6 +185,15 @@ class PotentialProfile:
             quad_error=float(self.quad_error[i]),
         )
 
+    def take(self, rows) -> "PotentialProfile":
+        """The profile at some of its grid points (an index array or a mask)."""
+        return PotentialProfile(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def of(cls, sample: PotentialSample) -> "PotentialProfile":
+        """The one-point profile holding a sample."""
+        return cls(*(np.array([getattr(sample, f.name)], dtype=float) for f in fields(sample)))
+
 
 @dataclass
 class HermitianHessian:
@@ -232,16 +244,6 @@ def _gamma_unit(tau: np.ndarray) -> np.ndarray:
         root = root - (root * root * (root + 6.0) - tau2) / (root * (3.0 * root + 12.0))
     g[big] = root
     return g
-
-
-def gamma_resolved(tau: float, a: float = 1.0) -> float:
-    """tau f'(tau) for the resolved family: gamma^3 + 6 a^2 gamma^2 = tau^2,
-    gamma >= 0.  Evaluated by rescaling to the unit-parameter cubic."""
-    if not a > 0:
-        raise ValueError("a must be positive")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    return a**2 * float(_gamma_unit(np.array([tau / a**3]))[0])
 
 
 def _resolved_derivatives(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -448,139 +450,233 @@ def potential_value(family: PotentialFamily, tau: float) -> PotentialSample:
     return profile(family, [tau])[0]
 
 
-def positivity_margins(family: PotentialFamily, sample: PotentialSample) -> tuple[float, float]:
-    """The two positivity combinations whose strict positivity makes the
-    radial ansatz an actual metric; both must be > 0.
+# ---------------------------------------------------------------------------
+# stacked per-row checks
+#
+# The kernels below evaluate every row of a grid at once, then check the
+# rows: each check is a mask of failing rows with the message for one such
+# row, listed in the order a loop over the rows made them.  The first
+# failing row in grid order raises the message of its first failing check,
+# which is what that loop raised.
+
+
+def _raise_first(checks) -> None:
+    bad = np.array([mask for mask, _ in checks], dtype=bool)
+    failing = np.flatnonzero(bad.any(axis=0))
+    if failing.size:
+        row = int(failing[0])
+        raise ValueError(checks[int(np.argmax(bad[:, row]))][1](row))
+
+
+def positivity_margins(family: PotentialFamily, prof: PotentialProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The two positivity combinations, per grid point, whose strict
+    positivity makes the radial ansatz an actual metric; both must be > 0.
 
     For cone/smoothing the second margin is the normal-form Hessian
     eigenvalue 2 (tau - |t|) f'' + 2 tau/(|t| + tau) f' (the remaining two
     eigenvalues are f').  For the resolution it is f' + tau f'', the slope
     of tau f'."""
-    tau, fp, fpp = sample.tau, sample.fp, sample.fpp
-    if family.kind in ("cone", "smoothed"):
-        at = abs(family.t) if family.kind == "smoothed" else 0.0
-        return fp, 2.0 * (tau - at) * fpp + 2.0 * tau / (at + tau) * fp
-    return sample.fp, sample.fp + sample.tau * sample.fpp
+    tau, fp, fpp = prof.tau, prof.fp, prof.fpp
+    if family.kind == "resolved":
+        return fp, fp + tau * fpp
+    at = family.domain_min()
+    return fp, 2.0 * (tau - at) * fpp + 2.0 * tau / (at + tau) * fp
+
+
+def _ode(family: PotentialFamily, prof: PotentialProfile):
+    tau, fp, fpp = prof.tau, prof.fp, prof.fpp
+    m1, m2 = positivity_margins(family, prof)
+    if family.kind == "resolved":
+        lhs = (4.0 * family.a**2 + tau * fp) * (fp**2 + tau * fp * fpp)
+    else:
+        at = family.domain_min()
+        lhs = fp**3 * tau + fp**2 * fpp * (tau**2 - at**2)
+    checks = [(
+        ~((m1 > 0) & (m2 > 0)),
+        lambda i: f"positivity violated at tau={float(tau[i])}: margins {m1[i]:.3e}, {m2[i]:.3e}",
+    )]
+    return np.abs(lhs - ODE_CONSTANT) / ODE_CONSTANT, checks
+
+
+def ode_residuals(family: PotentialFamily, prof: PotentialProfile) -> np.ndarray:
+    """Relative residual |LHS - c| / c of the family's radial ODE at each
+    grid point, built from the closed-form derivatives.  Raises if the
+    positivity conditions fail (the profile would not define a metric
+    there)."""
+    residuals, checks = _ode(family, prof)
+    _raise_first(checks)
+    return residuals
 
 
 def ode_residual(family: PotentialFamily, sample: PotentialSample) -> float:
-    """Relative residual |LHS - c| / c of the family's radial ODE at the
-    sample's tau, built from the closed-form derivatives.  Raises if the
-    positivity conditions fail (the profile would not define a metric
-    there)."""
-    tau = sample.tau
-    m1, m2 = positivity_margins(family, sample)
-    if not (m1 > 0 and m2 > 0):
-        raise ValueError(f"positivity violated at tau={tau}: margins {m1:.3e}, {m2:.3e}")
-    if family.kind in ("cone", "smoothed"):
-        at = abs(family.t) if family.kind == "smoothed" else 0.0
-        lhs = sample.fp**3 * tau + sample.fp**2 * sample.fpp * (tau**2 - at**2)
-    else:
-        lhs = (4.0 * family.a**2 + tau * sample.fp) * (sample.fp**2 + tau * sample.fp * sample.fpp)
-    return abs(lhs - ODE_CONSTANT) / ODE_CONSTANT
+    """ode_residuals at one sample."""
+    return float(ode_residuals(family, PotentialProfile.of(sample))[0])
 
 
 # ---------------------------------------------------------------------------
 # Hessians and the volume-form constancy audit
+#
+# Points are stacked coordinates: (z, t) on a fiber, z of shape (N, 4) and
+# t the points' fiber parameter (a scalar or one per row); (u, w) on the
+# resolution, two arrays of shape (N, 2) holding the direction [U1:U2] and
+# the fiber pair.
+
+
+def smoothed_normal_form_points(t: complex, taus) -> tuple[np.ndarray, np.ndarray]:
+    """The rotation normal form on V_t at each radius tau: all mass in z_1
+    (imaginary direction) and z_4 (real direction), rotated by half the
+    phase of t."""
+    t = complex(t)
+    at = abs(t)
+    tau = np.array(taus, dtype=float).reshape(-1)
+    if np.any(tau < at):
+        raise ValueError("tau below the fiber's minimal radius")
+    phase = cmath.exp(1j * cmath.phase(t) / 2) if t != 0 else 1.0
+    z = np.zeros((len(tau), 4), dtype=complex)
+    z[:, 0] = 1j * np.sqrt((tau - at) / 2.0)
+    z[:, 3] = np.sqrt((tau + at) / 2.0)
+    return phase * z, np.full(len(tau), t)
 
 
 def smoothed_normal_form_point(t: complex, tau: float) -> FiberPoint:
-    """The rotation normal form on V_t at radius tau: all mass in z_1 (imaginary
-    direction) and z_4 (real direction), rotated by half the phase of t."""
-    t = complex(t)
-    at = abs(t)
-    if tau < at:
-        raise ValueError("tau below the fiber's minimal radius")
-    phase = cmath.exp(1j * cmath.phase(t) / 2) if t != 0 else 1.0
-    z1 = 1j * math.sqrt((tau - at) / 2.0)
-    z4 = math.sqrt((tau + at) / 2.0)
-    return FiberPoint(phase * np.array([z1, 0.0, 0.0, z4]), t)
+    z, _ = smoothed_normal_form_points(t, [tau])
+    return FiberPoint(z[0], t)
 
 
 def cone_point(tau: float) -> FiberPoint:
     return smoothed_normal_form_point(0.0, tau)
 
 
-def resolved_point_with_tau(a: float, tau: float, u=None) -> ResolvedPoint:
-    """A point of the resolution with invariant tau over direction u
+def resolved_points_with_tau(a: float, taus, u=None) -> tuple[np.ndarray, np.ndarray]:
+    """Points of the resolution with invariants tau over one direction u
     (defaults to [1:0])."""
-    if u is None:
-        u = (1.0, 0.0)
-    u = np.asarray(u, dtype=complex)
+    u = np.asarray((1.0, 0.0) if u is None else u, dtype=complex)
     u = u / np.max(np.abs(u))
-    norm2 = float(np.sum(np.abs(u) ** 2))
-    w1 = math.sqrt(tau / norm2)
-    return ResolvedPoint(u, (w1, 0.0))
+    norm2 = np.sum(np.abs(u) ** 2)
+    tau = np.array(taus, dtype=float).reshape(-1)
+    w = np.zeros((len(tau), 2), dtype=complex)
+    w[:, 0] = np.sqrt(tau / norm2)
+    return np.tile(u, (len(tau), 1)), w
 
 
-def _resolved_chart(q: ResolvedPoint) -> tuple[int, complex, np.ndarray]:
-    """(chart, affine direction u, fiber pair W) of a point of the resolution."""
-    if q.chart == 1:
-        return 1, q.u[1] / q.u[0], q.w * q.u[0]
-    return 2, q.u[0] / q.u[1], q.w[::-1] * q.u[1]
+def resolved_point_with_tau(a: float, tau: float, u=None) -> ResolvedPoint:
+    uu, w = resolved_points_with_tau(a, [tau], u)
+    return ResolvedPoint(uu[0], w[0])
+
+
+def _stacked(point) -> tuple[np.ndarray, np.ndarray]:
+    """One FiberPoint or ResolvedPoint as stacked coordinates."""
+    if isinstance(point, FiberPoint):
+        return point.z[None], np.array([point.t])
+    return point.u[None], point.w[None]
+
+
+def _resolved_chart(u: np.ndarray, w: np.ndarray):
+    """Per row: the dominant direction chart (1 or 2), the affine direction
+    in it, the fiber pair W, |W|^2 and 1 + |u|^2."""
+    first = np.abs(u[:, 0]) >= np.abs(u[:, 1])
+    lead = np.where(first, u[:, 0], u[:, 1])
+    ua = np.where(first, u[:, 1], u[:, 0]) / lead
+    W = np.where(first[:, None], w, w[:, ::-1]) * lead[:, None]
+    rho = np.sum(np.abs(W) ** 2, axis=1)
+    return np.where(first, 1, 2), ua, W, rho, 1.0 + np.abs(ua) ** 2
+
+
+def point_taus(coords) -> np.ndarray:
+    """The radial invariant tau of stacked points: the ambient squared norm
+    on a fiber, (1 + |u|^2) |W|^2 in the dominant chart of the resolution."""
+    if coords[0].shape[1] == 4:
+        return np.sum(np.abs(coords[0]) ** 2, axis=1)
+    _, _, _, rho, one_u = _resolved_chart(*coords)
+    return one_u * rho
 
 
 def point_tau(point) -> float:
-    """The radial invariant tau of a point: the ambient squared norm on a
-    fiber, (1 + |u|^2) |W|^2 in the dominant chart of the resolution."""
-    if isinstance(point, FiberPoint):
-        return point.norm_sq
-    _, u, W = _resolved_chart(point)
-    return (1.0 + abs(u) ** 2) * float(np.sum(np.abs(W) ** 2))
+    return float(point_taus(_stacked(point))[0])
 
 
-def _check_sample_at(sample: PotentialSample, tau: float) -> None:
+def _tau_check(prof: PotentialProfile, tau: np.ndarray):
     # a grid point and the point built from it agree to a few ulps
-    if not abs(sample.tau - tau) <= 1e-13 * tau:
-        raise ValueError(f"the profile sample at tau = {sample.tau!r} is not at the point's tau = {tau!r}")
+    return (
+        ~(np.abs(prof.tau - tau) <= 1e-13 * tau),
+        lambda i: f"the profile sample at tau = {float(prof.tau[i])!r} is not at the point's tau = {float(tau[i])!r}",
+    )
+
+
+def _outer(x: np.ndarray) -> np.ndarray:
+    return x[:, :, None] * np.conj(x)[:, None, :]
+
+
+_COMPLEMENT = np.array([[i for i in range(4) if i != c] for c in range(4)])
+
+
+def _fiber_hessians(family: PotentialFamily, z: np.ndarray, t, prof: PotentialProfile):
+    rows = np.arange(len(z))
+    tau = point_taus((z, t))
+    on_fiber = np.abs(np.sum(z**2, axis=1) - t) <= 1e-9 * (1.0 + tau)
+    chart = np.argmax(np.abs(z), axis=1)
+    v = z[rows[:, None], _COMPLEMENT[chart]]
+    zc = z[rows, chart]
+    zc = np.where(zc == 0, 1.0, zc)  # z = 0 fails the tau check; keep its row finite
+    M = np.eye(3, dtype=complex) + _outer(v) / (np.abs(zc) ** 2)[:, None, None]
+    T = np.conj(v) - (np.conj(zc) / zc)[:, None] * v
+    H = prof.fp[:, None, None] * M + prof.fpp[:, None, None] * _outer(T)
+    checks = [
+        (~(on_fiber & (t == family.t)), lambda i: "point does not lie on the family's fiber"),
+        _tau_check(prof, tau),
+    ]
+    return H, 1.0 / np.abs(2 * zc) ** 2, chart + 1, checks
+
+
+def _resolved_hessians(family: PotentialFamily, u: np.ndarray, w: np.ndarray, prof: PotentialProfile):
+    chart, ua, W, rho, one_u = _resolved_chart(u, w)
+    cu = np.conj(ua)
+    grad = np.stack([cu * rho, one_u * np.conj(W[:, 0]), one_u * np.conj(W[:, 1])], axis=1)
+    tau_ab = np.zeros((len(u), 3, 3), dtype=complex)
+    tau_ab[:, 0] = np.stack([rho, cu * W[:, 0], cu * W[:, 1]], axis=1)
+    tau_ab[:, 1:, 0] = ua[:, None] * np.conj(W)
+    tau_ab[:, 1, 1] = tau_ab[:, 2, 2] = one_u
+    L_ab = np.zeros_like(tau_ab)
+    L_ab[:, 0, 0] = 1.0 / one_u**2
+    H = 4.0 * family.a**2 * L_ab + prof.fp[:, None, None] * tau_ab + prof.fpp[:, None, None] * _outer(grad)
+    return H, np.ones(len(u)), chart, [_tau_check(prof, one_u * rho)]
+
+
+def _chart_hessians(family: PotentialFamily, coords, prof: PotentialProfile):
+    if len(prof) != len(coords[0]):
+        raise ValueError(f"{len(prof)} profile samples for {len(coords[0])} points")
+    if family.kind == "resolved":
+        return _resolved_hessians(family, *coords, prof)
+    return _fiber_hessians(family, *coords, prof)
+
+
+def chart_hessians(family: PotentialFamily, coords, prof: PotentialProfile):
+    """Analytic complex Hessians of the Kaehler potential in the dominant
+    chart of each point, from the profile sampled at the points' taus:
+    (H of shape (N, 3, 3), reference densities, charts).
+
+    Smoothing / cone: the chart drops the coordinate of maximal modulus
+    (lowest index on ties); the Hessian over the remaining three is
+    f' M + f'' T T* with M = I + v v*/|z_c|^2 and
+    T = conj(v) - (conj(z_c)/z_c) v.  The reference density is |2 z_c|^{-2}.
+    Points must lie on the family's fiber (to 1e-9 relative).
+
+    Resolution: chart coordinates (affine direction u, fiber pair W) of the
+    larger homogeneous coordinate; the potential is
+    4 a^2 log(1+|u|^2) + f(tau) with tau = (1+|u|^2) |W|^2.  The chart
+    volume form has constant coefficient, so the density is 1.
+
+    Each sample's tau must match its point's to 1e-13 relative.
+    """
+    H, density, chart, checks = _chart_hessians(family, coords, prof)
+    _raise_first(checks)
+    return H, density, chart
 
 
 def hermitian_hessian(family: PotentialFamily, point, sample: PotentialSample) -> HermitianHessian:
-    """Analytic complex Hessian of the Kaehler potential in the dominant chart,
-    from the profile sample at the point's tau.
-
-    Smoothing / cone: the chart drops the coordinate of maximal modulus; the
-    Hessian over the remaining three is f' M + f'' T T* with
-    M = I + v v*/|z_c|^2 and T = conj(v) - (conj(z_c)/z_c) v.  The reference
-    density is |2 z_c|^{-2}.
-
-    Resolution: chart coordinates (affine direction u, fiber pair W); the
-    potential is 4 a^2 log(1+|u|^2) + f(tau) with tau = (1+|u|^2) |W|^2.
-    The chart volume form has constant coefficient, so the density is 1.
-    """
-    if family.kind in ("cone", "smoothed"):
-        p: FiberPoint = point
-        if not on_fiber(p, 1e-9) or p.t != family.t:
-            raise ValueError("point does not lie on the family's fiber")
-        chart = dominant_chart(p)
-        order = [i for i in range(4) if i != chart - 1]
-        v = p.z[order]
-        zc = p.z[chart - 1]
-        _check_sample_at(sample, p.norm_sq)
-        M = np.eye(3, dtype=complex) + np.outer(v, np.conj(v)) / abs(zc) ** 2
-        T = np.conj(v) - (np.conj(zc) / zc) * v
-        H = sample.fp * M + sample.fpp * np.outer(T, np.conj(T))
-        return HermitianHessian(point=p, H=H, density=1.0 / abs(2 * zc) ** 2, chart=chart)
-
-    q: ResolvedPoint = point
-    chart, u, W = _resolved_chart(q)
-    a = family.a
-    rho = float(np.sum(np.abs(W) ** 2))
-    one_u = 1.0 + abs(u) ** 2
-    _check_sample_at(sample, one_u * rho)
-    grad = np.array([np.conj(u) * rho, one_u * np.conj(W[0]), one_u * np.conj(W[1])])
-    tau_ab = np.array(
-        [
-            [rho, np.conj(u) * W[0], np.conj(u) * W[1]],
-            [u * np.conj(W[0]), one_u, 0.0],
-            [u * np.conj(W[1]), 0.0, one_u],
-        ],
-        dtype=complex,
-    )
-    L_ab = np.zeros((3, 3), dtype=complex)
-    L_ab[0, 0] = 1.0 / one_u**2
-    H = 4.0 * a**2 * L_ab + sample.fp * tau_ab + sample.fpp * np.outer(grad, np.conj(grad))
-    return HermitianHessian(point=q, H=H, density=1.0, chart=chart)
+    """chart_hessians at one point."""
+    H, density, chart = chart_hessians(family, _stacked(point), PotentialProfile.of(sample))
+    return HermitianHessian(point=point, H=H[0], density=float(density[0]), chart=int(chart[0]))
 
 
 def _reference_point(family: PotentialFamily):
@@ -605,16 +701,38 @@ def monge_ampere_calibration(family: PotentialFamily) -> float:
     return _MA_CALIBRATION[key]
 
 
+def _monge_ampere(family: PotentialFamily, coords, prof: PotentialProfile):
+    H, density, _, checks = _chart_hessians(family, coords, prof)
+    positive = np.all(np.linalg.eigvalsh(H) > 0, axis=1)
+    checks.append((~positive, lambda i: "Hessian not positive definite; not a metric at this point"))
+    det = np.linalg.det(H).real
+    return np.abs(det / density / monge_ampere_calibration(family) - 1.0), checks
+
+
+def monge_ampere_residuals(family: PotentialFamily, coords, prof: PotentialProfile) -> np.ndarray:
+    """|det(H)/density / calibration - 1| at each point, given the profile
+    sampled at the points' taus: the constancy of the volume-density ratio,
+    which is the radial ODE certified through an independent code path
+    (chart Hessians instead of the profile identity).  Every Hessian must be
+    positive definite."""
+    residuals, checks = _monge_ampere(family, coords, prof)
+    _raise_first(checks)
+    return residuals
+
+
 def monge_ampere_residual(family: PotentialFamily, point, sample: PotentialSample) -> float:
-    """|det(H)/density / calibration - 1| at the point, given the profile
-    sample at its tau: the constancy of the volume-density ratio, which is
-    the radial ODE certified through an independent code path (chart
-    Hessians instead of the profile identity)."""
-    hess = hermitian_hessian(family, point, sample)
-    if not hess.is_positive:
-        raise ValueError("Hessian not positive definite; not a metric at this point")
-    det = float(np.linalg.det(hess.H).real)
-    return abs(det / hess.density / monge_ampere_calibration(family) - 1.0)
+    """monge_ampere_residuals at one point."""
+    return float(monge_ampere_residuals(family, _stacked(point), PotentialProfile.of(sample))[0])
+
+
+def metric_residuals(family: PotentialFamily, coords, prof: PotentialProfile) -> tuple[np.ndarray, np.ndarray]:
+    """(ode_residuals, monge_ampere_residuals) of a sweep whose points sit at
+    the profile's taus.  A failing row raises as a loop that checked each
+    row's ODE, then its Hessian, would."""
+    ode, ode_checks = _ode(family, prof)
+    ma, ma_checks = _monge_ampere(family, coords, prof)
+    _raise_first(ode_checks + ma_checks)
+    return ode, ma
 
 
 # ---------------------------------------------------------------------------
@@ -645,33 +763,39 @@ def asymptotic_threshold(family: PotentialFamily) -> float:
     return 10.0 * family.scale
 
 
-def asymptotic_deviation(
-    family: PotentialFamily, sample: PotentialSample, subtract_gauge: bool = False
-) -> float:
-    """f(tau) minus the family's leading large-tau terms, at the sample's tau.
+def asymptotic_deviations(
+    family: PotentialFamily, prof: PotentialProfile, subtract_gauge: bool = False
+) -> np.ndarray:
+    """f(tau) minus the family's leading large-tau terms, at each grid point.
 
     Leading terms: (3/2) tau^{2/3} for cone and smoothing;
     (3/2) tau^{2/3} - 2 a^2 log(a^{-3} tau) for the resolution.  With
     subtract_gauge the additive potential gauge is removed as well, so the
-    result decays to zero at the rate the expansions predict.
+    result decays to zero at the rate the expansions predict.  Every tau
+    must reach the asymptotic threshold.
     """
-    tau = sample.tau
-    threshold = asymptotic_threshold(family)
-    if family.kind != "cone" and tau < threshold:
-        raise ValueError(f"tau = {tau} below the asymptotic threshold {threshold}")
+    tau, f = prof.tau, prof.f
     if family.kind == "cone":
-        return 0.0
-    s = sample
+        return np.zeros_like(tau)
+    threshold = asymptotic_threshold(family)
+    _raise_first([(tau < threshold, lambda i: f"tau = {float(tau[i])} below the asymptotic threshold {threshold}")])
     if family.kind == "smoothed":
-        dev = s.f - 1.5 * tau ** (2.0 / 3.0)
+        dev = f - 1.5 * tau ** (2.0 / 3.0)
         if subtract_gauge:
             dev -= abs(family.t) ** (2.0 / 3.0) * smoothed_gauge_constant()
         return dev
     a = family.a
-    dev = s.f - (1.5 * tau ** (2.0 / 3.0) - 2.0 * a**2 * math.log(tau / a**3))
+    dev = f - (1.5 * tau ** (2.0 / 3.0) - 2.0 * a**2 * np.log(tau / a**3))
     if subtract_gauge:
         dev -= a**2 * resolved_gauge_constant()
     return dev
+
+
+def asymptotic_deviation(
+    family: PotentialFamily, sample: PotentialSample, subtract_gauge: bool = False
+) -> float:
+    """asymptotic_deviations at one sample."""
+    return float(asymptotic_deviations(family, PotentialProfile.of(sample), subtract_gauge)[0])
 
 
 def potential_convergence_sup(

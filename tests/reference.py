@@ -4,7 +4,9 @@ against.  None of them runs on the package's own code paths.
 * metrics: a root-finder route to the resolved cubic's positive root, and
   the unit-parameter profiles f_1 by adaptive scipy quadrature of scalar
   integrands (the resolved one through the complex radical formula of the
-  cubic), the oracle for the batched lattice quadrature.
+  cubic), the oracle for the batched lattice quadrature; the chart Hessian,
+  the ODE and Monge-Ampere residuals and the asymptotic deviation of one
+  point at a time in scalar arithmetic, the oracle for the stacked kernels.
 * hodge: twisted Euler characteristics chi(Omega^p(-r)) of P^n and of the
   hypersurface by the recursion over the Euler, conormal and restriction
   sequences (chi_hypersurface_omega_p_recursion, the oracle for the Jacobian
@@ -15,9 +17,14 @@ against.  None of them runs on the package's own code paths.
   quadrature (every node, weight and frame of the product grid built at
   once and summed in one pairwise sum), the oracle for the slab-by-slab
   grid and quadrature.
-* conifold: complex conjugation of fiber points, the inverse of the real
-  splitting, and the quadric {xy = zw} with its change of variables to the
-  singular fiber.
+* conifold: complex conjugation of fiber points; the chart expressions of
+  the holomorphic volume form contracted against tangent frames
+  (volume_form_value, the oracle for the cycle module's chart values); the
+  deformation form's coefficient vector; the real splitting of a positive
+  real fiber into the tangent bundle of the 3-sphere and its inverse; the
+  blow-down of the small resolution to the quadric {xy = zw}, its fiber
+  rescaling, and the change of variables from that quadric to the singular
+  fiber.
 * transitions: Gauss-Jordan elimination over Fractions, the kernel basis
   built from it and the smoothability witness searched over that basis
   (kernel_basis_witness); a sparse polynomial in four variables with
@@ -39,7 +46,15 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conifold_lab.conifold import FiberPoint, RealSplitting, on_fiber
+from conifold_lab import metrics
+from conifold_lab.conifold import (
+    FiberPoint,
+    ResolvedPoint,
+    _require_chart,
+    omega_tilde_1_coefficients,
+    on_fiber,
+)
+from conifold_lab.exterior import Form, evaluate
 from conifold_lab.hodge import HypersurfaceSpec
 from conifold_lab.slag import ORIENTED_FRAME_ORDER, CycleGrid, _chart_form_values, _composite_gauss2
 from conifold_lab.transitions import ClassMatrix, _assert_witness
@@ -132,6 +147,103 @@ def f1_smoothed_quad(sigma: float) -> tuple[float, float]:
         limit=400,
     )
     return 2 ** (-1.0 / 3.0) * val, 2 ** (-1.0 / 3.0) * err
+
+
+def _check_sample_at(sample, tau: float) -> None:
+    if not abs(sample.tau - tau) <= 1e-13 * tau:
+        raise ValueError(f"the profile sample at tau = {sample.tau!r} is not at the point's tau = {tau!r}")
+
+
+def hessian_per_point(family, point, sample) -> tuple[np.ndarray, float, int]:
+    """(H, density, chart) of one point, assembled entry by entry: the
+    dominant-chart Hessian f' M + f'' T T* on a fiber, and
+    4 a^2 L + f' tau_ab + f'' grad grad* on the resolution."""
+    if family.kind in ("cone", "smoothed"):
+        p = point
+        if not on_fiber(p, 1e-9) or p.t != family.t:
+            raise ValueError("point does not lie on the family's fiber")
+        chart = dominant_chart(p)
+        v = p.z[list(chart_complement(chart))]
+        zc = p.z[chart - 1]
+        _check_sample_at(sample, p.norm_sq)
+        M = np.eye(3, dtype=complex) + np.outer(v, np.conj(v)) / abs(zc) ** 2
+        T = np.conj(v) - (np.conj(zc) / zc) * v
+        H = sample.fp * M + sample.fpp * np.outer(T, np.conj(T))
+        return H, 1.0 / abs(2 * zc) ** 2, chart
+    q = point
+    if q.chart == 1:
+        u, W = q.u[1] / q.u[0], q.w * q.u[0]
+    else:
+        u, W = q.u[0] / q.u[1], q.w[::-1] * q.u[1]
+    rho = float(np.sum(np.abs(W) ** 2))
+    one_u = 1.0 + abs(u) ** 2
+    _check_sample_at(sample, one_u * rho)
+    grad = np.array([np.conj(u) * rho, one_u * np.conj(W[0]), one_u * np.conj(W[1])])
+    tau_ab = np.array(
+        [
+            [rho, np.conj(u) * W[0], np.conj(u) * W[1]],
+            [u * np.conj(W[0]), one_u, 0.0],
+            [u * np.conj(W[1]), 0.0, one_u],
+        ],
+        dtype=complex,
+    )
+    L_ab = np.zeros((3, 3), dtype=complex)
+    L_ab[0, 0] = 1.0 / one_u**2
+    H = 4.0 * family.a**2 * L_ab + sample.fp * tau_ab + sample.fpp * np.outer(grad, np.conj(grad))
+    return H, 1.0, q.chart
+
+
+def ode_residual_per_point(family, sample) -> float:
+    """|LHS - 2/3| / (2/3) of the radial ODE at one sample, in Python floats."""
+    tau, fp, fpp = sample.tau, sample.fp, sample.fpp
+    if family.kind == "resolved":
+        lhs = (4.0 * family.a**2 + tau * fp) * (fp**2 + tau * fp * fpp)
+    else:
+        at = abs(family.t)
+        lhs = fp**3 * tau + fp**2 * fpp * (tau**2 - at**2)
+    return abs(lhs - 2.0 / 3.0) / (2.0 / 3.0)
+
+
+def _reference_point(family):
+    """The calibration point: the normal form at tau = 2 |t| (1 on the
+    cone), and [1:0] over tau = 2 a^3 on the resolution."""
+    if family.kind == "resolved":
+        return ResolvedPoint((1.0, 0.0), (math.sqrt(2.0 * family.a**3), 0.0))
+    t = complex(family.t)
+    at = abs(t)
+    tau = 2.0 * at if family.kind == "smoothed" else 1.0
+    phase = cmath.exp(1j * cmath.phase(t) / 2) if t != 0 else 1.0
+    return FiberPoint(phase * np.array([1j * math.sqrt((tau - at) / 2.0), 0.0, 0.0, math.sqrt((tau + at) / 2.0)]), t)
+
+
+def monge_ampere_residual_per_point(family, point, sample) -> float:
+    """|det(H)/density / calibration - 1| at one point, the calibration taken
+    from this module's Hessian at the family's reference point."""
+    ref = _reference_point(family)
+    ref_tau = ref.norm_sq if isinstance(ref, FiberPoint) else float(np.sum(np.abs(ref.w) ** 2))
+    H0, density0, _ = hessian_per_point(family, ref, metrics.potential_value(family, ref_tau))
+    H, density, _ = hessian_per_point(family, point, sample)
+    if not np.all(np.linalg.eigvalsh(H) > 0):
+        raise ValueError("Hessian not positive definite; not a metric at this point")
+    calibration = float(np.linalg.det(H0).real) / density0
+    return abs(float(np.linalg.det(H).real) / density / calibration - 1.0)
+
+
+def asymptotic_deviation_per_point(family, sample, subtract_gauge: bool = False) -> float:
+    """f minus its leading large-tau terms at one sample, in Python floats."""
+    tau = sample.tau
+    if family.kind == "cone":
+        return 0.0
+    if family.kind == "smoothed":
+        dev = sample.f - 1.5 * tau ** (2.0 / 3.0)
+        if subtract_gauge:
+            dev -= abs(family.t) ** (2.0 / 3.0) * metrics.smoothed_gauge_constant()
+        return dev
+    a = family.a
+    dev = sample.f - (1.5 * tau ** (2.0 / 3.0) - 2.0 * a**2 * math.log(tau / a**3))
+    if subtract_gauge:
+        dev -= a**2 * metrics.resolved_gauge_constant()
+    return dev
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +443,115 @@ def conjugate_point(p: FiberPoint) -> FiberPoint:
     return FiberPoint(np.conj(p.z), np.conj(p.t))
 
 
+def dominant_chart(p: FiberPoint) -> int:
+    """1-based index of the coordinate of maximal modulus (lowest index on ties)."""
+    return int(np.argmax(np.abs(p.z))) + 1
+
+
+def chart_complement(chart: int) -> tuple[int, int, int]:
+    """0-based indices of the three coordinates other than the chart one."""
+    return tuple(i for i in range(4) if i != chart - 1)
+
+
+@dataclass
+class ThreeFormValue:
+    """Coefficient of the canonical basis 3-form of a coordinate chart."""
+
+    chart: int
+    coeff: complex
+
+
+def holomorphic_volume_form(p: FiberPoint, chart: int | None = None) -> ThreeFormValue:
+    """Chart coefficient of the residue-normalized holomorphic volume form.
+
+    In chart j the form is (-1)^j / (2 z_j) times dz_a ^ dz_b ^ dz_c, where
+    (a, b, c) is the increasing complement of j.  The signs make the four
+    chart expressions restrict to one global form on the fiber.
+    """
+    if chart is None:
+        chart = dominant_chart(p)
+    _require_chart(p, chart)
+    return ThreeFormValue(chart=chart, coeff=(-1) ** chart / (2 * p.z[chart - 1]))
+
+
+def _ambient_component(v: np.ndarray, idx: int) -> complex:
+    # ambient covector basis: 0..3 are dz_1..dz_4, 4..7 are conj(dz_1..dz_4)
+    return v[idx] if idx < 4 else np.conj(v[idx - 4])
+
+
+def volume_form_value(p: FiberPoint, frame, chart: int | None = None, convention: str = "residue") -> complex:
+    """Contract the chart expression of the volume form against a tangent 3-frame.
+
+    The value is independent of the chart whenever the frame is tangent to
+    the fiber; 'cycle' normalization is twice the 'residue' one.
+    """
+    tf = holomorphic_volume_form(p, chart)
+    scale = {"residue": 1.0, "cycle": 2.0}[convention]
+    form: Form = {chart_complement(tf.chart): scale * tf.coeff}
+    return evaluate(form, frame, _ambient_component)
+
+
+# canonical ordering of the 10 basis elements carrying the first-order form:
+# the holomorphic top piece, then conj(dz_i) ^ dz_j ^ dz_k lexicographic in
+# (i, (j, k)) for i in 1..3 and j < k in 1..3.
+OMEGA_TILDE_BASIS: tuple[tuple[int, ...], ...] = ((0, 1, 2),) + tuple(
+    (3 + i, j, k) for i in range(3) for (j, k) in ((0, 1), (0, 2), (1, 2))
+)
+
+
+def omega_tilde_1_vector(p: FiberPoint) -> np.ndarray:
+    """The 10 coefficients of the deformation form in the canonical ordering."""
+    form = omega_tilde_1_coefficients(p)
+    return np.array([form.get(key, 0.0) for key in OMEGA_TILDE_BASIS], dtype=complex)
+
+
+@dataclass
+class RealSplitting:
+    """Unit vector on the 3-sphere and an orthogonal tangent vector."""
+
+    u: np.ndarray
+    v: np.ndarray
+
+
+def real_coordinates(p: FiberPoint, tol: float = 1e-9) -> RealSplitting:
+    """Split a point of V_t (t real > 0) into a unit sphere vector and an
+    orthogonal tangent vector: u = x/|x|, v = y |y| for z = x + i y."""
+    t = p.t
+    if abs(t.imag) > tol * max(1.0, abs(t)) or t.real <= 0:
+        raise ValueError("real coordinates need a real positive fiber parameter; rotate first")
+    if not on_fiber(p, max(tol, 1e-12)):
+        raise ValueError("point does not lie on the declared fiber")
+    x = p.z.real.astype(float)
+    y = p.z.imag.astype(float)
+    nx = float(np.linalg.norm(x))
+    if nx == 0.0:
+        raise ValueError("|x| vanishes; not a point of a positive real fiber")
+    return RealSplitting(u=x / nx, v=y * float(np.linalg.norm(y)))
+
+
 def splitting_to_point(split: RealSplitting, t: float) -> FiberPoint:
     """Inverse of real_coordinates: x = sqrt(|v| + t) u, y = v / sqrt(|v|)."""
     nv = float(np.linalg.norm(split.v))
     x = np.sqrt(nv + t) * split.u
     y = split.v / np.sqrt(nv) if nv > 0 else np.zeros(4)
     return FiberPoint(x + 1j * y, t)
+
+
+def resolve_project(q: ResolvedPoint) -> np.ndarray:
+    """Blow-down map to the quadric {xy = zw}:
+    (x, y, z, w) = (U1 W1, U2 W2, U1 W2, U2 W1).
+    The zero section collapses to the origin."""
+    u1, u2 = q.u
+    w1, w2 = q.w
+    return np.array([u1 * w1, u2 * w2, u1 * w2, u2 * w1], dtype=complex)
+
+
+def resolved_rescale(q: ResolvedPoint, a: float) -> ResolvedPoint:
+    """Scale the bundle fibers by a^{3/2}; commutes with resolve_project as
+    coordinatewise multiplication by a^{3/2} on the quadric."""
+    if a <= 0:
+        raise ValueError("rescaling parameter must be positive")
+    return ResolvedPoint(q.u.copy(), a**1.5 * q.w)
 
 
 def quadric_residual(xyzw: np.ndarray) -> float:

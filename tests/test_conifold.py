@@ -10,27 +10,32 @@ from conifold_lab.conifold import (
     FiberPoint,
     ResolvedPoint,
     chart_margin,
-    dominant_chart,
     fd_exterior_derivative,
     fiber_form_value,
-    holomorphic_volume_form,
     omega_tilde_1,
     omega_tilde_1_coefficients,
-    omega_tilde_1_vector,
     on_fiber,
     phi_map,
     pullback_volume_form,
     random_tangent_frame,
-    real_coordinates,
     rescale_fiber,
-    resolve_project,
-    resolved_rescale,
     tangent_frame,
     volume_form_chart_coefficients,
-    volume_form_value,
-    OMEGA_TILDE_BASIS,
 )
-from reference import conjugate_point, quadric_residual, quadric_to_fiber, splitting_to_point
+from reference import (
+    OMEGA_TILDE_BASIS,
+    conjugate_point,
+    dominant_chart,
+    holomorphic_volume_form,
+    omega_tilde_1_vector,
+    quadric_residual,
+    quadric_to_fiber,
+    real_coordinates,
+    resolve_project,
+    resolved_rescale,
+    splitting_to_point,
+    volume_form_value,
+)
 
 
 def cone_point_with_dominant_z4() -> FiberPoint:

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conifold_lab import metrics
+from conifold_lab.acceptance import sample_fiber_points, sample_resolved_points
 from conifold_lab.conifold import FiberPoint, ResolvedPoint
 from conifold_lab.metrics import (
     ODE_CONSTANT,
@@ -18,24 +20,39 @@ from conifold_lab.metrics import (
     PARAMETER_MIN,
     PotentialFamily,
     asymptotic_deviation,
+    asymptotic_deviations,
+    chart_hessians,
     cone_point,
-    gamma_resolved,
     hermitian_hessian,
     monge_ampere_calibration,
     monge_ampere_residual,
+    monge_ampere_residuals,
+    metric_residuals,
     ode_residual,
+    ode_residuals,
     positivity_margins,
     point_tau,
+    point_taus,
     profile,
     potential_convergence_sup,
     potential_value,
     resolved_gauge_constant,
     resolved_point_with_tau,
+    resolved_points_with_tau,
     smoothed_gauge_constant,
     smoothed_normal_form_point,
+    smoothed_normal_form_points,
     _smoothed_derivatives,
 )
-from reference import f1_resolved_quad, f1_smoothed_quad, gamma_resolved_root
+from reference import (
+    asymptotic_deviation_per_point,
+    f1_resolved_quad,
+    f1_smoothed_quad,
+    gamma_resolved_root,
+    hessian_per_point,
+    monge_ampere_residual_per_point,
+    ode_residual_per_point,
+)
 
 CONE = PotentialFamily.cone()
 SMOOTHED = PotentialFamily.smoothed(1.0)
@@ -56,6 +73,16 @@ def _ma(family, point):
 
 def _deviation(family, tau, subtract_gauge=False):
     return asymptotic_deviation(family, potential_value(family, tau), subtract_gauge)
+
+
+def gamma_resolved(tau: float, a: float = 1.0) -> float:
+    """tau f'(tau) for the resolved family, gamma^3 + 6 a^2 gamma^2 = tau^2:
+    the package's unit cubic root, rescaled by gamma_a(tau) = a^2 gamma_1(tau/a^3)."""
+    if not a > 0:
+        raise ValueError("a must be positive")
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    return a**2 * float(metrics._gamma_unit(np.array([tau / a**3]))[0])
 
 
 class TestGammaResolved:
@@ -188,9 +215,8 @@ class TestPotentialValue:
             (SMOOTHED, np.logspace(math.log10(1.01), 4, 40)),
             (RESOLVED, np.logspace(-3, 4, 40)),
         ):
-            for tau in taus:
-                m1, m2 = positivity_margins(family, potential_value(family, float(tau)))
-                assert m1 > 0 and m2 > 0
+            m1, m2 = positivity_margins(family, profile(family, taus))
+            assert np.all(m1 > 0) and np.all(m2 > 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -437,6 +463,16 @@ def _fd_complex_hessian(scalar, coords, h):
     return H
 
 
+def _fd_profile_hessian(family, tau_of, coords, h, offset=lambda coords: 0.0):
+    """_fd_complex_hessian of offset(coords) + f(tau_of(coords)), with f from
+    one profile call: a first pass collects every stencil tau in call order,
+    a second pass feeds the values back in that order."""
+    taus = []
+    _fd_complex_hessian(lambda position: taus.append(tau_of(position)) or 0.0, coords, h)
+    values = iter(profile(family, taus).f.tolist())
+    return _fd_complex_hessian(lambda position: offset(position) + next(values), coords, h)
+
+
 class TestHessianFiniteDifferenceCrossCheck:
     def test_smoothed(self):
         rng = np.random.default_rng(2)
@@ -452,14 +488,13 @@ class TestHessianFiniteDifferenceCrossCheck:
                 continue
             hess = _hessian(family, point)
 
-            def potential(coords, _z4ref=z4):
+            def tau_of(coords, _z4ref=z4):
                 w4 = np.sqrt(1.0 - np.sum(coords**2))
                 if abs(w4 - _z4ref) > abs(w4 + _z4ref):
                     w4 = -w4
-                tau_here = float(np.sum(np.abs(coords) ** 2) + abs(w4) ** 2)
-                return potential_value(family, tau_here).f
+                return float(np.sum(np.abs(coords) ** 2) + abs(w4) ** 2)
 
-            fd = _fd_complex_hessian(potential, point.z[:3], 1e-3)
+            fd = _fd_profile_hessian(family, tau_of, point.z[:3], 1e-3)
             scale = np.linalg.norm(hess.H)
             assert np.linalg.norm(fd - hess.H) < 1e-6 * scale
 
@@ -472,12 +507,14 @@ class TestHessianFiniteDifferenceCrossCheck:
             point = ResolvedPoint([1.0, u], w)
             hess = _hessian(family, point)
 
-            def potential(coords):
+            def tau_of(coords):
                 uu, w1, w2 = coords
-                tau_here = float((1 + abs(uu) ** 2) * (abs(w1) ** 2 + abs(w2) ** 2))
-                return 4.0 * math.log(1 + abs(uu) ** 2) + potential_value(family, tau_here).f
+                return float((1 + abs(uu) ** 2) * (abs(w1) ** 2 + abs(w2) ** 2))
 
-            fd = _fd_complex_hessian(potential, np.array([u, w[0], w[1]]), 1e-3)
+            def offset(coords):
+                return 4.0 * math.log(1 + abs(coords[0]) ** 2)
+
+            fd = _fd_profile_hessian(family, tau_of, np.array([u, w[0], w[1]]), 1e-3, offset)
             scale = np.linalg.norm(hess.H)
             assert np.linalg.norm(fd - hess.H) < 1e-6 * scale
 
@@ -515,6 +552,167 @@ class TestMongeAmpere:
             assert _ode(RESOLVED, float(tau)) < 1e-7
             q = resolved_point_with_tau(1.0, float(tau))
             assert _ma(RESOLVED, q) < 1e-7
+
+
+def _sweep_points(family, taus):
+    """The points the metric sweep puts at each tau."""
+    if family.kind == "resolved":
+        return resolved_points_with_tau(family.a, taus)
+    return smoothed_normal_form_points(family.t, taus)
+
+
+def _frobenius_gap(family, coords, prof, points):
+    """max over rows of |H - oracle H| / |H| (Frobenius), with the charts and
+    densities compared as well."""
+    H, density, chart = chart_hessians(family, coords, prof)
+    worst = 0.0
+    for i, point in enumerate(points):
+        ref_H, ref_density, ref_chart = hessian_per_point(family, point, prof[i])
+        assert chart[i] == ref_chart
+        assert abs(density[i] - ref_density) <= 1e-15 * ref_density
+        worst = max(worst, np.linalg.norm(H[i] - ref_H) / np.linalg.norm(ref_H))
+    return worst
+
+
+STACKED_FAMILIES = [CONE, PotentialFamily.smoothed(0.37 - 2j), PotentialFamily.resolved(2.3)]
+
+
+class TestStackedResiduals:
+    """The stacked kernels against the per-point oracle in tests/reference.py,
+    and their row independence and first-failure semantics."""
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 0.3 * np.exp(0.2j * np.pi), -5e3j])
+    def test_hessians_of_rotated_fiber_points(self, t):
+        family = CONE if t == 0 else PotentialFamily.smoothed(t)
+        rng = np.random.default_rng(7)
+        taus = np.logspace(math.log10(1.01 * max(abs(t), 1e-2)), math.log10(max(abs(t), 1.0)) + 4, 100)
+        coords = sample_fiber_points(t, taus, rng)
+        points = [FiberPoint(z, t) for z in coords[0]]
+        assert _frobenius_gap(family, coords, profile(family, taus), points) <= 1e-15
+
+    @given(st.floats(-8.0, 8.0), st.floats(0.0, 2 * math.pi), st.floats(0.0, 6.0))
+    @settings(deadline=None)
+    def test_hessians_of_normal_forms(self, log_t, phase, log_sigma):
+        """The normal form of V_t for every phase of t and |t| in 1e-8..1e8."""
+        t = 10.0**log_t * np.exp(1j * phase)
+        family = PotentialFamily.smoothed(t)
+        taus = abs(t) * (1.0 + 10.0 ** np.array([log_sigma - 6.0, log_sigma - 2.0, log_sigma]))
+        coords = smoothed_normal_form_points(t, taus)
+        points = [FiberPoint(z, t) for z in coords[0]]
+        assert _frobenius_gap(family, coords, profile(family, taus), points) <= 1e-15
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 37.0])
+    def test_hessians_of_resolved_points_in_both_charts(self, a):
+        family = PotentialFamily.resolved(a)
+        coords = sample_resolved_points(a, a**1.5 * np.logspace(-2, 2, 100), np.random.default_rng(8))
+        prof = profile(family, point_taus(coords))
+        assert set(chart_hessians(family, coords, prof)[2].tolist()) == {1, 2}
+        points = [ResolvedPoint(u, w) for u, w in zip(*coords)]
+        assert _frobenius_gap(family, coords, prof, points) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "family",
+        STACKED_FAMILIES + [PotentialFamily.smoothed(1e-20j), PotentialFamily.resolved(1e20)],
+        ids=["cone", "smoothed", "resolved", "smoothed-min", "resolved-max"],
+    )
+    def test_residuals_and_deviations_match_the_oracle(self, family):
+        """Within the bounds the report columns may move by: 1e-14 absolute
+        for the ODE and Monge-Ampere residuals, 4 eps |f| for the deviation."""
+        lo, hi = family.tau_window()
+        lo = 1.01 * family.scale if family.kind == "smoothed" else max(lo, 1e-6 * family.scale, 1e-6)
+        taus = np.logspace(math.log10(lo), min(math.log10(hi), math.log10(lo) + 12), 97)
+        prof = profile(family, taus)
+        points = _sweep_points(family, taus)
+        ode, ma = metric_residuals(family, points, prof)
+        above = taus >= metrics.asymptotic_threshold(family)
+        dev = asymptotic_deviations(family, prof.take(above), subtract_gauge=True)
+        point_type = ResolvedPoint if family.kind == "resolved" else FiberPoint
+        for i, sample in enumerate(prof):
+            point = point_type(points[0][i], points[1][i])
+            assert abs(ode[i] - ode_residual_per_point(family, sample)) <= 1e-14
+            assert abs(ma[i] - monge_ampere_residual_per_point(family, point, sample)) <= 1e-14
+        for d, sample in zip(dev, prof.take(above)):
+            ref = asymptotic_deviation_per_point(family, sample, subtract_gauge=True)
+            assert abs(d - ref) <= 4 * np.finfo(float).eps * abs(sample.f)
+
+    @pytest.mark.parametrize("family", STACKED_FAMILIES, ids=["cone", "smoothed", "resolved"])
+    def test_rows_do_not_depend_on_the_batch(self, family):
+        """Row i of a grid is bit-identical to a one-row batch of tau_i, and
+        a shuffled grid gives the shuffled rows."""
+        rng = np.random.default_rng(9)
+        scale = max(family.scale, 1.0)
+
+        def rows(taus):
+            prof = profile(family, taus)
+            points = _sweep_points(family, taus)
+            H = chart_hessians(family, points, prof)[0]
+            ode, ma = metric_residuals(family, points, prof)
+            above = prof.tau >= metrics.asymptotic_threshold(family)
+            dev = np.full(len(taus), np.nan)
+            dev[above] = asymptotic_deviations(family, prof.take(above), subtract_gauge=True)
+            return H, ode, ma, dev
+
+        for n in (1, 2, 7, 8, 9, 17, 64, 129):
+            taus = scale * 10.0 ** rng.uniform(0.005, 6.0, n)
+            batch = rows(taus)
+            shuffled = rng.permutation(n)
+            other = rows(taus[shuffled])
+            for i in range(n):
+                single = rows(taus[i : i + 1])
+                for whole, alone, moved in zip(batch, single, other):
+                    assert whole[i].tobytes() == alone[0].tobytes()
+                    assert moved[i].tobytes() == whole[shuffled[i]].tobytes()
+
+    def test_one_point_functions_are_one_row_batches(self):
+        for family in STACKED_FAMILIES:
+            tau = 3.0 * max(family.scale, 1.0)
+            taus = [tau]
+            prof = profile(family, taus)
+            points = _sweep_points(family, taus)
+            point = resolved_point_with_tau(family.a, tau) if family.kind == "resolved" else (
+                smoothed_normal_form_point(family.t, tau))
+            assert ode_residual(family, prof[0]) == ode_residuals(family, prof)[0]
+            assert monge_ampere_residual(family, point, prof[0]) == monge_ampere_residuals(family, points, prof)[0]
+            assert np.array_equal(hermitian_hessian(family, point, prof[0]).H, chart_hessians(family, points, prof)[0][0])
+            big = profile(family, [20.0 * tau])
+            assert asymptotic_deviation(family, big[0], True) == asymptotic_deviations(family, big, True)[0]
+
+    def test_first_failing_row_raises(self):
+        family = PotentialFamily.smoothed(1.0)
+        taus = np.logspace(0.1, 2, 10)
+        z, t = smoothed_normal_form_points(1.0, taus)
+        z[6] *= 1.1  # off the fiber
+        shifted = taus.copy()
+        shifted[3] *= 1 + 1e-12  # sample at another tau
+        prof = profile(family, shifted)
+        point_tau_3 = float(point_taus((z, t))[3])
+        message = f"the profile sample at tau = {float(shifted[3])!r} is not at the point's tau = {point_tau_3!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chart_hessians(family, (z, t), prof)
+        prof = profile(family, taus)
+        with pytest.raises(ValueError, match="point does not lie on the family's fiber"):
+            monge_ampere_residuals(family, (z, t), prof)
+        z[6] /= 1.1
+        # f'' far negative at row 5 breaks the ODE's positivity and the Hessian
+        bad = metrics.PotentialProfile(prof.tau, prof.f, prof.fp, prof.fpp.copy(), prof.quad_error)
+        bad.fpp[5] = -1e3
+        margins = positivity_margins(family, bad)
+        ode_message = f"positivity violated at tau={float(taus[5])}: margins {margins[0][5]:.3e}, {margins[1][5]:.3e}"
+        with pytest.raises(ValueError, match=re.escape(ode_message)):
+            metric_residuals(family, (z, t), bad)
+        with pytest.raises(ValueError, match="Hessian not positive definite"):
+            monge_ampere_residuals(family, (z, t), bad)
+        # a later row failing an earlier check does not pre-empt an earlier row
+        z[7, 0] += 1e-3
+        with pytest.raises(ValueError, match=re.escape(ode_message)):
+            metric_residuals(family, (z, t), bad)
+        z[2, 0] += 1e-3
+        with pytest.raises(ValueError, match="point does not lie on the family's fiber"):
+            metric_residuals(family, (z, t), bad)
+        with pytest.raises(ValueError, match=r"tau = 5\.0 below the asymptotic threshold 10\.0"):
+            asymptotic_deviations(family, profile(family, [20.0, 5.0, 2.0]))
+        with pytest.raises(ValueError, match="2 profile samples for 10 points"):
+            chart_hessians(family, (z, t), profile(family, taus[:2]))
 
 
 class TestAsymptotics:

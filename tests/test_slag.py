@@ -242,7 +242,8 @@ class TestPeriodIntegral:
     def test_matches_conifold_volume_form_values(self):
         # the internal chart evaluation agrees with the conifold module's
         # cycle-normalized contraction, node by node
-        from conifold_lab.conifold import FiberPoint, volume_form_value
+        from conifold_lab.conifold import FiberPoint
+        from reference import volume_form_value
         from conifold_lab.slag import _chart_form_values
 
         grid = sample_vanishing_cycle(GENERIC_T, 8)

@@ -203,6 +203,37 @@ class TestFriedmanWitness:
             for j in range(len(rows[0])):
                 assert sum(w * r[j] for w, r in zip(witness, rows)) == 0
 
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.integers(1, 4).flatmap(
+                    lambda m: st.lists(
+                        st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=n, max_size=n
+                    )
+                ),
+                st.lists(
+                    st.tuples(st.integers(1, 10**8), st.integers(1, 10**8), st.booleans()),
+                    min_size=n,
+                    max_size=n,
+                ),
+            )
+        )
+    )
+    @settings(deadline=None)
+    def test_witness_soundness_across_magnitudes(self, case):
+        """Scaling each class vector by a nonzero rational of magnitude
+        1e-8..1e8 keeps feasibility, and a witness for the scaled classes
+        annihilates them exactly with every entry nonzero."""
+        rows, factors = case
+        scales = [Fraction(p, q) * (-1 if negative else 1) for p, q, negative in factors]
+        scaled = [[c * x for x in row] for c, row in zip(scales, rows)]
+        witness = friedman_witness(ClassMatrix(scaled))
+        assert (witness is None) == (friedman_witness(ClassMatrix(rows)) is None)
+        if witness is not None:
+            assert all(isinstance(w, Fraction) and w != 0 for w in witness)
+            for j in range(len(rows[0])):
+                assert sum((w * row[j] for w, row in zip(witness, scaled)), Fraction(0)) == 0
+
     def test_exhaustive_small_matrices(self):
         checked, mismatches = exhaustive_friedman_agreement(3)
         assert mismatches == 0
