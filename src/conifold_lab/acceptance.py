@@ -505,11 +505,11 @@ def criterion_12(profile: Profile) -> tuple[str, float, Checks]:
     )
     chk.true("exact_cyclotomic_all", all(transitions.verify_dwork_point_exact(p) for p in points))
     poly = transitions.DworkQuintic()
-    certs = [transitions.verify_odp(poly, p.to_affine()) for p in points]
+    certs = transitions.verify_odps(poly, [p.to_affine() for p in points])
     chk.true("all_odp", all(c.is_odp for c in certs))
     chk.note("min_det_margin", min(c.hessian_det / c.det_threshold for c in certs))
     smooth = transitions.random_dwork_smooth_points(profile.smooth_points, seed=profile.seed)
-    smooth_certs = [transitions.verify_odp(poly, z) for z in smooth]
+    smooth_certs = transitions.verify_odps(poly, smooth)
     chk.true("smooth_points_not_singular", all(c.status == "not_singular" for c in smooth_certs))
     chk.note("smooth_min_gradient", min(c.gradient_norm for c in smooth_certs))
     return "nodal pencil member: 125 double points certified", 60.0, chk

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -117,10 +118,24 @@ def _family_from_args(args) -> metrics.PotentialFamily:
     return metrics.PotentialFamily.resolved(args.a)
 
 
+# Bounds on the two per-row counts, so that the largest accepted request holds
+# at most 64 MiB.  A metric row peaks at about 1.6 KB (its profile, point and
+# (3, 3) Hessian arrays, the row lists and the report text; tracemalloc over
+# 2,000 and 8,000 rows of every sweep): at 2 KiB a row, 64 MiB is 32,768 rows.
+# A dwork smooth point peaks at about 0.7 KB (the sample, its (4, 4) Hessian
+# in the certificate stack and the certificate): at 1 KiB a point, 64 MiB is
+# 65,536 points.
+MAX_POINTS = 64 * 2**20 // 2048
+MAX_SMOOTH_POINTS = 64 * 2**20 // 1024
+
 METRIC_HEADER = ["family", "param", "tau", "f", "fp", "fpp", "ode_residual", "ma_residual", "deviation"]
 
 
 def _cmd_metric(args) -> int:
+    if args.points < 1:
+        raise SystemExit2("empty grid: --points must be >= 1")
+    if args.points > MAX_POINTS:
+        raise SystemExit2(f"--points: at most {MAX_POINTS} grid points, got {args.points}")
     family = _family_from_args(args)
     if args.sweep == "convergence":
         params = [float(x) for x in args.params.split(",")] if args.params else [1.0, 0.5, 0.25, 0.125]
@@ -141,8 +156,6 @@ def _cmd_metric(args) -> int:
         config = vars_config(args)
         return _emit_report(args, "metric", config, {"params": params, "sups": sups}, assertions, {})
 
-    if args.points < 1:
-        raise SystemExit2("empty grid: --points must be >= 1")
     lo = args.tau_min if args.tau_min is not None else _default_tau_min(family, args.sweep)
     hi = args.tau_max if args.tau_max is not None else _default_tau_max(family, args.sweep)
     if not 0 < lo < hi:
@@ -238,10 +251,12 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_dwork(args) -> int:
+    if args.smooth_points > MAX_SMOOTH_POINTS:
+        raise SystemExit2(f"--smooth-points: at most {MAX_SMOOTH_POINTS} points, got {args.smooth_points}")
     assertions = Checks()
     points = transitions.dwork_singular_points()
     poly = transitions.DworkQuintic()
-    certs = [transitions.verify_odp(poly, p.to_affine()) for p in points]
+    certs = transitions.verify_odps(poly, [p.to_affine() for p in points])
     assertions.true("count", len(points) == 125, len(points))
     assertions.true("all_odp", all(c.is_odp for c in certs), sum(c.is_odp for c in certs))
     results = {
@@ -255,7 +270,7 @@ def _cmd_dwork(args) -> int:
         results["exact_cyclotomic"] = exact_ok
     if args.smooth_points:
         smooth = transitions.random_dwork_smooth_points(args.smooth_points, seed=args.seed)
-        smooth_certs = [transitions.verify_odp(poly, z) for z in smooth]
+        smooth_certs = transitions.verify_odps(poly, smooth)
         ok = all(c.status == "not_singular" for c in smooth_certs)
         assertions.true("smooth_sample_not_singular", ok, args.smooth_points)
         results["smooth_sample"] = {
@@ -361,7 +376,11 @@ def _tolerance_map(pairs) -> dict:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call: parsing keeps no state in it (each parse returns a fresh
+    namespace, and no default is a mutable container)."""
     parser = argparse.ArgumentParser(
         prog="conifold-lab",
         description="verification laboratory for the local geometry of conifold transitions",

@@ -687,18 +687,24 @@ def _reference_point(family: PotentialFamily):
     return resolved_point_with_tau(family.a, 2.0 * family.a**3)
 
 
-_MA_CALIBRATION: dict[tuple, float] = {}
+# Calibrations kept per process.  A long-lived process that asks about many
+# families keeps only the most recent ones (a potential_sweep round asks about
+# two new families, so about the last 60 rounds) instead of every family.
+CALIBRATION_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=CALIBRATION_CACHE_SIZE)
+def _calibration(kind: str, t: complex, a: float) -> float:
+    family = PotentialFamily(kind, t, a)
+    point = _reference_point(family)
+    hess = hermitian_hessian(family, point, potential_value(family, point_tau(point)))
+    return float(np.linalg.det(hess.H).real) / hess.density
 
 
 def monge_ampere_calibration(family: PotentialFamily) -> float:
     """det(H)/density at the family's fixed reference point; cached.  The
     volume-form equation says this ratio is the same at every point."""
-    key = (family.kind, family.t, family.a)
-    if key not in _MA_CALIBRATION:
-        point = _reference_point(family)
-        hess = hermitian_hessian(family, point, potential_value(family, point_tau(point)))
-        _MA_CALIBRATION[key] = float(np.linalg.det(hess.H).real) / hess.density
-    return _MA_CALIBRATION[key]
+    return _calibration(family.kind, family.t, family.a)
 
 
 def _monge_ampere(family: PotentialFamily, coords, prof: PotentialProfile):

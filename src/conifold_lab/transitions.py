@@ -149,12 +149,17 @@ def friedman_witness(classes: ClassMatrix):
 
 
 def _assert_witness(classes: ClassMatrix, lam) -> None:
-    m = classes.ambient_rank
-    for j in range(m):
-        total = sum((lam[i] * classes.rows[i][j] for i in range(classes.n_classes)), Fraction(0))
-        if total:
+    """Check sum_i lambda_i classes[i] = 0 and every lambda_i != 0 exactly, in
+    integers: the witness times the lcm of its denominators and the class
+    vectors times the lcm of theirs annihilate iff the rationals do."""
+    lam_scale = math.lcm(*(x.denominator for x in lam))
+    weights = [x.numerator * (lam_scale // x.denominator) for x in lam]
+    class_scale = math.lcm(*(x.denominator for row in classes.rows for x in row))
+    rows = [[x.numerator * (class_scale // x.denominator) for x in row] for row in classes.rows]
+    for column in zip(*rows):
+        if sum(w * x for w, x in zip(weights, column)):
             raise AssertionError("witness fails the annihilation identity")
-    if not all(lam):
+    if not all(weights):
         raise AssertionError("witness has a zero coordinate")
 
 
@@ -407,22 +412,24 @@ class DworkQuintic:
         return 1.0 - 5.0 * (z1 * z2 * z3 * z4) + z1**5 + z2**5 + z3**5 + z4**5
 
     def gradient(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        grad = np.empty(4, dtype=complex)
-        for i in range(4):
-            a, b, c = (z[j] for j in range(4) if j != i)
-            grad[i] = -5.0 * (a * b * c) + 5.0 * z[i] ** 4
-        return grad
+        z1, z2, z3, z4 = np.asarray(z, dtype=complex)
+        return np.array([
+            -5.0 * (z2 * z3 * z4) + 5.0 * z1**4,
+            -5.0 * (z1 * z3 * z4) + 5.0 * z2**4,
+            -5.0 * (z1 * z2 * z4) + 5.0 * z3**4,
+            -5.0 * (z1 * z2 * z3) + 5.0 * z4**4,
+        ])
 
     def hessian(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        H = np.empty((4, 4), dtype=complex)
-        for i in range(4):
-            H[i, i] = 20.0 * z[i] ** 3
-        for i, j in itertools.combinations(range(4), 2):
-            k, l = (x for x in range(4) if x not in (i, j))
-            H[i, j] = H[j, i] = -5.0 * (z[k] * z[l])
-        return H
+        z1, z2, z3, z4 = np.asarray(z, dtype=complex)
+        h12, h13, h14 = -5.0 * (z3 * z4), -5.0 * (z2 * z4), -5.0 * (z2 * z3)
+        h23, h24, h34 = -5.0 * (z1 * z4), -5.0 * (z1 * z3), -5.0 * (z1 * z2)
+        return np.array([
+            [20.0 * z1**3, h12, h13, h14],
+            [h12, 20.0 * z2**3, h23, h24],
+            [h13, h23, 20.0 * z3**3, h34],
+            [h14, h24, h34, 20.0 * z4**3],
+        ])
 
 
 class NotOnVarietyError(ValueError):
@@ -450,45 +457,78 @@ ODP_VALUE_TOL = 1e-8
 ODP_GRADIENT_TOL = 1e-6
 
 
-def verify_odp(poly, point) -> OdpCertificate:
-    """Certify that a critical point of the polynomial is an ordinary double
-    point.  poly is any callable with gradient and hessian methods, such as
+def verify_odps(poly, points) -> list[OdpCertificate]:
+    """Certify that critical points of the polynomial are ordinary double
+    points.  poly is any callable with gradient and hessian methods, such as
     DworkQuintic; the complex 4x4 Hessian must be nondegenerate, which by the
     holomorphic Morse lemma puts the germ in the sum-of-squares normal form.
 
-    Raises NotOnVarietyError if the point misses the hypersurface; returns a
-    'not_singular' certificate when the gradient does not vanish.
+    points has shape (N, 4).  The Hessians are stacked, and their spectral
+    norms and determinants taken in one call each (the same bits as one call
+    per matrix); values, gradient norms, |det| and the thresholds stay per
+    point, where numpy's array forms would round differently.
+
+    Raises NotOnVarietyError at the first point that misses the
+    hypersurface; a point whose gradient does not vanish gets a
+    'not_singular' certificate.
     """
-    z = np.asarray(point, dtype=complex)
-    scale_ref = float(1.0 + np.max(np.abs(z))) ** 2
-    value = abs(poly(z))
-    if value > ODP_VALUE_TOL * scale_ref:
-        raise NotOnVarietyError(f"polynomial value {value:.3e} exceeds tolerance at the point")
-    grad_norm = float(np.linalg.norm(poly.gradient(z)))
-    H = poly.hessian(z)
-    hess_scale = float(np.linalg.norm(H, 2))
-    det = abs(np.linalg.det(H))
-    threshold = ODP_DET_RTOL * hess_scale**4
-    if grad_norm > ODP_GRADIENT_TOL * scale_ref:
-        status = "not_singular"
-    elif det > threshold:
-        status = "odp"
-    else:
-        status = "degenerate_singularity"
-    return OdpCertificate(
-        status=status,
-        value=value,
-        gradient_norm=grad_norm,
-        hessian_det=det,
-        hessian_scale=hess_scale,
-        det_threshold=threshold,
-    )
+    zs = np.asarray(points, dtype=complex)
+    if not len(zs):
+        return []
+    per_point = []
+    hessians = np.empty((len(zs), 4, 4), dtype=complex)
+    for z, H in zip(zs, hessians):
+        scale_ref = float(1.0 + np.max(np.abs(z))) ** 2
+        value = abs(poly(z))
+        if value > ODP_VALUE_TOL * scale_ref:
+            raise NotOnVarietyError(f"polynomial value {value:.3e} exceeds tolerance at the point")
+        per_point.append((scale_ref, value, float(np.linalg.norm(poly.gradient(z)))))
+        H[...] = poly.hessian(z)
+    hess_scales = np.linalg.norm(hessians, 2, axis=(-2, -1)).tolist()
+    dets = np.linalg.det(hessians)
+    certs = []
+    for (scale_ref, value, grad_norm), hess_scale, det in zip(per_point, hess_scales, dets):
+        det = abs(det)
+        threshold = ODP_DET_RTOL * hess_scale**4
+        if grad_norm > ODP_GRADIENT_TOL * scale_ref:
+            status = "not_singular"
+        elif det > threshold:
+            status = "odp"
+        else:
+            status = "degenerate_singularity"
+        certs.append(
+            OdpCertificate(
+                status=status,
+                value=value,
+                gradient_norm=grad_norm,
+                hessian_det=det,
+                hessian_scale=hess_scale,
+                det_threshold=threshold,
+            )
+        )
+    return certs
+
+
+def verify_odp(poly, point) -> OdpCertificate:
+    """verify_odps at one point."""
+    return verify_odps(poly, [point])[0]
+
+
+# Draws per batch of companion-matrix roots: bounds the sampler's working set
+# (about 1 KB per draw) whatever the requested count.
+_SAMPLER_CHUNK = 4096
 
 
 def random_dwork_smooth_points(count: int, seed: int = 0) -> np.ndarray:
     """Deterministic sample of points on the nodal pencil member away from its
     singular set: random (z1, z2, z3), the quintic in z_4 solved by companion
-    roots, singular-point neighborhoods excluded."""
+    roots, singular-point neighborhoods excluded.
+
+    Each draw takes radii, phases and a root index from the generator, in
+    that order.  The draws still needed are made up front, chunk by chunk,
+    and their roots taken by one eigvals over the stacked companion matrices
+    (the ones np.roots builds, so the same roots in the same order); the
+    draws are then accepted or rejected in draw order."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     poly = DworkQuintic()
@@ -496,13 +536,26 @@ def random_dwork_smooth_points(count: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
-        z123 = rng.uniform(0.5, 1.5, 3) * np.exp(2j * math.pi * rng.uniform(0, 1, 3))
-        const = 1.0 + np.sum(z123**5)
-        roots = np.roots([1.0, 0.0, 0.0, 0.0, -5.0 * np.prod(z123), const])
-        z = np.append(z123, roots[int(rng.integers(len(roots)))])
-        if np.min(np.linalg.norm(singular - z, axis=1)) < 1e-2:
-            continue
-        if abs(poly(z)) > 1e-9 * (1.0 + np.max(np.abs(z))) ** 2:
-            continue
-        out.append(z)
+        draws = min(count - len(out), _SAMPLER_CHUNK)
+        z123 = np.empty((draws, 3), dtype=complex)
+        # monic z^5 + 0 z^4 + 0 z^3 + 0 z^2 - 5 z1 z2 z3 z + const
+        coeffs = np.zeros((draws, 6), dtype=complex)
+        coeffs[:, 0] = 1.0
+        picks = np.empty(draws, dtype=np.int64)
+        for i in range(draws):
+            z123[i] = rng.uniform(0.5, 1.5, 3) * np.exp(2j * math.pi * rng.uniform(0, 1, 3))
+            coeffs[i, 4] = -5.0 * np.prod(z123[i])
+            coeffs[i, 5] = 1.0 + np.sum(z123[i] ** 5)
+            picks[i] = rng.integers(5)
+        companion = np.zeros((draws, 5, 5), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(4)
+        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+        roots = np.linalg.eigvals(companion)
+        assert roots.shape == (draws, 5)  # a monic quintic: always five roots to pick from
+        for z in np.column_stack([z123, roots[np.arange(draws), picks]]):
+            if np.min(np.linalg.norm(singular - z, axis=1)) < 1e-2:
+                continue
+            if abs(poly(z)) > 1e-9 * (1.0 + np.max(np.abs(z))) ** 2:
+                continue
+            out.append(z)
     return np.array(out)

@@ -29,7 +29,11 @@ against.  None of them runs on the package's own code paths.
   built from it and the smoothability witness searched over that basis
   (kernel_basis_witness); a sparse polynomial in four variables with
   derivatives rebuilt term by term (Polynomial4), which gives the Dwork
-  quintic and the non-Dwork polynomials of the double-point tests.
+  quintic and the non-Dwork polynomials of the double-point tests; the
+  double-point certificate one point at a time (verify_odp_per_point, the
+  oracle for the stacked certificate) and the smooth-point sampler with
+  np.roots per draw (dwork_smooth_points_per_draw, the oracle for the
+  batched companion roots).
 * acceptance: exact ranks of stacked integer matrices by enumerating every
   minor up to 4 x 4 (batched_integer_rank), with cofactor determinants.
 """
@@ -57,7 +61,17 @@ from conifold_lab.conifold import (
 from conifold_lab.exterior import Form, evaluate
 from conifold_lab.hodge import HypersurfaceSpec
 from conifold_lab.slag import ORIENTED_FRAME_ORDER, CycleGrid, _chart_form_values, _composite_gauss2
-from conifold_lab.transitions import ClassMatrix, _assert_witness
+from conifold_lab.transitions import (
+    ODP_DET_RTOL,
+    ODP_GRADIENT_TOL,
+    ODP_VALUE_TOL,
+    ClassMatrix,
+    DworkQuintic,
+    NotOnVarietyError,
+    OdpCertificate,
+    _assert_witness,
+    dwork_singular_points,
+)
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -703,6 +717,57 @@ def dwork_polynomial() -> Polynomial4:
     for i in range(4):
         terms[tuple(5 if j == i else 0 for j in range(4))] = 1.0
     return Polynomial4(terms)
+
+
+def verify_odp_per_point(poly, point) -> OdpCertificate:
+    """The double-point certificate one point at a time: its own spectral
+    norm and determinant per Hessian (transitions.verify_odps stacks them)."""
+    z = np.asarray(point, dtype=complex)
+    scale_ref = float(1.0 + np.max(np.abs(z))) ** 2
+    value = abs(poly(z))
+    if value > ODP_VALUE_TOL * scale_ref:
+        raise NotOnVarietyError(f"polynomial value {value:.3e} exceeds tolerance at the point")
+    grad_norm = float(np.linalg.norm(poly.gradient(z)))
+    H = poly.hessian(z)
+    hess_scale = float(np.linalg.norm(H, 2))
+    det = abs(np.linalg.det(H))
+    threshold = ODP_DET_RTOL * hess_scale**4
+    if grad_norm > ODP_GRADIENT_TOL * scale_ref:
+        status = "not_singular"
+    elif det > threshold:
+        status = "odp"
+    else:
+        status = "degenerate_singularity"
+    return OdpCertificate(
+        status=status,
+        value=value,
+        gradient_norm=grad_norm,
+        hessian_det=det,
+        hessian_scale=hess_scale,
+        det_threshold=threshold,
+    )
+
+
+def dwork_smooth_points_per_draw(count: int, seed: int = 0) -> np.ndarray:
+    """The smooth-point sampler one draw at a time, with np.roots per draw
+    (transitions.random_dwork_smooth_points batches the companion roots)."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    poly = DworkQuintic()
+    singular = np.array([p.to_affine() for p in dwork_singular_points()])
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        z123 = rng.uniform(0.5, 1.5, 3) * np.exp(2j * math.pi * rng.uniform(0, 1, 3))
+        const = 1.0 + np.sum(z123**5)
+        roots = np.roots([1.0, 0.0, 0.0, 0.0, -5.0 * np.prod(z123), const])
+        z = np.append(z123, roots[int(rng.integers(len(roots)))])
+        if np.min(np.linalg.norm(singular - z, axis=1)) < 1e-2:
+            continue
+        if abs(poly(z)) > 1e-9 * (1.0 + np.max(np.abs(z))) ** 2:
+            continue
+        out.append(z)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

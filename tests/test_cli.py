@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -304,6 +308,46 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestCachedParser:
+    """One parser serves every cli.main call in a process; no call may see
+    state left by the one before."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_tolerances_do_not_carry_over(self, tmp_path):
+        argv = ["slag", "--t", "1", "--resolution", "8"]
+        code, text = run_cli(argv + ["--tol", "slag=1e-20"], tmp_path, "a.json")
+        assert code == 1
+        assert json.loads(text)["config"]["tol"] == ["slag=1e-20"]
+        code, text = run_cli(argv, tmp_path, "b.json")
+        assert code == 0
+        assert json.loads(text)["config"]["tol"] is None
+
+    def test_exclusive_profile_flags_reset(self, tmp_path):
+        profiles = []
+        for flag in ("--fast", "--full"):
+            code, text = run_cli(["verify-all", flag, "--criteria", "C01"], tmp_path, f"{flag}.json")
+            assert code == 0
+            profiles.append(json.loads(text)["results"]["profile"])
+        assert profiles == ["fast", "full"]
+
+    def test_report_after_a_usage_error_matches_a_fresh_process(self, tmp_path):
+        argv = ["transition", "--h11", "25", "--h21", "0", "--betti", "0,25,2",
+                "--N", "125", "--k", "24", "--c", "101"]
+        assert cli.main(["transition", "--h11", "25", "--output", str(tmp_path / "x")]) == 2
+        with pytest.raises(SystemExit) as err:
+            cli.main(["transition", "--betti", "0,0"])
+        assert err.value.code == 2
+        code, in_process = run_cli(argv, tmp_path, "in_process.json")
+        assert code == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        fresh = tmp_path / "fresh.json"
+        subprocess.run([sys.executable, "-m", "conifold_lab.cli", *argv, "--output", str(fresh)],
+                       check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert in_process == fresh.read_text()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
@@ -354,10 +398,18 @@ class TestUsageErrors:
              "the smoothing parameter |t| must lie in [1e-20, 1e+20], got 1e+300"),
             (["metric", "--family", "resolved", "--sweep", "convergence", "--params", "1,1e-30"],
              "the resolution parameter a must lie in [1e-20, 1e+20], got 1e-30"),
+            (["metric", "--family", "cone", "--points", "32769"],
+             "--points: at most 32768 grid points, got 32769"),
+            (["metric", "--family", "resolved", "--sweep", "convergence", "--points", "32769"],
+             "--points: at most 32768 grid points, got 32769"),
+            (["metric", "--family", "smoothed", "--sweep", "convergence", "--points", "0"],
+             "empty grid: --points must be >= 1"),
+            (["dwork", "--smooth-points", "65537"], "--smooth-points: at most 65536 points, got 65537"),
         ],
         ids=["hodge-n", "hodge-d", "slag-resolution-huge", "slag-resolution", "slag-t-tiny",
              "slag-t-huge", "metric-a-tiny", "metric-a-huge", "metric-t-tiny", "metric-t-huge",
-             "metric-convergence-param"],
+             "metric-convergence-param", "metric-points", "metric-convergence-points",
+             "metric-convergence-empty", "dwork-smooth-points"],
     )
     def test_parameter_outside_its_bound(self, argv, message, tmp_path, capsys):
         assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 2

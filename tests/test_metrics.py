@@ -553,6 +553,20 @@ class TestMongeAmpere:
             q = resolved_point_with_tau(1.0, float(tau))
             assert _ma(RESOLVED, q) < 1e-7
 
+    def test_calibration_cache_is_bounded(self):
+        """Ten times as many families as the cache holds leave at most
+        CALIBRATION_CACHE_SIZE calibrations behind; an evicted calibration
+        comes back with the same bits."""
+        first = {family: monge_ampere_calibration(family) for family in (SMOOTHED, RESOLVED)}
+        size = metrics.CALIBRATION_CACHE_SIZE
+        for i in range(10 * size):
+            scale = 1.0 + i / (10 * size)
+            family = PotentialFamily.smoothed(scale * 1j) if i % 2 else PotentialFamily.resolved(scale)
+            monge_ampere_calibration(family)
+            assert metrics._calibration.cache_info().currsize <= size
+        for family, value in first.items():
+            assert monge_ampere_calibration(family) == value
+
 
 def _sweep_points(family, taus):
     """The points the metric sweep puts at each tau."""

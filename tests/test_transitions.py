@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from conifold_lab.transitions import (
     random_dwork_smooth_points,
     verify_dwork_point_exact,
     verify_odp,
+    verify_odps,
 )
 
 
@@ -529,6 +531,106 @@ class TestVerifyOdp:
         assert poly(z) == pytest.approx(6.0 - 5.0)
         assert poly.derivative(0)(z) == pytest.approx(12.0)
         assert poly.hessian(z)[0, 1] == pytest.approx(6.0)
+
+
+def _mixed_singularities() -> reference.Polynomial4:
+    """z1^2 + z2^2 + z3^2 + z4^2 (z4 - 1)^3: an ordinary double point at the
+    origin, a degenerate singularity at (0, 0, 0, 1), smooth elsewhere."""
+    return reference.Polynomial4(
+        {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1,
+         (0, 0, 0, 5): 1, (0, 0, 0, 4): -3, (0, 0, 0, 3): 3, (0, 0, 0, 2): -1}
+    )
+
+
+def _mixed_points(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Points on the mixed polynomial's zero set: its double point, its
+    degenerate singularity and smooth points (a, ia, 0, 0), (a, 0, ia, 1)
+    with |a| from 1e-3 to 1e3, shuffled."""
+    points = []
+    for kind in rng.integers(4, size=size):
+        a = 10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.uniform())
+        points.append(
+            [(0, 0, 0, 0), (0, 0, 0, 1), (a, 1j * a, 0, 0), (a, 0, 1j * a, 1)][kind]
+        )
+    return np.array(points, dtype=complex)
+
+
+class TestStackedCertificate:
+    """verify_odps stacks the Hessians for one spectral norm and one det
+    call; every certificate keeps the per-point oracle's bits."""
+
+    def test_nodes_match_the_per_point_oracle(self):
+        poly = DworkQuintic()
+        nodes = [p.to_affine() for p in dwork_singular_points()]
+        assert verify_odps(poly, nodes) == [reference.verify_odp_per_point(poly, z) for z in nodes]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_smooth_samples_match_the_per_point_oracle(self, seed):
+        poly = DworkQuintic()
+        sample = random_dwork_smooth_points(200, seed)
+        assert verify_odps(poly, sample) == [reference.verify_odp_per_point(poly, z) for z in sample]
+
+    def test_a_row_does_not_depend_on_its_batch(self):
+        poly = _mixed_singularities()
+        rng = np.random.default_rng(5)
+        statuses = set()
+        for _ in range(12):
+            batch = _mixed_points(rng, int(rng.integers(1, 65)))
+            certs = verify_odps(poly, batch)
+            assert len(certs) == len(batch)
+            for z, cert in zip(batch, certs):
+                assert cert == verify_odps(poly, z[None, :])[0]
+                assert cert == reference.verify_odp_per_point(poly, z)
+                statuses.add(cert.status)
+        assert statuses == {"odp", "degenerate_singularity", "not_singular"}
+
+    def test_first_point_off_the_variety_raises_its_own_message(self):
+        poly = DworkQuintic()
+        nodes = [p.to_affine() for p in dwork_singular_points()[:5]]
+        first, second = np.array([10.0, 0, 0, 0]), np.array([0, 3.0, 0, 0])
+        message = str(pytest.raises(NotOnVarietyError, reference.verify_odp_per_point, poly, first).value)
+        assert message != str(pytest.raises(NotOnVarietyError, reference.verify_odp_per_point, poly, second).value)
+        with pytest.raises(NotOnVarietyError, match=f"^{re.escape(message)}$"):
+            verify_odps(poly, nodes[:2] + [first] + nodes[2:] + [second])
+
+    def test_empty_batch(self):
+        assert verify_odps(DworkQuintic(), np.empty((0, 4), dtype=complex)) == []
+
+
+class TestBatchedSampler:
+    """random_dwork_smooth_points takes its companion roots in one eigvals
+    per chunk of draws and returns exactly the per-draw sampler's points."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_per_draw_oracle(self, seed):
+        for count in (0, 1, 7, 200, 1000):
+            batched = random_dwork_smooth_points(count, seed)
+            expected = reference.dwork_smooth_points_per_draw(count, seed)
+            assert batched.dtype == expected.dtype and batched.shape == expected.shape
+            assert np.array_equal(batched, expected)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_matches_across_chunk_boundaries(self, chunk, monkeypatch):
+        monkeypatch.setattr(transitions, "_SAMPLER_CHUNK", chunk)
+        for seed in (0, 7):
+            assert np.array_equal(
+                random_dwork_smooth_points(150, seed), reference.dwork_smooth_points_per_draw(150, seed)
+            )
+
+    def test_rejected_draws_are_refilled_in_draw_order(self, monkeypatch):
+        """Reject about a tenth of the draws (as if off the variety): both
+        samplers must skip the same draws and draw the same replacements."""
+        value = DworkQuintic.__call__
+
+        def off_when_z1_is_far_right(self, z):
+            return value(self, z) + (1.0 if z[0].real > 1.0 else 0.0)
+
+        monkeypatch.setattr(DworkQuintic, "__call__", off_when_z1_is_far_right)
+        monkeypatch.setattr(transitions, "_SAMPLER_CHUNK", 16)
+        for seed in (0, 3):
+            sample = random_dwork_smooth_points(100, seed)
+            assert len(sample) == 100 and np.all(sample[:, 0].real <= 1.0)
+            assert np.array_equal(sample, reference.dwork_smooth_points_per_draw(100, seed))
 
 
 class TestRecordValidation:
