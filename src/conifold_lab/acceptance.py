@@ -9,6 +9,7 @@ the command line's verify-all subcommand both drive run_criteria; the
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import time
@@ -362,25 +363,22 @@ def criterion_10(profile: Profile) -> tuple[str, float, Checks]:
     return "catalog transitions round-trip exactly", 1.0, chk
 
 
-def shared_minor_ranks(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact rank of stacked integer matrices (..., N, m) with m <= 3, and
-    the rank with each single row deleted, as (full, deleted[i]).
-
-    The rank is the largest k such that some k rows have a nonzero k x k
-    minor: a nonzero row, a row pair with a nonzero 2 x 2 minor (the cross
-    product when m = 3), a row triple with a nonzero triple product.  Each
-    row subset's flag is computed once and shared by the full matrix and by
-    every deletion that keeps the subset's rows."""
-    mats = np.asarray(mats)
-    n, m = mats.shape[-2], mats.shape[-1]
+def _minor_ranks(rows) -> tuple[np.ndarray, list]:
+    """(full rank, [rank without row i]) of broadcastable rows, each rank on
+    the broadcast shape of the rows it keeps; see shared_minor_ranks."""
+    if isinstance(rows, np.ndarray):
+        rows = [rows[..., i, :] for i in range(rows.shape[-2])]
+    rows = [np.asarray(r) for r in rows]
+    n, m = len(rows), rows[0].shape[-1]
     if m > 3:
         raise ValueError("shared-minor ranks implemented for m <= 3")
-    # the largest intermediate is a triple product, |.| <= 6 max|entry|^3
-    bound = 6 * int(np.abs(mats).max(initial=0)) ** 3
+    # the largest intermediate is a triple product, |.| <= 6 max|entry|^3;
+    # magnitudes from min and max, since np.abs keeps int8's -128 negative
+    bound = 6 * max(max(-int(r.min(initial=0)), int(r.max(initial=0))) for r in rows) ** 3
     if bound >= 2**63:
         raise ValueError("entries too large for exact int64 minors")
-    mats = mats.astype(np.min_scalar_type(-max(bound, 1)), copy=False)
-    rows = [mats[..., i, :] for i in range(n)]
+    dtype = np.min_scalar_type(-max(bound, 1))
+    rows = [r.astype(dtype, copy=False) for r in rows]
     flags = {(i,): rows[i].any(axis=-1) for i in range(n)}
     minors = {}
     if m >= 2:
@@ -388,7 +386,7 @@ def shared_minor_ranks(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for i, j in itertools.combinations(range(n), 2):
             a, b = rows[i], rows[j]
             minors[i, j] = [a[..., p] * b[..., q] - a[..., q] * b[..., p] for p, q in col_pairs]
-            flags[i, j] = np.logical_or.reduce([d != 0 for d in minors[i, j]])
+            flags[i, j] = functools.reduce(np.logical_or, [d != 0 for d in minors[i, j]])
     if m == 3:
         for i, j, k in itertools.combinations(range(n), 3):
             d01, d02, d12 = minors[i, j]
@@ -397,83 +395,77 @@ def shared_minor_ranks(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     def rank_without(deleted) -> np.ndarray:
         # a nonzero k-minor implies a nonzero (k-1)-minor, so the levels nest
-        rank = np.zeros(mats.shape[:-2], dtype=np.int8)
+        rank = np.int8(0)
         for size in range(1, min(n, m) + 1):
             kept = [f for s, f in flags.items() if len(s) == size and deleted not in s]
             if kept:
-                rank += np.logical_or.reduce(kept)
+                rank = rank + functools.reduce(np.logical_or, kept)
         return rank
 
-    return rank_without(None), np.stack([rank_without(i) for i in range(n)])
+    return rank_without(None), [rank_without(i) for i in range(n)]
 
 
-def feasibility_oracle(mats: np.ndarray) -> np.ndarray:
+def shared_minor_ranks(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Exact rank of integer matrices with m <= 3 columns, and the rank with
+    each single row deleted, as (full, deleted[i]).
+
+    The N rows come either as one stacked array (..., N, m) or as N arrays
+    (..., m) that broadcast against each other; the ranks take the
+    broadcast shape.  The rank is the largest k such that some k rows have
+    a nonzero k x k minor: a nonzero row, a row pair with a nonzero 2 x 2
+    minor (the cross product when m = 3), a row triple with a nonzero triple
+    product.  Each row subset's flag is computed once, on the broadcast
+    shape of its own rows, and shared by the full matrix and by every
+    deletion that keeps the subset's rows; only the rank sums reach the
+    shape of the whole matrix set."""
+    full, deleted = _minor_ranks(rows)
+    return full, np.stack(np.broadcast_arrays(full, *deleted)[1:])
+
+
+def feasibility_oracle(rows) -> np.ndarray:
     """Rank-based smoothability oracle, independent of the kernel solver:
     an all-nonzero annihilating combination exists iff deleting any single
-    class vector leaves the rank unchanged.  Ranks come from shared row
-    minors, so m <= 3."""
-    full, deleted = shared_minor_ranks(mats)
-    return np.all(deleted == full, axis=0)
-
-
-def _canonical_class_keys(mats: np.ndarray) -> np.ndarray:
-    """One int64 key per matrix naming its equivalence class.  Feasibility
-    is invariant under row permutation and row negation: a row reads as the
-    base-3 number k < 3^m with digits entry + 1, its negation as
-    3^m - 1 - k, and the row's key is the smaller of the two.  The sorted
-    row keys are packed into one integer below 3^(m N), first row most
-    significant."""
-    n, m = mats.shape[-2], mats.shape[-1]
-    assert 3 ** (m * n) <= 2**63, "class keys must fit in int64"
-    row_keys = np.zeros(mats.shape[:-1], dtype=np.int64)
-    for j in range(m):
-        row_keys = row_keys * 3 + (mats[..., j] + 1)
-    row_keys = np.minimum(row_keys, 3**m - 1 - row_keys)
-    row_keys.sort(axis=-1)
-    keys = np.zeros(mats.shape[:-2], dtype=np.int64)
-    for i in range(n):
-        keys = keys * 3**m + row_keys[..., i]
-    return keys
-
-
-def _decode_class_key(key: int, n: int, m: int) -> list[tuple[int, ...]]:
-    digits = []
-    for _ in range(n * m):
-        digits.append(key % 3 - 1)
-        key //= 3
-    digits.reverse()
-    return [tuple(digits[i * m : (i + 1) * m]) for i in range(n)]
+    class vector leaves the rank unchanged.  Takes rows as
+    shared_minor_ranks does, so m <= 3."""
+    full, deleted = _minor_ranks(rows)
+    return functools.reduce(np.logical_and, [d == full for d in deleted])
 
 
 def exhaustive_friedman_agreement(max_rows: int) -> tuple[int, int]:
     """Compare the exact witness solver against the rank oracle over every
     class matrix with entries in {-1, 0, 1}, N <= max_rows, m <= 3.
 
-    The oracle runs on every matrix.  It takes ranks from row minors
-    computed once per row subset and shared by the full matrix and its
-    single-row deletions: nonzero rows, 2 x 2 minors of row pairs, triple
-    products of row triples.  The exact solver runs once per
-    equivalence class (row order and row signs do not matter); a class is
-    keyed by its sorted sign-normalized rows packed into one int64 below
-    3^(m N), so N m <= 39.  Returns (matrices checked, mismatches)."""
+    The matrices are never stacked.  Row i of the enumeration is the pool
+    of all 3^m sign rows laid along axis i, so the P^N matrices (P = 3^m)
+    are the broadcast of N rows, first row most significant.  The oracle
+    runs on every matrix: pair minors live on P^2 entries, triple products
+    on P^3, and only the rank sums fill the P^N grid.  Feasibility does not
+    change under row order or row signs; pool row k is the negation of row
+    P - 1 - k, so min(k, P - 1 - k) names a row up to sign and a class is a
+    sorted tuple of these (P + 1) / 2 names.  The exact solver runs once per
+    class, the verdicts fill a table over all (name, ..., name) tuples
+    (every permutation of a class), and one broadcast gather gives each
+    matrix its solver verdict.  Returns (matrices checked, mismatches)."""
     checked = 0
     mismatches = 0
-    values = (-1, 0, 1)
     for n in range(1, max_rows + 1):
         for m in range(1, 4):
-            rows_pool = np.array(list(itertools.product(values, repeat=m)), dtype=np.int8)
-            index_grid = np.indices((len(rows_pool),) * n, dtype=np.int8).reshape(n, -1).T
-            all_matrices = rows_pool[index_grid]  # (3^(n*m), n, m)
-            oracle = feasibility_oracle(all_matrices)
-            keys = _canonical_class_keys(all_matrices)
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            solver = np.empty(len(unique_keys), dtype=bool)
-            for idx, key in enumerate(unique_keys):
-                rows = _decode_class_key(int(key), n, m)
-                witness = transitions.friedman_witness(transitions.ClassMatrix(rows))
-                solver[idx] = witness is not None
-            checked += all_matrices.shape[0]
-            mismatches += int(np.sum(solver[inverse] != oracle))
+            pool = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.int8)
+            size = len(pool)
+            axes = [(1,) * i + (size,) + (1,) * (n - 1 - i) for i in range(n)]
+            oracle = feasibility_oracle([pool.reshape(shape + (m,)) for shape in axes])
+            names = (size + 1) // 2
+            rows = pool.tolist()
+            sorted_table = np.empty((names,) * n, dtype=bool)
+            for cls in itertools.combinations_with_replacement(range(names), n):
+                witness = transitions.friedman_witness(transitions.ClassMatrix([rows[k] for k in cls]))
+                sorted_table[cls] = witness is not None
+            tuples = np.sort(np.indices((names,) * n).reshape(n, -1), axis=0)
+            table = sorted_table[tuple(tuples)].reshape((names,) * n)
+            canon = np.minimum(np.arange(size), size - 1 - np.arange(size))
+            solver = table[tuple(canon.reshape(shape) for shape in axes)]
+            checked += size**n
+            mismatches += int(np.count_nonzero(solver != oracle))
     return checked, mismatches
 
 

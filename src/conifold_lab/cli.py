@@ -138,8 +138,10 @@ def _cmd_metric(args) -> int:
         raise SystemExit2(f"--points: at most {MAX_POINTS} grid points, got {args.points}")
     family = _family_from_args(args)
     if args.sweep == "convergence":
+        if family.kind == "cone":
+            raise SystemExit2("--family cone has no parameter for --sweep convergence; use smoothed or resolved")
         params = [float(x) for x in args.params.split(",")] if args.params else [1.0, 0.5, 0.25, 0.125]
-        kind = "resolved" if family.kind == "resolved" else "smoothed"
+        kind = family.kind
         tau0 = args.tau_min if args.tau_min is not None else 1.0
         tau1 = args.tau_max if args.tau_max is not None else 10.0
         build = metrics.PotentialFamily.smoothed if kind == "smoothed" else metrics.PotentialFamily.resolved
@@ -387,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="report path (default stdout)")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_nonnegative_int, default=0)
     common.add_argument("--timings", action="store_true", help="include wall-clock timings")
     common.add_argument("--tol", action="append", metavar="NAME=VALUE", dest="tol")
     common.add_argument("--format", choices=("json", "csv"), default="json")

@@ -35,7 +35,11 @@ against.  None of them runs on the package's own code paths.
   np.roots per draw (dwork_smooth_points_per_draw, the oracle for the
   batched companion roots).
 * acceptance: exact ranks of stacked integer matrices by enumerating every
-  minor up to 4 x 4 (batched_integer_rank), with cofactor determinants.
+  minor up to 4 x 4 (batched_integer_rank), with cofactor determinants; the
+  exhaustive solver-versus-oracle count on materialised matrix stacks, one
+  int64 class key per matrix and np.unique over the keys
+  (stacked_friedman_agreement, the oracle for the broadcast rows and the
+  class table), and the class sizes it sees (stacked_class_counts).
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conifold_lab import metrics
+from conifold_lab import metrics, transitions
 from conifold_lab.conifold import (
     FiberPoint,
     ResolvedPoint,
@@ -806,3 +810,69 @@ def batched_integer_rank(mats: np.ndarray) -> np.ndarray:
                 has |= _batched_det(sub) != 0
         rank = np.where(has, size, rank)
     return rank
+
+
+def stacked_sign_matrices(n: int, m: int) -> np.ndarray:
+    """Every {-1, 0, 1} matrix with n rows of length m, stacked as
+    (3^(n m), n, m), first row most significant."""
+    pool = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.int8)
+    return pool[np.indices((len(pool),) * n).reshape(n, -1).T]
+
+
+def canonical_class_keys(mats: np.ndarray) -> np.ndarray:
+    """One int64 key per matrix naming its class under row permutation and
+    row negation: a row reads as the base-3 number k < 3^m with digits
+    entry + 1, its negation as 3^m - 1 - k, and the row's key is the smaller
+    of the two.  The sorted row keys are packed into one integer below
+    3^(m N), first row most significant."""
+    n, m = mats.shape[-2], mats.shape[-1]
+    assert 3 ** (m * n) <= 2**63, "class keys must fit in int64"
+    row_keys = np.zeros(mats.shape[:-1], dtype=np.int64)
+    for j in range(m):
+        row_keys = row_keys * 3 + (mats[..., j] + 1)
+    row_keys = np.minimum(row_keys, 3**m - 1 - row_keys)
+    row_keys.sort(axis=-1)
+    keys = np.zeros(mats.shape[:-2], dtype=np.int64)
+    for i in range(n):
+        keys = keys * 3**m + row_keys[..., i]
+    return keys
+
+
+def decode_class_key(key: int, n: int, m: int) -> list[tuple[int, ...]]:
+    digits = []
+    for _ in range(n * m):
+        digits.append(key % 3 - 1)
+        key //= 3
+    digits.reverse()
+    return [tuple(digits[i * m : (i + 1) * m]) for i in range(n)]
+
+
+def stacked_class_counts(n: int, m: int) -> dict[int, int]:
+    """Class key -> number of n x m sign matrices in the class."""
+    keys, counts = np.unique(canonical_class_keys(stacked_sign_matrices(n, m)), return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))
+
+
+def stacked_friedman_agreement(max_rows: int) -> tuple[int, int]:
+    """(matrices checked, mismatches) of the exact witness solver against
+    the rank test over every {-1, 0, 1} matrix with N <= max_rows, m <= 3:
+    each (N, m) block materialised as one stack, ranks by minor enumeration
+    (an all-nonzero annihilating combination exists iff no single row
+    deletion lowers the rank), the solver run once per np.unique class key."""
+    checked = mismatches = 0
+    for n in range(1, max_rows + 1):
+        for m in range(1, 4):
+            mats = stacked_sign_matrices(n, m)
+            rank = batched_integer_rank(mats)
+            oracle = np.ones(len(mats), dtype=bool)
+            for i in range(n):
+                oracle &= batched_integer_rank(np.delete(mats, i, axis=-2)) == rank
+            keys, inverse = np.unique(canonical_class_keys(mats), return_inverse=True)
+            solver = np.array([
+                transitions.friedman_witness(transitions.ClassMatrix(decode_class_key(int(key), n, m)))
+                is not None
+                for key in keys
+            ])
+            checked += len(mats)
+            mismatches += int(np.count_nonzero(solver[inverse] != oracle))
+    return checked, mismatches

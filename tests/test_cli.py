@@ -416,6 +416,26 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv", [["dwork", "--smooth-points", "3"], ["verify-all", "--fast"]],
+                             ids=["dwork", "verify-all"])
+    def test_negative_seed_is_named(self, argv, tmp_path, capsys):
+        """argparse rejects the seed itself, before numpy's generator sees it."""
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + ["--seed", "-1", "--output", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_cone_has_no_convergence_sweep(self, tmp_path, capsys):
+        """The cone has no parameter to converge in; its request is refused
+        instead of answered with the smoothing's numbers."""
+        argv = ["metric", "--family", "cone", "--sweep", "convergence", "--output", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --family cone has no parameter for --sweep convergence; use smoothed or resolved\n"
+        )
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "argv,message",
         [

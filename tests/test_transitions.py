@@ -268,6 +268,51 @@ class TestFriedmanWitness:
         checked, mismatches = exhaustive_friedman_agreement(2)
         assert calls and mismatches > 0
 
+    def test_exhaustive_gate_at_five_rows(self):
+        assert exhaustive_friedman_agreement(5) == (14967579, 0)
+
+    @pytest.mark.parametrize("max_rows", [1, 2, 3])
+    def test_exhaustive_matches_the_stacked_reference(self, max_rows):
+        assert exhaustive_friedman_agreement(max_rows) == reference.stacked_friedman_agreement(max_rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 0], [0, 0]],
+            [[1], [0]],
+            [[1, 0, -1], [-1, 0, 1]],
+            [[0, 1, 1], [1, -1, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[1, 1], [-1, -1], [0, 1]],
+            [[1, -1, 0], [1, -1, 0], [-1, 1, 0]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 0, 1], [1, 1, 0], [0, 0, 0]],
+        ],
+        ids=["zero-2x2", "2x1", "repeated-2x3", "2x3", "zero-3x3", "repeated-3x2",
+             "thrice-repeated-3x3", "identity-3x3", "with-zero-row-3x3"],
+    )
+    def test_class_table_maps_every_matrix_to_its_class(self, rows, monkeypatch):
+        """Flipping the solver's verdict on one class turns exactly the
+        matrices of that class into mismatches: as many as the stacked
+        reference's np.unique counts for the class key."""
+        n, m = len(rows), len(rows[0])
+        key = int(reference.canonical_class_keys(np.array([rows]))[0])
+        target = ClassMatrix(reference.decode_class_key(key, n, m)).rows
+        real = transitions.friedman_witness
+        flips = []
+
+        def flipped(classes):
+            witness = real(classes)
+            if classes.rows != target:
+                return witness
+            flips.append(classes)
+            return [Fraction(1)] * classes.n_classes if witness is None else None
+
+        monkeypatch.setattr(transitions, "friedman_witness", flipped)
+        _, mismatches = exhaustive_friedman_agreement(n)
+        assert len(flips) == 1
+        assert mismatches == reference.stacked_class_counts(n, m)[key]
+
 
 def _integer_classes(seed: int, n: int, m: int, kind: str) -> list[list[int]]:
     """n class vectors of length m with entries in [-10^6, 10^6]: dense,
@@ -381,6 +426,24 @@ class TestBatchedRank:
                 expected = shared_minor_ranks(reduced)[0] if n > 1 else np.zeros_like(full)
                 assert np.array_equal(deleted[i], expected)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_broadcast_rows_match_the_stack(self, m):
+        """N rows, each the pool of every sign row along its own axis, give
+        the oracle verdicts and ranks of the materialised (3^(N m), N, m)
+        stack, in enumeration order once flattened."""
+        pool = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.int8)
+        size = len(pool)
+        for n in range(1, 5):
+            rows = [pool.reshape((1,) * i + (size,) + (1,) * (n - 1 - i) + (m,)) for i in range(n)]
+            mats = reference.stacked_sign_matrices(n, m)
+            broadcast = feasibility_oracle(rows)
+            assert broadcast.shape == (size,) * n
+            assert np.array_equal(broadcast.ravel(), feasibility_oracle(mats))
+            full, deleted = shared_minor_ranks(rows)
+            stacked_full, stacked_deleted = shared_minor_ranks(mats)
+            assert np.array_equal(full.ravel(), stacked_full)
+            assert np.array_equal(deleted.reshape(n, -1), stacked_deleted)
+
     @pytest.mark.parametrize("bound", [2, 50, 1000])
     def test_shared_minor_ranks_on_larger_entries(self, bound):
         rng = np.random.default_rng(bound)
@@ -393,6 +456,14 @@ class TestBatchedRank:
             for i in range(n):
                 reduced = np.delete(mats, i, axis=-2)
                 assert np.array_equal(deleted[i], reference.batched_integer_rank(reduced))
+
+    def test_shared_minor_ranks_at_the_int8_minimum(self):
+        """-128 has no int8 negation: the minors must still be widened."""
+        mats = np.array([np.diag([-128] * 3), [[-128, 0, 0], [-128, 0, 0], [0, 0, -128]]], dtype=np.int8)
+        full, deleted = shared_minor_ranks(mats)
+        assert np.array_equal(full, reference.batched_integer_rank(mats))
+        for i in range(3):
+            assert np.array_equal(deleted[i], reference.batched_integer_rank(np.delete(mats, i, axis=-2)))
 
     def test_feasibility_oracle_rejects_four_columns(self):
         feasibility_oracle(np.zeros((2, 3, 3), dtype=np.int8))
