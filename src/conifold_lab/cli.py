@@ -50,7 +50,7 @@ def _emit_report(args, command: str, config: dict, results, assertions: Checks, 
         "assertions": assertions.items,
         "timings": timings if getattr(args, "timings", False) else None,
     }
-    payload = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
+    payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
     _write_output(args.output, payload)
     return 0 if assertions.all_passed else 1
 
@@ -374,7 +374,12 @@ def _tolerance_map(pairs) -> dict:
         name, _, value = pair.partition("=")
         if not value:
             raise SystemExit2(f"bad --tol {pair!r}: expected NAME=VALUE")
-        out[name] = float(value)
+        try:
+            out[name] = tol = float(value)
+        except ValueError:
+            tol = math.nan
+        if not (math.isfinite(tol) and tol > 0):
+            raise SystemExit2(f"bad --tol {pair!r}: the value must be a finite number > 0")
     return out
 
 

@@ -17,13 +17,13 @@ the quadrature error about sixteenfold; this keeps the convergence-order
 audit measurable instead of sitting at the roundoff floor, while the
 resolution-32 error is still far below 1e-4 relative.
 
-Slab accumulation.  A grid stores only the three 1-D axis rules with their
-sine and cosine tables, so trigonometry runs on O(resolution) values.  The
-nodes, weights and oriented frames are built one theta1 index at a time
-(a slab of resolution^2 nodes); the quadrature sums each slab pairwise and
-adds the slab sums in theta1 order.  The summation order is therefore
-fixed, and the working set is O(resolution^2): one slab at resolution 256
-is 65,536 nodes, where the whole grid would be 16.8 million.
+Block accumulation.  A grid stores only the three 1-D axis rules with their
+sine and cosine tables; one builder forms the coordinates, legs and weights
+of a run of theta1 rows as broadcast products of those tables.  slab(i)
+fills one row (resolution^2 nodes) from it.  The quadrature contracts blocks
+of about BLOCK_NODES nodes in real arithmetic, sums each row pairwise and
+adds the row sums in theta1 order: a fixed summation order, and a working
+set of one block (one 65,536-node row at 256, of a 16.8 million grid).
 
 Orientation.  The cycle is oriented so that the t = 1 period is +2 pi^2:
 with outward-normal-first conventions this is the frame order
@@ -46,9 +46,11 @@ SPHERE_VOLUME = 2.0 * math.pi**2
 ORIENTED_FRAME_ORDER = (1, 0, 2)
 
 MIN_RESOLUTION = 8
-# the quadrature holds one resolution^2 slab at a time: about 50 MB of
-# arrays at 256, where building the whole grid took 1.6 GB already at 128
+# the quadrature holds one block of theta1 rows at a time (one row of
+# 65,536 nodes at 256), where building the whole grid took 1.6 GB at 128
 MAX_RESOLUTION = 256
+# nodes per quadrature block (one resolution-128 row): temporaries stay in cache
+BLOCK_NODES = 16384
 
 # |t| window where the period's scale |t|^{3/2} and 2 pi^2 |t| stay normal
 # floats (|t|^{3/2} leaves the normal range below ~7.9e-206 and above ~3.2e205)
@@ -102,37 +104,35 @@ class CycleGrid:
     def sqrt_t(self) -> complex:
         return cmath.sqrt(self.t)
 
+    def _block(self, rows: slice) -> tuple[tuple, tuple, np.ndarray]:
+        """u components, oriented tangent legs (3 rows of 4 entries) and
+        weights of the nodes with theta1 index in rows, as broadcast
+        products of the axis tables over (theta1, theta2, phi)."""
+        s1, c1 = self.theta1.sin[rows, None, None], self.theta1.cos[rows, None, None]
+        s2, c2 = self.theta2.sin[:, None], self.theta2.cos[:, None]
+        sp, cp = self.phi.sin, self.phi.cos
+        s1s2, c1s2 = s1 * s2, c1 * s2
+        u = (c1, s1 * c2, s1s2 * cp, s1s2 * sp)
+        e_th1 = (-s1, c1 * c2, c1s2 * cp, c1s2 * sp)
+        e_th2 = (0.0, -s2, c2 * cp, c2 * sp)
+        e_phi = (0.0, 0.0, -sp, cp)
+        legs = (e_th1, e_th2, e_phi)
+        w1 = (self.theta1.weights * self.theta1.sin**2)[rows, None, None]
+        w2 = (self.theta2.weights * self.theta2.sin)[:, None]
+        weights = w1 * w2 * self.phi.weights
+        return u, tuple(legs[k] for k in ORIENTED_FRAME_ORDER), weights
+
     def slab(self, i: int) -> Slab:
         """Nodes, weights, sphere points and oriented sphere triads of the
         nodes with theta1 index i."""
-        s1, c1 = self.theta1.sin[i], self.theta1.cos[i]
-        s2, c2 = self.theta2.sin[:, None], self.theta2.cos[:, None]
-        sp, cp = self.phi.sin[None, :], self.phi.cos[None, :]
-        shape = (self.theta2.nodes.size, self.phi.nodes.size)
+        u, frame, weights = self._block(slice(i, i + 1))
 
-        u = np.empty(shape + (4,))
-        u[..., 0] = c1
-        u[..., 1] = s1 * c2
-        u[..., 2] = s1 * s2 * cp
-        u[..., 3] = s1 * s2 * sp
-        frames = np.zeros(shape + (3, 4))
-        # views on each triad's rows, placed in ORIENTED_FRAME_ORDER
-        e_th1, e_th2, e_phi = (frames[..., ORIENTED_FRAME_ORDER.index(leg), :] for leg in range(3))
-        e_th1[..., 0] = -s1
-        e_th1[..., 1] = c1 * c2
-        e_th1[..., 2] = c1 * s2 * cp
-        e_th1[..., 3] = c1 * s2 * sp
-        e_th2[..., 1] = -s2
-        e_th2[..., 2] = c2 * cp
-        e_th2[..., 3] = c2 * sp
-        e_phi[..., 2] = -sp
-        e_phi[..., 3] = cp
-        w1 = (self.theta1.weights * self.theta1.sin**2)[i]
-        w2 = (self.theta2.weights * self.theta2.sin)[:, None]
-        weights = w1 * w2 * self.phi.weights[None, :]
+        def stack(entries):
+            return np.stack([np.broadcast_to(x, weights.shape) for x in entries], axis=-1)
 
-        u = u.reshape(-1, 4)
-        return Slab(self.sqrt_t * u.astype(complex), weights.ravel(), u, frames.reshape(-1, 3, 4))
+        points = stack(u).reshape(-1, 4)
+        frames = np.stack([stack(leg) for leg in frame], axis=-2).reshape(-1, 3, 4)
+        return Slab(self.sqrt_t * points.astype(complex), weights.ravel(), points, frames)
 
     @cached_property
     def _stacked(self) -> Slab:
@@ -156,15 +156,10 @@ class CycleGrid:
         return self._stacked.sphere_frames
 
     def cycle_frame(self, index: int) -> np.ndarray:
-        """Oriented orthonormal tangent 3-frame of L_t at node index."""
-        return transport_frame(self.sphere_frames[index], self.t)
-
-
-def transport_frame(sphere_frame: np.ndarray, t: complex) -> np.ndarray:
-    """Push a unit-sphere tangent frame to L_t and renormalize: multiplication
-    by t^{1/2} is conformal with factor |t|^{1/2}."""
-    st = cmath.sqrt(t)
-    return sphere_frame * (st / abs(st))
+        """Oriented orthonormal tangent 3-frame of L_t at node index: the
+        sphere frame pushed to L_t and renormalized (multiplication by
+        t^{1/2} is conformal with factor |t|^{1/2})."""
+        return self.sphere_frames[index] * (self.sqrt_t / abs(self.sqrt_t))
 
 
 def _composite_gauss2(a: float, b: float, ncells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,34 +225,30 @@ def _chart_form_values(nodes: np.ndarray, frames: np.ndarray, charts: np.ndarray
     return values
 
 
-def integrate_volume_form(grid: CycleGrid, method: str = "real_slice") -> complex:
+def integrate_volume_form(grid: CycleGrid) -> complex:
     """Quadrature of the volume form over the cycle; exact answer is 2 pi^2 t.
 
-    'real_slice' evaluates in the chart of the last coordinate, where the
-    transported real-slice formula dx1^dx2^dx3 / x_4 applies; the
-    'chart_stitched' cross-check selects the chart of dominant modulus per
-    node.  Both contract the same global form, so they agree up to rounding.
-    The rule is accumulated one theta1 slab at a time: each slab's sum is
-    pairwise (numpy) over its fixed node order and the slab sums are added
-    in theta1 order, so results are reproducible.
+    Evaluates in the chart of the last coordinate, where the transported
+    real-slice formula dx1^dx2^dx3 / x_4 applies.  The cycle frame is the
+    sphere frame times st / |st| and the node is st u (st = t^{1/2}), so by
+    trilinearity the value is (st / |st|)^3 / st times the real minor over
+    u_4: that constant and the volume factor |t|^{3/2} multiply the real sum
+    once.  Each theta1 row is summed pairwise (numpy) over its fixed node
+    order and the row sums are added in theta1 order, so results reproduce.
     """
-    if method not in ("real_slice", "chart_stitched"):
-        raise ValueError(f"unknown method {method!r}")
+    rows_per_block = max(1, BLOCK_NODES // grid.resolution**2)
+    total = 0.0
+    for start in range(0, grid.resolution, rows_per_block):
+        u, frame, weights = grid._block(slice(start, start + rows_per_block))
+        (a, b, c, _), (d, e, f, _), (g, h, k, _) = frame
+        dets = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+        if np.any(u[3] == 0.0):
+            raise ValueError("a node hit the x4 = 0 seam; use an even resolution")
+        values = dets / u[3] * weights
+        for row_sum in values.reshape(values.shape[0], -1).sum(axis=1).tolist():
+            total += row_sum
     st = grid.sqrt_t
-    total = 0j
-    for i in range(grid.resolution):
-        slab = grid.slab(i)
-        frames = slab.sphere_frames.astype(complex) * (st / abs(st))
-        if method == "real_slice":
-            charts = np.full(slab.nodes.shape[0], 3)  # chart 4, zero-based index 3
-            if np.any(np.abs(slab.nodes[:, 3]) == 0.0):
-                raise ValueError("a node hit the x4 = 0 seam; use an even resolution")
-        else:
-            charts = np.argmax(np.abs(slab.nodes), axis=1)
-        values = _chart_form_values(slab.nodes, frames, charts)
-        total += complex(np.sum(slab.weights * values))
-    scale = abs(grid.t) ** 1.5  # conformal volume factor of z = t^{1/2} u
-    return scale * total
+    return (st / abs(st)) ** 3 / st * abs(grid.t) ** 1.5 * total
 
 
 def frame_tangency_residual(node: np.ndarray, frame: np.ndarray, t: complex) -> float:

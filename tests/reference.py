@@ -15,8 +15,9 @@ against.  None of them runs on the package's own code paths.
 * slag: the flat Lagrangian residual of a frame, the fiber residual of a
   cycle grid, a grid node as a checked fiber point, and the dense cycle
   quadrature (every node, weight and frame of the product grid built at
-  once and summed in one pairwise sum), the oracle for the slab-by-slab
-  grid and quadrature.
+  once, contracted in complex arithmetic in chart 4 or in the chart of
+  dominant modulus, and summed in one pairwise sum), the oracle for the
+  slabs and for the real block quadrature.
 * conifold: complex conjugation of fiber points; the chart expressions of
   the holomorphic volume form contracted against tangent frames
   (volume_form_value, the oracle for the cycle module's chart values); the
@@ -439,8 +440,11 @@ def dense_cycle_arrays(t: complex, resolution: int) -> tuple[np.ndarray, ...]:
 
 
 def dense_integrate_volume_form(t: complex, resolution: int, method: str = "real_slice") -> complex:
-    """The period quadrature over the dense grid: one chart evaluation and
-    one pairwise sum over all resolution^3 nodes."""
+    """The period quadrature over the dense grid: one complex chart
+    evaluation and one pairwise sum over all resolution^3 nodes.  'real_slice'
+    evaluates every node in chart 4; the 'chart_stitched' cross-check takes
+    the chart of dominant modulus per node.  Both contract the same global
+    form, so they agree with the package's kernel up to rounding."""
     t = complex(t)
     nodes, weights, _, sphere_frames = dense_cycle_arrays(t, resolution)
     st = cmath.sqrt(t)

@@ -358,6 +358,18 @@ class TestUsageErrors:
         assert cli.main(["slag", "--t", "1", "--tol", "oops"]) == 2
         assert "NAME=VALUE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+    def test_tolerance_must_be_finite_and_positive(self, value, tmp_path, capsys):
+        """A NaN tolerance used to reach the report as bare NaN, which is
+        not JSON; every value outside (0, inf) is now a usage error."""
+        out = tmp_path / "report.json"
+        argv = ["slag", "--t", "1", "--resolution", "8", "--tol", f"slag={value}", "--output", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad --tol 'slag={value}': the value must be a finite number > 0\n"
+        )
+        assert not out.exists()
+
     def test_negative_smooth_point_count(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["dwork", "--smooth-points", "-5"])
