@@ -457,9 +457,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_t(argv: list[str]) -> list[str]:
+    """Spell '--t VALUE' as '--t=VALUE' when VALUE is a complex literal that
+    starts with '-': argparse takes '-0.5+0.2j' for an option, since only
+    plain negative numbers pass as values."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--t" and token.startswith("-"):
+            try:
+                _parse_complex(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--t={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_t(sys.argv[1:] if argv is None else list(argv)))
     try:
         args.tolerances = _tolerance_map(args.tol)
         if args.command == "transition" and not args.catalog:

@@ -2,11 +2,12 @@
 
 The family is V_t = {z in C^4 : z_1^2 + ... + z_4^2 = t}.  This module
 provides the fiber membership test, the weighted rescaling between fibers,
-the nearest-point identification of the singular fiber with a smooth one,
-tangent frames, the chart-4 coefficients of the volume form, and the
-first-order term of the volume form's expansion under that identification
-with its finite-difference exterior derivative.  Points of the small
-resolution are a direction [U1:U2] and a fiber pair (ResolvedPoint).
+the nearest-point identification phi_map of the singular fiber with a
+smooth one, tangent frames, the chart-4 coefficients of the volume form and
+of its pullback by phi_map, the first-order term of that pullback's
+expansion in t, and its finite-difference exterior derivative.  Points of
+the small resolution are a direction [U1:U2] and a fiber pair
+(ResolvedPoint).
 
 Chart conventions.  Charts are labelled 1..4 by the coordinate of maximal
 modulus; a chart is usable when |z_j| >= ||z||/4 (ties broken by lowest
@@ -15,6 +16,12 @@ index).  In chart j the canonical basis 3-form is dz_a ^ dz_b ^ dz_c with
 volume form has coefficient (-1)^j / (2 z_j) in that basis.  The vanishing
 cycle module uses the cycle normalization, which is twice the residue one
 (coefficient 1/z_4 in chart 4).
+
+Forms on the fiber are dense coefficient arrays over the chart-4 basis of
+``exterior`` (dz_1..dz_3 and their conjugates): 3-forms have 20
+coefficients, 4-forms 15.  An ambient one-form is an 8-vector over
+dz_1..dz_4, conj(dz_1)..conj(dz_4); it restricts to the fiber by the 8 x 6
+matrix ``_restriction``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conifold_lab.exterior import Form, evaluate, form_add, form_scale, wedge_all
+from conifold_lab import exterior
+from conifold_lab.exterior import evaluate
 
 CHART_MARGIN_FACTOR = 0.25  # chart j usable iff |z_j| >= CHART_MARGIN_FACTOR * ||z||
 
@@ -52,17 +60,6 @@ class FiberPoint:
 
     def fiber_residual(self) -> float:
         return abs(complex(np.sum(self.z**2)) - self.t)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "z": [[float(c.real), float(c.imag)] for c in self.z],
-            "t": [self.t.real, self.t.imag],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FiberPoint":
-        z = [complex(re, im) for re, im in data["z"]]
-        return cls(z, complex(data["t"][0], data["t"][1]))
 
 
 @dataclass
@@ -104,24 +101,15 @@ def on_fiber(p: FiberPoint, tol: float = 1e-12) -> bool:
     return p.fiber_residual() <= tol * (1.0 + p.norm_sq)
 
 
-def _sqrt_branch(lam: complex, branch: str) -> complex:
-    root = cmath.sqrt(lam)
-    if branch == "principal":
-        return root
-    if branch == "negative":
-        return -root
-    raise ValueError(f"unknown square-root branch {branch!r}")
-
-
-def rescale_fiber(p: FiberPoint, lam: complex, branch: str = "principal") -> FiberPoint:
+def rescale_fiber(p: FiberPoint, lam: complex) -> FiberPoint:
     """Map (z, t) to (lam^{3/2} z, lam^3 t); sends V_t to V_{lam^3 t}.
 
-    The 3/2 power needs a square root of lam; the branch is fixed per call.
+    lam^{3/2} is the cube of the principal square root of lam.
     """
     lam = complex(lam)
     if lam == 0:
         raise ValueError("rescaling parameter must be nonzero")
-    factor = _sqrt_branch(lam, branch) ** 3
+    factor = cmath.sqrt(lam) ** 3
     return FiberPoint(factor * p.z, lam**3 * p.t)
 
 
@@ -189,83 +177,53 @@ def random_tangent_frame(p: FiberPoint, rng: np.random.Generator) -> list[np.nda
 # fiber-chart coefficient arrays
 #
 # On the fiber, dz_4 = -(z_1 dz_1 + z_2 dz_2 + z_3 dz_3)/z_4 and conjugately
-# for conj(dz_4).  Forms restricted to chart 4 live over the 6-element basis
-# 0,1,2 = dz_1..dz_3 and 3,4,5 = conj(dz_1..dz_3).
-
-def _fiber_component(v: np.ndarray, idx: int) -> complex:
-    return v[idx] if idx < 3 else np.conj(v[idx - 3])
+# for conj(dz_4).
 
 
-def fiber_form_value(form: Form, frame) -> complex:
-    """Contract a chart-4 fiber form (6-covector basis) against ambient vectors."""
-    return evaluate(form, frame, _fiber_component)
+def fiber_form_value(form: np.ndarray, frame) -> complex:
+    """Contract a chart-4 fiber form against ambient vectors."""
+    return evaluate(form, frame)
 
 
-def _restriction_table(p: FiberPoint) -> list[Form]:
-    z = p.z
-    sub: list[Form] = [{(i,): 1.0} for i in range(3)]
-    sub.append({(i,): -z[i] / z[3] for i in range(3)})
-    sub.extend({(3 + i,): 1.0} for i in range(3))
-    sub.append({(3 + i,): -np.conj(z[i]) / np.conj(z[3]) for i in range(3)})
-    return sub
-
-
-def restrict_to_chart4(ambient: Form, p: FiberPoint) -> Form:
-    """Restrict an ambient form (8-covector basis) to the fiber in chart 4."""
+def _restriction(p: FiberPoint) -> np.ndarray:
+    """The 8 x 6 matrix taking ambient one-forms to chart-4 fiber one-forms."""
     _require_chart(p, 4)
-    sub = _restriction_table(p)
-    out: Form = {}
-    for key, coeff in ambient.items():
-        term = form_scale(wedge_all(sub[k] for k in key), coeff)
-        out = form_add(out, term)
-    return out
-
-
-def _d_conj_over_norm(p: FiberPoint, i: int) -> Form:
-    """Ambient differential of conj(z_i) / (2 ||z||^2)."""
     z = p.z
+    r = np.zeros((8, 6), dtype=complex)
+    r[[0, 1, 2, 4, 5, 6], [0, 1, 2, 3, 4, 5]] = 1.0
+    r[3, :3] = -z[:3] / z[3]
+    r[7, 3:] = -np.conj(z[:3]) / np.conj(z[3])
+    return r
+
+
+def _d_conj_over_norm(p: FiberPoint) -> np.ndarray:
+    """Ambient differentials of conj(z_i) / (2 ||z||^2), i = 1..3, as rows."""
+    zb = np.conj(p.z)
     s = p.norm_sq
-    zb = np.conj(z)
-    form: Form = {}
-    for k in range(4):
-        form[(k,)] = -zb[i] * zb[k] / (2 * s**2)
-    for k in range(4):
-        c = -zb[i] * z[k] / (2 * s**2)
-        if k == i:
-            c += 1.0 / (2 * s)
-        form[(4 + k,)] = c
+    d = np.concatenate([np.outer(zb[:3], zb), np.outer(zb[:3], p.z)], axis=1) / (-2 * s**2)
+    d[[0, 1, 2], [4, 5, 6]] += 1.0 / (2 * s)
+    return d
+
+
+def volume_form_chart_coefficients(p: FiberPoint) -> np.ndarray:
+    """Chart-4 coefficients of the cycle-normalized volume form dz1^dz2^dz3 / z_4."""
+    _require_chart(p, 4)
+    form = np.zeros(len(exterior.BASIS[3]), dtype=complex)
+    form[0] = 1.0 / p.z[3]
     return form
 
 
-def volume_form_chart_coefficients(p: FiberPoint) -> Form:
-    """Chart-4 coefficients of the cycle-normalized volume form dz1^dz2^dz3 / z_4."""
-    _require_chart(p, 4)
-    return {(0, 1, 2): 1.0 / p.z[3]}
-
-
-def pullback_volume_form(p: FiberPoint, t: complex) -> Form:
-    """Chart-4 coefficients of the nearest-point pullback of the smooth-fiber
-    volume form, evaluated at a point of the singular fiber.
-
-    Uses the cycle normalization (coefficient 1/w_4 on the target chart).
+def pullback_volume_form(p: FiberPoint, t: complex) -> np.ndarray:
+    """Chart-4 coefficients of the pullback by phi_map(., t) of the
+    smooth-fiber volume form, evaluated at a point of the singular fiber:
+    dw_1 ^ dw_2 ^ dw_3 / w_4 with w = phi_map(p, t).z (cycle normalization).
     """
-    if abs(p.t) != 0.0:
-        raise ValueError("pullback is taken at points of the singular fiber")
-    _require_chart(p, 4)
-    z = p.z
-    s = p.norm_sq
-    if s <= abs(t) / 2:
-        raise ValueError("point outside the injectivity domain of the identification")
-    w4 = z[3] + t * np.conj(z[3]) / (2 * s)
-    ones: list[Form] = []
-    for i in range(3):
-        dwi = form_add({(i,): 1.0}, form_scale(_d_conj_over_norm(p, i), t))
-        ones.append(dwi)
-    ambient = form_scale(wedge_all(ones), 1.0 / w4)
-    return restrict_to_chart4(ambient, p)
+    w4 = phi_map(p, t).z[3]
+    dw = np.eye(3, 8) + t * _d_conj_over_norm(p)
+    return exterior.wedge(dw @ _restriction(p)) / w4
 
 
-def omega_tilde_1_coefficients(p: FiberPoint) -> Form:
+def omega_tilde_1_coefficients(p: FiberPoint) -> np.ndarray:
     """Chart-4 coefficients of the first-order term of the volume-form
     expansion under the nearest-point identification.
 
@@ -275,24 +233,24 @@ def omega_tilde_1_coefficients(p: FiberPoint) -> Form:
         + (1/z_4) sum_i dz1 ^ .. ^ d(conj(z_i)/(2||z||^2)) ^ .. ^ dz3.
 
     The sign of the first term is fixed by the finite-parameter expansion
-    test rather than trusted from any display.
+    test rather than trusted from any display.  On the cone the (3,0) part
+    of the sum cancels the first term, so the dz1^dz2^dz3 coefficient is
+    zero up to rounding.
     """
     if abs(p.t) != 0.0:
         raise ValueError("the deformation form lives on the singular fiber")
     if p.norm_sq == 0.0:
         raise ValueError("the deformation form is singular at the cone point")
-    _require_chart(p, 4)
-    z = p.z
-    s = p.norm_sq
-    top: Form = {(0, 1, 2): -np.conj(z[3]) / (2 * z[3] ** 2 * s)}
-    pieces: list[Form] = [top]
+    restriction = _restriction(p)
+    dconj = _d_conj_over_norm(p) @ restriction
+    z4 = p.z[3]
+    form = np.zeros(len(exterior.BASIS[3]), dtype=complex)
+    form[0] = -np.conj(z4) / (2 * z4**2 * p.norm_sq)
     for i in range(3):
-        factors: list[Form] = []
-        for j in range(3):
-            factors.append(_d_conj_over_norm(p, j) if j == i else {(j,): 1.0})
-        pieces.append(form_scale(wedge_all(factors), 1.0 / z[3]))
-    ambient = form_add(*pieces)
-    return restrict_to_chart4(ambient, p)
+        rows = restriction[:3].copy()
+        rows[i] = dconj[i]
+        form += exterior.wedge(rows) * (1.0 / z4)
+    return form
 
 
 def omega_tilde_1(p: FiberPoint, frame) -> complex:
@@ -314,46 +272,26 @@ def _chart4_point(coords: np.ndarray, z4_ref: complex, t: complex) -> FiberPoint
     return FiberPoint(np.array([coords[0], coords[1], coords[2], z4]), t)
 
 
-def fd_exterior_derivative(p: FiberPoint) -> Form:
+def fd_exterior_derivative(p: FiberPoint) -> np.ndarray:
     """Finite-difference exterior derivative of the first-order deformation
-    form in chart 4 at p.
+    form in chart 4 at p: its 15 four-form coefficients.
 
     Uses 4th-order central stencils with step h = 1e-4 * ||z||,
-    differentiating each coefficient in the Wirtinger sense and wedging with
-    the corresponding basis covector.
+    differentiating each coefficient in the Wirtinger sense (partials[a] is
+    d/dz_a for a < 3 and d/dconj(z_{a-3}) after) and wedging with the
+    corresponding basis covector through exterior.D_SIGNS.
     """
-
-    def coeff_fn(coords: np.ndarray) -> Form:
-        return omega_tilde_1_coefficients(_chart4_point(coords, p.z[3], p.t))
-
     base = np.array(p.z[:3], dtype=complex)
     h = 1e-4 * np.sqrt(p.norm_sq)
-    keys = sorted(coeff_fn(base).keys())
+    weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12 * h)
 
-    def coeffs_at(coords: np.ndarray) -> np.ndarray:
-        form = coeff_fn(coords)
-        return np.array([form.get(k, 0.0) for k in keys], dtype=complex)
+    def directional(step: np.ndarray) -> np.ndarray:
+        points = [_chart4_point(base + off * step, p.z[3], p.t) for off in (-2, -1, 1, 2)]
+        return weights @ [omega_tilde_1_coefficients(q) for q in points]
 
-    stencil = [(-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)]
-
-    out: Form = {}
-    for a in range(3):
-        dx = np.zeros(len(keys), dtype=complex)
-        dy = np.zeros(len(keys), dtype=complex)
-        for off, wgt in stencil:
-            shift = np.zeros(3, dtype=complex)
-            shift[a] = off * h
-            dx += wgt * coeffs_at(base + shift)
-            shift[a] = 1j * off * h
-            dy += wgt * coeffs_at(base + shift)
-        dx /= 12 * h
-        dy /= 12 * h
-        d_hol = (dx - 1j * dy) / 2
-        d_anti = (dx + 1j * dy) / 2
-        for which, deriv in ((a, d_hol), (3 + a, d_anti)):
-            for key, val in zip(keys, deriv):
-                if val == 0:
-                    continue
-                term = wedge_all([{(which,): val}, {key: 1.0}])
-                out = form_add(out, term)
-    return out
+    partials = np.zeros((6, len(exterior.BASIS[3])), dtype=complex)
+    for a, step in enumerate(h * np.eye(3)):
+        dx, dy = directional(step), directional(1j * step)
+        partials[a] = (dx - 1j * dy) / 2
+        partials[3 + a] = (dx + 1j * dy) / 2
+    return partials.ravel() @ exterior.D_SIGNS

@@ -1,81 +1,57 @@
-"""Sparse exterior-algebra arithmetic over a finite ordered covector basis.
+"""Dense exterior algebra over the chart-4 fiber basis.
 
-A k-form is a dict mapping strictly increasing index tuples to complex
-coefficients; the empty tuple indexes a scalar.  Basis indices are opaque
-integers; callers decide what each covector means (dz_i, conjugate dz_i,
-and so on) and supply a component extractor when contracting with vectors.
+The basis is six covectors: 0, 1, 2 are dz_1, dz_2, dz_3 and 3, 4, 5 their
+conjugates.  A k-form is a complex array of coefficients over BASIS[k], the
+k-subsets of range(6) in lexicographic order (20 for k = 3, 15 for k = 4).
+
+One kernel does the arithmetic: ``wedge`` takes k one-forms as the rows of
+a (k, 6) array and returns their wedge product, the array of all k x k
+minors.  It multiplies one row at a time into the running product through
+a precomputed sign table per degree; D_SIGNS, the table for a 1-form times
+a 3-form, also maps Wirtinger partials of a 3-form to its exterior
+derivative.  Contraction with vectors is the wedge of their components.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
 
 import numpy as np
 
-Form = dict[tuple[int, ...], complex]
+BASIS = tuple(tuple(itertools.combinations(range(6), k)) for k in range(7))
 
 
-def _sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Sort basis indices; the sign is the parity of the inversions, and a
-    repeated index kills the term (sign 0)."""
-    key = tuple(sorted(indices))
-    if len(set(key)) < len(key):
-        return key, 0
-    inversions = sum(1 for a, b in itertools.combinations(indices, 2) if a > b)
-    return key, -1 if inversions % 2 else 1
+def _sign_table(m: int) -> np.ndarray:
+    """Row C(6, m) a + K holds the coefficients of e_a ^ e_K over
+    BASIS[m + 1], for the covector a and the basis m-form K: the sign of
+    moving e_a past the covectors of K below it, or 0 when a is in K."""
+    table = np.zeros((6, len(BASIS[m]), len(BASIS[m + 1])))
+    for a, (k, key) in itertools.product(range(6), enumerate(BASIS[m])):
+        if a not in key:
+            table[a, k, BASIS[m + 1].index(tuple(sorted(key + (a,))))] = (-1) ** sum(b < a for b in key)
+    return table.reshape(-1, len(BASIS[m + 1]))
 
 
-def form_scale(a: Form, c: complex) -> Form:
-    return {k: c * v for k, v in a.items()}
+_SIGNS = tuple(_sign_table(m) for m in range(6))
+# The (6 * 20, 15) table of the 1-form ^ 3-form products e_a ^ e_K.
+D_SIGNS = _SIGNS[3]
 
 
-def form_add(*forms: Form) -> Form:
-    out: Form = {}
-    for f in forms:
-        for k, v in f.items():
-            out[k] = out.get(k, 0.0) + v
-    return {k: v for k, v in out.items() if v != 0}
+def wedge(rows) -> np.ndarray:
+    """Wedge product of the one-forms in the rows of a (k, 6) array: the
+    C(6, k) coefficients over BASIS[k], which are the k x k minors.
 
-
-def wedge(a: Form, b: Form) -> Form:
-    out: Form = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key, sign = _sort_with_sign(ka + kb)
-            if sign == 0:
-                continue
-            out[key] = out.get(key, 0.0) + sign * va * vb
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def wedge_all(forms: Iterable[Form]) -> Form:
-    out: Form = {(): 1.0}
-    for f in forms:
-        out = wedge(out, f)
-    return out
-
-
-def form_norm(a: Form) -> float:
-    """Sup norm of the coefficient array."""
-    if not a:
-        return 0.0
-    return max(abs(v) for v in a.values())
-
-
-def evaluate(form: Form, vectors, component: Callable[[object, int], complex]) -> complex:
-    """Contract a k-form against k vectors.
-
-    ``component(vector, basis_index)`` returns the pairing of the basis
-    covector with the vector.  The value is the usual alternating sum,
-    sum_S c_S det[component(v_r, S_c)].
+    The product is built from the right, one row at a time, through the
+    sign tables; it takes no division, so exactly singular minors are 0.
     """
-    vecs = list(vectors)
-    k = len(vecs)
-    total = 0.0 + 0.0j
-    for key, coeff in form.items():
-        if len(key) != k:
-            raise ValueError(f"cannot contract a {len(key)}-form term with {k} vectors")
-        mat = np.array([[component(v, idx) for idx in key] for v in vecs], dtype=complex)
-        total += coeff * np.linalg.det(mat)
-    return total
+    form = np.ones(1)
+    for m, row in enumerate(np.asarray(rows)[::-1]):
+        form = np.outer(row, form).ravel() @ _SIGNS[m]
+    return form
+
+
+def evaluate(form: np.ndarray, vectors) -> complex:
+    """Contract a k-form with k vectors of C^3 (or ambient C^4 vectors,
+    whose first three coordinates are the chart-4 ones)."""
+    v = np.asarray(vectors, dtype=complex)[:, :3]
+    return complex(form @ wedge(np.concatenate([v, v.conj()], axis=1)))

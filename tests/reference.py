@@ -18,6 +18,12 @@ against.  None of them runs on the package's own code paths.
   once, contracted in complex arithmetic in chart 4 or in the chart of
   dominant modulus, and summed in one pairwise sum), the oracle for the
   slabs and for the real block quadrature.
+* exterior: a sparse exterior algebra, one dict from sorted index tuples to
+  coefficients per form, with products by sorting and counting inversions
+  and contraction by one determinant per term; with it, the chart-4
+  restriction, the nearest-point pullback of the volume form and the
+  deformation form built term by term, the oracle for the dense minors
+  kernel.
 * conifold: complex conjugation of fiber points; the chart expressions of
   the holomorphic volume form contracted against tangent frames
   (volume_form_value, the oracle for the cycle module's chart values); the
@@ -63,7 +69,7 @@ from conifold_lab.conifold import (
     omega_tilde_1_coefficients,
     on_fiber,
 )
-from conifold_lab.exterior import Form, evaluate
+from conifold_lab.exterior import BASIS
 from conifold_lab.hodge import HypersurfaceSpec
 from conifold_lab.slag import ORIENTED_FRAME_ORDER, CycleGrid, _chart_form_values, _composite_gauss2
 from conifold_lab.transitions import (
@@ -458,6 +464,112 @@ def dense_integrate_volume_form(t: complex, resolution: int, method: str = "real
 
 
 # ---------------------------------------------------------------------------
+# exterior: sparse dict algebra
+#
+# A k-form is a dict mapping strictly increasing index tuples to complex
+# coefficients.  Ambient forms live over dz_1..dz_4, conj(dz_1..dz_4)
+# (indices 0..7), fiber forms over the chart-4 basis of the package.
+
+Form = dict[tuple[int, ...], complex]
+
+
+def _sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Sort basis indices; the sign is the parity of the inversions, and a
+    repeated index kills the term (sign 0)."""
+    key = tuple(sorted(indices))
+    if len(set(key)) < len(key):
+        return key, 0
+    inversions = sum(1 for a, b in itertools.combinations(indices, 2) if a > b)
+    return key, -1 if inversions % 2 else 1
+
+
+def form_scale(a: Form, c: complex) -> Form:
+    return {k: c * v for k, v in a.items()}
+
+
+def form_add(*forms: Form) -> Form:
+    out: Form = {}
+    for f in forms:
+        for k, v in f.items():
+            out[k] = out.get(k, 0.0) + v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def form_wedge(a: Form, b: Form) -> Form:
+    out: Form = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key, sign = _sort_with_sign(ka + kb)
+            if sign:
+                out[key] = out.get(key, 0.0) + sign * va * vb
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def wedge_all(forms) -> Form:
+    out: Form = {(): 1.0}
+    for f in forms:
+        out = form_wedge(out, f)
+    return out
+
+
+def form_evaluate(form: Form, vectors, component) -> complex:
+    """sum_S c_S det[component(v_r, S_c)]: a k-form contracted with k vectors."""
+    total = 0.0 + 0.0j
+    for key, coeff in form.items():
+        mat = np.array([[component(v, idx) for idx in key] for v in vectors], dtype=complex)
+        total += coeff * np.linalg.det(mat)
+    return total
+
+
+def as_dense(form: Form, k: int) -> np.ndarray:
+    """The package's coefficient array of a fiber k-form."""
+    return np.array([form.get(key, 0.0) for key in BASIS[k]], dtype=complex)
+
+
+def fiber_component(v: np.ndarray, idx: int) -> complex:
+    return v[idx] if idx < 3 else np.conj(v[idx - 3])
+
+
+def restrict_to_chart4(ambient: Form, p: FiberPoint) -> Form:
+    """Substitute dz_4 = -(z_1 dz_1 + z_2 dz_2 + z_3 dz_3)/z_4 (and its
+    conjugate) into every term of an ambient form."""
+    _require_chart(p, 4)
+    z = p.z
+    sub: list[Form] = [{(i,): 1.0} for i in range(3)]
+    sub.append({(i,): -z[i] / z[3] for i in range(3)})
+    sub.extend({(3 + i,): 1.0} for i in range(3))
+    sub.append({(3 + i,): -np.conj(z[i]) / np.conj(z[3]) for i in range(3)})
+    return form_add(*(form_scale(wedge_all(sub[k] for k in key), c) for key, c in ambient.items()))
+
+
+def d_conj_over_norm_form(p: FiberPoint, i: int) -> Form:
+    """Ambient differential of conj(z_i) / (2 ||z||^2)."""
+    z, zb, s = p.z, np.conj(p.z), p.norm_sq
+    form: Form = {(k,): -zb[i] * zb[k] / (2 * s**2) for k in range(4)}
+    for k in range(4):
+        form[(4 + k,)] = -zb[i] * z[k] / (2 * s**2) + (1.0 / (2 * s) if k == i else 0.0)
+    return form
+
+
+def dict_pullback_volume_form(p: FiberPoint, t: complex) -> Form:
+    """dw_1 ^ dw_2 ^ dw_3 / w_4 for w = z + t conj(z) / (2 ||z||^2), restricted."""
+    w4 = p.z[3] + t * np.conj(p.z[3]) / (2 * p.norm_sq)
+    ones = [form_add({(i,): 1.0}, form_scale(d_conj_over_norm_form(p, i), t)) for i in range(3)]
+    return restrict_to_chart4(form_scale(wedge_all(ones), 1.0 / w4), p)
+
+
+def dict_omega_tilde_1_coefficients(p: FiberPoint) -> Form:
+    """The deformation form term by term: the (3,0) top piece plus one
+    wedge per replaced factor dz_i -> d(conj(z_i) / (2 ||z||^2))."""
+    z4 = p.z[3]
+    pieces: list[Form] = [{(0, 1, 2): -np.conj(z4) / (2 * z4**2 * p.norm_sq)}]
+    for i in range(3):
+        factors = [d_conj_over_norm_form(p, j) if j == i else {(j,): 1.0} for j in range(3)]
+        pieces.append(form_scale(wedge_all(factors), 1.0 / z4))
+    return restrict_to_chart4(form_add(*pieces), p)
+
+
+# ---------------------------------------------------------------------------
 # conifold
 
 
@@ -510,7 +622,7 @@ def volume_form_value(p: FiberPoint, frame, chart: int | None = None, convention
     tf = holomorphic_volume_form(p, chart)
     scale = {"residue": 1.0, "cycle": 2.0}[convention]
     form: Form = {chart_complement(tf.chart): scale * tf.coeff}
-    return evaluate(form, frame, _ambient_component)
+    return form_evaluate(form, frame, _ambient_component)
 
 
 # canonical ordering of the 10 basis elements carrying the first-order form:
@@ -524,7 +636,11 @@ OMEGA_TILDE_BASIS: tuple[tuple[int, ...], ...] = ((0, 1, 2),) + tuple(
 def omega_tilde_1_vector(p: FiberPoint) -> np.ndarray:
     """The 10 coefficients of the deformation form in the canonical ordering."""
     form = omega_tilde_1_coefficients(p)
-    return np.array([form.get(key, 0.0) for key in OMEGA_TILDE_BASIS], dtype=complex)
+    out = []
+    for key in OMEGA_TILDE_BASIS:
+        sorted_key, sign = _sort_with_sign(key)
+        out.append(sign * form[BASIS[3].index(sorted_key)])
+    return np.array(out, dtype=complex)
 
 
 @dataclass

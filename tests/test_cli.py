@@ -57,6 +57,28 @@ class TestSlagCommand:
         assert json.loads(text)["results"]["rel_error"] < 1e-4
 
 
+class TestSignedParameter:
+    """A --t value that starts with '-' and is not a plain negative number
+    ('-0.5+0.2j', '-1e3j') is read as the value in both spellings."""
+
+    @pytest.mark.parametrize("value", ["-0.5+0.2j", "-1e3j", "-0.3@36", "-2"])
+    @pytest.mark.parametrize(
+        "command",
+        [["slag", "--resolution", "8"], ["metric", "--family", "smoothed", "--points", "5"]],
+    )
+    def test_separate_value_matches_attached(self, command, value, tmp_path):
+        code, text = run_cli(command + ["--t", value], tmp_path, "separate.json")
+        attached_code, attached = run_cli(command + [f"--t={value}"], tmp_path, "attached.json")
+        assert code == attached_code == 0
+        assert text == attached
+
+    def test_option_after_t_is_still_missing_value(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["slag", "--t", "--resolution", "8"])
+        assert err.value.code == 2
+        assert "argument --t: expected one argument" in capsys.readouterr().err
+
+
 class TestMetricCommand:
     def test_profile_csv(self, tmp_path):
         code, text = run_cli(

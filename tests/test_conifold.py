@@ -22,6 +22,7 @@ from conifold_lab.conifold import (
     tangent_frame,
     volume_form_chart_coefficients,
 )
+from conifold_lab.exterior import BASIS
 from reference import (
     OMEGA_TILDE_BASIS,
     conjugate_point,
@@ -74,11 +75,6 @@ class TestOnFiber:
         with pytest.raises(ValueError):
             on_fiber(FiberPoint([1, 0, 0, 0], 1.0), tol=0.0)
 
-    def test_json_round_trip(self):
-        p = FiberPoint([1 + 2j, 0, -1j, 0.5], 0.25j)
-        q = FiberPoint.from_json_dict(p.to_json_dict())
-        assert np.allclose(p.z, q.z) and p.t == q.t
-
 
 class TestRescaleFiber:
     def test_identity(self):
@@ -105,12 +101,6 @@ class TestRescaleFiber:
         assert np.isclose(
             np.linalg.norm(q.z), abs(lam) ** 1.5 * np.linalg.norm(p.z), rtol=1e-12
         )
-
-    def test_branch_choice(self):
-        p = FiberPoint([1, 1j, 0, 0], 0.0)
-        a = rescale_fiber(p, -2.0, branch="principal")
-        b = rescale_fiber(p, -2.0, branch="negative")
-        assert np.allclose(a.z, -b.z)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -252,15 +242,16 @@ def fd_pullback_value(p: FiberPoint, t: complex, frame, h: float = 1e-6) -> comp
 class TestOmegaTilde1:
     def test_type_is_30_plus_21(self):
         form = omega_tilde_1_coefficients(cone_point_with_dominant_z4())
-        for key in form:
-            assert sum(1 for idx in key if idx >= 3) in (0, 1)
+        for key, coeff in zip(BASIS[3], form):
+            if coeff != 0:
+                assert sum(1 for idx in key if idx >= 3) in (0, 1)
 
     def test_coefficient_vector_layout(self):
         p = cone_point_with_dominant_z4()
         vec = omega_tilde_1_vector(p)
         form = omega_tilde_1_coefficients(p)
         assert vec.shape == (10,)
-        assert vec[0] == form[(0, 1, 2)]
+        assert vec[0] == form[BASIS[3].index((0, 1, 2))]
         assert OMEGA_TILDE_BASIS[1] == (3, 0, 1)
 
     def test_scale_invariance(self):
@@ -291,10 +282,7 @@ class TestOmegaTilde1:
         errors = []
         for t in (1e-2, 1e-3, 1e-4):
             pulled = pullback_volume_form(p, t)
-            keys = set(pulled) | set(base) | set(first)
-            errors.append(
-                max(abs((pulled.get(k, 0) - base.get(k, 0)) / t - first.get(k, 0)) for k in keys)
-            )
+            errors.append(np.max(np.abs((pulled - base) / t - first)))
         assert 8.0 < errors[0] / errors[1] < 12.0
         assert 8.0 < errors[1] / errors[2] < 12.0
 
@@ -318,8 +306,8 @@ class TestOmegaTilde1:
         p = cone_point_with_dominant_z4()
         first = omega_tilde_1_coefficients(p)
         derivative = fd_exterior_derivative(p)
-        scale = max(abs(v) for v in first.values()) / math.sqrt(p.norm_sq)
-        d_norm = max(abs(v) for v in derivative.values()) if derivative else 0.0
+        scale = np.max(np.abs(first)) / math.sqrt(p.norm_sq)
+        d_norm = np.max(np.abs(derivative))
         assert d_norm < 1e-6 * scale
 
     def test_rejects_origin_and_smooth_fiber(self):

@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from conifold_lab import slag
-from conifold_lab.acceptance import Profile, criterion_07
+from conifold_lab import conifold, exterior, slag
+from conifold_lab.acceptance import Profile, criterion_07, criterion_09
 
 FULL = Profile.full(seed=0)
 
@@ -55,3 +55,40 @@ class TestC07:
         assert {f.partition(":")[0] for f in failures} >= {
             "period_rel_error_t1", "period_rel_error_ti", "period_rel_error_tgen",
         }
+
+
+class TestC09:
+    def test_scaled_deformation_form(self, monkeypatch):
+        """omega_tilde_1 x 1.05 leaves a first-order residual in the
+        expansion, so both error ratios fall to about 1."""
+        original = conifold.omega_tilde_1_coefficients
+        monkeypatch.setattr(conifold, "omega_tilde_1_coefficients", lambda p: 1.05 * original(p))
+        failures = _failures(criterion_09)
+        assert {f.partition(":")[0] for f in failures} >= {
+            "expansion_ratio_first", "expansion_ratio_second",
+        }
+
+    def test_doubled_nearest_point_correction(self, monkeypatch):
+        """phi_map with the correction t conj(z) / ||z||^2, twice the true
+        one: the pullback's w_4 is off at first order in t."""
+
+        def doubled(p, t):
+            return conifold.FiberPoint(p.z + t * np.conj(p.z) / p.norm_sq, t)
+
+        monkeypatch.setattr(conifold, "phi_map", doubled)
+        failures = _failures(criterion_09)
+        assert {f.partition(":")[0] for f in failures} >= {
+            "expansion_ratio_first", "expansion_ratio_second",
+        }
+
+    def test_flipped_derivative_sign(self, monkeypatch):
+        """One flipped entry of the 1-form ^ 3-form table, the one for
+        dz_1 ^ (dz_2 ^ dz_3 ^ conj(dz_1)), breaks the cancellation that
+        makes the deformation form closed."""
+        row = exterior.BASIS[3].index((1, 2, 3))
+        column = exterior.BASIS[4].index((0, 1, 2, 3))
+        signs = exterior.D_SIGNS.copy()
+        assert signs[row, column] == 1.0
+        signs[row, column] = -1.0
+        monkeypatch.setattr(exterior, "D_SIGNS", signs)
+        assert [f.partition(":")[0] for f in _failures(criterion_09)] == ["closedness_fd_norm"]
