@@ -219,13 +219,18 @@ def criterion_05(profile: Profile) -> tuple[str, float, Checks]:
     taus = np.logspace(2, 6, profile.asymptotic_points)
     rs = metrics.PotentialFamily.resolved(1.0)
     prof = metrics.profile(rs, taus)
-    weighted = (np.abs(metrics.asymptotic_deviations(rs, prof, subtract_gauge=True)) * prof.tau**0.25).tolist()
+    dev = metrics.asymptotic_deviations(rs, prof, subtract_gauge=True)
+    weighted = (np.abs(dev) * prof.tau**0.25).tolist()
     chk.le("resolved_weighted_deviation_max", max(weighted), 2.0)
     chk.true(
         "resolved_weighted_deviation_decreasing",
         all(weighted[i + 1] < weighted[i] for i in range(len(weighted) - 1)),
         measured=[weighted[0], weighted[-1]],
     )
+    # error model: at a = 1 the deviation is -6 s + 4 s^2 + ... in s = tau^{-2/3},
+    # so dev / s + 6 at the largest tau is the next term, bounded by twice it
+    s = float(taus[-1]) ** (-2.0 / 3.0)
+    chk.le("resolved_deviation_next_order", abs(float(dev[-1]) / s + 6.0), 8.0 * s)
     sm = metrics.PotentialFamily.smoothed(1.0)
     devs = metrics.asymptotic_deviations(sm, metrics.profile(sm, taus), subtract_gauge=True).tolist()
     chk.true(

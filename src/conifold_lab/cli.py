@@ -50,23 +50,9 @@ def _emit_report(args, command: str, config: dict, results, assertions: Checks, 
         "assertions": assertions.items,
         "timings": timings if getattr(args, "timings", False) else None,
     }
-    payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
+    payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write_output(args.output, payload)
     return 0 if assertions.all_passed else 1
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"unserializable object of type {type(obj).__name__}")
 
 
 def _write_output(path, payload: str) -> None:
@@ -133,14 +119,14 @@ METRIC_HEADER = ["family", "param", "tau", "f", "fp", "fpp", "ode_residual", "ma
 
 def _cmd_metric(args) -> int:
     if args.points < 1:
-        raise SystemExit2("empty grid: --points must be >= 1")
+        raise ValueError("empty grid: --points must be >= 1")
     if args.points > MAX_POINTS:
-        raise SystemExit2(f"--points: at most {MAX_POINTS} grid points, got {args.points}")
+        raise ValueError(f"--points: at most {MAX_POINTS} grid points, got {args.points}")
     family = _family_from_args(args)
     if args.sweep == "convergence":
         if family.kind == "cone":
-            raise SystemExit2("--family cone has no parameter for --sweep convergence; use smoothed or resolved")
-        params = [float(x) for x in args.params.split(",")] if args.params else [1.0, 0.5, 0.25, 0.125]
+            raise ValueError("--family cone has no parameter for --sweep convergence; use smoothed or resolved")
+        params = _param_list(args.params)
         kind = family.kind
         tau0 = args.tau_min if args.tau_min is not None else 1.0
         tau1 = args.tau_max if args.tau_max is not None else 10.0
@@ -161,7 +147,7 @@ def _cmd_metric(args) -> int:
     lo = args.tau_min if args.tau_min is not None else _default_tau_min(family, args.sweep)
     hi = args.tau_max if args.tau_max is not None else _default_tau_max(family, args.sweep)
     if not 0 < lo < hi:
-        raise SystemExit2(f"bad tau grid [{lo}, {hi}]")
+        raise ValueError(f"bad tau grid [{lo}, {hi}]")
     _check_tau_window(family, lo, hi)
     taus = np.logspace(math.log10(lo), math.log10(hi), args.points)
     prof = metrics.profile(family, taus)
@@ -180,10 +166,19 @@ def _cmd_metric(args) -> int:
         _write_csv(args.output, METRIC_HEADER, rows)
         return 0
     assertions = Checks()
-    assertions.le("ode_residual_max", float(np.max(ode)), args.tolerances.get("ode", 1e-8))
-    assertions.le("ma_residual_max", float(np.max(ma)), args.tolerances.get("ma", 1e-7))
+    assertions.le("ode_residual_max", float(np.max(ode)), _tolerance(args, "ode"))
+    assertions.le("ma_residual_max", float(np.max(ma)), _tolerance(args, "ma"))
     results = {"header": METRIC_HEADER, "rows": rows}
     return _emit_report(args, "metric", vars_config(args), results, assertions, {})
+
+
+def _param_list(text) -> list[float]:
+    if text is None:
+        return [1.0, 0.5, 0.25, 0.125]
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--params: expected a comma list of numbers, got {text!r}") from None
 
 
 TAU_UNITS = {"smoothed": "|t|", "resolved": "a^3"}
@@ -196,7 +191,7 @@ def _check_tau_window(family: metrics.PotentialFamily, lo: float, hi: float) -> 
         if family.kind in TAU_UNITS:
             slo, shi = metrics.TAU_WINDOW[family.kind]
             window += f" = {TAU_UNITS[family.kind]} * [{slo:g}, {shi:g}]"
-        raise SystemExit2(
+        raise ValueError(
             f"--tau-min/--tau-max: the {family.kind} family needs taus in {window}, got [{lo:g}, {hi:g}]"
         )
 
@@ -231,7 +226,7 @@ def _cmd_slag(args) -> int:
         "rel_error": rel_error,
     }
     assertions = Checks()
-    assertions.le("rel_error", rel_error, args.tolerances.get("slag", 1e-4))
+    assertions.le("rel_error", rel_error, _tolerance(args, "slag"))
     return _emit_report(args, "slag", vars_config(args), results, assertions, {})
 
 
@@ -254,7 +249,7 @@ def _cmd_transition(args) -> int:
 
 def _cmd_dwork(args) -> int:
     if args.smooth_points > MAX_SMOOTH_POINTS:
-        raise SystemExit2(f"--smooth-points: at most {MAX_SMOOTH_POINTS} points, got {args.smooth_points}")
+        raise ValueError(f"--smooth-points: at most {MAX_SMOOTH_POINTS} points, got {args.smooth_points}")
     assertions = Checks()
     points = transitions.dwork_singular_points()
     poly = transitions.DworkQuintic()
@@ -282,17 +277,28 @@ def _cmd_dwork(args) -> int:
     return _emit_report(args, "dwork", vars_config(args), results, assertions, {})
 
 
-def _cmd_friedman(args) -> int:
-    if args.classes_csv:
-        with open(args.classes_csv, encoding="utf-8") as fh:
-            matrix = transitions.ClassMatrix.from_csv_text(fh.read())
-    else:
-        rows = json.loads(args.classes_json)
+def _class_matrix(args) -> transitions.ClassMatrix:
+    """The class matrix of --classes-csv or --classes-json; a matrix that
+    does not parse is a usage error naming the flag and the bad entry."""
+    flag = "--classes-csv" if args.classes_csv else "--classes-json"
+    try:
+        if args.classes_csv:
+            with open(args.classes_csv, encoding="utf-8") as fh:
+                return transitions.ClassMatrix.from_csv_text(fh.read())
+        text = args.classes_json
         try:
-            matrix = transitions.ClassMatrix(rows)
-        except TypeError as exc:
-            # inexact entries, or rows that are not lists of numbers
-            raise SystemExit2(f"bad class matrix: {exc}") from None
+            rows = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{text!r} is not JSON ({exc})") from None
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ValueError(f"expected a JSON array of rows, each an array of entries, got {text!r}")
+        return transitions.ClassMatrix(rows)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _cmd_friedman(args) -> int:
+    matrix = _class_matrix(args)
     witness = transitions.friedman_witness(matrix)
     assertions = Checks()
     results = {
@@ -339,12 +345,6 @@ def _cmd_verify_all(args) -> int:
     return status
 
 
-class SystemExit2(SystemExit):
-    def __init__(self, message: str) -> None:
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
-
-
 def vars_config(args) -> dict:
     skip = {"func", "output", "timings"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
@@ -368,18 +368,30 @@ def _betti_text(text: str) -> str:
     )
 
 
-def _tolerance_map(pairs) -> dict:
+# The --tol names each subcommand reads, with their defaults; the others read none.
+TOLERANCES = {"metric": {"ode": 1e-8, "ma": 1e-7}, "slag": {"slag": 1e-4}}
+
+
+def _tolerance(args, name: str) -> float:
+    return args.tolerances.get(name, TOLERANCES[args.command][name])
+
+
+def _tolerance_map(command: str, pairs) -> dict:
+    known = TOLERANCES.get(command, {})
     out = {}
     for pair in pairs or []:
         name, _, value = pair.partition("=")
         if not value:
-            raise SystemExit2(f"bad --tol {pair!r}: expected NAME=VALUE")
+            raise ValueError(f"bad --tol {pair!r}: expected NAME=VALUE")
+        if name not in known:
+            reads = f"reads only {', '.join(known)}" if known else "reads no tolerance"
+            raise ValueError(f"bad --tol {pair!r}: {command} {reads}")
         try:
             out[name] = tol = float(value)
         except ValueError:
             tol = math.nan
         if not (math.isfinite(tol) and tol > 0):
-            raise SystemExit2(f"bad --tol {pair!r}: the value must be a finite number > 0")
+            raise ValueError(f"bad --tol {pair!r}: the value must be a finite number > 0")
     return out
 
 
@@ -479,14 +491,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_signed_t(sys.argv[1:] if argv is None else list(argv)))
     try:
-        args.tolerances = _tolerance_map(args.tol)
+        args.tolerances = _tolerance_map(args.command, args.tol)
         if args.command == "transition" and not args.catalog:
             missing = [k for k in ("h11", "h21", "N", "k", "c") if getattr(args, k) is None]
             if missing:
-                raise SystemExit2(f"transition needs --catalog or all of {missing}")
+                raise ValueError(f"transition needs --catalog or all of {missing}")
         return args.func(args)
-    except SystemExit2 as exc:
-        return int(exc.code)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,9 @@ the ODE constant invariant; the opposite sign fails it, which is how the
 convention is pinned down here.)
 
 A profile is evaluated on a whole tau grid at once (profile): f' and f''
-from vectorised closed forms, f by composite Gauss-Legendre quadrature on
+from vectorised closed forms; f in closed form for the cone and the
+resolution, f_1 = (3/2) gamma - 3 log(1 + gamma/6) at the cubic's root
+gamma, and for the smoothing by composite Gauss-Legendre quadrature on
 panels of unit width whose edges sit on a fixed lattice, so a sample's
 value does not depend on the rest of the grid.  The residuals, chart
 Hessians and deviations run on whole grids as well, as stacked arrays; the
@@ -28,9 +30,9 @@ asymptotic_deviation) are one-element calls of those kernels.
 
 Potentials are normalized to vanish at the domain minimum, so their large-tau
 expansions approach the cone profile only up to a family-specific additive
-constant (the potential gauge).  Deviation and convergence utilities can
-quotient that constant out; see asymptotic_deviation and
-potential_convergence_sup.
+constant (the potential gauge): SMOOTHED_GAUGE and RESOLVED_GAUGE at unit
+parameter.  Deviation and convergence utilities can quotient that constant
+out; see asymptotic_deviation and potential_convergence_sup.
 """
 
 from __future__ import annotations
@@ -61,8 +63,15 @@ def _check_quad_error(err: np.ndarray, value: np.ndarray) -> None:
 # series gamma(tau)/tau = 1/sqrt(6) - tau/72 + 5 sqrt(6) tau^2 / 10368 - ...
 _SERIES_CUTOFF = 1e-4
 
-_SMOOTHED_GAUGE_ANCHOR = 1e8
-_RESOLVED_GAUGE_ANCHOR = 1e10
+# Potential gauges at unit parameter: lim f_1(sigma) minus the leading terms.
+# Smoothing: f_1 - (3/2) sigma^{2/3} = -3/2 + int_0^{arccosh sigma}
+# (g(l)^{1/3} - sinh l cosh^{-1/3} l) dl, whose integrand decays like
+# l e^{-4l/3}; the limit is that integral to infinity, by mpmath (100 digits,
+# tanh-sinh and Gauss-Legendre agree), rounded to 17 significant digits.
+# Resolution: gamma = sigma^{2/3} - 2 + 4 sigma^{-2/3} + ..., so
+# f_1 - ((3/2) sigma^{2/3} - 2 log sigma) tends to 3 log 6 - 3 exactly.
+SMOOTHED_GAUGE = -1.7097494676923459
+RESOLVED_GAUGE = 3.0 * math.log(6.0) - 3.0
 
 # Window for |t| and a, a few decades inside the tightest end that the
 # largest powers allow on the default sweeps (tau up to 1e6 * max(scale, 1)):
@@ -81,9 +90,8 @@ PARAMETER_MAX = 1e20
 #   smoothing: f'' takes mu^3 ~ sigma^3, which overflows above 5.6e102, and
 #     sigma >= 1 is the domain (then tau <= 1e120, inside the cone's bounds);
 #   resolution: the ODE at a = PARAMETER_MAX takes tau^2 f'^2 f'' ~
-#     a^6 sigma^{4/3}, and the quadrature lattice below covers
-#     log sigma <= log 1e75 in 192 panels; tau = a^3 sigma leaves the normal
-#     floats below sigma = 2.2e-248 at a = PARAMETER_MIN.
+#     a^6 sigma^{4/3}, and tau = a^3 sigma leaves the normal floats below
+#     sigma = 2.2e-248 at a = PARAMETER_MIN.
 TAU_WINDOW = {"cone": (1e-150, 1e150), "smoothed": (1.0, 1e100), "resolved": (1e-240, 1e75)}
 
 
@@ -246,13 +254,13 @@ def _gamma_unit(tau: np.ndarray) -> np.ndarray:
     return g
 
 
-def _resolved_derivatives(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f_1' = gamma / sigma and f_1'' = -gamma^2 / ((3 gamma + 12) sigma^2).
+def _resolved_derivatives(sigma: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f_1' = gamma / sigma and f_1'' = -gamma^2 / ((3 gamma + 12) sigma^2),
+    given gamma = _gamma_unit(sigma).
 
     The second form is (gamma' sigma - gamma) / sigma^2 rewritten with the
     cubic, which removes the cancellation between gamma' and gamma / sigma.
     """
-    gamma = _gamma_unit(sigma)
     ratio = _gamma_over_tau_series(sigma)
     big = sigma >= _SERIES_CUTOFF
     ratio[big] = gamma[big] / sigma[big]
@@ -318,37 +326,19 @@ def _smoothed_derivatives(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # composite Gauss-Legendre over a fixed panel lattice
 #
-# Resolution: f_1(sigma) = head + int_{log anchor}^{log sigma} gamma(e^x) dx,
-# where the head is the series sigma/sqrt6 - sigma^2/144 + 5 sqrt6 sigma^3/31104
-# at the anchor (sigma <= anchor is pure series).  Smoothing: f_1(sigma) =
-# int_0^{arccosh sigma} g(l)^{1/3} dl.  Panel edges are anchor + k; the
-# cumulative integrals over whole panels are tabulated once per family kind,
-# and each sample adds its last, partial panel.  Every panel also gets a
-# lower-order rule: |main - check| plus a rounding allowance of
-# 50 eps |main| (QUADPACK's) is the panel's error estimate.
+# The smoothing's f_1(sigma) = int_0^{arccosh sigma} g(l)^{1/3} dl has no
+# closed form.  Panel edges are the integers; the cumulative integrals over
+# whole panels are tabulated once, and each sample adds its last, partial
+# panel.  Every panel also gets a lower-order rule: |main - check| plus a
+# rounding allowance of 50 eps |main| (QUADPACK's) is the panel's error
+# estimate.
 
 _RULE = np.polynomial.legendre.leggauss(20)
 _CHECK_RULE = np.polynomial.legendre.leggauss(10)
 _ROUNDING = 50.0 * np.finfo(float).eps
-_RESOLVED_ANCHOR = 1e-8
 
 
-def _resolved_head(sigma: np.ndarray) -> np.ndarray:
-    return sigma / math.sqrt(6.0) - sigma**2 / 144.0 + 5.0 * math.sqrt(6.0) * sigma**3 / 31104.0
-
-
-def _resolved_integrand(x: np.ndarray) -> np.ndarray:
-    return _gamma_unit(np.exp(x))
-
-
-# kind -> (integration variable of sigma, lattice anchor, integrand)
-_QUADRATURE = {
-    "resolved": (np.log, math.log(_RESOLVED_ANCHOR), _resolved_integrand),
-    "smoothed": (lambda sigma: _smoothed_lambda(sigma)[0], 0.0, _smoothed_integrand),
-}
-
-
-def _panels(integrand, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Main-rule integrals over [lo, hi] and their error estimates.  The
     weighted sums run node by node, so each panel's bits depend on its own
     ends only."""
@@ -356,7 +346,7 @@ def _panels(integrand, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     half = 0.5 * (hi - lo)
 
     def rule(nodes, weights):
-        values = integrand(mid + half[:, None] * nodes)
+        values = _smoothed_integrand(mid + half[:, None] * nodes)
         total = weights[0] * values[:, 0]
         for j in range(1, len(weights)):
             total = total + weights[j] * values[:, j]
@@ -367,25 +357,22 @@ def _panels(integrand, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 @lru_cache(maxsize=None)
-def _lattice(kind: str) -> tuple[np.ndarray, np.ndarray]:
+def _lattice() -> tuple[np.ndarray, np.ndarray]:
     """Cumulative integrals and error estimates over the unit panels from
-    the anchor to the top of the family's tau window."""
-    variable, anchor, integrand = _QUADRATURE[kind]
-    top = float(variable(np.array([TAU_WINDOW[kind][1]]))[0])
-    edges = anchor + np.arange(math.ceil(top - anchor) + 1, dtype=float)
-    main, err = _panels(integrand, edges[:-1], edges[1:])
+    0 to the top of the smoothing's tau window."""
+    top = float(_smoothed_lambda(np.array([TAU_WINDOW["smoothed"][1]]))[0][0])
+    edges = np.arange(math.ceil(top) + 1, dtype=float)
+    main, err = _panels(edges[:-1], edges[1:])
     return np.concatenate(([0.0], np.cumsum(main))), np.concatenate(([0.0], np.cumsum(err)))
 
 
-def _lattice_integral(kind: str, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The integral from the anchor up to each sigma's variable, and its
-    error estimate: whole lattice panels from the table, then one partial
-    panel."""
-    variable, anchor, integrand = _QUADRATURE[kind]
-    cum, cum_err = _lattice(kind)
-    x = variable(sigma)
-    k = np.clip(np.floor(x - anchor).astype(int), 0, len(cum) - 2)
-    part, part_err = _panels(integrand, anchor + k, x)
+def _lattice_integral(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f_1(sigma) of the smoothing and its error estimate: whole lattice
+    panels from the table, then one partial panel."""
+    cum, cum_err = _lattice()
+    x = _smoothed_lambda(sigma)[0]
+    k = np.clip(np.floor(x).astype(int), 0, len(cum) - 2)
+    part, part_err = _panels(k, x)
     return cum[k] + part, cum_err[k] + part_err
 
 
@@ -396,10 +383,12 @@ def _lattice_integral(kind: str, sigma: np.ndarray) -> tuple[np.ndarray, np.ndar
 def profile(family: PotentialFamily, taus) -> PotentialProfile:
     """(f, f', f'', quad_error) of the family's radial potential on a tau grid.
 
-    f comes from the lattice quadrature (each sample's reported error must
-    beat max(1e-10, 1e-12 |f|)); f' and f'' come from the closed forms, so
-    residual tests do not inherit quadrature error.  Sample i does not depend
-    on the other taus.  Raises on domain violations.
+    f comes from closed forms, except on the smoothing, where it comes from
+    the lattice quadrature (each sample's reported error must beat
+    max(1e-10, 1e-12 |f|)); quad_error is zero elsewhere.  f' and f'' come
+    from the closed forms, so residual tests do not inherit quadrature
+    error.  Sample i does not depend on the other taus.  Raises on domain
+    violations.
     """
     tau = np.array(taus, dtype=float).reshape(-1)
     if not np.all(np.isfinite(tau)):
@@ -420,7 +409,7 @@ def profile(family: PotentialFamily, taus) -> PotentialProfile:
             below = tau[tau < at][0]
             raise ValueError(f"tau = {float(below)} below the smoothed domain minimum |t| = {at}")
         sigma = tau / at
-        val, err = _lattice_integral("smoothed", sigma)
+        val, err = _lattice_integral(sigma)
         scale = at ** (2.0 / 3.0)
         f, err = scale * val, scale * err
         _check_quad_error(err, f)
@@ -433,15 +422,10 @@ def profile(family: PotentialFamily, taus) -> PotentialProfile:
     if np.any(tau < 0):
         raise ValueError("resolved profile needs tau >= 0")
     sigma = tau / a**3
-    val = _resolved_head(np.minimum(sigma, _RESOLVED_ANCHOR))
-    err = np.zeros_like(tau)
-    tail = sigma > _RESOLVED_ANCHOR
-    integral, err[tail] = _lattice_integral("resolved", sigma[tail])
-    val[tail] += integral
-    f, err = a**2 * val, a**2 * err
-    _check_quad_error(err, f)
-    fp, fpp = _resolved_derivatives(sigma)
-    return PotentialProfile(tau=tau, f=f, fp=fp / a, fpp=fpp / a**4, quad_error=err)
+    gamma = _gamma_unit(sigma)
+    f = a**2 * (1.5 * gamma - 3.0 * np.log1p(gamma / 6.0))
+    fp, fpp = _resolved_derivatives(sigma, gamma)
+    return PotentialProfile(tau=tau, f=f, fp=fp / a, fpp=fpp / a**4, quad_error=np.zeros_like(tau))
 
 
 def potential_value(family: PotentialFamily, tau: float) -> PotentialSample:
@@ -745,25 +729,6 @@ def metric_residuals(family: PotentialFamily, coords, prof: PotentialProfile) ->
 # asymptotics and potential-level continuity
 
 
-@lru_cache(maxsize=None)
-def smoothed_gauge_constant() -> float:
-    """Additive constant of the unit-parameter smoothed profile relative to the
-    cone profile: lim f_1(sigma) - (3/2) sigma^{2/3}.  The minimum-normalized
-    potential does not approach the cone potential without this shift."""
-    val = potential_value(PotentialFamily.smoothed(1.0), _SMOOTHED_GAUGE_ANCHOR).f
-    return val - 1.5 * _SMOOTHED_GAUGE_ANCHOR ** (2.0 / 3.0)
-
-
-@lru_cache(maxsize=None)
-def resolved_gauge_constant() -> float:
-    """Additive constant of the unit-parameter resolved profile relative to
-    (3/2) sigma^{2/3} - 2 log sigma."""
-    val = potential_value(PotentialFamily.resolved(1.0), _RESOLVED_GAUGE_ANCHOR).f
-    return val - (
-        1.5 * _RESOLVED_GAUGE_ANCHOR ** (2.0 / 3.0) - 2.0 * math.log(_RESOLVED_GAUGE_ANCHOR)
-    )
-
-
 def asymptotic_threshold(family: PotentialFamily) -> float:
     """Smallest tau where the large-tau expansion applies: ten parameter scales."""
     return 10.0 * family.scale
@@ -788,12 +753,12 @@ def asymptotic_deviations(
     if family.kind == "smoothed":
         dev = f - 1.5 * tau ** (2.0 / 3.0)
         if subtract_gauge:
-            dev -= abs(family.t) ** (2.0 / 3.0) * smoothed_gauge_constant()
+            dev -= abs(family.t) ** (2.0 / 3.0) * SMOOTHED_GAUGE
         return dev
     a = family.a
     dev = f - (1.5 * tau ** (2.0 / 3.0) - 2.0 * a**2 * np.log(tau / a**3))
     if subtract_gauge:
-        dev -= a**2 * resolved_gauge_constant()
+        dev -= a**2 * RESOLVED_GAUGE
     return dev
 
 

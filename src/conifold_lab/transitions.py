@@ -38,13 +38,18 @@ import numpy as np
 def _as_exact(value) -> Fraction:
     """Coerce CSV/JSON scalars (integers, rationals, rational strings such as
     "1/2", integral floats) to Fraction."""
-    if isinstance(value, (int, Fraction, str)):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"entry {value!r} is not a rational number") from None
     if isinstance(value, float):
-        if value != int(value):
-            raise TypeError("class vectors must be exact; got a non-integral float")
+        if not value.is_integer():
+            raise TypeError(f"class vectors must be exact; got the non-integral float {value!r}")
         return Fraction(int(value))
-    raise TypeError(f"unsupported class-vector entry of type {type(value).__name__}")
+    raise TypeError(f"unsupported class-vector entry {value!r} of type {type(value).__name__}")
 
 
 @dataclass

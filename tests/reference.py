@@ -262,12 +262,12 @@ def asymptotic_deviation_per_point(family, sample, subtract_gauge: bool = False)
     if family.kind == "smoothed":
         dev = sample.f - 1.5 * tau ** (2.0 / 3.0)
         if subtract_gauge:
-            dev -= abs(family.t) ** (2.0 / 3.0) * metrics.smoothed_gauge_constant()
+            dev -= abs(family.t) ** (2.0 / 3.0) * metrics.SMOOTHED_GAUGE
         return dev
     a = family.a
     dev = sample.f - (1.5 * tau ** (2.0 / 3.0) - 2.0 * a**2 * math.log(tau / a**3))
     if subtract_gauge:
-        dev -= a**2 * metrics.resolved_gauge_constant()
+        dev -= a**2 * metrics.RESOLVED_GAUGE
     return dev
 
 

@@ -495,6 +495,67 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv,message",
         [
+            (["verify-all", "--criteria", "C03", "--tol", "ode=1e-30"],
+             "bad --tol 'ode=1e-30': verify-all reads no tolerance"),
+            (["hodge", "--n", "4", "--d", "5", "--tol", "nosuch=1"],
+             "bad --tol 'nosuch=1': hodge reads no tolerance"),
+            (["dwork", "--tol", "ode=1"], "bad --tol 'ode=1': dwork reads no tolerance"),
+            (["transition", "--catalog", "--tol", "slag=1"], "bad --tol 'slag=1': transition reads no tolerance"),
+            (["friedman", "--classes-json", "[[1]]", "--tol", "ma=1"],
+             "bad --tol 'ma=1': friedman reads no tolerance"),
+            (["metric", "--family", "cone", "--tol", "slag=1e-3"], "bad --tol 'slag=1e-3': metric reads only ode, ma"),
+            (["slag", "--t", "1", "--tol", "ode=1"], "bad --tol 'ode=1': slag reads only slag"),
+        ],
+        ids=["verify-all", "hodge", "dwork", "transition", "friedman", "metric", "slag"],
+    )
+    def test_tolerance_the_command_does_not_read(self, argv, message, tmp_path, capsys):
+        """Each subcommand takes only the --tol names it reads; an ignored
+        tolerance used to be echoed in the report's config."""
+        assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_metric_reads_its_tolerances(self, tmp_path):
+        argv = ["metric", "--family", "cone", "--points", "3", "--tol", "ode=1e-20", "--tol", "ma=0.5"]
+        code, text = run_cli(argv, tmp_path)
+        report = json.loads(text)
+        assert code == 1 and report["config"]["tolerances"] == {"ode": 1e-20, "ma": 0.5}
+        assert [(a["name"], a["tolerance"]) for a in report["assertions"]] == [
+            ("ode_residual_max", 1e-20), ("ma_residual_max", 0.5),
+        ]
+
+    @pytest.mark.parametrize(
+        "classes,message",
+        [
+            ('[["1/0",1]]', "entry '1/0' is not a rational number"),
+            ('{"a":1}', "expected a JSON array of rows, each an array of entries, got '{\"a\":1}'"),
+            ("nope", "'nope' is not JSON (Expecting value: line 1 column 1 (char 0))"),
+        ],
+        ids=["zero-denominator", "object", "not-json"],
+    )
+    def test_class_matrix_that_does_not_parse(self, classes, message, tmp_path, capsys):
+        assert cli.main(["friedman", "--classes-json", classes, "--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: --classes-json: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_class_csv_that_does_not_parse(self, tmp_path, capsys):
+        path = tmp_path / "classes.csv"
+        path.write_text("1,2\n1/0,3\n")
+        assert cli.main(["friedman", "--classes-csv", str(path), "--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: --classes-csv: entry '1/0' is not a rational number\n"
+
+    @pytest.mark.parametrize("params", ["", "1,x"], ids=["empty", "garbage"])
+    def test_convergence_params_must_be_numbers(self, params, tmp_path, capsys):
+        """An empty --params used to run the default parameters while the
+        config echoed the empty list."""
+        argv = ["metric", "--family", "smoothed", "--sweep", "convergence", "--params", params]
+        assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: --params: expected a comma list of numbers, got {params!r}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
             (["slag", "--t", "nan"], "the vanishing cycle needs a finite t, got (nan+0j)"),
             (["slag", "--t", "inf"], "the vanishing cycle needs a finite t, got (inf+0j)"),
             (["metric", "--family", "resolved", "--a", "inf"],

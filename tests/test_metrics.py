@@ -18,6 +18,9 @@ from conifold_lab.metrics import (
     ODE_CONSTANT,
     PARAMETER_MAX,
     PARAMETER_MIN,
+    RESOLVED_GAUGE,
+    SMOOTHED_GAUGE,
+    TAU_WINDOW,
     PotentialFamily,
     asymptotic_deviation,
     asymptotic_deviations,
@@ -36,10 +39,8 @@ from conifold_lab.metrics import (
     profile,
     potential_convergence_sup,
     potential_value,
-    resolved_gauge_constant,
     resolved_point_with_tau,
     resolved_points_with_tau,
-    smoothed_gauge_constant,
     smoothed_normal_form_point,
     smoothed_normal_form_points,
     _smoothed_derivatives,
@@ -166,18 +167,15 @@ class TestPotentialValue:
             potential_value(RESOLVED, -0.1)
 
     def test_quadrature_tolerance_refinement(self):
-        # the same rule on panels of half the width moves f by less than the
-        # reported error bound
-        for family, taus in ((SMOOTHED, (1.5, 7.0, 300.0, 1e9)), (RESOLVED, (0.3, 4.0, 800.0, 1e12))):
-            variable, anchor, integrand = metrics._QUADRATURE[family.kind]
-            for tau in taus:
-                sample = potential_value(family, tau)
-                x = float(variable(np.array([tau]))[0])
-                edges = np.append(np.arange(anchor, x, 0.5), x)
-                halved, _ = metrics._panels(integrand, edges[:-1], edges[1:])
-                head = metrics._resolved_head(metrics._RESOLVED_ANCHOR) if family.kind == "resolved" else 0.0
-                assert np.max(np.diff(edges)) <= 0.5
-                assert abs(head + math.fsum(halved) - sample.f) <= sample.quad_error
+        # the same rule on panels of half the width moves the smoothed f by
+        # less than the reported error bound
+        for tau in (1.5, 7.0, 300.0, 1e9):
+            sample = potential_value(SMOOTHED, tau)
+            x = float(metrics._smoothed_lambda(np.array([tau]))[0][0])
+            edges = np.append(np.arange(0.0, x, 0.5), x)
+            halved, _ = metrics._panels(edges[:-1], edges[1:])
+            assert np.max(np.diff(edges)) <= 0.5
+            assert abs(math.fsum(halved) - sample.f) <= sample.quad_error
 
     def test_smoothed_rescaling_identity(self):
         # profile at parameter t is the unit profile scaled by |t|^{2/3} in
@@ -244,6 +242,21 @@ def _mp_unit_derivatives(kind: str, sigma: float):
         return g / s, (slope * s - g) / s**2
 
 
+def _mp_resolved_f1(sigma: float):
+    """f_1(sigma) = (3/2) gamma - 3 log(1 + gamma/6) at 40 digits, the root of
+    gamma^3 + 6 gamma^2 = sigma^2 by Newton's method on its logarithm."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        s = mp.mpf(sigma)
+        g = s ** (mp.mpf(2) / 3) if s > 1 else s / mp.sqrt(6)
+        for _ in range(100):
+            step = (2 * mp.log(g) + mp.log(g + 6) - 2 * mp.log(s)) / (2 / g + 1 / (g + 6))
+            g -= step
+            if abs(step) < g * mp.mpf(10) ** -35:
+                return mp.mpf(3) / 2 * g - 3 * mp.log1p(g / 6)
+    raise AssertionError(f"no root at sigma = {sigma}")
+
+
 def _family(kind: str, param: float) -> PotentialFamily:
     return PotentialFamily.smoothed(param) if kind == "smoothed" else PotentialFamily.resolved(param)
 
@@ -281,6 +294,28 @@ class TestBatchedProfile:
             fp, fpp = _mp_unit_derivatives(kind, sample.tau)
             assert abs(sample.fp - fp) <= 1e-13 * abs(fp)
             assert abs(sample.fpp - fpp) <= 1e-13 * abs(fpp)
+
+    def test_resolved_f_matches_mpmath_across_the_window(self):
+        """The closed form f_1 = (3/2) gamma - 3 log1p(gamma/6) is within
+        4 eps of the 40-digit value on the whole resolved window."""
+        lo, hi = TAU_WINDOW["resolved"]
+        sigmas = np.logspace(math.log10(lo), math.log10(hi), 316)
+        for sigma, f in zip(sigmas, profile(RESOLVED, sigmas).f):
+            exact = _mp_resolved_f1(float(sigma))
+            assert abs(f - float(exact)) <= 4 * np.finfo(float).eps * float(exact)
+
+    @given(st.floats(-20.0, 20.0), st.floats(-240.0, 75.0))
+    @settings(deadline=None)
+    def test_resolved_f_matches_scipy_oracle_at_every_scale(self, log_a, log_sigma):
+        """Closed-form f against the adaptive scipy quadrature of f_1, for a
+        in [1e-20, 1e20] and tau / a^3 across the resolved window."""
+        a = 10.0**log_a
+        sigma = min(max(10.0**log_sigma, TAU_WINDOW["resolved"][0]), TAU_WINDOW["resolved"][1])
+        family = PotentialFamily.resolved(a)
+        sample = profile(family, [sigma * family.scale])[0]
+        assert sample.quad_error == 0.0
+        ref, err = f1_resolved_quad(sample.tau / family.scale)
+        assert abs(sample.f - a**2 * ref) <= a**2 * err + 1e-13 * abs(a**2 * ref)
 
     def test_smoothed_second_derivative_limit(self):
         # f'' is finite at the domain minimum, f_1''(1) = -(2/3)^{1/3}/5
@@ -749,8 +784,29 @@ class TestAsymptotics:
         assert abs(devs[-1]) < 1e-6
 
     def test_gauge_constants_are_stable(self):
-        assert smoothed_gauge_constant() == pytest.approx(-1.7097494677, abs=1e-7)
-        assert resolved_gauge_constant() == pytest.approx(2.3752771, abs=1e-5)
+        assert SMOOTHED_GAUGE == pytest.approx(-1.7097494677, abs=1e-7)
+        assert RESOLVED_GAUGE == pytest.approx(2.3752771, abs=1e-5)
+
+    def test_smoothed_gauge_matches_mpmath(self):
+        """-3/2 + int_0^inf (g^{1/3} - sinh l cosh^{-1/3} l) dl; the integrand
+        is below 1e-20 beyond l = 40."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            def excess(l):
+                return mp.cbrt((mp.sinh(2 * l) - 2 * l) / 2) - mp.sinh(l) * mp.cosh(l) ** (-mp.mpf(1) / 3)
+
+            limit = -mp.mpf(3) / 2 + mp.quad(excess, [0, 0.5, 1, 2, 4, 8, 16, 24, 32, 40])
+        assert abs(SMOOTHED_GAUGE - float(limit)) <= math.ulp(SMOOTHED_GAUGE)
+
+    def test_resolved_gauge_matches_mpmath(self):
+        """f_1 - ((3/2) sigma^{2/3} - 2 log sigma) + 6 sigma^{-2/3} at
+        sigma = 1e12 is the gauge up to 4 sigma^{-4/3} = 4e-16."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            s = mp.mpf(10) ** 12
+            value = _mp_resolved_f1(1e12) - (mp.mpf(3) / 2 * s ** (mp.mpf(2) / 3) - 2 * mp.log(s))
+            value += 6 * s ** (-mp.mpf(2) / 3)
+        assert abs(RESOLVED_GAUGE - float(value)) <= 2e-15
 
     def test_threshold_enforced(self):
         with pytest.raises(ValueError):
@@ -758,7 +814,7 @@ class TestAsymptotics:
 
     def test_raw_deviation_tends_to_gauge(self):
         raw = _deviation(SMOOTHED, 1e6)
-        assert raw == pytest.approx(smoothed_gauge_constant(), abs=1e-6)
+        assert raw == pytest.approx(SMOOTHED_GAUGE, abs=1e-6)
 
 
 class TestConvergenceSup:

@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from conifold_lab import conifold, exterior, slag
-from conifold_lab.acceptance import Profile, criterion_07, criterion_09
+from conifold_lab import conifold, exterior, metrics, slag
+from conifold_lab.acceptance import Profile, criterion_04, criterion_05, criterion_07, criterion_09
 
 FULL = Profile.full(seed=0)
 
@@ -17,6 +17,47 @@ FULL = Profile.full(seed=0)
 def _failures(criterion) -> list[str]:
     _, _, checks = criterion(FULL)
     return checks.failures
+
+
+class TestC04:
+    def test_scaled_resolved_slope(self, monkeypatch):
+        """f' x (1 + 1e-5) on the resolution moves the zero-section slope by
+        about 4e-6, above the 1e-6 gate."""
+        derivatives = metrics._resolved_derivatives
+
+        def scaled(sigma, gamma):
+            fp, fpp = derivatives(sigma, gamma)
+            return fp * (1.0 + 1e-5), fpp
+
+        monkeypatch.setattr(metrics, "_resolved_derivatives", scaled)
+        assert [f.partition(":")[0] for f in _failures(criterion_04)] == ["fprime_limit_error"]
+
+
+class TestC05:
+    def test_resolved_gauge_read_at_a_finite_anchor(self, monkeypatch):
+        """The gauge read off f_1 at sigma = 1e10 keeps the -6 sigma^{-2/3}
+        term there, 1.3e-6 below the limit: the weighted deviations still
+        decrease, but the deviation's next order is off by 1.3e-2 against
+        a bound of 8e-4."""
+        monkeypatch.setattr(metrics, "RESOLVED_GAUGE", 2.3752771196886897)
+        assert [f.partition(":")[0] for f in _failures(criterion_05)] == ["resolved_deviation_next_order"]
+
+    def test_shifted_smoothed_gauge(self, monkeypatch):
+        """A smoothed gauge 1e-7 too large pushes the deviations through
+        zero, so their magnitudes stop decreasing."""
+        monkeypatch.setattr(metrics, "SMOOTHED_GAUGE", metrics.SMOOTHED_GAUGE + 1e-7)
+        assert "smoothed_deviation_decreasing: expected true" in _failures(criterion_05)
+
+    def test_scaled_smoothed_potential(self, monkeypatch):
+        """f x (1 + 1e-9) on the smoothing leaves 1.5e-5 at tau = 1e6."""
+        integral = metrics._lattice_integral
+
+        def scaled(sigma):
+            value, err = integral(sigma)
+            return value * (1.0 + 1e-9), err
+
+        monkeypatch.setattr(metrics, "_lattice_integral", scaled)
+        assert any(f.startswith("smoothed_deviation_final:") for f in _failures(criterion_05))
 
 
 class TestC07:
