@@ -209,8 +209,8 @@ def criterion_03(profile: Profile) -> tuple[str, float, Checks]:
 
 def criterion_04(profile: Profile) -> tuple[str, float, Checks]:
     chk = Checks()
-    sample = metrics.potential_value(metrics.PotentialFamily.resolved(1.0), 1e-8)
-    chk.le("fprime_limit_error", abs(sample.fp - 1.0 / math.sqrt(6.0)), 1e-6)
+    fp = float(metrics.profile(metrics.PotentialFamily.resolved(1.0), [1e-8]).fp[0])
+    chk.le("fprime_limit_error", abs(fp - 1.0 / math.sqrt(6.0)), 1e-6)
     return "resolved profile slope limit 1/sqrt(6) at the zero section", 1.0, chk
 
 
@@ -219,7 +219,7 @@ def criterion_05(profile: Profile) -> tuple[str, float, Checks]:
     taus = np.logspace(2, 6, profile.asymptotic_points)
     rs = metrics.PotentialFamily.resolved(1.0)
     prof = metrics.profile(rs, taus)
-    dev = metrics.asymptotic_deviations(rs, prof, subtract_gauge=True)
+    dev = metrics.asymptotic_deviations(rs, prof)
     weighted = (np.abs(dev) * prof.tau**0.25).tolist()
     chk.le("resolved_weighted_deviation_max", max(weighted), 2.0)
     chk.true(
@@ -232,7 +232,7 @@ def criterion_05(profile: Profile) -> tuple[str, float, Checks]:
     s = float(taus[-1]) ** (-2.0 / 3.0)
     chk.le("resolved_deviation_next_order", abs(float(dev[-1]) / s + 6.0), 8.0 * s)
     sm = metrics.PotentialFamily.smoothed(1.0)
-    devs = metrics.asymptotic_deviations(sm, metrics.profile(sm, taus), subtract_gauge=True).tolist()
+    devs = metrics.asymptotic_deviations(sm, metrics.profile(sm, taus)).tolist()
     chk.true(
         "smoothed_deviation_decreasing",
         all(abs(devs[i + 1]) < abs(devs[i]) for i in range(len(devs) - 1)),

@@ -152,12 +152,12 @@ def _cmd_metric(args) -> int:
     taus = np.logspace(math.log10(lo), math.log10(hi), args.points)
     prof = metrics.profile(family, taus)
     if family.kind == "resolved":
-        points = metrics.resolved_points_with_tau(family.a, taus)
+        points = metrics.resolved_points_with_tau(taus)
     else:
         points = metrics.smoothed_normal_form_points(family.t, taus)
     ode, ma = metrics.metric_residuals(family, points, prof)
     asymptotic = prof.tau >= metrics.asymptotic_threshold(family)
-    deviations = iter(metrics.asymptotic_deviations(family, prof.take(asymptotic), subtract_gauge=True).tolist())
+    deviations = iter(metrics.asymptotic_deviations(family, prof.take(asymptotic)).tolist())
     param = abs(family.t) if family.kind == "smoothed" else (family.a if family.kind == "resolved" else 0.0)
     columns = [prof.tau.tolist(), prof.f.tolist(), prof.fp.tolist(), prof.fpp.tolist(), ode.tolist(), ma.tolist(),
                [next(deviations) if above else "" for above in asymptotic]]
@@ -293,6 +293,8 @@ def _class_matrix(args) -> transitions.ClassMatrix:
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
             raise ValueError(f"expected a JSON array of rows, each an array of entries, got {text!r}")
         return transitions.ClassMatrix(rows)
+    except OSError as exc:
+        raise ValueError(f"{flag}: cannot read {args.classes_csv!r}: {exc.strerror or exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_nonnegative_int, default=0)
     common.add_argument("--timings", action="store_true", help="include wall-clock timings")
     common.add_argument("--tol", action="append", metavar="NAME=VALUE", dest="tol")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--format", choices=("json", "csv"), default="json", help="csv: metric only")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -492,6 +494,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_signed_t(sys.argv[1:] if argv is None else list(argv)))
     try:
         args.tolerances = _tolerance_map(args.command, args.tol)
+        if args.format == "csv" and args.command != "metric":
+            raise ValueError(f"--format csv: only metric writes CSV; {args.command} writes a JSON report")
         if args.command == "transition" and not args.catalog:
             missing = [k for k in ("h11", "h21", "N", "k", "c") if getattr(args, k) is None]
             if missing:

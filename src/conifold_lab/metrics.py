@@ -24,15 +24,18 @@ resolution, f_1 = (3/2) gamma - 3 log(1 + gamma/6) at the cubic's root
 gamma, and for the smoothing by composite Gauss-Legendre quadrature on
 panels of unit width whose edges sit on a fixed lattice, so a sample's
 value does not depend on the rest of the grid.  The residuals, chart
-Hessians and deviations run on whole grids as well, as stacked arrays; the
-one-point functions (ode_residual, hermitian_hessian, monge_ampere_residual,
-asymptotic_deviation) are one-element calls of those kernels.
+Hessians and deviations run on whole grids as well, as stacked arrays.  The
+Monge-Ampere residual compares det(H)/density with its exact value
+MONGE_AMPERE_CONSTANT, which the ODE fixes; nothing is measured at a
+reference point.  The one-point functions (potential_value,
+ode_residual, hermitian_hessian, monge_ampere_residual, asymptotic_deviation)
+are one-element calls of those kernels that the package itself does not use.
 
 Potentials are normalized to vanish at the domain minimum, so their large-tau
 expansions approach the cone profile only up to a family-specific additive
 constant (the potential gauge): SMOOTHED_GAUGE and RESOLVED_GAUGE at unit
-parameter.  Deviation and convergence utilities can quotient that constant
-out; see asymptotic_deviation and potential_convergence_sup.
+parameter.  The deviation and convergence utilities quotient that constant
+out; see asymptotic_deviations and potential_convergence_sup.
 """
 
 from __future__ import annotations
@@ -44,9 +47,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from conifold_lab.conifold import FiberPoint, ResolvedPoint
+from conifold_lab.conifold import FiberPoint
 
 ODE_CONSTANT = 2.0 / 3.0
+
+# det(H)/density of the chart Hessians for a profile that solves the ODE.
+# With L(f) the ODE's left-hand side, det(H)/density = 4 L(f) in a fiber
+# chart (density |2 z_c|^-2) and det(H)/density = L(f) on the resolution
+# (density 1), identically in f' and f''.
+MONGE_AMPERE_CONSTANT = {"cone": 4.0 * ODE_CONSTANT, "smoothed": 4.0 * ODE_CONSTANT, "resolved": ODE_CONSTANT}
 
 QUAD_ERROR_BOUND = 1e-10  # potential evaluations must report better than this
 _QUAD_RELATIVE_FLOOR = 1e-12  # attainable accuracy floor for values far above 1
@@ -522,30 +531,12 @@ def smoothed_normal_form_points(t: complex, taus) -> tuple[np.ndarray, np.ndarra
     return phase * z, np.full(len(tau), t)
 
 
-def smoothed_normal_form_point(t: complex, tau: float) -> FiberPoint:
-    z, _ = smoothed_normal_form_points(t, [tau])
-    return FiberPoint(z[0], t)
-
-
-def cone_point(tau: float) -> FiberPoint:
-    return smoothed_normal_form_point(0.0, tau)
-
-
-def resolved_points_with_tau(a: float, taus, u=None) -> tuple[np.ndarray, np.ndarray]:
-    """Points of the resolution with invariants tau over one direction u
-    (defaults to [1:0])."""
-    u = np.asarray((1.0, 0.0) if u is None else u, dtype=complex)
-    u = u / np.max(np.abs(u))
-    norm2 = np.sum(np.abs(u) ** 2)
+def resolved_points_with_tau(taus) -> tuple[np.ndarray, np.ndarray]:
+    """Points of the resolution with invariants tau over the direction [1:0]."""
     tau = np.array(taus, dtype=float).reshape(-1)
     w = np.zeros((len(tau), 2), dtype=complex)
-    w[:, 0] = np.sqrt(tau / norm2)
-    return np.tile(u, (len(tau), 1)), w
-
-
-def resolved_point_with_tau(a: float, tau: float, u=None) -> ResolvedPoint:
-    uu, w = resolved_points_with_tau(a, [tau], u)
-    return ResolvedPoint(uu[0], w[0])
+    w[:, 0] = np.sqrt(tau)
+    return np.tile(np.array([1.0, 0.0], dtype=complex), (len(tau), 1)), w
 
 
 def _stacked(point) -> tuple[np.ndarray, np.ndarray]:
@@ -573,10 +564,6 @@ def point_taus(coords) -> np.ndarray:
         return np.sum(np.abs(coords[0]) ** 2, axis=1)
     _, _, _, rho, one_u = _resolved_chart(*coords)
     return one_u * rho
-
-
-def point_tau(point) -> float:
-    return float(point_taus(_stacked(point))[0])
 
 
 def _tau_check(prof: PotentialProfile, tau: np.ndarray):
@@ -663,48 +650,20 @@ def hermitian_hessian(family: PotentialFamily, point, sample: PotentialSample) -
     return HermitianHessian(point=point, H=H[0], density=float(density[0]), chart=int(chart[0]))
 
 
-def _reference_point(family: PotentialFamily):
-    if family.kind == "cone":
-        return cone_point(1.0)
-    if family.kind == "smoothed":
-        return smoothed_normal_form_point(family.t, 2.0 * abs(family.t))
-    return resolved_point_with_tau(family.a, 2.0 * family.a**3)
-
-
-# Calibrations kept per process.  A long-lived process that asks about many
-# families keeps only the most recent ones (a potential_sweep round asks about
-# two new families, so about the last 60 rounds) instead of every family.
-CALIBRATION_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=CALIBRATION_CACHE_SIZE)
-def _calibration(kind: str, t: complex, a: float) -> float:
-    family = PotentialFamily(kind, t, a)
-    point = _reference_point(family)
-    hess = hermitian_hessian(family, point, potential_value(family, point_tau(point)))
-    return float(np.linalg.det(hess.H).real) / hess.density
-
-
-def monge_ampere_calibration(family: PotentialFamily) -> float:
-    """det(H)/density at the family's fixed reference point; cached.  The
-    volume-form equation says this ratio is the same at every point."""
-    return _calibration(family.kind, family.t, family.a)
-
-
 def _monge_ampere(family: PotentialFamily, coords, prof: PotentialProfile):
     H, density, _, checks = _chart_hessians(family, coords, prof)
     positive = np.all(np.linalg.eigvalsh(H) > 0, axis=1)
     checks.append((~positive, lambda i: "Hessian not positive definite; not a metric at this point"))
     det = np.linalg.det(H).real
-    return np.abs(det / density / monge_ampere_calibration(family) - 1.0), checks
+    return np.abs(det / density / MONGE_AMPERE_CONSTANT[family.kind] - 1.0), checks
 
 
 def monge_ampere_residuals(family: PotentialFamily, coords, prof: PotentialProfile) -> np.ndarray:
-    """|det(H)/density / calibration - 1| at each point, given the profile
-    sampled at the points' taus: the constancy of the volume-density ratio,
-    which is the radial ODE certified through an independent code path
-    (chart Hessians instead of the profile identity).  Every Hessian must be
-    positive definite."""
+    """|det(H)/density / MONGE_AMPERE_CONSTANT - 1| at each point, given the
+    profile sampled at the points' taus: the volume-form equation
+    det(g) = const |Omega|^2 against its exact constant, which is the radial
+    ODE certified through an independent code path (chart Hessians instead
+    of the profile identity).  Every Hessian must be positive definite."""
     residuals, checks = _monge_ampere(family, coords, prof)
     _raise_first(checks)
     return residuals
@@ -734,15 +693,13 @@ def asymptotic_threshold(family: PotentialFamily) -> float:
     return 10.0 * family.scale
 
 
-def asymptotic_deviations(
-    family: PotentialFamily, prof: PotentialProfile, subtract_gauge: bool = False
-) -> np.ndarray:
-    """f(tau) minus the family's leading large-tau terms, at each grid point.
+def asymptotic_deviations(family: PotentialFamily, prof: PotentialProfile) -> np.ndarray:
+    """f(tau) minus the family's leading large-tau terms and its potential
+    gauge, at each grid point: the result decays to zero at the rate the
+    expansions predict.
 
     Leading terms: (3/2) tau^{2/3} for cone and smoothing;
-    (3/2) tau^{2/3} - 2 a^2 log(a^{-3} tau) for the resolution.  With
-    subtract_gauge the additive potential gauge is removed as well, so the
-    result decays to zero at the rate the expansions predict.  Every tau
+    (3/2) tau^{2/3} - 2 a^2 log(a^{-3} tau) for the resolution.  Every tau
     must reach the asymptotic threshold.
     """
     tau, f = prof.tau, prof.f
@@ -751,22 +708,14 @@ def asymptotic_deviations(
     threshold = asymptotic_threshold(family)
     _raise_first([(tau < threshold, lambda i: f"tau = {float(tau[i])} below the asymptotic threshold {threshold}")])
     if family.kind == "smoothed":
-        dev = f - 1.5 * tau ** (2.0 / 3.0)
-        if subtract_gauge:
-            dev -= abs(family.t) ** (2.0 / 3.0) * SMOOTHED_GAUGE
-        return dev
+        return f - 1.5 * tau ** (2.0 / 3.0) - abs(family.t) ** (2.0 / 3.0) * SMOOTHED_GAUGE
     a = family.a
-    dev = f - (1.5 * tau ** (2.0 / 3.0) - 2.0 * a**2 * np.log(tau / a**3))
-    if subtract_gauge:
-        dev -= a**2 * RESOLVED_GAUGE
-    return dev
+    return f - (1.5 * tau ** (2.0 / 3.0) - 2.0 * a**2 * np.log(tau / a**3)) - a**2 * RESOLVED_GAUGE
 
 
-def asymptotic_deviation(
-    family: PotentialFamily, sample: PotentialSample, subtract_gauge: bool = False
-) -> float:
+def asymptotic_deviation(family: PotentialFamily, sample: PotentialSample) -> float:
     """asymptotic_deviations at one sample."""
-    return float(asymptotic_deviations(family, PotentialProfile.of(sample), subtract_gauge)[0])
+    return float(asymptotic_deviations(family, PotentialProfile.of(sample))[0])
 
 
 def potential_convergence_sup(

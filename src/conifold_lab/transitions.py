@@ -37,7 +37,9 @@ import numpy as np
 
 def _as_exact(value) -> Fraction:
     """Coerce CSV/JSON scalars (integers, rationals, rational strings such as
-    "1/2", integral floats) to Fraction."""
+    "1/2", integral floats) to Fraction; booleans are not numbers here."""
+    if isinstance(value, bool):
+        raise TypeError(f"entry {value!r} is a boolean, not a rational number")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):

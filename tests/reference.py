@@ -7,6 +7,9 @@ against.  None of them runs on the package's own code paths.
   cubic), the oracle for the batched lattice quadrature; the chart Hessian,
   the ODE and Monge-Ampere residuals and the asymptotic deviation of one
   point at a time in scalar arithmetic, the oracle for the stacked kernels.
+  Also the one-point builders of the tests (cone_point,
+  smoothed_normal_form_point, resolved_point_with_tau, point_tau), which are
+  not oracles: they call the package's stacked point builders.
 * hodge: twisted Euler characteristics chi(Omega^p(-r)) of P^n and of the
   hypersurface by the recursion over the Euler, conormal and restriction
   sequences (chi_hypersurface_omega_p_recursion, the oracle for the Jacobian
@@ -269,6 +272,28 @@ def asymptotic_deviation_per_point(family, sample, subtract_gauge: bool = False)
     if subtract_gauge:
         dev -= a**2 * metrics.RESOLVED_GAUGE
     return dev
+
+
+def smoothed_normal_form_point(t: complex, tau: float) -> FiberPoint:
+    z, _ = metrics.smoothed_normal_form_points(t, [tau])
+    return FiberPoint(z[0], t)
+
+
+def cone_point(tau: float) -> FiberPoint:
+    return smoothed_normal_form_point(0.0, tau)
+
+
+def resolved_point_with_tau(tau: float, u=None) -> ResolvedPoint:
+    """The point of the resolution with invariant tau over the direction u
+    (default [1:0]): the fiber pair (w, 0) with (|u_1|^2 + |u_2|^2) |w|^2 = tau
+    once max |u_i| = 1."""
+    u = np.asarray((1.0, 0.0) if u is None else u, dtype=complex)
+    u = u / np.max(np.abs(u))
+    return ResolvedPoint(u, (np.sqrt(tau / np.sum(np.abs(u) ** 2)), 0.0))
+
+
+def point_tau(point) -> float:
+    return float(metrics.point_taus(metrics._stacked(point))[0])
 
 
 # ---------------------------------------------------------------------------

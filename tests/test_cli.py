@@ -530,8 +530,9 @@ class TestUsageErrors:
             ('[["1/0",1]]', "entry '1/0' is not a rational number"),
             ('{"a":1}', "expected a JSON array of rows, each an array of entries, got '{\"a\":1}'"),
             ("nope", "'nope' is not JSON (Expecting value: line 1 column 1 (char 0))"),
+            ("[[true, 1]]", "entry True is a boolean, not a rational number"),
         ],
-        ids=["zero-denominator", "object", "not-json"],
+        ids=["zero-denominator", "object", "not-json", "boolean"],
     )
     def test_class_matrix_that_does_not_parse(self, classes, message, tmp_path, capsys):
         assert cli.main(["friedman", "--classes-json", classes, "--output", str(tmp_path / "x")]) == 2
@@ -543,6 +544,33 @@ class TestUsageErrors:
         path.write_text("1,2\n1/0,3\n")
         assert cli.main(["friedman", "--classes-csv", str(path), "--output", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == "error: --classes-csv: entry '1/0' is not a rational number\n"
+
+    def test_missing_class_csv_names_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        assert cli.main(["friedman", "--classes-csv", str(path), "--output", str(tmp_path / "x")]) == 2
+        message = f"--classes-csv: cannot read {str(path)!r}: No such file or directory"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hodge", "--n", "4", "--d", "5"],
+            ["slag", "--t", "1", "--resolution", "8"],
+            ["transition", "--catalog"],
+            ["dwork"],
+            ["friedman", "--classes-json", "[[1, 1]]"],
+            ["verify-all", "--criteria", "C01"],
+        ],
+        ids=["hodge", "slag", "transition", "dwork", "friedman", "verify-all"],
+    )
+    def test_csv_format_only_for_metric(self, argv, tmp_path, capsys):
+        """Only metric writes CSV; the others used to accept --format csv and
+        write JSON.  --format json still gives the default report."""
+        assert cli.main(argv + ["--format", "csv", "--output", str(tmp_path / "x")]) == 2
+        message = f"--format csv: only metric writes CSV; {argv[0]} writes a JSON report"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+        assert run_cli(argv + ["--format", "json"], tmp_path, "a.json") == run_cli(argv, tmp_path, "b.json")
 
     @pytest.mark.parametrize("params", ["", "1,x"], ids=["empty", "garbage"])
     def test_convergence_params_must_be_numbers(self, params, tmp_path, capsys):

@@ -15,6 +15,7 @@ from conifold_lab import metrics
 from conifold_lab.acceptance import sample_fiber_points, sample_resolved_points
 from conifold_lab.conifold import FiberPoint, ResolvedPoint
 from conifold_lab.metrics import (
+    MONGE_AMPERE_CONSTANT,
     ODE_CONSTANT,
     PARAMETER_MAX,
     PARAMETER_MIN,
@@ -25,34 +26,33 @@ from conifold_lab.metrics import (
     asymptotic_deviation,
     asymptotic_deviations,
     chart_hessians,
-    cone_point,
     hermitian_hessian,
-    monge_ampere_calibration,
     monge_ampere_residual,
     monge_ampere_residuals,
     metric_residuals,
     ode_residual,
     ode_residuals,
     positivity_margins,
-    point_tau,
     point_taus,
     profile,
     potential_convergence_sup,
     potential_value,
-    resolved_point_with_tau,
     resolved_points_with_tau,
-    smoothed_normal_form_point,
     smoothed_normal_form_points,
     _smoothed_derivatives,
 )
 from reference import (
     asymptotic_deviation_per_point,
+    cone_point,
     f1_resolved_quad,
     f1_smoothed_quad,
     gamma_resolved_root,
     hessian_per_point,
     monge_ampere_residual_per_point,
     ode_residual_per_point,
+    point_tau,
+    resolved_point_with_tau,
+    smoothed_normal_form_point,
 )
 
 CONE = PotentialFamily.cone()
@@ -72,8 +72,8 @@ def _ma(family, point):
     return monge_ampere_residual(family, point, potential_value(family, point_tau(point)))
 
 
-def _deviation(family, tau, subtract_gauge=False):
-    return asymptotic_deviation(family, potential_value(family, tau), subtract_gauge)
+def _deviation(family, tau):
+    return asymptotic_deviation(family, potential_value(family, tau))
 
 
 def gamma_resolved(tau: float, a: float = 1.0) -> float:
@@ -439,7 +439,7 @@ class TestHermitianHessian:
             assert np.allclose(hess.H, hess.H.conj().T)
             assert hess.is_positive
         for radius in (0.05, 1.0, 30.0):
-            q = resolved_point_with_tau(1.0, radius**2, u=(1.0, 0.4 + 0.1j))
+            q = resolved_point_with_tau(radius**2, u=(1.0, 0.4 + 0.1j))
             hess = _hessian(RESOLVED, q)
             assert np.allclose(hess.H, hess.H.conj().T)
             assert hess.is_positive
@@ -447,16 +447,20 @@ class TestHermitianHessian:
     def test_cone_density_matches_calibration(self):
         hess = _hessian(CONE, cone_point(1.0))
         det = float(np.linalg.det(hess.H).real)
-        assert abs(det / hess.density / monge_ampere_calibration(CONE) - 1.0) < 1e-10
+        assert abs(det / hess.density / MONGE_AMPERE_CONSTANT["cone"] - 1.0) < 1e-15
 
     def test_resolved_calibration_equals_ode_constant(self):
-        # at the zero section det H = 4 a^2 f'(0)^2 = 2/3 with unit density
-        assert monge_ampere_calibration(RESOLVED) == pytest.approx(2.0 / 3.0, rel=1e-9)
+        # at the zero section H = diag(4 a^2, f'(0), f'(0)), so
+        # det H = 4 a^2 f'(0)^2 = 2/3 with unit density
+        hess = _hessian(RESOLVED, resolved_point_with_tau(0.0))
+        det = float(np.linalg.det(hess.H).real)
+        assert MONGE_AMPERE_CONSTANT["resolved"] == ODE_CONSTANT
+        assert abs(det / hess.density / MONGE_AMPERE_CONSTANT["resolved"] - 1.0) < 1e-15
 
     def test_rejects_sample_at_another_tau(self):
         for family, point in (
             (SMOOTHED, smoothed_normal_form_point(1.0, 3.0)),
-            (RESOLVED, resolved_point_with_tau(1.0, 3.0, u=(0.3j, 1.0))),
+            (RESOLVED, resolved_point_with_tau(3.0, u=(0.3j, 1.0))),
         ):
             near = potential_value(family, 3.0 * (1 + 1e-15))
             assert _hessian(family, point).H == pytest.approx(hermitian_hessian(family, point, near).H)
@@ -562,7 +566,7 @@ class TestMongeAmpere:
             assert _ma(CONE, p) < 1e-10
 
     def test_smoothed_constancy(self):
-        # calibration happens at tau = 2; one hundred radii across the domain
+        # one hundred radii across the domain
         for tau in np.logspace(math.log10(1.01), 3, 100):
             p = smoothed_normal_form_point(1.0, float(tau))
             assert _ma(SMOOTHED, p) < 1e-7
@@ -571,7 +575,7 @@ class TestMongeAmpere:
         rng = np.random.default_rng(5)
         for radius in np.logspace(-2, 2, 50):
             for u in ((1.0, 0.35 - 0.2j), (0.15 + 0.4j, 1.0)):
-                q = resolved_point_with_tau(1.0, float(radius) ** 2, u=u)
+                q = resolved_point_with_tau(float(radius) ** 2, u=u)
                 assert q.chart == (1 if abs(u[0]) >= abs(u[1]) else 2)
                 assert _ma(RESOLVED, q) < 1e-7
 
@@ -585,29 +589,50 @@ class TestMongeAmpere:
         taus = np.logspace(-1, 2.5, 50)
         for tau in taus:
             assert _ode(RESOLVED, float(tau)) < 1e-7
-            q = resolved_point_with_tau(1.0, float(tau))
+            q = resolved_point_with_tau(float(tau))
             assert _ma(RESOLVED, q) < 1e-7
 
-    def test_calibration_cache_is_bounded(self):
-        """Ten times as many families as the cache holds leave at most
-        CALIBRATION_CACHE_SIZE calibrations behind; an evicted calibration
-        comes back with the same bits."""
-        first = {family: monge_ampere_calibration(family) for family in (SMOOTHED, RESOLVED)}
-        size = metrics.CALIBRATION_CACHE_SIZE
-        for i in range(10 * size):
-            scale = 1.0 + i / (10 * size)
-            family = PotentialFamily.smoothed(scale * 1j) if i % 2 else PotentialFamily.resolved(scale)
-            monge_ampere_calibration(family)
-            assert metrics._calibration.cache_info().currsize <= size
-        for family, value in first.items():
-            assert monge_ampere_calibration(family) == value
+    @given(
+        st.sampled_from(["cone", "smoothed", "resolved"]),
+        st.floats(-20.0, 20.0),
+        st.floats(0.0, 2 * math.pi),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None)
+    def test_residuals_at_every_scale(self, kind, log_param, phase, where, seed):
+        """Against the exact constant, the Monge-Ampere residual stays below
+        1e-12 for a and |t| in [1e-20, 1e20], every phase of t and taus
+        across the tau window, on the sweep points and on rotated points."""
+        param = 10.0**log_param
+        family = {"cone": CONE, "smoothed": PotentialFamily.smoothed(param * np.exp(1j * phase)),
+                  "resolved": PotentialFamily.resolved(param)}[kind]
+        lo, hi = family.tau_window()
+        if kind == "resolved":
+            lo *= 2.0  # rotated points sit down to tau / 2
+        log_lo, log_hi = math.log10(lo), math.log10(hi)
+        taus = np.clip(10.0 ** (log_lo + np.array(where) * (log_hi - log_lo)), lo, hi)
+        prof = profile(family, taus)
+        assert np.max(monge_ampere_residuals(family, _sweep_points(family, taus), prof)) <= 1e-12
+        coords, prof = _rotated_points(family, taus, np.random.default_rng(seed))
+        assert np.max(monge_ampere_residuals(family, coords, prof)) <= 1e-12
 
 
 def _sweep_points(family, taus):
     """The points the metric sweep puts at each tau."""
     if family.kind == "resolved":
-        return resolved_points_with_tau(family.a, taus)
+        return resolved_points_with_tau(taus)
     return smoothed_normal_form_points(family.t, taus)
+
+
+def _rotated_points(family, taus, rng):
+    """Generic points and the profile at their taus: real rotations of the
+    normal form on a fiber, at the taus; on the resolution, both direction
+    charts at (1 + |u|^2) tau / 2 for |u| < 1."""
+    if family.kind == "resolved":
+        coords = sample_resolved_points(family.a, np.sqrt(taus / 2.0), rng)
+        return coords, profile(family, point_taus(coords))
+    return sample_fiber_points(family.t, taus, rng), profile(family, taus)
 
 
 def _frobenius_gap(family, coords, prof, points):
@@ -624,6 +649,15 @@ def _frobenius_gap(family, coords, prof, points):
 
 
 STACKED_FAMILIES = [CONE, PotentialFamily.smoothed(0.37 - 2j), PotentialFamily.resolved(2.3)]
+WINDOW_FAMILIES = STACKED_FAMILIES + [PotentialFamily.smoothed(1e-20j), PotentialFamily.resolved(1e20)]
+WINDOW_IDS = ["cone", "smoothed", "resolved", "smoothed-min", "resolved-max"]
+
+
+def _window_grid(family):
+    """97 taus over twelve decades from the low end of the family's window."""
+    lo, hi = family.tau_window()
+    lo = 1.01 * family.scale if family.kind == "smoothed" else max(lo, 1e-6 * family.scale, 1e-6)
+    return np.logspace(math.log10(lo), min(math.log10(hi), math.log10(lo) + 12), 97)
 
 
 class TestStackedResiduals:
@@ -659,22 +693,16 @@ class TestStackedResiduals:
         points = [ResolvedPoint(u, w) for u, w in zip(*coords)]
         assert _frobenius_gap(family, coords, prof, points) <= 1e-15
 
-    @pytest.mark.parametrize(
-        "family",
-        STACKED_FAMILIES + [PotentialFamily.smoothed(1e-20j), PotentialFamily.resolved(1e20)],
-        ids=["cone", "smoothed", "resolved", "smoothed-min", "resolved-max"],
-    )
+    @pytest.mark.parametrize("family", WINDOW_FAMILIES, ids=WINDOW_IDS)
     def test_residuals_and_deviations_match_the_oracle(self, family):
         """Within the bounds the report columns may move by: 1e-14 absolute
         for the ODE and Monge-Ampere residuals, 4 eps |f| for the deviation."""
-        lo, hi = family.tau_window()
-        lo = 1.01 * family.scale if family.kind == "smoothed" else max(lo, 1e-6 * family.scale, 1e-6)
-        taus = np.logspace(math.log10(lo), min(math.log10(hi), math.log10(lo) + 12), 97)
+        taus = _window_grid(family)
         prof = profile(family, taus)
         points = _sweep_points(family, taus)
         ode, ma = metric_residuals(family, points, prof)
         above = taus >= metrics.asymptotic_threshold(family)
-        dev = asymptotic_deviations(family, prof.take(above), subtract_gauge=True)
+        dev = asymptotic_deviations(family, prof.take(above))
         point_type = ResolvedPoint if family.kind == "resolved" else FiberPoint
         for i, sample in enumerate(prof):
             point = point_type(points[0][i], points[1][i])
@@ -683,6 +711,29 @@ class TestStackedResiduals:
         for d, sample in zip(dev, prof.take(above)):
             ref = asymptotic_deviation_per_point(family, sample, subtract_gauge=True)
             assert abs(d - ref) <= 4 * np.finfo(float).eps * abs(sample.f)
+
+    @pytest.mark.parametrize("family", WINDOW_FAMILIES, ids=WINDOW_IDS)
+    def test_density_ratio_is_the_ode_left_side(self, family):
+        """det(H)/density = (MONGE_AMPERE_CONSTANT / c) L(f), with L the
+        ODE's left-hand side, for profiles that do not solve the ODE (f' and
+        f'' each off by up to 10 %), on the sweep points and rotated points.
+        The identity carries the exact constant in place of a calibration;
+        the bound is 256 eps."""
+        rng = np.random.default_rng(10)
+        taus = _window_grid(family)
+        for coords, prof in ((_sweep_points(family, taus), profile(family, taus)), _rotated_points(family, taus, rng)):
+            wobble = 1.0 + rng.uniform(-0.1, 0.1, (2, len(prof)))
+            off = metrics.PotentialProfile(prof.tau, prof.f, prof.fp * wobble[0], prof.fpp * wobble[1], prof.quad_error)
+            H, density, _ = chart_hessians(family, coords, off)
+            tau, fp, fpp = off.tau, off.fp, off.fpp
+            if family.kind == "resolved":
+                lhs = (4.0 * family.a**2 + tau * fp) * (fp**2 + tau * fp * fpp)
+            else:
+                lhs = fp**3 * tau + fp**2 * fpp * (tau**2 - abs(family.t) ** 2)
+            assert np.max(np.abs(lhs / ODE_CONSTANT - 1.0)) > 0.05
+            expected = MONGE_AMPERE_CONSTANT[family.kind] / ODE_CONSTANT * lhs
+            ratio = np.linalg.det(H).real / density
+            assert np.max(np.abs(ratio / expected - 1.0)) <= 256 * np.finfo(float).eps
 
     @pytest.mark.parametrize("family", STACKED_FAMILIES, ids=["cone", "smoothed", "resolved"])
     def test_rows_do_not_depend_on_the_batch(self, family):
@@ -698,7 +749,7 @@ class TestStackedResiduals:
             ode, ma = metric_residuals(family, points, prof)
             above = prof.tau >= metrics.asymptotic_threshold(family)
             dev = np.full(len(taus), np.nan)
-            dev[above] = asymptotic_deviations(family, prof.take(above), subtract_gauge=True)
+            dev[above] = asymptotic_deviations(family, prof.take(above))
             return H, ode, ma, dev
 
         for n in (1, 2, 7, 8, 9, 17, 64, 129):
@@ -718,13 +769,13 @@ class TestStackedResiduals:
             taus = [tau]
             prof = profile(family, taus)
             points = _sweep_points(family, taus)
-            point = resolved_point_with_tau(family.a, tau) if family.kind == "resolved" else (
+            point = resolved_point_with_tau(tau) if family.kind == "resolved" else (
                 smoothed_normal_form_point(family.t, tau))
             assert ode_residual(family, prof[0]) == ode_residuals(family, prof)[0]
             assert monge_ampere_residual(family, point, prof[0]) == monge_ampere_residuals(family, points, prof)[0]
             assert np.array_equal(hermitian_hessian(family, point, prof[0]).H, chart_hessians(family, points, prof)[0][0])
             big = profile(family, [20.0 * tau])
-            assert asymptotic_deviation(family, big[0], True) == asymptotic_deviations(family, big, True)[0]
+            assert asymptotic_deviation(family, big[0]) == asymptotic_deviations(family, big)[0]
 
     def test_first_failing_row_raises(self):
         family = PotentialFamily.smoothed(1.0)
@@ -771,7 +822,7 @@ class TestAsymptotics:
     def test_resolved_weighted_bound_and_decay(self):
         taus = np.logspace(2, 6, 50)
         weighted = [
-            abs(_deviation(RESOLVED, float(t), subtract_gauge=True)) * t**0.25
+            abs(_deviation(RESOLVED, float(t))) * t**0.25
             for t in taus
         ]
         assert max(weighted) < 2.0
@@ -779,7 +830,7 @@ class TestAsymptotics:
 
     def test_smoothed_decay(self):
         taus = np.logspace(2, 6, 50)
-        devs = [_deviation(SMOOTHED, float(t), subtract_gauge=True) for t in taus]
+        devs = [_deviation(SMOOTHED, float(t)) for t in taus]
         assert all(abs(b) < abs(a) for a, b in zip(devs, devs[1:]))
         assert abs(devs[-1]) < 1e-6
 
@@ -811,10 +862,6 @@ class TestAsymptotics:
     def test_threshold_enforced(self):
         with pytest.raises(ValueError):
             _deviation(SMOOTHED, 5.0)
-
-    def test_raw_deviation_tends_to_gauge(self):
-        raw = _deviation(SMOOTHED, 1e6)
-        assert raw == pytest.approx(SMOOTHED_GAUGE, abs=1e-6)
 
 
 class TestConvergenceSup:
@@ -887,7 +934,7 @@ class TestFamilyValidation:
             assert all(math.isfinite(x) and x != 0.0 for x in (sample.f, sample.fp, sample.fpp))
             assert ode_residual(family, sample) < 1e-8
             if family.kind == "resolved":
-                point = resolved_point_with_tau(family.a, tau)
+                point = resolved_point_with_tau(tau)
             else:
                 point = smoothed_normal_form_point(family.t, tau)
             assert monge_ampere_residual(family, point, sample) < 1e-7

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from conifold_lab import conifold, exterior, metrics, slag
-from conifold_lab.acceptance import Profile, criterion_04, criterion_05, criterion_07, criterion_09
+from conifold_lab.acceptance import Profile, criterion_03, criterion_04, criterion_05, criterion_07, criterion_09
 
 FULL = Profile.full(seed=0)
 
@@ -17,6 +17,24 @@ FULL = Profile.full(seed=0)
 def _failures(criterion) -> list[str]:
     _, _, checks = criterion(FULL)
     return checks.failures
+
+
+class TestC03:
+    def test_scaled_chart_hessians(self, monkeypatch):
+        """Every chart Hessian x (1 + 1e-6) scales det(H) by about 1 + 3e-6.
+        A ratio calibrated on the same Hessians is blind to a uniform scale;
+        the exact constant is not, so every family's residual fails its
+        1e-7 gate."""
+        hessians = metrics._chart_hessians
+
+        def scaled(family, coords, prof):
+            H, density, chart, checks = hessians(family, coords, prof)
+            return H * (1.0 + 1e-6), density, chart, checks
+
+        monkeypatch.setattr(metrics, "_chart_hessians", scaled)
+        assert [f.partition(":")[0] for f in _failures(criterion_03)] == [
+            "cone_ma_residual", "smoothed_ma_residual", "resolved_ma_residual"
+        ]
 
 
 class TestC04:

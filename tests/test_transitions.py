@@ -249,6 +249,12 @@ class TestFriedmanWitness:
             with pytest.raises(TypeError):
                 ClassMatrix([[1, entry]])
 
+    def test_rejects_booleans(self):
+        """bool is an int subclass; True and False used to pass as 1 and 0."""
+        for entry in (True, False):
+            with pytest.raises(TypeError, match=f"entry {entry} is a boolean"):
+                ClassMatrix([[1, entry]])
+
     def test_exhaustive_gate_at_the_full_profile(self):
         assert exhaustive_friedman_agreement(4) == (559380, 0)
 
