@@ -152,11 +152,7 @@ def criterion_01(profile: Profile) -> tuple[str, float, Checks]:
     chk.equal("h21", diamond.h(2, 1), 101)
     chk.equal("chi_omega1", hodge.chi_hypersurface_omega_p(spec, 1), 100)
     chk.equal("middle_row", list(diamond.middle_row()), [1, 101, 101, 1])
-    try:
-        diamond.check_invariants()
-        chk.true("diamond_invariants", True)
-    except AssertionError as exc:
-        chk.true("diamond_invariants", False, str(exc))
+    chk.true("diamond_invariants", (violation := diamond.check_invariants()) is None, violation)
     expected = [[1 if p == q else 0 for q in range(4)] for p in range(4)]
     for p in range(4):
         expected[p][3 - p] = [1, 101, 101, 1][p]
@@ -284,14 +280,15 @@ def criterion_08(profile: Profile) -> tuple[str, float, Checks]:
     t = cmath.exp(1j * math.pi / 3)
     grid = slag.sample_vanishing_cycle(t, 16)
     rng = np.random.default_rng(profile.seed)
-    idx = rng.choice(grid.nodes.shape[0], profile.calibration_nodes, replace=False)
-    residuals = [slag.calibration_residual(t, grid.nodes[i], grid.cycle_frame(i)) for i in idx]
-    chk.le("calibration_residual_max", max(residuals), 1e-10)
-    controls = [
-        slag.calibration_residual(t, grid.nodes[i], slag.perturbed_frame(grid.cycle_frame(i)))
-        for i in idx[: max(10, profile.calibration_nodes // 10)]
-    ]
-    chk.true("negative_control_detected", min(controls) > 1e-2, measured=min(controls))
+    idx = rng.choice(grid.resolution**3, profile.calibration_nodes, replace=False)
+    nodes, _, _, sphere_frames = grid.at(idx)
+    frames = sphere_frames * (grid.sqrt_t / abs(grid.sqrt_t))
+    residual, orientation = slag.calibration_residual(t, nodes, frames)
+    chk.le("calibration_residual_max", float(residual.max()), 1e-10)
+    chk.true("calibration_orientation_min", orientation.min() >= 1.0 - 1e-10, measured=float(orientation.min()))
+    n_controls = max(10, profile.calibration_nodes // 10)
+    control, _ = slag.calibration_residual(t, nodes[:n_controls], slag.perturbed_frame(frames[:n_controls]))
+    chk.true("negative_control_detected", control.min() > 1e-2, measured=float(control.min()))
     return "special-Lagrangian phase calibration on the cycle", 30.0, chk
 
 

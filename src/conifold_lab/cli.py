@@ -88,11 +88,7 @@ def _cmd_hodge(args) -> int:
     if diamond.dim >= 2:
         results["h21"] = diamond.h(min(2, diamond.dim), 1)
     results["moduli_dimension"] = hodge.moduli_dimension(args.n, args.d)
-    try:
-        diamond.check_invariants()
-        assertions.true("diamond_invariants", True, "exact")
-    except AssertionError as exc:
-        assertions.true("diamond_invariants", False, str(exc))
+    assertions.true("diamond_invariants", (violation := diamond.check_invariants()) is None, violation or "exact")
     return _emit_report(args, "hodge", vars_config(args), results, assertions, {})
 
 
@@ -236,7 +232,7 @@ def _cmd_transition(args) -> int:
         catalog = transitions.example_catalog()
         for rec in catalog:
             assertions.true(f"{rec.name}_split", rec.N == rec.k + rec.c, rec.N)
-        results = {"catalog": [rec.to_json_dict() for rec in catalog]}
+        results = {"catalog": [vars(rec) for rec in catalog]}
         return _emit_report(args, "transition", vars_config(args), results, assertions, {})
     betti = tuple(int(x) for x in args.betti.split(","))
     record = transitions.apply_topology_change(
@@ -244,7 +240,7 @@ def _cmd_transition(args) -> int:
     )
     k, c = transitions.infer_counts(record.hodge_before, record.hodge_after, record.N)
     assertions.true("round_trip", (k, c) == (record.k, record.c), [k, c])
-    return _emit_report(args, "transition", vars_config(args), record.to_json_dict(), assertions, {})
+    return _emit_report(args, "transition", vars_config(args), vars(record), assertions, {})
 
 
 def _cmd_dwork(args) -> int:

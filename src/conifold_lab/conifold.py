@@ -180,11 +180,6 @@ def random_tangent_frame(p: FiberPoint, rng: np.random.Generator) -> list[np.nda
 # for conj(dz_4).
 
 
-def fiber_form_value(form: np.ndarray, frame) -> complex:
-    """Contract a chart-4 fiber form against ambient vectors."""
-    return evaluate(form, frame)
-
-
 def _restriction(p: FiberPoint) -> np.ndarray:
     """The 8 x 6 matrix taking ambient one-forms to chart-4 fiber one-forms."""
     _require_chart(p, 4)
@@ -255,7 +250,7 @@ def omega_tilde_1_coefficients(p: FiberPoint) -> np.ndarray:
 
 def omega_tilde_1(p: FiberPoint, frame) -> complex:
     """Value of the first-order deformation form on a tangent 3-frame."""
-    return fiber_form_value(omega_tilde_1_coefficients(p), frame)
+    return evaluate(omega_tilde_1_coefficients(p), frame)
 
 
 # ---------------------------------------------------------------------------

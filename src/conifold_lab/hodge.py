@@ -103,18 +103,22 @@ class HodgeDiamond:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.betti(k) for k in range(2 * self.dim + 1))
 
-    def check_invariants(self) -> None:
-        """Assert conjugation symmetry, Serre duality, the Lefschetz deltas
-        and nonnegativity; raises AssertionError on violation."""
+    def check_invariants(self) -> str | None:
+        """The first violation of conjugation symmetry, Serre duality, the
+        Lefschetz deltas or nonnegativity, or None when there is none."""
         m = self.dim
         for p in range(m + 1):
             for q in range(m + 1):
                 h = self.entries[p][q]
-                assert h >= 0, f"negative Hodge number h^{p},{q} = {h}"
-                assert h == self.entries[q][p], "conjugation symmetry violated"
-                assert h == self.entries[m - p][m - q], "Serre duality violated"
-                if p + q != m:
-                    assert h == (1 if p == q else 0), "Lefschetz range violated"
+                if h < 0:
+                    return f"negative Hodge number h^{p},{q} = {h}"
+                if h != self.entries[q][p]:
+                    return "conjugation symmetry violated"
+                if h != self.entries[m - p][m - q]:
+                    return "Serre duality violated"
+                if p + q != m and h != (1 if p == q else 0):
+                    return "Lefschetz range violated"
+        return None
 
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, "h": [list(row) for row in self.entries]}

@@ -19,15 +19,16 @@ resolution-32 error is still far below 1e-4 relative.
 
 Block accumulation.  A grid stores only the three 1-D axis rules with their
 sine and cosine tables; one builder forms the coordinates, legs and weights
-of a run of theta1 rows as broadcast products of those tables.  slab(i)
-fills one row (resolution^2 nodes) from it.  The quadrature contracts blocks
-of about BLOCK_NODES nodes in real arithmetic, sums each row pairwise and
-adds the row sums in theta1 order: a fixed summation order, and a working
-set of one block (one 65,536-node row at 256, of a 16.8 million grid).
+of the nodes at given axis indices as broadcast products of those tables.
+The quadrature contracts blocks of whole theta1 rows (about BLOCK_NODES
+nodes) in real arithmetic, sums each row pairwise and adds the row sums in
+theta1 order: a fixed summation order, and a working set of one block (one
+65,536-node row at 256, of a 16.8 million grid).
 
 Orientation.  The cycle is oriented so that the t = 1 period is +2 pi^2:
 with outward-normal-first conventions this is the frame order
-(e_theta2, e_theta1, e_phi), fixed in ORIENTED_FRAME_ORDER.
+(e_theta2, e_theta1, e_phi), fixed in ORIENTED_FRAME_ORDER.  The form on
+every oriented frame is then e^{i arg t} times a positive number.
 """
 
 from __future__ import annotations
@@ -71,27 +72,17 @@ def _axis_rule(nodes: np.ndarray, weights: np.ndarray) -> AxisRule:
     return AxisRule(nodes, weights, np.sin(nodes), np.cos(nodes))
 
 
-class Slab(NamedTuple):
-    """The resolution^2 grid nodes of one theta1 index, in (theta2, phi)
-    row-major order."""
-
-    nodes: np.ndarray  # (n, 4) complex cycle points t^{1/2} u
-    weights: np.ndarray  # (n,)
-    sphere_points: np.ndarray  # (n, 4) real
-    sphere_frames: np.ndarray  # (n, 3, 4) real, rows orthonormal
-
-
 @dataclass
 class CycleGrid:
     """Product quadrature grid on the vanishing cycle of V_t.
 
-    Only the three 1-D axis rules are stored; slab(i) builds the nodes of
-    one theta1 index.  nodes are the complex cycle points t^{1/2} u; weights
-    carry the unit 3-sphere surface measure (they sum to 2 pi^2 up to the
-    rule's error); sphere_frames holds the oriented orthonormal tangent
-    triads of the unit sphere at each node, from which the cycle frames are
-    transported.  The full node arrays are the slabs stacked in theta1
-    order, built on first access and cached.
+    Only the three 1-D axis rules are stored; at(indices) builds chosen
+    nodes.  Nodes are the complex cycle points t^{1/2} u; weights carry the
+    unit 3-sphere surface measure (they sum to 2 pi^2 up to the rule's
+    error).  Multiplication by t^{1/2} is conformal, so a cycle frame is an
+    oriented sphere triad times t^{1/2} / |t^{1/2}|.  The whole-grid arrays
+    (nodes, ..., sphere_frames) are at() over every node, cached; the
+    package itself never reads them.
     """
 
     t: complex
@@ -104,62 +95,48 @@ class CycleGrid:
     def sqrt_t(self) -> complex:
         return cmath.sqrt(self.t)
 
-    def _block(self, rows: slice) -> tuple[tuple, tuple, np.ndarray]:
+    def _block(self, i1, i2, i3) -> tuple[tuple, tuple, np.ndarray]:
         """u components, oriented tangent legs (3 rows of 4 entries) and
-        weights of the nodes with theta1 index in rows, as broadcast
-        products of the axis tables over (theta1, theta2, phi)."""
-        s1, c1 = self.theta1.sin[rows, None, None], self.theta1.cos[rows, None, None]
-        s2, c2 = self.theta2.sin[:, None], self.theta2.cos[:, None]
-        sp, cp = self.phi.sin, self.phi.cos
+        weights of the nodes with axis indices (i1, i2, i3), as products of
+        the axis tables; each index picks from its axis's tables, and the
+        three picks broadcast together."""
+        s1, c1 = self.theta1.sin[i1], self.theta1.cos[i1]
+        s2, c2 = self.theta2.sin[i2], self.theta2.cos[i2]
+        sp, cp = self.phi.sin[i3], self.phi.cos[i3]
         s1s2, c1s2 = s1 * s2, c1 * s2
         u = (c1, s1 * c2, s1s2 * cp, s1s2 * sp)
         e_th1 = (-s1, c1 * c2, c1s2 * cp, c1s2 * sp)
         e_th2 = (0.0, -s2, c2 * cp, c2 * sp)
         e_phi = (0.0, 0.0, -sp, cp)
         legs = (e_th1, e_th2, e_phi)
-        w1 = (self.theta1.weights * self.theta1.sin**2)[rows, None, None]
-        w2 = (self.theta2.weights * self.theta2.sin)[:, None]
-        weights = w1 * w2 * self.phi.weights
+        w1 = (self.theta1.weights * self.theta1.sin**2)[i1]
+        w2 = (self.theta2.weights * self.theta2.sin)[i2]
+        weights = w1 * w2 * self.phi.weights[i3]
         return u, tuple(legs[k] for k in ORIENTED_FRAME_ORDER), weights
 
-    def slab(self, i: int) -> Slab:
-        """Nodes, weights, sphere points and oriented sphere triads of the
-        nodes with theta1 index i."""
-        u, frame, weights = self._block(slice(i, i + 1))
+    def at(self, indices=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes (n, 4), weights (n,), sphere points (n, 4) and oriented
+        sphere triads (n, 3, 4) at the given flat node indices (theta1,
+        theta2, phi row-major), or at every node."""
+        r = self.resolution
+        axes = np.ogrid[:r, :r, :r] if indices is None else np.unravel_index(indices, (r, r, r))
+        u, frame, weights = self._block(*axes)
 
         def stack(entries):
-            return np.stack([np.broadcast_to(x, weights.shape) for x in entries], axis=-1)
+            return np.stack([np.broadcast_to(x, weights.shape) for x in entries], axis=-1).reshape(-1, 4)
 
-        points = stack(u).reshape(-1, 4)
-        frames = np.stack([stack(leg) for leg in frame], axis=-2).reshape(-1, 3, 4)
-        return Slab(self.sqrt_t * points.astype(complex), weights.ravel(), points, frames)
+        points = stack(u)
+        frames = np.stack([stack(leg) for leg in frame], axis=1)
+        return self.sqrt_t * points.astype(complex), weights.ravel(), points, frames
 
     @cached_property
-    def _stacked(self) -> Slab:
-        slabs = [self.slab(i) for i in range(self.resolution)]
-        return Slab(*(np.concatenate(parts) for parts in zip(*slabs)))
+    def _stacked(self) -> tuple[np.ndarray, ...]:
+        return self.at()
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._stacked.nodes
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._stacked.weights
-
-    @property
-    def sphere_points(self) -> np.ndarray:
-        return self._stacked.sphere_points
-
-    @property
-    def sphere_frames(self) -> np.ndarray:
-        return self._stacked.sphere_frames
-
-    def cycle_frame(self, index: int) -> np.ndarray:
-        """Oriented orthonormal tangent 3-frame of L_t at node index: the
-        sphere frame pushed to L_t and renormalized (multiplication by
-        t^{1/2} is conformal with factor |t|^{1/2})."""
-        return self.sphere_frames[index] * (self.sqrt_t / abs(self.sqrt_t))
+    nodes = property(lambda self: self._stacked[0])
+    weights = property(lambda self: self._stacked[1])
+    sphere_points = property(lambda self: self._stacked[2])
+    sphere_frames = property(lambda self: self._stacked[3])
 
 
 def _composite_gauss2(a: float, b: float, ncells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,25 +181,23 @@ def exact_cycle_integral(t: complex) -> complex:
     return 2.0 * math.pi**2 * complex(t)
 
 
+# the columns of each chart's minor: the coordinates other than the chart's own
+_COMPLEMENT = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _det3(rows):
+    """3x3 determinant by cofactor expansion along the first row; rows holds
+    three rows of three entries (scalars or arrays that broadcast)."""
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+
+
 def _chart_form_values(nodes: np.ndarray, frames: np.ndarray, charts: np.ndarray) -> np.ndarray:
     """Contract the cycle-normalized volume form, expressed in the chart of
-    each node, against the given complex tangent frames."""
-    n = nodes.shape[0]
-    values = np.empty(n, dtype=complex)
-    for j in range(4):
-        mask = charts == j
-        if not np.any(mask):
-            continue
-        cols = [i for i in range(4) if i != j]
-        mats = frames[mask][:, :, cols]
-        dets = (
-            mats[:, 0, 0] * (mats[:, 1, 1] * mats[:, 2, 2] - mats[:, 1, 2] * mats[:, 2, 1])
-            - mats[:, 0, 1] * (mats[:, 1, 0] * mats[:, 2, 2] - mats[:, 1, 2] * mats[:, 2, 0])
-            + mats[:, 0, 2] * (mats[:, 1, 0] * mats[:, 2, 1] - mats[:, 1, 1] * mats[:, 2, 0])
-        )
-        sign = (-1.0) ** (j + 1)  # chart labels are 1-based
-        values[mask] = sign * dets / nodes[mask, j]
-    return values
+    each node (0-based charts), against the given complex tangent frames."""
+    submatrices = np.take_along_axis(frames, _COMPLEMENT[charts][:, None, :], axis=2)
+    sign = np.where(charts % 2, 1.0, -1.0)  # (-1)^chart, chart labels 1-based
+    return sign * _det3(submatrices.transpose(1, 2, 0)) / nodes[np.arange(charts.size), charts]
 
 
 def integrate_volume_form(grid: CycleGrid) -> complex:
@@ -239,62 +214,61 @@ def integrate_volume_form(grid: CycleGrid) -> complex:
     rows_per_block = max(1, BLOCK_NODES // grid.resolution**2)
     total = 0.0
     for start in range(0, grid.resolution, rows_per_block):
-        u, frame, weights = grid._block(slice(start, start + rows_per_block))
-        (a, b, c, _), (d, e, f, _), (g, h, k, _) = frame
-        dets = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+        u, frame, weights = grid._block(np.s_[start : start + rows_per_block, None, None], np.s_[:, None], np.s_[:])
         if np.any(u[3] == 0.0):
             raise ValueError("a node hit the x4 = 0 seam; use an even resolution")
-        values = dets / u[3] * weights
+        values = _det3([leg[:3] for leg in frame]) / u[3] * weights
         for row_sum in values.reshape(values.shape[0], -1).sum(axis=1).tolist():
             total += row_sum
     st = grid.sqrt_t
     return (st / abs(st)) ** 3 / st * abs(grid.t) ** 1.5 * total
 
 
-def frame_tangency_residual(node: np.ndarray, frame: np.ndarray, t: complex) -> float:
-    """Largest directional derivative of the two cycle constraints along the
-    frame legs: the fiber equation sum z_i^2 = t and the radius ||z||^2 = |t|.
-    (At the cycle the radius is critical along the whole fiber tangent space,
-    so this check constrains fiber tangency.)"""
-    node = np.asarray(node, dtype=complex)
-    frame = np.asarray(frame, dtype=complex)
-    worst = 0.0
-    for leg in frame:
-        fiber_dir = abs(np.sum(node * leg))
-        radius_dir = abs(np.sum(np.conj(node) * leg).real)
-        worst = max(worst, fiber_dir, radius_dir)
-    return worst
+def frame_tangency_residual(nodes: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Per node (..., 4), the largest directional derivative along its frame
+    legs (..., 3, 4) of the two cycle constraints: the fiber equation
+    sum z_i^2 = t and the radius ||z||^2 = |t|.  (At the cycle the radius is
+    critical along the whole fiber tangent space, so this checks tangency.)"""
+    nodes = np.asarray(nodes, dtype=complex)[..., None, :]
+    fiber = np.abs(np.sum(nodes * frames, axis=-1))
+    radius = np.abs(np.sum(np.conj(nodes) * frames, axis=-1).real)
+    return np.maximum(fiber, radius).max(axis=-1)
 
 
-def calibration_residual(t: complex, node: np.ndarray, frame: np.ndarray) -> float:
-    """|Im(e^{-i arg t} Omega_t(frame))| / |Omega_t(frame)| at a cycle node.
+def calibration_residual(t: complex, nodes: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, |Im(w)| / |w| and the orientation Re(w) / |w| of
+    w = e^{-i arg t} Omega_t(frame), for nodes (n, 4) and frames (n, 3, 4).
 
-    Must vanish (below 1e-10) for tangent frames of the cycle: the form's
-    phase on the cycle is constant equal to arg t.  Frames that are not
-    tangent to the fiber are rejected.
+    On oriented tangent frames of the cycle the residual must vanish (below
+    1e-10) and the orientation must be 1: the form's phase on the cycle is
+    constant equal to arg t.  The residual sees that phase only mod pi; a
+    reversed frame or a negated form shows in the orientation alone.  Frames
+    that are not tangent to the fiber are rejected.
     """
-    t = complex(t)
-    node = np.asarray(node, dtype=complex)
-    frame = np.asarray(frame, dtype=complex)
-    if frame_tangency_residual(node, frame, t) > 1e-8 * np.linalg.norm(node):
+    nodes = np.asarray(nodes, dtype=complex)
+    frames = np.asarray(frames, dtype=complex)
+    if np.any(frame_tangency_residual(nodes, frames) > 1e-8 * np.linalg.norm(nodes, axis=-1)):
         raise ValueError("frame is not tangent to the fiber at the node")
-    chart = int(np.argmax(np.abs(node)))
-    value = _chart_form_values(node[None, :], frame[None, :, :], np.array([chart]))[0]
-    theta = cmath.phase(t)
-    rotated = cmath.exp(-1j * theta) * value
-    return abs(rotated.imag) / abs(rotated)
+    value = _chart_form_values(nodes, frames, np.argmax(np.abs(nodes), axis=-1))
+    # the rotation in real arithmetic: numpy's complex array product may fuse
+    # multiply-adds, which would make the residual's last bits platform-bound
+    theta = cmath.phase(complex(t))
+    c, s = math.cos(theta), math.sin(theta)
+    re, im = c * value.real + s * value.imag, c * value.imag - s * value.real
+    size = np.hypot(re, im)
+    return np.abs(im) / size, re / size
 
 
-def perturbed_frame(frame: np.ndarray, angle: float = 0.2) -> np.ndarray:
-    """Negative control: rotate the last leg toward its complex-structure
-    image (the normal direction inside the fiber).  Fiber tangency survives,
-    and so does the flat Lagrangian condition (the leg turns inside its own
-    complex line), but the plane is no longer phase-calibrated: the residual
-    grows like tan(angle)."""
-    frame = np.asarray(frame, dtype=complex).copy()
-    leg = frame[2]
-    frame[2] = (math.cos(angle) * leg + math.sin(angle) * 1j * leg)
-    return frame
+def perturbed_frame(frames: np.ndarray, angle: float = 0.2) -> np.ndarray:
+    """Negative control: rotate the last leg of each frame (..., 3, 4) toward
+    its complex-structure image (the normal direction inside the fiber).
+    Fiber tangency survives, and so does the flat Lagrangian condition (the
+    leg turns inside its own complex line), but the plane is no longer
+    phase-calibrated: the residual grows like tan(angle)."""
+    frames = np.asarray(frames, dtype=complex).copy()
+    leg = frames[..., 2, :]
+    frames[..., 2, :] = math.cos(angle) * leg + math.sin(angle) * 1j * leg
+    return frames
 
 
 def convergence_order(t: complex, res_low: int = 16, res_high: int = 32) -> tuple[float, float, float]:

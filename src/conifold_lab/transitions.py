@@ -195,35 +195,10 @@ class TransitionRecord:
     betti_after: tuple[int, int, int]
     note: str = ""
 
-    def validate(self) -> None:
-        if self.N != self.k + self.c:
-            raise ValueError(f"node count must split: N={self.N}, k+c={self.k + self.c}")
-        for pair in (self.hodge_before, self.hodge_after):
-            if any(h < 0 for h in pair):
-                raise ValueError("negative Hodge number")
-        for b in (self.betti_before, self.betti_after):
-            if any(x < 0 for x in b):
-                raise ValueError("negative Betti number")
-        if self.k < 0 or self.c < 0:
-            raise ValueError("ranks must be nonnegative")
-
     def euler_drop(self) -> int:
         return euler_characteristic_from_betti(self.betti_before) - euler_characteristic_from_betti(
             self.betti_after
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "N": self.N,
-            "k": self.k,
-            "c": self.c,
-            "hodge_before": list(self.hodge_before),
-            "hodge_after": list(self.hodge_after),
-            "betti_before": list(self.betti_before),
-            "betti_after": list(self.betti_after),
-            "note": self.note,
-        }
 
 
 def apply_topology_change(
@@ -243,7 +218,7 @@ def apply_topology_change(
         raise ValueError(f"h11={h11} < k={k}: contraction would leave a negative Hodge number")
     if b2 < k:
         raise ValueError(f"b2={b2} < k={k}: contraction would leave a negative Betti number")
-    record = TransitionRecord(
+    return TransitionRecord(
         name=name,
         N=N,
         k=k,
@@ -254,8 +229,6 @@ def apply_topology_change(
         betti_after=(b1, b2 - k, b3 + 2 * c),
         note=note,
     )
-    record.validate()
-    return record
 
 
 def infer_counts(h_before, h_after, N: int) -> tuple[int, int]:
@@ -364,7 +337,6 @@ def dwork_singular_points() -> list[ProjectivePoint5]:
     for a1, a2, a3 in itertools.product(range(5), repeat=3):
         a4 = (-(a1 + a2 + a3)) % 5
         points.append(ProjectivePoint5((0, a1, a2, a3, a4)))
-    assert len(points) == 125
     return points
 
 
@@ -558,7 +530,6 @@ def random_dwork_smooth_points(count: int, seed: int = 0) -> np.ndarray:
         companion[:, 1:, :-1] = np.eye(4)
         companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
         roots = np.linalg.eigvals(companion)
-        assert roots.shape == (draws, 5)  # a monic quintic: always five roots to pick from
         for z in np.column_stack([z123, roots[np.arange(draws), picks]]):
             if np.min(np.linalg.norm(singular - z, axis=1)) < 1e-2:
                 continue

@@ -11,7 +11,6 @@ from conifold_lab.conifold import (
     ResolvedPoint,
     chart_margin,
     fd_exterior_derivative,
-    fiber_form_value,
     omega_tilde_1,
     omega_tilde_1_coefficients,
     on_fiber,
@@ -22,7 +21,7 @@ from conifold_lab.conifold import (
     tangent_frame,
     volume_form_chart_coefficients,
 )
-from conifold_lab.exterior import BASIS
+from conifold_lab.exterior import BASIS, evaluate
 from reference import (
     OMEGA_TILDE_BASIS,
     conjugate_point,
@@ -268,11 +267,11 @@ class TestOmegaTilde1:
         # rescaling by lam uses mu = lam^{3/2}
         p = cone_point_with_dominant_z4()
         frame = random_tangent_frame(p, np.random.default_rng(8))
-        v0 = fiber_form_value(volume_form_chart_coefficients(p), frame)
+        v0 = evaluate(volume_form_chart_coefficients(p), frame)
         lam = 2.0
         q = rescale_fiber(p, lam)
         scaled = [lam**1.5 * leg for leg in frame]
-        v1 = fiber_form_value(volume_form_chart_coefficients(q), scaled)
+        v1 = evaluate(volume_form_chart_coefficients(q), scaled)
         assert v1 == pytest.approx((lam**1.5) ** 2 * v0, rel=1e-12)
 
     def test_expansion_against_coefficients(self):
@@ -292,7 +291,7 @@ class TestOmegaTilde1:
         rng = np.random.default_rng(9)
         frame = random_tangent_frame(p, rng)
         v_first = omega_tilde_1(p, frame)
-        v_base = fiber_form_value(volume_form_chart_coefficients(p), frame)
+        v_base = evaluate(volume_form_chart_coefficients(p), frame)
         errors = []
         for t in (1e-2, 1e-3):
             v_t = fd_pullback_value(p, t, frame)

@@ -1,12 +1,19 @@
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conifold_lab
 import reference
+from conifold_lab import acceptance, cli, hodge
 from conifold_lab.hodge import (
     MAX_DEGREE,
     MAX_DIMENSION,
@@ -170,7 +177,7 @@ class TestHodgeDiamond:
         assert diamond.h(1, 1) == 1
         assert diamond.h(2, 1) == 101
         assert diamond.euler_characteristic() == -200
-        diamond.check_invariants()
+        assert diamond.check_invariants() is None
 
     def test_quartic_k3(self):
         diamond = hodge_diamond(HypersurfaceSpec(3, 4))
@@ -194,7 +201,7 @@ class TestHodgeDiamond:
         # all four structural invariants, exactly, across the contract range
         for n in range(3, 9):
             for d in range(1, n + 4):
-                hodge_diamond(HypersurfaceSpec(n, d)).check_invariants()
+                assert hodge_diamond(HypersurfaceSpec(n, d)).check_invariants() is None
 
     def test_entries_are_exact_integers(self):
         diamond = hodge_diamond(HypersurfaceSpec(6, 7))
@@ -221,6 +228,54 @@ class TestHodgeDiamond:
             )
             diamond = hodge_diamond(HypersurfaceSpec(n, d))
             assert diamond.euler_characteristic() == d * coefficient
+
+
+def _tampered_diamond(spec):
+    """The true diamond with h^{1,1} set to 7: h^{2,2} stays 1, so Serre
+    duality fails."""
+    diamond = hodge_diamond(spec)
+    diamond.entries[1][1] = 7
+    return diamond
+
+
+# the same tampering, reported by C01 in a child interpreter
+TAMPERED_C01 = """
+from conifold_lab import acceptance, hodge
+build = hodge.hodge_diamond
+def tampered(spec):
+    diamond = build(spec)
+    diamond.entries[1][1] = 7
+    return diamond
+hodge.hodge_diamond = tampered
+_, _, checks = acceptance.criterion_01(acceptance.Profile.full())
+print(checks.details["diamond_invariants"]["measured"])
+"""
+
+
+class TestTamperedDiamond:
+    """The invariant check returns its violation instead of asserting, so it
+    holds under python -O too."""
+
+    def test_check_names_the_first_violation(self):
+        assert _tampered_diamond(HypersurfaceSpec(4, 5)).check_invariants() == "Serre duality violated"
+
+    def test_c01_and_the_hodge_report_fail(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(hodge, "hodge_diamond", _tampered_diamond)
+        _, _, checks = acceptance.criterion_01(acceptance.Profile.full())
+        assert "diamond_invariants: expected true" in checks.failures
+        assert checks.details["diamond_invariants"]["measured"] == "Serre duality violated"
+        out = tmp_path / "hodge.json"
+        assert cli.main(["hodge", "--n", "4", "--d", "5", "--output", str(out)]) == 1
+        items = {item["name"]: item for item in json.loads(out.read_text())["assertions"]}
+        assert items["diamond_invariants"] == {
+            "name": "diamond_invariants", "passed": False, "tolerance": None, "measured": "Serre duality violated",
+        }
+
+    def test_c01_fails_under_python_O(self):
+        src = str(Path(conifold_lab.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-O", "-c", TAMPERED_C01], env=dict(os.environ, PYTHONPATH=src),
+                               capture_output=True, text=True, check=True)
+        assert child.stdout == "Serre duality violated\n"
 
 
 class TestJacobianRing:
@@ -257,7 +312,7 @@ class TestJacobianRing:
     def test_largest_calabi_yau_diamond(self):
         n, d = MAX_DIMENSION, MAX_DIMENSION + 1
         diamond = hodge_diamond(HypersurfaceSpec(n, d))
-        diamond.check_invariants()
+        assert diamond.check_invariants() is None
         assert diamond.euler_characteristic() == ((1 - d) ** (n + 1) - 1) // d + n + 1
 
     def test_rejects_sizes_above_the_bounds(self):

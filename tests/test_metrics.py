@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conifold_lab import metrics
@@ -605,7 +605,10 @@ class TestMongeAmpere:
         1e-12 for a and |t| in [1e-20, 1e20], every phase of t and taus
         across the tau window, on the sweep points and on rotated points."""
         param = 10.0**log_param
-        family = {"cone": CONE, "smoothed": PotentialFamily.smoothed(param * np.exp(1j * phase)),
+        t = param * np.exp(1j * phase)
+        # at the window's ends, |param e^{i phase}| can round to just outside it
+        assume(metrics.PARAMETER_MIN <= abs(t) <= metrics.PARAMETER_MAX)
+        family = {"cone": CONE, "smoothed": PotentialFamily.smoothed(t),
                   "resolved": PotentialFamily.resolved(param)}[kind]
         lo, hi = family.tau_window()
         if kind == "resolved":

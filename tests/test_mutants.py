@@ -4,12 +4,23 @@ Each test applies one named defect by monkeypatch, runs only the criterion
 it targets at the full profile, and asserts that the criterion fails.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
-from conifold_lab import conifold, exterior, metrics, slag
-from conifold_lab.acceptance import Profile, criterion_03, criterion_04, criterion_05, criterion_07, criterion_09
+from conifold_lab import conifold, exterior, hodge, metrics, slag, transitions
+from conifold_lab.acceptance import (
+    Profile,
+    criterion_01,
+    criterion_03,
+    criterion_04,
+    criterion_05,
+    criterion_07,
+    criterion_08,
+    criterion_09,
+    criterion_10,
+)
 
 FULL = Profile.full(seed=0)
 
@@ -17,6 +28,21 @@ FULL = Profile.full(seed=0)
 def _failures(criterion) -> list[str]:
     _, _, checks = criterion(FULL)
     return checks.failures
+
+
+class TestC01:
+    def test_socle_euler_characteristic_off_by_one(self, monkeypatch):
+        """chi(Omega^0) + 1: p = 0 reads the Jacobian ring at its socle
+        degree (n + 1)(d - 2).  h^{0,3} becomes 0 while h^{3,0} stays 1, so
+        the middle row and conjugation symmetry both fail."""
+        chi = hodge.chi_hypersurface_omega_p
+
+        def off_by_one(spec, p):
+            return chi(spec, p) + (p == 0)
+
+        monkeypatch.setattr(hodge, "chi_hypersurface_omega_p", off_by_one)
+        failures = [f.partition(":")[0] for f in _failures(criterion_01)]
+        assert failures == ["middle_row", "diamond_invariants", "full_diamond"]
 
 
 class TestC03:
@@ -116,6 +142,31 @@ class TestC07:
         }
 
 
+class TestC08:
+    """The residual |Im(e^{-i arg t} Omega)| / |Omega| sees the phase only mod
+    pi; each of these defects turns Omega into -Omega on the sampled frames
+    and is caught by the orientation alone."""
+
+    def test_negated_form(self, monkeypatch):
+        values = slag._chart_form_values
+        monkeypatch.setattr(slag, "_chart_form_values", lambda nodes, frames, charts: -values(nodes, frames, charts))
+        assert [f.partition(":")[0] for f in _failures(criterion_08)] == ["calibration_orientation_min"]
+
+    def test_form_negated_in_even_charts(self, monkeypatch):
+        values = slag._chart_form_values
+
+        def negated_even(nodes, frames, charts):
+            out = values(nodes, frames, charts)
+            return np.where(charts % 2 == 0, -out, out)
+
+        monkeypatch.setattr(slag, "_chart_form_values", negated_even)
+        assert [f.partition(":")[0] for f in _failures(criterion_08)] == ["calibration_orientation_min"]
+
+    def test_swapped_frame_legs(self, monkeypatch):
+        monkeypatch.setattr(slag, "ORIENTED_FRAME_ORDER", (0, 1, 2))
+        assert [f.partition(":")[0] for f in _failures(criterion_08)] == ["calibration_orientation_min"]
+
+
 class TestC09:
     def test_scaled_deformation_form(self, monkeypatch):
         """omega_tilde_1 x 1.05 leaves a first-order residual in the
@@ -151,3 +202,19 @@ class TestC09:
         signs[row, column] = -1.0
         monkeypatch.setattr(exterior, "D_SIGNS", signs)
         assert [f.partition(":")[0] for f in _failures(criterion_09)] == ["closedness_fd_norm"]
+
+
+class TestC10:
+    def test_third_betti_number_grows_by_c(self, monkeypatch):
+        """b3 + c instead of b3 + 2c after the transition: the records still
+        round-trip, but the Euler characteristic no longer drops by 2N."""
+        apply = transitions.apply_topology_change
+
+        def short_b3(*args, **kwargs):
+            rec = apply(*args, **kwargs)
+            b1, b2, b3 = rec.betti_after
+            return dataclasses.replace(rec, betti_after=(b1, b2, b3 - rec.c))
+
+        monkeypatch.setattr(transitions, "apply_topology_change", short_b3)
+        failures = {f.partition(":")[0] for f in _failures(criterion_10)}
+        assert failures == {f"{rec.name}_euler_drop" for rec in transitions.example_catalog()} | {"tian_yau_b3"}

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conifold_lab
-from conifold_lab import cli
+from conifold_lab import cli, slag
+from conifold_lab.acceptance import Profile, criterion_08
 from conifold_lab.slag import (
     MAX_ABS_T,
     MAX_RESOLUTION,
@@ -163,6 +164,13 @@ class TestSlabsAgainstDenseGrid:
         assert integrate_volume_form(grid) == first
         assert integrate_volume_form(sample_vanishing_cycle(GENERIC_T, 16)) == first
 
+    @pytest.mark.parametrize("t", [1.0, GENERIC_T, -1e3j])
+    def test_indexed_reads_are_the_stacked_rows(self, t):
+        grid = sample_vanishing_cycle(t, 16)
+        idx = np.random.default_rng(3).choice(16**3, 50, replace=False)
+        for ours, stacked in zip(grid.at(idx), (grid.nodes, grid.weights, grid.sphere_points, grid.sphere_frames)):
+            assert np.array_equal(ours.view(float), stacked[idx].view(float))
+
     def test_quadrature_never_stacks_the_grid(self):
         grid = sample_vanishing_cycle(GENERIC_T, 16)
         integrate_volume_form(grid)
@@ -262,68 +270,115 @@ class TestPeriodIntegral:
         from conifold_lab.slag import _chart_form_values
 
         grid = sample_vanishing_cycle(GENERIC_T, 8)
-        for i in (0, 99, 363):
-            frame = grid.cycle_frame(i)
-            chart = int(np.argmax(np.abs(grid.nodes[i])))
-            ours = _chart_form_values(
-                grid.nodes[i][None, :], frame[None, :, :], np.array([chart])
-            )[0]
-            theirs = volume_form_value(
-                FiberPoint(grid.nodes[i], GENERIC_T), frame, chart + 1, convention="cycle"
-            )
+        nodes, frames = cycle_frames(grid, [0, 99, 363])
+        charts = np.argmax(np.abs(nodes), axis=1)
+        for node, frame, chart, ours in zip(nodes, frames, charts, _chart_form_values(nodes, frames, charts)):
+            theirs = volume_form_value(FiberPoint(node, GENERIC_T), frame, chart + 1, convention="cycle")
             assert abs(ours - theirs) < 1e-13 * abs(theirs)
+
+
+def cycle_frames(grid, indices):
+    """Nodes and oriented cycle frames at the given flat indices: the sphere
+    triads transported by t^{1/2} / |t^{1/2}|."""
+    nodes, _, _, sphere_frames = grid.at(indices)
+    return nodes, sphere_frames * (grid.sqrt_t / abs(grid.sqrt_t))
 
 
 class TestCalibration:
     def test_real_slice_is_calibrated(self):
         grid = sample_vanishing_cycle(1.0, 8)
-        for i in range(0, 512, 37):
-            assert calibration_residual(1.0, grid.nodes[i], grid.cycle_frame(i)) < 1e-10
+        residual, orientation = calibration_residual(1.0, *cycle_frames(grid, range(0, 512, 37)))
+        assert residual.max() < 1e-10 and orientation.min() > 1.0 - 1e-10
 
     def test_generic_phase_nodes(self):
         t = cmath.exp(1j * math.pi / 3)
         grid = sample_vanishing_cycle(t, 16)
         rng = np.random.default_rng(0)
-        for i in rng.choice(grid.nodes.shape[0], 100, replace=False):
-            assert calibration_residual(t, grid.nodes[i], grid.cycle_frame(i)) < 1e-10
+        residual, _ = calibration_residual(t, *cycle_frames(grid, rng.choice(grid.resolution**3, 100, replace=False)))
+        assert residual.max() < 1e-10
+
+    @pytest.mark.parametrize("t", [1.0, cmath.exp(1j * math.pi / 3), -1.0, GENERIC_T])
+    def test_oriented_in_every_chart(self, t):
+        """Re(e^{-i arg t} Omega(frame)) / |Omega(frame)| is 1 at every node,
+        whichever chart the node is evaluated in: the oriented frame carries
+        the form's phase arg t, not arg t + pi."""
+        grid = sample_vanishing_cycle(t, 16)
+        nodes, frames = cycle_frames(grid, None)
+        charts = np.argmax(np.abs(nodes), axis=1)
+        assert set(charts.tolist()) == {0, 1, 2, 3}
+        residual, orientation = calibration_residual(t, nodes, frames)
+        assert residual.max() < 1e-10
+        assert np.abs(orientation - 1.0).max() < 1e-14
+
+    def test_reversed_frame_is_caught_by_the_orientation_only(self):
+        grid = sample_vanishing_cycle(GENERIC_T, 8)
+        nodes, frames = cycle_frames(grid, [3, 200, 411])
+        residual, orientation = calibration_residual(GENERIC_T, nodes, frames[:, [1, 0, 2]])
+        assert residual.max() < 1e-10
+        assert np.abs(orientation + 1.0).max() < 1e-14
+
+    def test_stacked_call_matches_one_node_calls(self):
+        t = cmath.exp(1j * math.pi / 3)
+        grid = sample_vanishing_cycle(t, 16)
+        nodes, frames = cycle_frames(grid, [5, 1042, 77, 3000])
+        stacked = calibration_residual(t, nodes, frames)
+        for i in range(4):
+            single = calibration_residual(t, nodes[i : i + 1], frames[i : i + 1])
+            assert (single[0][0], single[1][0]) == (stacked[0][i], stacked[1][i])
 
     def test_negative_control(self):
         t = cmath.exp(1j * math.pi / 3)
         grid = sample_vanishing_cycle(t, 16)
-        for i in (3, 77, 1042):
-            bad = perturbed_frame(grid.cycle_frame(i))
-            assert calibration_residual(t, grid.nodes[i], bad) > 1e-2
+        nodes, frames = cycle_frames(grid, [3, 77, 1042])
+        residual, _ = calibration_residual(t, nodes, perturbed_frame(frames))
+        assert residual.min() > 1e-2
 
     def test_perturbed_frame_stays_fiber_tangent(self):
         # the negative control breaks the Lagrangian condition, not tangency
         t = cmath.exp(1j * math.pi / 3)
         grid = sample_vanishing_cycle(t, 8)
-        bad = perturbed_frame(grid.cycle_frame(5))
-        assert frame_tangency_residual(grid.nodes[5], bad, t) < 1e-8
+        nodes, frames = cycle_frames(grid, [5])
+        assert frame_tangency_residual(nodes, perturbed_frame(frames)).max() < 1e-8
 
     def test_non_tangent_frame_rejected(self):
         grid = sample_vanishing_cycle(1.0, 8)
-        frame = grid.cycle_frame(0).astype(complex).copy()
-        frame[0] = np.array([1.0, 0, 0, 0]) + frame[0]  # push off the fiber
-        if frame_tangency_residual(grid.nodes[0], frame, 1.0) > 1e-8:
-            with pytest.raises(ValueError):
-                calibration_residual(1.0, grid.nodes[0], frame)
+        nodes, frames = cycle_frames(grid, [0, 1])
+        frames[1, 0] += np.array([1.0, 0, 0, 0])  # push one node's frame off the fiber
+        assert frame_tangency_residual(nodes, frames)[1] > 1e-8
+        with pytest.raises(ValueError, match="not tangent"):
+            calibration_residual(1.0, nodes, frames)
 
     def test_lagrangian_condition_on_cycle(self):
         grid = sample_vanishing_cycle(GENERIC_T, 8)
-        for i in range(0, 512, 41):
-            assert lagrangian_residual(grid.nodes[i], grid.cycle_frame(i)) < 1e-10
+        nodes, frames = cycle_frames(grid, range(0, 512, 41))
+        for node, frame in zip(nodes, frames):
+            assert lagrangian_residual(node, frame) < 1e-10
 
     def test_phase_rotation_control_stays_lagrangian(self):
         # rotating a leg inside its own complex line keeps the plane
         # Lagrangian; only the calibration phase detects it
         grid = sample_vanishing_cycle(GENERIC_T, 8)
-        bad = perturbed_frame(grid.cycle_frame(11))
-        assert lagrangian_residual(grid.nodes[11], bad) < 1e-10
-        assert calibration_residual(GENERIC_T, grid.nodes[11], bad) > 1e-2
+        nodes, frames = cycle_frames(grid, [11])
+        bad = perturbed_frame(frames)
+        assert lagrangian_residual(nodes[0], bad[0]) < 1e-10
+        assert calibration_residual(GENERIC_T, nodes, bad)[0][0] > 1e-2
 
     def test_lagrangian_condition_broken_by_cross_leg_mix(self):
         grid = sample_vanishing_cycle(GENERIC_T, 8)
-        frame = grid.cycle_frame(11).astype(complex).copy()
+        nodes, frames = cycle_frames(grid, [11])
+        frame = frames[0]
         frame[2] = math.cos(0.2) * frame[2] + math.sin(0.2) * 1j * frame[0]
-        assert lagrangian_residual(grid.nodes[11], frame) > 1e-2
+        assert lagrangian_residual(nodes[0], frame) > 1e-2
+
+    def test_c08_reads_only_its_sample(self, monkeypatch):
+        """C08 builds its 100 nodes by index and never stacks the grid."""
+        grids = []
+
+        def recorded(t, resolution):
+            grids.append(sample_vanishing_cycle(t, resolution))
+            return grids[-1]
+
+        monkeypatch.setattr(slag, "sample_vanishing_cycle", recorded)
+        _, _, checks = criterion_08(Profile.full())
+        assert checks.failures == [] and len(grids) == 1
+        assert "_stacked" not in vars(grids[0])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from conifold_lab.transitions import (
     DworkQuintic,
     NotOnVarietyError,
     ProjectivePoint5,
-    TransitionRecord,
     apply_topology_change,
     dwork_singular_points,
     euler_characteristic_from_betti,
@@ -126,7 +126,6 @@ class TestCatalog:
 
     def test_round_trips_and_splits(self):
         for rec in example_catalog():
-            rec.validate()
             assert rec.N == rec.k + rec.c
             assert infer_counts(rec.hodge_before, rec.hodge_after, rec.N) == (rec.k, rec.c)
             rebuilt = apply_topology_change(
@@ -711,17 +710,15 @@ class TestBatchedSampler:
 
 
 class TestRecordValidation:
-    def test_validate_catches_bad_split(self):
-        rec = TransitionRecord(
-            name="bad", N=3, k=1, c=1,
-            hodge_before=(2, 2), hodge_after=(1, 3),
-            betti_before=(0, 2, 6), betti_after=(0, 1, 8),
-        )
-        with pytest.raises(ValueError):
-            rec.validate()
+    def test_apply_refuses_a_bad_split(self):
+        """A record is only made by apply_topology_change, which refuses a
+        node count that does not split before building one."""
+        with pytest.raises(ValueError, match=r"^node count must split: N=3, k\+c=2$"):
+            apply_topology_change(2, 2, (0, 2, 6), N=3, k=1, c=1)
 
     def test_json_dict(self):
         rec = example_catalog()[0]
-        data = rec.to_json_dict()
+        data = json.loads(json.dumps(vars(rec)))
         assert data["name"] == "generic_nodal_quintic"
         assert data["N"] == data["k"] + data["c"]
+        assert data["hodge_after"] == list(rec.hodge_after) and data["betti_after"] == list(rec.betti_after)
