@@ -126,7 +126,7 @@ def sample_fiber_points(t: complex, taus, rng: np.random.Generator) -> tuple[np.
     return np.array([_random_rotation(rng) @ z for z in base]), t_rows
 
 
-def sample_resolved_points(a: float, radii, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def sample_resolved_points(radii, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Points (u, w) of the resolution across both direction charts with the
     given fiber radii |w|."""
     points = []
@@ -193,7 +193,7 @@ def criterion_03(profile: Profile) -> tuple[str, float, Checks]:
     fam = metrics.PotentialFamily.resolved(1.0)
     taus = np.logspace(-1, 3, n)
     ode = float(np.max(metrics.ode_residuals(fam, metrics.profile(fam, taus))))
-    pts = sample_resolved_points(1.0, np.logspace(-2, 2, n), rng)
+    pts = sample_resolved_points(np.logspace(-2, 2, n), rng)
     prof = metrics.profile(fam, metrics.point_taus(pts))
     _, _, charts = metrics.chart_hessians(fam, pts, prof)
     chk.true("resolved_both_charts", set(charts.tolist()) == {1, 2})
@@ -266,10 +266,7 @@ def criterion_07(profile: Profile) -> tuple[str, float, Checks]:
     err_lo, err_hi, order = slag.convergence_order(1.0, res // 2, res)
     chk.le("period_rel_error_t1", err_hi, 1e-4)
     for label, t in (("ti", 1j), ("tgen", 0.3 * cmath.exp(1j * math.pi / 5))):
-        grid = slag.sample_vanishing_cycle(t, res)
-        value = slag.integrate_volume_form(grid)
-        exact = slag.exact_cycle_integral(t)
-        chk.le(f"period_rel_error_{label}", abs(value - exact) / abs(exact), 1e-4)
+        chk.le(f"period_rel_error_{label}", slag.cycle_period(t, res)[1], 1e-4)
     chk.true("order_at_least_2", order >= 2.0, measured=order)
     chk.note("convergence_errors", [err_lo, err_hi])
     return "vanishing-cycle period 2 pi^2 t with measured convergence", 60.0, chk
@@ -523,11 +520,16 @@ CRITERIA = {
 
 
 def run_criterion(cid: str, profile: Profile) -> CriterionResult:
+    """Run one criterion.  An exception raised inside it is its failure,
+    recorded as '<Type>: <message>'."""
     fn = CRITERIA[cid]
     start = time.perf_counter()
-    title, budget, chk = fn(profile)
+    try:
+        title, budget, chk = fn(profile)
+        details, failures = chk.details, chk.failures
+    except Exception as exc:
+        title, budget, details, failures = "raised an exception", math.inf, {}, [f"{type(exc).__name__}: {exc}"]
     elapsed = time.perf_counter() - start
-    failures = chk.failures
     if elapsed > budget:
         failures.append(f"runtime {elapsed:.2f}s exceeded budget {budget:.0f}s")
     return CriterionResult(
@@ -536,14 +538,11 @@ def run_criterion(cid: str, profile: Profile) -> CriterionResult:
         passed=not failures,
         elapsed=elapsed,
         budget=budget,
-        details=chk.details,
+        details=details,
         failures=failures,
     )
 
 
 def run_criteria(profile: Profile, only=None) -> list[CriterionResult]:
-    cids = sorted(CRITERIA) if only is None else sorted(only)
-    unknown = [cid for cid in cids if cid not in CRITERIA]
-    if unknown:
-        raise ValueError(f"unknown criteria {unknown}; known: {sorted(CRITERIA)}")
-    return [run_criterion(cid, profile) for cid in cids]
+    """Every criterion, or the IDs in only, in ID order."""
+    return [run_criterion(cid, profile) for cid in sorted(CRITERIA if only is None else only)]

@@ -41,14 +41,14 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _emit_report(args, command: str, config: dict, results, assertions: Checks, timings) -> int:
+def _emit_report(args, results, assertions: Checks, timings=None) -> int:
     report = {
         "schema": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": vars_config(args),
         "results": results,
         "assertions": assertions.items,
-        "timings": timings if getattr(args, "timings", False) else None,
+        "timings": (timings or {}) if args.timings else None,
     }
     payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write_output(args.output, payload)
@@ -89,7 +89,7 @@ def _cmd_hodge(args) -> int:
         results["h21"] = diamond.h(min(2, diamond.dim), 1)
     results["moduli_dimension"] = hodge.moduli_dimension(args.n, args.d)
     assertions.true("diamond_invariants", (violation := diamond.check_invariants()) is None, violation or "exact")
-    return _emit_report(args, "hodge", vars_config(args), results, assertions, {})
+    return _emit_report(args, results, assertions)
 
 
 def _family_from_args(args) -> metrics.PotentialFamily:
@@ -137,8 +137,7 @@ def _cmd_metric(args) -> int:
         assertions = Checks()
         decreasing = all(sups[i + 1] < sups[i] for i in range(len(sups) - 1))
         assertions.true("sups_decreasing", decreasing, sups)
-        config = vars_config(args)
-        return _emit_report(args, "metric", config, {"params": params, "sups": sups}, assertions, {})
+        return _emit_report(args, {"params": params, "sups": sups}, assertions)
 
     lo = args.tau_min if args.tau_min is not None else _default_tau_min(family, args.sweep)
     hi = args.tau_max if args.tau_max is not None else _default_tau_max(family, args.sweep)
@@ -151,7 +150,8 @@ def _cmd_metric(args) -> int:
         points = metrics.resolved_points_with_tau(taus)
     else:
         points = metrics.smoothed_normal_form_points(family.t, taus)
-    ode, ma = metrics.metric_residuals(family, points, prof)
+    ode = metrics.ode_residuals(family, prof)
+    ma = metrics.monge_ampere_residuals(family, points, prof)
     asymptotic = prof.tau >= metrics.asymptotic_threshold(family)
     deviations = iter(metrics.asymptotic_deviations(family, prof.take(asymptotic)).tolist())
     param = abs(family.t) if family.kind == "smoothed" else (family.a if family.kind == "resolved" else 0.0)
@@ -165,7 +165,7 @@ def _cmd_metric(args) -> int:
     assertions.le("ode_residual_max", float(np.max(ode)), _tolerance(args, "ode"))
     assertions.le("ma_residual_max", float(np.max(ma)), _tolerance(args, "ma"))
     results = {"header": METRIC_HEADER, "rows": rows}
-    return _emit_report(args, "metric", vars_config(args), results, assertions, {})
+    return _emit_report(args, results, assertions)
 
 
 def _param_list(text) -> list[float]:
@@ -188,7 +188,7 @@ def _check_tau_window(family: metrics.PotentialFamily, lo: float, hi: float) -> 
             slo, shi = metrics.TAU_WINDOW[family.kind]
             window += f" = {TAU_UNITS[family.kind]} * [{slo:g}, {shi:g}]"
         raise ValueError(
-            f"--tau-min/--tau-max: the {family.kind} family needs taus in {window}, got [{lo:g}, {hi:g}]"
+            f"--tau-min/--tau-max: the {family.kind} family needs taus in {window}, got [{lo!r}, {hi!r}]"
         )
 
 
@@ -208,10 +208,8 @@ def _default_tau_max(family: metrics.PotentialFamily, sweep: str) -> float:
 
 def _cmd_slag(args) -> int:
     t = _parse_complex(args.t)
-    grid = slag.sample_vanishing_cycle(t, args.resolution)
-    value = slag.integrate_volume_form(grid)
+    value, rel_error = slag.cycle_period(t, args.resolution)
     exact = slag.exact_cycle_integral(t)
-    rel_error = abs(value - exact) / abs(exact)
     results = {
         "t": [t.real, t.imag],
         "resolution": args.resolution,
@@ -223,7 +221,7 @@ def _cmd_slag(args) -> int:
     }
     assertions = Checks()
     assertions.le("rel_error", rel_error, _tolerance(args, "slag"))
-    return _emit_report(args, "slag", vars_config(args), results, assertions, {})
+    return _emit_report(args, results, assertions)
 
 
 def _cmd_transition(args) -> int:
@@ -233,14 +231,14 @@ def _cmd_transition(args) -> int:
         for rec in catalog:
             assertions.true(f"{rec.name}_split", rec.N == rec.k + rec.c, rec.N)
         results = {"catalog": [vars(rec) for rec in catalog]}
-        return _emit_report(args, "transition", vars_config(args), results, assertions, {})
+        return _emit_report(args, results, assertions)
     betti = tuple(int(x) for x in args.betti.split(","))
     record = transitions.apply_topology_change(
         args.h11, args.h21, betti, N=args.N, k=args.k, c=args.c
     )
     k, c = transitions.infer_counts(record.hodge_before, record.hodge_after, record.N)
     assertions.true("round_trip", (k, c) == (record.k, record.c), [k, c])
-    return _emit_report(args, "transition", vars_config(args), vars(record), assertions, {})
+    return _emit_report(args, vars(record), assertions)
 
 
 def _cmd_dwork(args) -> int:
@@ -270,7 +268,7 @@ def _cmd_dwork(args) -> int:
             "count": args.smooth_points,
             "min_gradient": min(c.gradient_norm for c in smooth_certs),
         }
-    return _emit_report(args, "dwork", vars_config(args), results, assertions, {})
+    return _emit_report(args, results, assertions)
 
 
 def _class_matrix(args) -> transitions.ClassMatrix:
@@ -307,12 +305,17 @@ def _cmd_friedman(args) -> int:
     if witness is not None:
         results["witness"] = [str(x) for x in witness]
         assertions.true("witness_nonzero", all(witness), results["witness"])
-    return _emit_report(args, "friedman", vars_config(args), results, assertions, {})
+    return _emit_report(args, results, assertions)
 
 
 def _cmd_verify_all(args) -> int:
     profile = acceptance.Profile.fast(args.seed) if args.fast else acceptance.Profile.full(args.seed)
-    only = args.criteria.split(",") if args.criteria else None
+    only = None if args.criteria is None else args.criteria.split(",")
+    for i, cid in enumerate(only or []):
+        if cid not in acceptance.CRITERIA:
+            raise ValueError(f"--criteria: unknown criterion {cid!r}; known: {', '.join(acceptance.CRITERIA)}")
+        if cid in only[:i]:
+            raise ValueError(f"--criteria: {cid} is listed twice")
     start = time.perf_counter()
     outcomes = acceptance.run_criteria(profile, only)
     total = time.perf_counter() - start
@@ -336,7 +339,7 @@ def _cmd_verify_all(args) -> int:
             for r in outcomes
         ],
     }
-    status = _emit_report(args, "verify-all", vars_config(args), results, assertions, timings)
+    status = _emit_report(args, results, assertions, timings)
     if not assertions.all_passed:
         failing = [r.cid for r in outcomes if not r.passed]
         print(f"FAILING CRITERIA: {', '.join(failing)}", file=sys.stderr)

@@ -132,9 +132,9 @@ class PotentialFamily:
             raise ValueError(f"the resolution parameter a must be finite, got {self.a}")
         window = f"[{PARAMETER_MIN:g}, {PARAMETER_MAX:g}]"
         if self.kind == "smoothed" and not PARAMETER_MIN <= abs(self.t) <= PARAMETER_MAX:
-            raise ValueError(f"the smoothing parameter |t| must lie in {window}, got {abs(self.t):g}")
+            raise ValueError(f"the smoothing parameter |t| must lie in {window}, got {abs(self.t)!r}")
         if self.kind == "resolved" and not PARAMETER_MIN <= self.a <= PARAMETER_MAX:
-            raise ValueError(f"the resolution parameter a must lie in {window}, got {self.a:g}")
+            raise ValueError(f"the resolution parameter a must lie in {window}, got {self.a!r}")
 
     @classmethod
     def cone(cls) -> "PotentialFamily":
@@ -446,19 +446,16 @@ def potential_value(family: PotentialFamily, tau: float) -> PotentialSample:
 # ---------------------------------------------------------------------------
 # stacked per-row checks
 #
-# The kernels below evaluate every row of a grid at once, then check the
-# rows: each check is a mask of failing rows with the message for one such
-# row, listed in the order a loop over the rows made them.  The first
-# failing row in grid order raises the message of its first failing check,
-# which is what that loop raised.
+# The kernels below evaluate every row of a grid at once and validate where
+# they compute: each check, taken in the order it is written, raises at the
+# first row that fails it.
 
 
-def _raise_first(checks) -> None:
-    bad = np.array([mask for mask, _ in checks], dtype=bool)
-    failing = np.flatnonzero(bad.any(axis=0))
+def _require(bad: np.ndarray, message) -> None:
+    """Raise ValueError(message(i)) at the first row i where bad is set."""
+    failing = np.flatnonzero(bad)
     if failing.size:
-        row = int(failing[0])
-        raise ValueError(checks[int(np.argmax(bad[:, row]))][1](row))
+        raise ValueError(message(int(failing[0])))
 
 
 def positivity_margins(family: PotentialFamily, prof: PotentialProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -476,29 +473,21 @@ def positivity_margins(family: PotentialFamily, prof: PotentialProfile) -> tuple
     return fp, 2.0 * (tau - at) * fpp + 2.0 * tau / (at + tau) * fp
 
 
-def _ode(family: PotentialFamily, prof: PotentialProfile):
-    tau, fp, fpp = prof.tau, prof.fp, prof.fpp
-    m1, m2 = positivity_margins(family, prof)
-    if family.kind == "resolved":
-        lhs = (4.0 * family.a**2 + tau * fp) * (fp**2 + tau * fp * fpp)
-    else:
-        at = family.domain_min()
-        lhs = fp**3 * tau + fp**2 * fpp * (tau**2 - at**2)
-    checks = [(
-        ~((m1 > 0) & (m2 > 0)),
-        lambda i: f"positivity violated at tau={float(tau[i])}: margins {m1[i]:.3e}, {m2[i]:.3e}",
-    )]
-    return np.abs(lhs - ODE_CONSTANT) / ODE_CONSTANT, checks
-
-
 def ode_residuals(family: PotentialFamily, prof: PotentialProfile) -> np.ndarray:
     """Relative residual |LHS - c| / c of the family's radial ODE at each
     grid point, built from the closed-form derivatives.  Raises if the
     positivity conditions fail (the profile would not define a metric
     there)."""
-    residuals, checks = _ode(family, prof)
-    _raise_first(checks)
-    return residuals
+    tau, fp, fpp = prof.tau, prof.fp, prof.fpp
+    m1, m2 = positivity_margins(family, prof)
+    bad = ~((m1 > 0) & (m2 > 0))
+    _require(bad, lambda i: f"positivity violated at tau={float(tau[i])}: margins {m1[i]:.3e}, {m2[i]:.3e}")
+    if family.kind == "resolved":
+        lhs = (4.0 * family.a**2 + tau * fp) * (fp**2 + tau * fp * fpp)
+    else:
+        at = family.domain_min()
+        lhs = fp**3 * tau + fp**2 * fpp * (tau**2 - at**2)
+    return np.abs(lhs - ODE_CONSTANT) / ODE_CONSTANT
 
 
 def ode_residual(family: PotentialFamily, sample: PotentialSample) -> float:
@@ -566,9 +555,9 @@ def point_taus(coords) -> np.ndarray:
     return one_u * rho
 
 
-def _tau_check(prof: PotentialProfile, tau: np.ndarray):
+def _check_tau(prof: PotentialProfile, tau: np.ndarray) -> None:
     # a grid point and the point built from it agree to a few ulps
-    return (
+    _require(
         ~(np.abs(prof.tau - tau) <= 1e-13 * tau),
         lambda i: f"the profile sample at tau = {float(prof.tau[i])!r} is not at the point's tau = {float(tau[i])!r}",
     )
@@ -582,25 +571,24 @@ _COMPLEMENT = np.array([[i for i in range(4) if i != c] for c in range(4)])
 
 
 def _fiber_hessians(family: PotentialFamily, z: np.ndarray, t, prof: PotentialProfile):
-    rows = np.arange(len(z))
     tau = point_taus((z, t))
     on_fiber = np.abs(np.sum(z**2, axis=1) - t) <= 1e-9 * (1.0 + tau)
+    _require(~(on_fiber & (t == family.t)), lambda i: "point does not lie on the family's fiber")
+    _check_tau(prof, tau)
+    rows = np.arange(len(z))
     chart = np.argmax(np.abs(z), axis=1)
     v = z[rows[:, None], _COMPLEMENT[chart]]
     zc = z[rows, chart]
-    zc = np.where(zc == 0, 1.0, zc)  # z = 0 fails the tau check; keep its row finite
+    zc = np.where(zc == 0, 1.0, zc)  # z = 0 passes the checks only at a tau = 0 sample; keep it finite
     M = np.eye(3, dtype=complex) + _outer(v) / (np.abs(zc) ** 2)[:, None, None]
     T = np.conj(v) - (np.conj(zc) / zc)[:, None] * v
     H = prof.fp[:, None, None] * M + prof.fpp[:, None, None] * _outer(T)
-    checks = [
-        (~(on_fiber & (t == family.t)), lambda i: "point does not lie on the family's fiber"),
-        _tau_check(prof, tau),
-    ]
-    return H, 1.0 / np.abs(2 * zc) ** 2, chart + 1, checks
+    return H, 1.0 / np.abs(2 * zc) ** 2, chart + 1
 
 
 def _resolved_hessians(family: PotentialFamily, u: np.ndarray, w: np.ndarray, prof: PotentialProfile):
     chart, ua, W, rho, one_u = _resolved_chart(u, w)
+    _check_tau(prof, one_u * rho)
     cu = np.conj(ua)
     grad = np.stack([cu * rho, one_u * np.conj(W[:, 0]), one_u * np.conj(W[:, 1])], axis=1)
     tau_ab = np.zeros((len(u), 3, 3), dtype=complex)
@@ -610,15 +598,7 @@ def _resolved_hessians(family: PotentialFamily, u: np.ndarray, w: np.ndarray, pr
     L_ab = np.zeros_like(tau_ab)
     L_ab[:, 0, 0] = 1.0 / one_u**2
     H = 4.0 * family.a**2 * L_ab + prof.fp[:, None, None] * tau_ab + prof.fpp[:, None, None] * _outer(grad)
-    return H, np.ones(len(u)), chart, [_tau_check(prof, one_u * rho)]
-
-
-def _chart_hessians(family: PotentialFamily, coords, prof: PotentialProfile):
-    if len(prof) != len(coords[0]):
-        raise ValueError(f"{len(prof)} profile samples for {len(coords[0])} points")
-    if family.kind == "resolved":
-        return _resolved_hessians(family, *coords, prof)
-    return _fiber_hessians(family, *coords, prof)
+    return H, np.ones(len(u)), chart
 
 
 def chart_hessians(family: PotentialFamily, coords, prof: PotentialProfile):
@@ -639,9 +619,11 @@ def chart_hessians(family: PotentialFamily, coords, prof: PotentialProfile):
 
     Each sample's tau must match its point's to 1e-13 relative.
     """
-    H, density, chart, checks = _chart_hessians(family, coords, prof)
-    _raise_first(checks)
-    return H, density, chart
+    if len(prof) != len(coords[0]):
+        raise ValueError(f"{len(prof)} profile samples for {len(coords[0])} points")
+    if family.kind == "resolved":
+        return _resolved_hessians(family, *coords, prof)
+    return _fiber_hessians(family, *coords, prof)
 
 
 def hermitian_hessian(family: PotentialFamily, point, sample: PotentialSample) -> HermitianHessian:
@@ -650,38 +632,22 @@ def hermitian_hessian(family: PotentialFamily, point, sample: PotentialSample) -
     return HermitianHessian(point=point, H=H[0], density=float(density[0]), chart=int(chart[0]))
 
 
-def _monge_ampere(family: PotentialFamily, coords, prof: PotentialProfile):
-    H, density, _, checks = _chart_hessians(family, coords, prof)
-    positive = np.all(np.linalg.eigvalsh(H) > 0, axis=1)
-    checks.append((~positive, lambda i: "Hessian not positive definite; not a metric at this point"))
-    det = np.linalg.det(H).real
-    return np.abs(det / density / MONGE_AMPERE_CONSTANT[family.kind] - 1.0), checks
-
-
 def monge_ampere_residuals(family: PotentialFamily, coords, prof: PotentialProfile) -> np.ndarray:
     """|det(H)/density / MONGE_AMPERE_CONSTANT - 1| at each point, given the
     profile sampled at the points' taus: the volume-form equation
     det(g) = const |Omega|^2 against its exact constant, which is the radial
     ODE certified through an independent code path (chart Hessians instead
     of the profile identity).  Every Hessian must be positive definite."""
-    residuals, checks = _monge_ampere(family, coords, prof)
-    _raise_first(checks)
-    return residuals
+    H, density, _ = chart_hessians(family, coords, prof)
+    bad = ~np.all(np.linalg.eigvalsh(H) > 0, axis=1)
+    _require(bad, lambda i: "Hessian not positive definite; not a metric at this point")
+    det = np.linalg.det(H).real
+    return np.abs(det / density / MONGE_AMPERE_CONSTANT[family.kind] - 1.0)
 
 
 def monge_ampere_residual(family: PotentialFamily, point, sample: PotentialSample) -> float:
     """monge_ampere_residuals at one point."""
     return float(monge_ampere_residuals(family, _stacked(point), PotentialProfile.of(sample))[0])
-
-
-def metric_residuals(family: PotentialFamily, coords, prof: PotentialProfile) -> tuple[np.ndarray, np.ndarray]:
-    """(ode_residuals, monge_ampere_residuals) of a sweep whose points sit at
-    the profile's taus.  A failing row raises as a loop that checked each
-    row's ODE, then its Hessian, would."""
-    ode, ode_checks = _ode(family, prof)
-    ma, ma_checks = _monge_ampere(family, coords, prof)
-    _raise_first(ode_checks + ma_checks)
-    return ode, ma
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +672,7 @@ def asymptotic_deviations(family: PotentialFamily, prof: PotentialProfile) -> np
     if family.kind == "cone":
         return np.zeros_like(tau)
     threshold = asymptotic_threshold(family)
-    _raise_first([(tau < threshold, lambda i: f"tau = {float(tau[i])} below the asymptotic threshold {threshold}")])
+    _require(tau < threshold, lambda i: f"tau = {float(tau[i])} below the asymptotic threshold {threshold}")
     if family.kind == "smoothed":
         return f - 1.5 * tau ** (2.0 / 3.0) - abs(family.t) ** (2.0 / 3.0) * SMOOTHED_GAUGE
     a = family.a

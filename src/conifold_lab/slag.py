@@ -159,7 +159,7 @@ def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:
     if not cmath.isfinite(t):
         raise ValueError(f"the vanishing cycle needs a finite t, got {t}")
     if not MIN_ABS_T <= abs(t) <= MAX_ABS_T:
-        raise ValueError(f"|t| must lie in [{MIN_ABS_T:g}, {MAX_ABS_T:g}], got {abs(t):g}")
+        raise ValueError(f"|t| must lie in [{MIN_ABS_T:g}, {MAX_ABS_T:g}], got {abs(t)!r}")
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
     if resolution > MAX_RESOLUTION:
@@ -178,7 +178,15 @@ def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:
 
 
 def exact_cycle_integral(t: complex) -> complex:
-    return 2.0 * math.pi**2 * complex(t)
+    return SPHERE_VOLUME * complex(t)
+
+
+def cycle_period(t: complex, resolution: int) -> tuple[complex, float]:
+    """The period of L_t by quadrature at a resolution, and its error
+    relative to the exact 2 pi^2 t."""
+    value = integrate_volume_form(sample_vanishing_cycle(t, resolution))
+    exact = exact_cycle_integral(t)
+    return value, abs(value - exact) / abs(exact)
 
 
 # the columns of each chart's minor: the coordinates other than the chart's own
@@ -274,11 +282,6 @@ def perturbed_frame(frames: np.ndarray, angle: float = 0.2) -> np.ndarray:
 def convergence_order(t: complex, res_low: int = 16, res_high: int = 32) -> tuple[float, float, float]:
     """Relative errors at two resolutions and the observed order
     log2(err_low / err_high) (resolutions differ by a factor of two)."""
-    exact = exact_cycle_integral(t)
-    errs = []
-    for res in (res_low, res_high):
-        grid = sample_vanishing_cycle(t, res)
-        val = integrate_volume_form(grid)
-        errs.append(abs(val - exact) / abs(exact))
+    errs = [cycle_period(t, res)[1] for res in (res_low, res_high)]
     order = math.log2(errs[0] / errs[1]) if errs[1] > 0 else math.inf
     return errs[0], errs[1], order

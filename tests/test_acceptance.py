@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from conifold_lab.acceptance import CRITERIA, Checks, Profile, run_criterion
+from conifold_lab.acceptance import CRITERIA, Checks, Profile, run_criteria, run_criterion
 
 FULL = Profile.full(seed=0)
 
@@ -23,6 +23,21 @@ def test_criterion(cid):
         print(f"    {name}: {info}")
     assert result.passed, "; ".join(result.failures)
     assert result.elapsed < result.budget
+
+
+def test_a_raise_is_that_criterion_failure(monkeypatch):
+    """An exception inside a criterion fails that criterion with its type and
+    message; its time is kept and the later criteria still run."""
+
+    def raising(profile):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(CRITERIA, "C02", raising)
+    c01, c02, c04 = run_criteria(Profile.fast(), ["C04", "C02", "C01"])
+    assert (c02.cid, c02.passed, c02.title) == ("C02", False, "raised an exception")
+    assert c02.failures == ["ZeroDivisionError: division by zero"] and c02.details == {}
+    assert c02.elapsed >= 0.0 and c02.line().startswith("C02 FAIL")
+    assert c01.passed and c04.passed
 
 
 class TestChecks:

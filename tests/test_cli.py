@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import reference
-from conifold_lab import cli, metrics, transitions
+from conifold_lab import cli, metrics, slag, transitions
 
 
 @pytest.fixture(scope="module")
@@ -439,16 +439,45 @@ class TestUsageErrors:
             (["metric", "--family", "smoothed", "--sweep", "convergence", "--points", "0"],
              "empty grid: --points must be >= 1"),
             (["dwork", "--smooth-points", "65537"], "--smooth-points: at most 65536 points, got 65537"),
+            (["verify-all", "--criteria", ""], "--criteria: unknown criterion ''; known: C01, C02, C03, C04, C05, C06, C07, C08, C09, C10, C11, C12"),
+            (["verify-all", "--criteria", "C01,,C02"], "--criteria: unknown criterion ''; known: C01, C02, C03, C04, C05, C06, C07, C08, C09, C10, C11, C12"),
+            (["verify-all", "--criteria", "C01,"], "--criteria: unknown criterion ''; known: C01, C02, C03, C04, C05, C06, C07, C08, C09, C10, C11, C12"),
+            (["verify-all", "--criteria", "C03,C01,C03"], "--criteria: C03 is listed twice"),
+            (["verify-all", "--criteria", "C01,C99"], "--criteria: unknown criterion 'C99'; known: C01, C02, C03, C04, C05, C06, C07, C08, C09, C10, C11, C12"),
+            (["verify-all", "--criteria", "c01"], "--criteria: unknown criterion 'c01'; known: C01, C02, C03, C04, C05, C06, C07, C08, C09, C10, C11, C12"),
         ],
         ids=["hodge-n", "hodge-d", "slag-resolution-huge", "slag-resolution", "slag-t-tiny",
              "slag-t-huge", "metric-a-tiny", "metric-a-huge", "metric-t-tiny", "metric-t-huge",
              "metric-convergence-param", "metric-points", "metric-convergence-points",
-             "metric-convergence-empty", "dwork-smooth-points"],
+             "metric-convergence-empty", "dwork-smooth-points", "criteria-empty-list",
+             "criteria-empty-entry", "criteria-trailing-comma", "criteria-duplicate", "criteria-unknown",
+             "criteria-lowercase"],
     )
     def test_parameter_outside_its_bound(self, argv, message, tmp_path, capsys):
         assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv,value,message",
+        [
+            (["metric", "--family", "smoothed", "--t"], math.nextafter(metrics.PARAMETER_MIN, 0.0),
+             "the smoothing parameter |t| must lie in [1e-20, 1e+20], got {!r}"),
+            (["metric", "--family", "resolved", "--a"], math.nextafter(metrics.PARAMETER_MAX, math.inf),
+             "the resolution parameter a must lie in [1e-20, 1e+20], got {!r}"),
+            (["slag", "--t"], math.nextafter(slag.MIN_ABS_T, 0.0), "|t| must lie in [1e-200, 1e+200], got {!r}"),
+            (["metric", "--family", "cone", "--tau-min", "1", "--tau-max"],
+             math.nextafter(metrics.TAU_WINDOW["cone"][1], math.inf),
+             "--tau-min/--tau-max: the cone family needs taus in [1e-150, 1e+150], got [1.0, {!r}]"),
+        ],
+        ids=["smoothed-t", "resolved-a", "slag-t", "cone-tau"],
+    )
+    def test_value_one_ulp_outside_is_quoted_exactly(self, argv, value, message, tmp_path, capsys):
+        """A refused value is printed with repr: with :g, one ulp outside the
+        window read as the window's own end."""
+        assert cli.main(argv + [repr(value), "--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(value)}\n"
+        assert f"{value:g}" in ("1e-20", "1e+20", "1e-200", "1e+150")
 
     @pytest.mark.parametrize("argv", [["dwork", "--smooth-points", "3"], ["verify-all", "--fast"]],
                              ids=["dwork", "verify-all"])
@@ -480,9 +509,9 @@ class TestUsageErrors:
             (["--family", "smoothed", "--t", "1", "--tau-max", "1e200"],
              "the smoothed family needs taus in [1, 1e+100] = |t| * [1, 1e+100], got [1.01, 1e+200]"),
             (["--family", "resolved", "--a", "2", "--tau-min", "1e-300", "--tau-max", "1"],
-             "the resolved family needs taus in [8e-240, 8e+75] = a^3 * [1e-240, 1e+75], got [1e-300, 1]"),
+             "the resolved family needs taus in [8e-240, 8e+75] = a^3 * [1e-240, 1e+75], got [1e-300, 1.0]"),
             (["--family", "smoothed", "--sweep", "convergence", "--params", "1,0.5", "--tau-max", "1e300"],
-             "the smoothed family needs taus in [1, 1e+100] = |t| * [1, 1e+100], got [1, 1e+300]"),
+             "the smoothed family needs taus in [1, 1e+100] = |t| * [1, 1e+100], got [1.0, 1e+300]"),
         ],
         ids=["resolved-huge", "cone-tiny", "smoothed-huge", "resolved-tiny", "convergence-huge"],
     )

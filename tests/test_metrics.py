@@ -29,7 +29,6 @@ from conifold_lab.metrics import (
     hermitian_hessian,
     monge_ampere_residual,
     monge_ampere_residuals,
-    metric_residuals,
     ode_residual,
     ode_residuals,
     positivity_margins,
@@ -633,7 +632,7 @@ def _rotated_points(family, taus, rng):
     normal form on a fiber, at the taus; on the resolution, both direction
     charts at (1 + |u|^2) tau / 2 for |u| < 1."""
     if family.kind == "resolved":
-        coords = sample_resolved_points(family.a, np.sqrt(taus / 2.0), rng)
+        coords = sample_resolved_points(np.sqrt(taus / 2.0), rng)
         return coords, profile(family, point_taus(coords))
     return sample_fiber_points(family.t, taus, rng), profile(family, taus)
 
@@ -690,7 +689,7 @@ class TestStackedResiduals:
     @pytest.mark.parametrize("a", [1e-3, 1.0, 37.0])
     def test_hessians_of_resolved_points_in_both_charts(self, a):
         family = PotentialFamily.resolved(a)
-        coords = sample_resolved_points(a, a**1.5 * np.logspace(-2, 2, 100), np.random.default_rng(8))
+        coords = sample_resolved_points(a**1.5 * np.logspace(-2, 2, 100), np.random.default_rng(8))
         prof = profile(family, point_taus(coords))
         assert set(chart_hessians(family, coords, prof)[2].tolist()) == {1, 2}
         points = [ResolvedPoint(u, w) for u, w in zip(*coords)]
@@ -703,7 +702,7 @@ class TestStackedResiduals:
         taus = _window_grid(family)
         prof = profile(family, taus)
         points = _sweep_points(family, taus)
-        ode, ma = metric_residuals(family, points, prof)
+        ode, ma = ode_residuals(family, prof), monge_ampere_residuals(family, points, prof)
         above = taus >= metrics.asymptotic_threshold(family)
         dev = asymptotic_deviations(family, prof.take(above))
         point_type = ResolvedPoint if family.kind == "resolved" else FiberPoint
@@ -749,7 +748,7 @@ class TestStackedResiduals:
             prof = profile(family, taus)
             points = _sweep_points(family, taus)
             H = chart_hessians(family, points, prof)[0]
-            ode, ma = metric_residuals(family, points, prof)
+            ode, ma = ode_residuals(family, prof), monge_ampere_residuals(family, points, prof)
             above = prof.tau >= metrics.asymptotic_threshold(family)
             dev = np.full(len(taus), np.nan)
             dev[above] = asymptotic_deviations(family, prof.take(above))
@@ -781,41 +780,44 @@ class TestStackedResiduals:
             assert asymptotic_deviation(family, big[0]) == asymptotic_deviations(family, big)[0]
 
     def test_first_failing_row_raises(self):
+        """Each check raises its message at its first failing row; every input
+        below fails one check only, except the last, which fails two."""
         family = PotentialFamily.smoothed(1.0)
         taus = np.logspace(0.1, 2, 10)
         z, t = smoothed_normal_form_points(1.0, taus)
-        z[6] *= 1.1  # off the fiber
+        prof = profile(family, taus)
         shifted = taus.copy()
         shifted[3] *= 1 + 1e-12  # sample at another tau
-        prof = profile(family, shifted)
         point_tau_3 = float(point_taus((z, t))[3])
         message = f"the profile sample at tau = {float(shifted[3])!r} is not at the point's tau = {point_tau_3!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            chart_hessians(family, (z, t), prof)
-        prof = profile(family, taus)
+            chart_hessians(family, (z, t), profile(family, shifted))
+        off = z.copy()
+        off[6] *= 1.1  # off the fiber, with its sample at its own tau
+        off_prof = profile(family, point_taus((off, t)))
         with pytest.raises(ValueError, match="point does not lie on the family's fiber"):
-            monge_ampere_residuals(family, (z, t), prof)
-        z[6] /= 1.1
-        # f'' far negative at row 5 breaks the ODE's positivity and the Hessian
-        bad = metrics.PotentialProfile(prof.tau, prof.f, prof.fp, prof.fpp.copy(), prof.quad_error)
-        bad.fpp[5] = -1e3
+            monge_ampere_residuals(family, (off, t), off_prof)
+
+        def negative_fpp(p):
+            # f'' far negative at row 5 breaks the ODE's positivity and the Hessian
+            return metrics.PotentialProfile(p.tau, p.f, p.fp, np.where(np.arange(len(p)) == 5, -1e3, p.fpp),
+                                            p.quad_error)
+
+        bad = negative_fpp(prof)
         margins = positivity_margins(family, bad)
         ode_message = f"positivity violated at tau={float(taus[5])}: margins {margins[0][5]:.3e}, {margins[1][5]:.3e}"
         with pytest.raises(ValueError, match=re.escape(ode_message)):
-            metric_residuals(family, (z, t), bad)
+            ode_residuals(family, bad)
         with pytest.raises(ValueError, match="Hessian not positive definite"):
             monge_ampere_residuals(family, (z, t), bad)
-        # a later row failing an earlier check does not pre-empt an earlier row
-        z[7, 0] += 1e-3
-        with pytest.raises(ValueError, match=re.escape(ode_message)):
-            metric_residuals(family, (z, t), bad)
-        z[2, 0] += 1e-3
-        with pytest.raises(ValueError, match="point does not lie on the family's fiber"):
-            metric_residuals(family, (z, t), bad)
         with pytest.raises(ValueError, match=r"tau = 5\.0 below the asymptotic threshold 10\.0"):
             asymptotic_deviations(family, profile(family, [20.0, 5.0, 2.0]))
         with pytest.raises(ValueError, match="2 profile samples for 10 points"):
             chart_hessians(family, (z, t), profile(family, taus[:2]))
+        # the checks are taken in the order they are written: row 6 off the
+        # fiber raises before row 5's Hessian
+        with pytest.raises(ValueError, match="point does not lie on the family's fiber"):
+            monge_ampere_residuals(family, (off, t), negative_fpp(off_prof))
 
 
 class TestAsymptotics:

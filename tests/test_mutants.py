@@ -5,11 +5,14 @@ it targets at the full profile, and asserts that the criterion fails.
 """
 
 import dataclasses
+import inspect
+import json
 import math
+import textwrap
 
 import numpy as np
 
-from conifold_lab import conifold, exterior, hodge, metrics, slag, transitions
+from conifold_lab import cli, conifold, exterior, hodge, metrics, slag, transitions
 from conifold_lab.acceptance import (
     Profile,
     criterion_01,
@@ -28,6 +31,16 @@ FULL = Profile.full(seed=0)
 def _failures(criterion) -> list[str]:
     _, _, checks = criterion(FULL)
     return checks.failures
+
+
+def _rewritten(module, name: str, old: str, new: str):
+    """The module's function `name` compiled from its source with the one
+    occurrence of `old` replaced by `new`, resolving names in the module."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), namespace)
+    return namespace[name]
 
 
 class TestC01:
@@ -51,13 +64,13 @@ class TestC03:
         A ratio calibrated on the same Hessians is blind to a uniform scale;
         the exact constant is not, so every family's residual fails its
         1e-7 gate."""
-        hessians = metrics._chart_hessians
+        hessians = metrics.chart_hessians
 
         def scaled(family, coords, prof):
-            H, density, chart, checks = hessians(family, coords, prof)
-            return H * (1.0 + 1e-6), density, chart, checks
+            H, density, chart = hessians(family, coords, prof)
+            return H * (1.0 + 1e-6), density, chart
 
-        monkeypatch.setattr(metrics, "_chart_hessians", scaled)
+        monkeypatch.setattr(metrics, "chart_hessians", scaled)
         assert [f.partition(":")[0] for f in _failures(criterion_03)] == [
             "cone_ma_residual", "smoothed_ma_residual", "resolved_ma_residual"
         ]
@@ -218,3 +231,20 @@ class TestC10:
         monkeypatch.setattr(transitions, "apply_topology_change", short_b3)
         failures = {f.partition(":")[0] for f in _failures(criterion_10)}
         assert failures == {f"{rec.name}_euler_drop" for rec in transitions.example_catalog()} | {"tian_yau_b3"}
+
+
+class TestC11:
+    def test_unsigned_pivot_entries(self, monkeypatch, tmp_path, capsys):
+        """The witness with the sign dropped from its pivot entries no longer
+        annihilates the classes, and the solver's own check raises inside
+        C11.  The raise is C11's failure: verify-all exits 1 with a full
+        report, and C12 still runs."""
+        unsigned = _rewritten(transitions, "friedman_witness", "Fraction(-value,", "Fraction(value,")
+        monkeypatch.setattr(transitions, "friedman_witness", unsigned)
+        out = tmp_path / "report.json"
+        assert cli.main(["verify-all", "--criteria", "C11,C12", "--output", str(out)]) == 1
+        c11, c12 = json.loads(out.read_text())["results"]["criteria"]
+        assert (c11["cid"], c11["passed"]) == ("C11", False)
+        assert c11["failures"] == ["AssertionError: witness fails the annihilation identity"]
+        assert (c12["cid"], c12["passed"]) == ("C12", True)
+        assert capsys.readouterr().err.endswith("FAILING CRITERIA: C11\n")
