@@ -10,8 +10,9 @@ Three independent pieces of machinery live here.
 
 * The first-order smoothability criterion: the nodal variety smooths to
   first order iff some combination sum lambda_i [C_i] = 0 has every
-  lambda_i nonzero.  The solver works over exact rationals (integral curve
-  classes in the geometric case) and returns an explicit witness or None.
+  lambda_i nonzero.  The solver works on integer rows (integral curve
+  classes in the geometric case, rational ones scaled to integers) and
+  returns an explicit rational witness or None.
 
 * The quintic pencil's nodal member: enumeration of its 125 singular
   points, exact cyclotomic verification that they are critical, and a
@@ -26,6 +27,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,13 +37,13 @@ import numpy as np
 # the smoothability criterion
 
 
-def _as_exact(value) -> Fraction:
+def _as_exact(value) -> int | Fraction:
     """Coerce CSV/JSON scalars (integers, rationals, rational strings such as
-    "1/2", integral floats) to Fraction; booleans are not numbers here."""
+    "1/2", integral floats) to int or Fraction; booleans are not numbers here."""
     if isinstance(value, bool):
         raise TypeError(f"entry {value!r} is a boolean, not a rational number")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -50,22 +52,27 @@ def _as_exact(value) -> Fraction:
     if isinstance(value, float):
         if not value.is_integer():
             raise TypeError(f"class vectors must be exact; got the non-integral float {value!r}")
-        return Fraction(int(value))
+        return int(value)
     raise TypeError(f"unsupported class-vector entry {value!r} of type {type(value).__name__}")
 
 
 @dataclass
 class ClassMatrix:
-    """N homology-class coordinate vectors of common length m, exact entries."""
+    """N homology-class coordinate vectors of common length m, as integer
+    rows: a matrix with non-integral entries is scaled by the lcm of their
+    denominators, which keeps every relation sum_i lambda_i rows[i] = 0."""
 
     rows: tuple
 
     def __init__(self, rows):
-        parsed = tuple(tuple(_as_exact(x) for x in row) for row in rows)
+        parsed = tuple(map(tuple, rows))
+        if {type(x) for row in parsed for x in row} - {int}:
+            parsed = [[_as_exact(x) for x in row] for row in parsed]
+            scale = math.lcm(*(x.denominator for row in parsed for x in row))
+            parsed = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in parsed)
         if not parsed:
             raise ValueError("need at least one class vector")
-        m = len(parsed[0])
-        if m < 1 or any(len(r) != m for r in parsed):
+        if not parsed[0] or len(set(map(len, parsed))) > 1:
             raise ValueError("class vectors must share a positive length")
         self.rows = parsed
 
@@ -99,8 +106,10 @@ def _integer_rref(mat: list[list], n: int) -> list[int]:
     pivots: list[int] = []
     row = 0
     for col in range(n):
-        pivot = next((r for r in range(row, m) if mat[r][col]), None)
-        if pivot is None:
+        for pivot in range(row, m):
+            if mat[pivot][col]:
+                break
+        else:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
         prow = mat[row]
@@ -121,53 +130,44 @@ def _integer_rref(mat: list[list], n: int) -> list[int]:
 def friedman_witness(classes: ClassMatrix):
     """An all-nonzero exact combination annihilating the class vectors, or None.
 
-    The system sum_i lambda_i classes[i] = 0, scaled by the lcm of its
-    denominators (same row space), is eliminated fraction-free to rows R
-    with pivots p_r.  The kernel basis vector of free column f_j is 1 at f_j
-    and -R[r][f_j] / p_r at pivot column r.  Feasibility holds iff every
-    coordinate is nonzero in some basis vector (a vector space over an
-    infinite field is never a finite union of proper subspaces).  The
-    witness sum_j s^j (basis vector j) takes the first s = 1, 2, ... with
-    every P_r(s) = sum_j R[r][f_j] s^j nonzero; each P_r has degree
-    < dim(kernel), so at most n_classes * dim(kernel) values of s fail.
+    The system sum_i lambda_i classes.rows[i] = 0 is eliminated
+    fraction-free to rows R with pivots p_r.  The kernel basis vector of
+    free column f_j is 1 at f_j and -R[r][f_j] / p_r at pivot column r.
+    Feasibility holds iff every coordinate is nonzero in some basis vector
+    (a vector space over an infinite field is never a finite union of proper
+    subspaces).  The witness sum_j s^j (basis vector j) takes the first
+    s = 1, 2, ... with every P_r(s) = sum_j R[r][f_j] s^j nonzero; each P_r
+    has degree < dim(kernel), so at most n_classes * dim(kernel) values of s
+    fail.  The witness is built as integer weights over one denominator,
+    the lcm of the p_r, checked exactly on those integers, and returned as
+    the Fractions weight / denominator.
     """
     n = classes.n_classes
     mat = [list(col) for col in zip(*classes.rows)]
-    scale = math.lcm(*(x.denominator for row in mat for x in row))
-    mat = [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
     pivots = _integer_rref(mat, n)
     free = [c for c in range(n) if c not in pivots]
-    coeffs = [[mat[r][f] for f in free] for r in range(len(pivots))]
-    if not free or not all(any(row) for row in coeffs):
+    coeffs = [[row[f] for f in free] for row in mat[: len(pivots)]]
+    if not free or not all(map(any, coeffs)):
         return None
     bound = n * len(free) + 1
     for s in range(1, bound + 1):
         powers = [s**j for j in range(len(free))]
-        values = [sum(x * w for x, w in zip(row, powers)) for row in coeffs]
+        values = [sum(map(operator.mul, row, powers)) for row in coeffs]
         if all(values):
-            lam = [Fraction(0)] * n
+            heads = [row[pcol] for row, pcol in zip(mat, pivots)]
+            denominator = math.lcm(*heads)
+            weights = [0] * n
             for f, w in zip(free, powers):
-                lam[f] = Fraction(w)
-            for r, (pcol, value) in enumerate(zip(pivots, values)):
-                lam[pcol] = Fraction(-value, mat[r][pcol])
-            _assert_witness(classes, lam)
-            return lam
+                weights[f] = denominator * w
+            for pcol, value, p in zip(pivots, values, heads):
+                weights[pcol] = -value * (denominator // p)
+            for column in zip(*classes.rows):
+                if sum(map(operator.mul, weights, column)):
+                    raise AssertionError("witness fails the annihilation identity")
+            if not all(weights):
+                raise AssertionError("witness has a zero coordinate")
+            return [Fraction(w, denominator) for w in weights]
     raise AssertionError("witness search exceeded its deterministic bound")
-
-
-def _assert_witness(classes: ClassMatrix, lam) -> None:
-    """Check sum_i lambda_i classes[i] = 0 and every lambda_i != 0 exactly, in
-    integers: the witness times the lcm of its denominators and the class
-    vectors times the lcm of theirs annihilate iff the rationals do."""
-    lam_scale = math.lcm(*(x.denominator for x in lam))
-    weights = [x.numerator * (lam_scale // x.denominator) for x in lam]
-    class_scale = math.lcm(*(x.denominator for row in classes.rows for x in row))
-    rows = [[x.numerator * (class_scale // x.denominator) for x in row] for row in classes.rows]
-    for column in zip(*rows):
-        if sum(w * x for w, x in zip(weights, column)):
-            raise AssertionError("witness fails the annihilation identity")
-    if not all(weights):
-        raise AssertionError("witness has a zero coordinate")
 
 
 # ---------------------------------------------------------------------------

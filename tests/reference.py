@@ -36,33 +36,36 @@ against.  None of them runs on the package's own code paths.
   rescaling, and the change of variables from that quadric to the singular
   fiber.
 * transitions: Gauss-Jordan elimination over Fractions, the kernel basis
-  built from it and the smoothability witness searched over that basis
-  (kernel_basis_witness); a sparse polynomial in four variables with
-  derivatives rebuilt term by term (Polynomial4), which gives the Dwork
-  quintic and the non-Dwork polynomials of the double-point tests; the
-  double-point certificate one point at a time (verify_odp_per_point, the
-  oracle for the stacked certificate) and the smooth-point sampler with
-  np.roots per draw (dwork_smooth_points_per_draw, the oracle for the
-  batched companion roots).
+  built from it and the smoothability witness searched over that basis and
+  checked in Fractions (kernel_basis_witness); a sparse polynomial in four
+  variables with derivatives rebuilt term by term (Polynomial4), which
+  gives the Dwork quintic and the non-Dwork polynomials of the double-point
+  tests; the double-point certificate one point at a time
+  (verify_odp_per_point, the oracle for the stacked certificate) and the
+  smooth-point sampler with np.roots per draw (dwork_smooth_points_per_draw,
+  the oracle for the batched companion roots).
 * acceptance: exact ranks of stacked integer matrices by enumerating every
   minor up to 4 x 4 (batched_integer_rank), with cofactor determinants; the
   exhaustive solver-versus-oracle count on materialised matrix stacks, one
   int64 class key per matrix and np.unique over the keys
   (stacked_friedman_agreement, the oracle for the broadcast rows and the
-  class table), and the class sizes it sees (stacked_class_counts).
+  class table), and the class sizes it sees (stacked_class_counts).  The
+  stacks and their classes are built once per process.
+
+scipy is imported inside the quadrature and root-finder oracles, so that
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from conifold_lab import metrics, transitions
 from conifold_lab.conifold import (
@@ -83,7 +86,6 @@ from conifold_lab.transitions import (
     DworkQuintic,
     NotOnVarietyError,
     OdpCertificate,
-    _assert_witness,
     dwork_singular_points,
 )
 
@@ -94,6 +96,8 @@ from conifold_lab.transitions import (
 def gamma_resolved_root(tau: float, a: float = 1.0) -> float:
     """Safeguarded root-finder oracle for the same cubic (bisection bracket
     plus Newton polish), independent of the radical formula."""
+    from scipy.optimize import brentq
+
     if not a > 0:
         raise ValueError("a must be positive")
     if tau < 0:
@@ -138,6 +142,8 @@ def f1_resolved_quad(sigma: float) -> tuple[float, float]:
     """Unit-parameter resolved profile f_1(sigma) = int_0^sigma gamma(s)/s ds
     and scipy's error estimate: a series head up to min(1e-8, sigma/2), the
     rest adaptively in the log variable."""
+    from scipy.integrate import quad
+
     if sigma == 0.0:
         return 0.0, 0.0
     eps = min(1e-8, sigma / 2.0)
@@ -164,6 +170,8 @@ def _sinh_excess(x: float) -> float:
 def f1_smoothed_quad(sigma: float) -> tuple[float, float]:
     """f_1(sigma) = 2^{-1/3} int_0^{arccosh sigma} (sinh 2l - 2l)^{1/3} dl and
     scipy's error estimate."""
+    from scipy.integrate import quad
+
     if sigma == 1.0:
         return 0.0, 0.0
     val, err = quad(
@@ -738,7 +746,8 @@ def quadric_to_fiber(xyzw: np.ndarray) -> FiberPoint:
 
 def fraction_rref(mat: list[list], n: int) -> list[int]:
     """Gauss-Jordan elimination in place over Fractions; returns the pivot
-    columns.  Pivot rows end up normalized to pivot 1."""
+    columns.  Pivot rows end up normalized to pivot 1.  Zero entries are
+    carried over without Fraction arithmetic."""
     m = len(mat)
     pivots: list[int] = []
     row = 0
@@ -748,11 +757,11 @@ def fraction_rref(mat: list[list], n: int) -> list[int]:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
         inv = mat[row][col]
-        mat[row] = [x / inv for x in mat[row]]
+        prow = mat[row] = [x / inv if x else x for x in mat[row]]
         for r in range(m):
             if r != row and mat[r][col]:
                 factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+                mat[r] = [a - factor * b if b else a for a, b in zip(mat[r], prow)]
         pivots.append(col)
         row += 1
         if row == m:
@@ -804,7 +813,9 @@ def kernel_basis_witness(classes: ClassMatrix):
             lam = [acc + power * x for acc, x in zip(lam, vec)]
             power = power * s
         if all(lam):
-            _assert_witness(classes, lam)
+            for j in range(classes.ambient_rank):
+                if sum((x * row[j] for x, row in zip(lam, classes.rows)), Fraction(0)):
+                    raise AssertionError("witness fails the annihilation identity")
             return lam
     raise AssertionError("witness search exceeded its deterministic bound")
 
@@ -957,11 +968,15 @@ def batched_integer_rank(mats: np.ndarray) -> np.ndarray:
     return rank
 
 
+@functools.cache
 def stacked_sign_matrices(n: int, m: int) -> np.ndarray:
     """Every {-1, 0, 1} matrix with n rows of length m, stacked as
-    (3^(n m), n, m), first row most significant."""
+    (3^(n m), n, m), first row most significant.  Built once per process
+    and read-only."""
     pool = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.int8)
-    return pool[np.indices((len(pool),) * n).reshape(n, -1).T]
+    mats = pool[np.indices((len(pool),) * n).reshape(n, -1).T]
+    mats.flags.writeable = False
+    return mats
 
 
 def canonical_class_keys(mats: np.ndarray) -> np.ndarray:
@@ -992,10 +1007,20 @@ def decode_class_key(key: int, n: int, m: int) -> list[tuple[int, ...]]:
     return [tuple(digits[i * m : (i + 1) * m]) for i in range(n)]
 
 
+@functools.cache
+def stacked_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique over the class keys of stacked_sign_matrices(n, m): the
+    sorted keys and each matrix's index into them.  Built once per process
+    and read-only."""
+    keys, inverse = np.unique(canonical_class_keys(stacked_sign_matrices(n, m)), return_inverse=True)
+    keys.flags.writeable = inverse.flags.writeable = False
+    return keys, inverse
+
+
 def stacked_class_counts(n: int, m: int) -> dict[int, int]:
     """Class key -> number of n x m sign matrices in the class."""
-    keys, counts = np.unique(canonical_class_keys(stacked_sign_matrices(n, m)), return_counts=True)
-    return dict(zip(keys.tolist(), counts.tolist()))
+    keys, inverse = stacked_classes(n, m)
+    return dict(zip(keys.tolist(), np.bincount(inverse).tolist()))
 
 
 def stacked_friedman_agreement(max_rows: int) -> tuple[int, int]:
@@ -1012,7 +1037,7 @@ def stacked_friedman_agreement(max_rows: int) -> tuple[int, int]:
             oracle = np.ones(len(mats), dtype=bool)
             for i in range(n):
                 oracle &= batched_integer_rank(np.delete(mats, i, axis=-2)) == rank
-            keys, inverse = np.unique(canonical_class_keys(mats), return_inverse=True)
+            keys, inverse = stacked_classes(n, m)
             solver = np.array([
                 transitions.friedman_witness(transitions.ClassMatrix(decode_class_key(int(key), n, m)))
                 is not None

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -233,6 +234,36 @@ class TestFriedmanCommand:
         code, text = run_cli(["friedman", "--classes-json", rows], tmp_path)
         assert code == 0
         assert json.loads(text)["results"]["witness"] == ["-22/5", "8/5", "1", "1"]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, 4], [1, 2], [-3, -6]],
+            [[1, 0], [0, 1]],
+            [[3, -5, 0], [0, 7, 1], [-3, -2, -1], [0, 0, 0]],
+            [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 2]],
+            [[1 if j == i else 0 for j in range(14)] for i in range(14)] + [[-1] * 14],
+        ],
+        ids=["feasible-3x2", "infeasible-2x2", "feasible-4x3", "infeasible-4x3", "tian-yau"],
+    )
+    def test_entry_forms_give_one_report(self, rows, tmp_path):
+        """The same class vectors as JSON integers, integral floats and
+        integer strings, and all of them scaled by -7/2, as "p/q" strings
+        and as integers where integral, give the same `results` block."""
+        scaled = [[Fraction(-7, 2) * x for x in row] for row in rows]
+        forms = [
+            [[float(x) for x in row] for row in rows],
+            [[str(x) for x in row] for row in rows],
+            [[str(v) for v in row] for row in scaled],
+            [[int(v) if v.denominator == 1 else str(v) for v in row] for row in scaled],
+        ]
+        code, text = run_cli(["friedman", "--classes-json", json.dumps(rows)], tmp_path, "int.json")
+        assert code == 0
+        want = json.loads(text)["results"]
+        for form in forms:
+            code, text = run_cli(["friedman", "--classes-json", json.dumps(form)], tmp_path, "form.json")
+            assert code == 0
+            assert json.loads(text)["results"] == want
 
     def test_json_input_infeasible(self, tmp_path):
         code, text = run_cli(["friedman", "--classes-json", "[[1, 0], [0, 1]]"], tmp_path)

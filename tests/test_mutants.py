@@ -23,6 +23,7 @@ from conifold_lab.acceptance import (
     criterion_08,
     criterion_09,
     criterion_10,
+    criterion_11,
 )
 
 FULL = Profile.full(seed=0)
@@ -235,11 +236,12 @@ class TestC10:
 
 class TestC11:
     def test_unsigned_pivot_entries(self, monkeypatch, tmp_path, capsys):
-        """The witness with the sign dropped from its pivot entries no longer
-        annihilates the classes, and the solver's own check raises inside
-        C11.  The raise is C11's failure: verify-all exits 1 with a full
-        report, and C12 still runs."""
-        unsigned = _rewritten(transitions, "friedman_witness", "Fraction(-value,", "Fraction(value,")
+        """The witness with the sign dropped from its pivot entries (the
+        integer weights at the pivot columns) no longer annihilates the
+        classes, and the solver's own check raises inside C11.  The raise is
+        C11's failure: verify-all exits 1 with a full report, and C12 still
+        runs."""
+        unsigned = _rewritten(transitions, "friedman_witness", "= -value *", "= value *")
         monkeypatch.setattr(transitions, "friedman_witness", unsigned)
         out = tmp_path / "report.json"
         assert cli.main(["verify-all", "--criteria", "C11,C12", "--output", str(out)]) == 1
@@ -248,3 +250,25 @@ class TestC11:
         assert c11["failures"] == ["AssertionError: witness fails the annihilation identity"]
         assert (c12["cid"], c12["passed"]) == ("C12", True)
         assert capsys.readouterr().err.endswith("FAILING CRITERIA: C11\n")
+
+    def test_one_feasible_class_reported_infeasible(self, monkeypatch):
+        """A solver that answers None for the one class of the 2 x 1 matrices
+        with both entries nonzero, a feasible class (lambda = (1, -1) up to
+        signs): every other answer is right, so only the exhaustive oracle
+        sees it, and it counts each of the class's four matrices."""
+        solve = transitions.friedman_witness
+        missed = []
+
+        def misses_one(classes):
+            witness = solve(classes)
+            if classes.rows != ((-1,), (-1,)):
+                return witness
+            assert witness is not None
+            missed.append(classes)
+            return None
+
+        monkeypatch.setattr(transitions, "friedman_witness", misses_one)
+        _, _, checks = criterion_11(FULL)
+        assert len(missed) == 1
+        assert [f.partition(":")[0] for f in checks.failures] == ["oracle_mismatches"]
+        assert checks.details["oracle_mismatches"]["measured"] == 4

@@ -235,6 +235,50 @@ class TestFriedmanWitness:
             for j in range(len(rows[0])):
                 assert sum((w * row[j] for w, row in zip(witness, scaled)), Fraction(0)) == 0
 
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.integers(1, 4).flatmap(
+                lambda m: st.lists(
+                    st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=n, max_size=n
+                )
+            )
+        ),
+        # small denominators leave some scaled entries integral
+        st.builds(Fraction, st.integers(1, 10**6), st.sampled_from([1, 2, 3, 4, 6, 999983])),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_entry_forms_give_one_answer(self, rows, scale, negative):
+        """The integer rows given as ints, integral floats, Fractions with
+        denominator 1 and integer strings are the same integer rows; the
+        rows times one nonzero rational, as Fractions, as "p/q" strings and
+        as ints where integral and strings elsewhere, are integer rows too.
+        All give the same verdict and the same witness Fractions, with the
+        same text."""
+        scale = -scale if negative else scale
+        same = [
+            [[float(x) for x in row] for row in rows],
+            [[Fraction(x) for x in row] for row in rows],
+            [[str(x) for x in row] for row in rows],
+        ]
+        scaled = [
+            [[scale * x for x in row] for row in rows],
+            [[str(scale * x) for x in row] for row in rows],
+            [[int(v) if v.denominator == 1 else str(v) for v in (scale * x for x in row)] for row in rows],
+        ]
+        classes = ClassMatrix(rows)
+        want = friedman_witness(classes)
+        for form in same:
+            assert ClassMatrix(form).rows == classes.rows
+        for form in same + scaled:
+            other = ClassMatrix(form)
+            assert all(type(x) is int for row in other.rows for x in row)
+            got = friedman_witness(other)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert all(type(x) is Fraction for x in got)
+                assert [str(x) for x in got] == [str(x) for x in want]
+
     def test_exhaustive_small_matrices(self):
         checked, mismatches = exhaustive_friedman_agreement(3)
         assert mismatches == 0
@@ -249,10 +293,12 @@ class TestFriedmanWitness:
                 ClassMatrix([[1, entry]])
 
     def test_rejects_booleans(self):
-        """bool is an int subclass; True and False used to pass as 1 and 0."""
+        """bool is an int subclass; True and False used to pass as 1 and 0.
+        They are refused whether the other entries are ints or not."""
         for entry in (True, False):
-            with pytest.raises(TypeError, match=f"entry {entry} is a boolean"):
-                ClassMatrix([[1, entry]])
+            for rows in ([[1, entry]], [[entry]], [["1/2"], [entry]]):
+                with pytest.raises(TypeError, match=f"entry {entry} is a boolean"):
+                    ClassMatrix(rows)
 
     def test_exhaustive_gate_at_the_full_profile(self):
         assert exhaustive_friedman_agreement(4) == (559380, 0)
@@ -369,8 +415,8 @@ class TestIntegerKernel:
     def test_every_small_sign_matrix(self, m):
         """Every {-1,0,1} class matrix with N <= 3 rows of length m."""
         for n in range(1, 4):
-            for entries in itertools.product((-1, 0, 1), repeat=n * m):
-                _assert_witness_matches_oracle([entries[i * m:(i + 1) * m] for i in range(n)])
+            for rows in reference.stacked_sign_matrices(n, m).tolist():
+                _assert_witness_matches_oracle(rows)
 
     @given(
         st.integers(1, 40).flatmap(
@@ -420,9 +466,8 @@ class TestBatchedRank:
         matrix with N <= 4.  A row deletion of an N-row matrix is an
         (N-1)-row matrix whose full rank was checked one step earlier, so the
         deleted ranks are compared with the full ranks of the deletions."""
-        pool = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.int8)
         for n in range(1, 5):
-            mats = pool[np.indices((len(pool),) * n).reshape(n, -1).T]
+            mats = reference.stacked_sign_matrices(n, m)
             full, deleted = shared_minor_ranks(mats)
             assert np.array_equal(full, reference.batched_integer_rank(mats))
             assert np.array_equal(full, np.linalg.matrix_rank(mats.astype(float)))
