@@ -82,7 +82,6 @@ from conifold_lab.transitions import (
     ODP_DET_RTOL,
     ODP_GRADIENT_TOL,
     ODP_VALUE_TOL,
-    ClassMatrix,
     DworkQuintic,
     NotOnVarietyError,
     OdpCertificate,
@@ -746,8 +745,7 @@ def quadric_to_fiber(xyzw: np.ndarray) -> FiberPoint:
 
 def fraction_rref(mat: list[list], n: int) -> list[int]:
     """Gauss-Jordan elimination in place over Fractions; returns the pivot
-    columns.  Pivot rows end up normalized to pivot 1.  Zero entries are
-    carried over without Fraction arithmetic."""
+    columns.  Pivot rows end up normalized to pivot 1."""
     m = len(mat)
     pivots: list[int] = []
     row = 0
@@ -757,11 +755,11 @@ def fraction_rref(mat: list[list], n: int) -> list[int]:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
         inv = mat[row][col]
-        prow = mat[row] = [x / inv if x else x for x in mat[row]]
+        mat[row] = [x / inv for x in mat[row]]
         for r in range(m):
             if r != row and mat[r][col]:
                 factor = mat[r][col]
-                mat[r] = [a - factor * b if b else a for a, b in zip(mat[r], prow)]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
         pivots.append(col)
         row += 1
         if row == m:
@@ -787,9 +785,12 @@ def fraction_kernel_basis(columns: list[list]) -> list[list]:
     return basis
 
 
-def kernel_basis_witness(classes: ClassMatrix):
+def kernel_basis_witness(rows):
     """The smoothability witness by the kernel-basis route: the same search as
-    transitions.friedman_witness, run over the Fraction kernel basis.
+    transitions.friedman_witness, run over the Fraction kernel basis of the
+    class vectors rows, given as unparsed entries (ints, Fractions, rational
+    strings, integral floats).  The witness is checked against those
+    entries as Fractions.
 
     Feasibility holds iff for every index i some kernel vector is nonzero in
     coordinate i (a vector space over an infinite field is never a finite
@@ -798,8 +799,9 @@ def kernel_basis_witness(classes: ClassMatrix):
     nonzero; each coordinate is a nonzero polynomial of degree < dim(kernel)
     in s, so at most n_classes * dim(kernel) values can fail.
     """
-    n = classes.n_classes
-    basis = fraction_kernel_basis(classes.rows)
+    rows = [[Fraction(x) for x in row] for row in rows]
+    n = len(rows)
+    basis = fraction_kernel_basis(rows)
     if not basis:
         return None
     for i in range(n):
@@ -813,8 +815,8 @@ def kernel_basis_witness(classes: ClassMatrix):
             lam = [acc + power * x for acc, x in zip(lam, vec)]
             power = power * s
         if all(lam):
-            for j in range(classes.ambient_rank):
-                if sum((x * row[j] for x, row in zip(lam, classes.rows)), Fraction(0)):
+            for column in zip(*rows):
+                if sum((x * c for x, c in zip(lam, column)), Fraction(0)):
                     raise AssertionError("witness fails the annihilation identity")
             return lam
     raise AssertionError("witness search exceeded its deterministic bound")

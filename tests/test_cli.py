@@ -303,7 +303,9 @@ class TestFriedmanCommand:
             assert code == 0 and calls
             assert json.loads(integer_text)["results"]["feasible"] is expected
             with monkeypatch.context() as patch:
-                patch.setattr(transitions, "friedman_witness", reference.kernel_basis_witness)
+                patch.setattr(
+                    transitions, "friedman_witness", lambda classes: reference.kernel_basis_witness(classes.rows)
+                )
                 code, fraction_text = run_cli(argv, tmp_path, "fraction.json")
             assert code == 0
             assert integer_text == fraction_text

@@ -439,11 +439,11 @@ class TestIntegerKernel:
 
 
 def _assert_witness_matches_oracle(rows):
-    """The integer-row witness equals the Fraction kernel-basis witness:
-    the same feasibility, and the same Fractions with the same text."""
-    classes = ClassMatrix(rows)
-    got = friedman_witness(classes)
-    want = reference.kernel_basis_witness(classes)
+    """The integer-row witness equals the Fraction kernel-basis witness of
+    the unparsed rows: the same feasibility, and the same Fractions with the
+    same text."""
+    got = friedman_witness(ClassMatrix(rows))
+    want = reference.kernel_basis_witness(rows)
     if want is None:
         assert got is None
         return
