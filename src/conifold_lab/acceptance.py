@@ -164,8 +164,8 @@ def criterion_02(profile: Profile) -> tuple[str, float, Checks]:
     chk = Checks()
     k3 = hodge.hodge_diamond(hodge.HypersurfaceSpec(3, 4))
     chk.equal("k3_h11", k3.h(1, 1), 20)
-    chk.equal("quintic_moduli", hodge.quintic_moduli_dimension(), 101)
-    chk.equal("quartic_moduli", hodge.quartic_k3_moduli_dimension(), 19)
+    chk.equal("quintic_moduli", hodge.moduli_dimension(4, 5), 101)
+    chk.equal("quartic_moduli", hodge.moduli_dimension(3, 4), 19)
     return "K3 diamond and moduli counts", 1.0, chk
 
 
@@ -240,10 +240,10 @@ def criterion_05(profile: Profile) -> tuple[str, float, Checks]:
 
 def criterion_06(profile: Profile) -> tuple[str, float, Checks]:
     chk = Checks()
-    a_params = [1.0, 0.5, 0.25, 0.125, 1e-3]
-    t_params = [0.5, 0.25, 0.125, 1e-3]
-    sups_a = metrics.potential_convergence_sup("resolved", a_params, 1.0, 10.0, profile.convergence_grid)
-    sups_t = metrics.potential_convergence_sup("smoothed", t_params, 1.0, 10.0, profile.convergence_grid)
+    resolved = [metrics.PotentialFamily.resolved(a) for a in (1.0, 0.5, 0.25, 0.125, 1e-3)]
+    smoothed = [metrics.PotentialFamily.smoothed(t) for t in (0.5, 0.25, 0.125, 1e-3)]
+    sups_a = metrics.potential_convergence_sup(resolved, 1.0, 10.0, profile.convergence_grid)
+    sups_t = metrics.potential_convergence_sup(smoothed, 1.0, 10.0, profile.convergence_grid)
     chk.true(
         "resolved_sups_strictly_decreasing",
         all(sups_a[i + 1] < sups_a[i] for i in range(len(sups_a) - 1)),
@@ -360,10 +360,19 @@ def criterion_10(profile: Profile) -> tuple[str, float, Checks]:
 
 
 def _minor_ranks(rows) -> tuple[np.ndarray, list]:
-    """(full rank, [rank without row i]) of broadcastable rows, each rank on
-    the broadcast shape of the rows it keeps; see shared_minor_ranks."""
-    if isinstance(rows, np.ndarray):
-        rows = [rows[..., i, :] for i in range(rows.shape[-2])]
+    """Exact rank of integer matrices with m <= 3 columns, and the rank with
+    each single row deleted, as (full, [rank without row i]).
+
+    The N rows run along the first axis: N arrays (..., m) that broadcast
+    against each other, or one array with the rows on axis 0 (a stack
+    (k, N, m) goes in as np.moveaxis(mats, -2, 0)).  Each rank takes the
+    broadcast shape of the rows it keeps.  The rank is the largest k such
+    that some k rows have a nonzero k x k minor: a nonzero row, a row pair
+    with a nonzero 2 x 2 minor (the cross product when m = 3), a row triple
+    with a nonzero triple product.  Each row subset's flag is computed once,
+    on the broadcast shape of its own rows, and shared by the full matrix
+    and by every deletion that keeps the subset's rows; only the rank sums
+    reach the shape of the whole matrix set."""
     rows = [np.asarray(r) for r in rows]
     n, m = len(rows), rows[0].shape[-1]
     if m > 3:
@@ -401,28 +410,11 @@ def _minor_ranks(rows) -> tuple[np.ndarray, list]:
     return rank_without(None), [rank_without(i) for i in range(n)]
 
 
-def shared_minor_ranks(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Exact rank of integer matrices with m <= 3 columns, and the rank with
-    each single row deleted, as (full, deleted[i]).
-
-    The N rows come either as one stacked array (..., N, m) or as N arrays
-    (..., m) that broadcast against each other; the ranks take the
-    broadcast shape.  The rank is the largest k such that some k rows have
-    a nonzero k x k minor: a nonzero row, a row pair with a nonzero 2 x 2
-    minor (the cross product when m = 3), a row triple with a nonzero triple
-    product.  Each row subset's flag is computed once, on the broadcast
-    shape of its own rows, and shared by the full matrix and by every
-    deletion that keeps the subset's rows; only the rank sums reach the
-    shape of the whole matrix set."""
-    full, deleted = _minor_ranks(rows)
-    return full, np.stack(np.broadcast_arrays(full, *deleted)[1:])
-
-
 def feasibility_oracle(rows) -> np.ndarray:
     """Rank-based smoothability oracle, independent of the kernel solver:
     an all-nonzero annihilating combination exists iff deleting any single
-    class vector leaves the rank unchanged.  Takes rows as
-    shared_minor_ranks does, so m <= 3."""
+    class vector leaves the rank unchanged.  Takes rows as _minor_ranks
+    does, so m <= 3."""
     full, deleted = _minor_ranks(rows)
     return functools.reduce(np.logical_and, [d == full for d in deleted])
 

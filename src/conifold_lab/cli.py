@@ -33,7 +33,11 @@ def _parse_complex(text: str) -> complex:
     text = text.strip()
     if "@" in text:
         mag, _, deg = text.partition("@")
-        return float(mag) * cmath.exp(1j * math.radians(float(deg)))
+        degrees = float(deg)
+        # past a turn, reducing the angle would round away the digits asked for
+        if not abs(degrees) <= 360.0:
+            raise ValueError(f"--t: the angle of {text!r} must be finite and within [-360, 360] degrees")
+        return float(mag) * cmath.exp(1j * math.radians(degrees))
     return complex(text.replace(" ", ""))
 
 
@@ -127,9 +131,10 @@ def _cmd_metric(args) -> int:
         tau0 = args.tau_min if args.tau_min is not None else 1.0
         tau1 = args.tau_max if args.tau_max is not None else 10.0
         build = metrics.PotentialFamily.smoothed if kind == "smoothed" else metrics.PotentialFamily.resolved
-        for param in params:
-            _check_tau_window(build(param), tau0, tau1)
-        sups = metrics.potential_convergence_sup(kind, params, tau0, tau1, args.points)
+        families = [build(param) for param in params]
+        for member in families:
+            _check_tau_window(member, tau0, tau1)
+        sups = metrics.potential_convergence_sup(families, tau0, tau1, args.points)
         if args.format == "csv":
             _write_csv(args.output, ["family", "param", "sup_deviation"],
                        [[kind, p, s] for p, s in zip(params, sups)])
@@ -271,22 +276,50 @@ def _cmd_dwork(args) -> int:
     return _emit_report(args, results, assertions)
 
 
+# friedman's bounds, under which the largest accepted matrix certifies and its
+# witness prints; README ("Flag conventions") derives the witness's digits
+MAX_CLASSES, MAX_AMBIENT_RANK, MAX_ENTRY_DIGITS = 256, 24, 4
+
+
+def _text_digits(text: str) -> int:
+    """The digits of a rational's text, an exponent counting as its value (its
+    first ten digits tell a huge one): a bound on the digits Fraction(text) builds."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    return sum(c.isdecimal() for c in mantissa) + (int(exponent[:10]) if exponent.isdecimal() else 0)
+
+
 def _class_matrix(args) -> transitions.ClassMatrix:
     """The class matrix of --classes-csv or --classes-json; a matrix that
-    does not parse is a usage error naming the flag and the bad entry."""
+    does not parse or exceeds the bounds (checked before any text becomes a
+    number) is a usage error naming the flag and the bad entry."""
     flag = "--classes-csv" if args.classes_csv else "--classes-json"
     try:
         if args.classes_csv:
             with open(args.classes_csv, encoding="utf-8") as fh:
-                return transitions.ClassMatrix.from_csv_text(fh.read())
-        text = args.classes_json
-        try:
-            rows = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{text!r} is not JSON ({exc})") from None
-        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-            raise ValueError(f"expected a JSON array of rows, each an array of entries, got {text!r}")
-        return transitions.ClassMatrix(rows)
+                lines = fh.read().splitlines()
+            rows = [[cell.strip() for cell in line.split(",")] for line in lines if line.strip()]
+        else:
+            text = args.classes_json
+            try:
+                rows = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{text!r} is not JSON ({exc})") from None
+            if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+                raise ValueError(f"expected a JSON array of rows, each an array of entries, got {text!r}")
+        if len(rows) > MAX_CLASSES or max(map(len, rows), default=0) > MAX_AMBIENT_RANK:
+            raise ValueError(f"at most {MAX_CLASSES} class vectors of length <= {MAX_AMBIENT_RANK}, "
+                             f"got {len(rows)} of length up to {max(map(len, rows))}")
+        for entry in (x for row in rows for x in row if isinstance(x, str)):
+            if _text_digits(entry) > MAX_ENTRY_DIGITS:
+                raise ValueError(f"entry {entry!r} has more than {MAX_ENTRY_DIGITS} digits")
+        matrix = transitions.ClassMatrix(rows)
+        limit = 10**MAX_ENTRY_DIGITS
+        if max(map(max, matrix.rows)) >= limit or min(map(min, matrix.rows)) <= -limit:
+            x, entry = next((x, e) for xs, es in zip(matrix.rows, rows) for x, e in zip(xs, es) if abs(x) >= limit)
+            scaled = "" if x == entry else f" as {x}, once the rows are scaled to integers"
+            raise ValueError(f"entry {entry!r} has more than {MAX_ENTRY_DIGITS} digits{scaled}")
+        return matrix
     except OSError as exc:
         raise ValueError(f"{flag}: cannot read {args.classes_csv!r}: {exc.strerror or exc}") from None
     except (TypeError, ValueError) as exc:
@@ -326,19 +359,8 @@ def _cmd_verify_all(args) -> int:
         assertions.true(res.cid, res.passed, res.failures or "ok")
         timings[res.cid] = res.elapsed
     timings["total"] = total
-    results = {
-        "profile": profile.name,
-        "criteria": [
-            {
-                "cid": r.cid,
-                "title": r.title,
-                "passed": r.passed,
-                "details": r.details,
-                "failures": r.failures,
-            }
-            for r in outcomes
-        ],
-    }
+    keys = ("cid", "title", "passed", "details", "failures")
+    results = {"profile": profile.name, "criteria": [{k: getattr(r, k) for k in keys} for r in outcomes]}
     status = _emit_report(args, results, assertions, timings)
     if not assertions.all_passed:
         failing = [r.cid for r in outcomes if not r.passed]
@@ -500,7 +522,7 @@ def main(argv=None) -> int:
             if missing:
                 raise ValueError(f"transition needs --catalog or all of {missing}")
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

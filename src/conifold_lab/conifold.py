@@ -36,6 +36,9 @@ from conifold_lab.exterior import evaluate
 
 CHART_MARGIN_FACTOR = 0.25  # chart j usable iff |z_j| >= CHART_MARGIN_FACTOR * ||z||
 
+# row j - 1: the columns of chart j's basis 3-form, the complement of j in increasing order
+CHART_COMPLEMENT = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -83,11 +86,6 @@ class ResolvedPoint:
             raise ValueError("homogeneous pair (U1, U2) must be nonzero")
         self.u = u / scale
         self.w = w * scale
-
-    @property
-    def chart(self) -> int:
-        """Index (1 or 2) of the larger homogeneous coordinate."""
-        return 1 if abs(self.u[0]) >= abs(self.u[1]) else 2
 
 
 # ---------------------------------------------------------------------------

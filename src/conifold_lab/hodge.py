@@ -152,13 +152,3 @@ def moduli_dimension(n: int, d: int) -> int:
     """Dimension of the space of degree-d hypersurfaces in P^n modulo scaling
     and projective automorphisms: C(n+d, d) - 1 - ((n+1)^2 - 1)."""
     return math.comb(n + d, d) - 1 - ((n + 1) ** 2 - 1)
-
-
-def quintic_moduli_dimension() -> int:
-    """Moduli count for quintic threefolds in P^4 (equals 101)."""
-    return moduli_dimension(4, 5)
-
-
-def quartic_k3_moduli_dimension() -> int:
-    """Moduli count for quartic K3 surfaces in P^3 (equals 19)."""
-    return moduli_dimension(3, 4)

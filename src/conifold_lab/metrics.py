@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from conifold_lab.conifold import FiberPoint
+from conifold_lab.conifold import CHART_COMPLEMENT, FiberPoint
 
 ODE_CONSTANT = 2.0 / 3.0
 
@@ -59,15 +59,6 @@ MONGE_AMPERE_CONSTANT = {"cone": 4.0 * ODE_CONSTANT, "smoothed": 4.0 * ODE_CONST
 
 QUAD_ERROR_BOUND = 1e-10  # potential evaluations must report better than this
 _QUAD_RELATIVE_FLOOR = 1e-12  # attainable accuracy floor for values far above 1
-
-
-def _check_quad_error(err: np.ndarray, value: np.ndarray) -> None:
-    """Each sample's reported error must beat its own bound."""
-    bound = np.maximum(QUAD_ERROR_BOUND, _QUAD_RELATIVE_FLOOR * np.abs(value))
-    bad = np.flatnonzero(~(err <= bound))
-    if bad.size:
-        i = bad[0]
-        raise ArithmeticError(f"quadrature error {err[i]:.2e} exceeds {bound[i]:.2e}")
 
 # series gamma(tau)/tau = 1/sqrt(6) - tau/72 + 5 sqrt(6) tau^2 / 10368 - ...
 _SERIES_CUTOFF = 1e-4
@@ -157,9 +148,6 @@ class PotentialFamily:
             return self.a**3
         return 0.0
 
-    def domain_min(self) -> float:
-        return abs(self.t) if self.kind == "smoothed" else 0.0
-
     def tau_window(self) -> tuple[float, float]:
         """The taus at which the family can be evaluated: TAU_WINDOW in
         units of the family scale."""
@@ -220,13 +208,6 @@ class HermitianHessian:
     H: np.ndarray
     density: float
     chart: int
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.H)
-
-    @property
-    def is_positive(self) -> bool:
-        return bool(np.all(self.eigenvalues() > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +402,8 @@ def profile(family: PotentialFamily, taus) -> PotentialProfile:
         val, err = _lattice_integral(sigma)
         scale = at ** (2.0 / 3.0)
         f, err = scale * val, scale * err
-        _check_quad_error(err, f)
+        bound = np.maximum(QUAD_ERROR_BOUND, _QUAD_RELATIVE_FLOOR * np.abs(f))
+        _require(~(err <= bound), lambda i: f"quadrature error {err[i]:.2e} exceeds {bound[i]:.2e}")
         fp, fpp = _smoothed_derivatives(sigma)
         return PotentialProfile(
             tau=tau, f=f, fp=at ** (-1.0 / 3.0) * fp, fpp=at ** (-4.0 / 3.0) * fpp, quad_error=err
@@ -469,7 +451,7 @@ def positivity_margins(family: PotentialFamily, prof: PotentialProfile) -> tuple
     tau, fp, fpp = prof.tau, prof.fp, prof.fpp
     if family.kind == "resolved":
         return fp, fp + tau * fpp
-    at = family.domain_min()
+    at = abs(family.t)
     return fp, 2.0 * (tau - at) * fpp + 2.0 * tau / (at + tau) * fp
 
 
@@ -485,7 +467,7 @@ def ode_residuals(family: PotentialFamily, prof: PotentialProfile) -> np.ndarray
     if family.kind == "resolved":
         lhs = (4.0 * family.a**2 + tau * fp) * (fp**2 + tau * fp * fpp)
     else:
-        at = family.domain_min()
+        at = abs(family.t)
         lhs = fp**3 * tau + fp**2 * fpp * (tau**2 - at**2)
     return np.abs(lhs - ODE_CONSTANT) / ODE_CONSTANT
 
@@ -567,9 +549,6 @@ def _outer(x: np.ndarray) -> np.ndarray:
     return x[:, :, None] * np.conj(x)[:, None, :]
 
 
-_COMPLEMENT = np.array([[i for i in range(4) if i != c] for c in range(4)])
-
-
 def _fiber_hessians(family: PotentialFamily, z: np.ndarray, t, prof: PotentialProfile):
     tau = point_taus((z, t))
     on_fiber = np.abs(np.sum(z**2, axis=1) - t) <= 1e-9 * (1.0 + tau)
@@ -577,7 +556,7 @@ def _fiber_hessians(family: PotentialFamily, z: np.ndarray, t, prof: PotentialPr
     _check_tau(prof, tau)
     rows = np.arange(len(z))
     chart = np.argmax(np.abs(z), axis=1)
-    v = z[rows[:, None], _COMPLEMENT[chart]]
+    v = z[rows[:, None], CHART_COMPLEMENT[chart]]
     zc = z[rows, chart]
     zc = np.where(zc == 0, 1.0, zc)  # z = 0 passes the checks only at a tau = 0 sample; keep it finite
     M = np.eye(3, dtype=complex) + _outer(v) / (np.abs(zc) ** 2)[:, None, None]
@@ -684,28 +663,17 @@ def asymptotic_deviation(family: PotentialFamily, sample: PotentialSample) -> fl
     return float(asymptotic_deviations(family, PotentialProfile.of(sample))[0])
 
 
-def potential_convergence_sup(
-    kind: str,
-    params,
-    tau0: float = 1.0,
-    tau1: float = 10.0,
-    n_grid: int = 200,
-) -> list[float]:
-    """Sup over a log grid on [tau0, tau1] of |f_param - cone profile|, with the
-    additive constant quotiented out by matching at tau0.  As the parameter
-    tends to zero the sups must decrease to zero: the potential-level
-    statement of metric continuity through the transition."""
-    if kind not in ("smoothed", "resolved"):
-        raise ValueError("convergence sweep needs kind 'smoothed' or 'resolved'")
+def potential_convergence_sup(families, tau0: float, tau1: float, n_grid: int) -> list[float]:
+    """Sup over a log grid on [tau0, tau1] of |f - cone profile| for each
+    family, with the additive constant quotiented out by matching at tau0.
+    As the parameter tends to zero the sups must decrease to zero: the
+    potential-level statement of metric continuity through the transition."""
     if not 0 < tau0 < tau1:
         raise ValueError("need 0 < tau0 < tau1")
     taus = np.logspace(math.log10(tau0), math.log10(tau1), n_grid)
     cone = 1.5 * taus ** (2.0 / 3.0)
     sups = []
-    for param in params:
-        family = (
-            PotentialFamily.smoothed(param) if kind == "smoothed" else PotentialFamily.resolved(param)
-        )
+    for family in families:
         devs = profile(family, taus).f - cone
         devs -= devs[0]
         sups.append(float(np.max(np.abs(devs))))

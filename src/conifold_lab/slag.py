@@ -41,6 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from conifold_lab.conifold import CHART_COMPLEMENT
+
 SPHERE_VOLUME = 2.0 * math.pi**2
 
 # axis order making the period of the t = 1 cycle positive
@@ -189,10 +191,6 @@ def cycle_period(t: complex, resolution: int) -> tuple[complex, float]:
     return value, abs(value - exact) / abs(exact)
 
 
-# the columns of each chart's minor: the coordinates other than the chart's own
-_COMPLEMENT = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-
-
 def _det3(rows):
     """3x3 determinant by cofactor expansion along the first row; rows holds
     three rows of three entries (scalars or arrays that broadcast)."""
@@ -203,7 +201,7 @@ def _det3(rows):
 def _chart_form_values(nodes: np.ndarray, frames: np.ndarray, charts: np.ndarray) -> np.ndarray:
     """Contract the cycle-normalized volume form, expressed in the chart of
     each node (0-based charts), against the given complex tangent frames."""
-    submatrices = np.take_along_axis(frames, _COMPLEMENT[charts][:, None, :], axis=2)
+    submatrices = np.take_along_axis(frames, CHART_COMPLEMENT[charts][:, None, :], axis=2)
     sign = np.where(charts % 2, 1.0, -1.0)  # (-1)^chart, chart labels 1-based
     return sign * _det3(submatrices.transpose(1, 2, 0)) / nodes[np.arange(charts.size), charts]
 

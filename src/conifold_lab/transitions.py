@@ -84,16 +84,6 @@ class ClassMatrix:
     def ambient_rank(self) -> int:
         return len(self.rows[0])
 
-    @classmethod
-    def from_csv_text(cls, text: str) -> "ClassMatrix":
-        rows = []
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([cell.strip() for cell in line.split(",")])
-        return cls(rows)
-
 
 def _integer_rref(mat: list[list], n: int) -> list[int]:
     """Fraction-free Gauss-Jordan elimination in place over the integers:
@@ -321,13 +311,10 @@ class ProjectivePoint5:
         shift = exps[0]
         object.__setattr__(self, "exponents", tuple((a - shift) % 5 for a in exps))
 
-    def to_homogeneous(self) -> np.ndarray:
-        xi = cmath.exp(2j * math.pi / 5)
-        return np.array([xi**a for a in self.exponents], dtype=complex)
-
     def to_affine(self) -> np.ndarray:
         """Coordinates in the chart Z_0 = 1 (canonical form has a_0 = 0)."""
-        return self.to_homogeneous()[1:]
+        xi = cmath.exp(2j * math.pi / 5)
+        return np.array([xi**a for a in self.exponents[1:]], dtype=complex)
 
 
 def dwork_singular_points() -> list[ProjectivePoint5]:

@@ -44,13 +44,14 @@ against.  None of them runs on the package's own code paths.
   (verify_odp_per_point, the oracle for the stacked certificate) and the
   smooth-point sampler with np.roots per draw (dwork_smooth_points_per_draw,
   the oracle for the batched companion roots).
-* acceptance: exact ranks of stacked integer matrices by enumerating every
-  minor up to 4 x 4 (batched_integer_rank), with cofactor determinants; the
-  exhaustive solver-versus-oracle count on materialised matrix stacks, one
-  int64 class key per matrix and np.unique over the keys
-  (stacked_friedman_agreement, the oracle for the broadcast rows and the
-  class table), and the class sizes it sees (stacked_class_counts).  The
-  stacks and their classes are built once per process.
+* acceptance: exact ranks of stacked integer matrices by fraction-free
+  (Bareiss) elimination (batched_integer_rank), where the package
+  enumerates minors; the exhaustive solver-versus-oracle count on
+  materialised matrix stacks, one int64 class key per matrix and np.unique
+  over the keys (stacked_friedman_agreement, the oracle for the broadcast
+  rows and the class table), and the class sizes it sees
+  (stacked_class_counts).  The stacks and their classes are built once per
+  process.
 
 scipy is imported inside the quadrature and root-finder oracles, so that
 importing this module does not load it.
@@ -206,7 +207,8 @@ def hessian_per_point(family, point, sample) -> tuple[np.ndarray, float, int]:
         H = sample.fp * M + sample.fpp * np.outer(T, np.conj(T))
         return H, 1.0 / abs(2 * zc) ** 2, chart
     q = point
-    if q.chart == 1:
+    chart = 1 if abs(q.u[0]) >= abs(q.u[1]) else 2  # the larger homogeneous coordinate
+    if chart == 1:
         u, W = q.u[1] / q.u[0], q.w * q.u[0]
     else:
         u, W = q.u[0] / q.u[1], q.w[::-1] * q.u[1]
@@ -225,7 +227,7 @@ def hessian_per_point(family, point, sample) -> tuple[np.ndarray, float, int]:
     L_ab = np.zeros((3, 3), dtype=complex)
     L_ab[0, 0] = 1.0 / one_u**2
     H = 4.0 * family.a**2 * L_ab + sample.fp * tau_ab + sample.fpp * np.outer(grad, np.conj(grad))
-    return H, 1.0, q.chart
+    return H, 1.0, chart
 
 
 def ode_residual_per_point(family, sample) -> float:
@@ -936,38 +938,43 @@ def dwork_smooth_points_per_draw(count: int, seed: int = 0) -> np.ndarray:
 # acceptance
 
 
-def _batched_det(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of stacked k x k integer matrices, k <= 4, by
-    cofactor expansion (no floating point)."""
-    k = mats.shape[-1]
-    if k == 1:
-        return mats[..., 0, 0]
-    if k == 2:
-        return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    total = np.zeros(mats.shape[:-2], dtype=np.int64)
-    cols = list(range(k))
-    for j in range(k):
-        minor = mats[..., 1:, :][..., :, cols[:j] + cols[j + 1 :]]
-        total += (-1) ** j * mats[..., 0, j] * _batched_det(minor)
-    return total
+_RANK_CHUNK = 2**16  # matrices per elimination pass: a few MB per working array
 
 
 def batched_integer_rank(mats: np.ndarray) -> np.ndarray:
-    """Exact rank of stacked small integer matrices via minor enumeration.
-    Supports shapes (..., N, m) with min(N, m) <= 4."""
-    mats = np.asarray(mats, dtype=np.int64)
-    n, m = mats.shape[-2], mats.shape[-1]
-    if min(n, m) > 4:
-        raise ValueError("minor enumeration implemented up to 4x4")
-    rank = (np.abs(mats).sum(axis=(-2, -1)) > 0).astype(np.int64)
-    for size in range(2, min(n, m) + 1):
-        has = np.zeros(mats.shape[:-2], dtype=bool)
-        for rows in itertools.combinations(range(n), size):
-            for cols in itertools.combinations(range(m), size):
-                sub = mats[..., rows, :][..., :, cols]
-                has |= _batched_det(sub) != 0
-        rank = np.where(has, size, rank)
-    return rank
+    """Exact rank of stacked integer matrices (..., N, m) by fraction-free
+    (Bareiss) elimination, run on the whole stack in chunks.  Column by
+    column, the pivot is the first row with a nonzero entry, and every row
+    becomes (p a_r - a_r[c] a_pivot) / p_prev on the columns to the right:
+    an exact division, which keeps each entry a minor of the input and
+    leaves the pivot row zero.  A column with no pivot changes nothing.  The
+    rank is the number of pivots.  The largest intermediate is twice a
+    product of two k x k minors, k < min(N, m), which must fit in int64."""
+    mats = np.asarray(mats)
+    n, m = mats.shape[-2:]
+    flat = mats.reshape(math.prod(mats.shape[:-2]), n, m)
+    k = max(min(n, m) - 1, 0)
+    bound = max(-int(flat.min(initial=0)), int(flat.max(initial=0)))  # int8's -128 has no negation
+    if 2 * (math.sqrt(k) * bound) ** (2 * k) >= 2**63:
+        raise ValueError("entries too large for int64 elimination")
+    ranks = np.zeros(len(flat), dtype=np.int64)
+    if n == 0:  # rank 0, and argmax needs a row
+        return ranks.reshape(mats.shape[:-2])
+    for start in range(0, len(flat), _RANK_CHUNK):
+        a = flat[start : start + _RANK_CHUNK].astype(np.int64)
+        rows = np.arange(len(a))
+        p_prev = np.ones(len(a), dtype=np.int64)
+        for _ in range(m):
+            col, rest = a[:, :, 0], a[:, :, 1:]
+            nonzero = col != 0
+            found, pivot = nonzero.any(axis=1), nonzero.argmax(axis=1)
+            # without a pivot the column is zero, and p = p_prev leaves every row as it is
+            p = np.where(found, col[rows, pivot], p_prev)
+            prow = rest[rows, pivot]
+            a = (p[:, None, None] * rest - col[:, :, None] * prow[:, None, :]) // p_prev[:, None, None]
+            ranks[start : start + len(a)] += found
+            p_prev = p
+    return ranks.reshape(mats.shape[:-2])
 
 
 @functools.cache
@@ -1028,7 +1035,7 @@ def stacked_class_counts(n: int, m: int) -> dict[int, int]:
 def stacked_friedman_agreement(max_rows: int) -> tuple[int, int]:
     """(matrices checked, mismatches) of the exact witness solver against
     the rank test over every {-1, 0, 1} matrix with N <= max_rows, m <= 3:
-    each (N, m) block materialised as one stack, ranks by minor enumeration
+    each (N, m) block materialised as one stack, ranks by elimination
     (an all-nonzero annihilating combination exists iff no single row
     deletion lowers the rank), the solver run once per np.unique class key."""
     checked = mismatches = 0

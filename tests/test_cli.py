@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -12,7 +13,7 @@ import jsonschema
 import pytest
 
 import reference
-from conifold_lab import cli, metrics, slag, transitions
+from conifold_lab import cli, hodge, metrics, slag, transitions
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +312,81 @@ class TestFriedmanCommand:
             assert integer_text == fraction_text
 
 
+class TestFriedmanBounds:
+    def test_witness_digits_at_the_bounds_fit_the_print_limit(self):
+        """The witness digit bound of the README at MAX_CLASSES,
+        MAX_AMBIENT_RANK and MAX_ENTRY_DIGITS, maximized over the rank,
+        stays below the digits Python prints in an integer."""
+        n, m, d = cli.MAX_CLASSES, cli.MAX_AMBIENT_RANK, cli.MAX_ENTRY_DIGITS
+        worst = max(
+            r * r * (d + math.log10(r) / 2) + math.log10(n - r) + (n - r - 1) * math.log10(n * (n - r) + 1)
+            for r in range(1, min(m, n - 1) + 1)
+        )
+        assert worst < sys.get_int_max_str_digits()
+
+    def test_largest_matrix_certifies_and_prints(self, tmp_path):
+        """MAX_CLASSES random rows of length MAX_AMBIENT_RANK, half their
+        entries at the largest MAX_ENTRY_DIGITS-digit magnitude: rank
+        MAX_AMBIENT_RANK, feasible, and a witness of about 110-digit
+        numerators and denominators, which prints and annihilates the rows
+        with every entry nonzero."""
+        rng = random.Random(1)
+        top = 10**cli.MAX_ENTRY_DIGITS - 1
+        rows = [
+            [rng.choice((-top, top)) if rng.random() < 0.5 else rng.randint(-top, top)
+             for _ in range(cli.MAX_AMBIENT_RANK)]
+            for _ in range(cli.MAX_CLASSES)
+        ]
+        code, text = run_cli(["friedman", "--classes-json", json.dumps(rows)], tmp_path)
+        assert code == 0
+        results = json.loads(text)["results"]
+        assert results["feasible"] is True
+        witness = [Fraction(x) for x in results["witness"]]
+        assert len(witness) == cli.MAX_CLASSES and all(witness)
+        for j in range(cli.MAX_AMBIENT_RANK):
+            assert sum(w * row[j] for w, row in zip(witness, rows)) == 0
+
+    @pytest.mark.parametrize(
+        "classes,message",
+        [
+            (json.dumps([[1]] * 257), "at most 256 class vectors of length <= 24, got 257 of length up to 1"),
+            (json.dumps([[1] * 25, [-1] * 25]), "at most 256 class vectors of length <= 24, got 2 of length up to 25"),
+            ("[[10000],[-1]]", "entry 10000 has more than 4 digits"),
+            ("[[-1e4],[1]]", "entry -10000.0 has more than 4 digits"),
+            ('[["10000"],["-1"]]', "entry '10000' has more than 4 digits"),
+            ('[["1e4"],["-1"]]', "entry '1e4' has more than 4 digits"),
+            ('[["0.0001"],["-1"]]', "entry '0.0001' has more than 4 digits"),
+            ('[["1/7","1/11"],["1/13","1/17"],["-1","1"]]',
+             "entry '-1' has more than 4 digits as -17017, once the rows are scaled to integers"),
+            ('[["1e5000"],["-1"]]', "entry '1e5000' has more than 4 digits"),
+            ('[["1e999999"],["-1"]]', "entry '1e999999' has more than 4 digits"),
+            ('[["1e-99999999999999999999"],["-1"]]', "entry '1e-99999999999999999999' has more than 4 digits"),
+        ],
+        ids=["rows", "columns", "int", "float", "string", "exponent", "decimal", "scaled",
+             "exponent-5000", "exponent-999999", "exponent-20-digits"],
+    )
+    def test_one_past_a_bound_is_refused_before_any_work(self, classes, message, tmp_path, capsys):
+        """Each bound plus one exits 2 naming the flag and the entry.  The
+        exponent entries used to build their integer first: 1e5000 then
+        certified a witness that the report could not print, 1e999999 took
+        a third of a second and 1e-99999999999999999999 did not finish."""
+        start = time.perf_counter()
+        assert cli.main(["friedman", "--classes-json", classes, "--output", str(tmp_path / "x")]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == f"error: --classes-json: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_csv_rows_are_bounded(self, tmp_path, capsys):
+        path = tmp_path / "classes.csv"
+        path.write_text("1,2\n" * 257)
+        assert cli.main(["friedman", "--classes-csv", str(path), "--output", str(tmp_path / "x")]) == 2
+        message = "at most 256 class vectors of length <= 24, got 257 of length up to 2"
+        assert capsys.readouterr().err == f"error: --classes-csv: {message}\n"
+        path.write_text("1,1e9\n-1,-1\n")
+        assert cli.main(["friedman", "--classes-csv", str(path), "--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: --classes-csv: entry '1e9' has more than 4 digits\n"
+
+
 class TestDeterminism:
     def test_reports_are_byte_identical(self, tmp_path):
         _, first = run_cli(["slag", "--t", "1j", "--resolution", "8", "--seed", "7"], tmp_path, "a.json")
@@ -361,6 +437,18 @@ class TestExitCodes:
     def test_unknown_criterion_is_usage_error(self, tmp_path):
         code = cli.main(["verify-all", "--criteria", "C99", "--output", str(tmp_path / "x")])
         assert code == 2
+
+
+    def test_internal_arithmetic_error_is_not_a_usage_error(self, monkeypatch, tmp_path):
+        """Exit 2 means bad input (ValueError, OSError).  A ZeroDivisionError
+        inside a subcommand is a fault, and it propagates like any other."""
+
+        def broken(spec):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(hodge, "hodge_diamond", broken)
+        with pytest.raises(ZeroDivisionError):
+            cli.main(["hodge", "--n", "4", "--d", "5", "--output", str(tmp_path / "x")])
 
 
 class TestCachedParser:
@@ -659,3 +747,23 @@ class TestUsageErrors:
         assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["slag", "--t"], ["metric", "--family", "smoothed", "--points", "3", "--t"]],
+        ids=["slag", "metric"],
+    )
+    @pytest.mark.parametrize("angle", ["1e308", "360.0001", "-361", "nan", "inf", "-inf"])
+    def test_polar_angle_past_a_turn(self, argv, angle, tmp_path, capsys):
+        """An angle of 1e308 degrees keeps no digits once reduced: slag used
+        to report t = -0.239 + 0.971j for 1@1e308."""
+        value = f"1@{angle}"
+        assert cli.main(argv + [value, "--output", str(tmp_path / "x")]) == 2
+        message = f"--t: the angle of {value!r} must be finite and within [-360, 360] degrees"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("angle", ["360", "-360", "359.9999", "0"])
+    def test_polar_angle_within_a_turn(self, angle, tmp_path):
+        code, text = run_cli(["slag", "--t", f"1@{angle}", "--resolution", "8"], tmp_path)
+        assert code == 0 and json.loads(text)["results"]["rel_error"] < 1e-4

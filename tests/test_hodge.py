@@ -22,8 +22,6 @@ from conifold_lab.hodge import (
     hodge_diamond,
     jacobian_ring_dimension,
     moduli_dimension,
-    quartic_k3_moduli_dimension,
-    quintic_moduli_dimension,
 )
 from reference import (
     EulerCharQuery,
@@ -328,14 +326,14 @@ class TestJacobianRing:
 
 class TestModuliCounts:
     def test_quintic(self):
-        assert quintic_moduli_dimension() == 101
+        assert moduli_dimension(4, 5) == 101
 
     def test_quartic(self):
-        assert quartic_k3_moduli_dimension() == 19
+        assert moduli_dimension(3, 4) == 19
 
     def test_cubic_curve(self):
         assert moduli_dimension(2, 3) == 1
 
     def test_matches_hodge_number_for_quintic(self):
         diamond = hodge_diamond(HypersurfaceSpec(4, 5))
-        assert quintic_moduli_dimension() == diamond.h(2, 1)
+        assert moduli_dimension(4, 5) == diamond.h(2, 1)

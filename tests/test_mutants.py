@@ -16,6 +16,7 @@ from conifold_lab import cli, conifold, exterior, hodge, metrics, slag, transiti
 from conifold_lab.acceptance import (
     Profile,
     criterion_01,
+    criterion_02,
     criterion_03,
     criterion_04,
     criterion_05,
@@ -57,6 +58,16 @@ class TestC01:
         monkeypatch.setattr(hodge, "chi_hypersurface_omega_p", off_by_one)
         failures = [f.partition(":")[0] for f in _failures(criterion_01)]
         assert failures == ["middle_row", "diamond_invariants", "full_diamond"]
+
+
+class TestC02:
+    def test_moduli_dimension_off_by_one(self, monkeypatch):
+        """moduli_dimension + 1: both moduli counts miss, while the K3
+        diamond, which does not read them, still passes."""
+        moduli = hodge.moduli_dimension
+        monkeypatch.setattr(hodge, "moduli_dimension", lambda n, d: moduli(n, d) + 1)
+        failures = [f.partition(":")[0] for f in _failures(criterion_02)]
+        assert failures == ["quintic_moduli", "quartic_moduli"]
 
 
 class TestC03:

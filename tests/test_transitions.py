@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import reference
 from conifold_lab import transitions
 from conifold_lab.acceptance import (
+    _minor_ranks,
     exhaustive_friedman_agreement,
     feasibility_oracle,
-    shared_minor_ranks,
 )
 from conifold_lab.transitions import (
     ClassMatrix,
@@ -195,8 +195,8 @@ class TestFriedmanWitness:
         witness = friedman_witness(ClassMatrix(rows))
         mats = np.array([rows], dtype=np.int64)
         if mats.shape[-1] <= 3:
-            expected = bool(feasibility_oracle(mats)[0])
-        else:  # m = 4: ranks by minor enumeration
+            expected = bool(feasibility_oracle(np.moveaxis(mats, -2, 0))[0])
+        else:  # m = 4: ranks by elimination
             rank = reference.batched_integer_rank
             expected = all(rank(np.delete(mats, i, axis=-2)) == rank(mats) for i in range(len(rows)))
         assert (witness is not None) == expected
@@ -452,6 +452,12 @@ def _assert_witness_matches_oracle(rows):
     assert [str(x) for x in got] == [str(x) for x in want]
 
 
+def _shared_minor_ranks(rows):
+    """_minor_ranks with the deleted ranks stacked on the full rank's shape."""
+    full, deleted = _minor_ranks(rows)
+    return full, np.stack(np.broadcast_arrays(full, *deleted)[1:])
+
+
 class TestBatchedRank:
     def test_against_numpy(self):
         rng = np.random.default_rng(1)
@@ -468,12 +474,12 @@ class TestBatchedRank:
         deleted ranks are compared with the full ranks of the deletions."""
         for n in range(1, 5):
             mats = reference.stacked_sign_matrices(n, m)
-            full, deleted = shared_minor_ranks(mats)
+            full, deleted = _shared_minor_ranks(np.moveaxis(mats, -2, 0))
             assert np.array_equal(full, reference.batched_integer_rank(mats))
             assert np.array_equal(full, np.linalg.matrix_rank(mats.astype(float)))
             for i in range(n):
-                reduced = np.delete(mats, i, axis=-2)
-                expected = shared_minor_ranks(reduced)[0] if n > 1 else np.zeros_like(full)
+                reduced = np.moveaxis(np.delete(mats, i, axis=-2), -2, 0)
+                expected = _shared_minor_ranks(reduced)[0] if n > 1 else np.zeros_like(full)
                 assert np.array_equal(deleted[i], expected)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -488,9 +494,9 @@ class TestBatchedRank:
             mats = reference.stacked_sign_matrices(n, m)
             broadcast = feasibility_oracle(rows)
             assert broadcast.shape == (size,) * n
-            assert np.array_equal(broadcast.ravel(), feasibility_oracle(mats))
-            full, deleted = shared_minor_ranks(rows)
-            stacked_full, stacked_deleted = shared_minor_ranks(mats)
+            assert np.array_equal(broadcast.ravel(), feasibility_oracle(np.moveaxis(mats, -2, 0)))
+            full, deleted = _shared_minor_ranks(rows)
+            stacked_full, stacked_deleted = _shared_minor_ranks(np.moveaxis(mats, -2, 0))
             assert np.array_equal(full.ravel(), stacked_full)
             assert np.array_equal(deleted.reshape(n, -1), stacked_deleted)
 
@@ -501,7 +507,7 @@ class TestBatchedRank:
             mats = rng.integers(-bound, bound + 1, size=(400, n, m))
             mats[::3, 0] = 0  # force rank drops
             mats[1::3, -1] = 2 * mats[1::3, 0]
-            full, deleted = shared_minor_ranks(mats)
+            full, deleted = _shared_minor_ranks(np.moveaxis(mats, -2, 0))
             assert np.array_equal(full, reference.batched_integer_rank(mats))
             for i in range(n):
                 reduced = np.delete(mats, i, axis=-2)
@@ -510,21 +516,21 @@ class TestBatchedRank:
     def test_shared_minor_ranks_at_the_int8_minimum(self):
         """-128 has no int8 negation: the minors must still be widened."""
         mats = np.array([np.diag([-128] * 3), [[-128, 0, 0], [-128, 0, 0], [0, 0, -128]]], dtype=np.int8)
-        full, deleted = shared_minor_ranks(mats)
+        full, deleted = _shared_minor_ranks(np.moveaxis(mats, -2, 0))
         assert np.array_equal(full, reference.batched_integer_rank(mats))
         for i in range(3):
             assert np.array_equal(deleted[i], reference.batched_integer_rank(np.delete(mats, i, axis=-2)))
 
     def test_feasibility_oracle_rejects_four_columns(self):
-        feasibility_oracle(np.zeros((2, 3, 3), dtype=np.int8))
+        feasibility_oracle(np.moveaxis(np.zeros((2, 3, 3), dtype=np.int8), -2, 0))
         with pytest.raises(ValueError, match="m <= 3"):
-            feasibility_oracle(np.zeros((2, 3, 4), dtype=np.int8))
+            feasibility_oracle(np.moveaxis(np.zeros((2, 3, 4), dtype=np.int8), -2, 0))
 
     def test_shared_minor_ranks_reject_overflowing_entries(self):
         with pytest.raises(ValueError):
-            shared_minor_ranks(np.full((1, 3, 3), 2**21))
+            _shared_minor_ranks(np.moveaxis(np.full((1, 3, 3), 2**21), -2, 0))
         with pytest.raises(ValueError):
-            shared_minor_ranks(np.zeros((1, 2, 4), dtype=np.int64))
+            _shared_minor_ranks(np.moveaxis(np.zeros((1, 2, 4), dtype=np.int64), -2, 0))
 
 
 class TestDworkPoints:
