@@ -31,14 +31,17 @@ def _parse_complex(text: str) -> complex:
     """Accept Python complex literals ('1', '1j', '-0.5+0.2j') or polar
     'R@degrees' ('0.3@36')."""
     text = text.strip()
-    if "@" in text:
+    try:
+        if "@" not in text:
+            return complex(text.replace(" ", ""))
         mag, _, deg = text.partition("@")
-        degrees = float(deg)
-        # past a turn, reducing the angle would round away the digits asked for
-        if not abs(degrees) <= 360.0:
-            raise ValueError(f"--t: the angle of {text!r} must be finite and within [-360, 360] degrees")
-        return float(mag) * cmath.exp(1j * math.radians(degrees))
-    return complex(text.replace(" ", ""))
+        radius, degrees = float(mag), float(deg)
+    except ValueError:
+        raise ValueError(f"--t: expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, got {text!r}") from None
+    # past a turn, reducing the angle would round away the digits asked for
+    if not abs(degrees) <= 360.0:
+        raise ValueError(f"--t: the angle of {text!r} must be finite and within [-360, 360] degrees")
+    return radius * cmath.exp(1j * math.radians(degrees))
 
 
 def _fmt(value: float) -> str:
@@ -123,32 +126,31 @@ def _cmd_metric(args) -> int:
     if args.points > MAX_POINTS:
         raise ValueError(f"--points: at most {MAX_POINTS} grid points, got {args.points}")
     family = _family_from_args(args)
+    families = [family]
     if args.sweep == "convergence":
         if family.kind == "cone":
             raise ValueError("--family cone has no parameter for --sweep convergence; use smoothed or resolved")
         params = _param_list(args.params)
-        kind = family.kind
-        tau0 = args.tau_min if args.tau_min is not None else 1.0
-        tau1 = args.tau_max if args.tau_max is not None else 10.0
-        build = metrics.PotentialFamily.smoothed if kind == "smoothed" else metrics.PotentialFamily.resolved
+        build = metrics.PotentialFamily.smoothed if family.kind == "smoothed" else metrics.PotentialFamily.resolved
         families = [build(param) for param in params]
-        for member in families:
-            _check_tau_window(member, tau0, tau1)
-        sups = metrics.potential_convergence_sup(families, tau0, tau1, args.points)
+    default_lo, default_hi = _default_tau_grid(family, args.sweep)
+    lo = args.tau_min if args.tau_min is not None else default_lo
+    hi = args.tau_max if args.tau_max is not None else default_hi
+    if not 0 < lo < hi:
+        raise ValueError(f"--tau-min/--tau-max: need 0 < tau-min < tau-max, got [{lo!r}, {hi!r}]")
+    for member in families:
+        _check_tau_window(member, lo, hi)
+    if args.sweep == "convergence":
+        sups = metrics.potential_convergence_sup(families, lo, hi, args.points)
         if args.format == "csv":
             _write_csv(args.output, ["family", "param", "sup_deviation"],
-                       [[kind, p, s] for p, s in zip(params, sups)])
+                       [[family.kind, p, s] for p, s in zip(params, sups)])
             return 0
         assertions = Checks()
         decreasing = all(sups[i + 1] < sups[i] for i in range(len(sups) - 1))
         assertions.true("sups_decreasing", decreasing, sups)
         return _emit_report(args, {"params": params, "sups": sups}, assertions)
 
-    lo = args.tau_min if args.tau_min is not None else _default_tau_min(family, args.sweep)
-    hi = args.tau_max if args.tau_max is not None else _default_tau_max(family, args.sweep)
-    if not 0 < lo < hi:
-        raise ValueError(f"bad tau grid [{lo}, {hi}]")
-    _check_tau_window(family, lo, hi)
     taus = np.logspace(math.log10(lo), math.log10(hi), args.points)
     prof = metrics.profile(family, taus)
     if family.kind == "resolved":
@@ -197,18 +199,15 @@ def _check_tau_window(family: metrics.PotentialFamily, lo: float, hi: float) -> 
         )
 
 
-def _default_tau_min(family: metrics.PotentialFamily, sweep: str) -> float:
-    scale = max(family.scale, 1e-2)
-    if sweep == "deviation":
-        return 100.0 * max(scale, 1.0)
-    if family.kind == "smoothed":
-        return 1.01 * abs(family.t)
-    return 0.1 * scale
-
-
-def _default_tau_max(family: metrics.PotentialFamily, sweep: str) -> float:
+def _default_tau_grid(family: metrics.PotentialFamily, sweep: str) -> tuple[float, float]:
+    """The (tau-min, tau-max) a sweep takes when the flags are not given."""
+    if sweep == "convergence":
+        return 1.0, 10.0
     scale = max(family.scale, 1.0)
-    return (1e6 if sweep == "deviation" else 1e3) * scale
+    if sweep == "deviation":
+        return 100.0 * scale, 1e6 * scale
+    lo = 1.01 * abs(family.t) if family.kind == "smoothed" else 0.1 * max(family.scale, 1e-2)
+    return lo, 1e3 * scale
 
 
 def _cmd_slag(args) -> int:
@@ -230,6 +229,10 @@ def _cmd_slag(args) -> int:
 
 
 def _cmd_transition(args) -> int:
+    try:
+        b1, b2, b3 = map(int, args.betti.split(","))
+    except ValueError:
+        raise ValueError(f"--betti: expected three comma-separated integers b1,b2,b3, got {args.betti!r}") from None
     assertions = Checks()
     if args.catalog:
         catalog = transitions.example_catalog()
@@ -237,9 +240,11 @@ def _cmd_transition(args) -> int:
             assertions.true(f"{rec.name}_split", rec.N == rec.k + rec.c, rec.N)
         results = {"catalog": [vars(rec) for rec in catalog]}
         return _emit_report(args, results, assertions)
-    betti = tuple(int(x) for x in args.betti.split(","))
+    missing = [k for k in ("h11", "h21", "N", "k", "c") if getattr(args, k) is None]
+    if missing:
+        raise ValueError(f"transition needs --catalog or all of {missing}")
     record = transitions.apply_topology_change(
-        args.h11, args.h21, betti, N=args.N, k=args.k, c=args.c
+        args.h11, args.h21, (b1, b2, b3), N=args.N, k=args.k, c=args.c
     )
     k, c = transitions.infer_counts(record.hodge_before, record.hodge_after, record.N)
     assertions.true("round_trip", (k, c) == (record.k, record.c), [k, c])
@@ -305,6 +310,14 @@ def _class_matrix(args) -> transitions.ClassMatrix:
                 rows = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{text!r} is not JSON ({exc})") from None
+            except RecursionError:
+                raise ValueError("the JSON arrays nest too deeply for rows of entries") from None
+            except ValueError:  # an integer past int()'s digit limit: quote its head, not all of it
+                ints = []
+                json.loads(text, parse_int=ints.append)
+                entry = max(ints, key=len)
+                raise ValueError(f"entry {entry[:8]}... ({len(entry.lstrip('-'))} digits) "
+                                 f"has more than {MAX_ENTRY_DIGITS} digits") from None
             if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
                 raise ValueError(f"expected a JSON array of rows, each an array of entries, got {text!r}")
         if len(rows) > MAX_CLASSES or max(map(len, rows), default=0) > MAX_AMBIENT_RANK:
@@ -379,18 +392,6 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
-def _betti_text(text: str) -> str:
-    """Check b1,b2,b3; the text itself is kept, so the report config echoes it."""
-    try:
-        if len([int(x) for x in text.split(",")]) == 3:
-            return text
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected three comma-separated integers b1,b2,b3, got {text!r}"
-    )
-
-
 # The --tol names each subcommand reads, with their defaults; the others read none.
 TOLERANCES = {"metric": {"ode": 1e-8, "ma": 1e-7}, "slag": {"slag": 1e-4}}
 
@@ -418,12 +419,19 @@ def _tolerance_map(command: str, pairs) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses with ValueError, which main reports like every other usage error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
     call: parsing keeps no state in it (each parse returns a fresh
     namespace, and no default is a mutable container)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conifold-lab",
         description="verification laboratory for the local geometry of conifold transitions",
     )
@@ -466,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", action="store_true", help="emit the worked-example catalog")
     p.add_argument("--h11", type=int, default=None)
     p.add_argument("--h21", type=int, default=None)
-    p.add_argument("--betti", type=_betti_text, default="0,0,0", help="b1,b2,b3 before transition")
+    p.add_argument("--betti", default="0,0,0", help="b1,b2,b3 before transition")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--c", type=int, default=None)
@@ -511,16 +519,11 @@ def _attach_signed_t(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_signed_t(sys.argv[1:] if argv is None else list(argv)))
     try:
+        args = build_parser().parse_args(_attach_signed_t(sys.argv[1:] if argv is None else list(argv)))
         args.tolerances = _tolerance_map(args.command, args.tol)
         if args.format == "csv" and args.command != "metric":
             raise ValueError(f"--format csv: only metric writes CSV; {args.command} writes a JSON report")
-        if args.command == "transition" and not args.catalog:
-            missing = [k for k in ("h11", "h21", "N", "k", "c") if getattr(args, k) is None]
-            if missing:
-                raise ValueError(f"transition needs --catalog or all of {missing}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

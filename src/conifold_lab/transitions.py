@@ -327,39 +327,26 @@ def dwork_singular_points() -> list[ProjectivePoint5]:
     return points
 
 
+def _vanishes(terms) -> bool:
+    """Whether sum(scale * x^exp for scale, exp in terms) vanishes at a
+    primitive fifth root of unity x.  Arithmetic happens in Z[x]/(x^5 - 1) via
+    exponent bookkeeping; an element vanishes in the ring of integers of the
+    fifth cyclotomic field iff its coefficient vector is constant."""
+    coefficients = [0] * 5
+    for scale, exp in terms:
+        coefficients[exp % 5] += scale
+    return len(set(coefficients)) == 1
+
+
 def verify_dwork_point_exact(point: ProjectivePoint5) -> bool:
-    """Exact cyclotomic check that the polynomial and its full projective
-    gradient vanish at the point.
-
-    Arithmetic happens in Z[x]/(x^5 - 1) via exponent bookkeeping; an element
-    vanishes in the ring of integers of the fifth cyclotomic field iff its
-    coefficient vector is constant.
-    """
-
-    def basis_vector(exp: int, scale: int = 1) -> list[int]:
-        vec = [0] * 5
-        vec[exp % 5] = scale
-        return vec
-
-    def is_zero(vec: list[int]) -> bool:
-        return len(set(vec)) == 1
-
+    """Exact cyclotomic check that the polynomial F = sum Z_i^5 - 5 prod Z_i
+    and its full projective gradient dF/dZ_i = 5 Z_i^4 - 5 prod_{j != i} Z_j
+    vanish at the point Z_i = xi^{a_i}."""
     a = point.exponents
-    total = sum(a) % 5
-    value = [0] * 5
-    for ai in a:
-        value = [x + y for x, y in zip(value, basis_vector(5 * ai))]
-    value = [x - y for x, y in zip(value, basis_vector(total, 5))]
-    if not is_zero(value):
-        return False
-    for i in range(5):
-        grad = [
-            x - y
-            for x, y in zip(basis_vector(4 * a[i], 5), basis_vector(total - a[i], 5))
-        ]
-        if not is_zero(grad):
-            return False
-    return True
+    total = sum(a)
+    return _vanishes([(1, 5 * ai) for ai in a] + [(-5, total)]) and all(
+        _vanishes([(5, 4 * ai), (-5, total - ai)]) for ai in a
+    )
 
 
 # ---------------------------------------------------------------------------

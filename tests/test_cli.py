@@ -75,10 +75,8 @@ class TestSignedParameter:
         assert text == attached
 
     def test_option_after_t_is_still_missing_value(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["slag", "--t", "--resolution", "8"])
-        assert err.value.code == 2
-        assert "argument --t: expected one argument" in capsys.readouterr().err
+        assert cli.main(["slag", "--t", "--resolution", "8"]) == 2
+        assert capsys.readouterr().err == "error: argument --t: expected one argument\n"
 
 
 class TestMetricCommand:
@@ -475,13 +473,15 @@ class TestCachedParser:
             profiles.append(json.loads(text)["results"]["profile"])
         assert profiles == ["fast", "full"]
 
-    def test_report_after_a_usage_error_matches_a_fresh_process(self, tmp_path):
+    def test_report_after_a_usage_error_matches_a_fresh_process(self, tmp_path, capsys):
         argv = ["transition", "--h11", "25", "--h21", "0", "--betti", "0,25,2",
                 "--N", "125", "--k", "24", "--c", "101"]
         assert cli.main(["transition", "--h11", "25", "--output", str(tmp_path / "x")]) == 2
-        with pytest.raises(SystemExit) as err:
-            cli.main(["transition", "--betti", "0,0"])
-        assert err.value.code == 2
+        capsys.readouterr()
+        assert cli.main(["transition", "--betti", "0,0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --betti: expected three comma-separated integers b1,b2,b3, got '0,0'\n"
+        )
         code, in_process = run_cli(argv, tmp_path, "in_process.json")
         assert code == 0
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -492,10 +492,12 @@ class TestCachedParser:
 
 
 class TestUsageErrors:
-    def test_unknown_subcommand(self):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["frobnicate"])
-        assert err.value.code == 2
+    def test_unknown_subcommand(self, capsys):
+        assert cli.main(["frobnicate"]) == 2
+        assert capsys.readouterr().err == (
+            "error: argument command: invalid choice: 'frobnicate' (choose from 'hodge', 'metric', "
+            "'slag', 'transition', 'dwork', 'friedman', 'verify-all')\n"
+        )
 
     def test_bad_tolerance_syntax(self, capsys):
         assert cli.main(["slag", "--t", "1", "--tol", "oops"]) == 2
@@ -514,18 +516,14 @@ class TestUsageErrors:
         assert not out.exists()
 
     def test_negative_smooth_point_count(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["dwork", "--smooth-points", "-5"])
-        assert err.value.code == 2
-        assert "--smooth-points: expected an integer >= 0, got '-5'" in capsys.readouterr().err
+        assert cli.main(["dwork", "--smooth-points", "-5"]) == 2
+        assert capsys.readouterr().err == "error: argument --smooth-points: expected an integer >= 0, got '-5'\n"
 
     def test_betti_needs_three_numbers(self, capsys):
         argv = ["transition", "--h11", "2", "--h21", "1", "--N", "1", "--k", "1", "--c", "0"]
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv + ["--betti", "0,0"])
-        assert err.value.code == 2
-        assert "--betti: expected three comma-separated integers b1,b2,b3, got '0,0'" in (
-            capsys.readouterr().err
+        assert cli.main(argv + ["--betti", "0,0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --betti: expected three comma-separated integers b1,b2,b3, got '0,0'\n"
         )
 
     def test_negative_input_is_named(self, capsys):
@@ -604,10 +602,8 @@ class TestUsageErrors:
                              ids=["dwork", "verify-all"])
     def test_negative_seed_is_named(self, argv, tmp_path, capsys):
         """argparse rejects the seed itself, before numpy's generator sees it."""
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv + ["--seed", "-1", "--output", str(tmp_path / "x")])
-        assert err.value.code == 2
-        assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert cli.main(argv + ["--seed", "-1", "--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: argument --seed: expected an integer >= 0, got '-1'\n"
         assert not (tmp_path / "x").exists()
 
     def test_cone_has_no_convergence_sweep(self, tmp_path, capsys):

@@ -1,0 +1,171 @@
+"""The command line's input contract: every argv ends in a report (exit 0
+or 1) or in exactly one `error: ` line on stderr with exit 2 and nothing on
+stdout, and no other exception leaves `cli.main`."""
+
+import contextlib
+import io
+import json
+import math
+from importlib import resources
+
+import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conifold_lab import cli, hodge
+
+with resources.files("conifold_lab").joinpath("report.schema.json").open() as fh:
+    REPORT_SCHEMA = json.load(fh)
+REPORT_VALIDATOR = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds the non-JSON constant {name}")
+
+
+BIG_INT = "1" * 5000
+
+REFUSALS = [
+    # argparse's own refusals, one per kind
+    (["hodge", "--n", "x", "--d", "5"], "argument --n: invalid int value: 'x'"),
+    (["metric", "--family", "foo"],
+     "argument --family: invalid choice: 'foo' (choose from 'cone', 'smoothed', 'resolved')"),
+    (["hodge", "--n", "4"], "the following arguments are required: --d"),
+    (["friedman"], "one of the arguments --classes-csv --classes-json is required"),
+    (["hodge", "--n", "4", "--d", "5", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify-all", "--fast", "--full"], "argument --full: not allowed with argument --fast"),
+    (["dwork", "--seed", "-1"], "argument --seed: expected an integer >= 0, got '-1'"),
+    (["slag", "--resolution"], "argument --resolution: expected one argument"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'hodge', 'metric', "
+                     "'slag', 'transition', 'dwork', 'friedman', 'verify-all')"),
+    # --betti, parsed once, also beside --catalog
+    (["transition", "--catalog", "--betti", "0,0"],
+     "--betti: expected three comma-separated integers b1,b2,b3, got '0,0'"),
+    (["transition", "--h11", "1", "--h21", "1", "--N", "1", "--k", "0", "--c", "1", "--betti", "0,x,1"],
+     "--betti: expected three comma-separated integers b1,b2,b3, got '0,x,1'"),
+    # the tau grid, checked once for both kinds of sweep
+    (["metric", "--family", "resolved", "--tau-min", "10", "--tau-max", "1"],
+     "--tau-min/--tau-max: need 0 < tau-min < tau-max, got [10.0, 1.0]"),
+    (["metric", "--family", "smoothed", "--sweep", "convergence", "--tau-max", "0.5"],
+     "--tau-min/--tau-max: need 0 < tau-min < tau-max, got [1.0, 0.5]"),
+    (["metric", "--family", "cone", "--tau-min", "nan"],
+     "--tau-min/--tau-max: need 0 < tau-min < tau-max, got [nan, 1000.0]"),
+    # --t text that is neither a complex literal nor R@degrees
+    (["slag", "--t", "abc"], "--t: expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, got 'abc'"),
+    (["slag", "--t", "1@x"], "--t: expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, got '1@x'"),
+    (["metric", "--family", "smoothed", "--t", ""],
+     "--t: expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, got ''"),
+    # JSON that int() or the decoder's recursion cannot take
+    (["friedman", "--classes-json", f"[[{BIG_INT}],[1]]"],
+     "--classes-json: entry 11111111... (5000 digits) has more than 4 digits"),
+    (["friedman", "--classes-json", f"[[1],[-{BIG_INT}]]"],
+     "--classes-json: entry -1111111... (5000 digits) has more than 4 digits"),
+    (["friedman", "--classes-json", "[" * 5000],
+     "--classes-json: the JSON arrays nest too deeply for rows of entries"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS, ids=[" ".join(argv)[:40] for argv, _ in REFUSALS])
+def test_refusal_is_one_error_line(argv, message, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--output", str(out)]) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_missing_subcommand_is_one_error_line():
+    assert run([]) == (2, "", "error: the following arguments are required: command\n")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["hodge", "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: conifold-lab hodge")
+
+
+# Flag values from each class: inside the bound, at it, just outside it,
+# non-finite, empty and garbage text.
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+GARBAGE = st.text(max_size=8)
+
+
+def _flag(inside, at, outside):
+    return st.one_of(inside, st.sampled_from(at), st.sampled_from(outside), NON_FINITE, st.just(""), GARBAGE)
+
+
+def _count(lo, hi, at, outside):
+    return _flag(st.integers(lo, hi).map(str), at, outside)
+
+
+# hodge at n = 200 takes 0.15-0.6 s from d = 3 on, so the top dimension is
+# drawn with the two degrees that expand quickly (0.05-0.08 s)
+HODGE = st.one_of(
+    st.tuples(_count(3, 8, ["2"], ["1", "201"]), _count(1, 8, ["1", str(hodge.MAX_DEGREE)], ["0", "301"])),
+    st.tuples(st.just(str(hodge.MAX_DIMENSION)), st.sampled_from(["1", "2"])),
+).map(lambda nd: ["hodge", "--n", nd[0], "--d", nd[1]])
+
+_MODULUS = st.floats(1e-3, 1e3)
+T_TEXT = _flag(
+    st.one_of(_MODULUS.map(repr), st.tuples(_MODULUS, st.floats(-360, 360)).map(lambda p: f"{p[0]!r}@{p[1]!r}")),
+    ["1e-200", "1e200", "1@360", "-1@-360"],
+    [repr(math.nextafter(1e-200, 0.0)), "1e201", "1@360.0001", "1e-201j"],
+)
+# the upper bound, 256, takes 0.8 s, so only the value past it is drawn
+RESOLUTION = _flag(st.sampled_from(["10", "16"]), ["8"], ["7", "9", "257"])
+SLAG = st.builds(lambda t, res: ["slag", "--t", t, "--resolution", res], T_TEXT, RESOLUTION)
+
+_SMALL = _count(0, 3, ["0"], ["-1"])
+BETTI = st.one_of(
+    st.lists(st.integers(-1, 3).map(str), min_size=2, max_size=4).map(",".join),
+    st.tuples(_SMALL, _SMALL, _SMALL).map(",".join),
+)
+
+
+def _transition(counts, betti, catalog):
+    argv = ["transition", "--betti", betti] + (["--catalog"] if catalog else [])
+    for flag, value in zip(("--h11", "--h21", "--N", "--k", "--c"), counts):
+        argv += [flag, value]
+    return argv
+
+
+TRANSITION = st.builds(_transition, st.lists(_SMALL, min_size=5, max_size=5), BETTI, st.booleans())
+
+_ENTRY = st.one_of(
+    st.integers(-9999, 9999),
+    st.sampled_from([9999, -9999, "1/9999", "9999/1"]),
+    st.sampled_from([10000, -10000, "1e4", "1/10000", 1e300]),
+    st.sampled_from([math.nan, math.inf, "nan", "inf"]),
+    st.just(""),
+    st.floats(allow_nan=False, width=16) | GARBAGE,
+)
+CLASSES = st.one_of(
+    st.lists(st.lists(_ENTRY, min_size=1, max_size=3), max_size=3).map(json.dumps),
+    st.just(""),
+    GARBAGE,
+)
+FRIEDMAN = CLASSES.map(lambda text: ["friedman", "--classes-json", text])
+
+ARGV = {"hodge": HODGE, "slag": SLAG, "transition": TRANSITION, "friedman": FRIEDMAN}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_argv_is_answered_or_refused(command, data):
+    argv = data.draw(ARGV[command], label="argv")
+    code, out, err = run(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    else:
+        REPORT_VALIDATOR.validate(json.loads(out, parse_constant=_no_constant))
+    assert run(argv) == (code, out, err)

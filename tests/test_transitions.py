@@ -559,6 +559,19 @@ class TestDworkPoints:
     def test_exact_cyclotomic_verification(self):
         assert all(verify_dwork_point_exact(p) for p in dwork_singular_points())
 
+    def test_exact_check_refuses_points_off_the_singular_locus(self):
+        """Negative control: over every exponent tuple, the check holds
+        exactly for the 625 whose sum vanishes mod 5.  The points are built
+        without the constructor, which refuses the others."""
+        accepted = []
+        for exps in itertools.product(range(5), repeat=5):
+            point = object.__new__(ProjectivePoint5)
+            object.__setattr__(point, "exponents", exps)
+            if verify_dwork_point_exact(point):
+                accepted.append(exps)
+        assert accepted == [exps for exps in itertools.product(range(5), repeat=5) if sum(exps) % 5 == 0]
+        assert len(accepted) == 625
+
     def test_unit_point_by_direct_substitution(self):
         poly = DworkQuintic()
         z = np.ones(4, dtype=complex)
