@@ -475,6 +475,31 @@ def criterion_11(profile: Profile) -> tuple[str, float, Checks]:
     return "first-order smoothability solver vs exhaustive oracle", 30.0, chk
 
 
+def _node_det_rtol(n: int = 4, kappa: float = 5.0) -> float:
+    """Bound on |det H| / 5^7 - 1 over the nodes, from the n x n LU error
+    model (Higham, Accuracy and Stability of Numerical Algorithms, Thm 9.3,
+    partial pivoting).  The computed det is det(H + E) up to the roundings
+    of the pivot product and |.|, where E holds the entries' own rounding
+    (each a product of up to three rounded roots of unity: ||E||_2 <=
+    n gamma_16 ||H||_2) and the LU backward error (|L| <= 1 and growth
+    rho_n <= 2^(n-1) give ||E||_2 <= n^2 rho_n gamma_4n ||H||_2, a complex
+    flop counting as four real ones).  To first order
+    |det(H + E) / det H - 1| <= n kappa_2(H) ||E||_2 / ||H||_2."""
+    u = math.ulp(1.0) / 2
+
+    def gamma(k: int) -> float:
+        return k * u / (1 - k * u)
+
+    return n * kappa * (n * gamma(16) + n**2 * 2 ** (n - 1) * gamma(4 * n)) + gamma(2 * n)
+
+
+# At a node z_i^5 = 1 and z_1 z_2 z_3 z_4 = 1, so the Dwork Hessian is
+# D^-1 (25 I - 5 J) D^-1 with D = diag(z_i) unitary: |det H| = 5 * 25^3 = 5^7,
+# ||H||_2 = 25 and kappa_2(H) = 5 at every node.
+NODE_HESSIAN_DET = 5**7
+NODE_DET_RTOL = _node_det_rtol()
+
+
 def criterion_12(profile: Profile) -> tuple[str, float, Checks]:
     chk = Checks()
     points = transitions.dwork_singular_points()
@@ -485,9 +510,11 @@ def criterion_12(profile: Profile) -> tuple[str, float, Checks]:
     )
     chk.true("exact_cyclotomic_all", all(transitions.verify_dwork_point_exact(p) for p in points))
     poly = transitions.DworkQuintic()
-    certs = transitions.verify_odps(poly, [p.to_affine() for p in points])
+    certs = transitions.verify_odps(poly, transitions.dwork_nodes())
     chk.true("all_odp", all(c.is_odp for c in certs))
     chk.note("min_det_margin", min(c.hessian_det / c.det_threshold for c in certs))
+    deviation = max(abs(c.hessian_det / NODE_HESSIAN_DET - 1.0) for c in certs)
+    chk.le("node_det_closed_form", deviation, NODE_DET_RTOL)
     smooth = transitions.random_dwork_smooth_points(profile.smooth_points, seed=profile.seed)
     smooth_certs = transitions.verify_odps(poly, smooth)
     chk.true("smooth_points_not_singular", all(c.status == "not_singular" for c in smooth_certs))

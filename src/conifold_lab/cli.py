@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import functools
 import io
@@ -23,6 +24,7 @@ import numpy as np
 
 from conifold_lab import acceptance, hodge, metrics, slag, transitions
 from conifold_lab.acceptance import Checks
+from conifold_lab.transitions import abbreviated
 
 SCHEMA_VERSION = 1
 
@@ -83,9 +85,23 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 # subcommands
 
 
+@contextlib.contextmanager
+def _naming(flag: str):
+    """Prefix a library refusal, which names no flag, with the flag its
+    value came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _cmd_hodge(args) -> int:
+    # the middle-row formula needs the Lefschetz range, n >= 3
+    if not 3 <= args.n <= hodge.MAX_DIMENSION:
+        raise ValueError(f"--n: ambient projective dimension n must lie in [3, {hodge.MAX_DIMENSION}], got {args.n}")
     assertions = Checks()
-    spec = hodge.HypersurfaceSpec(args.n, args.d)
+    with _naming("--d"):
+        spec = hodge.HypersurfaceSpec(args.n, args.d)
     diamond = hodge.hodge_diamond(spec)
     results = diamond.to_json_dict()
     results["h11"] = diamond.h(1, 1)
@@ -103,8 +119,11 @@ def _family_from_args(args) -> metrics.PotentialFamily:
     if args.family == "cone":
         return metrics.PotentialFamily.cone()
     if args.family == "smoothed":
-        return metrics.PotentialFamily.smoothed(_parse_complex(args.t))
-    return metrics.PotentialFamily.resolved(args.a)
+        t = _parse_complex(args.t)
+        with _naming("--t"):
+            return metrics.PotentialFamily.smoothed(t)
+    with _naming("--a"):
+        return metrics.PotentialFamily.resolved(args.a)
 
 
 # Bounds on the two per-row counts, so that the largest accepted request holds
@@ -132,7 +151,8 @@ def _cmd_metric(args) -> int:
             raise ValueError("--family cone has no parameter for --sweep convergence; use smoothed or resolved")
         params = _param_list(args.params)
         build = metrics.PotentialFamily.smoothed if family.kind == "smoothed" else metrics.PotentialFamily.resolved
-        families = [build(param) for param in params]
+        with _naming("--params"):
+            families = [build(param) for param in params]
     default_lo, default_hi = _default_tau_grid(family, args.sweep)
     lo = args.tau_min if args.tau_min is not None else default_lo
     hi = args.tau_max if args.tau_max is not None else default_hi
@@ -212,6 +232,8 @@ def _default_tau_grid(family: metrics.PotentialFamily, sweep: str) -> tuple[floa
 
 def _cmd_slag(args) -> int:
     t = _parse_complex(args.t)
+    with _naming("--resolution"):
+        slag.check_resolution(args.resolution)
     value, rel_error = slag.cycle_period(t, args.resolution)
     exact = slag.exact_cycle_integral(t)
     results = {
@@ -257,7 +279,7 @@ def _cmd_dwork(args) -> int:
     assertions = Checks()
     points = transitions.dwork_singular_points()
     poly = transitions.DworkQuintic()
-    certs = transitions.verify_odps(poly, [p.to_affine() for p in points])
+    certs = transitions.verify_odps(poly, transitions.dwork_nodes())
     assertions.true("count", len(points) == 125, len(points))
     assertions.true("all_odp", all(c.is_odp for c in certs), sum(c.is_odp for c in certs))
     results = {
@@ -309,29 +331,29 @@ def _class_matrix(args) -> transitions.ClassMatrix:
             try:
                 rows = json.loads(text)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{text!r} is not JSON ({exc})") from None
+                raise ValueError(f"{abbreviated(repr(text))} is not JSON ({exc})") from None
             except RecursionError:
                 raise ValueError("the JSON arrays nest too deeply for rows of entries") from None
-            except ValueError:  # an integer past int()'s digit limit: quote its head, not all of it
+            except ValueError:  # an integer past int()'s digit limit
                 ints = []
                 json.loads(text, parse_int=ints.append)
                 entry = max(ints, key=len)
-                raise ValueError(f"entry {entry[:8]}... ({len(entry.lstrip('-'))} digits) "
-                                 f"has more than {MAX_ENTRY_DIGITS} digits") from None
+                raise ValueError(f"entry {abbreviated(entry)} has more than {MAX_ENTRY_DIGITS} digits") from None
             if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-                raise ValueError(f"expected a JSON array of rows, each an array of entries, got {text!r}")
+                raise ValueError("expected a JSON array of rows, each an array of entries, "
+                                 f"got {abbreviated(repr(text))}")
         if len(rows) > MAX_CLASSES or max(map(len, rows), default=0) > MAX_AMBIENT_RANK:
             raise ValueError(f"at most {MAX_CLASSES} class vectors of length <= {MAX_AMBIENT_RANK}, "
                              f"got {len(rows)} of length up to {max(map(len, rows))}")
         for entry in (x for row in rows for x in row if isinstance(x, str)):
             if _text_digits(entry) > MAX_ENTRY_DIGITS:
-                raise ValueError(f"entry {entry!r} has more than {MAX_ENTRY_DIGITS} digits")
+                raise ValueError(f"entry {abbreviated(repr(entry))} has more than {MAX_ENTRY_DIGITS} digits")
         matrix = transitions.ClassMatrix(rows)
         limit = 10**MAX_ENTRY_DIGITS
         if max(map(max, matrix.rows)) >= limit or min(map(min, matrix.rows)) <= -limit:
             x, entry = next((x, e) for xs, es in zip(matrix.rows, rows) for x, e in zip(xs, es) if abs(x) >= limit)
-            scaled = "" if x == entry else f" as {x}, once the rows are scaled to integers"
-            raise ValueError(f"entry {entry!r} has more than {MAX_ENTRY_DIGITS} digits{scaled}")
+            scaled = "" if x == entry else f" as {abbreviated(str(x))}, once the rows are scaled to integers"
+            raise ValueError(f"entry {abbreviated(repr(entry))} has more than {MAX_ENTRY_DIGITS} digits{scaled}")
         return matrix
     except OSError as exc:
         raise ValueError(f"{flag}: cannot read {args.classes_csv!r}: {exc.strerror or exc}") from None
@@ -424,6 +446,19 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValueError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        """argparse quotes some arguments as typed (unrecognized ones, an
+        ambiguous option); an argument with a line break or another
+        unprintable character is quoted by repr, so the refusal stays one line."""
+        try:
+            return super().parse_args(args, namespace)
+        except ValueError as exc:
+            message = str(exc)
+            for arg in sorted(args or [], key=len, reverse=True):
+                if not arg.isprintable():
+                    message = message.replace(arg, repr(arg))
+            raise ValueError(message) from None
 
 
 @functools.cache

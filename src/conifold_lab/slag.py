@@ -150,6 +150,17 @@ def _composite_gauss2(a: float, b: float, ncells: int) -> tuple[np.ndarray, np.n
     return nodes, weights
 
 
+def check_resolution(resolution: int) -> None:
+    """Refuse a grid resolution outside [MIN_RESOLUTION, MAX_RESOLUTION] or
+    odd."""
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
+    if resolution % 2:
+        raise ValueError(f"resolution must be even, got {resolution}")
+
+
 def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:
     """Build the product quadrature grid on L_t with resolution^3 nodes.
 
@@ -162,12 +173,7 @@ def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:
         raise ValueError(f"the vanishing cycle needs a finite t, got {t}")
     if not MIN_ABS_T <= abs(t) <= MAX_ABS_T:
         raise ValueError(f"|t| must lie in [{MIN_ABS_T:g}, {MAX_ABS_T:g}], got {abs(t)!r}")
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
-    if resolution > MAX_RESOLUTION:
-        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
-    if resolution % 2:
-        raise ValueError("resolution must be even")
+    check_resolution(resolution)
 
     phi = 2.0 * math.pi * (np.arange(resolution) + 0.5) / resolution
     return CycleGrid(

@@ -25,6 +25,7 @@ Three independent pieces of machinery live here.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -35,6 +36,13 @@ import numpy as np
 
 # ---------------------------------------------------------------------------
 # the smoothability criterion
+
+
+def abbreviated(text: str) -> str:
+    """A value's text as a refusal quotes it: whole up to 32 characters,
+    otherwise its first 8 characters and its length, so that no input makes
+    a long message."""
+    return text if len(text) <= 32 else f"{text[:8]}... ({len(text)} characters)"
 
 
 def _as_exact(value) -> int | Fraction:
@@ -48,12 +56,12 @@ def _as_exact(value) -> int | Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"entry {value!r} is not a rational number") from None
+            raise ValueError(f"entry {abbreviated(repr(value))} is not a rational number") from None
     if isinstance(value, float):
         if not value.is_integer():
             raise TypeError(f"class vectors must be exact; got the non-integral float {value!r}")
         return int(value)
-    raise TypeError(f"unsupported class-vector entry {value!r} of type {type(value).__name__}")
+    raise TypeError(f"unsupported class-vector entry {abbreviated(repr(value))} of type {type(value).__name__}")
 
 
 @dataclass
@@ -86,15 +94,17 @@ class ClassMatrix:
 
 
 def _integer_rref(mat: list[list], n: int) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination in place over the integers:
-    row operations p * r - f * r_pivot, each row reduced by the gcd of its
-    entries.  Pivot row r ends with a nonzero integer p_r in its pivot
-    column and zeros in every other pivot column, so dividing it by p_r
+    """Fraction-free Gauss-Jordan elimination in place over the integers
+    (Bareiss 1968): with pivot p and the previous pivot q (1 at the start),
+    every other row r becomes (p * r - f * r_pivot) // q, f its entry in the
+    pivot column.  Every entry is then a minor of the input, so the division
+    is exact.  Each pivot row ends with the last pivot in its pivot column
+    and zeros in every other pivot column, so dividing it by that pivot
     gives the reduced row echelon form over the rationals.  Returns the
     pivot columns."""
     m = len(mat)
     pivots: list[int] = []
-    row = 0
+    row, q = 0, 1
     for col in range(n):
         for pivot in range(row, m):
             if mat[pivot][col]:
@@ -105,11 +115,10 @@ def _integer_rref(mat: list[list], n: int) -> list[int]:
         prow = mat[row]
         p = prow[col]
         for r in range(m):
-            if r != row and mat[r][col]:
+            if r != row:
                 f = mat[r][col]
-                new = [p * a - f * b for a, b in zip(mat[r], prow)]
-                g = math.gcd(*new)
-                mat[r] = [x // g for x in new] if g > 1 else new
+                mat[r] = [(p * a - f * b) // q for a, b in zip(mat[r], prow)]
+        q = p
         pivots.append(col)
         row += 1
         if row == m:
@@ -129,8 +138,9 @@ def friedman_witness(classes: ClassMatrix):
     s = 1, 2, ... with every P_r(s) = sum_j R[r][f_j] s^j nonzero; each P_r
     has degree < dim(kernel), so at most n_classes * dim(kernel) values of s
     fail.  The witness is built as integer weights over one denominator,
-    the lcm of the p_r, checked exactly on those integers, and returned as
-    the Fractions weight / denominator.
+    the lcm of the p_r (which _integer_rref leaves all equal), checked
+    exactly on those integers, and returned as the Fractions
+    weight / denominator.
     """
     n = classes.n_classes
     mat = [list(col) for col in zip(*classes.rows)]
@@ -327,6 +337,15 @@ def dwork_singular_points() -> list[ProjectivePoint5]:
     return points
 
 
+@functools.cache
+def dwork_nodes() -> np.ndarray:
+    """The singular points' coordinates in the chart Z_0 = 1, shape (125, 4),
+    in the order of dwork_singular_points; computed once and read-only."""
+    nodes = np.array([p.to_affine() for p in dwork_singular_points()])
+    nodes.flags.writeable = False
+    return nodes
+
+
 def _vanishes(terms) -> bool:
     """Whether sum(scale * x^exp for scale, exp in terms) vanishes at a
     primitive fifth root of unity x.  Arithmetic happens in Z[x]/(x^5 - 1) via
@@ -353,36 +372,54 @@ def verify_dwork_point_exact(point: ProjectivePoint5) -> bool:
 # the quintic in the chart Z_0 = 1 and the double-point certificate
 
 
+def _product(*factors):
+    """The product of complex arrays (or scalars), taken left to right and
+    rounded as numpy's scalar complex product rounds it, with real and
+    imaginary parts (ar br - ai bi, ar bi + ai br).  The array product a * b
+    is vectorised with fused multiply-adds and can differ in the last bit."""
+    out = factors[0]
+    for b in factors[1:]:
+        a, out = out, np.empty(np.broadcast(out, b).shape, dtype=complex)
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 class DworkQuintic:
     """The nodal quintic pencil member in the chart Z_0 = 1,
     1 + z_1^5 + z_2^5 + z_3^5 + z_4^5 - 5 z_1 z_2 z_3 z_4,
-    with its gradient and Hessian in closed form.  Products and sums run in
-    the order of a term-by-term evaluation, so every value agrees bit for
-    bit with summing the polynomial's monomials (the tests check this)."""
+    with its gradient and Hessian in closed form.  z holds one point (4,) or
+    a stack of points (N, 4) along its last axis; the value, gradient and
+    Hessian then have shapes (...), (..., 4) and (..., 4, 4).  Products and
+    sums run in the order of a term-by-term evaluation, with complex products
+    rounded as numpy's scalar product (_product), so every row agrees bit for
+    bit with summing the polynomial's monomials at its point (the tests check
+    this)."""
 
-    def __call__(self, z) -> complex:
-        z1, z2, z3, z4 = np.asarray(z, dtype=complex)
-        return 1.0 - 5.0 * (z1 * z2 * z3 * z4) + z1**5 + z2**5 + z3**5 + z4**5
+    @staticmethod
+    def _coordinates(z):
+        return np.moveaxis(np.asarray(z, dtype=complex), -1, 0)
+
+    def __call__(self, z):
+        z1, z2, z3, z4 = self._coordinates(z)
+        return 1.0 - 5.0 * _product(z1, z2, z3, z4) + z1**5 + z2**5 + z3**5 + z4**5
 
     def gradient(self, z) -> np.ndarray:
-        z1, z2, z3, z4 = np.asarray(z, dtype=complex)
-        return np.array([
-            -5.0 * (z2 * z3 * z4) + 5.0 * z1**4,
-            -5.0 * (z1 * z3 * z4) + 5.0 * z2**4,
-            -5.0 * (z1 * z2 * z4) + 5.0 * z3**4,
-            -5.0 * (z1 * z2 * z3) + 5.0 * z4**4,
-        ])
+        z = self._coordinates(z)
+        grad = np.empty(z.shape[1:] + (4,), dtype=complex)
+        for i in range(4):
+            grad[..., i] = -5.0 * _product(*(z[j] for j in range(4) if j != i)) + 5.0 * z[i] ** 4
+        return grad
 
     def hessian(self, z) -> np.ndarray:
-        z1, z2, z3, z4 = np.asarray(z, dtype=complex)
-        h12, h13, h14 = -5.0 * (z3 * z4), -5.0 * (z2 * z4), -5.0 * (z2 * z3)
-        h23, h24, h34 = -5.0 * (z1 * z4), -5.0 * (z1 * z3), -5.0 * (z1 * z2)
-        return np.array([
-            [20.0 * z1**3, h12, h13, h14],
-            [h12, 20.0 * z2**3, h23, h24],
-            [h13, h23, 20.0 * z3**3, h34],
-            [h14, h24, h34, 20.0 * z4**3],
-        ])
+        z = self._coordinates(z)
+        hess = np.empty(z.shape[1:] + (4, 4), dtype=complex)
+        for i in range(4):
+            hess[..., i, i] = 20.0 * z[i] ** 3
+        for i, j in itertools.combinations(range(4), 2):
+            k, l = (c for c in range(4) if c not in (i, j))
+            hess[..., i, j] = hess[..., j, i] = -5.0 * _product(z[k], z[l])
+        return hess
 
 
 class NotOnVarietyError(ValueError):
@@ -410,16 +447,25 @@ ODP_VALUE_TOL = 1e-8
 ODP_GRADIENT_TOL = 1e-6
 
 
+def _scale_refs(zs: np.ndarray) -> list[float]:
+    """(1 + max_i |z_i|)^2 per point, squared on Python floats: libm's pow,
+    which numpy's array square does not reproduce."""
+    return [(1.0 + m) ** 2 for m in np.max(np.abs(zs), axis=1).tolist()]
+
+
 def verify_odps(poly, points) -> list[OdpCertificate]:
     """Certify that critical points of the polynomial are ordinary double
-    points.  poly is any callable with gradient and hessian methods, such as
-    DworkQuintic; the complex 4x4 Hessian must be nondegenerate, which by the
-    holomorphic Morse lemma puts the germ in the sum-of-squares normal form.
+    points.  poly is any callable with gradient and hessian methods that
+    takes a stack of points, such as DworkQuintic; the complex 4x4 Hessian
+    must be nondegenerate, which by the holomorphic Morse lemma puts the germ
+    in the sum-of-squares normal form.
 
-    points has shape (N, 4).  The Hessians are stacked, and their spectral
-    norms and determinants taken in one call each (the same bits as one call
-    per matrix); values, gradient norms, |det| and the thresholds stay per
-    point, where numpy's array forms would round differently.
+    points has shape (N, 4).  Values, gradients and Hessians come from one
+    call each on the whole stack, and the spectral norms and determinants
+    from one call each.  Every number rounds as it does for one point alone:
+    |value| and |det| by np.hypot (np.abs rounds complex arrays
+    differently), gradient norms by np.vecdot (the BLAS dot of the
+    one-point norm), thresholds on Python floats.
 
     Raises NotOnVarietyError at the first point that misses the
     hypersurface; a point whose gradient does not vanish gets a
@@ -428,20 +474,20 @@ def verify_odps(poly, points) -> list[OdpCertificate]:
     zs = np.asarray(points, dtype=complex)
     if not len(zs):
         return []
-    per_point = []
-    hessians = np.empty((len(zs), 4, 4), dtype=complex)
-    for z, H in zip(zs, hessians):
-        scale_ref = float(1.0 + np.max(np.abs(z))) ** 2
-        value = abs(poly(z))
+    scale_refs = _scale_refs(zs)
+    values = poly(zs)
+    values = np.hypot(values.real, values.imag).tolist()
+    for value, scale_ref in zip(values, scale_refs):
         if value > ODP_VALUE_TOL * scale_ref:
             raise NotOnVarietyError(f"polynomial value {value:.3e} exceeds tolerance at the point")
-        per_point.append((scale_ref, value, float(np.linalg.norm(poly.gradient(z)))))
-        H[...] = poly.hessian(z)
+    grads = poly.gradient(zs)
+    grad_norms = np.sqrt(np.vecdot(grads.real, grads.real) + np.vecdot(grads.imag, grads.imag)).tolist()
+    hessians = poly.hessian(zs)
     hess_scales = np.linalg.norm(hessians, 2, axis=(-2, -1)).tolist()
     dets = np.linalg.det(hessians)
+    dets = np.hypot(dets.real, dets.imag).tolist()
     certs = []
-    for (scale_ref, value, grad_norm), hess_scale, det in zip(per_point, hess_scales, dets):
-        det = abs(det)
+    for scale_ref, value, grad_norm, hess_scale, det in zip(scale_refs, values, grad_norms, hess_scales, dets):
         threshold = ODP_DET_RTOL * hess_scale**4
         if grad_norm > ODP_GRADIENT_TOL * scale_ref:
             status = "not_singular"
@@ -467,6 +513,16 @@ def verify_odp(poly, point) -> OdpCertificate:
     return verify_odps(poly, [point])[0]
 
 
+def _near_a_node(zs: np.ndarray) -> np.ndarray:
+    """Whether each point of the stack lies within 1e-2 of a node.  Such a
+    point has every coordinate within 1e-2 of the unit circle, so only the
+    points with every |z_i| within 2e-2 of 1 are measured against the nodes."""
+    near = np.zeros(len(zs), dtype=bool)
+    for i in np.flatnonzero(np.all(np.abs(np.abs(zs) - 1.0) < 2e-2, axis=1)):
+        near[i] = np.min(np.linalg.norm(dwork_nodes() - zs[i], axis=1)) < 1e-2
+    return near
+
+
 # Draws per batch of companion-matrix roots: bounds the sampler's working set
 # (about 1 KB per draw) whatever the requested count.
 _SAMPLER_CHUNK = 4096
@@ -477,37 +533,40 @@ def random_dwork_smooth_points(count: int, seed: int = 0) -> np.ndarray:
     singular set: random (z1, z2, z3), the quintic in z_4 solved by companion
     roots, singular-point neighborhoods excluded.
 
-    Each draw takes radii, phases and a root index from the generator, in
-    that order.  The draws still needed are made up front, chunk by chunk,
-    and their roots taken by one eigvals over the stacked companion matrices
-    (the ones np.roots builds, so the same roots in the same order); the
-    draws are then accepted or rejected in draw order."""
+    Each draw takes three radii in [0.5, 1.5), three phases in [0, 1) and a
+    root index from the generator, in that order (rng.random(6) gives the
+    same doubles as uniform(0.5, 1.5, 3) less 0.5, then uniform(0, 1, 3)).
+    The draws still needed are made one at a time, chunk by chunk; the rest
+    is stacked over the chunk: the points, the coefficients, one eigvals over
+    the companion matrices (the ones np.roots builds, so the same roots in
+    the same order) and both rejection tests.  Accepted draws keep their
+    order."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     poly = DworkQuintic()
-    singular = np.array([p.to_affine() for p in dwork_singular_points()])
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        draws = min(count - len(out), _SAMPLER_CHUNK)
-        z123 = np.empty((draws, 3), dtype=complex)
+    chunks, found = [], 0
+    while found < count:
+        draws = min(count - found, _SAMPLER_CHUNK)
+        uniforms = np.empty((draws, 6))
+        picks = np.empty(draws, dtype=np.int64)
+        for i in range(draws):
+            uniforms[i] = rng.random(6)
+            picks[i] = rng.integers(5)
+        z1, z2, z3 = ((0.5 + uniforms[:, :3]) * np.exp(2j * math.pi * uniforms[:, 3:])).T
         # monic z^5 + 0 z^4 + 0 z^3 + 0 z^2 - 5 z1 z2 z3 z + const
         coeffs = np.zeros((draws, 6), dtype=complex)
         coeffs[:, 0] = 1.0
-        picks = np.empty(draws, dtype=np.int64)
-        for i in range(draws):
-            z123[i] = rng.uniform(0.5, 1.5, 3) * np.exp(2j * math.pi * rng.uniform(0, 1, 3))
-            coeffs[i, 4] = -5.0 * np.prod(z123[i])
-            coeffs[i, 5] = 1.0 + np.sum(z123[i] ** 5)
-            picks[i] = rng.integers(5)
+        coeffs[:, 4] = -5.0 * _product(z1, z2, z3)
+        coeffs[:, 5] = 1.0 + (z1**5 + z2**5 + z3**5)
         companion = np.zeros((draws, 5, 5), dtype=complex)
         companion[:, 1:, :-1] = np.eye(4)
         companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
         roots = np.linalg.eigvals(companion)
-        for z in np.column_stack([z123, roots[np.arange(draws), picks]]):
-            if np.min(np.linalg.norm(singular - z, axis=1)) < 1e-2:
-                continue
-            if abs(poly(z)) > 1e-9 * (1.0 + np.max(np.abs(z))) ** 2:
-                continue
-            out.append(z)
-    return np.array(out)
+        zs = np.column_stack([z1, z2, z3, roots[np.arange(draws), picks]])
+        values = poly(zs)
+        scale = np.array(_scale_refs(zs))
+        keep = ~(_near_a_node(zs) | (np.hypot(values.real, values.imag) > 1e-9 * scale))
+        chunks.append(zs[keep])
+        found += len(chunks[-1])
+    return np.concatenate(chunks) if chunks else np.array([])

@@ -824,9 +824,26 @@ def kernel_basis_witness(rows):
     raise AssertionError("witness search exceeded its deterministic bound")
 
 
+def _per_point(method):
+    """A one-point method of Polynomial4 that also takes a stack (N, 4) of
+    points, by calling it at each point in turn (transitions.verify_odps
+    evaluates its polynomial on the whole stack)."""
+
+    @functools.wraps(method)
+    def stacked(self, z):
+        z = np.asarray(z, dtype=complex)
+        if z.ndim == 1:
+            return method(self, z)
+        return np.array([method(self, point) for point in z], dtype=complex)
+
+    return stacked
+
+
 @dataclass
 class Polynomial4:
-    """Sparse polynomial in four variables: exponent tuple -> complex coefficient."""
+    """Sparse polynomial in four variables: exponent tuple -> complex
+    coefficient.  Its value, gradient and Hessian take one point (4,) or a
+    stack (N, 4), the stack one point at a time."""
 
     terms: dict
 
@@ -840,6 +857,7 @@ class Polynomial4:
                 clean[exps] = complex(coeff)
         self.terms = clean
 
+    @_per_point
     def __call__(self, z) -> complex:
         z = np.asarray(z, dtype=complex)
         return sum(
@@ -858,9 +876,11 @@ class Polynomial4:
             out[key] = out.get(key, 0.0) + coeff * exps[i]
         return Polynomial4(out)
 
+    @_per_point
     def gradient(self, z) -> np.ndarray:
         return np.array([self.derivative(i)(z) for i in range(4)], dtype=complex)
 
+    @_per_point
     def hessian(self, z) -> np.ndarray:
         H = np.empty((4, 4), dtype=complex)
         for i in range(4):

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -404,6 +406,46 @@ class TestDeterminism:
         assert json.loads(text)["timings"] is None
 
 
+def _bench_workloads():
+    """perfbench/workloads.py, loaded from its file: its class-matrix
+    generators make the benchmark's friedman requests."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGoldenReports:
+    """The sha256 of reports of the benchmark's two heaviest exact requests,
+    recorded from the per-point certificate and sampler and the gcd-reduced
+    elimination: faster kernels must give the same bytes."""
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "03c401cda424941ab4ff17b161a53d664ade1d787b5b77b56d32c3c9ae128531"),
+        (1, "04dc8b83b0a2adea638cea4f59820f09fd3022fd25e9094d01c2d95a1e0584e2"),
+    ])
+    def test_dwork(self, seed, digest, tmp_path):
+        code, text = run_cli(["dwork", "--exact", "--smooth-points", "200", "--seed", str(seed)], tmp_path)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind,digest", [
+        ("feasible", "af39b4b314835fa2342b9f1dc7b16e1016cec8a4461aa857e714af81aba0d886"),
+        ("infeasible", "989bf9f8ac5c0eb2d321dc999e3c8f6bd0060e9a6a8839af2136d03703c42b58"),
+    ])
+    def test_friedman_125_by_24(self, kind, digest, tmp_path):
+        workloads = _bench_workloads()
+        if kind == "feasible":
+            rows = workloads.feasible_classes(random.Random(0), 125, 24)
+        else:
+            rows, _ = workloads.infeasible_classes(random.Random(0), 125, 24)
+        code, text = run_cli(["friedman", "--classes-json", json.dumps(rows)], tmp_path)
+        assert code == 0
+        assert json.loads(text)["results"]["feasible"] is (kind == "feasible")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestVerifyAll:
     def test_fast_profile_passes(self, tmp_path, report_schema, capsys):
         code, text = run_cli(["verify-all", "--fast"], tmp_path)
@@ -535,22 +577,22 @@ class TestUsageErrors:
         "argv,message",
         [
             (["hodge", "--n", "201", "--d", "5"],
-             "ambient projective dimension n must lie in [2, 200], got 201"),
-            (["hodge", "--n", "4", "--d", "301"], "degree d must lie in [1, 300], got 301"),
-            (["slag", "--t", "1", "--resolution", "100000"], "resolution must be <= 256, got 100000"),
-            (["slag", "--t", "1", "--resolution", "258"], "resolution must be <= 256, got 258"),
+             "--n: ambient projective dimension n must lie in [3, 200], got 201"),
+            (["hodge", "--n", "4", "--d", "301"], "--d: degree d must lie in [1, 300], got 301"),
+            (["slag", "--t", "1", "--resolution", "100000"], "--resolution: resolution must be <= 256, got 100000"),
+            (["slag", "--t", "1", "--resolution", "258"], "--resolution: resolution must be <= 256, got 258"),
             (["slag", "--t", "1e-300"], "|t| must lie in [1e-200, 1e+200], got 1e-300"),
             (["slag", "--t", "1e300@45"], "|t| must lie in [1e-200, 1e+200], got 1e+300"),
             (["metric", "--family", "resolved", "--a", "1e-300"],
-             "the resolution parameter a must lie in [1e-20, 1e+20], got 1e-300"),
+             "--a: the resolution parameter a must lie in [1e-20, 1e+20], got 1e-300"),
             (["metric", "--family", "resolved", "--a", "1e30"],
-             "the resolution parameter a must lie in [1e-20, 1e+20], got 1e+30"),
+             "--a: the resolution parameter a must lie in [1e-20, 1e+20], got 1e+30"),
             (["metric", "--family", "smoothed", "--t", "1e-30"],
-             "the smoothing parameter |t| must lie in [1e-20, 1e+20], got 1e-30"),
+             "--t: the smoothing parameter |t| must lie in [1e-20, 1e+20], got 1e-30"),
             (["metric", "--family", "smoothed", "--t", "1e300"],
-             "the smoothing parameter |t| must lie in [1e-20, 1e+20], got 1e+300"),
+             "--t: the smoothing parameter |t| must lie in [1e-20, 1e+20], got 1e+300"),
             (["metric", "--family", "resolved", "--sweep", "convergence", "--params", "1,1e-30"],
-             "the resolution parameter a must lie in [1e-20, 1e+20], got 1e-30"),
+             "--params: the resolution parameter a must lie in [1e-20, 1e+20], got 1e-30"),
             (["metric", "--family", "cone", "--points", "32769"],
              "--points: at most 32768 grid points, got 32769"),
             (["metric", "--family", "resolved", "--sweep", "convergence", "--points", "32769"],
@@ -581,9 +623,9 @@ class TestUsageErrors:
         "argv,value,message",
         [
             (["metric", "--family", "smoothed", "--t"], math.nextafter(metrics.PARAMETER_MIN, 0.0),
-             "the smoothing parameter |t| must lie in [1e-20, 1e+20], got {!r}"),
+             "--t: the smoothing parameter |t| must lie in [1e-20, 1e+20], got {!r}"),
             (["metric", "--family", "resolved", "--a"], math.nextafter(metrics.PARAMETER_MAX, math.inf),
-             "the resolution parameter a must lie in [1e-20, 1e+20], got {!r}"),
+             "--a: the resolution parameter a must lie in [1e-20, 1e+20], got {!r}"),
             (["slag", "--t"], math.nextafter(slag.MIN_ABS_T, 0.0), "|t| must lie in [1e-200, 1e+200], got {!r}"),
             (["metric", "--family", "cone", "--tau-min", "1", "--tau-max"],
              math.nextafter(metrics.TAU_WINDOW["cone"][1], math.inf),
@@ -733,9 +775,9 @@ class TestUsageErrors:
             (["slag", "--t", "nan"], "the vanishing cycle needs a finite t, got (nan+0j)"),
             (["slag", "--t", "inf"], "the vanishing cycle needs a finite t, got (inf+0j)"),
             (["metric", "--family", "resolved", "--a", "inf"],
-             "the resolution parameter a must be finite, got inf"),
+             "--a: the resolution parameter a must be finite, got inf"),
             (["metric", "--family", "smoothed", "--t", "nan"],
-             "the smoothing parameter t must be finite, got (nan+0j)"),
+             "--t: the smoothing parameter t must be finite, got (nan+0j)"),
         ],
         ids=["slag-nan", "slag-inf", "metric-a-inf", "metric-t-nan"],
     )

@@ -32,6 +32,7 @@ def _no_constant(name):
 
 
 BIG_INT = "1" * 5000
+PRIMES_BELOW_90 = [p for p in range(2, 90) if all(p % q for q in range(2, p))]
 
 REFUSALS = [
     # argparse's own refusals, one per kind
@@ -65,11 +66,38 @@ REFUSALS = [
      "--t: expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, got ''"),
     # JSON that int() or the decoder's recursion cannot take
     (["friedman", "--classes-json", f"[[{BIG_INT}],[1]]"],
-     "--classes-json: entry 11111111... (5000 digits) has more than 4 digits"),
+     "--classes-json: entry 11111111... (5000 characters) has more than 4 digits"),
     (["friedman", "--classes-json", f"[[1],[-{BIG_INT}]]"],
-     "--classes-json: entry -1111111... (5000 digits) has more than 4 digits"),
+     "--classes-json: entry -1111111... (5001 characters) has more than 4 digits"),
     (["friedman", "--classes-json", "[" * 5000],
      "--classes-json: the JSON arrays nest too deeply for rows of entries"),
+    # every quoted entry or text past 32 characters is cut to its head and its length
+    (["friedman", "--classes-json", f"[[1],[{BIG_INT[:4000]}]]"],
+     "--classes-json: entry 11111111... (4000 characters) has more than 4 digits"),
+    (["friedman", "--classes-json", json.dumps([["a" * 100_000], [1]])],
+     "--classes-json: entry 'aaaaaaa... (100002 characters) is not a rational number"),
+    (["friedman", "--classes-json", json.dumps([["9" * 40], [1]])],
+     "--classes-json: entry '9999999... (42 characters) has more than 4 digits"),
+    (["friedman", "--classes-json", json.dumps([[{"k": "v" * 1000}], [1]])],
+     "--classes-json: unsupported class-vector entry {'k': 'v... (1009 characters) of type dict"),
+    (["friedman", "--classes-json", "x" * 100_000],
+     "--classes-json: 'xxxxxxx... (100002 characters) is not JSON (Expecting value: line 1 column 1 (char 0))"),
+    (["friedman", "--classes-json", json.dumps({"rows": "r" * 1000})],
+     "--classes-json: expected a JSON array of rows, each an array of entries, got '{\"rows\"... (1014 characters)"),
+    (["friedman", "--classes-json", json.dumps([[f"1/{p}" for p in PRIMES_BELOW_90], ["1"] * 24])],
+     "--classes-json: entry '1/2' has more than 4 digits as 11884370... (35 characters), "
+     "once the rows are scaled to integers"),
+    # argparse quotes these arguments as typed: a line break is quoted by repr
+    (["hodge", "--n", "4", "--d", "5", "a\nb"], "unrecognized arguments: 'a\\nb'"),
+    (["hodge", "--t=a\nb"], "ambiguous option: '--t=a\\nb' could match --timings, --tol"),
+    # library refusals, named by the flag the value came from
+    (["hodge", "--n", "2", "--d", "5"], "--n: ambient projective dimension n must lie in [3, 200], got 2"),
+    (["hodge", "--n", "1", "--d", "5"], "--n: ambient projective dimension n must lie in [3, 200], got 1"),
+    (["hodge", "--n", "4", "--d", "0"], "--d: degree d must lie in [1, 300], got 0"),
+    (["metric", "--family", "resolved", "--a", "0"],
+     "--a: the resolution parameter a must lie in [1e-20, 1e+20], got 0.0"),
+    (["slag", "--resolution", "9"], "--resolution: resolution must be even, got 9"),
+    (["slag", "--resolution", "7"], "--resolution: resolution must be >= 8, got 7"),
 ]
 
 

@@ -11,6 +11,7 @@ import math
 import textwrap
 
 import numpy as np
+import pytest
 
 from conifold_lab import cli, conifold, exterior, hodge, metrics, slag, transitions
 from conifold_lab.acceptance import (
@@ -25,6 +26,7 @@ from conifold_lab.acceptance import (
     criterion_09,
     criterion_10,
     criterion_11,
+    criterion_12,
 )
 
 FULL = Profile.full(seed=0)
@@ -283,3 +285,15 @@ class TestC11:
         assert len(missed) == 1
         assert [f.partition(":")[0] for f in checks.failures] == ["oracle_mismatches"]
         assert checks.details["oracle_mismatches"]["measured"] == 4
+
+
+class TestC12:
+    def test_scaled_dwork_hessians(self, monkeypatch):
+        """Every Dwork Hessian x 1.5 scales each node's |det H| by 1.5^4 and
+        its threshold with it, so every node still certifies as an ordinary
+        double point; only the closed form |det H| = 5^7 sees the defect."""
+        hessian = transitions.DworkQuintic.hessian
+        monkeypatch.setattr(transitions.DworkQuintic, "hessian", lambda self, z: 1.5 * hessian(self, z))
+        _, _, checks = criterion_12(FULL)
+        assert [f.partition(":")[0] for f in checks.failures] == ["node_det_closed_form"]
+        assert checks.details["node_det_closed_form"]["measured"] == pytest.approx(1.5**4 - 1.0)

@@ -630,6 +630,34 @@ class TestDworkQuintic:
         )
 
 
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestStackedQuintic:
+    """DworkQuintic on a stack (N, 4) gives, row by row, the bits of the
+    term-by-term reference at that one point: values, gradients and
+    Hessians, signs of zero included."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_match_the_per_point_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        stack = 10.0 ** rng.uniform(-3, 3, (150, 4)) * np.exp(2j * np.pi * rng.uniform(0, 1, (150, 4)))
+        quintic, ref = DworkQuintic(), reference.dwork_polynomial()
+        for method in ("__call__", "gradient", "hessian"):
+            rows = getattr(quintic, method)(stack)
+            assert np.array_equal(_bits(rows), _bits(getattr(ref, method)(stack)))
+            assert np.array_equal(_bits(rows), _bits([getattr(quintic, method)(z) for z in stack]))
+
+    def test_nodes_and_samples(self):
+        quintic = DworkQuintic()
+        for stack in (transitions.dwork_nodes(), random_dwork_smooth_points(100, 4)):
+            for method in ("__call__", "gradient", "hessian"):
+                rows = getattr(quintic, method)(stack)
+                assert np.array_equal(_bits(rows), _bits([getattr(quintic, method)(z) for z in stack]))
+                assert np.array_equal(rows, getattr(reference.dwork_polynomial(), method)(stack))
+
+
 class TestVerifyOdp:
     def test_model_double_point(self):
         cert = verify_odp(reference.Polynomial4.sum_of_squares(), [0, 0, 0, 0])
@@ -757,13 +785,29 @@ class TestBatchedSampler:
                 random_dwork_smooth_points(150, seed), reference.dwork_smooth_points_per_draw(150, seed)
             )
 
+    def test_near_a_node_keeps_the_all_nodes_verdict(self):
+        """Only points with every |z_i| near 1 are measured against the
+        nodes; the verdict is that of measuring every point against all 125:
+        points 1e-3 to 3e-2 from a node, points on the unit torus and draws."""
+        nodes = transitions.dwork_nodes()
+        rng = np.random.default_rng(11)
+        offsets = 10.0 ** rng.uniform(-3, -1.5, (400, 1)) / 2 * np.exp(2j * np.pi * rng.uniform(0, 1, (400, 4)))
+        zs = np.concatenate([
+            nodes[rng.integers(125, size=400)] + offsets,
+            np.exp(2j * np.pi * rng.uniform(0, 1, (400, 4))),
+            random_dwork_smooth_points(100, 1),
+        ])
+        expected = [np.min(np.linalg.norm(nodes - z, axis=1)) < 1e-2 for z in zs]
+        assert transitions._near_a_node(zs).tolist() == expected
+        assert 100 < sum(expected) < 400
+
     def test_rejected_draws_are_refilled_in_draw_order(self, monkeypatch):
         """Reject about a tenth of the draws (as if off the variety): both
         samplers must skip the same draws and draw the same replacements."""
         value = DworkQuintic.__call__
 
         def off_when_z1_is_far_right(self, z):
-            return value(self, z) + (1.0 if z[0].real > 1.0 else 0.0)
+            return value(self, z) + np.where(np.asarray(z)[..., 0].real > 1.0, 1.0, 0.0)
 
         monkeypatch.setattr(DworkQuintic, "__call__", off_when_z1_is_far_right)
         monkeypatch.setattr(transitions, "_SAMPLER_CHUNK", 16)
