@@ -419,6 +419,15 @@ def feasibility_oracle(rows) -> np.ndarray:
     return functools.reduce(np.logical_and, [d == full for d in deleted])
 
 
+@functools.cache
+def _class_tuples(names: int, n: int) -> np.ndarray:
+    """Every sorted n-tuple of the names 0 .. names - 1, in
+    combinations_with_replacement order: one read-only (classes, n) array."""
+    tuples = np.array(list(itertools.combinations_with_replacement(range(names), n)))
+    tuples.flags.writeable = False
+    return tuples
+
+
 def exhaustive_friedman_agreement(max_rows: int) -> tuple[int, int]:
     """Compare the exact witness solver against the rank oracle over every
     class matrix with entries in {-1, 0, 1}, N <= max_rows, m <= 3.
@@ -430,10 +439,11 @@ def exhaustive_friedman_agreement(max_rows: int) -> tuple[int, int]:
     on P^3, and only the rank sums fill the P^N grid.  Feasibility does not
     change under row order or row signs; pool row k is the negation of row
     P - 1 - k, so min(k, P - 1 - k) names a row up to sign and a class is a
-    sorted tuple of these (P + 1) / 2 names.  The exact solver runs once per
-    class, the verdicts fill a table over all (name, ..., name) tuples
-    (every permutation of a class), and one broadcast gather gives each
-    matrix its solver verdict.  Returns (matrices checked, mismatches)."""
+    sorted tuple of these (P + 1) / 2 names.  The classes of one shape are
+    stacked as pool[classes] and solved in one call, the verdicts fill a
+    table over all (name, ..., name) tuples (every permutation of a class),
+    and one broadcast gather gives each matrix its solver verdict.  Returns
+    (matrices checked, mismatches)."""
     checked = 0
     mismatches = 0
     for n in range(1, max_rows + 1):
@@ -443,11 +453,10 @@ def exhaustive_friedman_agreement(max_rows: int) -> tuple[int, int]:
             axes = [(1,) * i + (size,) + (1,) * (n - 1 - i) for i in range(n)]
             oracle = feasibility_oracle([pool.reshape(shape + (m,)) for shape in axes])
             names = (size + 1) // 2
-            rows = pool.tolist()
+            classes = _class_tuples(names, n)
+            feasible, _, _ = transitions.friedman_witnesses(pool[classes])
             sorted_table = np.empty((names,) * n, dtype=bool)
-            for cls in itertools.combinations_with_replacement(range(names), n):
-                witness = transitions.friedman_witness(transitions.ClassMatrix([rows[k] for k in cls]))
-                sorted_table[cls] = witness is not None
+            sorted_table[tuple(classes.T)] = feasible
             tuples = np.sort(np.indices((names,) * n).reshape(n, -1), axis=0)
             table = sorted_table[tuple(tuples)].reshape((names,) * n)
             canon = np.minimum(np.arange(size), size - 1 - np.arange(size))

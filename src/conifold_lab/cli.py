@@ -68,8 +68,11 @@ def _write_output(path, payload: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(payload)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"--output: {exc}") from None
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -234,7 +237,8 @@ def _cmd_slag(args) -> int:
     t = _parse_complex(args.t)
     with _naming("--resolution"):
         slag.check_resolution(args.resolution)
-    value, rel_error = slag.cycle_period(t, args.resolution)
+    with _naming("--t"):  # --resolution is checked: only t is left to refuse
+        value, rel_error = slag.cycle_period(t, args.resolution)
     exact = slag.exact_cycle_integral(t)
     results = {
         "t": [t.real, t.imag],
@@ -265,9 +269,11 @@ def _cmd_transition(args) -> int:
     missing = [k for k in ("h11", "h21", "N", "k", "c") if getattr(args, k) is None]
     if missing:
         raise ValueError(f"transition needs --catalog or all of {missing}")
-    record = transitions.apply_topology_change(
-        args.h11, args.h21, (b1, b2, b3), N=args.N, k=args.k, c=args.c
-    )
+    try:
+        record = transitions.apply_topology_change(args.h11, args.h21, (b1, b2, b3), N=args.N, k=args.k, c=args.c)
+    except transitions.BookkeepingError as exc:
+        flags = dict.fromkeys("--betti" if name in ("b1", "b2", "b3") else f"--{name}" for name in exc.names)
+        raise ValueError(f"{'/'.join(flags)}: {exc}") from None
     k, c = transitions.infer_counts(record.hodge_before, record.hodge_after, record.N)
     assertions.true("round_trip", (k, c) == (record.k, record.c), [k, c])
     return _emit_report(args, vars(record), assertions)
@@ -366,8 +372,8 @@ def _cmd_friedman(args) -> int:
     witness = transitions.friedman_witness(matrix)
     assertions = Checks()
     results = {
-        "n_classes": matrix.n_classes,
-        "ambient_rank": matrix.ambient_rank,
+        "n_classes": len(matrix.rows),
+        "ambient_rank": len(matrix.rows[0]),
         "feasible": witness is not None,
     }
     if witness is not None:

@@ -10,9 +10,9 @@ Three independent pieces of machinery live here.
 
 * The first-order smoothability criterion: the nodal variety smooths to
   first order iff some combination sum lambda_i [C_i] = 0 has every
-  lambda_i nonzero.  The solver works on integer rows (integral curve
-  classes in the geometric case, rational ones scaled to integers) and
-  returns an explicit rational witness or None.
+  lambda_i nonzero.  The solver works on stacks of integer class matrices
+  (integral curve classes in the geometric case, rational ones scaled to
+  integers) and returns a verdict and an exact witness for each.
 
 * The quintic pencil's nodal member: enumeration of its 125 singular
   points, exact cyclotomic verification that they are critical, and a
@@ -84,90 +84,113 @@ class ClassMatrix:
             raise ValueError("class vectors must share a positive length")
         self.rows = parsed
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.rows)
 
-    @property
-    def ambient_rank(self) -> int:
-        return len(self.rows[0])
+def _int64_steps(n: int, m: int, peaks: list[int]) -> tuple[int, bool]:
+    """How far friedman_witnesses may compute in int64 on n classes of length
+    m whose largest |entries| are peaks, in decreasing order: the columns its
+    elimination may take (n for all), and whether its witness fits too.  A
+    t x t minor is below D_t = t^(t/2) peaks[0] ... peaks[t - 1] (Hadamard),
+    and the column that takes the t-th pivot multiplies two of them.  Weights
+    and values P_r(s), s <= n^2 + 1, are below D n (n^2 + 1)^(n - 1) with
+    D = max D_t, and the check adds n of them times entries <= peaks[0]."""
+    product = minor_squared = 1
+    for t in range(1, min(n, m) + 1):
+        product *= peaks[t - 1]
+        minor_squared = max(minor_squared, t**t * product * product)
+        if 2 * minor_squared >= 2**63:
+            return t - 1, False
+    witness = n * n * peaks[0] * (n * n + 1) ** (n - 1)
+    return n, witness * witness * minor_squared < 2**126
 
 
-def _integer_rref(mat: list[list], n: int) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination in place over the integers
-    (Bareiss 1968): with pivot p and the previous pivot q (1 at the start),
-    every other row r becomes (p * r - f * r_pivot) // q, f its entry in the
-    pivot column.  Every entry is then a minor of the input, so the division
-    is exact.  Each pivot row ends with the last pivot in its pivot column
-    and zeros in every other pivot column, so dividing it by that pivot
-    gives the reduced row echelon form over the rationals.  Returns the
-    pivot columns."""
-    m = len(mat)
-    pivots: list[int] = []
-    row, q = 0, 1
-    for col in range(n):
-        for pivot in range(row, m):
-            if mat[pivot][col]:
-                break
-        else:
+def friedman_witnesses(mats):
+    """Smoothability of each matrix of a stack (B, n, m) of integer class
+    vectors: (feasible (B,), weights (B, n), denominators (B,)), the witness
+    of a feasible matrix b being weights[b] / denominators[b].
+
+    sum_i lambda_i mats[b, i] = 0 is eliminated fraction-free, class by
+    class over the whole stack (Bareiss-Jordan): each matrix pivots on its
+    first row without a pivot that is nonzero in the column, if any, and
+    with that pivot p and the previous one q every other row r becomes
+    (p r - f r_pivot) // q, f its entry in the column, an exact division.
+    The pivot rows end as q times the rows of the reduced row echelon form
+    R, which is unique: no answer depends on the pivot rows or on the rest
+    of the stack.  A matrix is feasible iff every pivot row is nonzero in a
+    free column (no vector space over an infinite field is a finite union of
+    proper subspaces).  Its witness sum_j s^j k_j over the kernel basis (k_j
+    is 1 at free column f_j and -R[r][f_j] at pivot column r) takes the
+    first s with every P_r(s) = sum_j R[r][f_j] s^j nonzero; deg P_r < n, so
+    s <= n^2 + 1, and s = 1 settles most matrices in one pass.  The integer
+    weights are checked exactly: they annihilate the classes and none is
+    zero.  They are int64 as far as _int64_steps proves safe and Python
+    integers (dtype object) beyond."""
+    mats = np.asarray(mats)
+    count, n, m = mats.shape
+    by_class = mats.transpose(1, 0, 2).reshape(n, -1)
+    peaks = map(max, map(operator.neg, by_class.min(axis=1).tolist()), by_class.max(axis=1).tolist())
+    steps, witness_fits = _int64_steps(n, m, sorted(peaks, reverse=True))
+    a = mats.transpose(0, 2, 1).astype(np.int64 if steps else object)  # (B, m, n)
+    stack, q = np.arange(count), np.ones((count, 1, 1), dtype=a.dtype)
+    open_rows, pivot = ~np.zeros((count, m), dtype=bool), np.zeros((count, n), dtype=bool)
+    pivot_row = np.zeros((count, n), dtype=np.intp)
+    for c in range(n):
+        if c == steps:
+            a, q = a.astype(object), q.astype(object)
+        col = a[:, :, c]
+        candidates = open_rows & col.astype(bool)
+        r = candidates.argmax(axis=1)
+        at = (slice(None), int(r[0])) if count == 1 else (stack, r)  # a view for a stack of one
+        found = candidates[at]
+        if not np.count_nonzero(found):
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        prow = mat[row]
-        p = prow[col]
-        for r in range(m):
-            if r != row:
-                f = mat[r][col]
-                mat[r] = [(p * a - f * b) // q for a, b in zip(mat[r], prow)]
-        q = p
-        pivots.append(col)
-        row += 1
-        if row == m:
+        prow = a[at]
+        p = np.where(found[:, None, None], prow[:, None, c : c + 1], q)
+        a = (p * a - (col * found[:, None])[:, :, None] * prow[:, None, :]) // q
+        a[at], q = prow, p
+        open_rows[at] ^= found
+        pivot_row[:, c], pivot[:, c] = r, found
+        if c + 1 >= m and not np.count_nonzero(open_rows):
             break
-    return pivots
+    if not witness_fits:
+        a, q = a.astype(object), q.astype(object)
+    free = ~pivot
+    # P_r(1) at every pivot row; the rows without a pivot are zero and read 1
+    powers = free.astype(a.dtype)
+    values = (a @ powers[:, :, None])[:, :, 0] + open_rows
+    feasible = values.all(axis=1)
+    if np.count_nonzero(feasible) < count:
+        todo = np.flatnonzero(~feasible)
+        feasible = ((a * free[:, None, :]).any(axis=2) | open_rows).all(axis=1)
+        if not np.count_nonzero(feasible):
+            return feasible, np.zeros((count, n), dtype=a.dtype), q[:, 0, 0]
+        todo, s = todo[feasible[todo]], 1
+        exponents = ((free.cumsum(axis=1) - 1) * free).astype(a.dtype)
+        settle = np.ones(count, dtype=a.dtype)
+        while len(todo):
+            s += 1
+            if s > n * n + 1:
+                raise AssertionError("witness search exceeded its deterministic bound")
+            trial = s ** exponents[todo] * free[todo]
+            done = ((a[todo] @ trial[:, :, None])[:, :, 0] + open_rows[todo]).all(axis=1)
+            settle[todo[done]], todo = s, todo[~done]
+        powers = settle[:, None] ** exponents * free
+        values = (a @ powers[:, :, None])[:, :, 0]
+    weights = (q[:, 0] * powers - values[stack[:, None], pivot_row] * pivot) * feasible[:, None]
+    if np.count_nonzero(weights[:, None, :] @ mats.astype(a.dtype, copy=False)):
+        raise AssertionError("witness fails the annihilation identity")
+    if np.count_nonzero(weights) < n * np.count_nonzero(feasible):
+        raise AssertionError("witness has a zero coordinate")
+    return feasible, weights, q[:, 0, 0]
 
 
 def friedman_witness(classes: ClassMatrix):
-    """An all-nonzero exact combination annihilating the class vectors, or None.
-
-    The system sum_i lambda_i classes.rows[i] = 0 is eliminated
-    fraction-free to rows R with pivots p_r.  The kernel basis vector of
-    free column f_j is 1 at f_j and -R[r][f_j] / p_r at pivot column r.
-    Feasibility holds iff every coordinate is nonzero in some basis vector
-    (a vector space over an infinite field is never a finite union of proper
-    subspaces).  The witness sum_j s^j (basis vector j) takes the first
-    s = 1, 2, ... with every P_r(s) = sum_j R[r][f_j] s^j nonzero; each P_r
-    has degree < dim(kernel), so at most n_classes * dim(kernel) values of s
-    fail.  The witness is built as integer weights over one denominator,
-    the lcm of the p_r (which _integer_rref leaves all equal), checked
-    exactly on those integers, and returned as the Fractions
-    weight / denominator.
-    """
-    n = classes.n_classes
-    mat = [list(col) for col in zip(*classes.rows)]
-    pivots = _integer_rref(mat, n)
-    free = [c for c in range(n) if c not in pivots]
-    coeffs = [[row[f] for f in free] for row in mat[: len(pivots)]]
-    if not free or not all(map(any, coeffs)):
-        return None
-    bound = n * len(free) + 1
-    for s in range(1, bound + 1):
-        powers = [s**j for j in range(len(free))]
-        values = [sum(map(operator.mul, row, powers)) for row in coeffs]
-        if all(values):
-            heads = [row[pcol] for row, pcol in zip(mat, pivots)]
-            denominator = math.lcm(*heads)
-            weights = [0] * n
-            for f, w in zip(free, powers):
-                weights[f] = denominator * w
-            for pcol, value, p in zip(pivots, values, heads):
-                weights[pcol] = -value * (denominator // p)
-            for column in zip(*classes.rows):
-                if sum(map(operator.mul, weights, column)):
-                    raise AssertionError("witness fails the annihilation identity")
-            if not all(weights):
-                raise AssertionError("witness has a zero coordinate")
-            return [Fraction(w, denominator) for w in weights]
-    raise AssertionError("witness search exceeded its deterministic bound")
+    """friedman_witnesses on the stack of one matrix, as Fractions or None."""
+    try:
+        stack = np.array([classes.rows], dtype=np.int64)
+    except OverflowError:
+        stack = np.array([classes.rows], dtype=object)
+    feasible, weights, denominators = friedman_witnesses(stack)
+    return [Fraction(w, int(denominators[0])) for w in weights[0].tolist()] if feasible[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +224,14 @@ class TransitionRecord:
         )
 
 
+class BookkeepingError(ValueError):
+    """A refusal of apply_topology_change; names holds the inputs it quotes."""
+
+    def __init__(self, message: str, *names: str):
+        super().__init__(message)
+        self.names = names
+
+
 def apply_topology_change(
     h11: int, h21: int, betti, N: int, k: int, c: int, name: str = "", note: str = ""
 ) -> TransitionRecord:
@@ -209,15 +240,16 @@ def apply_topology_change(
     grows by 2c, b1 is unchanged."""
     b1, b2, b3 = betti
     inputs = {"h11": h11, "h21": h21, "b1": b1, "b2": b2, "b3": b3, "k": k, "c": c}
-    negative = [f"{name}={value}" for name, value in inputs.items() if value < 0]
+    negative = {name: value for name, value in inputs.items() if value < 0}
     if negative:
-        raise ValueError(f"inputs must be nonnegative, got {', '.join(negative)}")
+        got = ", ".join(f"{name}={value}" for name, value in negative.items())
+        raise BookkeepingError(f"inputs must be nonnegative, got {got}", *negative)
     if N != k + c:
-        raise ValueError(f"node count must split: N={N}, k+c={k + c}")
+        raise BookkeepingError(f"node count must split: N={N}, k+c={k + c}", "N")
     if h11 < k:
-        raise ValueError(f"h11={h11} < k={k}: contraction would leave a negative Hodge number")
+        raise BookkeepingError(f"h11={h11} < k={k}: contraction would leave a negative Hodge number", "h11", "k")
     if b2 < k:
-        raise ValueError(f"b2={b2} < k={k}: contraction would leave a negative Betti number")
+        raise BookkeepingError(f"b2={b2} < k={k}: contraction would leave a negative Betti number", "b2", "k")
     return TransitionRecord(
         name=name,
         N=N,

@@ -37,7 +37,10 @@ against.  None of them runs on the package's own code paths.
   fiber.
 * transitions: Gauss-Jordan elimination over Fractions, the kernel basis
   built from it and the smoothability witness searched over that basis and
-  checked in Fractions (kernel_basis_witness); a sparse polynomial in four
+  checked in Fractions (kernel_basis_witness); fraction-free (Bareiss)
+  Gauss-Jordan elimination on Python lists, one matrix at a time, and the
+  witness built from it in integers (integer_rref_witness, the oracle for
+  the stacked kernel's elimination and weights); a sparse polynomial in four
   variables with derivatives rebuilt term by term (Polynomial4), which
   gives the Dwork quintic and the non-Dwork polynomials of the double-point
   tests; the double-point certificate one point at a time
@@ -63,6 +66,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -767,6 +771,74 @@ def fraction_rref(mat: list[list], n: int) -> list[int]:
         if row == m:
             break
     return pivots
+
+
+def integer_rref(mat: list[list], n: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination in place over the integers
+    (Bareiss 1968), on lists: with pivot p and the previous pivot q (1 at
+    the start), every other row r becomes (p * r - f * r_pivot) // q, f its
+    entry in the pivot column, the pivot row being the first nonzero one at
+    or below the current row, swapped up.  Every entry is then a minor of
+    the input, so the division is exact, and each pivot row ends with the
+    last pivot in its pivot column and zeros in every other pivot column.
+    Returns the pivot columns."""
+    m = len(mat)
+    pivots: list[int] = []
+    row, q = 0, 1
+    for col in range(n):
+        for pivot in range(row, m):
+            if mat[pivot][col]:
+                break
+        else:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        prow = mat[row]
+        p = prow[col]
+        for r in range(m):
+            if r != row:
+                f = mat[r][col]
+                mat[r] = [(p * a - f * b) // q for a, b in zip(mat[r], prow)]
+        q = p
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return pivots
+
+
+def integer_rref_witness(rows):
+    """The smoothability witness of integer class vectors by integer_rref,
+    one matrix at a time: the kernel basis vector of free column f_j is 1
+    at f_j and -R[r][f_j] / p_r at pivot column r, and the witness
+    sum_j s^j (basis vector j) takes the first s = 1, 2, ... with every
+    P_r(s) = sum_j R[r][f_j] s^j nonzero.  Built as integer weights over the
+    lcm of the pivots, checked on those integers and returned as Fractions,
+    or None when some class vanishes in every relation."""
+    n = len(rows)
+    mat = [list(col) for col in zip(*rows)]
+    pivots = integer_rref(mat, n)
+    free = [c for c in range(n) if c not in pivots]
+    coeffs = [[row[f] for f in free] for row in mat[: len(pivots)]]
+    if not free or not all(map(any, coeffs)):
+        return None
+    for s in range(1, n * len(free) + 2):
+        powers = [s**j for j in range(len(free))]
+        values = [sum(map(operator.mul, row, powers)) for row in coeffs]
+        if all(values):
+            heads = [row[pcol] for row, pcol in zip(mat, pivots)]
+            denominator = math.lcm(*heads)
+            weights = [0] * n
+            for f, w in zip(free, powers):
+                weights[f] = denominator * w
+            for pcol, value, p in zip(pivots, values, heads):
+                weights[pcol] = -value * (denominator // p)
+            for column in zip(*rows):
+                if sum(map(operator.mul, weights, column)):
+                    raise AssertionError("witness fails the annihilation identity")
+            if not all(weights):
+                raise AssertionError("witness has a zero coordinate")
+            return [Fraction(w, denominator) for w in weights]
+    raise AssertionError("witness search exceeded its deterministic bound")
 
 
 def fraction_kernel_basis(columns: list[list]) -> list[list]:

@@ -283,7 +283,7 @@ class TestFriedmanCommand:
 
     @pytest.mark.parametrize("n,m", [(3, 2), (6, 3), (15, 14), (40, 10), (125, 24)])
     def test_reports_match_between_kernel_paths(self, n, m, tmp_path, monkeypatch):
-        """The integer-row witness search and the Fraction kernel-basis oracle
+        """The stacked integer solver and the Fraction kernel-basis oracle
         give byte-identical reports on a feasible and an infeasible class
         matrix."""
         rng = random.Random(n * m)
@@ -293,11 +293,9 @@ class TestFriedmanCommand:
         # one row alone is nonzero in the first column: infeasible
         infeasible = [[0] + row[1:] for row in feasible]
         infeasible[0][0] = 1
-        integer_rref = transitions._integer_rref
+        solve = transitions.friedman_witnesses
         calls = []
-        monkeypatch.setattr(
-            transitions, "_integer_rref", lambda *a: calls.append(a) or integer_rref(*a)
-        )
+        monkeypatch.setattr(transitions, "friedman_witnesses", lambda mats: calls.append(mats) or solve(mats))
         for rows, expected in ((feasible, True), (infeasible, False)):
             argv = ["friedman", "--classes-json", json.dumps(rows)]
             code, integer_text = run_cli(argv, tmp_path, "integer.json")
@@ -571,7 +569,7 @@ class TestUsageErrors:
     def test_negative_input_is_named(self, capsys):
         argv = ["transition", "--h11", "1", "--h21", "1", "--N", "1", "--k", "0", "--c", "1"]
         assert cli.main(argv + ["--betti", "0,-3,0"]) == 2
-        assert capsys.readouterr().err == "error: inputs must be nonnegative, got b2=-3\n"
+        assert capsys.readouterr().err == "error: --betti: inputs must be nonnegative, got b2=-3\n"
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -581,8 +579,8 @@ class TestUsageErrors:
             (["hodge", "--n", "4", "--d", "301"], "--d: degree d must lie in [1, 300], got 301"),
             (["slag", "--t", "1", "--resolution", "100000"], "--resolution: resolution must be <= 256, got 100000"),
             (["slag", "--t", "1", "--resolution", "258"], "--resolution: resolution must be <= 256, got 258"),
-            (["slag", "--t", "1e-300"], "|t| must lie in [1e-200, 1e+200], got 1e-300"),
-            (["slag", "--t", "1e300@45"], "|t| must lie in [1e-200, 1e+200], got 1e+300"),
+            (["slag", "--t", "1e-300"], "--t: |t| must lie in [1e-200, 1e+200], got 1e-300"),
+            (["slag", "--t", "1e300@45"], "--t: |t| must lie in [1e-200, 1e+200], got 1e+300"),
             (["metric", "--family", "resolved", "--a", "1e-300"],
              "--a: the resolution parameter a must lie in [1e-20, 1e+20], got 1e-300"),
             (["metric", "--family", "resolved", "--a", "1e30"],
@@ -626,7 +624,7 @@ class TestUsageErrors:
              "--t: the smoothing parameter |t| must lie in [1e-20, 1e+20], got {!r}"),
             (["metric", "--family", "resolved", "--a"], math.nextafter(metrics.PARAMETER_MAX, math.inf),
              "--a: the resolution parameter a must lie in [1e-20, 1e+20], got {!r}"),
-            (["slag", "--t"], math.nextafter(slag.MIN_ABS_T, 0.0), "|t| must lie in [1e-200, 1e+200], got {!r}"),
+            (["slag", "--t"], math.nextafter(slag.MIN_ABS_T, 0.0), "--t: |t| must lie in [1e-200, 1e+200], got {!r}"),
             (["metric", "--family", "cone", "--tau-min", "1", "--tau-max"],
              math.nextafter(metrics.TAU_WINDOW["cone"][1], math.inf),
              "--tau-min/--tau-max: the cone family needs taus in [1e-150, 1e+150], got [1.0, {!r}]"),
@@ -772,8 +770,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["slag", "--t", "nan"], "the vanishing cycle needs a finite t, got (nan+0j)"),
-            (["slag", "--t", "inf"], "the vanishing cycle needs a finite t, got (inf+0j)"),
+            (["slag", "--t", "nan"], "--t: the vanishing cycle needs a finite t, got (nan+0j)"),
+            (["slag", "--t", "inf"], "--t: the vanishing cycle needs a finite t, got (inf+0j)"),
             (["metric", "--family", "resolved", "--a", "inf"],
              "--a: the resolution parameter a must be finite, got inf"),
             (["metric", "--family", "smoothed", "--t", "nan"],

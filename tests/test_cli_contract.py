@@ -98,13 +98,31 @@ REFUSALS = [
      "--a: the resolution parameter a must lie in [1e-20, 1e+20], got 0.0"),
     (["slag", "--resolution", "9"], "--resolution: resolution must be even, got 9"),
     (["slag", "--resolution", "7"], "--resolution: resolution must be >= 8, got 7"),
+    (["slag", "--t", "1e-300"], "--t: |t| must lie in [1e-200, 1e+200], got 1e-300"),
+    (["slag", "--t", "nan"], "--t: the vanishing cycle needs a finite t, got (nan+0j)"),
+    # the bookkeeping's refusals, named by the flags of the inputs they quote
+    (["transition", "--betti", "0,-3,2", "--h11", "1", "--h21", "1", "--N", "1", "--k", "0", "--c", "1"],
+     "--betti: inputs must be nonnegative, got b2=-3"),
+    (["transition", "--h11", "-1", "--betti=-1,1,2", "--h21", "1", "--N", "1", "--k", "0", "--c", "1"],
+     "--h11/--betti: inputs must be nonnegative, got h11=-1, b1=-1"),
+    (["transition", "--N", "-1", "--h11", "1", "--h21", "1", "--k", "0", "--c", "1", "--betti", "0,1,2"],
+     "--N: node count must split: N=-1, k+c=1"),
+    (["transition", "--k", "2", "--h11", "1", "--h21", "1", "--N", "2", "--c", "0", "--betti", "0,5,2"],
+     "--h11/--k: h11=1 < k=2: contraction would leave a negative Hodge number"),
+    (["transition", "--k", "2", "--betti", "0,1,2", "--h11", "5", "--h21", "1", "--N", "2", "--c", "0"],
+     "--betti/--k: b2=1 < k=2: contraction would leave a negative Betti number"),
+    # an output path that cannot be written
+    (["hodge", "--n", "4", "--d", "5", "--output", "/nonexistent/x.json"],
+     "--output: [Errno 2] No such file or directory: '/nonexistent/x.json'"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", REFUSALS, ids=[" ".join(argv)[:40] for argv, _ in REFUSALS])
 def test_refusal_is_one_error_line(argv, message, tmp_path):
     out = tmp_path / "report.json"
-    assert run(argv + ["--output", str(out)]) == (2, "", f"error: {message}\n")
+    if "--output" not in argv:
+        argv = argv + ["--output", str(out)]
+    assert run(argv) == (2, "", f"error: {message}\n")
     assert not out.exists()
 
 

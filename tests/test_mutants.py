@@ -249,13 +249,13 @@ class TestC10:
 
 class TestC11:
     def test_unsigned_pivot_entries(self, monkeypatch, tmp_path, capsys):
-        """The witness with the sign dropped from its pivot entries (the
-        integer weights at the pivot columns) no longer annihilates the
-        classes, and the solver's own check raises inside C11.  The raise is
-        C11's failure: verify-all exits 1 with a full report, and C12 still
-        runs."""
-        unsigned = _rewritten(transitions, "friedman_witness", "= -value *", "= value *")
-        monkeypatch.setattr(transitions, "friedman_witness", unsigned)
+        """The stacked solver with the sign dropped from its pivot weights
+        (the integer weights -P_r(s) at the pivot columns) no longer
+        annihilates the classes, and the solver's own check raises inside
+        C11.  The raise is C11's failure: verify-all exits 1 with a full
+        report, and C12 still runs."""
+        unsigned = _rewritten(transitions, "friedman_witnesses", "powers - values[", "powers + values[")
+        monkeypatch.setattr(transitions, "friedman_witnesses", unsigned)
         out = tmp_path / "report.json"
         assert cli.main(["verify-all", "--criteria", "C11,C12", "--output", str(out)]) == 1
         c11, c12 = json.loads(out.read_text())["results"]["criteria"]
@@ -265,22 +265,25 @@ class TestC11:
         assert capsys.readouterr().err.endswith("FAILING CRITERIA: C11\n")
 
     def test_one_feasible_class_reported_infeasible(self, monkeypatch):
-        """A solver that answers None for the one class of the 2 x 1 matrices
-        with both entries nonzero, a feasible class (lambda = (1, -1) up to
-        signs): every other answer is right, so only the exhaustive oracle
-        sees it, and it counts each of the class's four matrices."""
-        solve = transitions.friedman_witness
+        """A stacked solver that answers infeasible for the one class of the
+        2 x 1 matrices with both entries nonzero, a feasible class
+        (lambda = (1, -1) up to signs), inside the stack it solves: every
+        other answer is right, so only the exhaustive oracle sees it, and it
+        counts each of the class's four matrices."""
+        solve = transitions.friedman_witnesses
         missed = []
 
-        def misses_one(classes):
-            witness = solve(classes)
-            if classes.rows != ((-1,), (-1,)):
-                return witness
-            assert witness is not None
-            missed.append(classes)
-            return None
+        def misses_one(mats):
+            feasible, weights, denominators = solve(mats)
+            if mats.shape[1:] == (2, 1):
+                hits = np.flatnonzero((mats == -1).all(axis=(1, 2)))
+                assert feasible[hits].all()
+                missed.extend(hits)
+                feasible = feasible.copy()
+                feasible[hits] = False
+            return feasible, weights, denominators
 
-        monkeypatch.setattr(transitions, "friedman_witness", misses_one)
+        monkeypatch.setattr(transitions, "friedman_witnesses", misses_one)
         _, _, checks = criterion_11(FULL)
         assert len(missed) == 1
         assert [f.partition(":")[0] for f in checks.failures] == ["oracle_mismatches"]

@@ -25,6 +25,7 @@ from conifold_lab.transitions import (
     euler_characteristic_from_betti,
     example_catalog,
     friedman_witness,
+    friedman_witnesses,
     infer_counts,
     random_dwork_smooth_points,
     verify_dwork_point_exact,
@@ -304,18 +305,19 @@ class TestFriedmanWitness:
         assert exhaustive_friedman_agreement(4) == (559380, 0)
 
     def test_exhaustive_gate_catches_a_wrong_solver(self, monkeypatch):
-        # flip the answer of the first equivalence class the solver sees
-        real = transitions.friedman_witness
+        # flip the verdict of the first class in the first stack the solver sees
+        real = transitions.friedman_witnesses
         calls = []
 
-        def flipped(classes):
-            witness = real(classes)
-            calls.append(classes)
-            if len(calls) > 1:
-                return witness
-            return [Fraction(1)] * classes.n_classes if witness is None else None
+        def flipped(mats):
+            feasible, weights, denominators = real(mats)
+            calls.append(mats)
+            if len(calls) == 1:
+                feasible = feasible.copy()
+                feasible[0] = not feasible[0]
+            return feasible, weights, denominators
 
-        monkeypatch.setattr(transitions, "friedman_witness", flipped)
+        monkeypatch.setattr(transitions, "friedman_witnesses", flipped)
         checked, mismatches = exhaustive_friedman_agreement(2)
         assert calls and mismatches > 0
 
@@ -348,21 +350,95 @@ class TestFriedmanWitness:
         reference's np.unique counts for the class key."""
         n, m = len(rows), len(rows[0])
         key = int(reference.canonical_class_keys(np.array([rows]))[0])
-        target = ClassMatrix(reference.decode_class_key(key, n, m)).rows
-        real = transitions.friedman_witness
+        target = np.array(reference.decode_class_key(key, n, m))
+        real = transitions.friedman_witnesses
         flips = []
 
-        def flipped(classes):
-            witness = real(classes)
-            if classes.rows != target:
-                return witness
-            flips.append(classes)
-            return [Fraction(1)] * classes.n_classes if witness is None else None
+        def flipped(mats):
+            feasible, weights, denominators = real(mats)
+            if mats.shape[1:] == target.shape:
+                hits = np.flatnonzero((mats == target).all(axis=(1, 2)))
+                flips.extend(hits)
+                feasible = feasible.copy()
+                feasible[hits] ^= True
+            return feasible, weights, denominators
 
-        monkeypatch.setattr(transitions, "friedman_witness", flipped)
+        monkeypatch.setattr(transitions, "friedman_witnesses", flipped)
         _, mismatches = exhaustive_friedman_agreement(n)
         assert len(flips) == 1
         assert mismatches == reference.stacked_class_counts(n, m)[key]
+
+
+def _sign_classes(n: int, m: int) -> np.ndarray:
+    """One {-1, 0, 1} matrix per class under row order and row signs: the
+    sorted n-tuples of the first (3^m + 1) / 2 sign rows, stacked."""
+    pool = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.int8)
+    names = range((len(pool) + 1) // 2)
+    return pool[np.array(list(itertools.combinations_with_replacement(names, n)))]
+
+
+def _as_fractions(feasible, weights, denominators) -> list:
+    """The stacked solver's answers as each matrix's witness Fractions or None."""
+    return [
+        [Fraction(w, d) for w in row] if ok else None
+        for ok, row, d in zip(feasible.tolist(), weights.tolist(), denominators.tolist())
+    ]
+
+
+class TestStackedSolver:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_class_matches_the_list_oracle(self, m):
+        """Every class of sign matrices with N <= 4 rows of length m, solved
+        in one stack per shape as C11 solves them, has the witness of the
+        list Bareiss oracle, as Fractions."""
+        for n in range(1, 5):
+            mats = _sign_classes(n, m)
+            got = _as_fractions(*friedman_witnesses(mats))
+            assert got == [reference.integer_rref_witness(mat) for mat in mats.tolist()]
+
+    def test_answer_does_not_depend_on_the_batch(self):
+        """A 4 x 3 matrix gets the same answer alone and in any stack: among
+        every class, reversed, and between an infeasible neighbour and one
+        whose witness needs s = 2 (P_r(1) = 1 - 1 = 0)."""
+        mats = _sign_classes(4, 3)
+        infeasible = np.array([[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
+        second = np.array([[1, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 0, 0]])
+        assert friedman_witness(ClassMatrix(infeasible.tolist())) is None
+        assert friedman_witness(ClassMatrix(second.tolist())) == [1, 1, 2, 4]
+        together = _as_fractions(*friedman_witnesses(mats))
+        assert _as_fractions(*friedman_witnesses(mats[::-1])) == together[::-1]
+        assert None in together
+        for i in range(0, len(mats), 17):
+            alone = _as_fractions(*friedman_witnesses(mats[i : i + 1]))
+            flanked = _as_fractions(*friedman_witnesses(np.stack([infeasible, mats[i], second])))
+            assert alone == [together[i]] and flanked[1] == together[i]
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["under", "over"])
+    def test_int64_and_object_agree_at_the_overflow_bound(self, past, monkeypatch):
+        """Entries at the largest magnitude for which the bound keeps every
+        integer of a 4 x 3 stack in int64, and one past it, where the
+        elimination turns to Python integers at its third column: the
+        witnesses equal those computed in Python integers throughout."""
+        n, m = 4, 3
+        top = max(e for e in range(1, 2000) if transitions._int64_steps(n, m, [e] * n) == (n, True))
+        assert transitions._int64_steps(n, m, [top + 1] * n) == (2, False)
+        entry = top + past
+        rng = np.random.default_rng(entry)
+        generic = rng.integers(-entry, entry + 1, size=(40, n, m))
+        generic[0] = entry  # every class reaches the bound
+        paired = generic.copy()
+        paired[:, 1], paired[:, 3] = -paired[:, 0], -paired[:, 2]
+        pinned = generic.copy()
+        pinned[:, 1:, 2] = 0
+        pinned[:, 0, 2] = -entry
+        mats = np.concatenate([generic, paired, pinned])
+        found = friedman_witnesses(mats)
+        assert found[1].dtype == (object if past else np.int64)
+        monkeypatch.setattr(transitions, "_int64_steps", lambda n, m, peaks: (0, False))
+        python_ints = friedman_witnesses(mats)
+        assert python_ints[1].dtype == object
+        assert _as_fractions(*found) == _as_fractions(*python_ints)
+        assert found[0].tolist() == [True] * 80 + [False] * 40
 
 
 def _integer_classes(seed: int, n: int, m: int, kind: str) -> list[list[int]]:
@@ -413,10 +489,12 @@ class TestIntegerKernel:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_every_small_sign_matrix(self, m):
-        """Every {-1,0,1} class matrix with N <= 3 rows of length m."""
+        """Every {-1,0,1} class matrix with N <= 3 rows of length m, solved in
+        one stack per shape, has the witness of the Fraction kernel basis."""
         for n in range(1, 4):
-            for rows in reference.stacked_sign_matrices(n, m).tolist():
-                _assert_witness_matches_oracle(rows)
+            mats = reference.stacked_sign_matrices(n, m)
+            got = _as_fractions(*friedman_witnesses(mats))
+            assert got == [reference.kernel_basis_witness(rows) for rows in mats.tolist()]
 
     @given(
         st.integers(1, 40).flatmap(
