@@ -283,18 +283,18 @@ def _cmd_dwork(args) -> int:
     if args.smooth_points > MAX_SMOOTH_POINTS:
         raise ValueError(f"--smooth-points: at most {MAX_SMOOTH_POINTS} points, got {args.smooth_points}")
     assertions = Checks()
-    points = transitions.dwork_singular_points()
+    exps = transitions.dwork_exponents()
     poly = transitions.DworkQuintic()
     certs = transitions.verify_odps(poly, transitions.dwork_nodes())
-    assertions.true("count", len(points) == 125, len(points))
+    assertions.true("count", len(exps) == 125, len(exps))
     assertions.true("all_odp", all(c.is_odp for c in certs), sum(c.is_odp for c in certs))
     results = {
-        "count": len(points),
-        "points": [list(p.exponents) for p in points],
+        "count": len(exps),
+        "points": exps.tolist(),
         "min_det_margin": min(c.hessian_det / c.det_threshold for c in certs),
     }
     if args.exact:
-        exact_ok = all(transitions.verify_dwork_point_exact(p) for p in points)
+        exact_ok = bool(transitions.dwork_exact_check(exps).all())
         assertions.true("exact_cyclotomic", exact_ok)
         results["exact_cyclotomic"] = exact_ok
     if args.smooth_points:

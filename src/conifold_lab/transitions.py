@@ -14,8 +14,8 @@ Three independent pieces of machinery live here.
   (integral curve classes in the geometric case, rational ones scaled to
   integers) and returns a verdict and an exact witness for each.
 
-* The quintic pencil's nodal member: enumeration of its 125 singular
-  points, exact cyclotomic verification that they are critical, and a
+* The quintic pencil's nodal member: its 125 singular points as one array
+  of exponents, exact cyclotomic verification that they are critical, and a
   Hessian-nondegeneracy certificate that each is an ordinary double point.
   DworkQuintic evaluates the member, its gradient and its Hessian in closed
   form in the chart Z_0 = 1; the certificate accepts any polynomial object
@@ -337,67 +337,43 @@ def example_catalog() -> list[TransitionRecord]:
 # the nodal quintic pencil member
 
 
-@dataclass(frozen=True)
-class ProjectivePoint5:
-    """A point [xi^{a_0} : ... : xi^{a_4}] with fifth-root-of-unity coordinates,
-    canonicalized by the global shift so that a_0 = 0."""
-
-    exponents: tuple[int, int, int, int, int]
-
-    def __init__(self, exponents):
-        exps = tuple(int(a) % 5 for a in exponents)
-        if len(exps) != 5:
-            raise ValueError("need five exponents")
-        if sum(exps) % 5 != 0:
-            raise ValueError("exponent sum must vanish mod 5")
-        shift = exps[0]
-        object.__setattr__(self, "exponents", tuple((a - shift) % 5 for a in exps))
-
-    def to_affine(self) -> np.ndarray:
-        """Coordinates in the chart Z_0 = 1 (canonical form has a_0 = 0)."""
-        xi = cmath.exp(2j * math.pi / 5)
-        return np.array([xi**a for a in self.exponents[1:]], dtype=complex)
-
-
-def dwork_singular_points() -> list[ProjectivePoint5]:
-    """The 125 singular points of the nodal quintic pencil member: canonical
-    exponent tuples with a_0 = 0 and vanishing sum mod 5."""
-    points = []
-    for a1, a2, a3 in itertools.product(range(5), repeat=3):
-        a4 = (-(a1 + a2 + a3)) % 5
-        points.append(ProjectivePoint5((0, a1, a2, a3, a4)))
-    return points
+@functools.cache
+def dwork_exponents() -> np.ndarray:
+    """The 125 singular points [xi^{a_0} : ... : xi^{a_4}] of the nodal pencil
+    member as canonical exponent rows, shape (125, 5): a_0 = 0 by the
+    diagonal shift, a_4 = -(a_1 + a_2 + a_3) mod 5, lexicographic in
+    (a_1, a_2, a_3); computed once and read-only."""
+    head = np.array(list(itertools.product(range(5), repeat=3)))
+    exps = np.column_stack([np.zeros(125, dtype=head.dtype), head, -head.sum(axis=1) % 5])
+    exps.flags.writeable = False
+    return exps
 
 
 @functools.cache
 def dwork_nodes() -> np.ndarray:
     """The singular points' coordinates in the chart Z_0 = 1, shape (125, 4),
-    in the order of dwork_singular_points; computed once and read-only."""
-    nodes = np.array([p.to_affine() for p in dwork_singular_points()])
+    row by row those of dwork_exponents; computed once and read-only."""
+    xi = cmath.exp(2j * math.pi / 5)
+    nodes = np.array([xi**k for k in range(5)])[dwork_exponents()[:, 1:]]
     nodes.flags.writeable = False
     return nodes
 
 
-def _vanishes(terms) -> bool:
-    """Whether sum(scale * x^exp for scale, exp in terms) vanishes at a
-    primitive fifth root of unity x.  Arithmetic happens in Z[x]/(x^5 - 1) via
-    exponent bookkeeping; an element vanishes in the ring of integers of the
-    fifth cyclotomic field iff its coefficient vector is constant."""
-    coefficients = [0] * 5
-    for scale, exp in terms:
-        coefficients[exp % 5] += scale
-    return len(set(coefficients)) == 1
-
-
-def verify_dwork_point_exact(point: ProjectivePoint5) -> bool:
-    """Exact cyclotomic check that the polynomial F = sum Z_i^5 - 5 prod Z_i
-    and its full projective gradient dF/dZ_i = 5 Z_i^4 - 5 prod_{j != i} Z_j
-    vanish at the point Z_i = xi^{a_i}."""
-    a = point.exponents
-    total = sum(a)
-    return _vanishes([(1, 5 * ai) for ai in a] + [(-5, total)]) and all(
-        _vanishes([(5, 4 * ai), (-5, total - ai)]) for ai in a
-    )
+def dwork_exact_check(exps) -> np.ndarray:
+    """Exact cyclotomic check, one bool per exponent row (a_0, ..., a_4), that
+    F = sum Z_i^5 - 5 prod Z_i and its full projective gradient
+    dF/dZ_i = 5 Z_i^4 - 5 prod_{j != i} Z_j vanish at Z_i = xi^{a_i}.  Each
+    is a sum of scaled powers of a primitive fifth root x, held as its
+    coefficients in Z[x]/(x^5 - 1) (x^p is row p mod 5 of the identity); it
+    vanishes in the ring of integers of the fifth cyclotomic field iff its
+    coefficient vector is constant."""
+    a = np.asarray(exps)
+    total = a.sum(axis=1)
+    x = np.eye(5, dtype=np.int64)
+    value = x[5 * a % 5].sum(axis=1) - 5 * x[total % 5]
+    gradient = 5 * x[4 * a % 5] - 5 * x[(total[:, None] - a) % 5]
+    sums = np.concatenate([value[:, None], gradient], axis=1)
+    return np.all(sums == sums[:, :, :1], axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -601,4 +577,4 @@ def random_dwork_smooth_points(count: int, seed: int = 0) -> np.ndarray:
         keep = ~(_near_a_node(zs) | (np.hypot(values.real, values.imag) > 1e-9 * scale))
         chunks.append(zs[keep])
         found += len(chunks[-1])
-    return np.concatenate(chunks) if chunks else np.array([])
+    return np.concatenate(chunks) if chunks else np.empty((0, 4), dtype=complex)

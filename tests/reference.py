@@ -44,7 +44,10 @@ against.  None of them runs on the package's own code paths.
   variables with derivatives rebuilt term by term (Polynomial4), which
   gives the Dwork quintic and the non-Dwork polynomials of the double-point
   tests; the double-point certificate one point at a time
-  (verify_odp_per_point, the oracle for the stacked certificate) and the
+  (verify_odp_per_point, the oracle for the stacked certificate); the
+  quintic's 125 nodes enumerated from the 625 raw exponent tuples modulo
+  the diagonal shift (dwork_exponents, dwork_nodes, the oracle for the
+  package's exponent array and its coordinates); and the
   smooth-point sampler with np.roots per draw (dwork_smooth_points_per_draw,
   the oracle for the batched companion roots).
 * acceptance: exact ranks of stacked integer matrices by fraction-free
@@ -90,7 +93,6 @@ from conifold_lab.transitions import (
     DworkQuintic,
     NotOnVarietyError,
     OdpCertificate,
-    dwork_singular_points,
 )
 
 # ---------------------------------------------------------------------------
@@ -1004,13 +1006,28 @@ def verify_odp_per_point(poly, point) -> OdpCertificate:
     )
 
 
+def dwork_exponents() -> list[tuple[int, ...]]:
+    """The nodes' canonical exponent tuples: the 625 solutions of
+    sum a_i = 0 mod 5 in (Z/5)^5, each reduced by the diagonal shift (a_0
+    subtracted from every entry), as a sorted set."""
+    raw = [a for a in itertools.product(range(5), repeat=5) if sum(a) % 5 == 0]
+    return sorted({tuple((ai - a[0]) % 5 for ai in a) for a in raw})
+
+
+def dwork_nodes() -> np.ndarray:
+    """The nodes' coordinates xi^{a_1}, ..., xi^{a_4} in the chart Z_0 = 1,
+    with xi = exp(2 pi i / 5) from cmath, in the order of dwork_exponents."""
+    xi = cmath.exp(2j * math.pi / 5)
+    return np.array([[xi**a for a in exps[1:]] for exps in dwork_exponents()])
+
+
 def dwork_smooth_points_per_draw(count: int, seed: int = 0) -> np.ndarray:
     """The smooth-point sampler one draw at a time, with np.roots per draw
     (transitions.random_dwork_smooth_points batches the companion roots)."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     poly = DworkQuintic()
-    singular = np.array([p.to_affine() for p in dwork_singular_points()])
+    singular = dwork_nodes()
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -1023,7 +1040,7 @@ def dwork_smooth_points_per_draw(count: int, seed: int = 0) -> np.ndarray:
         if abs(poly(z)) > 1e-9 * (1.0 + np.max(np.abs(z))) ** 2:
             continue
         out.append(z)
-    return np.array(out)
+    return np.array(out, dtype=complex).reshape(count, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,15 @@ CLASSES = st.one_of(
 )
 FRIEDMAN = CLASSES.map(lambda text: ["friedman", "--classes-json", text])
 
-ARGV = {"hodge": HODGE, "slag": SLAG, "transition": TRANSITION, "friedman": FRIEDMAN}
+# the upper bound, 65,536 points, takes seconds, so only the value past it is drawn
+DWORK = st.builds(
+    lambda points, seed, exact: ["dwork", "--smooth-points", points, "--seed", seed] + (["--exact"] if exact else []),
+    _count(0, 20, ["0"], ["-1", str(cli.MAX_SMOOTH_POINTS + 1)]),
+    _SMALL,
+    st.booleans(),
+)
+
+ARGV = {"hodge": HODGE, "slag": SLAG, "transition": TRANSITION, "friedman": FRIEDMAN, "dwork": DWORK}
 
 
 @pytest.mark.parametrize("command", sorted(ARGV))

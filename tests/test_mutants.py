@@ -300,3 +300,15 @@ class TestC12:
         _, _, checks = criterion_12(FULL)
         assert [f.partition(":")[0] for f in checks.failures] == ["node_det_closed_form"]
         assert checks.details["node_det_closed_form"]["measured"] == pytest.approx(1.5**4 - 1.0)
+
+    def test_exact_check_without_the_product_term(self, monkeypatch, tmp_path):
+        """The exact check with the -5 prod Z_i term dropped from F leaves
+        F = sum Z_i^5, which is 5 at every node: no row passes, so only the
+        exact proof fails, and `dwork --exact` reports it with exit 1."""
+        mutant = _rewritten(transitions, "dwork_exact_check", " - 5 * x[total % 5]", "")
+        monkeypatch.setattr(transitions, "dwork_exact_check", mutant)
+        assert not mutant(transitions.dwork_exponents()).any()
+        assert _failures(criterion_12) == ["exact_cyclotomic_all: expected true"]
+        out = tmp_path / "report.json"
+        assert cli.main(["dwork", "--exact", "--output", str(out)]) == 1
+        assert json.loads(out.read_text())["results"]["exact_cyclotomic"] is False

@@ -19,16 +19,16 @@ from conifold_lab.transitions import (
     ClassMatrix,
     DworkQuintic,
     NotOnVarietyError,
-    ProjectivePoint5,
     apply_topology_change,
-    dwork_singular_points,
+    dwork_exact_check,
+    dwork_exponents,
+    dwork_nodes,
     euler_characteristic_from_betti,
     example_catalog,
     friedman_witness,
     friedman_witnesses,
     infer_counts,
     random_dwork_smooth_points,
-    verify_dwork_point_exact,
     verify_odp,
     verify_odps,
 )
@@ -611,44 +611,51 @@ class TestBatchedRank:
             _shared_minor_ranks(np.moveaxis(np.zeros((1, 2, 4), dtype=np.int64), -2, 0))
 
 
+# every exponent tuple in (Z/5)^5, in lexicographic order
+ALL_EXPONENTS = np.array(list(itertools.product(range(5), repeat=5)))
+
+
 class TestDworkPoints:
     def test_count(self):
-        assert len(dwork_singular_points()) == 125
+        assert dwork_exponents().shape == (125, 5)
 
     def test_contains_unit_point(self):
-        assert any(p.exponents == (0, 0, 0, 0, 0) for p in dwork_singular_points())
+        assert [0, 0, 0, 0, 0] in dwork_exponents().tolist()
 
     def test_canonical_form(self):
-        for p in dwork_singular_points():
-            assert p.exponents[0] == 0
-            assert sum(p.exponents) % 5 == 0
+        exps = dwork_exponents()
+        assert np.all(exps[:, 0] == 0)
+        assert np.all(exps.sum(axis=1) % 5 == 0)
+
+    def test_built_once_and_read_only(self):
+        assert dwork_exponents() is dwork_exponents() and dwork_nodes() is dwork_nodes()
+        for array in (dwork_exponents(), dwork_nodes()):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+
+    def test_matches_the_independent_enumeration(self):
+        """The exponent rows equal the oracle's tuples, in its order, and
+        the node coordinates equal its cmath coordinates bit for bit."""
+        assert dwork_exponents().tolist() == [list(exps) for exps in reference.dwork_exponents()]
+        assert dwork_nodes().dtype == complex and dwork_nodes().shape == (125, 4)
+        assert np.array_equal(_bits(dwork_nodes()), _bits(reference.dwork_nodes()))
 
     def test_shift_quotient(self):
         # the raw solution set has 625 tuples; the 5-fold shift identifies them
-        raw = [
-            exps
-            for exps in itertools.product(range(5), repeat=5)
-            if sum(exps) % 5 == 0
-        ]
+        raw = ALL_EXPONENTS[ALL_EXPONENTS.sum(axis=1) % 5 == 0]
         assert len(raw) == 625
-        canonical = {ProjectivePoint5(exps).exponents for exps in raw}
-        assert len(canonical) == 125
+        assert np.array_equal(np.unique((raw - raw[:, :1]) % 5, axis=0), dwork_exponents())
 
     def test_exact_cyclotomic_verification(self):
-        assert all(verify_dwork_point_exact(p) for p in dwork_singular_points())
+        verdicts = dwork_exact_check(dwork_exponents())
+        assert verdicts.shape == (125,) and verdicts.all()
 
     def test_exact_check_refuses_points_off_the_singular_locus(self):
         """Negative control: over every exponent tuple, the check holds
-        exactly for the 625 whose sum vanishes mod 5.  The points are built
-        without the constructor, which refuses the others."""
-        accepted = []
-        for exps in itertools.product(range(5), repeat=5):
-            point = object.__new__(ProjectivePoint5)
-            object.__setattr__(point, "exponents", exps)
-            if verify_dwork_point_exact(point):
-                accepted.append(exps)
-        assert accepted == [exps for exps in itertools.product(range(5), repeat=5) if sum(exps) % 5 == 0]
-        assert len(accepted) == 625
+        exactly for the 625 whose sum vanishes mod 5."""
+        verdicts = dwork_exact_check(ALL_EXPONENTS)
+        assert np.array_equal(verdicts, ALL_EXPONENTS.sum(axis=1) % 5 == 0)
+        assert verdicts.sum() == 625
 
     def test_unit_point_by_direct_substitution(self):
         poly = DworkQuintic()
@@ -658,14 +665,9 @@ class TestDworkPoints:
 
     def test_float_verification(self):
         poly = DworkQuintic()
-        for p in dwork_singular_points():
-            z = p.to_affine()
+        for z in reference.dwork_nodes():
             assert abs(poly(z)) < 1e-10
             assert np.max(np.abs(poly.gradient(z))) < 1e-10
-
-    def test_rejects_bad_exponents(self):
-        with pytest.raises(ValueError):
-            ProjectivePoint5((1, 0, 0, 0, 0))
 
 
 def _assert_matches_term_by_term(z) -> None:
@@ -684,8 +686,7 @@ class TestDworkQuintic:
     bits."""
 
     def test_nodes(self):
-        for p in dwork_singular_points():
-            z = p.to_affine()
+        for z in reference.dwork_nodes():
             _assert_matches_term_by_term(z)
             assert verify_odp(DworkQuintic(), z) == verify_odp(reference.dwork_polynomial(), z)
 
@@ -752,8 +753,8 @@ class TestVerifyOdp:
 
     def test_all_pencil_nodes_certified(self):
         poly = DworkQuintic()
-        for p in dwork_singular_points():
-            cert = verify_odp(poly, p.to_affine())
+        for z in reference.dwork_nodes():
+            cert = verify_odp(poly, z)
             assert cert.is_odp
             assert cert.hessian_det > cert.det_threshold
 
@@ -763,7 +764,8 @@ class TestVerifyOdp:
 
     def test_smooth_points_not_singular(self):
         poly = DworkQuintic()
-        assert len(random_dwork_smooth_points(0)) == 0
+        empty = random_dwork_smooth_points(0)
+        assert empty.shape == (0, 4) and empty.dtype == complex
         with pytest.raises(ValueError):
             random_dwork_smooth_points(-1)
         for z in random_dwork_smooth_points(200, seed=0):
@@ -807,7 +809,7 @@ class TestStackedCertificate:
 
     def test_nodes_match_the_per_point_oracle(self):
         poly = DworkQuintic()
-        nodes = [p.to_affine() for p in dwork_singular_points()]
+        nodes = reference.dwork_nodes()
         assert verify_odps(poly, nodes) == [reference.verify_odp_per_point(poly, z) for z in nodes]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -832,7 +834,7 @@ class TestStackedCertificate:
 
     def test_first_point_off_the_variety_raises_its_own_message(self):
         poly = DworkQuintic()
-        nodes = [p.to_affine() for p in dwork_singular_points()[:5]]
+        nodes = list(reference.dwork_nodes()[:5])
         first, second = np.array([10.0, 0, 0, 0]), np.array([0, 3.0, 0, 0])
         message = str(pytest.raises(NotOnVarietyError, reference.verify_odp_per_point, poly, first).value)
         assert message != str(pytest.raises(NotOnVarietyError, reference.verify_odp_per_point, poly, second).value)
