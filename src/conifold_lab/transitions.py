@@ -31,6 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +60,8 @@ def _as_exact(value) -> int | Fraction:
             raise ValueError(f"entry {abbreviated(repr(value))} is not a rational number") from None
     if isinstance(value, float):
         if not value.is_integer():
-            raise TypeError(f"class vectors must be exact; got the non-integral float {value!r}")
+            kind = "non-integral" if math.isfinite(value) else "non-finite"
+            raise TypeError(f"class vectors must be exact; got the {kind} float {value!r}")
         return int(value)
     raise TypeError(f"unsupported class-vector entry {abbreviated(repr(value))} of type {type(value).__name__}")
 
@@ -434,20 +436,16 @@ class NotOnVarietyError(ValueError):
     """Raised when the queried point does not satisfy the polynomial equation."""
 
 
-@dataclass
-class OdpCertificate:
-    """Diagnostics of the double-point test at one point."""
+class OdpRecord(NamedTuple):
+    """Diagnostics of the double-point test: read-only arrays with one entry
+    per point."""
 
-    status: str  # "odp" | "degenerate_singularity" | "not_singular"
-    value: float
-    gradient_norm: float
-    hessian_det: float
-    hessian_scale: float
-    det_threshold: float
-
-    @property
-    def is_odp(self) -> bool:
-        return self.status == "odp"
+    status: np.ndarray  # "odp" | "degenerate_singularity" | "not_singular"
+    value: np.ndarray
+    gradient_norm: np.ndarray
+    hessian_det: np.ndarray
+    hessian_scale: np.ndarray
+    det_threshold: np.ndarray
 
 
 ODP_DET_RTOL = 1e-8
@@ -455,13 +453,13 @@ ODP_VALUE_TOL = 1e-8
 ODP_GRADIENT_TOL = 1e-6
 
 
-def _scale_refs(zs: np.ndarray) -> list[float]:
+def _scale_refs(zs: np.ndarray) -> np.ndarray:
     """(1 + max_i |z_i|)^2 per point, squared on Python floats: libm's pow,
     which numpy's array square does not reproduce."""
-    return [(1.0 + m) ** 2 for m in np.max(np.abs(zs), axis=1).tolist()]
+    return np.array([(1.0 + m) ** 2 for m in np.max(np.abs(zs), axis=1).tolist()])
 
 
-def verify_odps(poly, points) -> list[OdpCertificate]:
+def verify_odps(poly, points) -> OdpRecord:
     """Certify that critical points of the polynomial are ordinary double
     points.  poly is any callable with gradient and hessian methods that
     takes a stack of points, such as DworkQuintic; the complex 4x4 Hessian
@@ -476,49 +474,33 @@ def verify_odps(poly, points) -> list[OdpCertificate]:
     one-point norm), thresholds on Python floats.
 
     Raises NotOnVarietyError at the first point that misses the
-    hypersurface; a point whose gradient does not vanish gets a
-    'not_singular' certificate.
+    hypersurface; a point whose gradient does not vanish is 'not_singular'.
     """
     zs = np.asarray(points, dtype=complex)
-    if not len(zs):
-        return []
     scale_refs = _scale_refs(zs)
     values = poly(zs)
-    values = np.hypot(values.real, values.imag).tolist()
-    for value, scale_ref in zip(values, scale_refs):
-        if value > ODP_VALUE_TOL * scale_ref:
-            raise NotOnVarietyError(f"polynomial value {value:.3e} exceeds tolerance at the point")
+    values = np.hypot(values.real, values.imag)
+    off = np.flatnonzero(values > ODP_VALUE_TOL * scale_refs)
+    if len(off):
+        raise NotOnVarietyError(f"polynomial value {values[off[0]]:.3e} exceeds tolerance at the point")
     grads = poly.gradient(zs)
-    grad_norms = np.sqrt(np.vecdot(grads.real, grads.real) + np.vecdot(grads.imag, grads.imag)).tolist()
+    grad_norms = np.sqrt(np.vecdot(grads.real, grads.real) + np.vecdot(grads.imag, grads.imag))
     hessians = poly.hessian(zs)
-    hess_scales = np.linalg.norm(hessians, 2, axis=(-2, -1)).tolist()
+    hess_scales = np.linalg.norm(hessians, 2, axis=(-2, -1))
     dets = np.linalg.det(hessians)
-    dets = np.hypot(dets.real, dets.imag).tolist()
-    certs = []
-    for scale_ref, value, grad_norm, hess_scale, det in zip(scale_refs, values, grad_norms, hess_scales, dets):
-        threshold = ODP_DET_RTOL * hess_scale**4
-        if grad_norm > ODP_GRADIENT_TOL * scale_ref:
-            status = "not_singular"
-        elif det > threshold:
-            status = "odp"
-        else:
-            status = "degenerate_singularity"
-        certs.append(
-            OdpCertificate(
-                status=status,
-                value=value,
-                gradient_norm=grad_norm,
-                hessian_det=det,
-                hessian_scale=hess_scale,
-                det_threshold=threshold,
-            )
-        )
-    return certs
+    dets = np.hypot(dets.real, dets.imag)
+    thresholds = np.array([ODP_DET_RTOL * s**4 for s in hess_scales.tolist()])
+    singular = np.where(dets > thresholds, "odp", "degenerate_singularity")
+    status = np.where(grad_norms > ODP_GRADIENT_TOL * scale_refs, "not_singular", singular)
+    record = OdpRecord(status, values, grad_norms, dets, hess_scales, thresholds)
+    for field in record:
+        field.flags.writeable = False
+    return record
 
 
-def verify_odp(poly, point) -> OdpCertificate:
-    """verify_odps at one point."""
-    return verify_odps(poly, [point])[0]
+def verify_odp(poly, point) -> OdpRecord:
+    """verify_odps at one point: the record of one row."""
+    return verify_odps(poly, [point])
 
 
 def _near_a_node(zs: np.ndarray) -> np.ndarray:
@@ -573,8 +555,7 @@ def random_dwork_smooth_points(count: int, seed: int = 0) -> np.ndarray:
         roots = np.linalg.eigvals(companion)
         zs = np.column_stack([z1, z2, z3, roots[np.arange(draws), picks]])
         values = poly(zs)
-        scale = np.array(_scale_refs(zs))
-        keep = ~(_near_a_node(zs) | (np.hypot(values.real, values.imag) > 1e-9 * scale))
+        keep = ~(_near_a_node(zs) | (np.hypot(values.real, values.imag) > 1e-9 * _scale_refs(zs)))
         chunks.append(zs[keep])
         found += len(chunks[-1])
     return np.concatenate(chunks) if chunks else np.empty((0, 4), dtype=complex)

@@ -92,7 +92,6 @@ from conifold_lab.transitions import (
     ODP_VALUE_TOL,
     DworkQuintic,
     NotOnVarietyError,
-    OdpCertificate,
 )
 
 # ---------------------------------------------------------------------------
@@ -977,9 +976,14 @@ def dwork_polynomial() -> Polynomial4:
     return Polynomial4(terms)
 
 
-def verify_odp_per_point(poly, point) -> OdpCertificate:
-    """The double-point certificate one point at a time: its own spectral
-    norm and determinant per Hessian (transitions.verify_odps stacks them)."""
+# the field order of transitions.OdpRecord
+ODP_FIELDS = ("status", "value", "gradient_norm", "hessian_det", "hessian_scale", "det_threshold")
+
+
+def verify_odp_per_point(poly, point) -> tuple:
+    """The double-point certificate one point at a time, as a tuple in the
+    order of ODP_FIELDS: its own spectral norm and determinant per Hessian
+    (transitions.verify_odps stacks them)."""
     z = np.asarray(point, dtype=complex)
     scale_ref = float(1.0 + np.max(np.abs(z))) ** 2
     value = abs(poly(z))
@@ -996,14 +1000,7 @@ def verify_odp_per_point(poly, point) -> OdpCertificate:
         status = "odp"
     else:
         status = "degenerate_singularity"
-    return OdpCertificate(
-        status=status,
-        value=value,
-        gradient_norm=grad_norm,
-        hessian_det=det,
-        hessian_scale=hess_scale,
-        det_threshold=threshold,
-    )
+    return status, value, grad_norm, det, hess_scale, threshold
 
 
 def dwork_exponents() -> list[tuple[int, ...]]:

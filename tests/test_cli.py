@@ -428,6 +428,17 @@ class TestGoldenReports:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "362672c5d0f675825b30bdf81fd4cc2ffba3e05d5e3e5e24b16f0b476e9ddef0"),
+        (1, "f05c3be5d5ebd92dfabd926cbfb81d6795367562d1aee1bd757a969125e6371d"),
+    ])
+    def test_c12(self, seed, digest, tmp_path):
+        """Pins C12's reductions of the double-point record: min_det_margin,
+        node_det_closed_form and smooth_min_gradient."""
+        code, text = run_cli(["verify-all", "--full", "--criteria", "C12", "--seed", str(seed)], tmp_path)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("kind,digest", [
         ("feasible", "af39b4b314835fa2342b9f1dc7b16e1016cec8a4461aa857e714af81aba0d886"),
         ("infeasible", "989bf9f8ac5c0eb2d321dc999e3c8f6bd0060e9a6a8839af2136d03703c42b58"),
@@ -645,6 +656,13 @@ class TestUsageErrors:
         assert cli.main(argv + ["--seed", "-1", "--output", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == "error: argument --seed: expected an integer >= 0, got '-1'\n"
         assert not (tmp_path / "x").exists()
+
+    def test_decimal_digits_of_any_script_are_a_seed(self, tmp_path):
+        """A seed in Arabic-Indic digits reads as int() reads it: the same
+        report as the ASCII seed."""
+        _, arabic = run_cli(["dwork", "--smooth-points", "3", "--seed", "\u0663"], tmp_path, "a.json")
+        _, ascii_ = run_cli(["dwork", "--smooth-points", "3", "--seed", "3"], tmp_path, "b.json")
+        assert arabic and arabic == ascii_
 
     def test_cone_has_no_convergence_sweep(self, tmp_path, capsys):
         """The cone has no parameter to converge in; its request is refused

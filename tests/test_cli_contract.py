@@ -44,6 +44,9 @@ REFUSALS = [
     (["hodge", "--n", "4", "--d", "5", "--bogus"], "unrecognized arguments: --bogus"),
     (["verify-all", "--fast", "--full"], "argument --full: not allowed with argument --fast"),
     (["dwork", "--seed", "-1"], "argument --seed: expected an integer >= 0, got '-1'"),
+    # superscript digits pass str.isdigit() but not int()
+    (["dwork", "--seed", "\u00b2"], "argument --seed: expected an integer >= 0, got '\u00b2'"),
+    (["dwork", "--smooth-points", "\u00b9"], "argument --smooth-points: expected an integer >= 0, got '\u00b9'"),
     (["slag", "--resolution"], "argument --resolution: expected one argument"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'hodge', 'metric', "
                      "'slag', 'transition', 'dwork', 'friedman', 'verify-all')"),
@@ -84,6 +87,8 @@ REFUSALS = [
      "--classes-json: 'xxxxxxx... (100002 characters) is not JSON (Expecting value: line 1 column 1 (char 0))"),
     (["friedman", "--classes-json", json.dumps({"rows": "r" * 1000})],
      "--classes-json: expected a JSON array of rows, each an array of entries, got '{\"rows\"... (1014 characters)"),
+    (["friedman", "--classes-json", "[[1e400]]"], "--classes-json: class vectors must be exact; got the non-finite float inf"),
+    (["friedman", "--classes-json", "[[NaN]]"], "--classes-json: class vectors must be exact; got the non-finite float nan"),
     (["friedman", "--classes-json", json.dumps([[f"1/{p}" for p in PRIMES_BELOW_90], ["1"] * 24])],
      "--classes-json: entry '1/2' has more than 4 digits as 11884370... (35 characters), "
      "once the rows are scaled to integers"),

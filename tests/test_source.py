@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,3 +18,15 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_only_the_standard_library_and_numpy(path):
+    """numpy is the package's one runtime dependency: every import names the
+    standard library, numpy or the package itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+    allowed = sys.stdlib_module_names | {"numpy", "conifold_lab"}
+    outside = sorted({name for name in names if name.split(".")[0] not in allowed})
+    assert outside == [], f"{path.name}: imports {outside}"

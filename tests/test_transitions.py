@@ -686,15 +686,17 @@ class TestDworkQuintic:
     bits."""
 
     def test_nodes(self):
-        for z in reference.dwork_nodes():
+        nodes = reference.dwork_nodes()
+        for z in nodes:
             _assert_matches_term_by_term(z)
-            assert verify_odp(DworkQuintic(), z) == verify_odp(reference.dwork_polynomial(), z)
+        _assert_same_record(verify_odps(DworkQuintic(), nodes), verify_odps(reference.dwork_polynomial(), nodes))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_smooth_points(self, seed):
-        for z in random_dwork_smooth_points(200, seed):
+        sample = random_dwork_smooth_points(200, seed)
+        for z in sample:
             _assert_matches_term_by_term(z)
-            assert verify_odp(DworkQuintic(), z) == verify_odp(reference.dwork_polynomial(), z)
+        _assert_same_record(verify_odps(DworkQuintic(), sample), verify_odps(reference.dwork_polynomial(), sample))
 
     @given(
         st.lists(
@@ -711,6 +713,23 @@ class TestDworkQuintic:
 
 def _bits(a) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_same_record(record, expected) -> None:
+    """The double-point record equals the expected six columns (another
+    record, or the oracle's rows transposed) field by field, bit for bit,
+    each pair compared in their common dtype, so that no status is cut."""
+    assert record._fields == reference.ODP_FIELDS
+    assert len(expected) == len(record)
+    for field, column in zip(record, expected):
+        column = np.asarray(column)
+        dtype = np.promote_types(field.dtype, column.dtype)
+        assert np.array_equal(_bits(field.astype(dtype)), _bits(column.astype(dtype)))
+
+
+def _oracle_columns(poly, points) -> list:
+    """reference.verify_odp_per_point at each point, transposed to columns."""
+    return list(zip(*(reference.verify_odp_per_point(poly, z) for z in points)))
 
 
 class TestStackedQuintic:
@@ -740,23 +759,31 @@ class TestStackedQuintic:
 class TestVerifyOdp:
     def test_model_double_point(self):
         cert = verify_odp(reference.Polynomial4.sum_of_squares(), [0, 0, 0, 0])
-        assert cert.is_odp
-        assert cert.hessian_det == pytest.approx(16.0)
+        assert cert.status.tolist() == ["odp"]
+        assert cert.hessian_det[0] == pytest.approx(16.0)
 
     def test_cubic_direction_is_degenerate(self):
         poly = reference.Polynomial4(
             {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 3): 1}
         )
         cert = verify_odp(poly, [0, 0, 0, 0])
-        assert cert.status == "degenerate_singularity"
-        assert not cert.is_odp
+        assert cert.status.tolist() == ["degenerate_singularity"]
 
     def test_all_pencil_nodes_certified(self):
-        poly = DworkQuintic()
-        for z in reference.dwork_nodes():
-            cert = verify_odp(poly, z)
-            assert cert.is_odp
-            assert cert.hessian_det > cert.det_threshold
+        record = verify_odps(DworkQuintic(), reference.dwork_nodes())
+        assert record.status.tolist() == ["odp"] * 125
+        assert np.all(record.hessian_det > record.det_threshold)
+
+    def test_one_row_of_read_only_arrays(self):
+        """verify_odp is verify_odps on a stack of one point, and no field of
+        the record can be written."""
+        z = reference.dwork_nodes()[7]
+        cert = verify_odp(DworkQuintic(), z)
+        _assert_same_record(cert, verify_odps(DworkQuintic(), z[None, :]))
+        for field in cert:
+            assert field.shape == (1,) and not field.flags.writeable
+        with pytest.raises(ValueError):
+            cert.hessian_det[0] = 0.0
 
     def test_off_variety_raises(self):
         with pytest.raises(NotOnVarietyError):
@@ -768,10 +795,9 @@ class TestVerifyOdp:
         assert empty.shape == (0, 4) and empty.dtype == complex
         with pytest.raises(ValueError):
             random_dwork_smooth_points(-1)
-        for z in random_dwork_smooth_points(200, seed=0):
-            cert = verify_odp(poly, z)
-            assert cert.status == "not_singular"
-            assert cert.gradient_norm > 1e-3
+        record = verify_odps(poly, random_dwork_smooth_points(200, seed=0))
+        assert record.status.tolist() == ["not_singular"] * 200
+        assert np.all(record.gradient_norm > 1e-3)
 
     def test_polynomial_calculus(self):
         poly = reference.Polynomial4({(2, 1, 0, 0): 3.0, (0, 0, 0, 1): -1.0})
@@ -805,18 +831,18 @@ def _mixed_points(rng: np.random.Generator, size: int) -> np.ndarray:
 
 class TestStackedCertificate:
     """verify_odps stacks the Hessians for one spectral norm and one det
-    call; every certificate keeps the per-point oracle's bits."""
+    call; every row of its record keeps the per-point oracle's bits."""
 
     def test_nodes_match_the_per_point_oracle(self):
         poly = DworkQuintic()
         nodes = reference.dwork_nodes()
-        assert verify_odps(poly, nodes) == [reference.verify_odp_per_point(poly, z) for z in nodes]
+        _assert_same_record(verify_odps(poly, nodes), _oracle_columns(poly, nodes))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_smooth_samples_match_the_per_point_oracle(self, seed):
         poly = DworkQuintic()
         sample = random_dwork_smooth_points(200, seed)
-        assert verify_odps(poly, sample) == [reference.verify_odp_per_point(poly, z) for z in sample]
+        _assert_same_record(verify_odps(poly, sample), _oracle_columns(poly, sample))
 
     def test_a_row_does_not_depend_on_its_batch(self):
         poly = _mixed_singularities()
@@ -824,12 +850,11 @@ class TestStackedCertificate:
         statuses = set()
         for _ in range(12):
             batch = _mixed_points(rng, int(rng.integers(1, 65)))
-            certs = verify_odps(poly, batch)
-            assert len(certs) == len(batch)
-            for z, cert in zip(batch, certs):
-                assert cert == verify_odps(poly, z[None, :])[0]
-                assert cert == reference.verify_odp_per_point(poly, z)
-                statuses.add(cert.status)
+            record = verify_odps(poly, batch)
+            _assert_same_record(record, _oracle_columns(poly, batch))
+            for i, z in enumerate(batch):
+                _assert_same_record(verify_odps(poly, z[None, :]), [field[i : i + 1] for field in record])
+            statuses.update(record.status.tolist())
         assert statuses == {"odp", "degenerate_singularity", "not_singular"}
 
     def test_first_point_off_the_variety_raises_its_own_message(self):
@@ -842,7 +867,8 @@ class TestStackedCertificate:
             verify_odps(poly, nodes[:2] + [first] + nodes[2:] + [second])
 
     def test_empty_batch(self):
-        assert verify_odps(DworkQuintic(), np.empty((0, 4), dtype=complex)) == []
+        record = verify_odps(DworkQuintic(), np.empty((0, 4), dtype=complex))
+        assert [field.shape for field in record] == [(0,)] * 6
 
 
 class TestBatchedSampler:
