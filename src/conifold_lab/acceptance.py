@@ -111,19 +111,15 @@ class Checks:
         return all(passed for _, passed, _, _ in self._checks)
 
 
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(4, 4)))
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 def sample_fiber_points(t: complex, taus, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Generic points (z, t) of V_t at prescribed radii: real rotations of
-    the normal form preserve both the fiber equation and the radius."""
+    the normal form preserve both the fiber equation and the radius (per
+    point, the Q of a Gaussian QR with R's diagonal positive and det Q = 1)."""
     base, t_rows = metrics.smoothed_normal_form_points(t, taus)
-    return np.array([_random_rotation(rng) @ z for z in base]), t_rows
+    q, r = np.linalg.qr(rng.normal(size=(len(base), 4, 4)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1
+    return (q @ base[:, :, None])[:, :, 0], t_rows
 
 
 def sample_resolved_points(radii, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

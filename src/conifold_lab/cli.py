@@ -15,6 +15,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -46,8 +47,53 @@ def _parse_complex(text: str) -> complex:
     return radius * cmath.exp(1j * math.radians(degrees))
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))  # the exact types the C encoder writes as one token
+
+
+@functools.cache
+def _level(depth: int):
+    """The C encoder of a container's items at depth (made once, where JSONEncoder.encode
+    makes it on every call) and the line breaks before those items and before the end."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    encode = json.encoder.c_make_encoder(None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+                                         None, ": ", "," + inner, True, False, False)
+    return (lambda value: "".join(encode(value, 0))), inner, outer
+
+
+def _to_json(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), byte for byte.  A refused
+    value raises the stdlib's own exception, which names a non-finite float (the C one does not)."""
+    try:
+        return _indented(value, 0)
+    except (TypeError, ValueError):
+        json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+        raise
+
+
+def _indented(value, depth: int) -> str:
+    """Python walks only containers of non-empty containers (one C call for the items, a stub 0 for
+    each of those); a list of non-empty lists of scalars is one call.  No scalar's text holds a line
+    break, starts with '[' or ends with ']': items split at the separator, rows at '],' + it + '['."""
+    encode, inner, outer = _level(depth)
+    if not isinstance(value, _CONTAINERS) or not value:
+        return encode(value)
+    is_dict = isinstance(value, dict)
+    kinds = set(map(type, value.values() if is_dict else value))
+    if not is_dict and kinds <= {list, tuple} and all(value) and set(map(type, itertools.chain(*value))) <= _SCALARS:
+        text = _level(depth + 1)[0](value).replace(f"],{inner}  [", f"{inner}],{inner}[{inner}  ")
+        return f"[{inner}[{inner}  {text[2:-2]}{inner}]{outer}]"
+    nested = () if kinds <= _SCALARS else {
+        k for k, v in (value.items() if is_dict else enumerate(value)) if isinstance(v, _CONTAINERS) and v}
+    if not nested:
+        text = encode(value)
+        return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+    keys = sorted(value) if is_dict else range(len(value))
+    stubs = [0 if k in nested else value[k] for k in keys]
+    text = encode(dict(zip(keys, stubs)) if is_dict else stubs)
+    items = [head[:-1] + _indented(value[k], depth + 1) if k in nested else head
+             for head, k in zip(text[1:-1].split("," + inner), keys)]
+    return f"{text[0]}{inner}{f',{inner}'.join(items)}{outer}{text[-1]}"
 
 
 def _emit_report(args, results, assertions: Checks, timings=None) -> int:
@@ -59,8 +105,7 @@ def _emit_report(args, results, assertions: Checks, timings=None) -> int:
         "assertions": assertions.items,
         "timings": (timings or {}) if args.timings else None,
     }
-    payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _write_output(args.output, payload)
+    _write_output(args.output, _to_json(report) + "\n")
     return 0 if assertions.all_passed else 1
 
 
@@ -79,8 +124,7 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
+    writer.writerows([["%.17g" % x if isinstance(x, float) else x for x in row] for row in rows])
     _write_output(path, buf.getvalue())
 
 
@@ -415,10 +459,14 @@ def vars_config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
 
 
-def _nonnegative_int(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _integer(text: str, nonnegative: bool = False) -> int:
+    """The type of an integer flag (of decimal digits only when nonnegative).  A refusal quotes
+    the text through abbreviated, so no value, one past int()'s digit limit too, makes a long message."""
+    with contextlib.suppress(ValueError):
+        if not nonnegative or text.strip().isdecimal():
+            return int(text)
+    refusal = "expected an integer >= 0, got" if nonnegative else "invalid int value:"
+    raise argparse.ArgumentTypeError(f"{refusal} {abbreviated(repr(text))}")
 
 
 # The --tol names each subcommand reads, with their defaults; the others read none.
@@ -479,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="report path (default stdout)")
-    common.add_argument("--seed", type=_nonnegative_int, default=0)
+    common.add_argument("--seed", type=functools.partial(_integer, nonnegative=True), default=0)
     common.add_argument("--timings", action="store_true", help="include wall-clock timings")
     common.add_argument("--tol", action="append", metavar="NAME=VALUE", dest="tol")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="csv: metric only")
@@ -487,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hodge", parents=[common], help="Hodge diamond of a hypersurface")
-    p.add_argument("--n", type=int, required=True, help="ambient projective dimension")
-    p.add_argument("--d", type=int, required=True, help="hypersurface degree")
+    p.add_argument("--n", type=_integer, required=True, help="ambient projective dimension")
+    p.add_argument("--d", type=_integer, required=True, help="hypersurface degree")
     p.set_defaults(func=_cmd_hodge)
 
     p = sub.add_parser("metric", parents=[common], help="radial potential sweeps")
@@ -503,28 +551,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tau-min", dest="tau_min", type=float, default=None)
     p.add_argument("--tau-max", dest="tau_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=50)
+    p.add_argument("--points", type=_integer, default=50)
     p.add_argument("--params", default=None, help="comma list of parameters (convergence sweep)")
     p.set_defaults(func=_cmd_metric)
 
     p = sub.add_parser("slag", parents=[common], help="vanishing-cycle period")
     p.add_argument("--t", default="1")
-    p.add_argument("--resolution", type=int, default=32)
+    p.add_argument("--resolution", type=_integer, default=32)
     p.set_defaults(func=_cmd_slag)
 
     p = sub.add_parser("transition", parents=[common], help="topology bookkeeping")
     p.add_argument("--catalog", action="store_true", help="emit the worked-example catalog")
-    p.add_argument("--h11", type=int, default=None)
-    p.add_argument("--h21", type=int, default=None)
+    p.add_argument("--h11", type=_integer, default=None)
+    p.add_argument("--h21", type=_integer, default=None)
     p.add_argument("--betti", default="0,0,0", help="b1,b2,b3 before transition")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--c", type=int, default=None)
+    p.add_argument("--N", type=_integer, default=None)
+    p.add_argument("--k", type=_integer, default=None)
+    p.add_argument("--c", type=_integer, default=None)
     p.set_defaults(func=_cmd_transition)
 
     p = sub.add_parser("dwork", parents=[common], help="nodal pencil member certification")
     p.add_argument("--exact", action="store_true", help="exact cyclotomic verification")
-    p.add_argument("--smooth-points", dest="smooth_points", type=_nonnegative_int, default=0)
+    p.add_argument("--smooth-points", dest="smooth_points", default=0,
+                   type=functools.partial(_integer, nonnegative=True))
     p.set_defaults(func=_cmd_dwork)
 
     p = sub.add_parser("friedman", parents=[common], help="first-order smoothability witness")

@@ -293,6 +293,20 @@ def smoothed_normal_form_point(t: complex, tau: float) -> FiberPoint:
     return FiberPoint(z[0], t)
 
 
+def sample_fiber_points_per_point(t: complex, taus, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """acceptance.sample_fiber_points one point at a time: a 4 x 4 Gaussian
+    draw, its QR, the sign fix and the determinant flip per point."""
+    base, t_rows = metrics.smoothed_normal_form_points(t, taus)
+    points = []
+    for z in base:
+        q, r = np.linalg.qr(rng.normal(size=(4, 4)))
+        q *= np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        points.append(q @ z)
+    return np.array(points), t_rows
+
+
 def cone_point(tau: float) -> FiberPoint:
     return smoothed_normal_form_point(0.0, tau)
 

@@ -12,7 +12,10 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from conifold_lab import cli, hodge, metrics, slag, transitions
@@ -417,7 +420,8 @@ def _bench_workloads():
 class TestGoldenReports:
     """The sha256 of reports of the benchmark's two heaviest exact requests,
     recorded from the per-point certificate and sampler and the gcd-reduced
-    elimination: faster kernels must give the same bytes."""
+    elimination, and of metric sweeps and a Hodge diamond: faster kernels and
+    a faster report writer must give the same bytes."""
 
     @pytest.mark.parametrize("seed,digest", [
         (0, "03c401cda424941ab4ff17b161a53d664ade1d787b5b77b56d32c3c9ae128531"),
@@ -453,6 +457,128 @@ class TestGoldenReports:
         assert code == 0
         assert json.loads(text)["results"]["feasible"] is (kind == "feasible")
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # recorded with the stdlib's pure-Python indenting encoder and a per-row CSV
+    # loop: the report layer must keep these bytes
+    @pytest.mark.parametrize("argv,digest", [
+        ("metric --family cone --sweep residuals",
+         "867a258a702581e7daa283fd78e265782ccf840ba566ae7d995279ccf9ca8e4f"),
+        ("metric --family cone --sweep deviation",
+         "d283b57f4f3220f6f6b2369b1d65328678ca0f474498fc9ff457cd47a02929b2"),
+        ("metric --family smoothed --t 0.7@40 --sweep residuals",
+         "e7ef8d412adf45fd6dcf1fc4d0a65c6cf64e7cf5da4d46d6d96da49bf5f2ffcd"),
+        ("metric --family smoothed --t 0.7@40 --sweep deviation",
+         "f87a6e86290c06028f879ce1163f5999f05f09d3054b8257a1e91f09b16291d9"),
+        ("metric --family resolved --a 1.7 --sweep residuals",
+         "1f3b98112972e7414fe83cd6fe3c8846bd3fbd6a52386d1b77e714cc233d1220"),
+        ("metric --family resolved --a 1.7 --sweep deviation",
+         "a35129a0b71f8d1aad8b79110482aa2a77a06211bacd7fa684a66bbdcc57fb76"),
+        ("metric --family smoothed --t 0.7@40 --sweep profile --format csv",
+         "8dd5c1307da2fa80eb3624f23038dc16ffb6e2d61dc7b95896cb7050dbe121e8"),
+    ])
+    def test_metric_256_points(self, argv, digest, tmp_path):
+        code, text = run_cli(argv.split() + ["--points", "256"], tmp_path)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("json", "ff4e09b4f727f92abd4b2ed2386869799d400b40c14477891ce681bf90a2bb1d"),
+        ("csv", "357d249c2d90a7e30d96c0791781d52fcc1e705c7832e254c7e1fb07e3168b27"),
+    ])
+    def test_metric_convergence(self, fmt, digest, tmp_path):
+        argv = ["metric", "--family", "resolved", "--sweep", "convergence", "--params", "1,0.5,0.25,0.125",
+                "--points", "200", "--format", fmt]
+        code, text = run_cli(argv, tmp_path)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_hodge_48(self, tmp_path):
+        code, text = run_cli(["hodge", "--n", "48", "--d", "49"], tmp_path)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ded4703ec61350bae59d4f4b9468b3ba9a984ea4b42d0e447878298a268eca16")
+
+
+def _stdlib_outcome(value):
+    """What json.dumps with the report's settings gives: its text, or the
+    type and message of what it raises."""
+    try:
+        return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _encoder_outcome(value):
+    try:
+        return cli._to_json(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# strings that look like the encoder's own separators and row breaks
+TRICKY_TEXT = ["],\n      [", "],\n  [", "\n", ",\n  ", "\u2028", '"', '\\"]', "[", "]", "{}", "é", "\x00", "😀"]
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**63 - 2, max_value=2**70),
+    FINITE_FLOATS, st.sampled_from([-0.0, 5e-324, 1e300, 0.1]), st.builds(np.float64, FINITE_FLOATS),
+    st.text(), st.text(alphabet="[]{},:\n \"\\"), st.sampled_from(TRICKY_TEXT),
+)
+KEYS = st.one_of(st.text(max_size=6), st.sampled_from(TRICKY_TEXT))
+
+
+def _json_values(leaves):
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(KEYS, children, max_size=5),
+        st.lists(st.lists(leaves, min_size=1, max_size=4), min_size=1, max_size=4),  # rows
+    ), max_leaves=30)
+
+
+class TestReportEncoder:
+    """cli._to_json against its oracle, the stdlib's pure-Python encoder:
+    the same text, or the same exception with the same message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_json_values(SCALARS))
+    def test_matches_json_dumps(self, value):
+        assert _encoder_outcome(value) == _stdlib_outcome(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_json_values(st.one_of(SCALARS, st.sampled_from(
+        [math.nan, math.inf, -math.inf, np.float64(math.nan), np.int64(3)]))))
+    def test_refuses_as_json_dumps(self, value):
+        assert _encoder_outcome(value) == _stdlib_outcome(value)
+
+    @pytest.mark.parametrize("value,name", [
+        ([[1.0, 2.0], [3.0, math.nan]], "nan"), ({"rows": [[1.0], [-math.inf]]}, "-inf"),
+        ({"a": {"b": [0.5, math.inf]}, "c": 1}, "inf"), (math.nan, "nan"),
+        ([np.float64(math.nan)], "np.float64(nan)"),
+    ])
+    def test_non_finite_float_is_named(self, value, name):
+        with pytest.raises(ValueError) as caught:
+            cli._to_json(value)
+        assert str(caught.value) == f"Out of range float values are not JSON compliant: {name}"
+
+    @pytest.mark.parametrize("value", [[np.int64(1)], {"rows": [[1, 2], [np.int64(3), 4]]}])
+    def test_numpy_integer_is_not_serializable(self, value):
+        with pytest.raises(TypeError) as caught:
+            cli._to_json(value)
+        assert str(caught.value) == "Object of type int64 is not JSON serializable"
+
+    @pytest.mark.parametrize("workload", ["potential_sweep", "exact_queries"])
+    def test_benchmark_reports_are_the_stdlib_bytes(self, workload, capsys):
+        """Every JSON report of the benchmark's round 0 at seed 1 is the
+        stdlib's text of its own parse: floats survive the round trip, so
+        this holds the encoder to the stdlib's bytes on that traffic."""
+        checked = 0
+        for op in _bench_workloads().ROUNDS[workload](1, 0):
+            assert cli.main(list(op.argv)) == 0
+            text = capsys.readouterr().out
+            if "--format" in op.argv and op.argv[op.argv.index("--format") + 1] == "csv":
+                continue
+            assert json.dumps(json.loads(text), indent=2, sort_keys=True, allow_nan=False) + "\n" == text
+            checked += 1
+        assert checked >= 8
 
 
 class TestVerifyAll:

@@ -32,6 +32,7 @@ def _no_constant(name):
 
 
 BIG_INT = "1" * 5000
+NINES, NINES_QUOTED = "9" * 5000, "'9999999... (5002 characters)"
 PRIMES_BELOW_90 = [p for p in range(2, 90) if all(p % q for q in range(2, p))]
 
 REFUSALS = [
@@ -48,6 +49,19 @@ REFUSALS = [
     (["dwork", "--seed", "\u00b2"], "argument --seed: expected an integer >= 0, got '\u00b2'"),
     (["dwork", "--smooth-points", "\u00b9"], "argument --smooth-points: expected an integer >= 0, got '\u00b9'"),
     (["slag", "--resolution"], "argument --resolution: expected one argument"),
+    # integer flags past int()'s digit limit, quoted abbreviated like every other value
+    (["dwork", "--seed", NINES], f"argument --seed: expected an integer >= 0, got {NINES_QUOTED}"),
+    (["dwork", "--smooth-points", NINES], f"argument --smooth-points: expected an integer >= 0, got {NINES_QUOTED}"),
+    (["hodge", "--n", NINES, "--d", "5"], f"argument --n: invalid int value: {NINES_QUOTED}"),
+    (["hodge", "--n", "4", "--d", "-" + NINES], "argument --d: invalid int value: '-999999... (5003 characters)"),
+    (["metric", "--family", "cone", "--points", NINES], f"argument --points: invalid int value: {NINES_QUOTED}"),
+    (["slag", "--resolution", NINES], f"argument --resolution: invalid int value: {NINES_QUOTED}"),
+    (["transition", "--h11", NINES], f"argument --h11: invalid int value: {NINES_QUOTED}"),
+    (["transition", "--h21", NINES], f"argument --h21: invalid int value: {NINES_QUOTED}"),
+    (["transition", "--N", NINES], f"argument --N: invalid int value: {NINES_QUOTED}"),
+    (["transition", "--k", NINES], f"argument --k: invalid int value: {NINES_QUOTED}"),
+    (["transition", "--c", NINES], f"argument --c: invalid int value: {NINES_QUOTED}"),
+    (["hodge", "--n", "x" * 33, "--d", "5"], "argument --n: invalid int value: 'xxxxxxx... (35 characters)"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'hodge', 'metric', "
                      "'slag', 'transition', 'dwork', 'friedman', 'verify-all')"),
     # --betti, parsed once, also beside --catalog

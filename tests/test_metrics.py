@@ -51,6 +51,7 @@ from reference import (
     ode_residual_per_point,
     point_tau,
     resolved_point_with_tau,
+    sample_fiber_points_per_point,
     smoothed_normal_form_point,
 )
 
@@ -693,6 +694,20 @@ class TestStackedResiduals:
         assert set(chart_hessians(family, coords, prof)[2].tolist()) == {1, 2}
         points = [ResolvedPoint(u, w) for u, w in zip(*coords)]
         assert _frobenius_gap(family, coords, prof, points) <= 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 0.3 - 2j])
+    def test_rotated_fiber_points_match_the_per_point_draws(self, t, seed):
+        """The stacked rotations are the per-point ones bit for bit, and
+        leave the generator where the per-point draws leave it."""
+        taus = np.logspace(math.log10(1.01 * max(abs(t), 1e-2)), 3, 100)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # C03 draws twice from one generator
+            (z, t_rows), (ref_z, ref_t_rows) = sample_fiber_points(t, taus, rng), sample_fiber_points_per_point(
+                t, taus, ref_rng)
+            assert z.shape == ref_z.shape == (100, 4)
+            assert z.tobytes() == ref_z.tobytes() and t_rows.tobytes() == ref_t_rows.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("family", WINDOW_FAMILIES, ids=WINDOW_IDS)
     def test_residuals_and_deviations_match_the_oracle(self, family):
