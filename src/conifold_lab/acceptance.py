@@ -124,16 +124,20 @@ def sample_fiber_points(t: complex, taus, rng: np.random.Generator) -> tuple[np.
 
 def sample_resolved_points(radii, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Points (u, w) of the resolution across both direction charts with the
-    given fiber radii |w|."""
-    points = []
-    for idx, radius in enumerate(radii):
-        phases = np.exp(2j * math.pi * rng.uniform(0, 1, 4))
-        ratio = rng.uniform(0.0, 0.95)
-        u = np.array([1.0, ratio]) * phases[:2] if idx % 2 == 0 else np.array([ratio, 1.0]) * phases[:2]
-        w_dir = rng.normal(size=2) + 1j * rng.normal(size=2)
-        w = radius * w_dir / np.linalg.norm(w_dir)
-        points.append(conifold.ResolvedPoint(u, w))
-    return np.array([q.u for q in points]), np.array([q.w for q in points])
+    given fiber radii |w|: drawn point by point, then computed and normalized
+    as ResolvedPoint does (max |u_i| = 1, w scaled by it) in one stack."""
+    radii = np.asarray(radii, dtype=float)
+    draws = np.empty((len(radii), 9))
+    for row in draws:
+        row[:4], row[4], row[5:] = rng.uniform(0, 1, 4), rng.uniform(0.0, 0.95), rng.normal(size=4)
+    phases = np.exp(2j * math.pi * draws[:, :2])
+    # the even points lie in the U1 chart (|U1| = 1), the odd in the U2 chart
+    u = np.where(np.arange(len(radii))[:, None] % 2 == [0, 1], 1.0, draws[:, 4:5]) * phases
+    w_dir = draws[:, 5:7] + 1j * draws[:, 7:9]
+    norm = np.sqrt(np.vecdot(w_dir.real, w_dir.real) + np.vecdot(w_dir.imag, w_dir.imag))
+    w = radii[:, None] * w_dir / norm[:, None]
+    scale = np.abs(u).max(axis=1, keepdims=True)
+    return u / scale, w * scale
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +360,9 @@ def criterion_10(profile: Profile) -> tuple[str, float, Checks]:
 
 
 def _minor_ranks(rows) -> tuple[np.ndarray, list]:
-    """Exact rank of integer matrices with m <= 3 columns, and the rank with
-    each single row deleted, as (full, [rank without row i]).
+    """Whether the rows of integer matrices with m <= 3 columns are linearly
+    independent, and the exact rank with each single row deleted, as
+    (independent, [rank without row i]).
 
     The N rows run along the first axis: N arrays (..., m) that broadcast
     against each other, or one array with the rows on axis 0 (a stack
@@ -366,9 +371,11 @@ def _minor_ranks(rows) -> tuple[np.ndarray, list]:
     that some k rows have a nonzero k x k minor: a nonzero row, a row pair
     with a nonzero 2 x 2 minor (the cross product when m = 3), a row triple
     with a nonzero triple product.  Each row subset's flag is computed once,
-    on the broadcast shape of its own rows, and shared by the full matrix
-    and by every deletion that keeps the subset's rows; only the rank sums
-    reach the shape of the whole matrix set."""
+    on the broadcast shape of its own rows, and shared by every deletion
+    that keeps the subset's rows, so no rank reaches the shape of the whole
+    matrix set.  The rows are independent iff the N-row minor flag is set,
+    which needs N <= m; the full rank is N then, and otherwise the largest
+    deleted rank (a rank r < N is reached by r rows, which leave one out)."""
     rows = [np.asarray(r) for r in rows]
     n, m = len(rows), rows[0].shape[-1]
     if m > 3:
@@ -394,7 +401,7 @@ def _minor_ranks(rows) -> tuple[np.ndarray, list]:
             c = rows[k]
             flags[i, j, k] = c[..., 0] * d12 - c[..., 1] * d02 + c[..., 2] * d01 != 0
 
-    def rank_without(deleted) -> np.ndarray:
+    def rank_without(deleted: int) -> np.ndarray:
         # a nonzero k-minor implies a nonzero (k-1)-minor, so the levels nest
         rank = np.int8(0)
         for size in range(1, min(n, m) + 1):
@@ -403,25 +410,30 @@ def _minor_ranks(rows) -> tuple[np.ndarray, list]:
                 rank = rank + functools.reduce(np.logical_or, kept)
         return rank
 
-    return rank_without(None), [rank_without(i) for i in range(n)]
+    return flags[tuple(range(n))] if n <= m else False, [rank_without(i) for i in range(n)]
 
 
 def feasibility_oracle(rows) -> np.ndarray:
     """Rank-based smoothability oracle, independent of the kernel solver:
     an all-nonzero annihilating combination exists iff deleting any single
-    class vector leaves the rank unchanged.  Takes rows as _minor_ranks
-    does, so m <= 3."""
-    full, deleted = _minor_ranks(rows)
-    return functools.reduce(np.logical_and, [d == full for d in deleted])
+    class vector leaves the rank unchanged, that is iff the rows are
+    dependent and every deletion leaves the same rank.  Takes rows as
+    _minor_ranks does, so m <= 3."""
+    independent, deleted = _minor_ranks(rows)
+    return functools.reduce(np.logical_and, [d == deleted[0] for d in deleted[1:]], np.logical_not(independent))
 
 
 @functools.cache
-def _class_tuples(names: int, n: int) -> np.ndarray:
-    """Every sorted n-tuple of the names 0 .. names - 1, in
-    combinations_with_replacement order: one read-only (classes, n) array."""
+def _classes(names: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted n-tuples of the names 0 .. names - 1, (classes, n) in
+    combinations_with_replacement order, and the class of every n-tuple,
+    sorted or not, as int16 of shape (names,) * n; both read-only."""
     tuples = np.array(list(itertools.combinations_with_replacement(range(names), n)))
-    tuples.flags.writeable = False
-    return tuples
+    index = np.empty((names,) * n, dtype=np.int16)
+    index[tuple(tuples.T)] = np.arange(len(tuples))
+    index = index[tuple(np.sort(np.indices(index.shape), axis=0))]
+    tuples.flags.writeable = index.flags.writeable = False
+    return tuples, index
 
 
 def exhaustive_friedman_agreement(max_rows: int) -> tuple[int, int]:
@@ -432,14 +444,15 @@ def exhaustive_friedman_agreement(max_rows: int) -> tuple[int, int]:
     of all 3^m sign rows laid along axis i, so the P^N matrices (P = 3^m)
     are the broadcast of N rows, first row most significant.  The oracle
     runs on every matrix: pair minors live on P^2 entries, triple products
-    on P^3, and only the rank sums fill the P^N grid.  Feasibility does not
-    change under row order or row signs; pool row k is the negation of row
-    P - 1 - k, so min(k, P - 1 - k) names a row up to sign and a class is a
-    sorted tuple of these (P + 1) / 2 names.  The classes of one shape are
-    stacked as pool[classes] and solved in one call, the verdicts fill a
-    table over all (name, ..., name) tuples (every permutation of a class),
-    and one broadcast gather gives each matrix its solver verdict.  Returns
-    (matrices checked, mismatches)."""
+    on P^3, deleted ranks on P^(N-1); only their comparisons fill the P^N
+    grid.  Feasibility does not change under row order or row signs; pool
+    row k is the negation of row P - 1 - k, so min(k, P - 1 - k) names a
+    row up to sign and a class is a sorted tuple of these (P + 1) / 2 names.
+    The classes of one shape are stacked as pool[classes] and solved in one
+    call, and the class index spreads the verdicts over every name tuple.
+    Along each axis the pool's names read 0, 1, .., (P - 1) / 2, .., 1, 0,
+    the reflect extension of 0 .. (P - 1) / 2, so the reflect extension of
+    that table gives each matrix its verdict.  Returns (checked, mismatches)."""
     checked = 0
     mismatches = 0
     for n in range(1, max_rows + 1):
@@ -449,14 +462,9 @@ def exhaustive_friedman_agreement(max_rows: int) -> tuple[int, int]:
             axes = [(1,) * i + (size,) + (1,) * (n - 1 - i) for i in range(n)]
             oracle = feasibility_oracle([pool.reshape(shape + (m,)) for shape in axes])
             names = (size + 1) // 2
-            classes = _class_tuples(names, n)
+            classes, index = _classes(names, n)
             feasible, _, _ = transitions.friedman_witnesses(pool[classes])
-            sorted_table = np.empty((names,) * n, dtype=bool)
-            sorted_table[tuple(classes.T)] = feasible
-            tuples = np.sort(np.indices((names,) * n).reshape(n, -1), axis=0)
-            table = sorted_table[tuple(tuples)].reshape((names,) * n)
-            canon = np.minimum(np.arange(size), size - 1 - np.arange(size))
-            solver = table[tuple(canon.reshape(shape) for shape in axes)]
+            solver = np.pad(feasible[index], [(0, names - 1)] * n, mode="reflect")
             checked += size**n
             mismatches += int(np.count_nonzero(solver != oracle))
     return checked, mismatches

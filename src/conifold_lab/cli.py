@@ -145,7 +145,8 @@ def _naming(flag: str):
 def _cmd_hodge(args) -> int:
     # the middle-row formula needs the Lefschetz range, n >= 3
     if not 3 <= args.n <= hodge.MAX_DIMENSION:
-        raise ValueError(f"--n: ambient projective dimension n must lie in [3, {hodge.MAX_DIMENSION}], got {args.n}")
+        raise ValueError(f"--n: ambient projective dimension n must lie in [3, {hodge.MAX_DIMENSION}], "
+                         f"got {abbreviated(str(args.n))}")
     assertions = Checks()
     with _naming("--d"):
         spec = hodge.HypersurfaceSpec(args.n, args.d)
@@ -190,7 +191,7 @@ def _cmd_metric(args) -> int:
     if args.points < 1:
         raise ValueError("empty grid: --points must be >= 1")
     if args.points > MAX_POINTS:
-        raise ValueError(f"--points: at most {MAX_POINTS} grid points, got {args.points}")
+        raise ValueError(f"--points: at most {MAX_POINTS} grid points, got {abbreviated(str(args.points))}")
     family = _family_from_args(args)
     families = [family]
     if args.sweep == "convergence":
@@ -325,7 +326,8 @@ def _cmd_transition(args) -> int:
 
 def _cmd_dwork(args) -> int:
     if args.smooth_points > MAX_SMOOTH_POINTS:
-        raise ValueError(f"--smooth-points: at most {MAX_SMOOTH_POINTS} points, got {args.smooth_points}")
+        raise ValueError(f"--smooth-points: at most {MAX_SMOOTH_POINTS} points, "
+                         f"got {abbreviated(str(args.smooth_points))}")
     assertions = Checks()
     exps = transitions.dwork_exponents()
     poly = transitions.DworkQuintic()

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from conifold_lab.transitions import abbreviated
+
 # The diamond costs about n^2 / 2 binomials of (n log2(n d))-bit integers:
 # n = 200, d = 300 takes about 0.7 s on a 2-vCPU Xeon guest.
 MAX_DIMENSION = 200
@@ -35,9 +37,10 @@ class HypersurfaceSpec:
 
     def __post_init__(self) -> None:
         if not 2 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"ambient projective dimension n must lie in [2, {MAX_DIMENSION}], got {self.n}")
+            raise ValueError(f"ambient projective dimension n must lie in [2, {MAX_DIMENSION}], "
+                             f"got {abbreviated(str(self.n))}")
         if not 1 <= self.d <= MAX_DEGREE:
-            raise ValueError(f"degree d must lie in [1, {MAX_DEGREE}], got {self.d}")
+            raise ValueError(f"degree d must lie in [1, {MAX_DEGREE}], got {abbreviated(str(self.d))}")
 
     @property
     def is_calabi_yau(self) -> bool:

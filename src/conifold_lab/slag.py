@@ -42,6 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from conifold_lab.conifold import CHART_COMPLEMENT
+from conifold_lab.transitions import abbreviated
 
 SPHERE_VOLUME = 2.0 * math.pi**2
 
@@ -154,11 +155,11 @@ def check_resolution(resolution: int) -> None:
     """Refuse a grid resolution outside [MIN_RESOLUTION, MAX_RESOLUTION] or
     odd."""
     if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {abbreviated(str(resolution))}")
     if resolution > MAX_RESOLUTION:
-        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
+        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {abbreviated(str(resolution))}")
     if resolution % 2:
-        raise ValueError(f"resolution must be even, got {resolution}")
+        raise ValueError(f"resolution must be even, got {abbreviated(str(resolution))}")
 
 
 def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:

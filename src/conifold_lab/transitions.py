@@ -244,14 +244,14 @@ def apply_topology_change(
     inputs = {"h11": h11, "h21": h21, "b1": b1, "b2": b2, "b3": b3, "k": k, "c": c}
     negative = {name: value for name, value in inputs.items() if value < 0}
     if negative:
-        got = ", ".join(f"{name}={value}" for name, value in negative.items())
+        got = ", ".join(f"{name}={abbreviated(str(value))}" for name, value in negative.items())
         raise BookkeepingError(f"inputs must be nonnegative, got {got}", *negative)
     if N != k + c:
-        raise BookkeepingError(f"node count must split: N={N}, k+c={k + c}", "N")
-    if h11 < k:
-        raise BookkeepingError(f"h11={h11} < k={k}: contraction would leave a negative Hodge number", "h11", "k")
-    if b2 < k:
-        raise BookkeepingError(f"b2={b2} < k={k}: contraction would leave a negative Betti number", "b2", "k")
+        raise BookkeepingError(f"node count must split: N={abbreviated(str(N))}, k+c={abbreviated(str(k + c))}", "N")
+    for flag, value, kind in (("h11", h11, "Hodge"), ("b2", b2, "Betti")):
+        if value < k:
+            raise BookkeepingError(f"{flag}={abbreviated(str(value))} < k={abbreviated(str(k))}: "
+                                   f"contraction would leave a negative {kind} number", flag, "k")
     return TransitionRecord(
         name=name,
         N=N,

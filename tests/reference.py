@@ -57,7 +57,10 @@ against.  None of them runs on the package's own code paths.
   over the keys (stacked_friedman_agreement, the oracle for the broadcast
   rows and the class table), and the class sizes it sees
   (stacked_class_counts).  The stacks and their classes are built once per
-  process.
+  process.  Also the per-class verdicts spread over the P^N matrices by a
+  table over sorted tuples and a broadcast gather (class_table_gather, the
+  oracle for the reflected class index), and C03's resolved sampler one
+  point at a time (sample_resolved_points_per_point).
 
 scipy is imported inside the quadrature and root-finder oracles, so that
 importing this module does not load it.
@@ -305,6 +308,21 @@ def sample_fiber_points_per_point(t: complex, taus, rng: np.random.Generator) ->
             q[:, 0] = -q[:, 0]
         points.append(q @ z)
     return np.array(points), t_rows
+
+
+def sample_resolved_points_per_point(radii, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """acceptance.sample_resolved_points one point at a time: four phases, a
+    ratio and a Gaussian direction drawn, scaled to the radius and
+    normalized by ResolvedPoint, per point."""
+    points = []
+    for idx, radius in enumerate(radii):
+        phases = np.exp(2j * math.pi * rng.uniform(0, 1, 4))
+        ratio = rng.uniform(0.0, 0.95)
+        u = np.array([1.0, ratio]) * phases[:2] if idx % 2 == 0 else np.array([ratio, 1.0]) * phases[:2]
+        w_dir = rng.normal(size=2) + 1j * rng.normal(size=2)
+        w = radius * w_dir / np.linalg.norm(w_dir)
+        points.append(ResolvedPoint(u, w))
+    return np.array([q.u for q in points]), np.array([q.w for q in points])
 
 
 def cone_point(tau: float) -> FiberPoint:
@@ -1150,6 +1168,23 @@ def stacked_class_counts(n: int, m: int) -> dict[int, int]:
     """Class key -> number of n x m sign matrices in the class."""
     keys, inverse = stacked_classes(n, m)
     return dict(zip(keys.tolist(), np.bincount(inverse).tolist()))
+
+
+def class_table_gather(values: np.ndarray, names: int, n: int) -> np.ndarray:
+    """Per-class values (one per sorted n-tuple of the names, in
+    combinations_with_replacement order) spread over the P^n matrices of n
+    pool rows, P = 2 names - 1, first row most significant: a table over the
+    sorted tuples, read at every tuple's sorted form, then gathered at
+    min(k, P - 1 - k), the name of pool row k, along every axis."""
+    size = 2 * names - 1
+    classes = np.array(list(itertools.combinations_with_replacement(range(names), n)))
+    sorted_table = np.empty((names,) * n, dtype=values.dtype)
+    sorted_table[tuple(classes.T)] = values
+    tuples = np.sort(np.indices((names,) * n).reshape(n, -1), axis=0)
+    table = sorted_table[tuple(tuples)].reshape((names,) * n)
+    canon = np.minimum(np.arange(size), size - 1 - np.arange(size))
+    axes = [(1,) * i + (size,) + (1,) * (n - 1 - i) for i in range(n)]
+    return table[tuple(canon.reshape(shape) for shape in axes)]
 
 
 def stacked_friedman_agreement(max_rows: int) -> tuple[int, int]:

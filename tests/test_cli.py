@@ -443,6 +443,18 @@ class TestGoldenReports:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "9b4bca78753cc73c96d0dc476854d51a3193010acb00a317c5fd478a45803145"),
+        (1, "4014c33e9d72b8c7eed28ac52be796c7496dc0ba65821b2468ee8256b1871e32"),
+    ])
+    def test_c03_c11(self, seed, digest, tmp_path):
+        """Recorded with the per-point resolved sampler, the full-rank oracle
+        and the sorted-table gather: pins C03's residuals and C11's count."""
+        argv = ["verify-all", "--full", "--criteria", "C03,C11", "--seed", str(seed)]
+        code, text = run_cli(argv, tmp_path)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("kind,digest", [
         ("feasible", "af39b4b314835fa2342b9f1dc7b16e1016cec8a4461aa857e714af81aba0d886"),
         ("infeasible", "989bf9f8ac5c0eb2d321dc999e3c8f6bd0060e9a6a8839af2136d03703c42b58"),

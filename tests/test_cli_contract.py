@@ -33,6 +33,9 @@ def _no_constant(name):
 
 BIG_INT = "1" * 5000
 NINES, NINES_QUOTED = "9" * 5000, "'9999999... (5002 characters)"
+# within int()'s digit limit: the flag parses, and the library's refusal quotes the value
+# (the rows below lead with other flags, so that their test ids differ from the NINES rows')
+LONG, LONG_QUOTED = "9" * 4000, "99999999... (4000 characters)"
 PRIMES_BELOW_90 = [p for p in range(2, 90) if all(p % q for q in range(2, p))]
 
 REFUSALS = [
@@ -119,6 +122,13 @@ REFUSALS = [
     (["slag", "--resolution", "7"], "--resolution: resolution must be >= 8, got 7"),
     (["slag", "--t", "1e-300"], "--t: |t| must lie in [1e-200, 1e+200], got 1e-300"),
     (["slag", "--t", "nan"], "--t: the vanishing cycle needs a finite t, got (nan+0j)"),
+    (["hodge", "--d", "5", "--n", LONG],
+     f"--n: ambient projective dimension n must lie in [3, 200], got {LONG_QUOTED}"),
+    (["hodge", "--n", "4", "--d", LONG], f"--d: degree d must lie in [1, 300], got {LONG_QUOTED}"),
+    (["metric", "--points", LONG, "--family", "cone"], f"--points: at most 32768 grid points, got {LONG_QUOTED}"),
+    (["dwork", "--seed", "0", "--smooth-points", LONG], f"--smooth-points: at most 65536 points, got {LONG_QUOTED}"),
+    (["slag", "--t", "1", "--resolution", LONG], f"--resolution: resolution must be <= 256, got {LONG_QUOTED}"),
+    (["slag", "--resolution", "-" + LONG], "--resolution: resolution must be >= 8, got -9999999... (4001 characters)"),
     # the bookkeeping's refusals, named by the flags of the inputs they quote
     (["transition", "--betti", "0,-3,2", "--h11", "1", "--h21", "1", "--N", "1", "--k", "0", "--c", "1"],
      "--betti: inputs must be nonnegative, got b2=-3"),
@@ -130,6 +140,12 @@ REFUSALS = [
      "--h11/--k: h11=1 < k=2: contraction would leave a negative Hodge number"),
     (["transition", "--k", "2", "--betti", "0,1,2", "--h11", "5", "--h21", "1", "--N", "2", "--c", "0"],
      "--betti/--k: b2=1 < k=2: contraction would leave a negative Betti number"),
+    (["transition", "--h11", "-" + LONG, "--h21", "1", "--N", "1", "--k", "0", "--c", "1", "--betti", "0,1,2"],
+     "--h11: inputs must be nonnegative, got h11=-9999999... (4001 characters)"),
+    (["transition", "--h11", "1", "--N", LONG, "--h21", "1", "--k", "0", "--c", "1", "--betti", "0,1,2"],
+     f"--N: node count must split: N={LONG_QUOTED}, k+c=1"),
+    (["transition", "--h11", "1", "--k", LONG, "--h21", "1", "--N", LONG, "--c", "0", "--betti", "0,5,2"],
+     f"--h11/--k: h11=1 < k={LONG_QUOTED}: contraction would leave a negative Hodge number"),
     # an output path that cannot be written
     (["hodge", "--n", "4", "--d", "5", "--output", "/nonexistent/x.json"],
      "--output: [Errno 2] No such file or directory: '/nonexistent/x.json'"),

@@ -52,6 +52,7 @@ from reference import (
     point_tau,
     resolved_point_with_tau,
     sample_fiber_points_per_point,
+    sample_resolved_points_per_point,
     smoothed_normal_form_point,
 )
 
@@ -707,6 +708,21 @@ class TestStackedResiduals:
                 t, taus, ref_rng)
             assert z.shape == ref_z.shape == (100, 4)
             assert z.tobytes() == ref_z.tobytes() and t_rows.tobytes() == ref_t_rows.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 17])
+    @pytest.mark.parametrize("radii", [np.logspace(-2, 2, 100), 3.7e5 * np.logspace(-6, 0, 7), [0.25]],
+                             ids=["c03", "odd-count", "one"])
+    def test_resolved_points_match_the_per_point_draws(self, radii, seed):
+        """The stacked chart magnitudes, phases, directions and ResolvedPoint
+        normalization are the per-point ones bit for bit, and leave the
+        generator where the per-point draws leave it."""
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            (u, w), (ref_u, ref_w) = sample_resolved_points(radii, rng), sample_resolved_points_per_point(
+                radii, ref_rng)
+            assert u.shape == w.shape == ref_u.shape == (len(radii), 2)
+            assert u.tobytes() == ref_u.tobytes() and w.tobytes() == ref_w.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("family", WINDOW_FAMILIES, ids=WINDOW_IDS)

@@ -13,7 +13,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from conifold_lab import cli, conifold, exterior, hodge, metrics, slag, transitions
+import reference
+from conifold_lab import acceptance, cli, conifold, exterior, hodge, metrics, slag, transitions
 from conifold_lab.acceptance import (
     Profile,
     criterion_01,
@@ -288,6 +289,24 @@ class TestC11:
         assert len(missed) == 1
         assert [f.partition(":")[0] for f in checks.failures] == ["oracle_mismatches"]
         assert checks.details["oracle_mismatches"]["measured"] == 4
+
+    def test_oracle_blind_to_independent_rows(self, monkeypatch):
+        """The rank oracle without its `not independent` term: linearly
+        independent rows lose one rank to every deletion, so their deleted
+        ranks all agree and the oracle calls them smoothable.  Only C11 runs
+        the oracle, and it counts every sign matrix with independent rows,
+        which needs N <= m."""
+        blind = _rewritten(acceptance, "feasibility_oracle", "np.logical_not(independent)", "True")
+        monkeypatch.setattr(acceptance, "feasibility_oracle", blind)
+        results = acceptance.run_criteria(FULL)
+        assert [r.cid for r in results if not r.passed] == ["C11"]
+        c11 = next(r for r in results if r.cid == "C11")
+        assert [f.partition(":")[0] for f in c11.failures] == ["oracle_mismatches"]
+        independent = sum(
+            int(np.count_nonzero(reference.batched_integer_rank(reference.stacked_sign_matrices(n, m)) == n))
+            for m in range(1, 4) for n in range(1, m + 1)
+        )
+        assert c11.details["oracle_mismatches"]["measured"] == independent
 
 
 class TestC12:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import reference
 from conifold_lab import transitions
 from conifold_lab.acceptance import (
+    _classes,
     _minor_ranks,
     exhaustive_friedman_agreement,
     feasibility_oracle,
@@ -328,6 +330,19 @@ class TestFriedmanWitness:
     def test_exhaustive_matches_the_stacked_reference(self, max_rows):
         assert exhaustive_friedman_agreement(max_rows) == reference.stacked_friedman_agreement(max_rows)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_class_index_reflected_is_the_table_gather(self, m, n):
+        """The cached class index, reflected along every axis, spreads
+        distinct per-class values over the P^N matrices exactly as the
+        sorted-table gather does, for P = 3, 9, 27 and N <= 5."""
+        names = (3**m + 1) // 2
+        _, index = _classes(names, n)
+        assert index.dtype == np.int16 and index.shape == (names,) * n and not index.flags.writeable
+        values = np.arange(math.comb(names + n - 1, n), dtype=np.int16)
+        reflected = np.pad(values[index], [(0, names - 1)] * n, mode="reflect")
+        assert np.array_equal(reflected, reference.class_table_gather(values, names, n))
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -531,9 +546,13 @@ def _assert_witness_matches_oracle(rows):
 
 
 def _shared_minor_ranks(rows):
-    """_minor_ranks with the deleted ranks stacked on the full rank's shape."""
-    full, deleted = _minor_ranks(rows)
-    return full, np.stack(np.broadcast_arrays(full, *deleted)[1:])
+    """(full rank, deleted ranks stacked on its shape) from _minor_ranks.  The
+    full rank is N where the rows are independent and the largest deleted
+    rank elsewhere, so every full rank checked against elimination or numpy
+    also checks that lemma."""
+    independent, deleted = _minor_ranks(rows)
+    deleted = np.stack(np.broadcast_arrays(independent, *deleted)[1:])
+    return np.where(independent, len(deleted), deleted.max(axis=0)), deleted
 
 
 class TestBatchedRank:
