@@ -105,6 +105,88 @@ def _int64_steps(n: int, m: int, peaks: list[int]) -> tuple[int, bool]:
     return n, witness * witness * minor_squared < 2**126
 
 
+# The 64 largest primes below 2^31, as 2^31 - d: a product of two residues stays below 2^62.
+_PRIMES = tuple(2**31 - d for d in (
+    1, 19, 61, 69, 85, 99, 105, 151, 159, 171, 225, 249, 295, 325, 379, 399, 411, 469, 477, 511, 525, 571, 579, 589, 595,
+    615, 619, 697, 699, 705, 711, 727, 771, 775, 781, 789, 829, 831, 837, 847, 885, 909, 951, 955, 967, 985, 987, 1027,
+    1057, 1065, 1071, 1141, 1147, 1167, 1231, 1239, 1281, 1287, 1299, 1305, 1321, 1357, 1375, 1411))
+
+
+def _eliminate(a, steps, primes=()):
+    """friedman_witnesses' elimination of a stack a (B, m, n): (a, q, pivot, pivot_row, open_rows).
+    From column steps on, a holds each matrix's residues modulo each of the primes: (B k, m, n)."""
+    count, m, n = a.shape
+    stack, q = np.arange(count), np.ones((count, 1, 1), dtype=a.dtype)
+    open_rows, pivot = ~np.zeros((count, m), dtype=bool), np.zeros((count, n), dtype=bool)
+    pivot_row = np.zeros((count, n), dtype=np.intp)
+    for c in range(n):
+        if c == steps:
+            a, q, open_rows, pivot, pivot_row = (x.repeat(len(primes), 0) for x in (a, q, open_rows, pivot, pivot_row))
+            moduli, count, stack = np.tile(primes, count)[:, None, None], len(a), np.arange(len(a))
+            a, q = (a % moduli).astype(np.int64), (q % moduli).astype(np.int64)
+            a[q[:, 0, 0] == 0], pivot[q[:, 0, 0] == 0], q[q == 0] = 0, False, 1  # a prime dividing q pivots nowhere
+        col = a[:, :, c]
+        candidates = open_rows & col.astype(bool)
+        r = candidates.argmax(axis=1)
+        at = (slice(None), int(r[0])) if count == 1 else (stack, r)  # a view for a stack of one
+        found = candidates[at]
+        if not np.count_nonzero(found):
+            continue
+        prow = a[at]
+        p = np.where(found[:, None, None], prow[:, None, c : c + 1], q)
+        f = (col * found[:, None])[:, :, None]
+        if c < steps:
+            a = (p * a - f * prow[:, None, :]) // q
+        else:  # in residues: the division by q is a multiplication by its inverse
+            inverse = np.array(list(map(pow, q.ravel().tolist(), [-1] * count, moduli.ravel().tolist())))[:, None, None]
+            a = p * inverse % moduli * a - f * inverse % moduli * prow[:, None, :]
+            if a.size < 2048 * len(primes):  # below 2048 entries a prime, one call costs less than k
+                a %= moduli
+            else:  # numpy divides faster by a scalar, so each prime reduces its own copies
+                for i, prime in enumerate(primes):
+                    a[i :: len(primes)] -= a[i :: len(primes)] // prime * prime
+        a[at], q = prow, p
+        open_rows[at] ^= found
+        pivot_row[:, c], pivot[:, c] = r, found
+        if c + 1 >= m and not np.count_nonzero(open_rows):
+            break
+    return a, q, pivot, pivot_row, open_rows
+
+
+def _eliminate_modular(a, steps, peaks, first=0):
+    """_eliminate's integers (dtype object) past column steps.  Each is a minor, below D, D^2 =
+    max_t t^t (peaks[0] ... peaks[t - 1])^2 (Hadamard): its residue within +-M/2 modulo the fewest
+    primes (two at least) from _PRIMES[first] on whose product M exceeds 2 D.  A prime dividing the
+    minor that takes a pivot moves or loses it, so primes agreeing on a matrix's pivots have the true
+    ones unless all divide a nonzero minor below D < M; a matrix whose primes disagree runs again
+    from the next prime on.  Garner's mixed-radix digits in int64 and one Python-integer sum rebuild
+    the integers."""
+    count, m, n = a.shape
+    bound = max(t**t * math.prod(peaks[:t]) ** 2 for t in range(1, min(n, m) + 1))
+    k = next((k for k in range(2, len(_PRIMES) + 1) if math.prod(_PRIMES[:k]) ** 2 > 4 * bound), len(_PRIMES) + 1)
+    primes = _PRIMES[first : first + k]
+    if len(primes) < k:
+        raise ValueError(f"class entries too large: their minors need more than {len(_PRIMES)} primes")
+    e, q, pivot, pivot_row, open_rows = _eliminate(a, steps, primes)
+    residues = np.concatenate([e.reshape(count, k, -1), q.reshape(count, k, 1)], axis=2)
+    keys = np.where(pivot, pivot_row, m).reshape(count, k, n)
+    digits = np.empty((k,) + residues[:, 0].shape, dtype=np.int64)
+    for i, p in enumerate(primes):  # balanced: sum_i digits[i] prod(primes[:i]) lies within +-M/2
+        radices = np.array([math.prod(primes[:j]) % p for j in range(i)]).reshape(-1, 1, 1)
+        t = (digits[:i] * radices % p).sum(axis=0) % p
+        digits[i] = (residues[:, i] - t) * pow(math.prod(primes[:i]), -1, p) % p
+        digits[i] -= p * (2 * digits[i] > p)
+    exact = (digits[-1] * primes[-2] + digits[-2]).astype(object)  # below 2^62
+    for j in range(k - 3, -1, -1):
+        exact = exact * primes[j] + digits[j]
+    found = exact[:, :-1].reshape(count, m, n), exact[:, -1:, None], pivot[::k], pivot_row[::k], open_rows[::k]
+    redo = np.flatnonzero((keys != keys[:, :1]).any(axis=(1, 2)))
+    if len(redo):
+        for whole, part in zip(found, _eliminate_modular(a[redo], steps, peaks, first + 1)):
+            whole[redo] = part
+    return found
+
+
 def friedman_witnesses(mats):
     """Smoothability of each matrix of a stack (B, n, m) of integer class
     vectors: (feasible (B,), weights (B, n), denominators (B,)), the witness
@@ -124,38 +206,19 @@ def friedman_witnesses(mats):
     first s with every P_r(s) = sum_j R[r][f_j] s^j nonzero; deg P_r < n, so
     s <= n^2 + 1, and s = 1 settles most matrices in one pass.  The integer
     weights are checked exactly: they annihilate the classes and none is
-    zero.  They are int64 as far as _int64_steps proves safe and Python
-    integers (dtype object) beyond."""
+    zero.  _int64_steps bounds how far the elimination is int64; past
+    that it runs modulo word-size primes (_eliminate_modular).  The witness
+    is int64 where it fits and Python integers (dtype object) otherwise."""
     mats = np.asarray(mats)
     count, n, m = mats.shape
     by_class = mats.transpose(1, 0, 2).reshape(n, -1)
-    peaks = map(max, map(operator.neg, by_class.min(axis=1).tolist()), by_class.max(axis=1).tolist())
-    steps, witness_fits = _int64_steps(n, m, sorted(peaks, reverse=True))
+    peaks = sorted(map(max, map(operator.neg, by_class.min(axis=1).tolist()), by_class.max(axis=1).tolist()), reverse=True)
+    steps, witness_fits = _int64_steps(n, m, peaks)
     a = mats.transpose(0, 2, 1).astype(np.int64 if steps else object)  # (B, m, n)
-    stack, q = np.arange(count), np.ones((count, 1, 1), dtype=a.dtype)
-    open_rows, pivot = ~np.zeros((count, m), dtype=bool), np.zeros((count, n), dtype=bool)
-    pivot_row = np.zeros((count, n), dtype=np.intp)
-    for c in range(n):
-        if c == steps:
-            a, q = a.astype(object), q.astype(object)
-        col = a[:, :, c]
-        candidates = open_rows & col.astype(bool)
-        r = candidates.argmax(axis=1)
-        at = (slice(None), int(r[0])) if count == 1 else (stack, r)  # a view for a stack of one
-        found = candidates[at]
-        if not np.count_nonzero(found):
-            continue
-        prow = a[at]
-        p = np.where(found[:, None, None], prow[:, None, c : c + 1], q)
-        a = (p * a - (col * found[:, None])[:, :, None] * prow[:, None, :]) // q
-        a[at], q = prow, p
-        open_rows[at] ^= found
-        pivot_row[:, c], pivot[:, c] = r, found
-        if c + 1 >= m and not np.count_nonzero(open_rows):
-            break
+    a, q, pivot, pivot_row, open_rows = _eliminate(a, n) if steps == n else _eliminate_modular(a, steps, peaks)
     if not witness_fits:
         a, q = a.astype(object), q.astype(object)
-    free = ~pivot
+    stack, free = np.arange(count), ~pivot
     # P_r(1) at every pivot row; the rows without a pivot are zero and read 1
     powers = free.astype(a.dtype)
     values = (a @ powers[:, :, None])[:, :, 0] + open_rows

@@ -62,6 +62,9 @@ against.  None of them runs on the package's own code paths.
   oracle for the reflected class index), and C03's resolved sampler one
   point at a time (sample_resolved_points_per_point).
 
+Not an oracle: bench_workloads loads perfbench/workloads.py, whose class-matrix
+generators make the benchmark's friedman requests.
+
 scipy is imported inside the quadrature and root-finder oracles, so that
 importing this module does not load it.
 """
@@ -70,11 +73,14 @@ from __future__ import annotations
 
 import cmath
 import functools
+import importlib.util
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -1210,3 +1216,14 @@ def stacked_friedman_agreement(max_rows: int) -> tuple[int, int]:
             checked += len(mats)
             mismatches += int(np.count_nonzero(solver[inverse] != oracle))
     return checked, mismatches
+
+
+@functools.cache
+def bench_workloads():
+    """perfbench/workloads.py, loaded once from its file: its class-matrix
+    generators make the benchmark's friedman requests."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,0 +1,110 @@
+"""bench/record.py's summary and comparison, on synthetic benchmark runs:
+no benchmark child is started here."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+METRICS = [m["name"] for m in SPEC["end_to_end"]]
+
+
+def _load_record():
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "bench" / "record.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+record = _load_record()
+
+
+def _run(values: dict, attempted: int = 100, failed: int = 0) -> dict:
+    """The last stdout line of one perfbench/run.py run."""
+    return {"correct": not failed, "attempted": attempted, "failed": failed,
+            "metrics": {name: {"value": value, "unit": "u"} for name, value in values.items()}}
+
+
+def _record(workload_medians: dict) -> dict:
+    """A record whose every metric of each workload has the given median."""
+    return {"workloads": {w: {"metrics": {name: {"median": v[name], "q1": v[name], "q3": v[name]}
+                                          for name in METRICS}} for w, v in workload_medians.items()}}
+
+
+class TestSummary:
+    def test_median_and_quartiles_of_five_runs(self):
+        runs = [_run({name: float(x) for name in METRICS}, attempted=10 * x, failed=x == 5) for x in (5, 1, 4, 2, 3)]
+        summary = record.summarize(runs, METRICS)
+        for name in METRICS:
+            assert summary["metrics"][name] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+        assert summary["runs"][0] == {name: 5.0 for name in METRICS}
+        assert (summary["attempted"], summary["failed"]) == (150, 1)
+
+    def test_quartiles_interpolate_between_runs(self):
+        assert record.quartiles([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) == {"median": 3.5, "q1": 2.25, "q3": 4.75}
+
+    def test_a_missing_metric_is_an_error(self):
+        with pytest.raises(KeyError):
+            record.summarize([_run({"setup_s": 1.0})] * 5, METRICS)
+
+
+class TestCompare:
+    BASE = {"setup_s": 0.20, "peak_rss_mb": 40.0, "op_p50_ms": 1.0, "work_per_s": 100.0}
+
+    def test_ratios_and_bounds(self):
+        """Lower-is-better metrics may grow by their bound, higher-is-better
+        ones shrink by it: exactly at the bound is inside, past it is not."""
+        bounds = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
+        after = {
+            "setup_s": self.BASE["setup_s"] * (1 + bounds["setup_s"]),
+            "peak_rss_mb": self.BASE["peak_rss_mb"] * (1 + bounds["peak_rss_mb"] + 0.01),
+            "op_p50_ms": self.BASE["op_p50_ms"] * 0.5,
+            "work_per_s": self.BASE["work_per_s"] * (1 - bounds["work_per_s"] - 0.01),
+        }
+        rows = record.compare(_record({"exact_queries": self.BASE}), _record({"exact_queries": after}),
+                              SPEC["end_to_end"])
+        verdicts = {row["metric"]: (round(row["ratio"], 6), row["inside"]) for row in rows}
+        assert verdicts == {
+            "setup_s": (round(1 + bounds["setup_s"], 6), True),
+            "peak_rss_mb": (round(1 + bounds["peak_rss_mb"] + 0.01, 6), False),
+            "op_p50_ms": (0.5, True),
+            "work_per_s": (round(1 - bounds["work_per_s"] - 0.01, 6), False),
+        }
+
+    def test_only_workloads_in_both_records(self):
+        before = _record({"certify": self.BASE, "exact_queries": self.BASE})
+        after = _record({"exact_queries": dict(self.BASE, work_per_s=125.0)})
+        rows = record.compare(before, after, SPEC["end_to_end"])
+        assert {row["workload"] for row in rows} == {"exact_queries"}
+        gain = next(row for row in rows if row["metric"] == "work_per_s")
+        assert gain["ratio"] == pytest.approx(1.25) and gain["inside"]
+
+    def test_compare_command_prints_and_exits_on_the_bounds(self, tmp_path, capsys):
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        before.write_text(json.dumps(_record({"certify": self.BASE})))
+        after.write_text(json.dumps(_record({"certify": dict(self.BASE, op_p50_ms=2.0)})))
+        assert record.main(["--compare", str(before), str(before)]) == 0
+        assert record.main(["--compare", str(before), str(after)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 * len(METRICS)
+        assert any("op_p50_ms" in line and "x2.000" in line and "OUTSIDE" in line for line in lines)
+
+
+class TestSource:
+    def test_digest_and_line_count_of_src(self, tmp_path):
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+        (tmp_path / "src" / "pkg" / "b.txt").write_text("not python\n")
+        facts = record.source_facts(tmp_path)
+        assert facts["src_lines"] == 2 and facts["commit"] is None
+        (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 3\n")
+        assert record.source_facts(tmp_path)["src_sha256"] != facts["src_sha256"]
+
+    def test_too_few_seeds_are_refused(self, capsys):
+        with pytest.raises(SystemExit):
+            record.main(["--out", "unused.json", "--seeds", "1,2,3,4,4"])
+        assert "at least 5 distinct seeds" in capsys.readouterr().err

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -407,16 +406,6 @@ class TestDeterminism:
         assert json.loads(text)["timings"] is None
 
 
-def _bench_workloads():
-    """perfbench/workloads.py, loaded from its file: its class-matrix
-    generators make the benchmark's friedman requests."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestGoldenReports:
     """The sha256 of reports of the benchmark's two heaviest exact requests,
     recorded from the per-point certificate and sampler and the gcd-reduced
@@ -460,7 +449,7 @@ class TestGoldenReports:
         ("infeasible", "989bf9f8ac5c0eb2d321dc999e3c8f6bd0060e9a6a8839af2136d03703c42b58"),
     ])
     def test_friedman_125_by_24(self, kind, digest, tmp_path):
-        workloads = _bench_workloads()
+        workloads = reference.bench_workloads()
         if kind == "feasible":
             rows = workloads.feasible_classes(random.Random(0), 125, 24)
         else:
@@ -583,7 +572,7 @@ class TestReportEncoder:
         stdlib's text of its own parse: floats survive the round trip, so
         this holds the encoder to the stdlib's bytes on that traffic."""
         checked = 0
-        for op in _bench_workloads().ROUNDS[workload](1, 0):
+        for op in reference.bench_workloads().ROUNDS[workload](1, 0):
             assert cli.main(list(op.argv)) == 0
             text = capsys.readouterr().out
             if "--format" in op.argv and op.argv[op.argv.index("--format") + 1] == "csv":

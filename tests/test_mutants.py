@@ -309,6 +309,40 @@ class TestC11:
         assert c11.details["oracle_mismatches"]["measured"] == independent
 
 
+class TestModularElimination:
+    """Defects of the elimination modulo word-size primes, which only
+    matrices past the int64 bound reach (C11's sign matrices never do): each
+    is applied to the solver and caught on the matrix built to expose it."""
+
+    def test_one_prime_fewer_than_the_bound_needs(self, monkeypatch):
+        """Two primes where the minor bound needs three: the last pivot E^4
+        of the diagonal classes exceeds their product, its residue rebuilds
+        another integer while the entries E^3 below it come back right, and
+        the solver's own annihilation check fails."""
+        E = 200000
+        rows = [[E, 0, 0, 0], [0, E, 0, 0], [0, 0, E, 0], [0, 0, 0, E], [1, 1, 1, 1]]
+        assert E**4 > math.prod(transitions._PRIMES[:2])
+        assert transitions.friedman_witness(transitions.ClassMatrix(rows)) == reference.kernel_basis_witness(rows)
+        fewer = _rewritten(transitions, "_eliminate_modular", "math.prod(_PRIMES[:k])", "math.prod(_PRIMES[:k + 1])")
+        monkeypatch.setattr(transitions, "_eliminate_modular", fewer)
+        with pytest.raises(AssertionError, match="annihilation identity"):
+            transitions.friedman_witness(transitions.ClassMatrix(rows))
+
+    @pytest.mark.parametrize("unlucky", ["pivot_minor", "last_exact_pivot"])
+    def test_pivot_agreement_skipped(self, unlucky, monkeypatch):
+        """Without the check that a matrix's primes agree on its pivots, the
+        first prime's residues, which lost a pivot, enter the Chinese
+        remainder sum: the rebuilt integers fail the annihilation check."""
+        p = transitions._PRIMES[0]
+        rows = [[1, 1], [1, 1 + p], [-2, -2 - p]] if unlucky == "pivot_minor" else [[p, 1], [1 - p, 1], [p - 2, -3]]
+        assert transitions.friedman_witness(transitions.ClassMatrix(rows)) == reference.kernel_basis_witness(rows)
+        blind = _rewritten(transitions, "_eliminate_modular", "(keys != keys[:, :1]).any(axis=(1, 2))",
+                           "np.zeros(count, dtype=bool)")
+        monkeypatch.setattr(transitions, "_eliminate_modular", blind)
+        with pytest.raises(AssertionError, match="annihilation identity"):
+            transitions.friedman_witness(transitions.ClassMatrix(rows))
+
+
 class TestC12:
     def test_scaled_dwork_hessians(self, monkeypatch):
         """Every Dwork Hessian x 1.5 scales each node's |det H| by 1.5^4 and

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 import reference
 from conifold_lab import transitions
 from conifold_lab.acceptance import (
+    Profile,
     _classes,
+    criterion_11,
     _minor_ranks,
     exhaustive_friedman_agreement,
     feasibility_oracle,
@@ -432,8 +436,10 @@ class TestStackedSolver:
     def test_int64_and_object_agree_at_the_overflow_bound(self, past, monkeypatch):
         """Entries at the largest magnitude for which the bound keeps every
         integer of a 4 x 3 stack in int64, and one past it, where the
-        elimination turns to Python integers at its third column: the
-        witnesses equal those computed in Python integers throughout."""
+        elimination turns modular at its third column and the witness is
+        Python integers: the witnesses equal those of the modular
+        elimination from the first column (the bound patched to 0) and
+        those of the list Bareiss oracle in Python integers."""
         n, m = 4, 3
         top = max(e for e in range(1, 2000) if transitions._int64_steps(n, m, [e] * n) == (n, True))
         assert transitions._int64_steps(n, m, [top + 1] * n) == (2, False)
@@ -449,10 +455,13 @@ class TestStackedSolver:
         mats = np.concatenate([generic, paired, pinned])
         found = friedman_witnesses(mats)
         assert found[1].dtype == (object if past else np.int64)
+        modular, calls = transitions._eliminate_modular, []
+        monkeypatch.setattr(transitions, "_eliminate_modular", lambda *args: calls.append(args[1]) or modular(*args))
         monkeypatch.setattr(transitions, "_int64_steps", lambda n, m, peaks: (0, False))
-        python_ints = friedman_witnesses(mats)
-        assert python_ints[1].dtype == object
-        assert _as_fractions(*found) == _as_fractions(*python_ints)
+        from_the_start = friedman_witnesses(mats)
+        assert calls == [0] and from_the_start[1].dtype == object
+        assert _as_fractions(*found) == _as_fractions(*from_the_start)
+        assert _as_fractions(*found) == [reference.integer_rref_witness(mat) for mat in mats.tolist()]
         assert found[0].tolist() == [True] * 80 + [False] * 40
 
 
@@ -531,18 +540,138 @@ class TestIntegerKernel:
         _assert_witness_matches_oracle(rows)
 
 
+@functools.cache
+def _kernel_basis_witness(rows: tuple):
+    """reference.kernel_basis_witness, computed once per matrix: the
+    modular-path tests reuse the oracle of TestIntegerKernel's shapes."""
+    return reference.kernel_basis_witness(rows)
+
+
 def _assert_witness_matches_oracle(rows):
     """The integer-row witness equals the Fraction kernel-basis witness of
     the unparsed rows: the same feasibility, and the same Fractions with the
     same text."""
     got = friedman_witness(ClassMatrix(rows))
-    want = reference.kernel_basis_witness(rows)
+    want = _kernel_basis_witness(tuple(map(tuple, rows)))
     if want is None:
         assert got is None
         return
     assert all(type(x) is Fraction for x in got)
     assert got == want
     assert [str(x) for x in got] == [str(x) for x in want]
+
+
+def _bench_classes(kind: str) -> list[list[int]]:
+    """The benchmark's 125 x 24 friedman matrix of one kind, seeded as
+    TestGoldenReports seeds it."""
+    workloads = reference.bench_workloads()
+    if kind == "feasible":
+        return workloads.feasible_classes(random.Random(0), 125, 24)
+    return workloads.infeasible_classes(random.Random(0), 125, 24)[0]
+
+
+def _largest_cli_classes() -> list[list[int]]:
+    """The largest matrix the friedman command accepts: 256 rows of 24
+    entries of at most 4 digits, half of them at +-9999."""
+    rng = random.Random(1)
+    return [[rng.choice((-9999, 9999)) if rng.random() < 0.5 else rng.randint(-9999, 9999) for _ in range(24)]
+            for _ in range(256)]
+
+
+def _rational_classes() -> list[list[Fraction]]:
+    """The benchmark's infeasible matrix with every entry over a denominator
+    up to 9: the lcm scaling takes its entries past 2^20."""
+    rng = random.Random(2)
+    return [[Fraction(x, rng.randint(1, 9)) for x in row] for row in _bench_classes("infeasible")]
+
+
+def _huge_classes() -> list[list[int]]:
+    """The benchmark's feasible matrix with three classes scaled by signed
+    integers above 2^63, so that the stack is Python integers."""
+    rng = random.Random(3)
+    rows = _bench_classes("feasible")
+    for i in (0, 60, 124):
+        rows[i] = [(2**63 + rng.randrange(2**63)) * rng.choice((-1, 1)) * x for x in rows[i]]
+    return rows
+
+
+# Matrices past the int64 bound, 125 x 24 unless named otherwise
+MODULAR_CASES = {
+    "bench_feasible": lambda: _bench_classes("feasible"),
+    "bench_infeasible": lambda: _bench_classes("infeasible"),
+    "dense": lambda: _integer_classes(125 * 24, 125, 24, "dense"),
+    "sparse": lambda: _integer_classes(125 * 24, 125, 24, "sparse"),
+    "low_rank": lambda: _integer_classes(125 * 24, 125, 24, "low_rank"),
+    "rational": _rational_classes,
+    "huge": _huge_classes,
+    "largest_cli_256x24": _largest_cli_classes,
+}
+
+
+class TestModularElimination:
+    """friedman_witnesses past the int64 bound, where the elimination runs
+    modulo word-size primes and the Chinese remainder theorem rebuilds its
+    integers: every witness is the Fraction kernel-basis oracle's."""
+
+    @pytest.mark.parametrize("name", list(MODULAR_CASES))
+    def test_matches_the_fraction_oracle(self, name):
+        rows = MODULAR_CASES[name]()
+        integers = ClassMatrix(rows).rows
+        peaks = sorted((max(map(abs, row)) for row in integers), reverse=True)
+        assert transitions._int64_steps(len(rows), len(rows[0]), peaks)[0] < len(rows)  # the modular path
+        _assert_witness_matches_oracle(rows)
+
+    def test_a_mixed_stack_matches_each_matrix_alone(self):
+        """One stack of every 125 x 24 case: the largest entries set the
+        primes for all, and each witness is still its oracle's."""
+        names = [name for name in MODULAR_CASES if not name.startswith("largest")]
+        cases = [MODULAR_CASES[name]() for name in names]
+        mats = np.array([ClassMatrix(rows).rows for rows in cases], dtype=object)
+        got = _as_fractions(*friedman_witnesses(mats))
+        assert got == [_kernel_basis_witness(tuple(map(tuple, rows))) for rows in cases]
+        assert [w is None for w in got] == [name in ("bench_infeasible", "rational") for name in names]
+
+    def test_a_prime_dividing_a_pivot_minor_is_replaced(self):
+        """The 2 x 2 minor of the first two classes is the first prime p, so
+        modulo p the second class finds no pivot: p disagrees with the other
+        primes on the pivots and the next prime replaces it."""
+        p = transitions._PRIMES[0]
+        rows = [[1, 1], [1, 1 + p], [-2, -2 - p]]
+        assert rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] == p
+        assert transitions._int64_steps(3, 2, [p + 2, p + 1, 1]) == (0, False)
+        assert friedman_witness(ClassMatrix(rows)) == reference.kernel_basis_witness(rows) == [1, 1, 1]
+
+    def test_a_prime_dividing_the_last_exact_pivot_is_replaced(self):
+        """The first class pivots on the entry p, the first prime, in int64,
+        and the elimination turns modular at the next column, where p cannot
+        divide by that pivot: p reads as pivoting nowhere and is replaced."""
+        p = transitions._PRIMES[0]
+        rows = [[p, 1], [1 - p, 1], [p - 2, -3]]
+        assert transitions._int64_steps(3, 2, [p, p - 1, p - 2]) == (1, False)
+        assert friedman_witness(ClassMatrix(rows)) == reference.kernel_basis_witness(rows) == [1, 2, 1]
+
+    def test_entries_past_every_prime_are_refused(self):
+        """Minors that need more than the 64 primes' product are refused with
+        a message, never answered from too few primes."""
+        with pytest.raises(ValueError, match="need more than 64 primes"):
+            friedman_witness(ClassMatrix([[2**1000, 1], [1, 2**1000]]))
+
+    def test_the_primes(self):
+        """64 distinct primes below 2^31, largest first (trial division by
+        every integer up to sqrt(2^31))."""
+        primes = np.array(transitions._PRIMES)
+        assert len(primes) == 64 and (np.diff(primes) < 0).all() and primes[0] < 2**31
+        assert (primes[:, None] % np.arange(2, math.isqrt(2**31) + 1)).all()
+
+    def test_c11_stays_in_int64(self, monkeypatch):
+        """C11's sign matrices are far inside the int64 bound: its full
+        profile never reaches the modular elimination."""
+        def refuse(*args):
+            raise AssertionError("C11 reached the modular elimination")
+
+        monkeypatch.setattr(transitions, "_eliminate_modular", refuse)
+        _, _, checks = criterion_11(Profile.full(seed=0))
+        assert not checks.failures
 
 
 def _shared_minor_ranks(rows):
