@@ -12,7 +12,10 @@ Three independent pieces of machinery live here.
   first order iff some combination sum lambda_i [C_i] = 0 has every
   lambda_i nonzero.  The solver works on stacks of integer class matrices
   (integral curve classes in the geometric case, rational ones scaled to
-  integers) and returns a verdict and an exact witness for each.
+  integers) and returns a verdict and an exact witness for each.  Its
+  elimination is int64 where a Hadamard bound proves it safe and continues
+  modulo word-size primes past it, the integers rebuilt by the Chinese
+  remainder theorem from primes that agree on every pivot.
 
 * The quintic pencil's nodal member: its 125 singular points as one array
   of exponents, exact cyclotomic verification that they are critical, and a
@@ -206,9 +209,12 @@ def friedman_witnesses(mats):
     first s with every P_r(s) = sum_j R[r][f_j] s^j nonzero; deg P_r < n, so
     s <= n^2 + 1, and s = 1 settles most matrices in one pass.  The integer
     weights are checked exactly: they annihilate the classes and none is
-    zero.  _int64_steps bounds how far the elimination is int64; past
-    that it runs modulo word-size primes (_eliminate_modular).  The witness
-    is int64 where it fits and Python integers (dtype object) otherwise."""
+    zero.  The elimination is int64 as far as _int64_steps proves safe.
+    Past that it runs modulo primes below 2^31 whose product exceeds twice
+    the minor bound, and the Chinese remainder theorem rebuilds its
+    integers; primes that agree on a matrix's pivots have its true pivots
+    (_eliminate_modular).  The witness is int64 where it fits and Python
+    integers (dtype object) otherwise."""
     mats = np.asarray(mats)
     count, n, m = mats.shape
     by_class = mats.transpose(1, 0, 2).reshape(n, -1)
