@@ -53,8 +53,8 @@ MIN_RESOLUTION = 8
 # the quadrature holds one block of theta1 rows at a time (one row of
 # 65,536 nodes at 256), where building the whole grid took 1.6 GB at 128
 MAX_RESOLUTION = 256
-# nodes per quadrature block: its float64 arrays stay below glibc's 128 KiB mmap threshold
-BLOCK_NODES = 16000
+# nodes per quadrature block (one resolution-128 row): temporaries stay in cache
+BLOCK_NODES = 16384
 
 # |t| window where the period's scale |t|^{3/2} and 2 pi^2 |t| stay normal
 # floats (|t|^{3/2} leaves the normal range below ~7.9e-206 and above ~3.2e205)

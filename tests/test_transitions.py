@@ -580,7 +580,7 @@ def _largest_cli_classes() -> list[list[int]]:
 
 def _rational_classes() -> list[list[Fraction]]:
     """The benchmark's infeasible matrix with every entry over a denominator
-    up to 9: the lcm scaling takes its entries past 2^20."""
+    up to 9: scaled by the lcm 2520, its minors are past the int64 bound."""
     rng = random.Random(2)
     return [[Fraction(x, rng.randint(1, 9)) for x in row] for row in _bench_classes("infeasible")]
 
@@ -631,24 +631,42 @@ class TestModularElimination:
         assert got == [_kernel_basis_witness(tuple(map(tuple, rows))) for rows in cases]
         assert [w is None for w in got] == [name in ("bench_infeasible", "rational") for name in names]
 
-    def test_a_prime_dividing_a_pivot_minor_is_replaced(self):
+    @staticmethod
+    def _windows(monkeypatch) -> list[int]:
+        """The index of the first prime of every window of primes that
+        _eliminate_modular runs from now on, in order."""
+        modular, firsts = transitions._eliminate_modular, []
+
+        def spy(a, steps, peaks, first=0):
+            firsts.append(first)
+            return modular(a, steps, peaks, first)
+
+        monkeypatch.setattr(transitions, "_eliminate_modular", spy)
+        return firsts
+
+    def test_a_prime_dividing_a_pivot_minor_is_replaced(self, monkeypatch):
         """The 2 x 2 minor of the first two classes is the first prime p, so
         modulo p the second class finds no pivot: p disagrees with the other
-        primes on the pivots and the next prime replaces it."""
+        primes on the pivots, and the window moves past it."""
         p = transitions._PRIMES[0]
         rows = [[1, 1], [1, 1 + p], [-2, -2 - p]]
         assert rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] == p
         assert transitions._int64_steps(3, 2, [p + 2, p + 1, 1]) == (0, False)
+        firsts = self._windows(monkeypatch)
         assert friedman_witness(ClassMatrix(rows)) == reference.kernel_basis_witness(rows) == [1, 1, 1]
+        assert firsts == [0, 1]
 
-    def test_a_prime_dividing_the_last_exact_pivot_is_replaced(self):
+    def test_a_prime_dividing_the_last_exact_pivot_is_replaced(self, monkeypatch):
         """The first class pivots on the entry p, the first prime, in int64,
         and the elimination turns modular at the next column, where p cannot
-        divide by that pivot: p reads as pivoting nowhere and is replaced."""
+        divide by that pivot: p reads as pivoting nowhere and the window
+        moves past it."""
         p = transitions._PRIMES[0]
         rows = [[p, 1], [1 - p, 1], [p - 2, -3]]
         assert transitions._int64_steps(3, 2, [p, p - 1, p - 2]) == (1, False)
+        firsts = self._windows(monkeypatch)
         assert friedman_witness(ClassMatrix(rows)) == reference.kernel_basis_witness(rows) == [1, 2, 1]
+        assert firsts == [0, 1]
 
     def test_entries_past_every_prime_are_refused(self):
         """Minors that need more than the 64 primes' product are refused with
