@@ -102,6 +102,8 @@ def run_benchmark(root: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def record(root: Path, workloads: list[str], seeds: list[int], seconds: int) -> dict:
+    """Run every workload at every seed on the tree at root and summarize;
+    each run's metrics also go to stderr as it ends."""
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [m["name"] for m in spec["end_to_end"]]
     result = {"machine": machine(), "source": source_facts(root), "seeds": seeds, "seconds": seconds,
