@@ -101,14 +101,15 @@ def run_benchmark(root: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def record(root: Path, workloads: list[str], seeds: list[int], seconds: int) -> dict:
-    """Run every workload at every seed on the tree at root and summarize;
-    each run's metrics also go to stderr as it ends."""
+def record(root: Path, seeds: list[int]) -> dict:
+    """Run every workload of the tree's BENCHMARK.json at every seed, for its
+    run_seconds, and summarize; each run's metrics also go to stderr as it
+    ends."""
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = [m["name"] for m in spec["end_to_end"]]
+    metrics, seconds = [m["name"] for m in spec["end_to_end"]], spec["run_seconds"]
     result = {"machine": machine(), "source": source_facts(root), "seeds": seeds, "seconds": seconds,
               "workloads": {}}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = []
         for seed in seeds:
             runs.append(run_benchmark(root, workload, seed, seconds))
@@ -124,8 +125,6 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=Path.cwd(), help="source tree to record (default: .)")
     parser.add_argument("--out", type=Path, help="where to write the record")
     parser.add_argument("--seeds", default="1,2,3,4,5", help=f"comma-separated, at least {MIN_SEEDS}")
-    parser.add_argument("--seconds", type=int, help="seconds per run (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--workloads", help="comma-separated (default: every workload of BENCHMARK.json)")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
     args = parser.parse_args(argv)
 
@@ -144,10 +143,7 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     if len(set(seeds)) < MIN_SEEDS:
         parser.error(f"--seeds: need at least {MIN_SEEDS} distinct seeds, got {len(set(seeds))}")
-    root = args.root.resolve()
-    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    result = record(root, workloads, seeds, args.seconds or spec["run_seconds"])
+    result = record(args.root.resolve(), seeds)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 

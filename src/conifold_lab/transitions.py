@@ -108,11 +108,18 @@ def _int64_steps(n: int, m: int, peaks: list[int]) -> tuple[int, bool]:
     return n, witness * witness * minor_squared < 2**126
 
 
-# The 64 largest primes below 2^31, as 2^31 - d: a product of two residues stays below 2^62.
-_PRIMES = tuple(2**31 - d for d in (
-    1, 19, 61, 69, 85, 99, 105, 151, 159, 171, 225, 249, 295, 325, 379, 399, 411, 469, 477, 511, 525, 571, 579, 589, 595,
-    615, 619, 697, 699, 705, 711, 727, 771, 775, 781, 789, 829, 831, 837, 847, 885, 909, 951, 955, 967, 985, 987, 1027,
-    1057, 1065, 1071, 1141, 1147, 1167, 1231, 1239, 1281, 1287, 1299, 1305, 1321, 1357, 1375, 1411))
+@functools.cache
+def _primes(count: int) -> tuple[int, ...]:
+    """The count largest primes below 2^31, largest first, so that a product of two residues stays below
+    2^62; no composite below 4,759,123,141 is a strong probable prime to the bases 2, 7 and 61."""
+    primes, n = [], 2**31 + 1
+    while len(primes) < count:
+        n -= 2
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+        d = (n - 1) >> s
+        if all(pow(b, d, n) == 1 or n - 1 in [pow(b, d << i, n) for i in range(s)] for b in (2, 7, 61)):
+            primes.append(n)
+    return tuple(primes)
 
 
 def _eliminate(a, steps, primes=()):
@@ -142,12 +149,10 @@ def _eliminate(a, steps, primes=()):
             a = (p * a - f * prow[:, None, :]) // q
         else:  # in residues: the division by q is a multiplication by its inverse
             inverse = np.array(list(map(pow, q.ravel().tolist(), [-1] * count, moduli.ravel().tolist())))[:, None, None]
-            a = p * inverse % moduli * a - f * inverse % moduli * prow[:, None, :]
-            if a.size < 2048 * len(primes):  # below 2048 entries a prime, one call costs less than k
-                a %= moduli
-            else:  # numpy divides faster by a scalar, so each prime reduces its own copies
-                for i, prime in enumerate(primes):
-                    a[i :: len(primes)] -= a[i :: len(primes)] // prime * prime
+            a *= p * inverse % moduli
+            a -= f * inverse % moduli * prow[:, None, :]
+            for i, prime in enumerate(primes):  # numpy divides by a scalar several times faster
+                a[i :: len(primes)] -= a[i :: len(primes)] // prime * prime
         a[at], q = prow, p
         open_rows[at] ^= found
         pivot_row[:, c], pivot[:, c] = r, found
@@ -157,19 +162,14 @@ def _eliminate(a, steps, primes=()):
 
 
 def _eliminate_modular(a, steps, peaks, first=0):
-    """_eliminate's integers (dtype object) past column steps.  Each is a minor, below D, D^2 =
-    max_t t^t (peaks[0] ... peaks[t - 1])^2 (Hadamard): its residue within +-M/2 modulo the fewest
-    primes (two at least) from _PRIMES[first] on whose product M exceeds 2 D.  A prime dividing the
-    minor that takes a pivot moves or loses it, so primes agreeing on a matrix's pivots have the true
-    ones unless all divide a nonzero minor below D < M; a matrix whose primes disagree runs again
-    from the next prime on.  Garner's mixed-radix digits in int64 and one Python-integer sum rebuild
-    the integers."""
+    """_eliminate's integers (dtype object) past column steps, by Garner's mixed-radix CRT from k primes
+    from _primes()[first] on, each above 2^30, whose product M exceeds 2 D: every integer is a minor, below D,
+    D^2 = max_t t^t (peaks[0] ... peaks[t - 1])^2 (Hadamard).  Matrices whose primes disagree on the pivots
+    (friedman_witnesses) run again from the next prime on."""
     count, m, n = a.shape
     bound = max(t**t * math.prod(peaks[:t]) ** 2 for t in range(1, min(n, m) + 1))
-    k = next((k for k in range(2, len(_PRIMES) + 1) if math.prod(_PRIMES[:k]) ** 2 > 4 * bound), len(_PRIMES) + 1)
-    primes = _PRIMES[first : first + k]
-    if len(primes) < k:
-        raise ValueError(f"class entries too large: their minors need more than {len(_PRIMES)} primes")
+    k = max(2, -(-(bound.bit_length() + 2) // 60))  # M^2 > 2^(60 k) >= 4 D^2
+    primes = _primes(first + k)[first:]
     e, q, pivot, pivot_row, open_rows = _eliminate(a, steps, primes)
     residues = np.concatenate([e.reshape(count, k, -1), q.reshape(count, k, 1)], axis=2)
     keys = np.where(pivot, pivot_row, m).reshape(count, k, n)
@@ -209,16 +209,17 @@ def friedman_witnesses(mats):
     first s with every P_r(s) = sum_j R[r][f_j] s^j nonzero; deg P_r < n, so
     s <= n^2 + 1, and s = 1 settles most matrices in one pass.  The integer
     weights are checked exactly: they annihilate the classes and none is
-    zero.  The elimination is int64 as far as _int64_steps proves safe.
-    Past that it runs modulo primes below 2^31 whose product exceeds twice
-    the minor bound, and the Chinese remainder theorem rebuilds its
-    integers; primes that agree on a matrix's pivots have its true pivots
-    (_eliminate_modular).  The witness is int64 where it fits and Python
-    integers (dtype object) otherwise."""
+    zero.  They are int64 as far as _int64_steps proves safe and Python
+    integers (dtype object) beyond; past that bound the elimination runs
+    modulo primes and the Chinese remainder theorem rebuilds its integers
+    (_eliminate_modular).  A prime dividing the minor that takes a pivot
+    moves or drops it, so primes that agree on a matrix's pivots have its
+    true ones unless all divide a nonzero minor below their product."""
     mats = np.asarray(mats)
     count, n, m = mats.shape
     by_class = mats.transpose(1, 0, 2).reshape(n, -1)
-    peaks = sorted(map(max, map(operator.neg, by_class.min(axis=1).tolist()), by_class.max(axis=1).tolist()), reverse=True)
+    peaks = sorted(map(max, map(operator.neg, by_class.min(axis=1).tolist()), by_class.max(axis=1).tolist()),
+                   reverse=True)
     steps, witness_fits = _int64_steps(n, m, peaks)
     a = mats.transpose(0, 2, 1).astype(np.int64 if steps else object)  # (B, m, n)
     a, q, pivot, pivot_row, open_rows = _eliminate(a, n) if steps == n else _eliminate_modular(a, steps, peaks)

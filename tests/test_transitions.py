@@ -648,7 +648,7 @@ class TestModularElimination:
         """The 2 x 2 minor of the first two classes is the first prime p, so
         modulo p the second class finds no pivot: p disagrees with the other
         primes on the pivots, and the window moves past it."""
-        p = transitions._PRIMES[0]
+        p = transitions._primes(1)[0]
         rows = [[1, 1], [1, 1 + p], [-2, -2 - p]]
         assert rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] == p
         assert transitions._int64_steps(3, 2, [p + 2, p + 1, 1]) == (0, False)
@@ -661,25 +661,37 @@ class TestModularElimination:
         and the elimination turns modular at the next column, where p cannot
         divide by that pivot: p reads as pivoting nowhere and the window
         moves past it."""
-        p = transitions._PRIMES[0]
+        p = transitions._primes(1)[0]
         rows = [[p, 1], [1 - p, 1], [p - 2, -3]]
         assert transitions._int64_steps(3, 2, [p, p - 1, p - 2]) == (1, False)
         firsts = self._windows(monkeypatch)
         assert friedman_witness(ClassMatrix(rows)) == reference.kernel_basis_witness(rows) == [1, 2, 1]
         assert firsts == [0, 1]
 
-    def test_entries_past_every_prime_are_refused(self):
-        """Minors that need more than the 64 primes' product are refused with
-        a message, never answered from too few primes."""
-        with pytest.raises(ValueError, match="need more than 64 primes"):
-            friedman_witness(ClassMatrix([[2**1000, 1], [1, 2**1000]]))
+    def test_entries_past_any_fixed_prime_table(self, monkeypatch):
+        """Minors of 4,000 bits need 67 primes: the primes are found as a
+        matrix needs them, and the witness is the Fraction oracle's."""
+        rows = [[2**1000, 1], [1, 2**1000], [3, -5]]
+        eliminate, windows = transitions._eliminate, []
+        monkeypatch.setattr(transitions, "_eliminate",
+                            lambda a, steps, primes=(): windows.append(primes) or eliminate(a, steps, primes))
+        assert friedman_witness(ClassMatrix(rows)) == reference.kernel_basis_witness(rows)
+        assert [len(primes) for primes in windows] == [67]
 
     def test_the_primes(self):
-        """64 distinct primes below 2^31, largest first (trial division by
-        every integer up to sqrt(2^31))."""
-        primes = np.array(transitions._PRIMES)
-        assert len(primes) == 64 and (np.diff(primes) < 0).all() and primes[0] < 2**31
-        assert (primes[:, None] % np.arange(2, math.isqrt(2**31) + 1)).all()
+        """The 200 largest primes below 2^31, largest first, none skipped: a
+        sieve by every prime up to sqrt(2^31) over the integers from the
+        200th to 2^31 - 1 leaves exactly them."""
+        primes = transitions._primes(200)
+        small = np.ones(math.isqrt(2**31) + 1, dtype=bool)
+        small[:2] = False
+        for i in range(2, math.isqrt(len(small)) + 1):
+            if small[i]:
+                small[i * i :: i] = False
+        window = np.ones(2**31 - primes[-1], dtype=bool)
+        for d in np.flatnonzero(small).tolist():
+            window[-primes[-1] % d :: d] = False
+        assert (primes[-1] + np.flatnonzero(window)).tolist()[::-1] == list(primes)
 
     def test_c11_stays_in_int64(self, monkeypatch):
         """C11's sign matrices are far inside the int64 bound: its full
