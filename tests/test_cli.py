@@ -499,6 +499,29 @@ class TestGoldenReports:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "ded4703ec61350bae59d4f4b9468b3ba9a984ea4b42d0e447878298a268eca16")
 
+    # recorded with the quadrature that built every block as fresh products:
+    # C07's t at 16 and 32, the benchmark's resolutions (48 ends on a partial
+    # block of 6 rows), a theta1 row larger than BLOCK_NODES at 160, and the
+    # ends of the |t| window
+    @pytest.mark.parametrize("t,resolution,digest", [
+        ("1", 16, "080d8db7360d9c7648dcf25233082cbe6d8e05b93e4a0b37f6bfa619278c0e95"),
+        ("1j", 16, "0cd08245de8dbd9339902abe622dc8f5cae1f6f0a5e04f0c699368493005f0fe"),
+        ("0.3@36", 16, "1957a30c4e604ec71df600ccc274440189b2026b278683e105da69fe4fb50565"),
+        ("1", 32, "3576a37292d7a4417d580cfcfa8e95e92510f4bb68c3563b3c98be7a66acfe8f"),
+        ("1j", 32, "34aa9fb76486adc38d6d6301f32fa3a9b8daab59215478d8efbf86b43ef58bc7"),
+        ("0.3@36", 32, "dda9ae216e75fcb69f5bc419356a359cbe2eed565f474dd6a6d6b3d414e4e39e"),
+        ("0.002@117", 48, "7ebe1f24f9382d94dab546ba28b8effa850ad0357d5b15381ff0c7efa1a0ed42"),
+        ("7.5@-40", 80, "4dcf5268f6c224aa2a145c04e596d176eb31c5de0f0c37829d931180c2b0a212"),
+        ("640@250", 96, "1c89e7677ef6c3313f8d581d1e1a63b35220b688a827faa2e7bebb7708ea5a4d"),
+        ("1", 160, "1f3ccd26557516392dd20f6f2ebaad1bfec9fa1f80cdc01e5194d1e9e0b020ce"),
+        ("1e-200@30", 32, "a9597029c14159c1c740aa37b1640bffc10012bdeb077eca96ad773a69315aaa"),
+        ("1e200@-75", 32, "89c4ec6ff6549cfefb28fae0004a7641004370be6f6b7cdf456f46e9f77552a7"),
+    ])
+    def test_slag(self, t, resolution, digest, tmp_path):
+        code, text = run_cli(["slag", "--t", t, "--resolution", str(resolution)], tmp_path)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 def _stdlib_outcome(value):
     """What json.dumps with the report's settings gives: its text, or the
