@@ -268,6 +268,7 @@ def criterion_07(profile: Profile) -> tuple[str, float, Checks]:
     for label, t in (("ti", 1j), ("tgen", 0.3 * cmath.exp(1j * math.pi / 5))):
         chk.le(f"period_rel_error_{label}", slag.cycle_period(t, res)[1], 1e-4)
     chk.true("order_at_least_2", order >= 2.0, measured=order)
+    chk.true("order_in_window", 3.5 <= order <= 4.5, measured=order)  # the composite Gauss rule has order 4
     chk.note("convergence_errors", [err_lo, err_hi])
     return "vanishing-cycle period 2 pi^2 t with measured convergence", 60.0, chk
 

@@ -18,12 +18,13 @@ audit measurable instead of sitting at the roundoff floor, while the
 resolution-32 error is still far below 1e-4 relative.
 
 Block accumulation.  A grid stores only the three 1-D axis rules with their
-sine and cosine tables; one builder forms the coordinates, legs and weights
-of the nodes at given axis indices as broadcast products of those tables.
-The quadrature contracts blocks of whole theta1 rows (about BLOCK_NODES
-nodes) in real arithmetic, sums each row pairwise and adds the row sums in
-theta1 order: a fixed summation order, and a working set of one block (one
-65,536-node row at 256, of a 16.8 million grid).
+sine and cosine tables; CycleGrid.at forms chosen nodes, legs and weights as
+broadcast products of those tables.  The quadrature forms by the same
+products only what chart 4 reads (u_4, three entries of each leg), per block
+of whole theta1 rows (about BLOCK_NODES nodes) in one workspace of the call,
+and contracts it in real arithmetic.  It sums each row pairwise and adds the
+row sums in theta1 order: a fixed summation order, and a working set of one
+block (one 65,536-node row at 256, of a 16.8 million grid).
 
 Orientation.  The cycle is oriented so that the t = 1 period is +2 pi^2:
 with outward-normal-first conventions this is the frame order
@@ -98,11 +99,12 @@ class CycleGrid:
     def sqrt_t(self) -> complex:
         return cmath.sqrt(self.t)
 
-    def _block(self, i1, i2, i3) -> tuple[tuple, tuple, np.ndarray]:
-        """u components, oriented tangent legs (3 rows of 4 entries) and
-        weights of the nodes with axis indices (i1, i2, i3), as products of
-        the axis tables; each index picks from its axis's tables, and the
-        three picks broadcast together."""
+    def at(self, indices=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes (n, 4), weights (n,), sphere points (n, 4) and oriented sphere
+        triads (n, 3, 4) at the given flat node indices (theta1, theta2, phi
+        row-major), or at every node, as products of the axis tables."""
+        r = self.resolution
+        i1, i2, i3 = np.ogrid[:r, :r, :r] if indices is None else np.unravel_index(indices, (r, r, r))
         s1, c1 = self.theta1.sin[i1], self.theta1.cos[i1]
         s2, c2 = self.theta2.sin[i2], self.theta2.cos[i2]
         sp, cp = self.phi.sin[i3], self.phi.cos[i3]
@@ -115,21 +117,12 @@ class CycleGrid:
         w1 = (self.theta1.weights * self.theta1.sin**2)[i1]
         w2 = (self.theta2.weights * self.theta2.sin)[i2]
         weights = w1 * w2 * self.phi.weights[i3]
-        return u, tuple(legs[k] for k in ORIENTED_FRAME_ORDER), weights
-
-    def at(self, indices=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes (n, 4), weights (n,), sphere points (n, 4) and oriented
-        sphere triads (n, 3, 4) at the given flat node indices (theta1,
-        theta2, phi row-major), or at every node."""
-        r = self.resolution
-        axes = np.ogrid[:r, :r, :r] if indices is None else np.unravel_index(indices, (r, r, r))
-        u, frame, weights = self._block(*axes)
 
         def stack(entries):
             return np.stack([np.broadcast_to(x, weights.shape) for x in entries], axis=-1).reshape(-1, 4)
 
         points = stack(u)
-        frames = np.stack([stack(leg) for leg in frame], axis=1)
+        frames = np.stack([stack(legs[k]) for k in ORIENTED_FRAME_ORDER], axis=1)
         return self.sqrt_t * points.astype(complex), weights.ravel(), points, frames
 
     @cached_property
@@ -198,11 +191,21 @@ def cycle_period(t: complex, resolution: int) -> tuple[complex, float]:
     return value, abs(value - exact) / abs(exact)
 
 
-def _det3(rows):
+def _det3(rows, out=None):
     """3x3 determinant by cofactor expansion along the first row; rows holds
-    three rows of three entries (scalars or arrays that broadcast)."""
+    three rows of three entries (scalars or arrays that broadcast).  out is
+    (det, scratch, scratch), three arrays of its shape, allocated if not given."""
     (a, b, c), (d, e, f), (g, h, k) = rows
-    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    if out is None:
+        entries = [*rows[0], *rows[1], *rows[2]]
+        out = np.empty((3, *np.broadcast(*entries).shape), np.result_type(*entries))
+    det, minor, product = out
+    np.subtract(np.multiply(e, k, out=det), np.multiply(f, h, out=product), out=det)
+    np.multiply(a, det, out=det)
+    np.subtract(np.multiply(d, k, out=minor), np.multiply(f, g, out=product), out=minor)
+    np.subtract(det, np.multiply(b, minor, out=minor), out=det)
+    np.subtract(np.multiply(d, h, out=minor), np.multiply(e, g, out=product), out=minor)
+    return np.add(det, np.multiply(c, minor, out=minor), out=det)
 
 
 def _chart_form_values(nodes: np.ndarray, frames: np.ndarray, charts: np.ndarray) -> np.ndarray:
@@ -211,6 +214,28 @@ def _chart_form_values(nodes: np.ndarray, frames: np.ndarray, charts: np.ndarray
     submatrices = np.take_along_axis(frames, CHART_COMPLEMENT[charts][:, None, :], axis=2)
     sign = np.where(charts % 2, 1.0, -1.0)  # (-1)^chart, chart labels 1-based
     return sign * _det3(submatrices.transpose(1, 2, 0)) / nodes[np.arange(charts.size), charts]
+
+
+def _chart4_blocks(grid: CycleGrid):
+    """Per block of whole theta1 rows: u_4, the oriented legs' first three
+    entries and the weights, as CycleGrid.at forms them, and _det3's scratch."""
+    r = grid.resolution
+    rows = max(1, BLOCK_NODES // r**2)
+    workspace = np.empty((6, rows, r, r))
+    s2, c2 = grid.theta2.sin[:, None], grid.theta2.cos[:, None]
+    sp, cp = grid.phi.sin, grid.phi.cos
+    e_th2, e_phi = (0.0, -s2, c2 * cp), (0.0, 0.0, -sp)  # theta1 enters neither
+    w1 = grid.theta1.weights * grid.theta1.sin**2
+    w2 = (grid.theta2.weights * grid.theta2.sin)[:, None]
+    for start in range(0, r, rows):
+        block = np.s_[start : start + rows, None, None]
+        s1, c1 = grid.theta1.sin[block], grid.theta1.cos[block]
+        u4, leg_entry, weights, *scratch = workspace[:, : s1.shape[0]]
+        np.multiply(s1 * s2, sp, out=u4)
+        np.multiply(c1 * s2, cp, out=leg_entry)
+        np.multiply(w1[block] * w2, grid.phi.weights, out=weights)
+        legs = ((-s1, c1 * c2, leg_entry), e_th2, e_phi)
+        yield u4, [legs[k] for k in ORIENTED_FRAME_ORDER], weights, scratch
 
 
 def integrate_volume_form(grid: CycleGrid) -> complex:
@@ -224,13 +249,12 @@ def integrate_volume_form(grid: CycleGrid) -> complex:
     once.  Each theta1 row is summed pairwise (numpy) over its fixed node
     order and the row sums are added in theta1 order, so results reproduce.
     """
-    rows_per_block = max(1, BLOCK_NODES // grid.resolution**2)
     total = 0.0
-    for start in range(0, grid.resolution, rows_per_block):
-        u, frame, weights = grid._block(np.s_[start : start + rows_per_block, None, None], np.s_[:, None], np.s_[:])
-        if np.any(u[3] == 0.0):
+    for u4, frame, weights, scratch in _chart4_blocks(grid):
+        if not u4.all():  # some u_4 is zero
             raise ValueError("a node hit the x4 = 0 seam; use an even resolution")
-        values = _det3([leg[:3] for leg in frame]) / u[3] * weights
+        values = _det3(frame, out=scratch)
+        np.multiply(np.divide(values, u4, out=values), weights, out=values)
         for row_sum in values.reshape(values.shape[0], -1).sum(axis=1).tolist():
             total += row_sum
     st = grid.sqrt_t

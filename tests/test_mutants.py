@@ -156,7 +156,21 @@ class TestC07:
             return nodes, weights * (1.0 + 2e-5)
 
         monkeypatch.setattr(slag, "_composite_gauss2", biased)
-        assert _failures(criterion_07) == ["order_at_least_2: expected true"]
+        assert _failures(criterion_07) == ["order_at_least_2: expected true", "order_in_window: expected true"]
+
+    def test_stretched_gauss_offsets(self, monkeypatch):
+        """Gauss offsets x (1 + 1e-3): the rule loses its fourth order, but
+        the resolution-32 period error is 3.6e-6, under the 1e-4 gate, and
+        the observed order 2.37 is above 2.  Only the order window sees it;
+        C08's calibration holds on any node of the cycle."""
+        stretched = _rewritten(slag, "_composite_gauss2", "/ math.sqrt(3.0)", "/ math.sqrt(3.0) * (1.0 + 1e-3)")
+        monkeypatch.setattr(slag, "_composite_gauss2", stretched)
+        results = acceptance.run_criteria(FULL)
+        assert [r.cid for r in results if not r.passed] == ["C07"]
+        c07 = next(r for r in results if r.cid == "C07")
+        assert c07.failures == ["order_in_window: expected true"]
+        assert c07.details["convergence_errors"]["measured"][1] < 1e-4
+        assert 2.0 < c07.details["order_in_window"]["measured"] < 3.5
 
     def test_swapped_frame_rows(self, monkeypatch):
         """Swapping the two leading frame rows reverses the orientation: the

@@ -171,6 +171,25 @@ class TestSlabsAgainstDenseGrid:
         for ours, stacked in zip(grid.at(idx), (grid.nodes, grid.weights, grid.sphere_points, grid.sphere_frames)):
             assert np.array_equal(ours.view(float), stacked[idx].view(float))
 
+    @pytest.mark.parametrize("resolution", [8, 16, 48])
+    def test_quadrature_blocks_are_the_builders_entries(self, resolution):
+        """The quadrature's own chart-4 builder against CycleGrid.at, bit for
+        bit and sign bit for sign bit: u_4, the first three entries of each
+        oriented leg and the weights, block after block over every theta1
+        row (48 ends on a partial block)."""
+        grid = sample_vanishing_cycle(GENERIC_T, resolution)
+        start = 0
+        for u4, frame, weights, scratch in slag._chart4_blocks(grid):
+            assert len(scratch) == 3 and all(a.shape == u4.shape for a in scratch)
+            rows = u4.shape[0]
+            _, at_weights, points, frames = grid.at(np.arange(start * resolution**2, (start + rows) * resolution**2))
+            ours = [u4, weights] + [np.broadcast_to(x, u4.shape) for leg in frame for x in leg]
+            theirs = [points[:, 3], at_weights] + [frames[:, j, i] for j in range(3) for i in range(3)]
+            for a, b in zip(ours, theirs, strict=True):
+                assert np.array_equal(np.ravel(a).view(np.uint64), b.view(np.uint64))
+            start += rows
+        assert start == resolution
+
     def test_quadrature_never_stacks_the_grid(self):
         grid = sample_vanishing_cycle(GENERIC_T, 16)
         integrate_volume_form(grid)
