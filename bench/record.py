@@ -7,11 +7,15 @@
 Recording runs the unchanged ``perfbench/run.py --trace 0`` of the recorded
 tree, from its root, once per workload and seed (at least five seeds), and
 keeps each metric of BENCHMARK.json's ``end_to_end`` list as the median and
-[q1, q3] of its runs, beside the runs themselves.  The record also names the
+[q1, q3] of its runs, beside the runs themselves.  It also times each
+acceptance criterion in process, as ``acceptance.run_criterion`` measures
+it, over CRITERION_PASSES passes at the certify workload's profile, in a
+fresh interpreter that imports the recorded tree.  The record also names the
 machine, the Python and numpy versions, the commit, a digest of ``src/``
 and its line count.  Comparing prints, for every workload and metric, the
 ratio of the second record's median to the first's and whether the change
 stays inside the metric's BENCHMARK.json bound; it exits 1 when one does not.
+The criterion times have no bound: their ratios are printed after.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import sys
 from pathlib import Path
 
 MIN_SEEDS = 5
+CRITERION_PASSES = 15
 
 
 def quartiles(values: list[float]) -> dict:
@@ -63,6 +68,47 @@ def compare(before: dict, after: dict, end_to_end: list[dict]) -> list[dict]:
             rows.append({"workload": workload, "metric": name, "before": old, "after": new,
                          "ratio": ratio, "bound": bound, "inside": worse <= bound})
     return rows
+
+
+def criterion_timings(passes: int) -> dict:
+    """Median and [q1, q3] of each criterion's run_criterion time, in
+    seconds, over passes passes at perfbench's CERTIFY_PROFILE, after one
+    warm-up pass.  It imports conifold_lab and perfbench's workloads from
+    sys.path; a criterion that fails raises, since its time would not be
+    that of the certified work."""
+    from conifold_lab import acceptance
+    from workloads import CERTIFY_PROFILE
+
+    profile = acceptance.Profile(**CERTIFY_PROFILE)
+    times = {cid: [] for cid in sorted(acceptance.CRITERIA)}
+    for pass_index in range(passes + 1):
+        for cid, elapsed in times.items():
+            result = acceptance.run_criterion(cid, profile)
+            if not result.passed:
+                raise RuntimeError(f"{cid} failed at the certify profile: {result.failures}")
+            if pass_index:
+                elapsed.append(result.elapsed)
+    return {"passes": passes, "profile": CERTIFY_PROFILE,
+            "seconds": {cid: quartiles(elapsed) for cid, elapsed in times.items()}}
+
+
+def run_criterion_timings(root: Path, passes: int) -> dict:
+    """criterion_timings in a fresh interpreter on the tree at root: its
+    src/ and perfbench/ come first on the path, and perfbench's child
+    environment (one BLAS thread) is set before numpy loads."""
+    path = os.pathsep.join(str(p) for p in (root / "src", root / "perfbench", Path(__file__).resolve().parent))
+    code = ("import json, os, pathlib, record, run; os.environ.update(run.child_env(pathlib.Path.cwd())); "
+            f"print(json.dumps(record.criterion_timings({passes})))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def compare_criteria(before: dict, after: dict) -> list[tuple[str, float, float]]:
+    """Each criterion timed in both records, with its median seconds in the
+    first and in the second."""
+    old, new = (rec.get("criteria", {}).get("seconds", {}) for rec in (before, after))
+    return [(cid, old[cid]["median"], new[cid]["median"]) for cid in sorted(old.keys() & new.keys())]
 
 
 def source_facts(root: Path) -> dict:
@@ -108,7 +154,7 @@ def record(root: Path, seeds: list[int]) -> dict:
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics, seconds = [m["name"] for m in spec["end_to_end"]], spec["run_seconds"]
     result = {"machine": machine(), "source": source_facts(root), "seeds": seeds, "seconds": seconds,
-              "workloads": {}}
+              "criteria": run_criterion_timings(root, CRITERION_PASSES), "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         runs = []
         for seed in seeds:
@@ -136,6 +182,8 @@ def main(argv=None) -> int:
             verdict = "inside" if row["inside"] else "OUTSIDE"
             print(f"{row['workload']:17s} {row['metric']:12s} {row['before']:12.5g} -> {row['after']:12.5g}"
                   f"  x{row['ratio']:.3f}  {verdict} its bound {row['bound']}")
+        for cid, old, new in compare_criteria(before, after):
+            print(f"criterion {cid}    {old * 1e3:9.3f} ms -> {new * 1e3:9.3f} ms  x{new / old:.3f}")
         return 0 if all(row["inside"] for row in rows) else 1
 
     if args.out is None:

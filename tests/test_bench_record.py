@@ -108,3 +108,50 @@ class TestSource:
         with pytest.raises(SystemExit):
             record.main(["--out", "unused.json", "--seeds", "1,2,3,4,4"])
         assert "at least 5 distinct seeds" in capsys.readouterr().err
+
+
+class TestCriterionTimings:
+    CIDS = [f"C{i:02d}" for i in range(1, 13)]
+
+    def test_quartiles_of_every_criterion_at_the_certify_profile(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from workloads import CERTIFY_PROFILE
+
+        timings = record.criterion_timings(3)
+        assert (timings["passes"], timings["profile"]) == (3, CERTIFY_PROFILE)
+        assert sorted(timings["seconds"]) == self.CIDS
+        for q in timings["seconds"].values():
+            assert 0.0 < q["q1"] <= q["median"] <= q["q3"]
+
+    def test_a_failing_criterion_is_refused(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from conifold_lab import acceptance
+
+        def broken(profile):
+            raise ValueError("no answer")
+
+        monkeypatch.setitem(acceptance.CRITERIA, "C02", broken)
+        with pytest.raises(RuntimeError, match=r"C02 failed at the certify profile: \['ValueError: no answer'\]"):
+            record.criterion_timings(1)
+
+    def test_a_fresh_interpreter_times_the_tree(self):
+        timings = record.run_criterion_timings(ROOT, 2)
+        assert timings["passes"] == 2 and sorted(timings["seconds"]) == self.CIDS
+
+    def test_compare_prints_the_criteria_timed_in_both_records(self, tmp_path, capsys):
+        base = {"setup_s": 0.20, "peak_rss_mb": 40.0, "op_p50_ms": 1.0, "work_per_s": 100.0}
+
+        def seconds(**medians):
+            return {"seconds": {cid: {"median": m, "q1": m, "q3": m} for cid, m in medians.items()}}
+
+        before = dict(_record({"certify": base}), criteria=seconds(C07=0.002, C11=0.01))
+        after = dict(_record({"certify": base}), criteria=seconds(C07=0.001, C12=0.006))
+        assert record.compare_criteria(before, after) == [("C07", 0.002, 0.001)]
+        assert record.compare_criteria(_record({"certify": base}), after) == []
+        paths = tmp_path / "before.json", tmp_path / "after.json"
+        for path, rec in zip(paths, (before, after)):
+            path.write_text(json.dumps(rec))
+        assert record.main(["--compare", *map(str, paths)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(METRICS) + 1
+        assert lines[-1].startswith("criterion C07") and lines[-1].endswith("x0.500")
