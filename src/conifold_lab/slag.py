@@ -197,7 +197,7 @@ def _det3(rows, out=None):
     (det, scratch, scratch), three arrays of its shape, allocated if not given."""
     (a, b, c), (d, e, f), (g, h, k) = rows
     if out is None:
-        entries = [*rows[0], *rows[1], *rows[2]]
+        entries = (a, b, c, d, e, f, g, h, k)
         out = np.empty((3, *np.broadcast(*entries).shape), np.result_type(*entries))
     det, minor, product = out
     np.subtract(np.multiply(e, k, out=det), np.multiply(f, h, out=product), out=det)
