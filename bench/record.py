@@ -8,9 +8,10 @@ Recording runs the unchanged ``perfbench/run.py --trace 0`` of the recorded
 tree, from its root, once per workload and seed (at least five seeds), and
 keeps each metric of BENCHMARK.json's ``end_to_end`` list as the median and
 [q1, q3] of its runs, beside the runs themselves.  It also times each
-acceptance criterion in process, as ``acceptance.run_criterion`` measures
-it, over CRITERION_PASSES passes at the certify workload's profile, in a
-fresh interpreter that imports the recorded tree.  The record also names the
+acceptance criterion in process, a call of ``acceptance.run_criterion``,
+over CRITERION_PASSES passes at the certify workload's profile, in a fresh
+interpreter that imports the recorded tree, at the host's reference speed
+as perfbench normalizes its own times.  The record also names the
 machine, the Python and numpy versions, the commit, a digest of ``src/``
 and its line count.  Comparing prints, for every workload and metric, the
 ratio of the second record's median to the first's and whether the change
@@ -28,6 +29,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 MIN_SEEDS = 5
@@ -71,25 +73,40 @@ def compare(before: dict, after: dict, end_to_end: list[dict]) -> list[dict]:
 
 
 def criterion_timings(passes: int) -> dict:
-    """Median and [q1, q3] of each criterion's run_criterion time, in
-    seconds, over passes passes at perfbench's CERTIFY_PROFILE, after one
-    warm-up pass.  It imports conifold_lab and perfbench's workloads from
-    sys.path; a criterion that fails raises, since its time would not be
-    that of the certified work."""
+    """Median and [q1, q3] of each criterion's time in run_criterion over
+    passes passes at perfbench's CERTIFY_PROFILE, after one warm-up pass, in
+    seconds at the host's reference speed: perfbench's speedometer runs the
+    certify workload's calibration kernel meanwhile, and each interval is
+    netted and normalized as perfbench does its own.  It imports
+    conifold_lab and perfbench's modules from sys.path; a criterion that
+    fails raises, since its time would not be that of the certified work."""
+    import speed
     from conifold_lab import acceptance
     from workloads import CERTIFY_PROFILE
 
     profile = acceptance.Profile(**CERTIFY_PROFILE)
-    times = {cid: [] for cid in sorted(acceptance.CRITERIA)}
-    for pass_index in range(passes + 1):
-        for cid, elapsed in times.items():
-            result = acceptance.run_criterion(cid, profile)
-            if not result.passed:
-                raise RuntimeError(f"{cid} failed at the certify profile: {result.failures}")
-            if pass_index:
-                elapsed.append(result.elapsed)
-    return {"passes": passes, "profile": CERTIFY_PROFILE,
-            "seconds": {cid: quartiles(elapsed) for cid, elapsed in times.items()}}
+    kernel = speed.WORKLOAD_KERNEL["certify"]
+    meter = speed.Speedometer(kernel)
+    intervals = {cid: [] for cid in sorted(acceptance.CRITERIA)}
+    meter.start()
+    try:
+        for pass_index in range(passes + 1):
+            for cid, spans in intervals.items():
+                start = time.monotonic()
+                result = acceptance.run_criterion(cid, profile)
+                end = time.monotonic()
+                if not result.passed:
+                    raise RuntimeError(f"{cid} failed at the certify profile: {result.failures}")
+                if pass_index:
+                    spans.append((start, end))
+    finally:
+        meter.stop()
+
+    def normalized(start, end):
+        return speed.normalize(meter.samples, start, end, speed.net(meter.samples, start, end), speed.KERNELS[kernel][1])
+
+    return {"passes": passes, "profile": CERTIFY_PROFILE, "kernel": kernel,
+            "seconds": {cid: quartiles([normalized(*span) for span in spans]) for cid, spans in intervals.items()}}
 
 
 def run_criterion_timings(root: Path, passes: int) -> dict:

@@ -118,7 +118,7 @@ class TestCriterionTimings:
         from workloads import CERTIFY_PROFILE
 
         timings = record.criterion_timings(3)
-        assert (timings["passes"], timings["profile"]) == (3, CERTIFY_PROFILE)
+        assert (timings["passes"], timings["profile"], timings["kernel"]) == (3, CERTIFY_PROFILE, "loop")
         assert sorted(timings["seconds"]) == self.CIDS
         for q in timings["seconds"].values():
             assert 0.0 < q["q1"] <= q["median"] <= q["q3"]
