@@ -172,8 +172,8 @@ class TestSlabsAgainstDenseGrid:
             assert np.array_equal(ours.view(float), stacked[idx].view(float))
 
     @pytest.mark.parametrize("resolution", [8, 16, 48])
-    def test_quadrature_blocks_are_the_builders_entries(self, resolution):
-        """The quadrature's own chart-4 builder against CycleGrid.at, bit for
+    def test_quadrature_blocks_are_the_grids_entries(self, resolution):
+        """The quadrature's own chart-4 blocks against CycleGrid.at, bit for
         bit and sign bit for sign bit: u_4, the first three entries of each
         oriented leg and the weights, block after block over every theta1
         row (48 ends on a partial block)."""
