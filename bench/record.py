@@ -13,10 +13,12 @@ over CRITERION_PASSES passes at the certify workload's profile, in a fresh
 interpreter that imports the recorded tree, at the host's reference speed
 as perfbench normalizes its own times.  The record also names the
 machine, the Python and numpy versions, the commit, a digest of ``src/``
-and its line count.  Comparing prints, for every workload and metric, the
-ratio of the second record's median to the first's and whether the change
-stays inside the metric's BENCHMARK.json bound; it exits 1 when one does not.
-The criterion times have no bound: their ratios are printed after.
+and its line count, in total and per module.  Comparing prints, for every
+workload and metric, the ratio of the second record's median to the first's
+and whether the change stays inside the metric's BENCHMARK.json bound; it
+exits 1 when one does not.  The criterion times have no bound: their ratios
+are printed after, and then the change in ``src/`` lines per module and in
+total, when both records count them.
 """
 
 from __future__ import annotations
@@ -130,16 +132,29 @@ def compare_criteria(before: dict, after: dict) -> list[tuple[str, float, float]
 
 def source_facts(root: Path) -> dict:
     """The commit (when the tree is a git checkout), a sha256 over the paths
-    and bytes of the Python files under src/, and their line count."""
+    and bytes of the Python files under src/, and their line count, in total
+    and per file (keyed by the path below src/)."""
     files = sorted((root / "src").rglob("*.py"))
-    digest, lines = hashlib.sha256(), 0
+    digest, module_lines = hashlib.sha256(), {}
     for path in files:
         data = path.read_bytes()
         digest.update(str(path.relative_to(root)).encode() + b"\0" + data)
-        lines += data.count(b"\n")
+        module_lines[path.relative_to(root / "src").as_posix()] = data.count(b"\n")
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True, check=False)
     return {"commit": commit.stdout.strip() if commit.returncode == 0 else None,
-            "src_sha256": digest.hexdigest(), "src_lines": lines}
+            "src_sha256": digest.hexdigest(), "src_lines": sum(module_lines.values()),
+            "src_module_lines": module_lines}
+
+
+def compare_source_lines(before: dict, after: dict) -> list[tuple[str, int, int]]:
+    """Each module counted in either record, with its src/ lines in the first
+    and in the second (0 where a record lacks it), then the total; empty when
+    a record has no per-module counts."""
+    old, new = (rec.get("source", {}).get("src_module_lines") for rec in (before, after))
+    if old is None or new is None:
+        return []
+    rows = [(module, old.get(module, 0), new.get(module, 0)) for module in sorted(old.keys() | new.keys())]
+    return rows + [("total", sum(old.values()), sum(new.values()))]
 
 
 def machine() -> dict:
@@ -201,6 +216,8 @@ def main(argv=None) -> int:
                   f"  x{row['ratio']:.3f}  {verdict} its bound {row['bound']}")
         for cid, old, new in compare_criteria(before, after):
             print(f"criterion {cid}    {old * 1e3:9.3f} ms -> {new * 1e3:9.3f} ms  x{new / old:.3f}")
+        for module, old, new in compare_source_lines(before, after):
+            print(f"src {module:30s} {old:6d} -> {new:6d}  {new - old:+d} lines")
         return 0 if all(row["inside"] for row in rows) else 1
 
     if args.out is None:

@@ -5,9 +5,12 @@ provides the fiber membership test, the weighted rescaling between fibers,
 the nearest-point identification phi_map of the singular fiber with a
 smooth one, tangent frames, the chart-4 coefficients of the volume form and
 of its pullback by phi_map, the first-order term of that pullback's
-expansion in t, and its finite-difference exterior derivative.  Points of
-the small resolution are a direction [U1:U2] and a fiber pair
-(ResolvedPoint).
+expansion in t, and its finite-difference exterior derivative.
+
+A FiberPoint holds one point (4,) or a stack (..., 4) with one t, and the
+functions below take either and answer per point.  Each check runs over the
+whole stack in the order written and raises at the first failing point,
+with the message that point gives alone.
 
 Chart conventions.  Charts are labelled 1..4 by the coordinate of maximal
 modulus; a chart is usable when |z_j| >= ||z||/4 (ties broken by lowest
@@ -18,8 +21,8 @@ cycle module uses the cycle normalization, which is twice the residue one
 (coefficient 1/z_4 in chart 4).
 
 Forms on the fiber are dense coefficient arrays over the chart-4 basis of
-``exterior`` (dz_1..dz_3 and their conjugates): 3-forms have 20
-coefficients, 4-forms 15.  An ambient one-form is an 8-vector over
+``exterior`` (dz_1..dz_3 and their conjugates) along the last axis: 3-forms
+have 20 coefficients, 4-forms 15.  An ambient one-form is an 8-vector over
 dz_1..dz_4, conj(dz_1)..conj(dz_4); it restricts to the fiber by the 8 x 6
 matrix ``_restriction``.
 """
@@ -33,6 +36,7 @@ import numpy as np
 
 from conifold_lab import exterior
 from conifold_lab.exterior import evaluate
+from conifold_lab.transitions import _product
 
 CHART_MARGIN_FACTOR = 0.25  # chart j usable iff |z_j| >= CHART_MARGIN_FACTOR * ||z||
 
@@ -41,59 +45,44 @@ CHART_COMPLEMENT = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 # ---------------------------------------------------------------------------
-# domain types
+# domain type and stacked per-point checks
 
 
 @dataclass
 class FiberPoint:
-    """A point of C^4 together with its intended fiber parameter t."""
+    """A point of C^4, or a stack of them along the last axis, together with
+    its intended fiber parameter t."""
 
     z: np.ndarray
     t: complex = 0.0
 
     def __init__(self, z, t: complex = 0.0):
         self.z = np.asarray(z, dtype=complex)
-        if self.z.shape != (4,):
-            raise ValueError("z must be a 4-vector")
+        if self.z.shape[-1:] != (4,):
+            raise ValueError("z must be a 4-vector or a stack of them along the last axis")
         self.t = complex(t)
 
     @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.z) ** 2))
+    def norm_sq(self):
+        return np.sum(np.abs(self.z) ** 2, axis=-1)
 
-    def fiber_residual(self) -> float:
-        return abs(complex(np.sum(self.z**2)) - self.t)
+    def fiber_residual(self):
+        return np.abs(np.sum(self.z**2, axis=-1) - self.t)
 
 
-@dataclass
-class ResolvedPoint:
-    """A point of the small resolution: a direction [U1:U2] and a fiber pair.
-
-    The homogeneous pair is normalized so max |U_i| = 1; the fiber pair is
-    expressed in the trivialization belonging to that normalization.
-    """
-
-    u: np.ndarray
-    w: np.ndarray
-
-    def __init__(self, u, w):
-        u = np.asarray(u, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        if u.shape != (2,) or w.shape != (2,):
-            raise ValueError("u and w must be pairs")
-        scale = np.max(np.abs(u))
-        if scale == 0.0:
-            raise ValueError("homogeneous pair (U1, U2) must be nonzero")
-        self.u = u / scale
-        self.w = w * scale
+def _require(bad, message) -> None:
+    """Raise ValueError(message(i)) at the first flat index i where bad is set."""
+    failing = np.flatnonzero(bad)
+    if failing.size:
+        raise ValueError(message(int(failing[0])))
 
 
 # ---------------------------------------------------------------------------
 # fiber membership, rescaling, nearest-point identification
 
 
-def on_fiber(p: FiberPoint, tol: float = 1e-12) -> bool:
-    """True iff |sum z_i^2 - t| <= tol * (1 + ||z||^2)."""
+def on_fiber(p: FiberPoint, tol: float = 1e-12):
+    """True iff |sum z_i^2 - t| <= tol * (1 + ||z||^2), per point."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     return p.fiber_residual() <= tol * (1.0 + p.norm_sq)
@@ -119,14 +108,11 @@ def phi_map(p: FiberPoint, t: complex) -> FiberPoint:
     """
     if p.t != 0:
         raise ValueError("phi_map expects a point on the singular fiber (t = 0)")
-    if not on_fiber(p, 1e-9):
-        raise ValueError("point does not satisfy the singular-fiber equation")
+    _require(~on_fiber(p, 1e-9), lambda i: "point does not satisfy the singular-fiber equation")
     s = p.norm_sq
-    if s == 0.0:
-        raise ValueError("phi_map is undefined at the cone point")
-    if s <= abs(t) / 2:
-        raise ValueError(f"||z||^2 = {s} is not inside the injectivity domain (> |t|/2)")
-    w = p.z + t * np.conj(p.z) / (2 * s)
+    _require(s == 0.0, lambda i: "phi_map is undefined at the cone point")
+    _require(s <= abs(t) / 2, lambda i: f"||z||^2 = {np.ravel(s)[i]} is not inside the injectivity domain (> |t|/2)")
+    w = p.z + t * np.conj(p.z) / (2 * s[..., None])
     return FiberPoint(w, t)
 
 
@@ -134,20 +120,20 @@ def phi_map(p: FiberPoint, t: complex) -> FiberPoint:
 # charts and the holomorphic volume form
 
 
-def chart_margin(p: FiberPoint) -> float:
+def chart_margin(p: FiberPoint):
     return CHART_MARGIN_FACTOR * np.sqrt(p.norm_sq)
 
 
 def _require_chart(p: FiberPoint, chart: int) -> None:
     if chart not in (1, 2, 3, 4):
         raise ValueError("chart must be one of 1..4")
-    if p.norm_sq == 0.0:
-        raise ValueError("all coordinates vanish: no chart is usable")
-    if abs(p.z[chart - 1]) < chart_margin(p):
-        raise ValueError(
-            f"chart {chart} degenerate: |z_{chart}| = {abs(p.z[chart - 1]):.3e} "
-            f"below margin {chart_margin(p):.3e}"
-        )
+    _require(p.norm_sq == 0.0, lambda i: "all coordinates vanish: no chart is usable")
+    modulus, margin = np.abs(p.z[..., chart - 1]), chart_margin(p)
+    _require(
+        modulus < margin,
+        lambda i: f"chart {chart} degenerate: |z_{chart}| = {np.ravel(modulus)[i]:.3e} "
+        f"below margin {np.ravel(margin)[i]:.3e}",
+    )
 
 
 def tangent_frame(p: FiberPoint, seeds) -> list[np.ndarray]:
@@ -179,30 +165,32 @@ def random_tangent_frame(p: FiberPoint, rng: np.random.Generator) -> list[np.nda
 
 
 def _restriction(p: FiberPoint) -> np.ndarray:
-    """The 8 x 6 matrix taking ambient one-forms to chart-4 fiber one-forms."""
+    """The (..., 8, 6) matrices taking ambient one-forms to chart-4 fiber one-forms."""
     _require_chart(p, 4)
     z = p.z
-    r = np.zeros((8, 6), dtype=complex)
-    r[[0, 1, 2, 4, 5, 6], [0, 1, 2, 3, 4, 5]] = 1.0
-    r[3, :3] = -z[:3] / z[3]
-    r[7, 3:] = -np.conj(z[:3]) / np.conj(z[3])
+    r = np.zeros(z.shape[:-1] + (8, 6), dtype=complex)
+    r[..., [0, 1, 2, 4, 5, 6], [0, 1, 2, 3, 4, 5]] = 1.0
+    r[..., 3, :3] = -z[..., :3] / z[..., 3:]
+    r[..., 7, 3:] = -np.conj(z[..., :3]) / np.conj(z[..., 3:])
     return r
 
 
 def _d_conj_over_norm(p: FiberPoint) -> np.ndarray:
-    """Ambient differentials of conj(z_i) / (2 ||z||^2), i = 1..3, as rows."""
-    zb = np.conj(p.z)
-    s = p.norm_sq
-    d = np.concatenate([np.outer(zb[:3], zb), np.outer(zb[:3], p.z)], axis=1) / (-2 * s**2)
-    d[[0, 1, 2], [4, 5, 6]] += 1.0 / (2 * s)
+    """Ambient differentials of conj(z_i) / (2 ||z||^2), i = 1..3, as the
+    rows of (..., 3, 8) matrices.  ||z||^4 is rounded as the scalar s**2 (libm's
+    pow) rounds it; the array square s * s can differ in the last bit."""
+    z, zb = p.z[..., None, :], np.conj(p.z)[..., :3, None]
+    s = p.norm_sq[..., None]
+    d = np.concatenate([zb * np.conj(z), zb * z], axis=-1) / (-2 * np.float_power(s, 2))[..., None]
+    d[..., [0, 1, 2], [4, 5, 6]] += 1.0 / (2 * s)
     return d
 
 
 def volume_form_chart_coefficients(p: FiberPoint) -> np.ndarray:
     """Chart-4 coefficients of the cycle-normalized volume form dz1^dz2^dz3 / z_4."""
     _require_chart(p, 4)
-    form = np.zeros(len(exterior.BASIS[3]), dtype=complex)
-    form[0] = 1.0 / p.z[3]
+    form = np.zeros(p.z.shape[:-1] + (len(exterior.BASIS[3]),), dtype=complex)
+    form[..., 0] = 1.0 / p.z[..., 3]
     return form
 
 
@@ -211,7 +199,7 @@ def pullback_volume_form(p: FiberPoint, t: complex) -> np.ndarray:
     smooth-fiber volume form, evaluated at a point of the singular fiber:
     dw_1 ^ dw_2 ^ dw_3 / w_4 with w = phi_map(p, t).z (cycle normalization).
     """
-    w4 = phi_map(p, t).z[3]
+    w4 = phi_map(p, t).z[..., 3:]
     dw = np.eye(3, 8) + t * _d_conj_over_norm(p)
     return exterior.wedge(dw @ _restriction(p)) / w4
 
@@ -228,20 +216,21 @@ def omega_tilde_1_coefficients(p: FiberPoint) -> np.ndarray:
     The sign of the first term is fixed by the finite-parameter expansion
     test rather than trusted from any display.  On the cone the (3,0) part
     of the sum cancels the first term, so the dz1^dz2^dz3 coefficient is
-    zero up to rounding.
+    zero up to rounding.  z_4^2 is rounded as numpy's scalar complex product
+    (_product), as the one-point scalar expression rounds it; the array
+    square can differ in the last bit.
     """
     if abs(p.t) != 0.0:
         raise ValueError("the deformation form lives on the singular fiber")
-    if p.norm_sq == 0.0:
-        raise ValueError("the deformation form is singular at the cone point")
+    _require(p.norm_sq == 0.0, lambda i: "the deformation form is singular at the cone point")
     restriction = _restriction(p)
     dconj = _d_conj_over_norm(p) @ restriction
-    z4 = p.z[3]
-    form = np.zeros(len(exterior.BASIS[3]), dtype=complex)
-    form[0] = -np.conj(z4) / (2 * z4**2 * p.norm_sq)
+    z4 = p.z[..., 3:]
+    form = np.zeros(p.z.shape[:-1] + (len(exterior.BASIS[3]),), dtype=complex)
+    form[..., :1] = -np.conj(z4) / (2 * _product(z4, z4) * p.norm_sq[..., None])
     for i in range(3):
-        rows = restriction[:3].copy()
-        rows[i] = dconj[i]
+        rows = restriction[..., :3, :].copy()
+        rows[..., i, :] = dconj[..., i, :]
         form += exterior.wedge(rows) * (1.0 / z4)
     return form
 
@@ -255,16 +244,6 @@ def omega_tilde_1(p: FiberPoint, frame) -> complex:
 # numerical exterior derivative on the fiber chart
 
 
-def _chart4_point(coords: np.ndarray, z4_ref: complex, t: complex) -> FiberPoint:
-    """Rebuild the fiber point over chart coordinates, keeping the z_4 branch
-    closest to a reference value."""
-    s = complex(np.sum(coords**2))
-    z4 = cmath.sqrt(t - s)
-    if abs(z4 - z4_ref) > abs(z4 + z4_ref):
-        z4 = -z4
-    return FiberPoint(np.array([coords[0], coords[1], coords[2], z4]), t)
-
-
 def fd_exterior_derivative(p: FiberPoint) -> np.ndarray:
     """Finite-difference exterior derivative of the first-order deformation
     form in chart 4 at p: its 15 four-form coefficients.
@@ -272,19 +251,17 @@ def fd_exterior_derivative(p: FiberPoint) -> np.ndarray:
     Uses 4th-order central stencils with step h = 1e-4 * ||z||,
     differentiating each coefficient in the Wirtinger sense (partials[a] is
     d/dz_a for a < 3 and d/dconj(z_{a-3}) after) and wedging with the
-    corresponding basis covector through exterior.D_SIGNS.
+    corresponding basis covector through exterior.D_SIGNS.  The 24 stencil
+    points (offsets -2..2 along the real and imaginary step of each chart
+    coordinate, z_4 the root closest to p's) are evaluated in one call.
     """
-    base = np.array(p.z[:3], dtype=complex)
-    h = 1e-4 * np.sqrt(p.norm_sq)
-    weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12 * h)
-
-    def directional(step: np.ndarray) -> np.ndarray:
-        points = [_chart4_point(base + off * step, p.z[3], p.t) for off in (-2, -1, 1, 2)]
-        return weights @ [omega_tilde_1_coefficients(q) for q in points]
-
-    partials = np.zeros((6, len(exterior.BASIS[3])), dtype=complex)
-    for a, step in enumerate(h * np.eye(3)):
-        dx, dy = directional(step), directional(1j * step)
-        partials[a] = (dx - 1j * dy) / 2
-        partials[3 + a] = (dx + 1j * dy) / 2
-    return partials.ravel() @ exterior.D_SIGNS
+    h = 1e-4 * np.sqrt(p.norm_sq)[..., None, None]
+    steps = h * np.concatenate([np.eye(3), 1j * np.eye(3)])
+    coords = p.z[..., None, None, :3] + np.array([-2, -1, 1, 2])[:, None] * steps[..., None, :]
+    root, ref = np.sqrt(p.t - np.sum(coords**2, axis=-1)), p.z[..., None, None, 3]
+    z4 = np.where(np.abs(root - ref) > np.abs(root + ref), -root, root)
+    stencil = FiberPoint(np.concatenate([coords, z4[..., None]], axis=-1), p.t)
+    weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12 * h[..., None])
+    dx, dy = np.split((weights @ omega_tilde_1_coefficients(stencil))[..., 0, :], 2, axis=-2)
+    partials = np.concatenate([(dx - 1j * dy) / 2, (dx + 1j * dy) / 2], axis=-2)
+    return partials.reshape(partials.shape[:-2] + (-1,)) @ exterior.D_SIGNS

@@ -5,11 +5,12 @@ conjugates.  A k-form is a complex array of coefficients over BASIS[k], the
 k-subsets of range(6) in lexicographic order (20 for k = 3, 15 for k = 4).
 
 One kernel does the arithmetic: ``wedge`` takes k one-forms as the rows of
-a (k, 6) array and returns their wedge product, the array of all k x k
-minors.  It multiplies one row at a time into the running product through
-a precomputed sign table per degree; D_SIGNS, the table for a 1-form times
-a 3-form, also maps Wirtinger partials of a 3-form to its exterior
-derivative.  Contraction with vectors is the wedge of their components.
+a (k, 6) array, or a stack (..., k, 6), and returns their wedge product, the
+array of all k x k minors.  It multiplies one row at a time into the
+running product through a precomputed sign table per degree; D_SIGNS, the
+table for a 1-form times a 3-form, also maps Wirtinger partials of a 3-form
+to its exterior derivative.  Contraction with vectors is the wedge of their
+components.
 """
 
 from __future__ import annotations
@@ -38,15 +39,17 @@ D_SIGNS = _SIGNS[3]
 
 
 def wedge(rows) -> np.ndarray:
-    """Wedge product of the one-forms in the rows of a (k, 6) array: the
-    C(6, k) coefficients over BASIS[k], which are the k x k minors.
+    """Wedge product of the one-forms in the rows of a (..., k, 6) array: the
+    C(6, k) coefficients over BASIS[k] along the last axis, the k x k minors.
 
     The product is built from the right, one row at a time, through the
     sign tables; it takes no division, so exactly singular minors are 0.
     """
-    form = np.ones(1)
-    for m, row in enumerate(np.asarray(rows)[::-1]):
-        form = np.outer(row, form).ravel() @ _SIGNS[m]
+    rows = np.asarray(rows)
+    form = np.ones(rows.shape[:-2] + (1,))
+    for m in range(rows.shape[-2]):
+        products = rows[..., -1 - m, :, None] * form[..., None, :]
+        form = products.reshape(products.shape[:-2] + (-1,)) @ _SIGNS[m]
     return form
 
 

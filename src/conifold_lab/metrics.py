@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from conifold_lab.conifold import CHART_COMPLEMENT, FiberPoint
+from conifold_lab.conifold import CHART_COMPLEMENT, FiberPoint, _require
 
 ODE_CONSTANT = 2.0 / 3.0
 
@@ -430,14 +430,7 @@ def potential_value(family: PotentialFamily, tau: float) -> PotentialSample:
 #
 # The kernels below evaluate every row of a grid at once and validate where
 # they compute: each check, taken in the order it is written, raises at the
-# first row that fails it.
-
-
-def _require(bad: np.ndarray, message) -> None:
-    """Raise ValueError(message(i)) at the first row i where bad is set."""
-    failing = np.flatnonzero(bad)
-    if failing.size:
-        raise ValueError(message(int(failing[0])))
+# first row that fails it (conifold._require).
 
 
 def positivity_margins(family: PotentialFamily, prof: PotentialProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -511,7 +504,8 @@ def resolved_points_with_tau(taus) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stacked(point) -> tuple[np.ndarray, np.ndarray]:
-    """One FiberPoint or ResolvedPoint as stacked coordinates."""
+    """One FiberPoint, or one point of the resolution (its u and w pairs), as
+    stacked coordinates."""
     if isinstance(point, FiberPoint):
         return point.z[None], np.array([point.t])
     return point.u[None], point.w[None]

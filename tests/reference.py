@@ -30,11 +30,14 @@ against.  None of them runs on the package's own code paths.
 * conifold: complex conjugation of fiber points; the chart expressions of
   the holomorphic volume form contracted against tangent frames
   (volume_form_value, the oracle for the cycle module's chart values); the
-  deformation form's coefficient vector; the real splitting of a positive
-  real fiber into the tangent bundle of the 3-sphere and its inverse; the
-  blow-down of the small resolution to the quadric {xy = zw}, its fiber
-  rescaling, and the change of variables from that quadric to the singular
-  fiber.
+  deformation form's coefficient vector; the finite-difference exterior
+  derivative rebuilding and evaluating its 24 stencil points one at a time
+  (fd_exterior_derivative_per_point, the oracle for the stacked stencil);
+  the real splitting of a positive real fiber into the tangent bundle of
+  the 3-sphere and its inverse; the points of the small resolution
+  (ResolvedPoint, a direction [U1:U2] and a fiber pair), its blow-down to
+  the quadric {xy = zw}, its fiber rescaling, and the change of variables
+  from that quadric to the singular fiber.
 * transitions: Gauss-Jordan elimination over Fractions, the kernel basis
   built from it and the smoothability witness searched over that basis and
   checked in Fractions (kernel_basis_witness); fraction-free (Bareiss)
@@ -85,9 +88,9 @@ from pathlib import Path
 import numpy as np
 
 from conifold_lab import metrics, transitions
+from conifold_lab import exterior
 from conifold_lab.conifold import (
     FiberPoint,
-    ResolvedPoint,
     _require_chart,
     omega_tilde_1_coefficients,
     on_fiber,
@@ -648,6 +651,64 @@ def dict_omega_tilde_1_coefficients(p: FiberPoint) -> Form:
 
 # ---------------------------------------------------------------------------
 # conifold
+
+
+@dataclass
+class ResolvedPoint:
+    """A point of the small resolution: a direction [U1:U2] and a fiber pair.
+
+    The homogeneous pair is normalized so max |U_i| = 1; the fiber pair is
+    expressed in the trivialization belonging to that normalization.
+    """
+
+    u: np.ndarray
+    w: np.ndarray
+
+    def __init__(self, u, w):
+        u = np.asarray(u, dtype=complex)
+        w = np.asarray(w, dtype=complex)
+        if u.shape != (2,) or w.shape != (2,):
+            raise ValueError("u and w must be pairs")
+        scale = np.max(np.abs(u))
+        if scale == 0.0:
+            raise ValueError("homogeneous pair (U1, U2) must be nonzero")
+        self.u = u / scale
+        self.w = w * scale
+
+
+def _chart4_point(coords: np.ndarray, z4_ref: complex, t: complex) -> FiberPoint:
+    """Rebuild the fiber point over chart coordinates, keeping the z_4 branch
+    closest to a reference value."""
+    s = complex(np.sum(coords**2))
+    z4 = cmath.sqrt(t - s)
+    if abs(z4 - z4_ref) > abs(z4 + z4_ref):
+        z4 = -z4
+    return FiberPoint(np.array([coords[0], coords[1], coords[2], z4]), t)
+
+
+def fd_exterior_derivative_per_point(p: FiberPoint) -> np.ndarray:
+    """Finite-difference exterior derivative of the first-order deformation
+    form in chart 4 at p: its 15 four-form coefficients.
+
+    Uses 4th-order central stencils with step h = 1e-4 * ||z||,
+    differentiating each coefficient in the Wirtinger sense (partials[a] is
+    d/dz_a for a < 3 and d/dconj(z_{a-3}) after) and wedging with the
+    corresponding basis covector through exterior.D_SIGNS.
+    """
+    base = np.array(p.z[:3], dtype=complex)
+    h = 1e-4 * np.sqrt(p.norm_sq)
+    weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12 * h)
+
+    def directional(step: np.ndarray) -> np.ndarray:
+        points = [_chart4_point(base + off * step, p.z[3], p.t) for off in (-2, -1, 1, 2)]
+        return weights @ [omega_tilde_1_coefficients(q) for q in points]
+
+    partials = np.zeros((6, len(exterior.BASIS[3])), dtype=complex)
+    for a, step in enumerate(h * np.eye(3)):
+        dx, dy = directional(step), directional(1j * step)
+        partials[a] = (dx - 1j * dy) / 2
+        partials[3 + a] = (dx + 1j * dy) / 2
+    return partials.ravel() @ exterior.D_SIGNS
 
 
 def conjugate_point(p: FiberPoint) -> FiberPoint:

@@ -99,10 +99,33 @@ class TestSource:
         (tmp_path / "src" / "pkg").mkdir(parents=True)
         (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
         (tmp_path / "src" / "pkg" / "b.txt").write_text("not python\n")
+        (tmp_path / "src" / "pkg" / "sub").mkdir()
+        (tmp_path / "src" / "pkg" / "sub" / "c.py").write_text("z = 3\n")
         facts = record.source_facts(tmp_path)
-        assert facts["src_lines"] == 2 and facts["commit"] is None
+        assert facts["src_lines"] == 3 and facts["commit"] is None
+        assert facts["src_module_lines"] == {"pkg/a.py": 2, "pkg/sub/c.py": 1}
         (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 3\n")
         assert record.source_facts(tmp_path)["src_sha256"] != facts["src_sha256"]
+
+    def test_compare_prints_the_line_change_per_module_and_in_total(self, tmp_path, capsys):
+        """A module in one record only counts 0 lines in the other; records
+        without per-module counts, as older ones are, print no line rows."""
+        base = _record({"certify": TestCompare.BASE})
+        before = dict(base, source={"src_lines": 300, "src_module_lines": {"pkg/a.py": 290, "pkg/b.py": 10}})
+        after = dict(base, source={"src_lines": 275, "src_module_lines": {"pkg/a.py": 255, "pkg/c.py": 20}})
+        assert record.compare_source_lines(before, after) == [
+            ("pkg/a.py", 290, 255), ("pkg/b.py", 10, 0), ("pkg/c.py", 0, 20), ("total", 300, 275),
+        ]
+        assert record.compare_source_lines(base, after) == record.compare_source_lines(before, base) == []
+        assert record.compare_source_lines(dict(base, source={"src_lines": 300}), after) == []
+        paths = tmp_path / "before.json", tmp_path / "after.json"
+        for path, rec in zip(paths, (before, after)):
+            path.write_text(json.dumps(rec))
+        assert record.main(["--compare", *map(str, paths)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(METRICS) + 4
+        assert lines[-4].split() == ["src", "pkg/a.py", "290", "->", "255", "-35", "lines"]
+        assert lines[-1].split() == ["src", "total", "300", "->", "275", "-25", "lines"]
 
     def test_too_few_seeds_are_refused(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conifold_lab.acceptance import Profile, criterion_09
 from conifold_lab.conifold import (
     FiberPoint,
-    ResolvedPoint,
     chart_margin,
     fd_exterior_derivative,
     omega_tilde_1,
@@ -24,6 +25,7 @@ from conifold_lab.conifold import (
 from conifold_lab.exterior import BASIS, evaluate
 from reference import (
     OMEGA_TILDE_BASIS,
+    ResolvedPoint,
     conjugate_point,
     dominant_chart,
     holomorphic_volume_form,
@@ -58,6 +60,30 @@ def random_cone_points(rng, count, radius_range=(1.0, 1.0)):
         target = rng.uniform(*radius_range)
         points.append(FiberPoint(z * (target / norm), 0.0))
     return points
+
+
+def refusal(fn, z, t: complex = 0.0) -> str:
+    """The ValueError message of fn at the point z alone, after checking that
+    a stack holding z among three good cone points raises the same one."""
+    with pytest.raises(ValueError) as alone:
+        fn(FiberPoint(z, t))
+    good = 3.0 * cone_point_with_dominant_z4().z * np.array([[1.0], [1j], [-2.0]])
+    with pytest.raises(ValueError) as stacked:
+        fn(FiberPoint(np.insert(good, 2, z, axis=0), t))
+    assert str(stacked.value) == str(alone.value)
+    return str(alone.value)
+
+
+class TestFiberPoint:
+    def test_a_stack_along_the_last_axis(self):
+        p = FiberPoint(np.ones((2, 3, 4)), 0.5)
+        assert p.norm_sq.shape == p.fiber_residual().shape == on_fiber(p).shape == (2, 3)
+        assert np.all(p.norm_sq == 4.0) and np.all(p.fiber_residual() == 3.5)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (2, 5)])
+    def test_rejects_a_last_axis_other_than_4(self, shape):
+        with pytest.raises(ValueError, match="4-vector"):
+            FiberPoint(np.zeros(shape))
 
 
 class TestOnFiber:
@@ -149,13 +175,18 @@ class TestPhiMap:
                 assert np.max(np.abs(lhs - rhs)) < 1e-14
 
     def test_rejects_cone_point(self):
-        with pytest.raises(ValueError):
-            phi_map(FiberPoint([0, 0, 0, 0], 0.0), 1.0)
+        message = refusal(lambda p: phi_map(p, 1.0), [0, 0, 0, 0])
+        assert message == "phi_map is undefined at the cone point"
 
     def test_rejects_outside_injectivity_domain(self):
-        p = FiberPoint(0.1 * np.array([1, 1j, 0, 0]), 0.0)
-        with pytest.raises(ValueError):
-            phi_map(p, 1.0)
+        message = refusal(lambda p: phi_map(p, 1.0), 0.1 * np.array([1, 1j, 0, 0]))
+        assert message.startswith("||z||^2 = 0.02") and message.endswith("is not inside the injectivity domain (> |t|/2)")
+        with pytest.raises(ValueError, match=r"^\|\|z\|\|\^2 = 0\.08"):
+            phi_map(FiberPoint([[0.2, 0.2j, 0, 0], [0.1, 0.1j, 0, 0]], 0.0), 1.0)
+
+    def test_rejects_a_point_off_the_singular_fiber(self):
+        message = refusal(lambda p: phi_map(p, 0.5), [1, 0, 0, 0])
+        assert message == "point does not satisfy the singular-fiber equation"
 
     def test_rejects_smooth_fiber_input(self):
         with pytest.raises(ValueError):
@@ -172,6 +203,11 @@ class TestVolumeForm:
         p = FiberPoint([0, 0, 0, 1], 1.0)
         with pytest.raises(ValueError):
             holomorphic_volume_form(p, chart=3)
+
+    @pytest.mark.parametrize("form", [volume_form_chart_coefficients, omega_tilde_1_coefficients])
+    def test_degenerate_chart_4_rejected_in_a_stack(self, form):
+        message = refusal(form, [1, 1j, 0, 0])
+        assert message == "chart 4 degenerate: |z_4| = 0.000e+00 below margin 3.536e-01"
 
     def test_dominant_chart_margin(self):
         p = cone_point_with_dominant_z4()
@@ -301,6 +337,34 @@ class TestOmegaTilde1:
         assert errors[1] < 0.02 * abs(v_first)
         assert errors[1] < 0.3 * errors[0]
 
+    def test_c09_keys_are_those_of_the_per_point_code(self):
+        """C09's four measured values at GENERIC_CONE_POINT (seed 0), recorded
+        with the stencil evaluated one point at a time: the stacked stencil
+        and forms give them bit for bit."""
+        _, _, chk = criterion_09(Profile.full(seed=0))
+        assert {name: item["measured"] for name, item in chk.details.items()} == {
+            "expansion_ratio_first": 10.000000000000002,
+            "expansion_ratio_second": 9.999999999999998,
+            "closedness_fd_norm": 5.684208817798986e-11,
+            "scale_invariance_residual": 1.1258133953552213e-15,
+        }
+
+    def test_stacked_forms_keep_the_per_point_bits(self):
+        """The deformation form and its stencil derivative of 128 seeded cone
+        points as one stack: the sha256 of their bytes was recorded with one
+        call per point and the stencil rebuilt one point at a time.  It pins
+        the rounding of z_4^2 (numpy's scalar product) and of ||z||^4 (libm's
+        pow), which the array operations would change in the last bit."""
+        rng = np.random.default_rng(28)
+        points = [p for p in random_cone_points(rng, 512, radius_range=(0.1, 10.0))
+                  if abs(p.z[3]) >= 0.3 * math.sqrt(p.norm_sq)][:128]
+        stack = FiberPoint(np.array([p.z for p in points]), 0.0)
+        data = np.concatenate([omega_tilde_1_coefficients(stack), fd_exterior_derivative(stack)], axis=-1)
+        assert data.shape == (128, 35)
+        assert hashlib.sha256(data.tobytes()).hexdigest() == (
+            "10cfd25cd5ba587fcde9307cb2f31c82d356f0c0ed5c378cae29b0350cfaae2f"
+        )
+
     def test_closedness_by_finite_differences(self):
         p = cone_point_with_dominant_z4()
         first = omega_tilde_1_coefficients(p)
@@ -310,8 +374,8 @@ class TestOmegaTilde1:
         assert d_norm < 1e-6 * scale
 
     def test_rejects_origin_and_smooth_fiber(self):
-        with pytest.raises(ValueError):
-            omega_tilde_1_coefficients(FiberPoint([0, 0, 0, 0], 0.0))
+        message = refusal(omega_tilde_1_coefficients, [0, 0, 0, 0])
+        assert message == "the deformation form is singular at the cone point"
         with pytest.raises(ValueError):
             omega_tilde_1_coefficients(FiberPoint([0, 0, 0, 1], 1.0))
 

@@ -3,14 +3,19 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
+from conifold_lab import conifold
 from conifold_lab.conifold import (
     FiberPoint,
+    fd_exterior_derivative,
     omega_tilde_1_coefficients,
     pullback_volume_form,
     random_tangent_frame,
+    volume_form_chart_coefficients,
 )
 from conifold_lab.exterior import BASIS, D_SIGNS, evaluate, wedge
 from reference import (
@@ -18,10 +23,22 @@ from reference import (
     as_dense,
     dict_omega_tilde_1_coefficients,
     dict_pullback_volume_form,
+    fd_exterior_derivative_per_point,
     fiber_component,
     form_evaluate,
     wedge_all,
 )
+
+EPS = np.finfo(float).eps
+ULPS = 4
+
+
+def _within_ulps(stacked: np.ndarray, rows: list, scale=None) -> bool:
+    """Every row of a stacked result equals its one-call result to ULPS ulps
+    of scale, by default that row's largest coefficient."""
+    rows = np.array(rows).reshape(stacked.shape)
+    scale = np.max(np.abs(rows), axis=-1, keepdims=True) if scale is None else scale
+    return bool(np.all(np.abs(stacked - rows) <= ULPS * EPS * scale))
 
 
 def test_sort_with_sign_against_permutation_determinants():
@@ -62,6 +79,20 @@ def test_wedge_matches_the_dict_algebra(k, seed):
     assert np.max(np.abs(wedge(rows) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_stacked_wedge_is_the_wedge_of_each_stack_entry(k, seed):
+    """A (2, 3, k, 6) stack gives each entry's one-call minors to a few ulps
+    of their Hadamard bound, the product of the row norms: a minor that
+    cancels (k = 6) may be summed in another order."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(2, 3, k, 6)) + 1j * rng.normal(size=(2, 3, k, 6))
+    stacked = wedge(rows)
+    assert stacked.shape == (2, 3, len(BASIS[k]))
+    hadamard = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)[..., None]
+    assert _within_ulps(stacked, [wedge(entry) for block in rows for entry in block], hadamard)
+
+
 @st.composite
 def cone_point_and_parameter(draw):
     """A chart-4 point of the singular fiber with ||z||^2 in 1e-6..1e6 and a
@@ -76,6 +107,65 @@ def cone_point_and_parameter(draw):
     p = FiberPoint(z * (phase * math.sqrt(target / norm_sq)), 0.0)
     t = draw(st.floats(0.0, 0.1)) * p.norm_sq * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
     return p, t
+
+
+@st.composite
+def cone_point_stack(draw):
+    """One to six points drawn as cone_point_and_parameter draws them, as a
+    stack (P, 4), (1, P, 4) or (P, 1, 4), and one parameter t with
+    |t| <= 0.1 ||z||^2 at every point."""
+    draws = draw(st.lists(cone_point_and_parameter(), min_size=1, max_size=6))
+    z = np.array([p.z for p, _ in draws])
+    norm_sq = np.array([p.norm_sq for p, _ in draws])
+    t = draws[0][1] * np.min(norm_sq) / norm_sq[0]
+    return FiberPoint(z.reshape(draw(st.sampled_from([(-1, 4), (1, -1, 4), (-1, 1, 4)]))), 0.0), t
+
+
+@given(cone_point_stack())
+@settings(max_examples=60, deadline=None)
+def test_stacked_forms_are_the_one_point_forms(stack_and_t):
+    """The volume form, the pullback, the deformation form and its
+    finite-difference exterior derivative of a stack agree with one call per
+    point, and the exterior derivative with the stencil rebuilt and evaluated
+    one point at a time.  The derivative cancels terms of size
+    |omega_tilde_1| / h, so its ulps are those of that size."""
+    stack, t = stack_and_t
+    points = [FiberPoint(z, 0.0) for z in stack.z.reshape(-1, 4)]
+    assert _within_ulps(volume_form_chart_coefficients(stack), [volume_form_chart_coefficients(p) for p in points])
+    assert _within_ulps(pullback_volume_form(stack, t), [pullback_volume_form(p, t) for p in points])
+    first = omega_tilde_1_coefficients(stack)
+    assert _within_ulps(first, [omega_tilde_1_coefficients(p) for p in points])
+    h = 1e-4 * np.sqrt(stack.norm_sq)[..., None]
+    scale = 8 * np.max(np.abs(first), axis=-1, keepdims=True) / h
+    derivative = fd_exterior_derivative(stack)
+    assert derivative.shape == stack.z.shape[:-1] + (len(BASIS[4]),)
+    assert _within_ulps(derivative, [fd_exterior_derivative(p) for p in points], scale)
+    assert _within_ulps(derivative, [fd_exterior_derivative_per_point(p) for p in points], scale)
+
+
+@given(cone_point_stack())
+@settings(max_examples=30, deadline=None)
+def test_stacked_stencil_differentiates_as_the_per_point_stencil(stack_and_t):
+    """The same comparison for conj(z_1) omega_tilde_1, which is not closed:
+    its derivative has the size of omega_tilde_1 instead of the stencil's
+    rounding, so a wrong z_4 branch, offset or weight in either stencil
+    shows far outside the ulps."""
+    stack, _ = stack_and_t
+    points = [FiberPoint(z, 0.0) for z in stack.z.reshape(-1, 4)]
+    form = conifold.omega_tilde_1_coefficients
+
+    def not_closed(p):
+        return form(p) * np.conj(p.z[..., :1])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conifold, "omega_tilde_1_coefficients", not_closed)
+        patch.setattr(reference, "omega_tilde_1_coefficients", not_closed)
+        derivative = fd_exterior_derivative(stack)
+        per_point = [fd_exterior_derivative_per_point(p) for p in points]
+    h = 1e-4 * np.sqrt(stack.norm_sq)[..., None]
+    scale = 8 * np.max(np.abs(not_closed(stack)), axis=-1, keepdims=True) / h
+    assert np.all(np.max(np.abs(derivative), axis=-1) > 1e-3 * np.max(np.abs(form(stack)), axis=-1))
+    assert _within_ulps(derivative, per_point, scale)
 
 
 def _relative_gap(dense: np.ndarray, form: dict, k: int = 3) -> float:

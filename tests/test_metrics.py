@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conifold_lab import metrics
 from conifold_lab.acceptance import sample_fiber_points, sample_resolved_points
-from conifold_lab.conifold import FiberPoint, ResolvedPoint
+from conifold_lab.conifold import FiberPoint
 from conifold_lab.metrics import (
     MONGE_AMPERE_CONSTANT,
     ODE_CONSTANT,
@@ -41,6 +41,7 @@ from conifold_lab.metrics import (
     _smoothed_derivatives,
 )
 from reference import (
+    ResolvedPoint,
     asymptotic_deviation_per_point,
     cone_point,
     f1_resolved_quad,

@@ -245,6 +245,31 @@ class TestC09:
         monkeypatch.setattr(exterior, "D_SIGNS", signs)
         assert [f.partition(":")[0] for f in _failures(criterion_09)] == ["closedness_fd_norm"]
 
+    def test_flipped_30_term(self, monkeypatch):
+        """+conj(z_4) / (2 z_4^2 ||z||^2) for the (3,0) term of omega_tilde_1:
+        the expansion no longer matches at first order, and the stencil,
+        which evaluates the same function, finds the form far from closed."""
+        flipped = _rewritten(conifold, "omega_tilde_1_coefficients", "= -np.conj(z4) /", "= np.conj(z4) /")
+        monkeypatch.setattr(conifold, "omega_tilde_1_coefficients", flipped)
+        assert [f.partition(":")[0] for f in _failures(criterion_09)] == [
+            "expansion_ratio_first", "expansion_ratio_second", "closedness_fd_norm",
+        ]
+
+    def test_stencil_without_its_far_right_point(self, monkeypatch):
+        """Finite-difference weights (1, -8, 8, 0) / 12h: the stencil's +2h
+        points are dropped, the weights no longer sum to zero, and the
+        'derivative' is about |omega_tilde_1| / 12h."""
+        original = conifold.omega_tilde_1_coefficients
+
+        def without_plus_2h(p):
+            form = original(p)
+            if p.z.ndim > 1:  # the stencil: offsets -2h, -h, +h, +2h along axis -2
+                form[..., 3, :] = 0.0
+            return form
+
+        monkeypatch.setattr(conifold, "omega_tilde_1_coefficients", without_plus_2h)
+        assert [f.partition(":")[0] for f in _failures(criterion_09)] == ["closedness_fd_norm"]
+
 
 class TestC10:
     def test_third_betti_number_grows_by_c(self, monkeypatch):
