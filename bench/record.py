@@ -15,10 +15,12 @@ as perfbench normalizes its own times.  The record also names the
 machine, the Python and numpy versions, the commit, a digest of ``src/``
 and its line count, in total and per module.  Comparing prints, for every
 workload and metric, the ratio of the second record's median to the first's
-and whether the change stays inside the metric's BENCHMARK.json bound; it
-exits 1 when one does not.  The criterion times have no bound: their ratios
-are printed after, and then the change in ``src/`` lines per module and in
-total, when both records count them.
+and whether the change stays inside the metric's BENCHMARK.json bound, then
+each workload's attempted and failed operations in both records; it exits 1
+when a metric moves past its bound or a workload's failed share grows.  The
+criterion times have no bound: their ratios are printed after, and then the
+change in ``src/`` lines per module and in total, when both records count
+them.
 """
 
 from __future__ import annotations
@@ -71,6 +73,21 @@ def compare(before: dict, after: dict, end_to_end: list[dict]) -> list[dict]:
             worse = ratio - 1.0 if metric["better"] == "lower" else 1.0 - ratio
             rows.append({"workload": workload, "metric": name, "before": old, "after": new,
                          "ratio": ratio, "bound": bound, "inside": worse <= bound})
+    return rows
+
+
+def compare_failures(before: dict, after: dict) -> list[dict]:
+    """One row per workload recorded in both that counts its operations in
+    both: attempted and failed in each, and whether the failed share
+    (failed / attempted) did not grow."""
+    rows = []
+    for workload in (w for w in before["workloads"] if w in after["workloads"]):
+        old, new = before["workloads"][workload], after["workloads"][workload]
+        if not all(key in rec for rec in (old, new) for key in ("attempted", "failed")):
+            continue
+        share = [rec["failed"] / rec["attempted"] if rec["attempted"] else 0.0 for rec in (old, new)]
+        rows.append({"workload": workload, "before": (old["attempted"], old["failed"]),
+                     "after": (new["attempted"], new["failed"]), "inside": share[1] <= share[0]})
     return rows
 
 
@@ -214,11 +231,17 @@ def main(argv=None) -> int:
             verdict = "inside" if row["inside"] else "OUTSIDE"
             print(f"{row['workload']:17s} {row['metric']:12s} {row['before']:12.5g} -> {row['after']:12.5g}"
                   f"  x{row['ratio']:.3f}  {verdict} its bound {row['bound']}")
+        failures = compare_failures(before, after)
+        for row in failures:
+            (old_attempted, old_failed), (new_attempted, new_failed) = row["before"], row["after"]
+            verdict = "kept" if row["inside"] else "GREW"
+            print(f"{row['workload']:17s} failed       {old_failed:6d} of {old_attempted:6d} -> {new_failed:6d} of "
+                  f"{new_attempted:6d}  failed share {verdict}")
         for cid, old, new in compare_criteria(before, after):
             print(f"criterion {cid}    {old * 1e3:9.3f} ms -> {new * 1e3:9.3f} ms  x{new / old:.3f}")
         for module, old, new in compare_source_lines(before, after):
             print(f"src {module:30s} {old:6d} -> {new:6d}  {new - old:+d} lines")
-        return 0 if all(row["inside"] for row in rows) else 1
+        return 0 if all(row["inside"] for row in rows + failures) else 1
 
     if args.out is None:
         parser.error("give --out to record, or --compare BEFORE AFTER")

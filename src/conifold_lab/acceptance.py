@@ -111,15 +111,15 @@ class Checks:
         return all(passed for _, passed, _, _ in self._checks)
 
 
-def sample_fiber_points(t: complex, taus, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Generic points (z, t) of V_t at prescribed radii: real rotations of
-    the normal form preserve both the fiber equation and the radius (per
-    point, the Q of a Gaussian QR with R's diagonal positive and det Q = 1)."""
-    base, t_rows = metrics.smoothed_normal_form_points(t, taus)
+def sample_fiber_points(t: complex, taus, rng: np.random.Generator) -> conifold.FiberPoint:
+    """Generic points of V_t at prescribed radii, one FiberPoint stack: real
+    rotations of the normal form preserve the fiber equation and the radius
+    (per point, the Q of a Gaussian QR with R's diagonal positive, det Q = 1)."""
+    base = metrics.smoothed_normal_form_points(t, taus).z
     q, r = np.linalg.qr(rng.normal(size=(len(base), 4, 4)))
     q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     q[np.linalg.det(q) < 0, :, 0] *= -1
-    return (q @ base[:, :, None])[:, :, 0], t_rows
+    return conifold.FiberPoint((q @ base[:, :, None])[:, :, 0], t)
 
 
 def sample_resolved_points(radii, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

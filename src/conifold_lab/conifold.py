@@ -253,8 +253,11 @@ def fd_exterior_derivative(p: FiberPoint) -> np.ndarray:
     d/dz_a for a < 3 and d/dconj(z_{a-3}) after) and wedging with the
     corresponding basis covector through exterior.D_SIGNS.  The 24 stencil
     points (offsets -2..2 along the real and imaginary step of each chart
-    coordinate, z_4 the root closest to p's) are evaluated in one call.
+    coordinate, z_4 the root closest to p's) are evaluated in one call,
+    once p is on the singular fiber and in a usable chart 4.
     """
+    _require(~on_fiber(p, 1e-9), lambda i: "point does not satisfy the singular-fiber equation")
+    _require_chart(p, 4)
     h = 1e-4 * np.sqrt(p.norm_sq)[..., None, None]
     steps = h * np.concatenate([np.eye(3), 1j * np.eye(3)])
     coords = p.z[..., None, None, :3] + np.array([-2, -1, 1, 2])[:, None] * steps[..., None, :]

@@ -30,14 +30,14 @@ MAX_DEGREE = 300
 
 @dataclass(frozen=True)
 class HypersurfaceSpec:
-    """A degree-d hypersurface in P^n, assumed smooth."""
+    """A degree-d hypersurface in P^n, assumed smooth (n >= 3, the Lefschetz range)."""
 
     n: int
     d: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"ambient projective dimension n must lie in [2, {MAX_DIMENSION}], "
+        if not 3 <= self.n <= MAX_DIMENSION:
+            raise ValueError(f"ambient projective dimension n must lie in [3, {MAX_DIMENSION}], "
                              f"got {abbreviated(str(self.n))}")
         if not 1 <= self.d <= MAX_DEGREE:
             raise ValueError(f"degree d must lie in [1, {MAX_DEGREE}], got {abbreviated(str(self.d))}")
@@ -137,10 +137,7 @@ def hodge_diamond(spec: HypersurfaceSpec) -> HodgeDiamond:
     (p = n-1-p, n odd) the delta contribution is part of the middle Hodge
     number itself and h^{p,p} = (-1)^p chi_p.
     """
-    n = spec.n
-    if n < 3:
-        raise ValueError("middle-row formula needs n >= 3 (Lefschetz range)")
-    m = n - 1
+    m = spec.n - 1
     entries = [[1 if (p == q and p + q != m) else 0 for q in range(m + 1)] for p in range(m + 1)]
     for p in range(m + 1):
         chi_p = chi_hypersurface_omega_p(spec, p)

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from conifold_lab.conifold import CHART_COMPLEMENT, FiberPoint, _require
+from conifold_lab.conifold import CHART_COMPLEMENT, FiberPoint, _require, on_fiber
 
 ODE_CONSTANT = 2.0 / 3.0
 
@@ -381,11 +381,9 @@ def profile(family: PotentialFamily, taus) -> PotentialProfile:
     violations.
     """
     tau = np.array(taus, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(tau)):
-        raise ValueError("taus must be finite")
+    _require(~np.isfinite(tau), lambda i: "taus must be finite")
     if family.kind == "cone":
-        if np.any(tau <= 0):
-            raise ValueError("cone profile derivatives need tau > 0")
+        _require(tau <= 0, lambda i: "cone profile derivatives need tau > 0")
         return PotentialProfile(
             tau=tau,
             f=1.5 * tau ** (2.0 / 3.0),
@@ -395,9 +393,7 @@ def profile(family: PotentialFamily, taus) -> PotentialProfile:
         )
     if family.kind == "smoothed":
         at = abs(family.t)
-        if np.any(tau < at):
-            below = tau[tau < at][0]
-            raise ValueError(f"tau = {float(below)} below the smoothed domain minimum |t| = {at}")
+        _require(tau < at, lambda i: f"tau = {float(tau[i])} below the smoothed domain minimum |t| = {at}")
         sigma = tau / at
         val, err = _lattice_integral(sigma)
         scale = at ** (2.0 / 3.0)
@@ -410,8 +406,7 @@ def profile(family: PotentialFamily, taus) -> PotentialProfile:
         )
     # resolved
     a = family.a
-    if np.any(tau < 0):
-        raise ValueError("resolved profile needs tau >= 0")
+    _require(tau < 0, lambda i: "resolved profile needs tau >= 0")
     sigma = tau / a**3
     gamma = _gamma_unit(sigma)
     f = a**2 * (1.5 * gamma - 3.0 * np.log1p(gamma / 6.0))
@@ -473,26 +468,24 @@ def ode_residual(family: PotentialFamily, sample: PotentialSample) -> float:
 # ---------------------------------------------------------------------------
 # Hessians and the volume-form constancy audit
 #
-# Points are stacked coordinates: (z, t) on a fiber, z of shape (N, 4) and
-# t the points' fiber parameter (a scalar or one per row); (u, w) on the
-# resolution, two arrays of shape (N, 2) holding the direction [U1:U2] and
-# the fiber pair.
+# Points are stacks: on a fiber, a conifold.FiberPoint whose z has shape
+# (N, 4), with the one t of its fiber; on the resolution, a pair (u, w) of
+# arrays of shape (N, 2) holding the direction [U1:U2] and the fiber pair.
 
 
-def smoothed_normal_form_points(t: complex, taus) -> tuple[np.ndarray, np.ndarray]:
+def smoothed_normal_form_points(t: complex, taus) -> FiberPoint:
     """The rotation normal form on V_t at each radius tau: all mass in z_1
     (imaginary direction) and z_4 (real direction), rotated by half the
     phase of t."""
     t = complex(t)
     at = abs(t)
     tau = np.array(taus, dtype=float).reshape(-1)
-    if np.any(tau < at):
-        raise ValueError("tau below the fiber's minimal radius")
+    _require(tau < at, lambda i: "tau below the fiber's minimal radius")
     phase = cmath.exp(1j * cmath.phase(t) / 2) if t != 0 else 1.0
     z = np.zeros((len(tau), 4), dtype=complex)
     z[:, 0] = 1j * np.sqrt((tau - at) / 2.0)
     z[:, 3] = np.sqrt((tau + at) / 2.0)
-    return phase * z, np.full(len(tau), t)
+    return FiberPoint(phase * z, t)
 
 
 def resolved_points_with_tau(taus) -> tuple[np.ndarray, np.ndarray]:
@@ -503,11 +496,11 @@ def resolved_points_with_tau(taus) -> tuple[np.ndarray, np.ndarray]:
     return np.tile(np.array([1.0, 0.0], dtype=complex), (len(tau), 1)), w
 
 
-def _stacked(point) -> tuple[np.ndarray, np.ndarray]:
+def _stacked(point):
     """One FiberPoint, or one point of the resolution (its u and w pairs), as
-    stacked coordinates."""
+    a one-point stack."""
     if isinstance(point, FiberPoint):
-        return point.z[None], np.array([point.t])
+        return FiberPoint(point.z[None], point.t)
     return point.u[None], point.w[None]
 
 
@@ -522,16 +515,18 @@ def _resolved_chart(u: np.ndarray, w: np.ndarray):
     return np.where(first, 1, 2), ua, W, rho, 1.0 + np.abs(ua) ** 2
 
 
-def point_taus(coords) -> np.ndarray:
-    """The radial invariant tau of stacked points: the ambient squared norm
-    on a fiber, (1 + |u|^2) |W|^2 in the dominant chart of the resolution."""
-    if coords[0].shape[1] == 4:
-        return np.sum(np.abs(coords[0]) ** 2, axis=1)
-    _, _, _, rho, one_u = _resolved_chart(*coords)
+def point_taus(points) -> np.ndarray:
+    """The radial invariant tau of stacked points: FiberPoint.norm_sq on a
+    fiber, (1 + |u|^2) |W|^2 in the dominant chart of the resolution."""
+    if isinstance(points, FiberPoint):
+        return points.norm_sq
+    _, _, _, rho, one_u = _resolved_chart(*points)
     return one_u * rho
 
 
 def _check_tau(prof: PotentialProfile, tau: np.ndarray) -> None:
+    if len(prof) != len(tau):
+        raise ValueError(f"{len(prof)} profile samples for {len(tau)} points")
     # a grid point and the point built from it agree to a few ulps
     _require(
         ~(np.abs(prof.tau - tau) <= 1e-13 * tau),
@@ -543,11 +538,10 @@ def _outer(x: np.ndarray) -> np.ndarray:
     return x[:, :, None] * np.conj(x)[:, None, :]
 
 
-def _fiber_hessians(family: PotentialFamily, z: np.ndarray, t, prof: PotentialProfile):
-    tau = point_taus((z, t))
-    on_fiber = np.abs(np.sum(z**2, axis=1) - t) <= 1e-9 * (1.0 + tau)
-    _require(~(on_fiber & (t == family.t)), lambda i: "point does not lie on the family's fiber")
-    _check_tau(prof, tau)
+def _fiber_hessians(family: PotentialFamily, p: FiberPoint, prof: PotentialProfile):
+    _require(~(on_fiber(p, 1e-9) & (p.t == family.t)), lambda i: "point does not lie on the family's fiber")
+    _check_tau(prof, p.norm_sq)
+    z = p.z
     rows = np.arange(len(z))
     chart = np.argmax(np.abs(z), axis=1)
     v = z[rows[:, None], CHART_COMPLEMENT[chart]]
@@ -574,29 +568,27 @@ def _resolved_hessians(family: PotentialFamily, u: np.ndarray, w: np.ndarray, pr
     return H, np.ones(len(u)), chart
 
 
-def chart_hessians(family: PotentialFamily, coords, prof: PotentialProfile):
+def chart_hessians(family: PotentialFamily, points, prof: PotentialProfile):
     """Analytic complex Hessians of the Kaehler potential in the dominant
     chart of each point, from the profile sampled at the points' taus:
     (H of shape (N, 3, 3), reference densities, charts).
 
-    Smoothing / cone: the chart drops the coordinate of maximal modulus
-    (lowest index on ties); the Hessian over the remaining three is
-    f' M + f'' T T* with M = I + v v*/|z_c|^2 and
+    Smoothing / cone: a FiberPoint stack (N, 4) with the family's t, every
+    point on that fiber (conifold.on_fiber at 1e-9).  The chart drops the
+    coordinate of maximal modulus (lowest index on ties); the Hessian over
+    the remaining three is f' M + f'' T T* with M = I + v v*/|z_c|^2 and
     T = conj(v) - (conj(z_c)/z_c) v.  The reference density is |2 z_c|^{-2}.
-    Points must lie on the family's fiber (to 1e-9 relative).
 
-    Resolution: chart coordinates (affine direction u, fiber pair W) of the
-    larger homogeneous coordinate; the potential is
-    4 a^2 log(1+|u|^2) + f(tau) with tau = (1+|u|^2) |W|^2.  The chart
-    volume form has constant coefficient, so the density is 1.
+    Resolution: a (u, w) pair of (N, 2) arrays, read in the chart (affine
+    direction u, fiber pair W) of the larger homogeneous coordinate; the
+    potential is 4 a^2 log(1+|u|^2) + f(tau) with tau = (1+|u|^2) |W|^2.
+    The chart volume form has constant coefficient, so the density is 1.
 
-    Each sample's tau must match its point's to 1e-13 relative.
+    There must be one sample per point, at its point's tau to 1e-13 relative.
     """
-    if len(prof) != len(coords[0]):
-        raise ValueError(f"{len(prof)} profile samples for {len(coords[0])} points")
     if family.kind == "resolved":
-        return _resolved_hessians(family, *coords, prof)
-    return _fiber_hessians(family, *coords, prof)
+        return _resolved_hessians(family, *points, prof)
+    return _fiber_hessians(family, points, prof)
 
 
 def hermitian_hessian(family: PotentialFamily, point, sample: PotentialSample) -> HermitianHessian:
@@ -605,13 +597,13 @@ def hermitian_hessian(family: PotentialFamily, point, sample: PotentialSample) -
     return HermitianHessian(point=point, H=H[0], density=float(density[0]), chart=int(chart[0]))
 
 
-def monge_ampere_residuals(family: PotentialFamily, coords, prof: PotentialProfile) -> np.ndarray:
+def monge_ampere_residuals(family: PotentialFamily, points, prof: PotentialProfile) -> np.ndarray:
     """|det(H)/density / MONGE_AMPERE_CONSTANT - 1| at each point, given the
     profile sampled at the points' taus: the volume-form equation
     det(g) = const |Omega|^2 against its exact constant, which is the radial
     ODE certified through an independent code path (chart Hessians instead
     of the profile identity).  Every Hessian must be positive definite."""
-    H, density, _ = chart_hessians(family, coords, prof)
+    H, density, _ = chart_hessians(family, points, prof)
     bad = ~np.all(np.linalg.eigvalsh(H) > 0, axis=1)
     _require(bad, lambda i: "Hessian not positive definite; not a metric at this point")
     det = np.linalg.det(H).real

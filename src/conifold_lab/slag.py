@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from conifold_lab.conifold import CHART_COMPLEMENT
+from conifold_lab.conifold import CHART_COMPLEMENT, _require
 from conifold_lab.transitions import abbreviated
 
 SPHERE_VOLUME = 2.0 * math.pi**2
@@ -284,8 +284,8 @@ def calibration_residual(t: complex, nodes: np.ndarray, frames: np.ndarray) -> t
     """
     nodes = np.asarray(nodes, dtype=complex)
     frames = np.asarray(frames, dtype=complex)
-    if np.any(frame_tangency_residual(nodes, frames) > 1e-8 * np.linalg.norm(nodes, axis=-1)):
-        raise ValueError("frame is not tangent to the fiber at the node")
+    _require(frame_tangency_residual(nodes, frames) > 1e-8 * np.linalg.norm(nodes, axis=-1),
+             lambda i: "frame is not tangent to the fiber at the node")
     value = _chart_form_values(nodes, frames, np.argmax(np.abs(nodes), axis=-1))
     # the rotation in real arithmetic: numpy's complex array product may fuse
     # multiply-adds, which would make the residual's last bits platform-bound

@@ -301,22 +301,20 @@ def asymptotic_deviation_per_point(family, sample, subtract_gauge: bool = False)
 
 
 def smoothed_normal_form_point(t: complex, tau: float) -> FiberPoint:
-    z, _ = metrics.smoothed_normal_form_points(t, [tau])
-    return FiberPoint(z[0], t)
+    return FiberPoint(metrics.smoothed_normal_form_points(t, [tau]).z[0], t)
 
 
-def sample_fiber_points_per_point(t: complex, taus, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def sample_fiber_points_per_point(t: complex, taus, rng: np.random.Generator) -> FiberPoint:
     """acceptance.sample_fiber_points one point at a time: a 4 x 4 Gaussian
     draw, its QR, the sign fix and the determinant flip per point."""
-    base, t_rows = metrics.smoothed_normal_form_points(t, taus)
     points = []
-    for z in base:
+    for z in metrics.smoothed_normal_form_points(t, taus).z:
         q, r = np.linalg.qr(rng.normal(size=(4, 4)))
         q *= np.sign(np.diag(r))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         points.append(q @ z)
-    return np.array(points), t_rows
+    return FiberPoint(np.array(points), t)
 
 
 def sample_resolved_points_per_point(radii, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -94,6 +94,45 @@ class TestCompare:
         assert any("op_p50_ms" in line and "x2.000" in line and "OUTSIDE" in line for line in lines)
 
 
+class TestFailures:
+    def _counted(self, counts: dict) -> dict:
+        """A record at TestCompare.BASE whose workloads made the given
+        (attempted, failed) operations."""
+        rec = _record({workload: TestCompare.BASE for workload in counts})
+        for workload, (attempted, failed) in counts.items():
+            rec["workloads"][workload].update(attempted=attempted, failed=failed)
+        return rec
+
+    def test_a_growing_failed_share_is_outside(self):
+        before = self._counted({"certify": (100, 0), "exact_queries": (200, 2)})
+        same_share = self._counted({"certify": (150, 0), "exact_queries": (400, 4)})
+        grown = self._counted({"certify": (150, 0), "exact_queries": (400, 5)})
+        assert record.compare_failures(before, same_share) == [
+            {"workload": "certify", "before": (100, 0), "after": (150, 0), "inside": True},
+            {"workload": "exact_queries", "before": (200, 2), "after": (400, 4), "inside": True},
+        ]
+        assert [row["inside"] for row in record.compare_failures(before, grown)] == [True, False]
+        assert [row["inside"] for row in record.compare_failures(grown, before)] == [True, True]
+        # a workload that attempted nothing failed no share of its operations
+        assert record.compare_failures(self._counted({"certify": (0, 0)}), self._counted({"certify": (10, 1)}))[0][
+            "inside"] is False
+        # records without the counts, and workloads in one record only, give no row
+        assert record.compare_failures(_record({"certify": TestCompare.BASE}), before) == []
+        assert record.compare_failures(self._counted({"certify": (1, 0)}), self._counted({"dwork": (1, 1)})) == []
+
+    def test_compare_command_prints_both_counts_and_exits_on_a_growing_share(self, tmp_path, capsys):
+        paths = tmp_path / "before.json", tmp_path / "same.json", tmp_path / "grown.json"
+        for path, counts in zip(paths, ((200, 2), (400, 4), (400, 5))):
+            path.write_text(json.dumps(self._counted({"exact_queries": counts})))
+        assert record.main(["--compare", str(paths[0]), str(paths[1])]) == 0
+        assert record.main(["--compare", str(paths[0]), str(paths[2])]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 * (len(METRICS) + 1)
+        assert lines[len(METRICS)].split() == [
+            "exact_queries", "failed", "2", "of", "200", "->", "4", "of", "400", "failed", "share", "kept"]
+        assert lines[-1].split()[-6:] == ["5", "of", "400", "failed", "share", "GREW"]
+
+
 class TestSource:
     def test_digest_and_line_count_of_src(self, tmp_path):
         (tmp_path / "src" / "pkg").mkdir(parents=True)

@@ -373,6 +373,15 @@ class TestOmegaTilde1:
         d_norm = np.max(np.abs(derivative))
         assert d_norm < 1e-6 * scale
 
+    def test_derivative_refuses_its_own_point(self):
+        """The stencil derivative checks the point it is asked at before it
+        builds the stencil around it: off the singular fiber, in a degenerate
+        chart 4 and at the cone point, alone and as one row of a stack."""
+        assert refusal(fd_exterior_derivative, [1, 0, 0, 0]) == "point does not satisfy the singular-fiber equation"
+        assert refusal(fd_exterior_derivative, [1, 1j, 0, 0]) == (
+            "chart 4 degenerate: |z_4| = 0.000e+00 below margin 3.536e-01")
+        assert refusal(fd_exterior_derivative, [0, 0, 0, 0]) == "all coordinates vanish: no chart is usable"
+
     def test_rejects_origin_and_smooth_fiber(self):
         message = refusal(omega_tilde_1_coefficients, [0, 0, 0, 0])
         assert message == "the deformation form is singular at the cone point"

@@ -315,8 +315,10 @@ class TestJacobianRing:
 
     def test_rejects_sizes_above_the_bounds(self):
         HypersurfaceSpec(MAX_DIMENSION, MAX_DEGREE)
-        with pytest.raises(ValueError, match=rf"n must lie in \[2, {MAX_DIMENSION}\]"):
+        with pytest.raises(ValueError, match=rf"n must lie in \[3, {MAX_DIMENSION}\]"):
             HypersurfaceSpec(MAX_DIMENSION + 1, 3)
+        with pytest.raises(ValueError, match=rf"n must lie in \[3, {MAX_DIMENSION}\], got 2$"):
+            HypersurfaceSpec(2, 3)
         with pytest.raises(ValueError, match=rf"d must lie in \[1, {MAX_DEGREE}\]"):
             HypersurfaceSpec(4, MAX_DEGREE + 1)
         with pytest.raises(ValueError):

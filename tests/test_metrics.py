@@ -674,7 +674,7 @@ class TestStackedResiduals:
         rng = np.random.default_rng(7)
         taus = np.logspace(math.log10(1.01 * max(abs(t), 1e-2)), math.log10(max(abs(t), 1.0)) + 4, 100)
         coords = sample_fiber_points(t, taus, rng)
-        points = [FiberPoint(z, t) for z in coords[0]]
+        points = [FiberPoint(z, t) for z in coords.z]
         assert _frobenius_gap(family, coords, profile(family, taus), points) <= 1e-15
 
     @given(st.floats(-8.0, 8.0), st.floats(0.0, 2 * math.pi), st.floats(0.0, 6.0))
@@ -685,7 +685,7 @@ class TestStackedResiduals:
         family = PotentialFamily.smoothed(t)
         taus = abs(t) * (1.0 + 10.0 ** np.array([log_sigma - 6.0, log_sigma - 2.0, log_sigma]))
         coords = smoothed_normal_form_points(t, taus)
-        points = [FiberPoint(z, t) for z in coords[0]]
+        points = [FiberPoint(z, t) for z in coords.z]
         assert _frobenius_gap(family, coords, profile(family, taus), points) <= 1e-15
 
     @pytest.mark.parametrize("a", [1e-3, 1.0, 37.0])
@@ -705,10 +705,9 @@ class TestStackedResiduals:
         taus = np.logspace(math.log10(1.01 * max(abs(t), 1e-2)), 3, 100)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):  # C03 draws twice from one generator
-            (z, t_rows), (ref_z, ref_t_rows) = sample_fiber_points(t, taus, rng), sample_fiber_points_per_point(
-                t, taus, ref_rng)
-            assert z.shape == ref_z.shape == (100, 4)
-            assert z.tobytes() == ref_z.tobytes() and t_rows.tobytes() == ref_t_rows.tobytes()
+            points, ref = sample_fiber_points(t, taus, rng), sample_fiber_points_per_point(t, taus, ref_rng)
+            assert points.z.shape == ref.z.shape == (100, 4)
+            assert points.z.tobytes() == ref.z.tobytes() and points.t == ref.t == t
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 17])
@@ -736,9 +735,9 @@ class TestStackedResiduals:
         ode, ma = ode_residuals(family, prof), monge_ampere_residuals(family, points, prof)
         above = taus >= metrics.asymptotic_threshold(family)
         dev = asymptotic_deviations(family, prof.take(above))
-        point_type = ResolvedPoint if family.kind == "resolved" else FiberPoint
         for i, sample in enumerate(prof):
-            point = point_type(points[0][i], points[1][i])
+            point = ResolvedPoint(points[0][i], points[1][i]) if family.kind == "resolved" else (
+                FiberPoint(points.z[i], points.t))
             assert abs(ode[i] - ode_residual_per_point(family, sample)) <= 1e-14
             assert abs(ma[i] - monge_ampere_residual_per_point(family, point, sample)) <= 1e-14
         for d, sample in zip(dev, prof.take(above)):
@@ -815,19 +814,19 @@ class TestStackedResiduals:
         below fails one check only, except the last, which fails two."""
         family = PotentialFamily.smoothed(1.0)
         taus = np.logspace(0.1, 2, 10)
-        z, t = smoothed_normal_form_points(1.0, taus)
+        points = smoothed_normal_form_points(1.0, taus)
         prof = profile(family, taus)
         shifted = taus.copy()
         shifted[3] *= 1 + 1e-12  # sample at another tau
-        point_tau_3 = float(point_taus((z, t))[3])
+        point_tau_3 = float(point_taus(points)[3])
         message = f"the profile sample at tau = {float(shifted[3])!r} is not at the point's tau = {point_tau_3!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            chart_hessians(family, (z, t), profile(family, shifted))
-        off = z.copy()
-        off[6] *= 1.1  # off the fiber, with its sample at its own tau
-        off_prof = profile(family, point_taus((off, t)))
+            chart_hessians(family, points, profile(family, shifted))
+        off = FiberPoint(points.z.copy(), points.t)
+        off.z[6] *= 1.1  # off the fiber, with its sample at its own tau
+        off_prof = profile(family, point_taus(off))
         with pytest.raises(ValueError, match="point does not lie on the family's fiber"):
-            monge_ampere_residuals(family, (off, t), off_prof)
+            monge_ampere_residuals(family, off, off_prof)
 
         def negative_fpp(p):
             # f'' far negative at row 5 breaks the ODE's positivity and the Hessian
@@ -840,15 +839,25 @@ class TestStackedResiduals:
         with pytest.raises(ValueError, match=re.escape(ode_message)):
             ode_residuals(family, bad)
         with pytest.raises(ValueError, match="Hessian not positive definite"):
-            monge_ampere_residuals(family, (z, t), bad)
+            monge_ampere_residuals(family, points, bad)
         with pytest.raises(ValueError, match=r"tau = 5\.0 below the asymptotic threshold 10\.0"):
             asymptotic_deviations(family, profile(family, [20.0, 5.0, 2.0]))
         with pytest.raises(ValueError, match="2 profile samples for 10 points"):
-            chart_hessians(family, (z, t), profile(family, taus[:2]))
+            chart_hessians(family, points, profile(family, taus[:2]))
+        # the domain refusals of the profile and the normal form, each at the
+        # first offending tau of its stack
+        with pytest.raises(ValueError, match=r"^tau = 0\.5 below the smoothed domain minimum \|t\| = 1\.0$"):
+            profile(family, [2.0, 0.5, 0.25])
+        with pytest.raises(ValueError, match=r"^cone profile derivatives need tau > 0$"):
+            profile(CONE, [1.0, 0.0, -1.0])
+        with pytest.raises(ValueError, match=r"^resolved profile needs tau >= 0$"):
+            profile(RESOLVED, [1.0, 0.0, -1.0])
+        with pytest.raises(ValueError, match=r"^tau below the fiber's minimal radius$"):
+            smoothed_normal_form_points(1.0, [2.0, 0.5])
         # the checks are taken in the order they are written: row 6 off the
         # fiber raises before row 5's Hessian
         with pytest.raises(ValueError, match="point does not lie on the family's fiber"):
-            monge_ampere_residuals(family, (off, t), negative_fpp(off_prof))
+            monge_ampere_residuals(family, off, negative_fpp(off_prof))
 
 
 class TestAsymptotics:

@@ -364,7 +364,7 @@ class TestCalibration:
         nodes, frames = cycle_frames(grid, [0, 1])
         frames[1, 0] += np.array([1.0, 0, 0, 0])  # push one node's frame off the fiber
         assert frame_tangency_residual(nodes, frames)[1] > 1e-8
-        with pytest.raises(ValueError, match="not tangent"):
+        with pytest.raises(ValueError, match="^frame is not tangent to the fiber at the node$"):
             calibration_residual(1.0, nodes, frames)
 
     def test_lagrangian_condition_on_cycle(self):
