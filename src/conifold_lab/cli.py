@@ -132,24 +132,9 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 # subcommands
 
 
-@contextlib.contextmanager
-def _naming(flag: str):
-    """Prefix a library refusal, which names no flag, with the flag its
-    value came from."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
-
-
 def _cmd_hodge(args) -> int:
-    # the middle-row formula needs the Lefschetz range, n >= 3
-    if not 3 <= args.n <= hodge.MAX_DIMENSION:
-        raise ValueError(f"--n: ambient projective dimension n must lie in [3, {hodge.MAX_DIMENSION}], "
-                         f"got {abbreviated(str(args.n))}")
     assertions = Checks()
-    with _naming("--d"):
-        spec = hodge.HypersurfaceSpec(args.n, args.d)
+    spec = hodge.HypersurfaceSpec(args.n, args.d)
     diamond = hodge.hodge_diamond(spec)
     results = diamond.to_json_dict()
     results["h11"] = diamond.h(1, 1)
@@ -167,11 +152,8 @@ def _family_from_args(args) -> metrics.PotentialFamily:
     if args.family == "cone":
         return metrics.PotentialFamily.cone()
     if args.family == "smoothed":
-        t = _parse_complex(args.t)
-        with _naming("--t"):
-            return metrics.PotentialFamily.smoothed(t)
-    with _naming("--a"):
-        return metrics.PotentialFamily.resolved(args.a)
+        return metrics.PotentialFamily.smoothed(_parse_complex(args.t))
+    return metrics.PotentialFamily.resolved(args.a)
 
 
 # Bounds on the two per-row counts, so that the largest accepted request holds
@@ -199,8 +181,10 @@ def _cmd_metric(args) -> int:
             raise ValueError("--family cone has no parameter for --sweep convergence; use smoothed or resolved")
         params = _param_list(args.params)
         build = metrics.PotentialFamily.smoothed if family.kind == "smoothed" else metrics.PotentialFamily.resolved
-        with _naming("--params"):
+        try:
             families = [build(param) for param in params]
+        except transitions.InputError as exc:  # the parameter came from --params, not --t or --a
+            raise transitions.InputError(str(exc), "params") from None
     default_lo, default_hi = _default_tau_grid(family, args.sweep)
     lo = args.tau_min if args.tau_min is not None else default_lo
     hi = args.tau_max if args.tau_max is not None else default_hi
@@ -280,10 +264,7 @@ def _default_tau_grid(family: metrics.PotentialFamily, sweep: str) -> tuple[floa
 
 def _cmd_slag(args) -> int:
     t = _parse_complex(args.t)
-    with _naming("--resolution"):
-        slag.check_resolution(args.resolution)
-    with _naming("--t"):  # --resolution is checked: only t is left to refuse
-        value, rel_error = slag.cycle_period(t, args.resolution)
+    value, rel_error = slag.cycle_period(t, args.resolution)
     exact = slag.exact_cycle_integral(t)
     results = {
         "t": [t.real, t.imag],
@@ -313,12 +294,8 @@ def _cmd_transition(args) -> int:
         return _emit_report(args, results, assertions)
     missing = [k for k in ("h11", "h21", "N", "k", "c") if getattr(args, k) is None]
     if missing:
-        raise ValueError(f"transition needs --catalog or all of {missing}")
-    try:
-        record = transitions.apply_topology_change(args.h11, args.h21, (b1, b2, b3), N=args.N, k=args.k, c=args.c)
-    except transitions.BookkeepingError as exc:
-        flags = dict.fromkeys("--betti" if name in ("b1", "b2", "b3") else f"--{name}" for name in exc.names)
-        raise ValueError(f"{'/'.join(flags)}: {exc}") from None
+        raise transitions.InputError("required unless --catalog is given", *missing)
+    record = transitions.apply_topology_change(args.h11, args.h21, (b1, b2, b3), N=args.N, k=args.k, c=args.c)
     k, c = transitions.infer_counts(record.hodge_before, record.hodge_after, record.N)
     assertions.true("round_trip", (k, c) == (record.k, record.c), [k, c])
     return _emit_report(args, vars(record), assertions)
@@ -618,6 +595,10 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.command != "metric":
             raise ValueError(f"--format csv: only metric writes CSV; {args.command} writes a JSON report")
         return args.func(args)
+    except transitions.InputError as exc:  # each name is the flag its value came from; b1-b3 come from --betti
+        flags = dict.fromkeys("--betti" if name in ("b1", "b2", "b3") else f"--{name}" for name in exc.names)
+        print(f"error: {'/'.join(flags)}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

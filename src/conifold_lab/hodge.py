@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from conifold_lab.transitions import abbreviated
+from conifold_lab.transitions import InputError, abbreviated
 
 # The diamond costs about n^2 / 2 binomials of (n log2(n d))-bit integers:
 # n = 200, d = 300 takes about 0.7 s on a 2-vCPU Xeon guest.
@@ -37,10 +37,10 @@ class HypersurfaceSpec:
 
     def __post_init__(self) -> None:
         if not 3 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"ambient projective dimension n must lie in [3, {MAX_DIMENSION}], "
-                             f"got {abbreviated(str(self.n))}")
+            raise InputError(f"ambient projective dimension n must lie in [3, {MAX_DIMENSION}], "
+                             f"got {abbreviated(str(self.n))}", "n")
         if not 1 <= self.d <= MAX_DEGREE:
-            raise ValueError(f"degree d must lie in [1, {MAX_DEGREE}], got {abbreviated(str(self.d))}")
+            raise InputError(f"degree d must lie in [1, {MAX_DEGREE}], got {abbreviated(str(self.d))}", "d")
 
     @property
     def is_calabi_yau(self) -> bool:

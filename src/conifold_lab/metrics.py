@@ -48,6 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from conifold_lab.conifold import CHART_COMPLEMENT, FiberPoint, _require, on_fiber
+from conifold_lab.transitions import InputError
 
 ODE_CONSTANT = 2.0 / 3.0
 
@@ -118,14 +119,14 @@ class PotentialFamily:
         if self.kind not in ("cone", "smoothed", "resolved"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         if not cmath.isfinite(self.t):
-            raise ValueError(f"the smoothing parameter t must be finite, got {self.t}")
+            raise InputError(f"the smoothing parameter t must be finite, got {self.t}", "t")
         if not math.isfinite(self.a):
-            raise ValueError(f"the resolution parameter a must be finite, got {self.a}")
+            raise InputError(f"the resolution parameter a must be finite, got {self.a}", "a")
         window = f"[{PARAMETER_MIN:g}, {PARAMETER_MAX:g}]"
         if self.kind == "smoothed" and not PARAMETER_MIN <= abs(self.t) <= PARAMETER_MAX:
-            raise ValueError(f"the smoothing parameter |t| must lie in {window}, got {abs(self.t)!r}")
+            raise InputError(f"the smoothing parameter |t| must lie in {window}, got {abs(self.t)!r}", "t")
         if self.kind == "resolved" and not PARAMETER_MIN <= self.a <= PARAMETER_MAX:
-            raise ValueError(f"the resolution parameter a must lie in {window}, got {self.a!r}")
+            raise InputError(f"the resolution parameter a must lie in {window}, got {self.a!r}", "a")
 
     @classmethod
     def cone(cls) -> "PotentialFamily":
@@ -507,6 +508,9 @@ def _stacked(point):
 def _resolved_chart(u: np.ndarray, w: np.ndarray):
     """Per row: the dominant direction chart (1 or 2), the affine direction
     in it, the fiber pair W, |W|^2 and 1 + |u|^2."""
+    if np.ndim(u) != 2:
+        raise ValueError(f"expected a stack, a (u, w) pair of arrays of shape (N, 2), got u of shape {np.shape(u)}; "
+                         "hermitian_hessian and monge_ampere_residual take one point")
     first = np.abs(u[:, 0]) >= np.abs(u[:, 1])
     lead = np.where(first, u[:, 0], u[:, 1])
     ua = np.where(first, u[:, 1], u[:, 0]) / lead
@@ -539,6 +543,9 @@ def _outer(x: np.ndarray) -> np.ndarray:
 
 
 def _fiber_hessians(family: PotentialFamily, p: FiberPoint, prof: PotentialProfile):
+    if p.z.ndim != 2:
+        raise ValueError(f"expected a stack, a FiberPoint whose z has shape (N, 4), got z of shape {p.z.shape}; "
+                         "hermitian_hessian and monge_ampere_residual take one point")
     _require(~(on_fiber(p, 1e-9) & (p.t == family.t)), lambda i: "point does not lie on the family's fiber")
     _check_tau(prof, p.norm_sq)
     z = p.z

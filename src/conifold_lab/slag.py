@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from conifold_lab.conifold import CHART_COMPLEMENT, _require
-from conifold_lab.transitions import abbreviated
+from conifold_lab.transitions import InputError, abbreviated
 
 SPHERE_VOLUME = 2.0 * math.pi**2
 
@@ -148,11 +148,11 @@ def check_resolution(resolution: int) -> None:
     """Refuse a grid resolution outside [MIN_RESOLUTION, MAX_RESOLUTION] or
     odd."""
     if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {abbreviated(str(resolution))}")
+        raise InputError(f"resolution must be >= {MIN_RESOLUTION}, got {abbreviated(str(resolution))}", "resolution")
     if resolution > MAX_RESOLUTION:
-        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {abbreviated(str(resolution))}")
+        raise InputError(f"resolution must be <= {MAX_RESOLUTION}, got {abbreviated(str(resolution))}", "resolution")
     if resolution % 2:
-        raise ValueError(f"resolution must be even, got {abbreviated(str(resolution))}")
+        raise InputError(f"resolution must be even, got {abbreviated(str(resolution))}", "resolution")
 
 
 def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:
@@ -162,12 +162,12 @@ def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:
     even keeps the periodic midpoint nodes off the x_4 = 0 seam of the
     t = 1 normal form.  |t| must lie in [MIN_ABS_T, MAX_ABS_T].
     """
+    check_resolution(resolution)
     t = complex(t)
     if not cmath.isfinite(t):
-        raise ValueError(f"the vanishing cycle needs a finite t, got {t}")
+        raise InputError(f"the vanishing cycle needs a finite t, got {t}", "t")
     if not MIN_ABS_T <= abs(t) <= MAX_ABS_T:
-        raise ValueError(f"|t| must lie in [{MIN_ABS_T:g}, {MAX_ABS_T:g}], got {abs(t)!r}")
-    check_resolution(resolution)
+        raise InputError(f"|t| must lie in [{MIN_ABS_T:g}, {MAX_ABS_T:g}], got {abs(t)!r}", "t")
 
     phi = 2.0 * math.pi * (np.arange(resolution) + 0.5) / resolution
     return CycleGrid(

@@ -49,6 +49,14 @@ def abbreviated(text: str) -> str:
     return text if len(text) <= 32 else f"{text[:8]}... ({len(text)} characters)"
 
 
+class InputError(ValueError):
+    """A refusal of a caller's input; names holds the parameters it quotes."""
+
+    def __init__(self, message: str, *names: str):
+        super().__init__(message)
+        self.names = names
+
+
 def _as_exact(value) -> int | Fraction:
     """Coerce CSV/JSON scalars (integers, rationals, rational strings such as
     "1/2", integral floats) to int or Fraction; booleans are not numbers here."""
@@ -296,14 +304,6 @@ class TransitionRecord:
         )
 
 
-class BookkeepingError(ValueError):
-    """A refusal of apply_topology_change; names holds the inputs it quotes."""
-
-    def __init__(self, message: str, *names: str):
-        super().__init__(message)
-        self.names = names
-
-
 def apply_topology_change(
     h11: int, h21: int, betti, N: int, k: int, c: int, name: str = "", note: str = ""
 ) -> TransitionRecord:
@@ -315,12 +315,12 @@ def apply_topology_change(
     negative = {name: value for name, value in inputs.items() if value < 0}
     if negative:
         got = ", ".join(f"{name}={abbreviated(str(value))}" for name, value in negative.items())
-        raise BookkeepingError(f"inputs must be nonnegative, got {got}", *negative)
+        raise InputError(f"inputs must be nonnegative, got {got}", *negative)
     if N != k + c:
-        raise BookkeepingError(f"node count must split: N={abbreviated(str(N))}, k+c={abbreviated(str(k + c))}", "N")
+        raise InputError(f"node count must split: N={abbreviated(str(N))}, k+c={abbreviated(str(k + c))}", "N")
     for flag, value, kind in (("h11", h11, "Hodge"), ("b2", b2, "Betti")):
         if value < k:
-            raise BookkeepingError(f"{flag}={abbreviated(str(value))} < k={abbreviated(str(k))}: "
+            raise InputError(f"{flag}={abbreviated(str(value))} < k={abbreviated(str(k))}: "
                                    f"contraction would leave a negative {kind} number", flag, "k")
     return TransitionRecord(
         name=name,

@@ -2,10 +2,12 @@
 or 1) or in exactly one `error: ` line on stderr with exit 2 and nothing on
 stdout, and no other exception leaves `cli.main`."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import re
 from importlib import resources
 
 import jsonschema
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conifold_lab import cli, hodge
+from conifold_lab import cli, hodge, metrics, slag, transitions
 
 with resources.files("conifold_lab").joinpath("report.schema.json").open() as fh:
     REPORT_SCHEMA = json.load(fh)
@@ -122,6 +124,8 @@ REFUSALS = [
     (["slag", "--resolution", "7"], "--resolution: resolution must be >= 8, got 7"),
     (["slag", "--t", "1e-300"], "--t: |t| must lie in [1e-200, 1e+200], got 1e-300"),
     (["slag", "--t", "nan"], "--t: the vanishing cycle needs a finite t, got (nan+0j)"),
+    # the grid is checked before t, so a request with both wrong names --resolution
+    (["slag", "--t", "nan", "--resolution", "9"], "--resolution: resolution must be even, got 9"),
     (["hodge", "--d", "5", "--n", LONG],
      f"--n: ambient projective dimension n must lie in [3, 200], got {LONG_QUOTED}"),
     (["hodge", "--n", "4", "--d", LONG], f"--d: degree d must lie in [1, 300], got {LONG_QUOTED}"),
@@ -144,6 +148,7 @@ REFUSALS = [
      "--h11: inputs must be nonnegative, got h11=-9999999... (4001 characters)"),
     (["transition", "--h11", "1", "--N", LONG, "--h21", "1", "--k", "0", "--c", "1", "--betti", "0,1,2"],
      f"--N: node count must split: N={LONG_QUOTED}, k+c=1"),
+    (["transition", "--h11", "1"], "--h21/--N/--k/--c: required unless --catalog is given"),
     (["transition", "--h11", "1", "--k", LONG, "--h21", "1", "--N", LONG, "--c", "0", "--betti", "0,5,2"],
      f"--h11/--k: h11=1 < k={LONG_QUOTED}: contraction would leave a negative Hodge number"),
     # an output path that cannot be written
@@ -159,6 +164,48 @@ def test_refusal_is_one_error_line(argv, message, tmp_path):
         argv = argv + ["--output", str(out)]
     assert run(argv) == (2, "", f"error: {message}\n")
     assert not out.exists()
+
+
+def _options(command):
+    """The option strings of a subcommand's parser."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return set(sub.choices[command]._option_string_actions)
+
+
+def _flags(names):
+    """The flags cli.main names for an InputError's parameters."""
+    return {"--betti" if name in ("b1", "b2", "b3") else f"--{name}" for name in names}
+
+
+# each library refusal a request can reach, with the subcommand that makes the request
+LIBRARY_REFUSALS = [
+    ("hodge", hodge.HypersurfaceSpec, (2, 5)),
+    ("hodge", hodge.HypersurfaceSpec, (4, 0)),
+    ("metric", metrics.PotentialFamily.smoothed, (0,)),
+    ("metric", metrics.PotentialFamily.smoothed, (complex(math.nan, 0),)),
+    ("metric", metrics.PotentialFamily.resolved, (math.inf,)),
+    ("metric", metrics.PotentialFamily.resolved, (1e30,)),
+    ("slag", slag.sample_vanishing_cycle, (1e-300, 32)),
+    ("slag", slag.sample_vanishing_cycle, (math.inf, 32)),
+    ("slag", slag.sample_vanishing_cycle, (1.0, 7)),
+    ("slag", slag.check_resolution, (9,)),
+    ("transition", transitions.apply_topology_change, (-1, 0, (0, -1, 0), 1, 0, 1)),
+    ("transition", transitions.apply_topology_change, (1, 1, (0, 1, 2), 2, 0, 1)),
+    ("transition", transitions.apply_topology_change, (1, 1, (0, 5, 2), 2, 2, 0)),
+    ("transition", transitions.apply_topology_change, (5, 1, (0, 1, 2), 2, 2, 0)),
+]
+
+
+@pytest.mark.parametrize("command,refuse,args", LIBRARY_REFUSALS,
+                         ids=[f"{refuse.__qualname__}{args}" for _, refuse, args in LIBRARY_REFUSALS])
+def test_library_refusal_names_options_of_its_subcommand(command, refuse, args):
+    """Every library refusal a request can reach is an InputError whose names
+    cli.main prints as flags of that request's subcommand, so a renamed
+    parameter cannot print a flag that does not exist."""
+    with pytest.raises(transitions.InputError) as refusal:
+        refuse(*args)
+    assert refusal.value.names
+    assert _flags(refusal.value.names) <= _options(command)
 
 
 def test_missing_subcommand_is_one_error_line():
@@ -245,6 +292,15 @@ DWORK = st.builds(
 ARGV = {"hodge": HODGE, "slag": SLAG, "transition": TRANSITION, "friedman": FRIEDMAN, "dwork": DWORK}
 
 
+def _named_options(err):
+    """The options an error line names: argparse's 'argument --x: ...' or
+    'the following arguments are required: --x, --y', or the package's
+    '--x/--y: ...'; a line of any other form names none."""
+    head = re.match(r"error: (?:argument (--[\w-]+): |((?:--[\w-]+/)*--[\w-]+): "
+                    r"|the following arguments are required: (.*)$)", err)
+    return set(re.split(r", |/", head[1] or head[2] or head[3])) if head else set()
+
+
 @pytest.mark.parametrize("command", sorted(ARGV))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -255,6 +311,8 @@ def test_every_argv_is_answered_or_refused(command, data):
     if code == 2:
         assert out == ""
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+        named = _named_options(err)
+        assert named and named <= _options(command), err
     else:
         REPORT_VALIDATOR.validate(json.loads(out, parse_constant=_no_constant))
     assert run(argv) == (code, out, err)

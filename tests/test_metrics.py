@@ -859,6 +859,28 @@ class TestStackedResiduals:
         with pytest.raises(ValueError, match="point does not lie on the family's fiber"):
             monge_ampere_residuals(family, off, negative_fpp(off_prof))
 
+    @pytest.mark.parametrize("family", [CONE, SMOOTHED, RESOLVED], ids=lambda f: f.kind)
+    def test_lone_point_is_refused_with_the_stack_shape(self, family):
+        """A single point where a stack is expected is a usage message naming
+        the stack's shape and the one-point entries, not a numpy traceback."""
+        prof = profile(family, [2.0])
+        if family.kind == "resolved":
+            u, w = resolved_points_with_tau([2.0])
+            lone, point = (u[0], w[0]), ResolvedPoint(u[0], w[0])
+            shape = "a (u, w) pair of arrays of shape (N, 2), got u of shape (2,)"
+            calls = [chart_hessians, monge_ampere_residuals, lambda family, points, prof: point_taus(points)]
+        else:
+            points = smoothed_normal_form_points(family.t, [2.0])
+            lone = point = FiberPoint(points.z[0], points.t)
+            shape = "a FiberPoint whose z has shape (N, 4), got z of shape (4,)"
+            calls = [chart_hessians, monge_ampere_residuals]
+        message = f"expected a stack, {shape}; hermitian_hessian and monge_ampere_residual take one point"
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(family, lone, prof)
+        # the one-point entries take the same point
+        assert monge_ampere_residual(family, point, prof[0]) < 1e-12
+
 
 class TestAsymptotics:
     def test_cone_deviation_identically_zero(self):
