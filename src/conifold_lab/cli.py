@@ -25,7 +25,7 @@ import numpy as np
 
 from conifold_lab import acceptance, hodge, metrics, slag, transitions
 from conifold_lab.acceptance import Checks
-from conifold_lab.transitions import abbreviated
+from conifold_lab.transitions import InputError, abbreviated
 
 SCHEMA_VERSION = 1
 
@@ -40,10 +40,11 @@ def _parse_complex(text: str) -> complex:
         mag, _, deg = text.partition("@")
         radius, degrees = float(mag), float(deg)
     except ValueError:
-        raise ValueError(f"--t: expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, got {text!r}") from None
+        raise InputError("expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, "
+                         f"got {abbreviated(repr(text))}", "t") from None
     # past a turn, reducing the angle would round away the digits asked for
     if not abs(degrees) <= 360.0:
-        raise ValueError(f"--t: the angle of {text!r} must be finite and within [-360, 360] degrees")
+        raise InputError(f"the angle of {abbreviated(repr(text))} must be finite and within [-360, 360] degrees", "t")
     return radius * cmath.exp(1j * math.radians(degrees))
 
 
@@ -117,14 +118,13 @@ def _write_output(path, payload: str) -> None:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(payload)
         except OSError as exc:
-            raise ValueError(f"--output: {exc}") from None
+            raise InputError(str(exc), "output") from None
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([["%.17g" % x if isinstance(x, float) else x for x in row] for row in rows])
+    writer.writerows([["%.17g" % x if isinstance(x, float) else x for x in row] for row in [header, *rows]])
     _write_output(path, buf.getvalue())
 
 
@@ -170,26 +170,26 @@ METRIC_HEADER = ["family", "param", "tau", "f", "fp", "fpp", "ode_residual", "ma
 
 
 def _cmd_metric(args) -> int:
-    if args.points < 1:
-        raise ValueError("empty grid: --points must be >= 1")
-    if args.points > MAX_POINTS:
-        raise ValueError(f"--points: at most {MAX_POINTS} grid points, got {abbreviated(str(args.points))}")
+    if not 1 <= args.points <= MAX_POINTS:
+        bound = "at least 1 grid point" if args.points < 1 else f"at most {MAX_POINTS} grid points"
+        raise InputError(f"{bound}, got {abbreviated(str(args.points))}", "points")
     family = _family_from_args(args)
     families = [family]
     if args.sweep == "convergence":
         if family.kind == "cone":
-            raise ValueError("--family cone has no parameter for --sweep convergence; use smoothed or resolved")
+            raise InputError("the cone has no parameter for a convergence sweep; use smoothed or resolved",
+                             "family", "sweep")
         params = _param_list(args.params)
         build = metrics.PotentialFamily.smoothed if family.kind == "smoothed" else metrics.PotentialFamily.resolved
         try:
             families = [build(param) for param in params]
-        except transitions.InputError as exc:  # the parameter came from --params, not --t or --a
-            raise transitions.InputError(str(exc), "params") from None
+        except InputError as exc:  # the parameter came from --params, not --t or --a
+            raise InputError(str(exc), "params") from None
     default_lo, default_hi = _default_tau_grid(family, args.sweep)
     lo = args.tau_min if args.tau_min is not None else default_lo
     hi = args.tau_max if args.tau_max is not None else default_hi
     if not 0 < lo < hi:
-        raise ValueError(f"--tau-min/--tau-max: need 0 < tau-min < tau-max, got [{lo!r}, {hi!r}]")
+        raise InputError(f"need 0 < tau-min < tau-max, got [{lo!r}, {hi!r}]", "tau_min", "tau_max")
     for member in families:
         _check_tau_window(member, lo, hi)
     if args.sweep == "convergence":
@@ -233,7 +233,7 @@ def _param_list(text) -> list[float]:
     try:
         return [float(x) for x in text.split(",")]
     except ValueError:
-        raise ValueError(f"--params: expected a comma list of numbers, got {text!r}") from None
+        raise InputError(f"expected a comma list of numbers, got {abbreviated(repr(text))}", "params") from None
 
 
 TAU_UNITS = {"smoothed": "|t|", "resolved": "a^3"}
@@ -242,13 +242,10 @@ TAU_UNITS = {"smoothed": "|t|", "resolved": "a^3"}
 def _check_tau_window(family: metrics.PotentialFamily, lo: float, hi: float) -> None:
     wlo, whi = family.tau_window()
     if not (wlo <= lo and hi <= whi):
-        window = f"[{wlo:g}, {whi:g}]"
+        window = f"[{wlo!r}, {whi!r}]"
         if family.kind in TAU_UNITS:
-            slo, shi = metrics.TAU_WINDOW[family.kind]
-            window += f" = {TAU_UNITS[family.kind]} * [{slo:g}, {shi:g}]"
-        raise ValueError(
-            f"--tau-min/--tau-max: the {family.kind} family needs taus in {window}, got [{lo!r}, {hi!r}]"
-        )
+            window += " = {} * [{:g}, {:g}]".format(TAU_UNITS[family.kind], *metrics.TAU_WINDOW[family.kind])
+        raise InputError(f"the {family.kind} family needs taus in {window}, got [{lo!r}, {hi!r}]", "tau_min", "tau_max")
 
 
 def _default_tau_grid(family: metrics.PotentialFamily, sweep: str) -> tuple[float, float]:
@@ -284,7 +281,8 @@ def _cmd_transition(args) -> int:
     try:
         b1, b2, b3 = map(int, args.betti.split(","))
     except ValueError:
-        raise ValueError(f"--betti: expected three comma-separated integers b1,b2,b3, got {args.betti!r}") from None
+        raise InputError(f"expected three comma-separated integers b1,b2,b3, got {abbreviated(repr(args.betti))}",
+                         "betti") from None
     assertions = Checks()
     if args.catalog:
         catalog = transitions.example_catalog()
@@ -294,7 +292,7 @@ def _cmd_transition(args) -> int:
         return _emit_report(args, results, assertions)
     missing = [k for k in ("h11", "h21", "N", "k", "c") if getattr(args, k) is None]
     if missing:
-        raise transitions.InputError("required unless --catalog is given", *missing)
+        raise InputError("required unless --catalog is given", *missing)
     record = transitions.apply_topology_change(args.h11, args.h21, (b1, b2, b3), N=args.N, k=args.k, c=args.c)
     k, c = transitions.infer_counts(record.hodge_before, record.hodge_after, record.N)
     assertions.true("round_trip", (k, c) == (record.k, record.c), [k, c])
@@ -303,8 +301,8 @@ def _cmd_transition(args) -> int:
 
 def _cmd_dwork(args) -> int:
     if args.smooth_points > MAX_SMOOTH_POINTS:
-        raise ValueError(f"--smooth-points: at most {MAX_SMOOTH_POINTS} points, "
-                         f"got {abbreviated(str(args.smooth_points))}")
+        raise InputError(f"at most {MAX_SMOOTH_POINTS} points, got {abbreviated(str(args.smooth_points))}",
+                         "smooth_points")
     assertions = Checks()
     exps = transitions.dwork_exponents()
     poly = transitions.DworkQuintic()
@@ -350,7 +348,6 @@ def _class_matrix(args) -> transitions.ClassMatrix:
     """The class matrix of --classes-csv or --classes-json; a matrix that
     does not parse or exceeds the bounds (checked before any text becomes a
     number) is a usage error naming the flag and the bad entry."""
-    flag = "--classes-csv" if args.classes_csv else "--classes-json"
     try:
         if args.classes_csv:
             with open(args.classes_csv, encoding="utf-8") as fh:
@@ -386,9 +383,9 @@ def _class_matrix(args) -> transitions.ClassMatrix:
             raise ValueError(f"entry {abbreviated(repr(entry))} has more than {MAX_ENTRY_DIGITS} digits{scaled}")
         return matrix
     except OSError as exc:
-        raise ValueError(f"{flag}: cannot read {args.classes_csv!r}: {exc.strerror or exc}") from None
+        raise InputError(f"cannot read {args.classes_csv!r}: {exc.strerror or exc}", "classes_csv") from None
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+        raise InputError(str(exc), "classes_csv" if args.classes_csv else "classes_json") from None
 
 
 def _cmd_friedman(args) -> int:
@@ -411,9 +408,10 @@ def _cmd_verify_all(args) -> int:
     only = None if args.criteria is None else args.criteria.split(",")
     for i, cid in enumerate(only or []):
         if cid not in acceptance.CRITERIA:
-            raise ValueError(f"--criteria: unknown criterion {cid!r}; known: {', '.join(acceptance.CRITERIA)}")
+            raise InputError(f"unknown criterion {abbreviated(repr(cid))}; known: {', '.join(acceptance.CRITERIA)}",
+                             "criteria")
         if cid in only[:i]:
-            raise ValueError(f"--criteria: {cid} is listed twice")
+            raise InputError(f"{cid} is listed twice", "criteria")
     start = time.perf_counter()
     outcomes = acceptance.run_criteria(profile, only)
     total = time.perf_counter() - start
@@ -461,17 +459,17 @@ def _tolerance_map(command: str, pairs) -> dict:
     out = {}
     for pair in pairs or []:
         name, _, value = pair.partition("=")
+        got = f", got {abbreviated(repr(pair))}"
         if not value:
-            raise ValueError(f"bad --tol {pair!r}: expected NAME=VALUE")
+            raise InputError("expected NAME=VALUE" + got, "tol")
         if name not in known:
-            reads = f"reads only {', '.join(known)}" if known else "reads no tolerance"
-            raise ValueError(f"bad --tol {pair!r}: {command} {reads}")
+            raise InputError(f"{command} reads {'only ' + ', '.join(known) if known else 'no tolerance'}{got}", "tol")
         try:
             out[name] = tol = float(value)
         except ValueError:
             tol = math.nan
         if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"bad --tol {pair!r}: the value must be a finite number > 0")
+            raise InputError("the value must be a finite number > 0" + got, "tol")
     return out
 
 
@@ -588,19 +586,21 @@ def _attach_signed_t(argv: list[str]) -> list[str]:
     return out
 
 
+def flag(name: str) -> str:
+    """The flag of an InputError's name: the option of that argparse destination, and --betti for b1-b3."""
+    return "--betti" if name in ("b1", "b2", "b3") else "--" + name.replace("_", "-")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_attach_signed_t(sys.argv[1:] if argv is None else list(argv)))
         args.tolerances = _tolerance_map(args.command, args.tol)
         if args.format == "csv" and args.command != "metric":
-            raise ValueError(f"--format csv: only metric writes CSV; {args.command} writes a JSON report")
+            raise InputError(f"only metric writes CSV; {args.command} writes a JSON report", "format")
         return args.func(args)
-    except transitions.InputError as exc:  # each name is the flag its value came from; b1-b3 come from --betti
-        flags = dict.fromkeys("--betti" if name in ("b1", "b2", "b3") else f"--{name}" for name in exc.names)
-        print(f"error: {'/'.join(flags)}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # an InputError leads with the flags of its names
+        flags = "/".join(dict.fromkeys(map(flag, getattr(exc, "names", ()))))
+        print(f"error: {flags}: {exc}" if flags else f"error: {exc}", file=sys.stderr)
         return 2
 
 

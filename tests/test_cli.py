@@ -712,7 +712,7 @@ class TestUsageErrors:
         argv = ["slag", "--t", "1", "--resolution", "8", "--tol", f"slag={value}", "--output", str(out)]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
-            f"error: bad --tol 'slag={value}': the value must be a finite number > 0\n"
+            f"error: --tol: the value must be a finite number > 0, got 'slag={value}'\n"
         )
         assert not out.exists()
 
@@ -757,7 +757,7 @@ class TestUsageErrors:
             (["metric", "--family", "resolved", "--sweep", "convergence", "--points", "32769"],
              "--points: at most 32768 grid points, got 32769"),
             (["metric", "--family", "smoothed", "--sweep", "convergence", "--points", "0"],
-             "empty grid: --points must be >= 1"),
+             "--points: at least 1 grid point, got 0"),
             (["dwork", "--smooth-points", "65537"], "--smooth-points: at most 65536 points, got 65537"),
             (["verify-all", "--criteria", ""], "--criteria: unknown criterion ''; known: C01, C02, C03, C04, C05, C06, C07, C08, C09, C10, C11, C12"),
             (["verify-all", "--criteria", "C01,,C02"], "--criteria: unknown criterion ''; known: C01, C02, C03, C04, C05, C06, C07, C08, C09, C10, C11, C12"),
@@ -820,7 +820,7 @@ class TestUsageErrors:
         argv = ["metric", "--family", "cone", "--sweep", "convergence", "--output", str(tmp_path / "x")]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
-            "error: --family cone has no parameter for --sweep convergence; use smoothed or resolved\n"
+            "error: --family/--sweep: the cone has no parameter for a convergence sweep; use smoothed or resolved\n"
         )
         assert not (tmp_path / "x").exists()
 
@@ -832,11 +832,11 @@ class TestUsageErrors:
             (["--family", "cone", "--tau-min", "1e-300", "--tau-max", "1e-200"],
              "the cone family needs taus in [1e-150, 1e+150], got [1e-300, 1e-200]"),
             (["--family", "smoothed", "--t", "1", "--tau-max", "1e200"],
-             "the smoothed family needs taus in [1, 1e+100] = |t| * [1, 1e+100], got [1.01, 1e+200]"),
+             "the smoothed family needs taus in [1.0, 1e+100] = |t| * [1, 1e+100], got [1.01, 1e+200]"),
             (["--family", "resolved", "--a", "2", "--tau-min", "1e-300", "--tau-max", "1"],
              "the resolved family needs taus in [8e-240, 8e+75] = a^3 * [1e-240, 1e+75], got [1e-300, 1.0]"),
             (["--family", "smoothed", "--sweep", "convergence", "--params", "1,0.5", "--tau-max", "1e300"],
-             "the smoothed family needs taus in [1, 1e+100] = |t| * [1, 1e+100], got [1.0, 1e+300]"),
+             "the smoothed family needs taus in [1.0, 1e+100] = |t| * [1, 1e+100], got [1.0, 1e+300]"),
         ],
         ids=["resolved-huge", "cone-tiny", "smoothed-huge", "resolved-tiny", "convergence-huge"],
     )
@@ -850,15 +850,15 @@ class TestUsageErrors:
         "argv,message",
         [
             (["verify-all", "--criteria", "C03", "--tol", "ode=1e-30"],
-             "bad --tol 'ode=1e-30': verify-all reads no tolerance"),
+             "--tol: verify-all reads no tolerance, got 'ode=1e-30'"),
             (["hodge", "--n", "4", "--d", "5", "--tol", "nosuch=1"],
-             "bad --tol 'nosuch=1': hodge reads no tolerance"),
-            (["dwork", "--tol", "ode=1"], "bad --tol 'ode=1': dwork reads no tolerance"),
-            (["transition", "--catalog", "--tol", "slag=1"], "bad --tol 'slag=1': transition reads no tolerance"),
+             "--tol: hodge reads no tolerance, got 'nosuch=1'"),
+            (["dwork", "--tol", "ode=1"], "--tol: dwork reads no tolerance, got 'ode=1'"),
+            (["transition", "--catalog", "--tol", "slag=1"], "--tol: transition reads no tolerance, got 'slag=1'"),
             (["friedman", "--classes-json", "[[1]]", "--tol", "ma=1"],
-             "bad --tol 'ma=1': friedman reads no tolerance"),
-            (["metric", "--family", "cone", "--tol", "slag=1e-3"], "bad --tol 'slag=1e-3': metric reads only ode, ma"),
-            (["slag", "--t", "1", "--tol", "ode=1"], "bad --tol 'ode=1': slag reads only slag"),
+             "--tol: friedman reads no tolerance, got 'ma=1'"),
+            (["metric", "--family", "cone", "--tol", "slag=1e-3"], "--tol: metric reads only ode, ma, got 'slag=1e-3'"),
+            (["slag", "--t", "1", "--tol", "ode=1"], "--tol: slag reads only slag, got 'ode=1'"),
         ],
         ids=["verify-all", "hodge", "dwork", "transition", "friedman", "metric", "slag"],
     )
@@ -921,7 +921,7 @@ class TestUsageErrors:
         """Only metric writes CSV; the others used to accept --format csv and
         write JSON.  --format json still gives the default report."""
         assert cli.main(argv + ["--format", "csv", "--output", str(tmp_path / "x")]) == 2
-        message = f"--format csv: only metric writes CSV; {argv[0]} writes a JSON report"
+        message = f"--format: only metric writes CSV; {argv[0]} writes a JSON report"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
         assert run_cli(argv + ["--format", "json"], tmp_path, "a.json") == run_cli(argv, tmp_path, "b.json")

@@ -38,6 +38,8 @@ NINES, NINES_QUOTED = "9" * 5000, "'9999999... (5002 characters)"
 # within int()'s digit limit: the flag parses, and the library's refusal quotes the value
 # (the rows below lead with other flags, so that their test ids differ from the NINES rows')
 LONG, LONG_QUOTED = "9" * 4000, "99999999... (4000 characters)"
+# a text flag's whole value, quoted by repr and cut like an integer's
+TEXT, TEXT_QUOTED = "x" * 100_000, "'xxxxxxx... (100002 characters)"
 PRIMES_BELOW_90 = [p for p in range(2, 90) if all(p % q for q in range(2, p))]
 
 REFUSALS = [
@@ -114,6 +116,38 @@ REFUSALS = [
     # argparse quotes these arguments as typed: a line break is quoted by repr
     (["hodge", "--n", "4", "--d", "5", "a\nb"], "unrecognized arguments: 'a\\nb'"),
     (["hodge", "--t=a\nb"], "ambiguous option: '--t=a\\nb' could match --timings, --tol"),
+    # an option's value that abbreviates two options: argparse takes it for an option, and names both
+    (["transition", "--betti", "0,0", "--h11", "0", "--h21", "0", "--N", "--t", "--k", "0", "--c", "0"],
+     "ambiguous option: --t could match --timings, --tol"),
+    (["dwork", "--seed", "--s"], "ambiguous option: --s could match --seed, --smooth-points"),
+    # the CLI's own checks, named like the library's; a whole value is quoted abbreviated
+    (["metric", "--family", "cone", "--points", "0"], "--points: at least 1 grid point, got 0"),
+    (["metric", "--family", "cone", "--points", "-" + LONG],
+     "--points: at least 1 grid point, got -9999999... (4001 characters)"),
+    (["metric", "--family", "cone", "--sweep", "convergence"],
+     "--family/--sweep: the cone has no parameter for a convergence sweep; use smoothed or resolved"),
+    (["slag", "--tol", "x"], "--tol: expected NAME=VALUE, got 'x'"),
+    (["slag", "--tol", "ode=1"], "--tol: slag reads only slag, got 'ode=1'"),
+    (["slag", "--tol", "slag=0"], "--tol: the value must be a finite number > 0, got 'slag=0'"),
+    (["slag", "--tol", TEXT], f"--tol: expected NAME=VALUE, got {TEXT_QUOTED}"),
+    (["slag", "--tol", "slag=" + TEXT],
+     "--tol: the value must be a finite number > 0, got 'slag=xx... (100007 characters)"),
+    (["hodge", "--n", "4", "--d", "5", "--format", "csv"],
+     "--format: only metric writes CSV; hodge writes a JSON report"),
+    (["slag", "--t", TEXT],
+     f"--t: expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, got {TEXT_QUOTED}"),
+    (["slag", "--t", "1@" + LONG],
+     "--t: the angle of '1@99999... (4004 characters) must be finite and within [-360, 360] degrees"),
+    (["metric", "--family", "smoothed", "--sweep", "convergence", "--params", TEXT],
+     f"--params: expected a comma list of numbers, got {TEXT_QUOTED}"),
+    (["transition", "--catalog", "--betti", TEXT],
+     f"--betti: expected three comma-separated integers b1,b2,b3, got {TEXT_QUOTED}"),
+    (["verify-all", "--criteria", TEXT], f"--criteria: unknown criterion {TEXT_QUOTED}; known: "
+                                         "C01, C02, C03, C04, C05, C06, C07, C08, C09, C10, C11, C12"),
+    # the window's ends print exactly: with :g, 1e135 read as the window's own top
+    (["metric", "--family", "resolved", "--a", "1e20", "--tau-min", "1e-180", "--tau-max", "1e135", "--points", "5"],
+     "--tau-min/--tau-max: the resolved family needs taus in [1e-180, 9.999999999999998e+134] "
+     "= a^3 * [1e-240, 1e+75], got [1e-180, 1e+135]"),
     # library refusals, named by the flag the value came from
     (["hodge", "--n", "2", "--d", "5"], "--n: ambient projective dimension n must lie in [3, 200], got 2"),
     (["hodge", "--n", "1", "--d", "5"], "--n: ambient projective dimension n must lie in [3, 200], got 1"),
@@ -174,7 +208,7 @@ def _options(command):
 
 def _flags(names):
     """The flags cli.main names for an InputError's parameters."""
-    return {"--betti" if name in ("b1", "b2", "b3") else f"--{name}" for name in names}
+    return set(map(cli.flag, names))
 
 
 # each library refusal a request can reach, with the subcommand that makes the request
@@ -233,22 +267,62 @@ def _count(lo, hi, at, outside):
     return _flag(st.integers(lo, hi).map(str), at, outside)
 
 
-# hodge at n = 200 takes 0.15-0.6 s from d = 3 on, so the top dimension is
-# drawn with the two degrees that expand quickly (0.05-0.08 s)
+def _past(bound, direction):
+    """The float next to bound on the side of direction, as the flag's text."""
+    return repr(math.nextafter(bound, direction))
+
+
+# hodge at n = MAX_DIMENSION takes 0.15-0.6 s from d = 3 on, so the top
+# dimension is drawn with the two degrees that expand quickly (0.05-0.08 s)
 HODGE = st.one_of(
-    st.tuples(_count(3, 8, ["2"], ["1", "201"]), _count(1, 8, ["1", str(hodge.MAX_DEGREE)], ["0", "301"])),
+    st.tuples(_count(3, 8, ["3"], ["1", "2", str(hodge.MAX_DIMENSION + 1)]),
+              _count(1, 8, ["1", str(hodge.MAX_DEGREE)], ["0", str(hodge.MAX_DEGREE + 1)])),
     st.tuples(st.just(str(hodge.MAX_DIMENSION)), st.sampled_from(["1", "2"])),
 ).map(lambda nd: ["hodge", "--n", nd[0], "--d", nd[1]])
 
 _MODULUS = st.floats(1e-3, 1e3)
 T_TEXT = _flag(
     st.one_of(_MODULUS.map(repr), st.tuples(_MODULUS, st.floats(-360, 360)).map(lambda p: f"{p[0]!r}@{p[1]!r}")),
-    ["1e-200", "1e200", "1@360", "-1@-360"],
-    [repr(math.nextafter(1e-200, 0.0)), "1e201", "1@360.0001", "1e-201j"],
+    [repr(slag.MIN_ABS_T), repr(slag.MAX_ABS_T), "1@360", "-1@-360"],
+    [_past(slag.MIN_ABS_T, 0.0), _past(slag.MAX_ABS_T, math.inf), "1@360.0001", _past(slag.MIN_ABS_T, 0.0) + "j"],
 )
-# the upper bound, 256, takes 0.8 s, so only the value past it is drawn
-RESOLUTION = _flag(st.sampled_from(["10", "16"]), ["8"], ["7", "9", "257"])
+# the upper bound takes 0.8 s, so only the value past it is drawn
+RESOLUTION = _flag(st.sampled_from(["10", "16"]), [str(slag.MIN_RESOLUTION)],
+                   [str(slag.MIN_RESOLUTION - 1), str(slag.MIN_RESOLUTION + 1), str(slag.MAX_RESOLUTION + 1)])
 SLAG = st.builds(lambda t, res: ["slag", "--t", t, "--resolution", res], T_TEXT, RESOLUTION)
+
+# a sweep of at most 4 points runs in about 1 ms, one of MAX_POINTS in 0.3-0.4 s, so only the
+# count past the bound is drawn (hodge draws the garbage an int flag refuses).  Each tau is left
+# to its default or drawn inside, at and just past every family's window (the windows of t = 1
+# and a = 1 are metrics.TAU_WINDOW itself); --a draws the garbage a float flag refuses.
+_WINDOW_ENDS = list(metrics.TAU_WINDOW.values())
+TAU = st.one_of(
+    st.none(),
+    st.sampled_from(["1", "10", "100"]),
+    st.sampled_from([repr(end) for ends in _WINDOW_ENDS for end in ends]),
+    st.sampled_from([_past(lo, 0.0) for lo, _ in _WINDOW_ENDS] + [_past(hi, math.inf) for _, hi in _WINDOW_ENDS]),
+    NON_FINITE,
+)
+
+
+def _metric(family, sweep, points, parameter, taus):
+    argv = ["metric", "--family", family, "--sweep", sweep, "--points", points]
+    argv += [f"--{parameter[0]}", parameter[1]] if parameter else []
+    for flag, tau in zip(("--tau-min", "--tau-max"), taus):
+        argv += [flag, tau] if tau is not None else []
+    return argv
+
+
+METRIC = st.builds(
+    _metric,
+    st.sampled_from(["cone", "smoothed", "resolved"]),
+    st.sampled_from(["profile", "deviation", "residuals", "convergence"]),
+    st.sampled_from(["1", "2", "3", "4", "0", str(cli.MAX_POINTS + 1)]),
+    st.one_of(st.none(), st.tuples(st.just("t"), T_TEXT), st.tuples(st.sampled_from(["a", "params"]), GARBAGE),
+              st.tuples(st.just("a"), st.sampled_from(["1", repr(metrics.PARAMETER_MIN), repr(metrics.PARAMETER_MAX)])),
+              st.tuples(st.just("params"), st.sampled_from(["1,0.5", "0.5,1", "1," + repr(metrics.PARAMETER_MIN)]))),
+    st.tuples(TAU, TAU),
+)
 
 _SMALL = _count(0, 3, ["0"], ["-1"])
 BETTI = st.one_of(
@@ -289,16 +363,40 @@ DWORK = st.builds(
     st.booleans(),
 )
 
-ARGV = {"hodge": HODGE, "slag": SLAG, "transition": TRANSITION, "friedman": FRIEDMAN, "dwork": DWORK}
+# every subcommand takes --tol and --format; each reads its own tolerance names, and only metric
+# writes CSV (argparse refuses a format outside its choices, as it refuses --family foo).  Half
+# the requests take neither, so that the refusals of --tol leave room for the subcommand's own.
+OPTIONS = st.one_of(st.just([]), st.builds(
+    lambda tol, fmt: (["--tol", tol] if tol is not None else []) + (["--format", fmt] if fmt is not None else []),
+    st.one_of(st.none(), st.sampled_from(["ode=1e-3", "ma=1", "slag=1e-30", "slag=0", "ma=nan", "slag", "=1"])),
+    st.one_of(st.none(), st.sampled_from(["json", "csv"])),
+))
+ARGV = {command: st.builds(list.__add__, argv, OPTIONS) for command, argv in
+        {"hodge": HODGE, "metric": METRIC, "slag": SLAG, "transition": TRANSITION, "friedman": FRIEDMAN,
+         "dwork": DWORK}.items()}
 
 
 def _named_options(err):
-    """The options an error line names: argparse's 'argument --x: ...' or
-    'the following arguments are required: --x, --y', or the package's
-    '--x/--y: ...'; a line of any other form names none."""
+    """The options an error line names: argparse's 'argument --x: ...',
+    'the following arguments are required: --x, --y' and 'ambiguous option:
+    ... could match --x, --y', or the package's '--x/--y: ...'; a line of
+    any other form names none."""
     head = re.match(r"error: (?:argument (--[\w-]+): |((?:--[\w-]+/)*--[\w-]+): "
-                    r"|the following arguments are required: (.*)$)", err)
-    return set(re.split(r", |/", head[1] or head[2] or head[3])) if head else set()
+                    r"|the following arguments are required: (.*)$|ambiguous option: .* could match (.*)$)", err)
+    return set(re.split(r", |/", next(filter(None, head.groups())))) if head else set()
+
+
+def test_every_refusal_row_names_options_of_its_subcommand():
+    """_named_options reads every row's line as the fuzzer reads a drawn one,
+    ambiguous abbreviations included; only the forms that name no option of
+    a subcommand (the top parser's choice, a stray argument, an exclusive
+    group's requirement) name none."""
+    for argv, message in REFUSALS:
+        named = _named_options(f"error: {message}\n")
+        if message.startswith(("argument command: ", "unrecognized arguments: ", "one of the arguments ")):
+            assert not named, message
+        else:
+            assert named and named <= _options(argv[0]), message
 
 
 @pytest.mark.parametrize("command", sorted(ARGV))
@@ -313,6 +411,9 @@ def test_every_argv_is_answered_or_refused(command, data):
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
         named = _named_options(err)
         assert named and named <= _options(command), err
-    else:
+    elif out.startswith("{"):
         REPORT_VALIDATOR.validate(json.loads(out, parse_constant=_no_constant))
+    else:  # metric's --format csv: a tau sweep's rows or the convergence sweep's sups
+        header = out.split("\n", 1)[0].split(",")
+        assert command == "metric" and header in (cli.METRIC_HEADER, ["family", "param", "sup_deviation"])
     assert run(argv) == (code, out, err)

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -30,3 +31,16 @@ def test_imports_only_the_standard_library_and_numpy(path):
     allowed = sys.stdlib_module_names | {"numpy", "conifold_lab"}
     outside = sorted({name for name in names if name.split(".")[0] not in allowed})
     assert outside == [], f"{path.name}: imports {outside}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_string_leads_with_a_flag(path):
+    """cli.main alone spells the '--x: ' or '--x/--y: ' head of a refusal,
+    from the names of an InputError; a string that starts with one would be
+    a second way to name a flag.  Every string constant is checked, and so
+    is every literal part of an f-string, its first one included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    heads = re.compile(r"--[\w-]+(?:/--[\w-]+)*: ")
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str) and heads.match(node.value)]
+    assert lines == [], f"{path.name}: strings that lead with a flag at lines {lines}"
