@@ -25,7 +25,7 @@ import numpy as np
 
 from conifold_lab import acceptance, hodge, metrics, slag, transitions
 from conifold_lab.acceptance import Checks
-from conifold_lab.transitions import InputError, abbreviated
+from conifold_lab.transitions import InputError, abbreviated, require_within
 
 SCHEMA_VERSION = 1
 
@@ -118,7 +118,7 @@ def _write_output(path, payload: str) -> None:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(payload)
         except OSError as exc:
-            raise InputError(str(exc), "output") from None
+            raise InputError(f"cannot write {abbreviated(repr(path))}: {exc.strerror or exc}", "output") from None
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -163,16 +163,14 @@ def _family_from_args(args) -> metrics.PotentialFamily:
 # A dwork smooth point peaks at about 0.7 KB (the sample, its (4, 4) Hessian
 # in the certificate stack and the certificate): at 1 KiB a point, 64 MiB is
 # 65,536 points.
-MAX_POINTS = 64 * 2**20 // 2048
+MIN_POINTS, MAX_POINTS = 1, 64 * 2**20 // 2048
 MAX_SMOOTH_POINTS = 64 * 2**20 // 1024
 
 METRIC_HEADER = ["family", "param", "tau", "f", "fp", "fpp", "ode_residual", "ma_residual", "deviation"]
 
 
 def _cmd_metric(args) -> int:
-    if not 1 <= args.points <= MAX_POINTS:
-        bound = "at least 1 grid point" if args.points < 1 else f"at most {MAX_POINTS} grid points"
-        raise InputError(f"{bound}, got {abbreviated(str(args.points))}", "points")
+    require_within("the number of grid points", args.points, MIN_POINTS, MAX_POINTS, "points")
     family = _family_from_args(args)
     families = [family]
     if args.sweep == "convergence":
@@ -300,9 +298,7 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_dwork(args) -> int:
-    if args.smooth_points > MAX_SMOOTH_POINTS:
-        raise InputError(f"at most {MAX_SMOOTH_POINTS} points, got {abbreviated(str(args.smooth_points))}",
-                         "smooth_points")
+    require_within("the number of smooth points", args.smooth_points, 0, MAX_SMOOTH_POINTS, "smooth_points")
     assertions = Checks()
     exps = transitions.dwork_exponents()
     poly = transitions.DworkQuintic()
@@ -383,7 +379,8 @@ def _class_matrix(args) -> transitions.ClassMatrix:
             raise ValueError(f"entry {abbreviated(repr(entry))} has more than {MAX_ENTRY_DIGITS} digits{scaled}")
         return matrix
     except OSError as exc:
-        raise InputError(f"cannot read {args.classes_csv!r}: {exc.strerror or exc}", "classes_csv") from None
+        raise InputError(f"cannot read {abbreviated(repr(args.classes_csv))}: {exc.strerror or exc}",
+                         "classes_csv") from None
     except (TypeError, ValueError) as exc:
         raise InputError(str(exc), "classes_csv" if args.classes_csv else "classes_json") from None
 

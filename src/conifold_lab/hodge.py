@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from conifold_lab.transitions import InputError, abbreviated
+from conifold_lab.transitions import require_within
 
 # The diamond costs about n^2 / 2 binomials of (n log2(n d))-bit integers:
 # n = 200, d = 300 takes about 0.7 s on a 2-vCPU Xeon guest.
-MAX_DIMENSION = 200
-MAX_DEGREE = 300
+MIN_DIMENSION, MAX_DIMENSION = 3, 200
+MIN_DEGREE, MAX_DEGREE = 1, 300
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,8 @@ class HypersurfaceSpec:
     d: int
 
     def __post_init__(self) -> None:
-        if not 3 <= self.n <= MAX_DIMENSION:
-            raise InputError(f"ambient projective dimension n must lie in [3, {MAX_DIMENSION}], "
-                             f"got {abbreviated(str(self.n))}", "n")
-        if not 1 <= self.d <= MAX_DEGREE:
-            raise InputError(f"degree d must lie in [1, {MAX_DEGREE}], got {abbreviated(str(self.d))}", "d")
+        require_within("ambient projective dimension n", self.n, MIN_DIMENSION, MAX_DIMENSION, "n")
+        require_within("degree d", self.d, MIN_DEGREE, MAX_DEGREE, "d")
 
     @property
     def is_calabi_yau(self) -> bool:

@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from conifold_lab.conifold import CHART_COMPLEMENT, FiberPoint, _require, on_fiber
-from conifold_lab.transitions import InputError
+from conifold_lab.transitions import InputError, require_within
 
 ODE_CONSTANT = 2.0 / 3.0
 
@@ -122,11 +122,10 @@ class PotentialFamily:
             raise InputError(f"the smoothing parameter t must be finite, got {self.t}", "t")
         if not math.isfinite(self.a):
             raise InputError(f"the resolution parameter a must be finite, got {self.a}", "a")
-        window = f"[{PARAMETER_MIN:g}, {PARAMETER_MAX:g}]"
-        if self.kind == "smoothed" and not PARAMETER_MIN <= abs(self.t) <= PARAMETER_MAX:
-            raise InputError(f"the smoothing parameter |t| must lie in {window}, got {abs(self.t)!r}", "t")
-        if self.kind == "resolved" and not PARAMETER_MIN <= self.a <= PARAMETER_MAX:
-            raise InputError(f"the resolution parameter a must lie in {window}, got {self.a!r}", "a")
+        if self.kind == "smoothed":
+            require_within("the smoothing parameter |t|", abs(self.t), PARAMETER_MIN, PARAMETER_MAX, "t")
+        if self.kind == "resolved":
+            require_within("the resolution parameter a", self.a, PARAMETER_MIN, PARAMETER_MAX, "a")
 
     @classmethod
     def cone(cls) -> "PotentialFamily":

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from conifold_lab.conifold import CHART_COMPLEMENT, _require
-from conifold_lab.transitions import InputError, abbreviated
+from conifold_lab.transitions import InputError, abbreviated, require_within
 
 SPHERE_VOLUME = 2.0 * math.pi**2
 
@@ -147,10 +147,7 @@ def _composite_gauss2(a: float, b: float, ncells: int) -> tuple[np.ndarray, np.n
 def check_resolution(resolution: int) -> None:
     """Refuse a grid resolution outside [MIN_RESOLUTION, MAX_RESOLUTION] or
     odd."""
-    if resolution < MIN_RESOLUTION:
-        raise InputError(f"resolution must be >= {MIN_RESOLUTION}, got {abbreviated(str(resolution))}", "resolution")
-    if resolution > MAX_RESOLUTION:
-        raise InputError(f"resolution must be <= {MAX_RESOLUTION}, got {abbreviated(str(resolution))}", "resolution")
+    require_within("resolution", resolution, MIN_RESOLUTION, MAX_RESOLUTION, "resolution")
     if resolution % 2:
         raise InputError(f"resolution must be even, got {abbreviated(str(resolution))}", "resolution")
 
@@ -166,8 +163,7 @@ def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:
     t = complex(t)
     if not cmath.isfinite(t):
         raise InputError(f"the vanishing cycle needs a finite t, got {t}", "t")
-    if not MIN_ABS_T <= abs(t) <= MAX_ABS_T:
-        raise InputError(f"|t| must lie in [{MIN_ABS_T:g}, {MAX_ABS_T:g}], got {abs(t)!r}", "t")
+    require_within("|t|", abs(t), MIN_ABS_T, MAX_ABS_T, "t")
 
     phi = 2.0 * math.pi * (np.arange(resolution) + 0.5) / resolution
     return CycleGrid(

@@ -57,6 +57,12 @@ class InputError(ValueError):
         self.names = names
 
 
+def require_within(what: str, value, lo, hi, *names: str) -> None:
+    """Refuse value outside [lo, hi] (NaN too) as an InputError naming names."""
+    if not lo <= value <= hi:
+        raise InputError(f"{what} must lie in [{lo!r}, {hi!r}], got {abbreviated(repr(value))}", *names)
+
+
 def _as_exact(value) -> int | Fraction:
     """Coerce CSV/JSON scalars (integers, rationals, rational strings such as
     "1/2", integral floats) to int or Fraction; booleans are not numbers here."""

@@ -8,7 +8,9 @@ import io
 import json
 import math
 import re
+import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -41,6 +43,27 @@ LONG, LONG_QUOTED = "9" * 4000, "99999999... (4000 characters)"
 # a text flag's whole value, quoted by repr and cut like an integer's
 TEXT, TEXT_QUOTED = "x" * 100_000, "'xxxxxxx... (100002 characters)"
 PRIMES_BELOW_90 = [p for p in range(2, 90) if all(p % q for q in range(2, p))]
+CRITERIA_KNOWN = "known: C01, C02, C03, C04, C05, C06, C07, C08, C09, C10, C11, C12"
+# a request of each subcommand that writes only JSON
+JSON_ONLY = [["hodge", "--n", "4", "--d", "5"], ["slag", "--t", "1", "--resolution", "8"], ["transition", "--catalog"],
+             ["dwork"], ["friedman", "--classes-json", "[[1, 1]]"], ["verify-all", "--criteria", "C01"]]
+
+
+def _past(bound, direction):
+    """The float next to bound on the side of direction, as the flag's text."""
+    return repr(math.nextafter(bound, direction))
+
+
+# one ulp past a bound: with :g each would print as the bound itself
+ULP_PAST = {"t": _past(metrics.PARAMETER_MIN, 0.0), "a": _past(metrics.PARAMETER_MAX, math.inf),
+            "slag": _past(slag.MIN_ABS_T, 0.0), "tau": _past(metrics.TAU_WINDOW["cone"][1], math.inf)}
+# class matrices read from a CSV file: each is refused as the JSON of its cells is
+CSV_CLASSES = {"rows": "1,2\n" * 257, "digits": "1,1e9\n-1,-1\n", "zero-denominator": "1,2\n1/0,3\n"}
+
+
+def _csv_cells(text):
+    return [line.split(",") for line in text.splitlines()]
+
 
 REFUSALS = [
     # argparse's own refusals, one per kind
@@ -52,10 +75,12 @@ REFUSALS = [
     (["hodge", "--n", "4", "--d", "5", "--bogus"], "unrecognized arguments: --bogus"),
     (["verify-all", "--fast", "--full"], "argument --full: not allowed with argument --fast"),
     (["dwork", "--seed", "-1"], "argument --seed: expected an integer >= 0, got '-1'"),
+    (["dwork", "--smooth-points", "-5"], "argument --smooth-points: expected an integer >= 0, got '-5'"),
     # superscript digits pass str.isdigit() but not int()
     (["dwork", "--seed", "\u00b2"], "argument --seed: expected an integer >= 0, got '\u00b2'"),
     (["dwork", "--smooth-points", "\u00b9"], "argument --smooth-points: expected an integer >= 0, got '\u00b9'"),
     (["slag", "--resolution"], "argument --resolution: expected one argument"),
+    (["slag", "--t", "--resolution", "8"], "argument --t: expected one argument"),
     # integer flags past int()'s digit limit, quoted abbreviated like every other value
     (["dwork", "--seed", NINES], f"argument --seed: expected an integer >= 0, got {NINES_QUOTED}"),
     (["dwork", "--smooth-points", NINES], f"argument --smooth-points: expected an integer >= 0, got {NINES_QUOTED}"),
@@ -83,11 +108,32 @@ REFUSALS = [
      "--tau-min/--tau-max: need 0 < tau-min < tau-max, got [1.0, 0.5]"),
     (["metric", "--family", "cone", "--tau-min", "nan"],
      "--tau-min/--tau-max: need 0 < tau-min < tau-max, got [nan, 1000.0]"),
+    # and each family's window, for every family swept
+    (["metric", "--family", "resolved", "--a", "1", "--tau-max", "1e300", "--points", "3"],
+     "--tau-min/--tau-max: the resolved family needs taus in [1e-240, 1e+75] = a^3 * [1e-240, 1e+75], "
+     "got [0.1, 1e+300]"),
+    (["metric", "--family", "cone", "--tau-min", "1e-300", "--tau-max", "1e-200", "--points", "3"],
+     "--tau-min/--tau-max: the cone family needs taus in [1e-150, 1e+150], got [1e-300, 1e-200]"),
+    (["metric", "--family", "smoothed", "--t", "1", "--tau-max", "1e200", "--points", "3"],
+     "--tau-min/--tau-max: the smoothed family needs taus in [1.0, 1e+100] = |t| * [1, 1e+100], got [1.01, 1e+200]"),
+    (["metric", "--family", "resolved", "--a", "2", "--tau-min", "1e-300", "--tau-max", "1", "--points", "3"],
+     "--tau-min/--tau-max: the resolved family needs taus in [8e-240, 8e+75] = a^3 * [1e-240, 1e+75], "
+     "got [1e-300, 1.0]"),
+    (["metric", "--family", "smoothed", "--sweep", "convergence", "--params", "1,0.5", "--tau-max", "1e300",
+      "--points", "3"],
+     "--tau-min/--tau-max: the smoothed family needs taus in [1.0, 1e+100] = |t| * [1, 1e+100], got [1.0, 1e+300]"),
+    (["metric", "--family", "cone", "--tau-min", "1", "--tau-max", ULP_PAST["tau"]],
+     f"--tau-min/--tau-max: the cone family needs taus in [1e-150, 1e+150], got [1.0, {ULP_PAST['tau']}]"),
     # --t text that is neither a complex literal nor R@degrees
     (["slag", "--t", "abc"], "--t: expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, got 'abc'"),
     (["slag", "--t", "1@x"], "--t: expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, got '1@x'"),
     (["metric", "--family", "smoothed", "--t", ""],
      "--t: expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, got ''"),
+    # a polar angle past a turn keeps no digits once reduced: slag used to report
+    # t = -0.239 + 0.971j for 1@1e308
+    *[(argv + [f"1@{angle}"], f"--t: the angle of '1@{angle}' must be finite and within [-360, 360] degrees")
+      for argv in (["slag", "--t"], ["metric", "--family", "smoothed", "--points", "3", "--t"])
+      for angle in ("1e308", "360.0001", "-361", "nan", "inf", "-inf")],
     # JSON that int() or the decoder's recursion cannot take
     (["friedman", "--classes-json", f"[[{BIG_INT}],[1]]"],
      "--classes-json: entry 11111111... (5000 characters) has more than 4 digits"),
@@ -113,6 +159,47 @@ REFUSALS = [
     (["friedman", "--classes-json", json.dumps([[f"1/{p}" for p in PRIMES_BELOW_90], ["1"] * 24])],
      "--classes-json: entry '1/2' has more than 4 digits as 11884370... (35 characters), "
      "once the rows are scaled to integers"),
+    # class matrices that do not parse
+    (["friedman", "--classes-json", '[["1/0",1]]'], "--classes-json: entry '1/0' is not a rational number"),
+    (["friedman", "--classes-json", '{"a":1}'],
+     "--classes-json: expected a JSON array of rows, each an array of entries, got '{\"a\":1}'"),
+    (["friedman", "--classes-json", "nope"],
+     "--classes-json: 'nope' is not JSON (Expecting value: line 1 column 1 (char 0))"),
+    (["friedman", "--classes-json", "[[true, 1]]"], "--classes-json: entry True is a boolean, not a rational number"),
+    (["friedman", "--classes-json", "[[0.5]]"],
+     "--classes-json: class vectors must be exact; got the non-integral float 0.5"),
+    (["friedman", "--classes-json", "[1,2]"],
+     "--classes-json: expected a JSON array of rows, each an array of entries, got '[1,2]'"),
+    (["friedman", "--classes-json", "[[[1]]]"], "--classes-json: unsupported class-vector entry [1] of type list"),
+    (["friedman", "--classes-json", '[[{"a":1}]]'],
+     "--classes-json: unsupported class-vector entry {'a': 1} of type dict"),
+    (["friedman", "--classes-json", '[["1j", "1"]]'], "--classes-json: entry '1j' is not a rational number"),
+    # each of friedman's bounds plus one, refused before any work: the exponent entries used to
+    # build their integer first, so 1e5000 certified a witness that the report could not print,
+    # 1e999999 took a third of a second and 1e-99999999999999999999 did not finish
+    (["friedman", "--classes-json", json.dumps([[1]] * 257)],
+     "--classes-json: at most 256 class vectors of length <= 24, got 257 of length up to 1"),
+    (["friedman", "--classes-json", json.dumps([[1] * 25, [-1] * 25])],
+     "--classes-json: at most 256 class vectors of length <= 24, got 2 of length up to 25"),
+    (["friedman", "--classes-json", "[[10000],[-1]]"], "--classes-json: entry 10000 has more than 4 digits"),
+    (["friedman", "--classes-json", "[[-1e4],[1]]"], "--classes-json: entry -10000.0 has more than 4 digits"),
+    (["friedman", "--classes-json", '[["10000"],["-1"]]'], "--classes-json: entry '10000' has more than 4 digits"),
+    (["friedman", "--classes-json", '[["1e4"],["-1"]]'], "--classes-json: entry '1e4' has more than 4 digits"),
+    (["friedman", "--classes-json", '[["0.0001"],["-1"]]'], "--classes-json: entry '0.0001' has more than 4 digits"),
+    (["friedman", "--classes-json", '[["1/7","1/11"],["1/13","1/17"],["-1","1"]]'],
+     "--classes-json: entry '-1' has more than 4 digits as -17017, once the rows are scaled to integers"),
+    (["friedman", "--classes-json", '[["1e5000"],["-1"]]'], "--classes-json: entry '1e5000' has more than 4 digits"),
+    (["friedman", "--classes-json", '[["1e999999"],["-1"]]'],
+     "--classes-json: entry '1e999999' has more than 4 digits"),
+    (["friedman", "--classes-json", '[["1e-99999999999999999999"],["-1"]]'],
+     "--classes-json: entry '1e-99999999999999999999' has more than 4 digits"),
+    # the cells of CSV_CLASSES as JSON
+    (["friedman", "--classes-json", json.dumps(_csv_cells(CSV_CLASSES["rows"]))],
+     "--classes-json: at most 256 class vectors of length <= 24, got 257 of length up to 2"),
+    (["friedman", "--classes-json", json.dumps(_csv_cells(CSV_CLASSES["digits"]))],
+     "--classes-json: entry '1e9' has more than 4 digits"),
+    (["friedman", "--classes-json", json.dumps(_csv_cells(CSV_CLASSES["zero-denominator"]))],
+     "--classes-json: entry '1/0' is not a rational number"),
     # argparse quotes these arguments as typed: a line break is quoted by repr
     (["hodge", "--n", "4", "--d", "5", "a\nb"], "unrecognized arguments: 'a\\nb'"),
     (["hodge", "--t=a\nb"], "ambiguous option: '--t=a\\nb' could match --timings, --tol"),
@@ -121,19 +208,47 @@ REFUSALS = [
      "ambiguous option: --t could match --timings, --tol"),
     (["dwork", "--seed", "--s"], "ambiguous option: --s could match --seed, --smooth-points"),
     # the CLI's own checks, named like the library's; a whole value is quoted abbreviated
-    (["metric", "--family", "cone", "--points", "0"], "--points: at least 1 grid point, got 0"),
+    (["metric", "--family", "cone", "--points", "0"],
+     "--points: the number of grid points must lie in [1, 32768], got 0"),
     (["metric", "--family", "cone", "--points", "-" + LONG],
-     "--points: at least 1 grid point, got -9999999... (4001 characters)"),
+     "--points: the number of grid points must lie in [1, 32768], got -9999999... (4001 characters)"),
+    (["metric", "--family", "cone", "--points", "32769"],
+     "--points: the number of grid points must lie in [1, 32768], got 32769"),
+    (["metric", "--family", "resolved", "--sweep", "convergence", "--points", "32769"],
+     "--points: the number of grid points must lie in [1, 32768], got 32769"),
+    (["dwork", "--smooth-points", "65537"],
+     "--smooth-points: the number of smooth points must lie in [0, 65536], got 65537"),
+    # the cone has no parameter to converge in; its request is refused instead of
+    # answered with the smoothing's numbers
     (["metric", "--family", "cone", "--sweep", "convergence"],
      "--family/--sweep: the cone has no parameter for a convergence sweep; use smoothed or resolved"),
+    # an empty --params used to run the default parameters while the config echoed the empty list
+    (["metric", "--family", "smoothed", "--sweep", "convergence", "--params", ""],
+     "--params: expected a comma list of numbers, got ''"),
+    (["metric", "--family", "smoothed", "--sweep", "convergence", "--params", "1,x"],
+     "--params: expected a comma list of numbers, got '1,x'"),
     (["slag", "--tol", "x"], "--tol: expected NAME=VALUE, got 'x'"),
+    (["slag", "--t", "1", "--tol", "oops"], "--tol: expected NAME=VALUE, got 'oops'"),
+    # each subcommand takes only the --tol names it reads; an ignored tolerance used to
+    # be echoed in the report's config
     (["slag", "--tol", "ode=1"], "--tol: slag reads only slag, got 'ode=1'"),
+    (["verify-all", "--criteria", "C03", "--tol", "ode=1e-30"],
+     "--tol: verify-all reads no tolerance, got 'ode=1e-30'"),
+    (["hodge", "--n", "4", "--d", "5", "--tol", "nosuch=1"], "--tol: hodge reads no tolerance, got 'nosuch=1'"),
+    (["dwork", "--tol", "ode=1"], "--tol: dwork reads no tolerance, got 'ode=1'"),
+    (["transition", "--catalog", "--tol", "slag=1"], "--tol: transition reads no tolerance, got 'slag=1'"),
+    (["friedman", "--classes-json", "[[1]]", "--tol", "ma=1"], "--tol: friedman reads no tolerance, got 'ma=1'"),
+    (["metric", "--family", "cone", "--tol", "slag=1e-3"], "--tol: metric reads only ode, ma, got 'slag=1e-3'"),
+    # a NaN tolerance used to reach the report as bare NaN, which is not JSON
     (["slag", "--tol", "slag=0"], "--tol: the value must be a finite number > 0, got 'slag=0'"),
+    *[(["slag", "--t", "1", "--resolution", "8", "--tol", f"slag={value}"],
+       f"--tol: the value must be a finite number > 0, got 'slag={value}'") for value in ("nan", "inf", "-1", "abc")],
     (["slag", "--tol", TEXT], f"--tol: expected NAME=VALUE, got {TEXT_QUOTED}"),
     (["slag", "--tol", "slag=" + TEXT],
      "--tol: the value must be a finite number > 0, got 'slag=xx... (100007 characters)"),
-    (["hodge", "--n", "4", "--d", "5", "--format", "csv"],
-     "--format: only metric writes CSV; hodge writes a JSON report"),
+    # only metric writes CSV; the others used to accept --format csv and write JSON
+    *[(argv + ["--format", "csv"], f"--format: only metric writes CSV; {argv[0]} writes a JSON report")
+      for argv in JSON_ONLY],
     (["slag", "--t", TEXT],
      f"--t: expected a complex literal like -0.5+0.2j or R@degrees like 0.3@36, got {TEXT_QUOTED}"),
     (["slag", "--t", "1@" + LONG],
@@ -142,8 +257,14 @@ REFUSALS = [
      f"--params: expected a comma list of numbers, got {TEXT_QUOTED}"),
     (["transition", "--catalog", "--betti", TEXT],
      f"--betti: expected three comma-separated integers b1,b2,b3, got {TEXT_QUOTED}"),
-    (["verify-all", "--criteria", TEXT], f"--criteria: unknown criterion {TEXT_QUOTED}; known: "
-                                         "C01, C02, C03, C04, C05, C06, C07, C08, C09, C10, C11, C12"),
+    (["verify-all", "--criteria", TEXT], f"--criteria: unknown criterion {TEXT_QUOTED}; {CRITERIA_KNOWN}"),
+    (["verify-all", "--criteria", "C99"], f"--criteria: unknown criterion 'C99'; {CRITERIA_KNOWN}"),
+    (["verify-all", "--criteria", ""], f"--criteria: unknown criterion ''; {CRITERIA_KNOWN}"),
+    (["verify-all", "--criteria", "C01,,C02"], f"--criteria: unknown criterion ''; {CRITERIA_KNOWN}"),
+    (["verify-all", "--criteria", "C01,"], f"--criteria: unknown criterion ''; {CRITERIA_KNOWN}"),
+    (["verify-all", "--criteria", "C01,C99"], f"--criteria: unknown criterion 'C99'; {CRITERIA_KNOWN}"),
+    (["verify-all", "--criteria", "c01"], f"--criteria: unknown criterion 'c01'; {CRITERIA_KNOWN}"),
+    (["verify-all", "--criteria", "C03,C01,C03"], "--criteria: C03 is listed twice"),
     # the window's ends print exactly: with :g, 1e135 read as the window's own top
     (["metric", "--family", "resolved", "--a", "1e20", "--tau-min", "1e-180", "--tau-max", "1e135", "--points", "5"],
      "--tau-min/--tau-max: the resolved family needs taus in [1e-180, 9.999999999999998e+134] "
@@ -151,22 +272,48 @@ REFUSALS = [
     # library refusals, named by the flag the value came from
     (["hodge", "--n", "2", "--d", "5"], "--n: ambient projective dimension n must lie in [3, 200], got 2"),
     (["hodge", "--n", "1", "--d", "5"], "--n: ambient projective dimension n must lie in [3, 200], got 1"),
+    (["hodge", "--n", "201", "--d", "5"], "--n: ambient projective dimension n must lie in [3, 200], got 201"),
     (["hodge", "--n", "4", "--d", "0"], "--d: degree d must lie in [1, 300], got 0"),
+    (["hodge", "--n", "4", "--d", "301"], "--d: degree d must lie in [1, 300], got 301"),
     (["metric", "--family", "resolved", "--a", "0"],
      "--a: the resolution parameter a must lie in [1e-20, 1e+20], got 0.0"),
+    (["metric", "--family", "resolved", "--a", "1e-300"],
+     "--a: the resolution parameter a must lie in [1e-20, 1e+20], got 1e-300"),
+    (["metric", "--family", "resolved", "--a", "1e30"],
+     "--a: the resolution parameter a must lie in [1e-20, 1e+20], got 1e+30"),
+    (["metric", "--family", "resolved", "--a", ULP_PAST["a"]],
+     f"--a: the resolution parameter a must lie in [1e-20, 1e+20], got {ULP_PAST['a']}"),
+    (["metric", "--family", "smoothed", "--t", "1e-30"],
+     "--t: the smoothing parameter |t| must lie in [1e-20, 1e+20], got 1e-30"),
+    (["metric", "--family", "smoothed", "--t", "1e300"],
+     "--t: the smoothing parameter |t| must lie in [1e-20, 1e+20], got 1e+300"),
+    (["metric", "--family", "smoothed", "--t", ULP_PAST["t"]],
+     f"--t: the smoothing parameter |t| must lie in [1e-20, 1e+20], got {ULP_PAST['t']}"),
+    (["metric", "--family", "resolved", "--sweep", "convergence", "--params", "1,1e-30"],
+     "--params: the resolution parameter a must lie in [1e-20, 1e+20], got 1e-30"),
+    (["metric", "--family", "resolved", "--a", "inf"], "--a: the resolution parameter a must be finite, got inf"),
+    (["metric", "--family", "smoothed", "--t", "nan"], "--t: the smoothing parameter t must be finite, got (nan+0j)"),
     (["slag", "--resolution", "9"], "--resolution: resolution must be even, got 9"),
-    (["slag", "--resolution", "7"], "--resolution: resolution must be >= 8, got 7"),
+    (["slag", "--resolution", "7"], "--resolution: resolution must lie in [8, 256], got 7"),
+    (["slag", "--t", "1", "--resolution", "258"], "--resolution: resolution must lie in [8, 256], got 258"),
+    (["slag", "--t", "1", "--resolution", "100000"], "--resolution: resolution must lie in [8, 256], got 100000"),
     (["slag", "--t", "1e-300"], "--t: |t| must lie in [1e-200, 1e+200], got 1e-300"),
+    (["slag", "--t", "1e300@45"], "--t: |t| must lie in [1e-200, 1e+200], got 1e+300"),
+    (["slag", "--t", ULP_PAST["slag"]], f"--t: |t| must lie in [1e-200, 1e+200], got {ULP_PAST['slag']}"),
     (["slag", "--t", "nan"], "--t: the vanishing cycle needs a finite t, got (nan+0j)"),
+    (["slag", "--t", "inf"], "--t: the vanishing cycle needs a finite t, got (inf+0j)"),
     # the grid is checked before t, so a request with both wrong names --resolution
     (["slag", "--t", "nan", "--resolution", "9"], "--resolution: resolution must be even, got 9"),
     (["hodge", "--d", "5", "--n", LONG],
      f"--n: ambient projective dimension n must lie in [3, 200], got {LONG_QUOTED}"),
     (["hodge", "--n", "4", "--d", LONG], f"--d: degree d must lie in [1, 300], got {LONG_QUOTED}"),
-    (["metric", "--points", LONG, "--family", "cone"], f"--points: at most 32768 grid points, got {LONG_QUOTED}"),
-    (["dwork", "--seed", "0", "--smooth-points", LONG], f"--smooth-points: at most 65536 points, got {LONG_QUOTED}"),
-    (["slag", "--t", "1", "--resolution", LONG], f"--resolution: resolution must be <= 256, got {LONG_QUOTED}"),
-    (["slag", "--resolution", "-" + LONG], "--resolution: resolution must be >= 8, got -9999999... (4001 characters)"),
+    (["metric", "--points", LONG, "--family", "cone"],
+     f"--points: the number of grid points must lie in [1, 32768], got {LONG_QUOTED}"),
+    (["dwork", "--seed", "0", "--smooth-points", LONG],
+     f"--smooth-points: the number of smooth points must lie in [0, 65536], got {LONG_QUOTED}"),
+    (["slag", "--t", "1", "--resolution", LONG], f"--resolution: resolution must lie in [8, 256], got {LONG_QUOTED}"),
+    (["slag", "--resolution", "-" + LONG],
+     "--resolution: resolution must lie in [8, 256], got -9999999... (4001 characters)"),
     # the bookkeeping's refusals, named by the flags of the inputs they quote
     (["transition", "--betti", "0,-3,2", "--h11", "1", "--h21", "1", "--N", "1", "--k", "0", "--c", "1"],
      "--betti: inputs must be nonnegative, got b2=-3"),
@@ -174,6 +321,8 @@ REFUSALS = [
      "--h11/--betti: inputs must be nonnegative, got h11=-1, b1=-1"),
     (["transition", "--N", "-1", "--h11", "1", "--h21", "1", "--k", "0", "--c", "1", "--betti", "0,1,2"],
      "--N: node count must split: N=-1, k+c=1"),
+    (["transition", "--h11", "25", "--h21", "0", "--betti", "0,25,2", "--N", "5", "--k", "1", "--c", "1"],
+     "--N: node count must split: N=5, k+c=2"),
     (["transition", "--k", "2", "--h11", "1", "--h21", "1", "--N", "2", "--c", "0", "--betti", "0,5,2"],
      "--h11/--k: h11=1 < k=2: contraction would leave a negative Hodge number"),
     (["transition", "--k", "2", "--betti", "0,1,2", "--h11", "5", "--h21", "1", "--N", "2", "--c", "0"],
@@ -183,21 +332,73 @@ REFUSALS = [
     (["transition", "--h11", "1", "--N", LONG, "--h21", "1", "--k", "0", "--c", "1", "--betti", "0,1,2"],
      f"--N: node count must split: N={LONG_QUOTED}, k+c=1"),
     (["transition", "--h11", "1"], "--h21/--N/--k/--c: required unless --catalog is given"),
+    (["transition", "--h11", "25"], "--h21/--N/--k/--c: required unless --catalog is given"),
     (["transition", "--h11", "1", "--k", LONG, "--h21", "1", "--N", LONG, "--c", "0", "--betti", "0,5,2"],
      f"--h11/--k: h11=1 < k={LONG_QUOTED}: contraction would leave a negative Hodge number"),
-    # an output path that cannot be written
+    # paths that cannot be read or written, quoted like every other value
     (["hodge", "--n", "4", "--d", "5", "--output", "/nonexistent/x.json"],
-     "--output: [Errno 2] No such file or directory: '/nonexistent/x.json'"),
+     "--output: cannot write '/nonexistent/x.json': No such file or directory"),
+    (["hodge", "--n", "4", "--d", "5", "--output", TEXT], f"--output: cannot write {TEXT_QUOTED}: File name too long"),
+    (["friedman", "--classes-csv", "/nonexistent/classes.csv"],
+     "--classes-csv: cannot read '/nonexistent/classes.csv': No such file or directory"),
+    (["friedman", "--classes-csv", TEXT], f"--classes-csv: cannot read {TEXT_QUOTED}: File name too long"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", REFUSALS, ids=[" ".join(argv)[:40] for argv, _ in REFUSALS])
 def test_refusal_is_one_error_line(argv, message, tmp_path):
+    """Each refusal is its one line, within half a second: every bound is
+    checked before the work it bounds."""
     out = tmp_path / "report.json"
     if "--output" not in argv:
         argv = argv + ["--output", str(out)]
-    assert run(argv) == (2, "", f"error: {message}\n")
+    start = time.perf_counter()
+    result = run(argv)
+    elapsed = time.perf_counter() - start
+    assert result == (2, "", f"error: {message}\n")
+    assert elapsed < 0.5
     assert not out.exists()
+
+
+def test_one_ulp_past_a_bound_reads_as_the_bound_under_g():
+    """The ULP_PAST rows pin that a refusal prints repr: under :g each value reads as its bound."""
+    assert [f"{float(text):g}" for text in ULP_PAST.values()] == ["1e-20", "1e+20", "1e-200", "1e+150"]
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CLASSES))
+def test_class_csv_is_refused_as_its_cells_in_json(name, tmp_path):
+    """A class matrix read from a file gets the refusal of its cells given as
+    --classes-json, naming --classes-csv."""
+    path = tmp_path / "classes.csv"
+    path.write_text(CSV_CLASSES[name])
+    as_json = ["friedman", "--classes-json", json.dumps(_csv_cells(CSV_CLASSES[name]))]
+    message = next(message for argv, message in REFUSALS if argv == as_json)
+    expected = f"error: --classes-csv{message.removeprefix('--classes-json')}\n"
+    assert run(["friedman", "--classes-csv", str(path), "--output", str(tmp_path / "x")]) == (2, "", expected)
+
+
+def _e(bound):
+    """A float bound as README writes it: 1e20, 1e-200."""
+    return f"{bound:g}".replace("e+", "e")
+
+
+def test_readme_flag_table_states_the_bounds():
+    """README's flag table gives the ranges the package refuses outside of."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("### Flag conventions"):]
+    table = table[:table.index("\n\n", table.index("| Flag |"))]
+    lo, hi = _e(metrics.PARAMETER_MIN), _e(metrics.PARAMETER_MAX)
+    bounds = [
+        f"{hodge.MIN_DIMENSION} <= n <= {hodge.MAX_DIMENSION}",
+        f"{hodge.MIN_DEGREE} <= d <= {hodge.MAX_DEGREE}",
+        f"{cli.MIN_POINTS} <= points <= {cli.MAX_POINTS}",
+        f"sample size, 0..{cli.MAX_SMOOTH_POINTS}",
+        f"even, {slag.MIN_RESOLUTION}..{slag.MAX_RESOLUTION}",
+        f"`metric` takes {lo} <= \\|t\\| <= {hi}",
+        f"`slag` {_e(slag.MIN_ABS_T)} <= \\|t\\| <= {_e(slag.MAX_ABS_T)}",
+        f"{lo} <= a <= {hi}",
+    ]
+    assert [bound for bound in bounds if bound not in table] == []
 
 
 def _options(command):
@@ -267,16 +468,13 @@ def _count(lo, hi, at, outside):
     return _flag(st.integers(lo, hi).map(str), at, outside)
 
 
-def _past(bound, direction):
-    """The float next to bound on the side of direction, as the flag's text."""
-    return repr(math.nextafter(bound, direction))
-
-
 # hodge at n = MAX_DIMENSION takes 0.15-0.6 s from d = 3 on, so the top
 # dimension is drawn with the two degrees that expand quickly (0.05-0.08 s)
 HODGE = st.one_of(
-    st.tuples(_count(3, 8, ["3"], ["1", "2", str(hodge.MAX_DIMENSION + 1)]),
-              _count(1, 8, ["1", str(hodge.MAX_DEGREE)], ["0", str(hodge.MAX_DEGREE + 1)])),
+    st.tuples(_count(hodge.MIN_DIMENSION, 8, [str(hodge.MIN_DIMENSION)],
+                     [str(hodge.MIN_DIMENSION - 2), str(hodge.MIN_DIMENSION - 1), str(hodge.MAX_DIMENSION + 1)]),
+              _count(hodge.MIN_DEGREE, 8, [str(hodge.MIN_DEGREE), str(hodge.MAX_DEGREE)],
+                     [str(hodge.MIN_DEGREE - 1), str(hodge.MAX_DEGREE + 1)])),
     st.tuples(st.just(str(hodge.MAX_DIMENSION)), st.sampled_from(["1", "2"])),
 ).map(lambda nd: ["hodge", "--n", nd[0], "--d", nd[1]])
 
@@ -317,7 +515,7 @@ METRIC = st.builds(
     _metric,
     st.sampled_from(["cone", "smoothed", "resolved"]),
     st.sampled_from(["profile", "deviation", "residuals", "convergence"]),
-    st.sampled_from(["1", "2", "3", "4", "0", str(cli.MAX_POINTS + 1)]),
+    st.sampled_from([str(cli.MIN_POINTS + i) for i in range(4)] + [str(cli.MIN_POINTS - 1), str(cli.MAX_POINTS + 1)]),
     st.one_of(st.none(), st.tuples(st.just("t"), T_TEXT), st.tuples(st.sampled_from(["a", "params"]), GARBAGE),
               st.tuples(st.just("a"), st.sampled_from(["1", repr(metrics.PARAMETER_MIN), repr(metrics.PARAMETER_MAX)])),
               st.tuples(st.just("params"), st.sampled_from(["1,0.5", "0.5,1", "1," + repr(metrics.PARAMETER_MIN)]))),
@@ -363,6 +561,17 @@ DWORK = st.builds(
     st.booleans(),
 )
 
+# verify-all runs only the cheap criteria (each about 1 ms at either profile), or refuses a list
+# with an empty entry, a repeat, lower case or an unknown ID
+_CHEAP = ["C01", "C02", "C04", "C10"]
+VERIFY_ALL = st.builds(
+    lambda criteria, profile, seed: ["verify-all", "--criteria", ",".join(criteria), "--seed", seed] + profile,
+    st.one_of(st.lists(st.sampled_from(_CHEAP), min_size=1, max_size=4, unique=True),
+              st.lists(st.sampled_from(_CHEAP + ["", "c01", "C99", "C13"]), min_size=1, max_size=4)),
+    st.sampled_from([[], ["--fast"], ["--full"], ["--fast", "--full"]]),
+    _SMALL,
+)
+
 # every subcommand takes --tol and --format; each reads its own tolerance names, and only metric
 # writes CSV (argparse refuses a format outside its choices, as it refuses --family foo).  Half
 # the requests take neither, so that the refusals of --tol leave room for the subcommand's own.
@@ -373,7 +582,9 @@ OPTIONS = st.one_of(st.just([]), st.builds(
 ))
 ARGV = {command: st.builds(list.__add__, argv, OPTIONS) for command, argv in
         {"hodge": HODGE, "metric": METRIC, "slag": SLAG, "transition": TRANSITION, "friedman": FRIEDMAN,
-         "dwork": DWORK}.items()}
+         "dwork": DWORK, "verify-all": VERIFY_ALL}.items()}
+# the slowest request drawn, hodge at MAX_DIMENSION, takes about 0.1 s; an unbounded run fails
+EXAMPLE_SECONDS = 2.0
 
 
 def _named_options(err):
@@ -404,7 +615,9 @@ def test_every_refusal_row_names_options_of_its_subcommand():
 @given(data=st.data())
 def test_every_argv_is_answered_or_refused(command, data):
     argv = data.draw(ARGV[command], label="argv")
+    start = time.perf_counter()
     code, out, err = run(argv)
+    assert time.perf_counter() - start < EXAMPLE_SECONDS
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
@@ -416,4 +629,10 @@ def test_every_argv_is_answered_or_refused(command, data):
     else:  # metric's --format csv: a tau sweep's rows or the convergence sweep's sups
         header = out.split("\n", 1)[0].split(",")
         assert command == "metric" and header in (cli.METRIC_HEADER, ["family", "param", "sup_deviation"])
-    assert run(argv) == (code, out, err)
+    again = run(argv)
+    assert again[:2] == (code, out) and _untimed(again[2]) == _untimed(err)
+
+
+def _untimed(err):
+    """stderr without the wall time verify-all prints on each criterion's line."""
+    return re.sub(r" \[ *[\d.]+s\] ", " ", err)

@@ -19,6 +19,7 @@ from conifold_lab.slag import (
     MAX_ABS_T,
     MAX_RESOLUTION,
     MIN_ABS_T,
+    MIN_RESOLUTION,
     SPHERE_VOLUME,
     CycleGrid,
     calibration_residual,
@@ -81,7 +82,8 @@ class TestGridConstruction:
             raise AssertionError("grid built for a rejected resolution")
 
         monkeypatch.setattr("conifold_lab.slag._composite_gauss2", no_grid)
-        with pytest.raises(ValueError, match=f"resolution must be <= {MAX_RESOLUTION}, got 100000"):
+        message = rf"resolution must lie in \[{MIN_RESOLUTION}, {MAX_RESOLUTION}\], got 100000"
+        with pytest.raises(ValueError, match=message):
             sample_vanishing_cycle(1.0, 100000)
 
     @pytest.mark.parametrize("t", [MIN_ABS_T / 10, -MIN_ABS_T / 10, 10 * MAX_ABS_T, 1e-300j])

@@ -44,3 +44,19 @@ def test_no_string_leads_with_a_flag(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str) and heads.match(node.value)]
     assert lines == [], f"{path.name}: strings that lead with a flag at lines {lines}"
+
+
+# every test module but the one whose REFUSALS table pins the exit-2 lines
+TESTS = [p for p in sorted(Path(__file__).resolve().parent.glob("*.py")) if p.name != "test_cli_contract.py"]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=[p.name for p in TESTS])
+def test_only_the_refusal_table_spells_an_exit_2_line(path):
+    """test_cli_contract.REFUSALS pins every exit-2 line, so one rewording
+    edits one row: no other test module holds a string, or a literal part of
+    an f-string, that starts with the 'error: ' of such a line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    head = re.compile(r"error:[ ]")  # a bracket, so that this pattern does not match itself
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str) and head.match(node.value)]
+    assert lines == [], f"{path.name}: strings that lead with 'error: ' at lines {lines}"
