@@ -625,24 +625,6 @@ class TestAcceptedInputs:
             ("ode_residual_max", 1e-20), ("ma_residual_max", 0.5),
         ]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["hodge", "--n", "4", "--d", "5"],
-            ["slag", "--t", "1", "--resolution", "8"],
-            ["transition", "--catalog"],
-            ["dwork"],
-            ["friedman", "--classes-json", "[[1, 1]]"],
-            ["verify-all", "--criteria", "C01"],
-        ],
-        ids=["hodge", "slag", "transition", "dwork", "friedman", "verify-all"],
-    )
-    def test_json_format_is_the_default_report(self, argv, tmp_path):
-        """--format json gives the report of a request without --format (these
-        subcommands refuse --format csv)."""
-        default = run_cli(argv, tmp_path, "b.json")
-        assert default[0] == 0 and run_cli(argv + ["--format", "json"], tmp_path, "a.json") == default
-
     @pytest.mark.parametrize("angle", ["360", "-360", "359.9999", "0"])
     def test_polar_angle_within_a_turn(self, angle, tmp_path):
         code, text = run_cli(["slag", "--t", f"1@{angle}", "--resolution", "8"], tmp_path)

@@ -44,7 +44,7 @@ LONG, LONG_QUOTED = "9" * 4000, "99999999... (4000 characters)"
 TEXT, TEXT_QUOTED = "x" * 100_000, "'xxxxxxx... (100002 characters)"
 PRIMES_BELOW_90 = [p for p in range(2, 90) if all(p % q for q in range(2, p))]
 CRITERIA_KNOWN = "known: C01, C02, C03, C04, C05, C06, C07, C08, C09, C10, C11, C12"
-# a request of each subcommand that writes only JSON
+# a request of each subcommand that writes only JSON (it refuses --format csv)
 JSON_ONLY = [["hodge", "--n", "4", "--d", "5"], ["slag", "--t", "1", "--resolution", "8"], ["transition", "--catalog"],
              ["dwork"], ["friedman", "--classes-json", "[[1, 1]]"], ["verify-all", "--criteria", "C01"]]
 
@@ -360,6 +360,13 @@ def test_refusal_is_one_error_line(argv, message, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", JSON_ONLY, ids=[argv[0] for argv in JSON_ONLY])
+def test_json_format_is_the_default_report(argv):
+    """--format json gives the report of a request without --format."""
+    default = run(argv)
+    assert default[0] == 0 and run(argv + ["--format", "json"])[:2] == default[:2]
+
+
 def test_one_ulp_past_a_bound_reads_as_the_bound_under_g():
     """The ULP_PAST rows pin that a refusal prints repr: under :g each value reads as its bound."""
     assert [f"{float(text):g}" for text in ULP_PAST.values()] == ["1e-20", "1e+20", "1e-200", "1e+150"]
@@ -610,6 +617,11 @@ def test_every_refusal_row_names_options_of_its_subcommand():
             assert named and named <= _options(argv[0]), message
 
 
+def _untimed(err):
+    """stderr without the wall time verify-all prints on each criterion's line."""
+    return re.sub(r" \[ *[\d.]+s\] ", " ", err)
+
+
 @pytest.mark.parametrize("command", sorted(ARGV))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -631,8 +643,3 @@ def test_every_argv_is_answered_or_refused(command, data):
         assert command == "metric" and header in (cli.METRIC_HEADER, ["family", "param", "sup_deviation"])
     again = run(argv)
     assert again[:2] == (code, out) and _untimed(again[2]) == _untimed(err)
-
-
-def _untimed(err):
-    """stderr without the wall time verify-all prints on each criterion's line."""
-    return re.sub(r" \[ *[\d.]+s\] ", " ", err)
