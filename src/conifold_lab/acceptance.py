@@ -89,6 +89,11 @@ class Checks:
         failure = f"{name}: {measured!r} != {expected!r}"
         self._add(name, measured == expected, failure, measured=measured, expected=expected)
 
+    def decreasing(self, name: str, values, measured=None) -> None:
+        """Passes when each value is below the one before it (a NaN fails); measured defaults to the values."""
+        values = list(values)
+        self.true(name, all(b < a for a, b in zip(values, values[1:])), values if measured is None else measured)
+
     def note(self, name: str, measured) -> None:
         """Record a measurement that has no pass condition."""
         self._add(name, True, "", measured=measured)
@@ -143,6 +148,11 @@ def sample_resolved_points(radii, rng: np.random.Generator) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 # criteria
 
+# C03's gates on the ODE and Monge-Ampere residuals, C07's on the period's relative error and
+# the tau annulus of C06's sups; the metric and slag subcommands default to the same values
+ODE_RESIDUAL_GATE, MA_RESIDUAL_GATE, PERIOD_ERROR_GATE = 1e-8, 1e-7, 1e-4
+CONVERGENCE_ANNULUS = (1.0, 10.0)
+
 
 def criterion_01(profile: Profile) -> tuple[str, float, Checks]:
     chk = Checks()
@@ -174,21 +184,13 @@ def criterion_03(profile: Profile) -> tuple[str, float, Checks]:
     rng = np.random.default_rng(profile.seed)
     n = profile.ma_points
 
-    fam = metrics.PotentialFamily.cone()
-    taus = np.logspace(-2, 2, n)
-    prof = metrics.profile(fam, taus)
-    ode = float(np.max(metrics.ode_residuals(fam, prof)))
-    ma = float(np.max(metrics.monge_ampere_residuals(fam, sample_fiber_points(0.0, taus, rng), prof)))
-    chk.le("cone_ode_residual", ode, 1e-8)
-    chk.le("cone_ma_residual", ma, 1e-7)
-
-    fam = metrics.PotentialFamily.smoothed(1.0)
-    taus = np.logspace(math.log10(1.01), 3, n)
-    prof = metrics.profile(fam, taus)
-    ode = float(np.max(metrics.ode_residuals(fam, prof)))
-    ma = float(np.max(metrics.monge_ampere_residuals(fam, sample_fiber_points(1.0, taus, rng), prof)))
-    chk.le("smoothed_ode_residual", ode, 1e-8)
-    chk.le("smoothed_ma_residual", ma, 1e-7)
+    for fam, taus in ((metrics.PotentialFamily.cone(), np.logspace(-2, 2, n)),
+                      (metrics.PotentialFamily.smoothed(1.0), np.logspace(math.log10(1.01), 3, n))):
+        prof = metrics.profile(fam, taus)
+        ode = float(np.max(metrics.ode_residuals(fam, prof)))
+        ma = float(np.max(metrics.monge_ampere_residuals(fam, sample_fiber_points(fam.t, taus, rng), prof)))
+        chk.le(f"{fam.kind}_ode_residual", ode, ODE_RESIDUAL_GATE)
+        chk.le(f"{fam.kind}_ma_residual", ma, MA_RESIDUAL_GATE)
 
     fam = metrics.PotentialFamily.resolved(1.0)
     taus = np.logspace(-1, 3, n)
@@ -198,8 +200,8 @@ def criterion_03(profile: Profile) -> tuple[str, float, Checks]:
     _, _, charts = metrics.chart_hessians(fam, pts, prof)
     chk.true("resolved_both_charts", set(charts.tolist()) == {1, 2})
     ma = float(np.max(metrics.monge_ampere_residuals(fam, pts, prof)))
-    chk.le("resolved_ode_residual", ode, 1e-8)
-    chk.le("resolved_ma_residual", ma, 1e-7)
+    chk.le("resolved_ode_residual", ode, ODE_RESIDUAL_GATE)
+    chk.le("resolved_ma_residual", ma, MA_RESIDUAL_GATE)
     return "volume-form equation certified along all three families", 30.0, chk
 
 
@@ -218,22 +220,14 @@ def criterion_05(profile: Profile) -> tuple[str, float, Checks]:
     dev = metrics.asymptotic_deviations(rs, prof)
     weighted = (np.abs(dev) * prof.tau**0.25).tolist()
     chk.le("resolved_weighted_deviation_max", max(weighted), 2.0)
-    chk.true(
-        "resolved_weighted_deviation_decreasing",
-        all(weighted[i + 1] < weighted[i] for i in range(len(weighted) - 1)),
-        measured=[weighted[0], weighted[-1]],
-    )
+    chk.decreasing("resolved_weighted_deviation_decreasing", weighted, measured=[weighted[0], weighted[-1]])
     # error model: at a = 1 the deviation is -6 s + 4 s^2 + ... in s = tau^{-2/3},
     # so dev / s + 6 at the largest tau is the next term, bounded by twice it
     s = float(taus[-1]) ** (-2.0 / 3.0)
     chk.le("resolved_deviation_next_order", abs(float(dev[-1]) / s + 6.0), 8.0 * s)
     sm = metrics.PotentialFamily.smoothed(1.0)
     devs = metrics.asymptotic_deviations(sm, metrics.profile(sm, taus)).tolist()
-    chk.true(
-        "smoothed_deviation_decreasing",
-        all(abs(devs[i + 1]) < abs(devs[i]) for i in range(len(devs) - 1)),
-        measured=[devs[0], devs[-1]],
-    )
+    chk.decreasing("smoothed_deviation_decreasing", map(abs, devs), measured=[devs[0], devs[-1]])
     chk.le("smoothed_deviation_final", abs(devs[-1]), 1e-6)
     return "asymptotically conical decay of both potentials", 30.0, chk
 
@@ -242,18 +236,10 @@ def criterion_06(profile: Profile) -> tuple[str, float, Checks]:
     chk = Checks()
     resolved = [metrics.PotentialFamily.resolved(a) for a in (1.0, 0.5, 0.25, 0.125, 1e-3)]
     smoothed = [metrics.PotentialFamily.smoothed(t) for t in (0.5, 0.25, 0.125, 1e-3)]
-    sups_a = metrics.potential_convergence_sup(resolved, 1.0, 10.0, profile.convergence_grid)
-    sups_t = metrics.potential_convergence_sup(smoothed, 1.0, 10.0, profile.convergence_grid)
-    chk.true(
-        "resolved_sups_strictly_decreasing",
-        all(sups_a[i + 1] < sups_a[i] for i in range(len(sups_a) - 1)),
-        measured=sups_a,
-    )
-    chk.true(
-        "smoothed_sups_strictly_decreasing",
-        all(sups_t[i + 1] < sups_t[i] for i in range(len(sups_t) - 1)),
-        measured=sups_t,
-    )
+    sups_a = metrics.potential_convergence_sup(resolved, *CONVERGENCE_ANNULUS, profile.convergence_grid)
+    sups_t = metrics.potential_convergence_sup(smoothed, *CONVERGENCE_ANNULUS, profile.convergence_grid)
+    chk.decreasing("resolved_sups_strictly_decreasing", sups_a)
+    chk.decreasing("smoothed_sups_strictly_decreasing", sups_t)
     chk.le("resolved_sup_final", sups_a[-1], 1e-3)
     chk.le("smoothed_sup_final", sups_t[-1], 1e-3)
     return "potential-level continuity through the transition", 60.0, chk
@@ -264,9 +250,9 @@ def criterion_07(profile: Profile) -> tuple[str, float, Checks]:
     res = profile.slag_resolution
     # the order audit's high-resolution error is the t = 1 period error
     err_lo, err_hi, order = slag.convergence_order(1.0, res // 2, res)
-    chk.le("period_rel_error_t1", err_hi, 1e-4)
+    chk.le("period_rel_error_t1", err_hi, PERIOD_ERROR_GATE)
     for label, t in (("ti", 1j), ("tgen", 0.3 * cmath.exp(1j * math.pi / 5))):
-        chk.le(f"period_rel_error_{label}", slag.cycle_period(t, res)[1], 1e-4)
+        chk.le(f"period_rel_error_{label}", slag.cycle_period(t, res)[1], PERIOD_ERROR_GATE)
     chk.true("order_at_least_2", order >= 2.0, measured=order)
     chk.true("order_in_window", 3.5 <= order <= 4.5, measured=order)  # the composite Gauss rule has order 4
     chk.note("convergence_errors", [err_lo, err_hi])

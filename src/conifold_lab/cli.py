@@ -148,14 +148,6 @@ def _cmd_hodge(args) -> int:
     return _emit_report(args, results, assertions)
 
 
-def _family_from_args(args) -> metrics.PotentialFamily:
-    if args.family == "cone":
-        return metrics.PotentialFamily.cone()
-    if args.family == "smoothed":
-        return metrics.PotentialFamily.smoothed(_parse_complex(args.t))
-    return metrics.PotentialFamily.resolved(args.a)
-
-
 # Bounds on the two per-row counts, so that the largest accepted request holds
 # at most 64 MiB.  A metric row peaks at about 1.6 KB (its profile, point and
 # (3, 3) Hessian arrays, the row lists and the report text; tracemalloc over
@@ -164,14 +156,14 @@ def _family_from_args(args) -> metrics.PotentialFamily:
 # in the certificate stack and the certificate): at 1 KiB a point, 64 MiB is
 # 65,536 points.
 MIN_POINTS, MAX_POINTS = 1, 64 * 2**20 // 2048
-MAX_SMOOTH_POINTS = 64 * 2**20 // 1024
+MIN_SMOOTH_POINTS, MAX_SMOOTH_POINTS = 0, 64 * 2**20 // 1024
 
 METRIC_HEADER = ["family", "param", "tau", "f", "fp", "fpp", "ode_residual", "ma_residual", "deviation"]
 
 
 def _cmd_metric(args) -> int:
     require_within("the number of grid points", args.points, MIN_POINTS, MAX_POINTS, "points")
-    family = _family_from_args(args)
+    family = metrics.PotentialFamily(args.family, _parse_complex(args.t) if args.family == "smoothed" else 0.0, args.a)
     families = [family]
     if args.sweep == "convergence":
         if family.kind == "cone":
@@ -197,16 +189,13 @@ def _cmd_metric(args) -> int:
                        [[family.kind, p, s] for p, s in zip(params, sups)])
             return 0
         assertions = Checks()
-        decreasing = all(sups[i + 1] < sups[i] for i in range(len(sups) - 1))
-        assertions.true("sups_decreasing", decreasing, sups)
+        assertions.decreasing("sups_decreasing", sups)
         return _emit_report(args, {"params": params, "sups": sups}, assertions)
 
     taus = np.logspace(math.log10(lo), math.log10(hi), args.points)
     prof = metrics.profile(family, taus)
-    if family.kind == "resolved":
-        points = metrics.resolved_points_with_tau(taus)
-    else:
-        points = metrics.smoothed_normal_form_points(family.t, taus)
+    points = (metrics.resolved_points_with_tau(taus) if family.kind == "resolved"
+              else metrics.smoothed_normal_form_points(family.t, taus))
     ode = metrics.ode_residuals(family, prof)
     ma = metrics.monge_ampere_residuals(family, points, prof)
     asymptotic = prof.tau >= metrics.asymptotic_threshold(family)
@@ -249,7 +238,7 @@ def _check_tau_window(family: metrics.PotentialFamily, lo: float, hi: float) -> 
 def _default_tau_grid(family: metrics.PotentialFamily, sweep: str) -> tuple[float, float]:
     """The (tau-min, tau-max) a sweep takes when the flags are not given."""
     if sweep == "convergence":
-        return 1.0, 10.0
+        return acceptance.CONVERGENCE_ANNULUS
     scale = max(family.scale, 1.0)
     if sweep == "deviation":
         return 100.0 * scale, 1e6 * scale
@@ -298,7 +287,8 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_dwork(args) -> int:
-    require_within("the number of smooth points", args.smooth_points, 0, MAX_SMOOTH_POINTS, "smooth_points")
+    require_within("the number of smooth points", args.smooth_points, MIN_SMOOTH_POINTS, MAX_SMOOTH_POINTS,
+                   "smooth_points")
     assertions = Checks()
     exps = transitions.dwork_exponents()
     poly = transitions.DworkQuintic()
@@ -346,9 +336,15 @@ def _class_matrix(args) -> transitions.ClassMatrix:
     number) is a usage error naming the flag and the bad entry."""
     try:
         if args.classes_csv:
+            # 64 characters a cell, far more than '-9999/9999,': no longer line is read, nor a row past MAX_CLASSES
+            limit, rows = 64 * MAX_AMBIENT_RANK, []
             with open(args.classes_csv, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-            rows = [[cell.strip() for cell in line.split(",")] for line in lines if line.strip()]
+                while len(rows) <= MAX_CLASSES and (line := fh.readline(limit + 1)):
+                    if len(line.rstrip("\n")) > limit:
+                        raise ValueError(f"a line exceeds {limit} characters, 64 for each of {MAX_AMBIENT_RANK} cells")
+                    rows += [[cell.strip() for cell in part.split(",")] for part in line.splitlines() if part.strip()]
+                if fh.read(1):
+                    raise ValueError(f"at most {MAX_CLASSES} class vectors, got {len(rows)} and the file goes on")
         else:
             text = args.classes_json
             try:
@@ -444,7 +440,8 @@ def _integer(text: str, nonnegative: bool = False) -> int:
 
 
 # The --tol names each subcommand reads, with their defaults; the others read none.
-TOLERANCES = {"metric": {"ode": 1e-8, "ma": 1e-7}, "slag": {"slag": 1e-4}}
+TOLERANCES = {"metric": {"ode": acceptance.ODE_RESIDUAL_GATE, "ma": acceptance.MA_RESIDUAL_GATE},
+              "slag": {"slag": acceptance.PERIOD_ERROR_GATE}}
 
 
 def _tolerance(args, name: str) -> float:

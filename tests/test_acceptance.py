@@ -77,3 +77,26 @@ class TestChecks:
         passing.le("small", 0.5, 1.0)
         passing.note("info", 1)
         assert passing.all_passed and passing.failures == []
+
+    @pytest.mark.parametrize("values,passed", [
+        ([3.0, 2.0, 1.0], True),
+        ([5.0], True),
+        ([], True),
+        ([3.0, math.nan, 1.0], False),
+        ([3.0, 2.0, math.nan], False),
+        ([2.0, 2.0, 1.0], False),
+        ([1.0, 2.0], False),
+    ])
+    def test_decreasing_is_strict(self, values, passed):
+        """Each value below the one before it; an equal neighbour or a NaN fails."""
+        chk = Checks()
+        chk.decreasing("sups", values)
+        assert chk.all_passed is passed
+        assert chk.failures == ([] if passed else ["sups: expected true"])
+
+    def test_decreasing_records_the_values_unless_told(self):
+        chk = Checks()
+        chk.decreasing("from_iterator", map(abs, [-3.0, 2.0, -1.0]))
+        chk.decreasing("ends", [3.0, 2.0, 1.0], measured=[3.0, 1.0])
+        assert chk.details == {"from_iterator": {"measured": [3.0, 2.0, 1.0]}, "ends": {"measured": [3.0, 1.0]}}
+        assert [item["tolerance"] for item in chk.items] == [None, None] and chk.all_passed

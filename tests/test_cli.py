@@ -558,6 +558,15 @@ class TestExitCodes:
         failed = [a for a in json.loads(text)["assertions"] if not a["passed"]]
         assert failed and failed[0]["name"] == "rel_error"
 
+    def test_rising_convergence_sups_exit_one(self, tmp_path):
+        """a = 2 after a = 1 moves the resolution away from the cone: the sups
+        rise, so sups_decreasing fails and the sweep exits 1."""
+        code, text = run_cli(["metric", "--family", "resolved", "--sweep", "convergence", "--params", "1,2"], tmp_path)
+        assert code == 1
+        assertions = json.loads(text)["assertions"]
+        assert [a["name"] for a in assertions if not a["passed"]] == ["sups_decreasing"]
+        assert assertions[0]["measured"] == json.loads(text)["results"]["sups"]
+
     def test_internal_arithmetic_error_is_not_a_usage_error(self, monkeypatch, tmp_path):
         """Exit 2 means bad input (ValueError, OSError).  A ZeroDivisionError
         inside a subcommand is a fault, and it propagates like any other."""

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conifold_lab import cli, hodge, metrics, slag, transitions
+from conifold_lab import acceptance, cli, hodge, metrics, slag, transitions
 
 with resources.files("conifold_lab").joinpath("report.schema.json").open() as fh:
     REPORT_SCHEMA = json.load(fh)
@@ -292,6 +293,13 @@ REFUSALS = [
     (["metric", "--family", "resolved", "--sweep", "convergence", "--params", "1,1e-30"],
      "--params: the resolution parameter a must lie in [1e-20, 1e+20], got 1e-30"),
     (["metric", "--family", "resolved", "--a", "inf"], "--a: the resolution parameter a must be finite, got inf"),
+    # every family checks --a: the cone's and the smoothing's reports used to fail to encode a non-finite a,
+    # and the cone's convergence sweep is refused for its --a first
+    (["metric", "--family", "cone", "--a", "inf"], "--a: the resolution parameter a must be finite, got inf"),
+    (["metric", "--family", "smoothed", "--a", "nan"], "--a: the resolution parameter a must be finite, got nan"),
+    (["metric", "--family", "cone", "--a", "1e400"], "--a: the resolution parameter a must be finite, got inf"),
+    (["metric", "--family", "cone", "--sweep", "convergence", "--a=-inf"],
+     "--a: the resolution parameter a must be finite, got -inf"),
     (["metric", "--family", "smoothed", "--t", "nan"], "--t: the smoothing parameter t must be finite, got (nan+0j)"),
     (["slag", "--resolution", "9"], "--resolution: resolution must be even, got 9"),
     (["slag", "--resolution", "7"], "--resolution: resolution must lie in [8, 256], got 7"),
@@ -384,9 +392,47 @@ def test_class_csv_is_refused_as_its_cells_in_json(name, tmp_path):
     assert run(["friedman", "--classes-csv", str(path), "--output", str(tmp_path / "x")]) == (2, "", expected)
 
 
+# class matrices only a CSV file can hold, refused before the file is read to its end: a line
+# longer than 24 cells of 64 characters (here 20 MB, which used to be read and split whole),
+# and a file that goes on after the 257th row
+CSV_UNREAD = {
+    "long-line": ("1," * 10_000_000, "a line exceeds 1536 characters, 64 for each of 24 cells"),
+    "more-rows": ("1,2\n" * 100_000, "at most 256 class vectors, got 257 and the file goes on"),
+    "blank-after-rows": ("1,2\n" * 257 + "\n", "at most 256 class vectors, got 257 and the file goes on"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_UNREAD))
+def test_class_csv_is_refused_unread(name, tmp_path):
+    """Within half a second and a tracemalloc peak under 1 MB, whatever the file's size."""
+    text, message = CSV_UNREAD[name]
+    path = tmp_path / "classes.csv"
+    path.write_text(text)
+    argv = ["friedman", "--classes-csv", str(path), "--output", str(tmp_path / "x")]
+    cli.build_parser()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = run(argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", f"error: --classes-csv: {message}\n")
+    assert elapsed < 0.5 and peak < 2**20
+
+
 def _e(bound):
-    """A float bound as README writes it: 1e20, 1e-200."""
-    return f"{bound:g}".replace("e+", "e")
+    """A power of ten as README writes it: 1e20, 1e-200, 1e-4."""
+    text = f"{bound:.0e}"
+    assert float(text) == bound
+    return re.sub(r"e\+?(-?)0*", r"e\1", text)
+
+
+def _window(kind, unit=""):
+    """A family's tau window as README writes it, each end a multiple of the family's scale."""
+    lo, hi = (f"{_e(end) if end != 1 else ''} {unit}".strip() for end in metrics.TAU_WINDOW[kind])
+    return f"{lo}..{hi}"
 
 
 def test_readme_flag_table_states_the_bounds():
@@ -395,15 +441,21 @@ def test_readme_flag_table_states_the_bounds():
     table = readme[readme.index("### Flag conventions"):]
     table = table[:table.index("\n\n", table.index("| Flag |"))]
     lo, hi = _e(metrics.PARAMETER_MIN), _e(metrics.PARAMETER_MAX)
+    modulus = "\\|t\\|"
     bounds = [
         f"{hodge.MIN_DIMENSION} <= n <= {hodge.MAX_DIMENSION}",
         f"{hodge.MIN_DEGREE} <= d <= {hodge.MAX_DEGREE}",
         f"{cli.MIN_POINTS} <= points <= {cli.MAX_POINTS}",
-        f"sample size, 0..{cli.MAX_SMOOTH_POINTS}",
+        f"sample size, {cli.MIN_SMOOTH_POINTS}..{cli.MAX_SMOOTH_POINTS}",
         f"even, {slag.MIN_RESOLUTION}..{slag.MAX_RESOLUTION}",
-        f"`metric` takes {lo} <= \\|t\\| <= {hi}",
-        f"`slag` {_e(slag.MIN_ABS_T)} <= \\|t\\| <= {_e(slag.MAX_ABS_T)}",
+        f"`metric` takes {lo} <= {modulus} <= {hi}",
+        f"`slag` {_e(slag.MIN_ABS_T)} <= {modulus} <= {_e(slag.MAX_ABS_T)}",
         f"{lo} <= a <= {hi}",
+        f"in {_window('cone')} for the cone, {_window('smoothed', modulus)} for the smoothing and "
+        f"{_window('resolved', 'a^3')} for the resolution",
+        "`--sweep convergence` takes [{:g}, {:g}]".format(*acceptance.CONVERGENCE_ANNULUS),
+        f"`metric` reads `ode` (default {_e(acceptance.ODE_RESIDUAL_GATE)}) and "
+        f"`ma` ({_e(acceptance.MA_RESIDUAL_GATE)}), `slag` reads `slag` ({_e(acceptance.PERIOD_ERROR_GATE)})",
     ]
     assert [bound for bound in bounds if bound not in table] == []
 
@@ -448,6 +500,32 @@ def test_library_refusal_names_options_of_its_subcommand(command, refuse, args):
         refuse(*args)
     assert refusal.value.names
     assert _flags(refusal.value.names) <= _options(command)
+
+
+# the requests each float flag is tried on: every family and sweep of metric
+FLOAT_REQUESTS = {"metric": [["metric", "--family", family, "--sweep", sweep]
+                             for family in ("cone", "smoothed", "resolved")
+                             for sweep in ("profile", "deviation", "residuals", "convergence")]}
+
+
+def test_every_float_flag_refuses_non_finite_values():
+    """Every option of type float, on each request of its subcommand, answers a
+    non-finite value (1e400 included) with one line naming that subcommand's
+    options: a non-finite --a used to reach the cone's and the smoothing's
+    reports, which then failed to encode it."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [(command, option) for command, parser in sub.choices.items()
+               for action in parser._actions if action.type is float for option in action.option_strings]
+    assert {option for _, option in options} >= {"--a", "--tau-min", "--tau-max"}
+    wrong = []
+    for command, option in options:
+        for argv in FLOAT_REQUESTS[command]:
+            for value in ("nan", "inf", "-inf", "1e400"):
+                code, out, err = run(argv + [f"{option}={value}"])
+                named = _named_options(err)
+                if not (code == 2 and out == "" and err.count("\n") == 1 and named and named <= _options(command)):
+                    wrong.append((argv + [f"{option}={value}"], err))
+    assert wrong == []
 
 
 def test_missing_subcommand_is_one_error_line():
@@ -499,7 +577,8 @@ SLAG = st.builds(lambda t, res: ["slag", "--t", t, "--resolution", res], T_TEXT,
 # a sweep of at most 4 points runs in about 1 ms, one of MAX_POINTS in 0.3-0.4 s, so only the
 # count past the bound is drawn (hodge draws the garbage an int flag refuses).  Each tau is left
 # to its default or drawn inside, at and just past every family's window (the windows of t = 1
-# and a = 1 are metrics.TAU_WINDOW itself); --a draws the garbage a float flag refuses.
+# and a = 1 are metrics.TAU_WINDOW itself); --a draws the garbage a float flag refuses and the
+# non-finite values, which every family refuses.
 _WINDOW_ENDS = list(metrics.TAU_WINDOW.values())
 TAU = st.one_of(
     st.none(),
@@ -525,6 +604,7 @@ METRIC = st.builds(
     st.sampled_from([str(cli.MIN_POINTS + i) for i in range(4)] + [str(cli.MIN_POINTS - 1), str(cli.MAX_POINTS + 1)]),
     st.one_of(st.none(), st.tuples(st.just("t"), T_TEXT), st.tuples(st.sampled_from(["a", "params"]), GARBAGE),
               st.tuples(st.just("a"), st.sampled_from(["1", repr(metrics.PARAMETER_MIN), repr(metrics.PARAMETER_MAX)])),
+              st.tuples(st.just("a"), NON_FINITE),
               st.tuples(st.just("params"), st.sampled_from(["1,0.5", "0.5,1", "1," + repr(metrics.PARAMETER_MIN)]))),
     st.tuples(TAU, TAU),
 )
@@ -563,7 +643,8 @@ FRIEDMAN = CLASSES.map(lambda text: ["friedman", "--classes-json", text])
 # the upper bound, 65,536 points, takes seconds, so only the value past it is drawn
 DWORK = st.builds(
     lambda points, seed, exact: ["dwork", "--smooth-points", points, "--seed", seed] + (["--exact"] if exact else []),
-    _count(0, 20, ["0"], ["-1", str(cli.MAX_SMOOTH_POINTS + 1)]),
+    _count(cli.MIN_SMOOTH_POINTS, 20, [str(cli.MIN_SMOOTH_POINTS)],
+           [str(cli.MIN_SMOOTH_POINTS - 1), str(cli.MAX_SMOOTH_POINTS + 1)]),
     _SMALL,
     st.booleans(),
 )

@@ -132,6 +132,19 @@ class TestC05:
         assert any(f.startswith("smoothed_deviation_final:") for f in _failures(criterion_05))
 
 
+class TestC06:
+    def test_swapped_smoothed_parameters(self):
+        """|t| = 0.25 before 0.5: the smoothing's sups rise once, and only its
+        strict-decrease check fails; its last sup still passes."""
+        swapped = _rewritten(acceptance, "criterion_06", "(0.5, 0.25, 0.125, 1e-3)", "(0.25, 0.5, 0.125, 1e-3)")
+        assert [f.partition(":")[0] for f in _failures(swapped)] == ["smoothed_sups_strictly_decreasing"]
+
+    def test_repeated_resolved_parameter(self):
+        """a = 0.5 twice: two equal sups are not a strict decrease."""
+        repeated = _rewritten(acceptance, "criterion_06", "(1.0, 0.5, 0.25, 0.125, 1e-3)", "(1.0, 0.5, 0.5, 0.125, 1e-3)")
+        assert [f.partition(":")[0] for f in _failures(repeated)] == ["resolved_sups_strictly_decreasing"]
+
+
 class TestC07:
     def test_midpoint_rule(self, monkeypatch):
         """Second-order polar axes: the resolution-32 period error is about
