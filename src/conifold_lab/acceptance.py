@@ -234,14 +234,11 @@ def criterion_05(profile: Profile) -> tuple[str, float, Checks]:
 
 def criterion_06(profile: Profile) -> tuple[str, float, Checks]:
     chk = Checks()
-    resolved = [metrics.PotentialFamily.resolved(a) for a in (1.0, 0.5, 0.25, 0.125, 1e-3)]
-    smoothed = [metrics.PotentialFamily.smoothed(t) for t in (0.5, 0.25, 0.125, 1e-3)]
-    sups_a = metrics.potential_convergence_sup(resolved, *CONVERGENCE_ANNULUS, profile.convergence_grid)
-    sups_t = metrics.potential_convergence_sup(smoothed, *CONVERGENCE_ANNULUS, profile.convergence_grid)
-    chk.decreasing("resolved_sups_strictly_decreasing", sups_a)
-    chk.decreasing("smoothed_sups_strictly_decreasing", sups_t)
-    chk.le("resolved_sup_final", sups_a[-1], 1e-3)
-    chk.le("smoothed_sup_final", sups_t[-1], 1e-3)
+    for kind, params in (("resolved", (1.0, 0.5, 0.25, 0.125, 1e-3)), ("smoothed", (0.5, 0.25, 0.125, 1e-3))):
+        families = [getattr(metrics.PotentialFamily, kind)(param) for param in params]
+        sups = metrics.potential_convergence_sup(families, *CONVERGENCE_ANNULUS, profile.convergence_grid)
+        chk.decreasing(f"{kind}_sups_strictly_decreasing", sups)
+        chk.le(f"{kind}_sup_final", sups[-1], 1e-3)
     return "potential-level continuity through the transition", 60.0, chk
 
 

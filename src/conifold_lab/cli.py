@@ -170,9 +170,8 @@ def _cmd_metric(args) -> int:
             raise InputError("the cone has no parameter for a convergence sweep; use smoothed or resolved",
                              "family", "sweep")
         params = _param_list(args.params)
-        build = metrics.PotentialFamily.smoothed if family.kind == "smoothed" else metrics.PotentialFamily.resolved
         try:
-            families = [build(param) for param in params]
+            families = [getattr(metrics.PotentialFamily, family.kind)(param) for param in params]
         except InputError as exc:  # the parameter came from --params, not --t or --a
             raise InputError(str(exc), "params") from None
     default_lo, default_hi = _default_tau_grid(family, args.sweep)
@@ -194,8 +193,10 @@ def _cmd_metric(args) -> int:
 
     taus = np.logspace(math.log10(lo), math.log10(hi), args.points)
     prof = metrics.profile(family, taus)
-    points = (metrics.resolved_points_with_tau(taus) if family.kind == "resolved"
-              else metrics.smoothed_normal_form_points(family.t, taus))
+    if family.kind == "resolved":
+        points = metrics.resolved_points_with_tau(taus)
+    else:
+        points = metrics.smoothed_normal_form_points(family.t, taus)
     ode = metrics.ode_residuals(family, prof)
     ma = metrics.monge_ampere_residuals(family, points, prof)
     asymptotic = prof.tau >= metrics.asymptotic_threshold(family)
@@ -339,12 +340,12 @@ def _class_matrix(args) -> transitions.ClassMatrix:
             # 64 characters a cell, far more than '-9999/9999,': no longer line is read, nor a row past MAX_CLASSES
             limit, rows = 64 * MAX_AMBIENT_RANK, []
             with open(args.classes_csv, encoding="utf-8") as fh:
-                while len(rows) <= MAX_CLASSES and (line := fh.readline(limit + 1)):
+                for line in filter(str.strip, iter(functools.partial(fh.readline, limit + 1), "")):  # blanks skipped
+                    if len(rows) > MAX_CLASSES:
+                        raise ValueError(f"at most {MAX_CLASSES} class vectors, got {len(rows)} and the file goes on")
                     if len(line.rstrip("\n")) > limit:
                         raise ValueError(f"a line exceeds {limit} characters, 64 for each of {MAX_AMBIENT_RANK} cells")
                     rows += [[cell.strip() for cell in part.split(",")] for part in line.splitlines() if part.strip()]
-                if fh.read(1):
-                    raise ValueError(f"at most {MAX_CLASSES} class vectors, got {len(rows)} and the file goes on")
         else:
             text = args.classes_json
             try:
