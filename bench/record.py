@@ -2,6 +2,7 @@
 
     python3 bench/record.py --out BENCH_26.json                 # this tree, every workload
     python3 bench/record.py --root ../parent --out BENCH_25.json  # another source tree
+    python3 bench/record.py --pair ../parent --out-parent BENCH_25.json --out BENCH_26.json
     python3 bench/record.py --compare BENCH_25.json BENCH_26.json
 
 Recording runs the unchanged ``perfbench/run.py --trace 0`` of the recorded
@@ -9,9 +10,15 @@ tree, from its root, once per workload and seed (at least five seeds), and
 keeps each metric of BENCHMARK.json's ``end_to_end`` list as the median and
 [q1, q3] of its runs, beside the runs themselves.  It also times each
 acceptance criterion in process, a call of ``acceptance.run_criterion``,
-over CRITERION_PASSES passes at the certify workload's profile, in a fresh
-interpreter that imports the recorded tree, at the host's reference speed
-as perfbench normalizes its own times.  The record also names the
+over CRITERION_ROUNDS rounds of CRITERION_PASSES passes at the certify
+workload's profile, each round in a fresh interpreter that imports the
+recorded tree, at the host's reference speed as perfbench normalizes its
+own times.  ``--pair`` records two trees in one interleaved sequence: for
+each workload and seed, and for each round of criterion timings, it runs
+both trees back to back, the parent first at the first seed and round and
+then each tree first in turn (parent, change, change, parent, ...), so that
+drift of the host falls on both records alike.  Each record holds only its
+own tree's runs, in the format of a single recording.  The record also names the
 machine, the Python and numpy versions, the commit, a digest of ``src/``
 and its line count, in total and per module.  Comparing prints, for every
 workload and metric, the ratio of the second record's median to the first's
@@ -37,7 +44,7 @@ import time
 from pathlib import Path
 
 MIN_SEEDS = 5
-CRITERION_PASSES = 15
+CRITERION_ROUNDS, CRITERION_PASSES = 3, 5
 
 
 def quartiles(values: list[float]) -> dict:
@@ -124,8 +131,17 @@ def criterion_timings(passes: int) -> dict:
     def normalized(start, end):
         return speed.normalize(meter.samples, start, end, speed.net(meter.samples, start, end), speed.KERNELS[kernel][1])
 
+    samples = {cid: [normalized(*span) for span in spans] for cid, spans in intervals.items()}
     return {"passes": passes, "profile": CERTIFY_PROFILE, "kernel": kernel,
-            "seconds": {cid: quartiles([normalized(*span) for span in spans]) for cid, spans in intervals.items()}}
+            "seconds": {cid: quartiles(values) for cid, values in samples.items()}, "samples": samples}
+
+
+def merged_timings(rounds: list[dict]) -> dict:
+    """One tree's criterion timings over rounds of passes: the quartiles of
+    every pass's seconds, beside them."""
+    samples = {cid: [x for timings in rounds for x in timings["samples"][cid]] for cid in rounds[0]["samples"]}
+    return dict(rounds[0], passes=sum(timings["passes"] for timings in rounds), samples=samples,
+                seconds={cid: quartiles(values) for cid, values in samples.items()})
 
 
 def run_criterion_timings(root: Path, passes: int) -> dict:
@@ -196,29 +212,44 @@ def run_benchmark(root: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def record(root: Path, seeds: list[int]) -> dict:
-    """Run every workload of the tree's BENCHMARK.json at every seed, for its
-    run_seconds, and summarize; each run's metrics also go to stderr as it
+def record(roots: list[Path], seeds: list[int]) -> list[dict]:
+    """Run every workload of the first tree's BENCHMARK.json at every seed,
+    for its run_seconds, on every tree back to back, after CRITERION_ROUNDS
+    rounds of criterion timings taken the same way, and summarize one record
+    per tree.  The trees take turns to go first (1 2, 2 1, 1 2, ... over the
+    seeds and over the rounds).  Each run's metrics also go to stderr as it
     ends."""
-    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec = json.loads((roots[0] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics, seconds = [m["name"] for m in spec["end_to_end"]], spec["run_seconds"]
-    result = {"machine": machine(), "source": source_facts(root), "seeds": seeds, "seconds": seconds,
-              "criteria": run_criterion_timings(root, CRITERION_PASSES), "workloads": {}}
+    def in_turn(items, turn):
+        return items if turn % 2 == 0 else items[::-1]
+
+    timings = [[] for _ in roots]
+    for turn in range(CRITERION_ROUNDS):
+        for root, rounds in in_turn(list(zip(roots, timings)), turn):
+            rounds.append(run_criterion_timings(root, CRITERION_PASSES))
+    results = [{"machine": machine(), "source": source_facts(root), "seeds": seeds, "seconds": seconds,
+                "criteria": merged_timings(rounds), "workloads": {}} for root, rounds in zip(roots, timings)]
     for workload in (w["name"] for w in spec["workloads"]):
-        runs = []
-        for seed in seeds:
-            runs.append(run_benchmark(root, workload, seed, seconds))
-            print(f"{workload} seed {seed}: "
-                  + ", ".join(f"{name} {runs[-1]['metrics'][name]['value']:.4g}" for name in metrics),
-                  file=sys.stderr)
-        result["workloads"][workload] = summarize(runs, metrics)
-    return result
+        runs = [[] for _ in roots]
+        for turn, seed in enumerate(seeds):
+            for root, tree_runs in in_turn(list(zip(roots, runs)), turn):
+                tree_runs.append(run_benchmark(root, workload, seed, seconds))
+                print(f"{root.name} {workload} seed {seed}: "
+                      + ", ".join(f"{name} {tree_runs[-1]['metrics'][name]['value']:.4g}" for name in metrics),
+                      file=sys.stderr)
+        for result, tree_runs in zip(results, runs):
+            result["workloads"][workload] = summarize(tree_runs, metrics)
+    return results
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path.cwd(), help="source tree to record (default: .)")
     parser.add_argument("--out", type=Path, help="where to write the record")
+    parser.add_argument("--pair", type=Path, metavar="PARENT_ROOT",
+                        help="also record this tree, interleaved run by run before the recorded one")
+    parser.add_argument("--out-parent", type=Path, help="with --pair, where to write the parent's record")
     parser.add_argument("--seeds", default="1,2,3,4,5", help=f"comma-separated, at least {MIN_SEEDS}")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
     args = parser.parse_args(argv)
@@ -245,11 +276,16 @@ def main(argv=None) -> int:
 
     if args.out is None:
         parser.error("give --out to record, or --compare BEFORE AFTER")
+    if (args.pair is None) != (args.out_parent is None):
+        parser.error("--pair and --out-parent go together")
     seeds = [int(s) for s in args.seeds.split(",")]
     if len(set(seeds)) < MIN_SEEDS:
         parser.error(f"--seeds: need at least {MIN_SEEDS} distinct seeds, got {len(set(seeds))}")
-    result = record(args.root.resolve(), seeds)
-    args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    roots, outs = [args.root.resolve()], [args.out]
+    if args.pair is not None:
+        roots, outs = [args.pair.resolve(), *roots], [args.out_parent, *outs]
+    for out, result in zip(outs, record(roots, seeds)):
+        out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -340,12 +340,21 @@ def _class_matrix(args) -> transitions.ClassMatrix:
             # 64 characters a cell, far more than '-9999/9999,': no longer line is read, nor a row past MAX_CLASSES
             limit, rows = 64 * MAX_AMBIENT_RANK, []
             with open(args.classes_csv, encoding="utf-8") as fh:
-                for line in filter(str.strip, iter(functools.partial(fh.readline, limit + 1), "")):  # blanks skipped
-                    if len(rows) > MAX_CLASSES:
-                        raise ValueError(f"at most {MAX_CLASSES} class vectors, got {len(rows)} and the file goes on")
-                    if len(line.rstrip("\n")) > limit:
-                        raise ValueError(f"a line exceeds {limit} characters, 64 for each of {MAX_AMBIENT_RANK} cells")
-                    rows += [[cell.strip() for cell in part.split(",")] for part in line.splitlines() if part.strip()]
+                try:
+                    for line in filter(str.strip, iter(functools.partial(fh.readline, limit + 1), "")):  # no blanks
+                        if len(rows) > MAX_CLASSES:
+                            raise ValueError(f"at most {MAX_CLASSES} class vectors, got {len(rows)} "
+                                             "and the file goes on")
+                        if len(line.rstrip("\n")) > limit:
+                            raise ValueError(f"a line exceeds {limit} characters, "
+                                             f"64 for each of {MAX_AMBIENT_RANK} cells")
+                        rows += [[cell.strip() for cell in part.split(",")]
+                                 for part in line.splitlines() if part.strip()]
+                except UnicodeDecodeError as exc:  # it counts from the chunk decoded, which starts at `at`
+                    at, (start, end) = fh.buffer.tell() - len(exc.object), (exc.start, exc.end)
+                    what = (f"byte 0x{exc.object[start]:02x} in position {at + start}" if end == start + 1
+                            else f"bytes in position {at + start}-{at + end - 1}")
+                    raise ValueError(f"'{exc.encoding}' codec can't decode {what}: {exc.reason}") from None
         else:
             text = args.classes_json
             try:
@@ -570,11 +579,8 @@ def _attach_signed_t(argv: list[str]) -> list[str]:
     out: list[str] = []
     for token in argv:
         if out and out[-1] == "--t" and token.startswith("-"):
-            try:
+            with contextlib.suppress(ValueError):
                 _parse_complex(token)
-            except ValueError:
-                pass
-            else:
                 out[-1] = f"--t={token}"
                 continue
         out.append(token)

@@ -20,11 +20,12 @@ resolution-32 error is still far below 1e-4 relative.
 Block accumulation.  A grid stores only the three 1-D axis rules with their
 sine and cosine tables; CycleGrid.at forms chosen nodes, legs and weights as
 broadcast products of those tables.  The quadrature forms by the same
-products only what chart 4 reads (u_4, three entries of each leg), per block
-of whole theta1 rows (about BLOCK_NODES nodes) in one workspace of the call,
-and contracts it in real arithmetic.  It sums each row pairwise and adds the
-row sums in theta1 order: a fixed summation order, and a working set of one
-block (one 65,536-node row at 256, of a 16.8 million grid).
+products what chart 4 reads, per block of whole theta1 rows (about
+BLOCK_NODES nodes).  _det3 skips the products of the minor's three scalar
+zeros, so e_theta1's third entry, read by none else, stays two factors, and a
+block forms u_4, the weights and one product for the minor in the call's
+workspace.  It sums each row pairwise and adds the row sums in theta1 order:
+a fixed order, and a working set of one block (one 65,536-node row at 256).
 
 Orientation.  The cycle is oriented so that the t = 1 period is +2 pi^2:
 with outward-normal-first conventions this is the frame order
@@ -165,14 +166,9 @@ def sample_vanishing_cycle(t: complex, resolution: int) -> CycleGrid:
         raise InputError(f"the vanishing cycle needs a finite t, got {t}", "t")
     require_within("|t|", abs(t), MIN_ABS_T, MAX_ABS_T, "t")
 
+    polar = _axis_rule(*_composite_gauss2(0.0, math.pi, resolution // 2))  # the rule of theta1 and theta2
     phi = 2.0 * math.pi * (np.arange(resolution) + 0.5) / resolution
-    return CycleGrid(
-        t=t,
-        resolution=resolution,
-        theta1=_axis_rule(*_composite_gauss2(0.0, math.pi, resolution // 2)),
-        theta2=_axis_rule(*_composite_gauss2(0.0, math.pi, resolution // 2)),
-        phi=_axis_rule(phi, np.full(resolution, 2.0 * math.pi / resolution)),
-    )
+    return CycleGrid(t, resolution, polar, polar, _axis_rule(phi, np.full(resolution, 2.0 * math.pi / resolution)))
 
 
 def exact_cycle_integral(t: complex) -> complex:
@@ -188,20 +184,26 @@ def cycle_period(t: complex, resolution: int) -> tuple[complex, float]:
 
 
 def _det3(rows, out=None):
-    """3x3 determinant by cofactor expansion along the first row; rows holds
-    three rows of three entries (scalars or arrays that broadcast).  out is
-    (det, scratch, scratch), three arrays of its shape, allocated if not given."""
-    (a, b, c), (d, e, f), (g, h, k) = rows
-    if out is None:
-        entries = (a, b, c, d, e, f, g, h, k)
-        out = np.empty((3, *np.broadcast(*entries).shape), np.result_type(*entries))
-    det, minor, product = out
-    np.subtract(np.multiply(e, k, out=det), np.multiply(f, h, out=product), out=det)
-    np.multiply(a, det, out=det)
-    np.subtract(np.multiply(d, k, out=minor), np.multiply(f, g, out=product), out=minor)
-    np.subtract(det, np.multiply(b, minor, out=minor), out=det)
-    np.subtract(np.multiply(d, h, out=minor), np.multiply(e, g, out=product), out=minor)
-    return np.add(det, np.multiply(c, minor, out=minor), out=det)
+    """3x3 determinant a (e k - f h) - b (d k - f g) + c (d h - e g) of rows
+    ((a, b, c), (d, e, f), (g, h, k)) in that order, skipping each product with
+    an exact scalar-zero factor and each term that leaves empty.  An entry is an
+    array, a scalar or two factors (a tuple) multiplied out only if read.  The
+    first term left takes its sign on its minor; out, if given, gets the result."""
+    def times(x, y, out=None):  # None stands for an exact zero
+        if x is not None and y is not None:
+            return np.multiply(*(np.multiply(*v) if isinstance(v, tuple) else v for v in (x, y)), out=out)
+
+    (a, b, c), (d, e, f), (g, h, k) = ([None if isinstance(v, (int, float, complex)) and v == 0 else v for v in row]
+                                       for row in rows)
+    det = None
+    for sign, x, p, q, r, s in ((1, a, e, k, f, h), (-1, b, d, k, f, g), (1, c, d, h, e, g)):
+        pq, rs = (None, None) if x is None else (times(p, q), times(r, s))
+        minor = pq if rs is None else -rs if pq is None else pq - rs
+        if det is None:
+            det = times(x, -minor if sign < 0 and minor is not None else minor, out)
+        elif (term := times(x, minor)) is not None:
+            det = (np.add if sign > 0 else np.subtract)(det, term, out=out)
+    return 0.0 if det is None else det
 
 
 def _chart_form_values(nodes: np.ndarray, frames: np.ndarray, charts: np.ndarray) -> np.ndarray:
@@ -213,11 +215,11 @@ def _chart_form_values(nodes: np.ndarray, frames: np.ndarray, charts: np.ndarray
 
 
 def _chart4_blocks(grid: CycleGrid):
-    """Per block of whole theta1 rows: u_4, the oriented legs' first three
-    entries and the weights, as CycleGrid.at forms them, and _det3's scratch."""
+    """Per block of whole theta1 rows: u_4, the oriented legs' first three entries
+    (e_theta1's third as two factors) and the weights as CycleGrid.at forms them."""
     r = grid.resolution
     rows = max(1, BLOCK_NODES // r**2)
-    workspace = np.empty((6, rows, r, r))
+    workspace = np.empty((3, rows, r, r))
     s2, c2 = grid.theta2.sin[:, None], grid.theta2.cos[:, None]
     sp, cp = grid.phi.sin, grid.phi.cos
     e_th2, e_phi = (0.0, -s2, c2 * cp), (0.0, 0.0, -sp)  # theta1 enters neither
@@ -226,12 +228,11 @@ def _chart4_blocks(grid: CycleGrid):
     for start in range(0, r, rows):
         block = np.s_[start : start + rows, None, None]
         s1, c1 = grid.theta1.sin[block], grid.theta1.cos[block]
-        u4, leg_entry, weights, *scratch = workspace[:, : s1.shape[0]]
+        u4, weights, det = workspace[:, : s1.shape[0]]  # det: what _det3 writes
         np.multiply(s1 * s2, sp, out=u4)
-        np.multiply(c1 * s2, cp, out=leg_entry)
         np.multiply(w1[block] * w2, grid.phi.weights, out=weights)
-        legs = ((-s1, c1 * c2, leg_entry), e_th2, e_phi)
-        yield u4, [legs[k] for k in ORIENTED_FRAME_ORDER], weights, scratch
+        legs = ((-s1, c1 * c2, (c1 * s2, cp)), e_th2, e_phi)
+        yield u4, [legs[k] for k in ORIENTED_FRAME_ORDER], weights, det
 
 
 def integrate_volume_form(grid: CycleGrid) -> complex:
@@ -242,14 +243,13 @@ def integrate_volume_form(grid: CycleGrid) -> complex:
     sphere frame times st / |st| and the node is st u (st = t^{1/2}), so by
     trilinearity the value is (st / |st|)^3 / st times the real minor over
     u_4: that constant and the volume factor |t|^{3/2} multiply the real sum
-    once.  Each theta1 row is summed pairwise (numpy) over its fixed node
-    order and the row sums are added in theta1 order, so results reproduce.
+    once, added in the fixed order the module docstring gives.
     """
     total = 0.0
-    for u4, frame, weights, scratch in _chart4_blocks(grid):
+    for u4, frame, weights, det in _chart4_blocks(grid):
         if not u4.all():  # some u_4 is zero
             raise ValueError("a node hit the x4 = 0 seam; use an even resolution")
-        values = _det3(frame, out=scratch)
+        values = _det3(frame, out=det)
         np.multiply(np.divide(values, u4, out=values), weights, out=values)
         for row_sum in values.reshape(values.shape[0], -1).sum(axis=1).tolist():
             total += row_sum

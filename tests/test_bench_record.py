@@ -217,3 +217,75 @@ class TestCriterionTimings:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(METRICS) + 1
         assert lines[-1].startswith("criterion C07") and lines[-1].endswith("x0.500")
+
+
+class TestPair:
+    """record() over two trees, on synthetic runs and timings: each value
+    names the tree that made it."""
+
+    def _record_pair(self, monkeypatch, tmp_path):
+        roots = [tmp_path / "parent", tmp_path / "change"]
+        for root in roots:
+            root.mkdir()
+            (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
+        calls = []
+
+        def run_benchmark(root, workload, seed, seconds):
+            calls.append((root.name, workload, seed))
+            return _run({name: float(len(calls)) for name in METRICS}, attempted=10, failed=root.name == "change")
+
+        def run_criterion_timings(root, passes):
+            calls.append((root.name, "criteria", passes))
+            samples = {cid: [float(len(calls))] * passes for cid in ("C01", "C02")}
+            return {"passes": passes, "profile": {}, "kernel": "loop", "samples": samples,
+                    "seconds": {cid: record.quartiles(v) for cid, v in samples.items()}}
+
+        monkeypatch.setattr(record, "run_benchmark", run_benchmark)
+        monkeypatch.setattr(record, "run_criterion_timings", run_criterion_timings)
+        monkeypatch.setattr(record, "source_facts", lambda root: {"root": root.name})
+        return roots, calls
+
+    def test_trees_alternate_per_workload_and_seed_and_per_round(self, monkeypatch, tmp_path):
+        roots, calls = self._record_pair(monkeypatch, tmp_path)
+        parent, change = record.record(roots, [1, 2, 3, 4, 5])
+        first = ["parent", "change", "change", "parent", "parent", "change"]  # each goes first in turn
+        passes = record.CRITERION_PASSES
+        assert calls[:2 * record.CRITERION_ROUNDS] == [(tree, "criteria", passes) for tree in first]
+        workloads = [w["name"] for w in SPEC["workloads"]]
+        assert calls[2 * record.CRITERION_ROUNDS:] == [
+            (tree, workload, seed) for workload in workloads for seed in range(1, 6)
+            for tree in (("parent", "change") if seed % 2 else ("change", "parent"))]
+        assert (parent["source"], change["source"]) == ({"root": "parent"}, {"root": "change"})
+
+    def test_each_record_holds_only_its_own_trees_runs(self, monkeypatch, tmp_path):
+        """The synthetic runs' values count the calls, and only the change's
+        runs fail."""
+        roots, calls = self._record_pair(monkeypatch, tmp_path)
+        records = record.record(roots, [1, 2, 3, 4, 5])
+        index = {tree: [i + 1 for i, call in enumerate(calls) if call[0] == tree and call[1] != "criteria"]
+                 for tree in ("parent", "change")}
+        timed = {tree: [i + 1 for i, call in enumerate(calls) if call[0] == tree and call[1] == "criteria"]
+                 for tree in ("parent", "change")}
+        for tree, rec in zip(("parent", "change"), records):
+            runs = [run["setup_s"] for workload in rec["workloads"].values() for run in workload["runs"]]
+            assert runs == index[tree]
+            assert all(w["failed"] == (5 if tree == "change" else 0) for w in rec["workloads"].values())
+            assert rec["criteria"]["passes"] == record.CRITERION_ROUNDS * record.CRITERION_PASSES
+            assert rec["criteria"]["samples"]["C01"] == [float(i) for i in timed[tree] for _ in
+                                                         range(record.CRITERION_PASSES)]
+            assert rec["criteria"]["seconds"]["C01"] == record.quartiles(rec["criteria"]["samples"]["C01"])
+
+    def test_pair_command_writes_both_records(self, monkeypatch, tmp_path):
+        roots, calls = self._record_pair(monkeypatch, tmp_path)
+        outs = tmp_path / "parent.json", tmp_path / "change.json"
+        argv = ["--root", str(roots[1]), "--pair", str(roots[0]), "--out-parent", str(outs[0]), "--out", str(outs[1])]
+        assert record.main(argv) == 0
+        parent, change = (json.loads(out.read_text()) for out in outs)
+        assert (parent["source"]["root"], change["source"]["root"]) == ("parent", "change")
+        assert calls[0][0] == "parent" and calls[1][0] == "change"
+        assert record.main(["--compare", *map(str, outs)]) == 1  # only the change's runs failed
+
+    def test_pair_needs_both_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            record.main(["--out", "unused.json", "--pair", "."])
+        assert "--pair and --out-parent go together" in capsys.readouterr().err

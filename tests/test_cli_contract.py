@@ -350,13 +350,21 @@ REFUSALS = [
     (["friedman", "--classes-csv", "/nonexistent/classes.csv"],
      "--classes-csv: cannot read '/nonexistent/classes.csv': No such file or directory"),
     (["friedman", "--classes-csv", TEXT], f"--classes-csv: cannot read {TEXT_QUOTED}: File name too long"),
+    # a byte that is not UTF-8, at its offset in the file, past the first chunk the reader decodes
+    (["friedman", "--classes-csv", "not-utf8.csv"],
+     "--classes-csv: 'utf-8' codec can't decode byte 0xff in position 10005: invalid start byte"),
 ]
+# the files REFUSALS rows read, written into the working directory of each row's run
+REFUSAL_FILES = {"not-utf8.csv": b"1,-1\n" + b"\n" * 10_000 + b"\xff,1\n"}
 
 
 @pytest.mark.parametrize("argv,message", REFUSALS, ids=[" ".join(argv)[:40] for argv, _ in REFUSALS])
-def test_refusal_is_one_error_line(argv, message, tmp_path):
+def test_refusal_is_one_error_line(argv, message, tmp_path, monkeypatch):
     """Each refusal is its one line, within half a second: every bound is
     checked before the work it bounds."""
+    monkeypatch.chdir(tmp_path)
+    for name, data in REFUSAL_FILES.items():
+        (tmp_path / name).write_bytes(data)
     out = tmp_path / "report.json"
     if "--output" not in argv:
         argv = argv + ["--output", str(out)]
@@ -391,6 +399,23 @@ def test_class_csv_is_refused_as_its_cells_in_json(name, tmp_path):
     expected = f"error: --classes-csv{message.removeprefix('--classes-json')}\n"
     assert run(["friedman", "--classes-csv", str(path), "--output", str(tmp_path / "x")]) == (2, "", expected)
 
+
+# bytes that are not UTF-8: in the reader's first chunk, past it, after a character split across
+# the first chunk's end, and a character cut off by the end of the file
+NOT_UTF8 = {"first-chunk": b"1,\xff\n", "past-the-chunk": REFUSAL_FILES["not-utf8.csv"],
+            "after-a-split-character": b"1,-1\n" + b"\n" * 8185 + "\u00e9".encode() * 2 + b"\xff\n",
+            "cut-off": b"1,-1\n" + b"\n" * 8190 + b"1,\xe2\x82"}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+def test_class_csv_not_utf8_is_refused_at_its_offset_in_the_file(name, tmp_path):
+    """The refusal names the bytes where decoding the whole file finds them."""
+    path = tmp_path / "classes.csv"
+    path.write_bytes(NOT_UTF8[name])
+    with pytest.raises(UnicodeDecodeError) as whole:
+        NOT_UTF8[name].decode("utf-8")
+    argv = ["friedman", "--classes-csv", str(path), "--output", str(tmp_path / "x")]
+    assert run(argv) == (2, "", f"error: --classes-csv: {whole.value}\n")
 
 # class matrices only a CSV file can hold, refused before the file is read to its end: a line
 # longer than 24 cells of 64 characters (here 20 MB, which used to be read and split whole),

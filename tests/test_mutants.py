@@ -196,6 +196,20 @@ class TestC07:
             "period_rel_error_t1", "period_rel_error_ti", "period_rel_error_tgen",
         }
 
+    def test_hard_coded_surviving_term(self, monkeypatch):
+        """A kernel that forms only -b (d k), the one term left in the
+        oriented frame, keeps every period's bits, so C07 passes; with the
+        legs in order (0, 1, 2) it multiplies d = 0.0, the period reads 0 and
+        test_swapped_frame_rows fails."""
+        grid = slag.sample_vanishing_cycle(0.3 + 0.2j, 32)
+        period = slag.integrate_volume_form(grid)
+        monkeypatch.setattr(slag, "_det3", lambda rows, out=None: np.multiply(rows[0][1], -(rows[1][0] * rows[2][2]),
+                                                                                out=out))
+        assert slag.integrate_volume_form(grid) == period and _failures(criterion_07) == []
+        with pytest.raises(AssertionError):
+            self.test_swapped_frame_rows(monkeypatch)
+        assert slag.ORIENTED_FRAME_ORDER == (0, 1, 2) and slag.integrate_volume_form(grid) == 0.0
+
 
 class TestC08:
     """The residual |Im(e^{-i arg t} Omega)| / |Omega| sees the phase only mod

@@ -1,5 +1,7 @@
 import cmath
 import dataclasses
+import hashlib
+import itertools
 import json
 import math
 import os
@@ -178,14 +180,26 @@ class TestSlabsAgainstDenseGrid:
         """The quadrature's own chart-4 blocks against CycleGrid.at, bit for
         bit and sign bit for sign bit: u_4, the first three entries of each
         oriented leg and the weights, block after block over every theta1
-        row (48 ends on a partial block)."""
+        row (48 ends on a partial block).  An entry handed over as its two
+        factors is their product in the kernel's order, and it is read by no
+        product _det3 forms: its cofactor partners, the other lower row's
+        entries beside its column, are exact scalar zeros."""
         grid = sample_vanishing_cycle(GENERIC_T, resolution)
         start = 0
-        for u4, frame, weights, scratch in slag._chart4_blocks(grid):
-            assert len(scratch) == 3 and all(a.shape == u4.shape for a in scratch)
+        for u4, frame, weights, det in slag._chart4_blocks(grid):
+            assert det.shape == u4.shape
             rows = u4.shape[0]
             _, at_weights, points, frames = grid.at(np.arange(start * resolution**2, (start + rows) * resolution**2))
-            ours = [u4, weights] + [np.broadcast_to(x, u4.shape) for leg in frame for x in leg]
+            entries = []
+            for j, leg in enumerate(frame):
+                for i, x in enumerate(leg):
+                    if isinstance(x, tuple):
+                        partners = [frame[3 - j][m] for m in range(3) if m != i]
+                        assert j > 0 and all(type(v) is float and v == 0.0 for v in partners)
+                        x = np.multiply(*x)
+                    entries.append(np.broadcast_to(x, u4.shape))
+            assert sum(isinstance(x, tuple) for leg in frame for x in leg) == 1
+            ours = [u4, weights] + entries
             theirs = [points[:, 3], at_weights] + [frames[:, j, i] for j in range(3) for i in range(3)]
             for a, b in zip(ours, theirs, strict=True):
                 assert np.array_equal(np.ravel(a).view(np.uint64), b.view(np.uint64))
@@ -229,6 +243,82 @@ def _flatten(node, path=()):
     for key, child in items:
         out.update(_flatten(child, path + (key,)))
     return out
+
+
+# the nine entries of a 3x3 matrix as arrays of shapes that broadcast to (3, 4, 5)
+DET_SHAPES = [(3, 1, 1), (1, 4, 1), (1, 1, 5), (3, 4, 1), (1, 4, 5), (3, 1, 5), (5,), (4, 1), (3, 4, 5)]
+# cofactor expansion and LU each err by a few roundings of the product of the
+# rows' 1-norms (which bounds every product of the expansion)
+DET_RTOL = 16 * np.finfo(float).eps
+
+
+def _rows(entries):
+    return [entries[0:3], entries[3:6], entries[6:9]]
+
+
+class TestDeterminant:
+    """_det3 skips the products with an exact scalar-zero factor, and stays
+    one expansion over any pattern of such zeros."""
+
+    def test_every_pattern_of_scalar_zeros(self):
+        """For each of the 512 patterns of scalar zeros among random entries:
+        the value of the full expansion over the same entries as zero arrays
+        (a zero result may flip its sign), the same bits with each entry
+        given as two factors, and np.linalg.det within DET_RTOL of the product
+        of the rows' 1-norms."""
+        rng = np.random.default_rng(34)
+        arrays = [rng.uniform(-1.0, 1.0, shape) for shape in DET_SHAPES]
+        halves = [(2.0, x / 2.0) for x in arrays]  # exact factors of each entry
+        for pattern in range(512):
+            zero = [pattern >> i & 1 for i in range(9)]
+            as_arrays = [np.zeros(x.shape) if z else x for z, x in zip(zero, arrays)]
+            ours = slag._det3(_rows([0.0 if z else x for z, x in zip(zero, arrays)]))
+            full = slag._det3(_rows(as_arrays))
+            assert full.shape == (3, 4, 5)
+            assert np.array_equal(np.broadcast_to(ours, full.shape), full), pattern
+            factored = slag._det3(_rows([0.0 if z else x for z, x in zip(zero, halves)]))
+            assert np.array_equal(np.ravel(factored).view(np.uint64), np.ravel(ours).view(np.uint64)), pattern
+            matrix = np.stack(np.broadcast_arrays(*as_arrays), axis=-1).reshape(3, 4, 5, 3, 3)
+            scale = np.prod(np.abs(matrix).sum(axis=-1), axis=-1)
+            assert np.all(np.abs(ours - np.linalg.det(matrix)) <= DET_RTOL * scale), pattern
+
+    def test_an_unread_factored_entry_is_never_multiplied(self):
+        """The oriented frame's pattern: with a, g and h scalar zeros, c, e
+        and f are read by skipped products only (e k's term has the factor
+        a), so factors that do not even broadcast together are never
+        multiplied."""
+        b, d, k = np.array([2.0, 3.0]), np.array([5.0, 7.0]), np.array([11.0, 13.0])
+        unread = (np.ones(2), np.ones(3))
+        rows = [(0.0, b, unread), (d, unread, unread), (0.0, 0.0, k)]
+        assert slag._det3(rows).tolist() == (-(b * (d * k))).tolist()
+        out = np.empty(2)
+        assert slag._det3(rows, out=out) is out and out.tolist() == [-110.0, -273.0]
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "d527cd02581104898649923f0c8f8c6dac2684d7d266fa9095e4f346e7a4228a"),
+        (1, "fd840352f86fee898b6ea62b2da5a8e86f7879255ece48dd16318529f0fb1048"),
+    ])
+    def test_c08_frames_take_the_full_expansion(self, seed, digest):
+        """C08's frames are all arrays: the chart values keep the bits of the
+        expansion before zeros were skipped (sha256 of the values)."""
+        t = cmath.exp(1j * math.pi / 3)
+        grid = sample_vanishing_cycle(t, 16)
+        rng = np.random.default_rng(seed)
+        nodes, _, _, sphere_frames = grid.at(rng.choice(16**3, Profile.full(seed=seed).calibration_nodes, replace=False))
+        frames = sphere_frames * (grid.sqrt_t / abs(grid.sqrt_t))
+        values = slag._chart_form_values(nodes, frames, np.argmax(np.abs(nodes), axis=-1))
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_every_leg_order_gives_the_signed_period(self, order, monkeypatch):
+        """Each leg order reaches other zero entries, and the quadrature still
+        gives the period times the order's sign against the oriented one."""
+        grid = sample_vanishing_cycle(GENERIC_T, 16)
+        oriented = integrate_volume_form(grid)
+        monkeypatch.setattr(slag, "ORIENTED_FRAME_ORDER", order)
+        inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+        sign = -(-1) ** inversions  # the oriented order (1, 0, 2) is odd
+        assert abs(integrate_volume_form(grid) - sign * oriented) <= 1e-14 * abs(oriented)
 
 
 class TestPeriodIntegral:
