@@ -18,16 +18,16 @@ each workload and seed, and for each round of criterion timings, it runs
 both trees back to back, the parent first at the first seed and round and
 then each tree first in turn (parent, change, change, parent, ...), so that
 drift of the host falls on both records alike.  Each record holds only its
-own tree's runs, in the format of a single recording.  The record also names the
-machine, the Python and numpy versions, the commit, a digest of ``src/``
-and its line count, in total and per module.  Comparing prints, for every
-workload and metric, the ratio of the second record's median to the first's
-and whether the change stays inside the metric's BENCHMARK.json bound, then
-each workload's attempted and failed operations in both records; it exits 1
-when a metric moves past its bound or a workload's failed share grows.  The
-criterion times have no bound: their ratios are printed after, and then the
-change in ``src/`` lines per module and in total, when both records count
-them.
+own tree's runs, in the format of a single recording.  The record also
+names the machine, the Python and numpy versions, the commit, a digest of
+``src/`` and its line count, in total and per module.  Comparing prints,
+for every workload and metric, the ratio of the second record's median to
+the first's and whether the change stays inside the metric's BENCHMARK.json
+bound, then each workload's attempted and failed operations in both
+records; it exits 1 when a metric moves past its bound or a workload's
+failed share grows.  The criterion times have no bound: their ratios are
+printed after, and then the change in ``src/`` lines per module and in
+total, when both records count them.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=Path.cwd(), help="source tree to record (default: .)")
     parser.add_argument("--out", type=Path, help="where to write the record")
     parser.add_argument("--pair", type=Path, metavar="PARENT_ROOT",
-                        help="also record this tree, interleaved run by run before the recorded one")
+                        help="a parent tree to record too, run by run beside --root")
     parser.add_argument("--out-parent", type=Path, help="with --pair, where to write the parent's record")
     parser.add_argument("--seeds", default="1,2,3,4,5", help=f"comma-separated, at least {MIN_SEEDS}")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))

@@ -400,10 +400,10 @@ def test_class_csv_is_refused_as_its_cells_in_json(name, tmp_path):
     assert run(["friedman", "--classes-csv", str(path), "--output", str(tmp_path / "x")]) == (2, "", expected)
 
 
-# bytes that are not UTF-8: in the reader's first chunk, past it, after a character split across
-# the first chunk's end, and a character cut off by the end of the file
+# bytes that are not UTF-8: in the reader's first 8,192-byte chunk, past it, after a character
+# split across that chunk's end, and a character cut off by the end of the file
 NOT_UTF8 = {"first-chunk": b"1,\xff\n", "past-the-chunk": REFUSAL_FILES["not-utf8.csv"],
-            "after-a-split-character": b"1,-1\n" + b"\n" * 8185 + "\u00e9".encode() * 2 + b"\xff\n",
+            "after-a-split-character": b"1,-1\n" + b"\n" * 8186 + "\u00e9".encode() * 2 + b"\xff\n",
             "cut-off": b"1,-1\n" + b"\n" * 8190 + b"1,\xe2\x82"}
 
 

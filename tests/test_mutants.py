@@ -203,8 +203,12 @@ class TestC07:
         test_swapped_frame_rows fails."""
         grid = slag.sample_vanishing_cycle(0.3 + 0.2j, 32)
         period = slag.integrate_volume_form(grid)
-        monkeypatch.setattr(slag, "_det3", lambda rows, out=None: np.multiply(rows[0][1], -(rows[1][0] * rows[2][2]),
-                                                                                out=out))
+
+        def surviving_term(rows, out=None):
+            (_, b, _), (d, _, _), (_, _, k) = rows
+            return np.multiply(b, -(d * k), out=out)
+
+        monkeypatch.setattr(slag, "_det3", surviving_term)
         assert slag.integrate_volume_form(grid) == period and _failures(criterion_07) == []
         with pytest.raises(AssertionError):
             self.test_swapped_frame_rows(monkeypatch)
