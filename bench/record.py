@@ -13,21 +13,25 @@ acceptance criterion in process, a call of ``acceptance.run_criterion``,
 over CRITERION_ROUNDS rounds of CRITERION_PASSES passes at the certify
 workload's profile, each round in a fresh interpreter that imports the
 recorded tree, at the host's reference speed as perfbench normalizes its
-own times.  ``--pair`` records two trees in one interleaved sequence: for
-each workload and seed, and for each round of criterion timings, it runs
-both trees back to back, the parent first at the first seed and round and
-then each tree first in turn (parent, change, change, parent, ...), so that
-drift of the host falls on both records alike.  Each record holds only its
-own tree's runs, in the format of a single recording.  The record also
+own times.  In the same way it times each request kind of the
+exact_queries workload (hodge, friedman, dwork, transition, catalog), the
+seconds per round over QUERY_ROUNDS rounds of QUERY_PASSES workload rounds.
+``--pair`` records two trees in one interleaved sequence: for each workload
+and seed, and for each round of criterion or request timings, it runs both
+trees back to back, the parent first at the first seed and round and then
+each tree first in turn (parent, change, change, parent, ...), so that
+drift of the host falls on both records alike, and it warns when only one
+tree holds bytecode caches under src/.  Each record holds only its own
+tree's runs, in the format of a single recording.  The record also
 names the machine, the Python and numpy versions, the commit, a digest of
 ``src/`` and its line count, in total and per module.  Comparing prints,
 for every workload and metric, the ratio of the second record's median to
 the first's and whether the change stays inside the metric's BENCHMARK.json
 bound, then each workload's attempted and failed operations in both
 records; it exits 1 when a metric moves past its bound or a workload's
-failed share grows.  The criterion times have no bound: their ratios are
-printed after, and then the change in ``src/`` lines per module and in
-total, when both records count them.
+failed share grows.  The criterion and request times have no bound: their
+ratios are printed after, and then the change in ``src/`` lines per module
+and in total, when both records count them.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from pathlib import Path
 
 MIN_SEEDS = 5
 CRITERION_ROUNDS, CRITERION_PASSES = 3, 5
+QUERY_ROUNDS, QUERY_PASSES, QUERY_SEED = 3, 40, 1
 
 
 def quartiles(values: list[float]) -> dict:
@@ -144,23 +149,81 @@ def merged_timings(rounds: list[dict]) -> dict:
                 seconds={cid: quartiles(values) for cid, values in samples.items()})
 
 
-def run_criterion_timings(root: Path, passes: int) -> dict:
-    """criterion_timings in a fresh interpreter on the tree at root: its
-    src/ and perfbench/ come first on the path, and perfbench's child
-    environment (one BLAS thread) is set before numpy loads."""
+def query_timings(passes: int) -> dict:
+    """Median and [q1, q3] of the seconds each request kind of the
+    exact_queries workload takes in one round, summed over the round's
+    requests of that kind, over rounds 0..passes-1 at QUERY_SEED, after the
+    workload's warm-up.  Each request runs as perfbench's child runs it,
+    through ``cli.main`` with its report checked by perfbench's oracles, and
+    its time is netted and normalized by the workload's kernel as the child
+    does.  It imports conifold_lab and perfbench's modules from sys.path; a
+    request that fails raises."""
+    import child
+    import conifold_lab.acceptance
+    import conifold_lab.cli
+    import speed
+    import workloads
+
+    runner, records = child.Runner(conifold_lab), []
+    runner.run_round(workloads.warmup_ops("exact_queries"), [], "warmup")
+    kernel = speed.WORKLOAD_KERNEL["exact_queries"]
+    meter = speed.Speedometer(kernel)
+    meter.start()
+    try:
+        for index in range(passes):
+            runner.run_round(workloads.exact_queries_round(QUERY_SEED, index), records, "run", index)
+    finally:
+        meter.stop()
+    samples, requests = {}, {}
+    for rec in records:
+        if rec["failures"]:
+            raise RuntimeError(f"a {rec['kind']} request of round {rec['round']} failed: {rec['failures']}")
+        seconds = speed.net(meter.samples, rec["start"], rec["end"])
+        samples.setdefault(rec["kind"], [0.0] * passes)[rec["round"]] += speed.normalize(
+            meter.samples, rec["start"], rec["end"], seconds, speed.KERNELS[kernel][1])
+        requests[rec["kind"]] = requests.get(rec["kind"], 0) + (rec["round"] == 0)
+    return {"passes": passes, "seed": QUERY_SEED, "kernel": kernel, "requests": requests,
+            "seconds": {kind: quartiles(values) for kind, values in samples.items()}, "samples": samples}
+
+
+def run_in_tree(root: Path, call: str) -> dict:
+    """The JSON value of ``record.<call>`` in a fresh interpreter on the tree
+    at root: its src/ and perfbench/ come first on the path, and perfbench's
+    child environment (one BLAS thread) is set before numpy loads."""
     path = os.pathsep.join(str(p) for p in (root / "src", root / "perfbench", Path(__file__).resolve().parent))
     code = ("import json, os, pathlib, record, run; os.environ.update(run.child_env(pathlib.Path.cwd())); "
-            f"print(json.dumps(record.criterion_timings({passes})))")
+            f"print(json.dumps(record.{call}))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
+def run_criterion_timings(root: Path, passes: int) -> dict:
+    """criterion_timings in a fresh interpreter on the tree at root."""
+    return run_in_tree(root, f"criterion_timings({passes})")
+
+
+def run_query_timings(root: Path, passes: int) -> dict:
+    """query_timings in a fresh interpreter on the tree at root."""
+    return run_in_tree(root, f"query_timings({passes})")
+
+
+def compare_timings(before: dict, after: dict, key: str) -> list[tuple[str, float, float]]:
+    """Each item timed under ``key`` ("criteria" or "queries") in both
+    records, with its median seconds in the first and in the second."""
+    old, new = (rec.get(key, {}).get("seconds", {}) for rec in (before, after))
+    return [(name, old[name]["median"], new[name]["median"]) for name in sorted(old.keys() & new.keys())]
+
+
 def compare_criteria(before: dict, after: dict) -> list[tuple[str, float, float]]:
     """Each criterion timed in both records, with its median seconds in the
     first and in the second."""
-    old, new = (rec.get("criteria", {}).get("seconds", {}) for rec in (before, after))
-    return [(cid, old[cid]["median"], new[cid]["median"]) for cid in sorted(old.keys() & new.keys())]
+    return compare_timings(before, after, "criteria")
+
+
+def bytecode_caches(root: Path) -> bool:
+    """Whether the tree at root holds a ``__pycache__`` directory under src/."""
+    return any(path.is_dir() for path in (root / "src").rglob("__pycache__"))
 
 
 def source_facts(root: Path) -> dict:
@@ -224,12 +287,16 @@ def record(roots: list[Path], seeds: list[int]) -> list[dict]:
     def in_turn(items, turn):
         return items if turn % 2 == 0 else items[::-1]
 
-    timings = [[] for _ in roots]
+    timings, queries = [[] for _ in roots], [[] for _ in roots]
     for turn in range(CRITERION_ROUNDS):
         for root, rounds in in_turn(list(zip(roots, timings)), turn):
             rounds.append(run_criterion_timings(root, CRITERION_PASSES))
+    for turn in range(QUERY_ROUNDS):
+        for root, rounds in in_turn(list(zip(roots, queries)), turn):
+            rounds.append(run_query_timings(root, QUERY_PASSES))
     results = [{"machine": machine(), "source": source_facts(root), "seeds": seeds, "seconds": seconds,
-                "criteria": merged_timings(rounds), "workloads": {}} for root, rounds in zip(roots, timings)]
+                "criteria": merged_timings(rounds), "queries": merged_timings(query_rounds), "workloads": {}}
+               for root, rounds, query_rounds in zip(roots, timings, queries)]
     for workload in (w["name"] for w in spec["workloads"]):
         runs = [[] for _ in roots]
         for turn, seed in enumerate(seeds):
@@ -270,6 +337,8 @@ def main(argv=None) -> int:
                   f"{new_attempted:6d}  failed share {verdict}")
         for cid, old, new in compare_criteria(before, after):
             print(f"criterion {cid}    {old * 1e3:9.3f} ms -> {new * 1e3:9.3f} ms  x{new / old:.3f}")
+        for kind, old, new in compare_timings(before, after, "queries"):
+            print(f"queries {kind:10s} {old * 1e3:9.3f} ms -> {new * 1e3:9.3f} ms  x{new / old:.3f} per round")
         for module, old, new in compare_source_lines(before, after):
             print(f"src {module:30s} {old:6d} -> {new:6d}  {new - old:+d} lines")
         return 0 if all(row["inside"] for row in rows + failures) else 1
@@ -284,6 +353,10 @@ def main(argv=None) -> int:
     roots, outs = [args.root.resolve()], [args.out]
     if args.pair is not None:
         roots, outs = [args.pair.resolve(), *roots], [args.out_parent, *outs]
+        cached = [root for root in roots if bytecode_caches(root)]
+        if len(cached) == 1:
+            print(f"warning: only {cached[0]} has src/**/__pycache__, so setup_s compares bytecode caches "
+                  "as well as code; remove them or give both trees caches", file=sys.stderr)
     for out, result in zip(outs, record(roots, seeds)):
         out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -13,8 +13,12 @@ against.  None of them runs on the package's own code paths.
 * hodge: twisted Euler characteristics chi(Omega^p(-r)) of P^n and of the
   hypersurface by the recursion over the Euler, conormal and restriction
   sequences (chi_hypersurface_omega_p_recursion, the oracle for the Jacobian
-  ring closed form), chi(O(m)) in Fraction arithmetic, and a dispatcher over
-  the twisted Euler-characteristic functions.
+  ring closed form); the Jacobian ring's dimension as one Hilbert-series sum
+  per degree (jacobian_ring_dimension, chi_hypersurface_omega_sum, the oracle
+  for the chained binomials); the diamond's invariants scanned entry by entry
+  (first_invariant_violation, the oracle for the row-level check); chi(O(m))
+  in Fraction arithmetic, and a dispatcher over the twisted
+  Euler-characteristic functions.
 * slag: the flat Lagrangian residual of a frame, the fiber residual of a
   cycle grid, a grid node as a checked fiber point, and the dense cycle
   quadrature (every node, weight and frame of the product grid built at
@@ -423,6 +427,53 @@ def chi_hypersurface_omega_p_recursion(spec: HypersurfaceSpec, p: int, r: int = 
     for q in range(1, p + 1):
         chi = chi_restricted_omega_p(spec, q, r + (p - q) * d) - chi
     return chi
+
+
+def jacobian_ring_dimension(spec: HypersurfaceSpec, k: int) -> int:
+    """Dimension of the degree-k part of the Jacobian ring
+    C[x_0..x_n] / (dF/dx_0, ..., dF/dx_n) of a smooth degree-d hypersurface,
+    one binomial sum per k (the oracle for the chained sums of
+    hodge.chi_hypersurface_omega).
+
+    The n + 1 partials form a regular sequence of degree d - 1, so the
+    Hilbert series is ((1 - t^{d-1}) / (1 - t))^{n+1} and the coefficient
+    of t^k is sum_j (-1)^j C(n+1, j) C(k - j(d-1) + n, n) over the terms
+    with k - j(d-1) >= 0.  (For d = 1 the partials are nonzero constants:
+    the ring and the coefficient are both zero.)
+    """
+    n, step = spec.n, spec.d - 1
+    return sum(
+        (-1) ** j * math.comb(n + 1, j) * math.comb(k - j * step + n, n)
+        for j in range(n + 2)
+        if k - j * step >= 0
+    )
+
+
+def chi_hypersurface_omega_sum(spec: HypersurfaceSpec) -> list[int]:
+    """chi(Omega_X^p) for every p, each from its own Jacobian-ring sum at
+    degree (n - p)d - n - 1: (-1)^p + (-1)^{m-p} J."""
+    n, m = spec.n, spec.dim
+    return [(-1) ** p + (-1) ** (m - p) * jacobian_ring_dimension(spec, (n - p) * spec.d - n - 1)
+            for p in range(m + 1)]
+
+
+def first_invariant_violation(entries: list[list[int]]) -> str | None:
+    """The first violation of conjugation symmetry, Serre duality, the
+    Lefschetz deltas or nonnegativity, scanning the diamond entry by entry
+    (the oracle for HodgeDiamond.check_invariants)."""
+    m = len(entries) - 1
+    for p in range(m + 1):
+        for q in range(m + 1):
+            h = entries[p][q]
+            if h < 0:
+                return f"negative Hodge number h^{p},{q} = {h}"
+            if h != entries[q][p]:
+                return "conjugation symmetry violated"
+            if h != entries[m - p][m - q]:
+                return "Serre duality violated"
+            if p + q != m and h != (1 if p == q else 0):
+                return "Lefschetz range violated"
+    return None
 
 
 def chi_line_bundle_fraction(n: int, m: int) -> Fraction:

@@ -240,8 +240,16 @@ class TestPair:
             return {"passes": passes, "profile": {}, "kernel": "loop", "samples": samples,
                     "seconds": {cid: record.quartiles(v) for cid, v in samples.items()}}
 
+        def run_query_timings(root, passes):
+            self.queried.append(root.name)
+            samples = {"hodge": [float(len(self.queried))] * passes}
+            return {"passes": passes, "seed": 1, "kernel": "fraction", "requests": {"hodge": 7},
+                    "samples": samples, "seconds": {"hodge": record.quartiles(samples["hodge"])}}
+
+        self.queried = []
         monkeypatch.setattr(record, "run_benchmark", run_benchmark)
         monkeypatch.setattr(record, "run_criterion_timings", run_criterion_timings)
+        monkeypatch.setattr(record, "run_query_timings", run_query_timings)
         monkeypatch.setattr(record, "source_facts", lambda root: {"root": root.name})
         return roots, calls
 
@@ -275,6 +283,18 @@ class TestPair:
                                                          range(record.CRITERION_PASSES)]
             assert rec["criteria"]["seconds"]["C01"] == record.quartiles(rec["criteria"]["samples"]["C01"])
 
+    def test_request_timings_alternate_and_stay_with_their_tree(self, monkeypatch, tmp_path):
+        """The synthetic request timings count the timing calls."""
+        roots, _ = self._record_pair(monkeypatch, tmp_path)
+        records = record.record(roots, [1, 2, 3, 4, 5])
+        first = ["parent", "change", "change", "parent", "parent", "change"]
+        assert self.queried == first[:2 * record.QUERY_ROUNDS]
+        for tree, rec in zip(("parent", "change"), records):
+            timed = [i + 1 for i, name in enumerate(self.queried) if name == tree]
+            assert rec["queries"]["passes"] == record.QUERY_ROUNDS * record.QUERY_PASSES
+            assert rec["queries"]["samples"]["hodge"] == [float(i) for i in timed for _ in range(record.QUERY_PASSES)]
+            assert rec["queries"]["requests"] == {"hodge": 7}
+
     def test_pair_command_writes_both_records(self, monkeypatch, tmp_path):
         roots, calls = self._record_pair(monkeypatch, tmp_path)
         outs = tmp_path / "parent.json", tmp_path / "change.json"
@@ -289,3 +309,68 @@ class TestPair:
         with pytest.raises(SystemExit):
             record.main(["--out", "unused.json", "--pair", "."])
         assert "--pair and --out-parent go together" in capsys.readouterr().err
+
+    def test_a_tree_alone_with_bytecode_caches_is_warned(self, monkeypatch, tmp_path, capsys):
+        roots, _ = self._record_pair(monkeypatch, tmp_path)
+        outs = [str(tmp_path / "parent.json"), str(tmp_path / "change.json")]
+        argv = ["--root", str(roots[1]), "--pair", str(roots[0]), "--out-parent", outs[0], "--out", outs[1]]
+        for root in roots:
+            (root / "src" / "pkg").mkdir(parents=True)
+        assert not any(map(record.bytecode_caches, roots))
+        (roots[1] / "src" / "pkg" / "__pycache__").mkdir()
+        assert record.bytecode_caches(roots[1])
+        assert record.main(argv) == 0
+        err = capsys.readouterr().err
+        assert f"warning: only {roots[1].resolve()} has src/**/__pycache__" in err
+        (roots[0] / "src" / "__pycache__").mkdir()
+        assert record.main(argv) == 0
+        assert "warning" not in capsys.readouterr().err
+
+
+class TestQueryTimings:
+    KINDS = {"hodge": 7, "friedman": 5, "dwork": 1, "transition": 8, "catalog": 1}
+
+    def test_seconds_per_round_of_every_request_kind(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        timings = record.query_timings(2)
+        assert (timings["passes"], timings["seed"], timings["kernel"]) == (2, record.QUERY_SEED, "fraction")
+        assert timings["requests"] == self.KINDS
+        assert sorted(timings["samples"]) == sorted(timings["seconds"]) == sorted(self.KINDS)
+        for kind, q in timings["seconds"].items():
+            assert len(timings["samples"][kind]) == 2
+            assert 0.0 < q["q1"] <= q["median"] <= q["q3"]
+
+    def test_a_failing_request_is_refused(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from conifold_lab import hodge
+
+        build = hodge.hodge_diamond
+
+        def tampered(spec):
+            diamond = build(spec)
+            diamond.entries[0][0] = 2
+            return diamond
+
+        monkeypatch.setattr(hodge, "hodge_diamond", tampered)
+        with pytest.raises(RuntimeError, match="a hodge request of round 0 failed"):
+            record.query_timings(1)
+
+    def test_a_fresh_interpreter_times_the_tree(self):
+        timings = record.run_query_timings(ROOT, 2)
+        assert timings["passes"] == 2 and timings["requests"] == self.KINDS
+
+    def test_compare_prints_the_request_kinds_timed_in_both_records(self, tmp_path, capsys):
+        def seconds(**medians):
+            return {"seconds": {kind: {"median": m, "q1": m, "q3": m} for kind, m in medians.items()}}
+
+        before = dict(_record({"exact_queries": TestCompare.BASE}), queries=seconds(hodge=0.008, dwork=0.007))
+        after = dict(_record({"exact_queries": TestCompare.BASE}), queries=seconds(hodge=0.002, dwork=0.007))
+        assert record.compare_timings(before, after, "queries") == [("dwork", 0.007, 0.007), ("hodge", 0.008, 0.002)]
+        assert record.compare_timings(_record({"exact_queries": TestCompare.BASE}), after, "queries") == []
+        paths = tmp_path / "before.json", tmp_path / "after.json"
+        for path, rec in zip(paths, (before, after)):
+            path.write_text(json.dumps(rec))
+        assert record.main(["--compare", *map(str, paths)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(METRICS) + 2
+        assert lines[-1].split() == ["queries", "hodge", "8.000", "ms", "->", "2.000", "ms", "x0.250", "per", "round"]

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,9 +19,9 @@ from conifold_lab.hodge import (
     MAX_DEGREE,
     MAX_DIMENSION,
     HypersurfaceSpec,
+    chi_hypersurface_omega,
     chi_hypersurface_omega_p,
     hodge_diamond,
-    jacobian_ring_dimension,
     moduli_dimension,
 )
 from reference import (
@@ -29,6 +30,7 @@ from reference import (
     chi_line_bundle_fraction,
     chi_omega_p_twist,
     ext_binomial,
+    jacobian_ring_dimension,
 )
 
 
@@ -307,6 +309,21 @@ class TestJacobianRing:
                 expected = reference.chi_hypersurface_omega_p_recursion(spec, p, 0)
                 assert chi_hypersurface_omega_p(spec, p) == expected, (n, d, p)
 
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_chained_sums_match_the_per_degree_sums(self, n):
+        """Every p and every degree d = 1..n+6: the chained binomials of
+        chi_hypersurface_omega against one Hilbert-series sum per degree."""
+        for d in range(1, n + 7):
+            spec = HypersurfaceSpec(n, d)
+            assert chi_hypersurface_omega(spec) == reference.chi_hypersurface_omega_sum(spec), (n, d)
+
+    @pytest.mark.parametrize("n,d", [(200, 300), (200, 3), (200, 2), (200, 1), (3, 300)])
+    def test_chained_sums_at_the_extremes(self, n, d):
+        spec = HypersurfaceSpec(n, d)
+        chis = chi_hypersurface_omega(spec)
+        assert chis == reference.chi_hypersurface_omega_sum(spec)
+        assert [chi_hypersurface_omega_p(spec, p) for p in (0, n // 2, n - 1)] == [chis[0], chis[n // 2], chis[-1]]
+
     def test_largest_calabi_yau_diamond(self):
         n, d = MAX_DIMENSION, MAX_DIMENSION + 1
         diamond = hodge_diamond(HypersurfaceSpec(n, d))
@@ -325,6 +342,37 @@ class TestJacobianRing:
             HypersurfaceSpec(1, 3)
         with pytest.raises(ValueError):
             HypersurfaceSpec(4, 0)
+
+class TestInvariantCheck:
+    """The row-level HodgeDiamond.check_invariants against the entry-by-entry
+    scan, and the row-wise Euler characteristic against the Betti numbers."""
+
+    SPECS = [(3, 4), (4, 5), (5, 3), (6, 7), (7, 2)]
+
+    def test_same_first_violation_as_the_entry_scan_on_tampered_diamonds(self):
+        rng = random.Random(20261020)
+        diamonds = [hodge_diamond(HypersurfaceSpec(n, d)) for n, d in self.SPECS]
+        verdicts = set()
+        for _ in range(12_000):
+            true = rng.choice(diamonds)
+            size = true.dim + 1
+            diamond = hodge.HodgeDiamond(dim=true.dim, entries=[list(row) for row in true.entries])
+            for _ in range(rng.randint(1, 3)):
+                diamond.entries[rng.randrange(size)][rng.randrange(size)] = rng.randint(-2, 7)
+            verdict = diamond.check_invariants()
+            assert verdict == reference.first_invariant_violation(diamond.entries), diamond.entries
+            verdicts.add(verdict if verdict is None else verdict.split(" h^")[0])
+        # every verdict occurs, the untampered one included
+        assert verdicts == {None, "negative Hodge number", "conjugation symmetry violated",
+                            "Serre duality violated", "Lefschetz range violated"}
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_euler_characteristic_is_the_alternating_betti_sum(self, n):
+        for d in range(1, n + 7):
+            diamond = hodge_diamond(HypersurfaceSpec(n, d))
+            betti = sum((-1) ** k * diamond.betti(k) for k in range(2 * diamond.dim + 1))
+            assert diamond.euler_characteristic() == betti, (n, d)
+
 
 class TestModuliCounts:
     def test_quintic(self):

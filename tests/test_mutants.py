@@ -53,12 +53,12 @@ class TestC01:
         """chi(Omega^0) + 1: p = 0 reads the Jacobian ring at its socle
         degree (n + 1)(d - 2).  h^{0,3} becomes 0 while h^{3,0} stays 1, so
         the middle row and conjugation symmetry both fail."""
-        chi = hodge.chi_hypersurface_omega_p
+        chis = hodge.chi_hypersurface_omega
 
-        def off_by_one(spec, p):
-            return chi(spec, p) + (p == 0)
+        def off_by_one(spec):
+            return [chi + (p == 0) for p, chi in enumerate(chis(spec))]
 
-        monkeypatch.setattr(hodge, "chi_hypersurface_omega_p", off_by_one)
+        monkeypatch.setattr(hodge, "chi_hypersurface_omega", off_by_one)
         failures = [f.partition(":")[0] for f in _failures(criterion_01)]
         assert failures == ["middle_row", "diamond_invariants", "full_diamond"]
 
