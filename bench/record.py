@@ -16,12 +16,20 @@ recorded tree, at the host's reference speed as perfbench normalizes its
 own times.  In the same way it times each request kind of the
 exact_queries workload (hodge, friedman, dwork, transition, catalog), the
 seconds per round over QUERY_ROUNDS rounds of QUERY_PASSES workload rounds.
+It starts the smallest accepted request of each subcommand (COLD_REQUESTS)
+COLD_ROUNDS times in a fresh interpreter, as the ``conifold-lab`` script
+starts it, and keeps its wall time and peak RSS, read through a small
+launcher's ``os.wait4`` (a child's ru_maxrss counts its parent's peak
+too), beside whether the tree holds bytecode caches under src/; the
+children write none.  Last, it runs the tier-1 tests once per tree and
+keeps their passed and failed counts.
 ``--pair`` records two trees in one interleaved sequence: for each workload
 and seed, and for each round of criterion or request timings, it runs both
 trees back to back, the parent first at the first seed and round and then
 each tree first in turn (parent, change, change, parent, ...), so that
-drift of the host falls on both records alike, and it warns when only one
-tree holds bytecode caches under src/.  Each record holds only its own
+drift of the host falls on both records alike (the cold starts alternate
+request by request), and it warns when only one tree holds bytecode
+caches under src/.  Each record holds only its own
 tree's runs, in the format of a single recording.  The record also
 names the machine, the Python and numpy versions, the commit, a digest of
 ``src/`` and its line count, in total and per module.  Comparing prints,
@@ -29,18 +37,21 @@ for every workload and metric, the ratio of the second record's median to
 the first's and whether the change stays inside the metric's BENCHMARK.json
 bound, then each workload's attempted and failed operations in both
 records; it exits 1 when a metric moves past its bound or a workload's
-failed share grows.  The criterion and request times have no bound: their
-ratios are printed after, and then the change in ``src/`` lines per module
-and in total, when both records count them.
+failed share grows.  The criterion and request times and the cold starts
+have no bound: their ratios are printed after, then the tier-1 counts and
+the change in ``src/`` lines per module and in total, when both records
+hold them.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -50,6 +61,26 @@ from pathlib import Path
 MIN_SEEDS = 5
 CRITERION_ROUNDS, CRITERION_PASSES = 3, 5
 QUERY_ROUNDS, QUERY_PASSES, QUERY_SEED = 3, 40, 1
+COLD_ROUNDS = 10
+# the smallest accepted request of each subcommand
+COLD_REQUESTS = {
+    "hodge": ["hodge", "--n", "3", "--d", "1"],
+    "metric": ["metric", "--family", "cone", "--points", "1"],
+    "slag": ["slag", "--resolution", "8"],
+    "transition": ["transition", "--h11", "0", "--h21", "0", "--N", "0", "--k", "0", "--c", "0"],
+    "dwork": ["dwork"],
+    "friedman": ["friedman", "--classes-json", "[[1]]"],
+    "verify-all": ["verify-all", "--fast", "--criteria", "C01"],
+}
+# what the conifold-lab console script runs
+SCRIPT = "import sys; from conifold_lab.cli import main; sys.exit(main())"
+# starts its arguments as a child and prints the child's exit code, wall seconds and own peak RSS (KiB)
+LAUNCHER = ("import json, os, subprocess, sys, time; start = time.perf_counter(); "
+            "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL); "
+            "_, status, usage = os.wait4(child.pid, 0); "
+            "print(json.dumps([os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss]))")
+# the ROADMAP's tier-1 command, run from the root of a tree with its src/ first on PYTHONPATH
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def quartiles(values: list[float]) -> dict:
@@ -221,6 +252,62 @@ def compare_criteria(before: dict, after: dict) -> list[tuple[str, float, float]
     return compare_timings(before, after, "criteria")
 
 
+def cold_start(root: Path, argv: list[str]) -> tuple[float, float]:
+    """Wall seconds and peak RSS (MB) of one request in a fresh interpreter
+    on the tree at root, which writes no bytecode; a request that does not
+    exit 0 raises."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-c", SCRIPT, *argv], cwd=root, env=env,
+                          capture_output=True, text=True, check=True)
+    code, seconds, maxrss_kib = json.loads(proc.stdout)
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited with status {code} on {root}")
+    return seconds, maxrss_kib / 1024
+
+
+def cold_start_table(roots: list[Path], rounds: int) -> list[dict]:
+    """Per tree, each COLD_REQUESTS request's wall seconds and peak RSS over
+    rounds cold starts, median and [q1, q3] beside the samples.  The trees
+    take turns to go first, request by request."""
+    caches = [bytecode_caches(root) for root in roots]
+    samples = [{name: {"seconds": [], "peak_rss_mb": []} for name in COLD_REQUESTS} for _ in roots]
+    for turn, (_, (name, argv)) in enumerate(itertools.product(range(rounds), COLD_REQUESTS.items())):
+        for root, tree in in_turn(list(zip(roots, samples)), turn):
+            seconds, rss = cold_start(root, argv)
+            tree[name]["seconds"].append(seconds)
+            tree[name]["peak_rss_mb"].append(rss)
+    return [{"rounds": rounds, "bytecode_caches": cached, "requests": COLD_REQUESTS,
+             "seconds": {name: quartiles(s["seconds"]) for name, s in tree.items()},
+             "peak_rss_mb": {name: quartiles(s["peak_rss_mb"]) for name, s in tree.items()}, "samples": tree}
+            for cached, tree in zip(caches, samples)]
+
+
+def compare_cold_start(before: dict, after: dict) -> list[tuple[str, float, float, float, float]]:
+    """Each request cold-started in both records: its median seconds and
+    peak RSS in MB in the first and in the second."""
+    old, new = (rec.get("cold_start", {}) for rec in (before, after))
+    return [(name, old["seconds"][name]["median"], new["seconds"][name]["median"],
+             old["peak_rss_mb"][name]["median"], new["peak_rss_mb"][name]["median"])
+            for name in old.get("seconds", {}) if name in new.get("seconds", {})]
+
+
+def tier1_counts(root: Path) -> dict:
+    """The passed and failed counts of one run of the tier-1 tests in the tree
+    at root (errors count as failed), from pytest's summary line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True, check=False)
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", summary)}
+    return {"command": " ".join(["python", *TIER1]), "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0), "summary": summary}
+
+
+def in_turn(items: list, turn: int) -> list:
+    """items in order on an even turn and reversed on an odd one."""
+    return items if turn % 2 == 0 else items[::-1]
+
+
 def bytecode_caches(root: Path) -> bool:
     """Whether the tree at root holds a ``__pycache__`` directory under src/."""
     return any(path.is_dir() for path in (root / "src").rglob("__pycache__"))
@@ -280,13 +367,11 @@ def record(roots: list[Path], seeds: list[int]) -> list[dict]:
     for its run_seconds, on every tree back to back, after CRITERION_ROUNDS
     rounds of criterion timings taken the same way, and summarize one record
     per tree.  The trees take turns to go first (1 2, 2 1, 1 2, ... over the
-    seeds and over the rounds).  Each run's metrics also go to stderr as it
-    ends."""
+    seeds and over the rounds), and so do they after the request timings in
+    the cold-start table; each tree's tier-1 counts come last.  Each run's
+    metrics also go to stderr as it ends."""
     spec = json.loads((roots[0] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics, seconds = [m["name"] for m in spec["end_to_end"]], spec["run_seconds"]
-    def in_turn(items, turn):
-        return items if turn % 2 == 0 else items[::-1]
-
     timings, queries = [[] for _ in roots], [[] for _ in roots]
     for turn in range(CRITERION_ROUNDS):
         for root, rounds in in_turn(list(zip(roots, timings)), turn):
@@ -294,9 +379,11 @@ def record(roots: list[Path], seeds: list[int]) -> list[dict]:
     for turn in range(QUERY_ROUNDS):
         for root, rounds in in_turn(list(zip(roots, queries)), turn):
             rounds.append(run_query_timings(root, QUERY_PASSES))
+    cold_starts = cold_start_table(roots, COLD_ROUNDS)
     results = [{"machine": machine(), "source": source_facts(root), "seeds": seeds, "seconds": seconds,
-                "criteria": merged_timings(rounds), "queries": merged_timings(query_rounds), "workloads": {}}
-               for root, rounds, query_rounds in zip(roots, timings, queries)]
+                "criteria": merged_timings(rounds), "queries": merged_timings(query_rounds), "cold_start": cold,
+                "workloads": {}}
+               for root, rounds, query_rounds, cold in zip(roots, timings, queries, cold_starts)]
     for workload in (w["name"] for w in spec["workloads"]):
         runs = [[] for _ in roots]
         for turn, seed in enumerate(seeds):
@@ -307,6 +394,8 @@ def record(roots: list[Path], seeds: list[int]) -> list[dict]:
                       file=sys.stderr)
         for result, tree_runs in zip(results, runs):
             result["workloads"][workload] = summarize(tree_runs, metrics)
+    for root, result in zip(roots, results):
+        result["tier1"] = tier1_counts(root)
     return results
 
 
@@ -339,6 +428,15 @@ def main(argv=None) -> int:
             print(f"criterion {cid}    {old * 1e3:9.3f} ms -> {new * 1e3:9.3f} ms  x{new / old:.3f}")
         for kind, old, new in compare_timings(before, after, "queries"):
             print(f"queries {kind:10s} {old * 1e3:9.3f} ms -> {new * 1e3:9.3f} ms  x{new / old:.3f} per round")
+        for name, old, new, old_mb, new_mb in compare_cold_start(before, after):
+            print(f"cold start {name:10s} {old * 1e3:7.1f} ms -> {new * 1e3:7.1f} ms  x{new / old:.3f}   "
+                  f"peak RSS {old_mb:6.1f} MB -> {new_mb:6.1f} MB  x{new_mb / old_mb:.3f}")
+        caches = [rec.get("cold_start", {}).get("bytecode_caches") for rec in (before, after)]
+        if None not in caches and caches[0] != caches[1]:
+            print(f"cold start bytecode caches under src/: {caches[0]} -> {caches[1]}, compared with the code")
+        if "tier1" in before and "tier1" in after:
+            old, new = before["tier1"], after["tier1"]
+            print(f"tier-1     passed {old['passed']} -> {new['passed']}, failed {old['failed']} -> {new['failed']}")
         for module, old, new in compare_source_lines(before, after):
             print(f"src {module:30s} {old:6d} -> {new:6d}  {new - old:+d} lines")
         return 0 if all(row["inside"] for row in rows + failures) else 1

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from conifold_lab import conifold, hodge, metrics, slag, transitions
+from conifold_lab.checks import CONVERGENCE_ANNULUS, MA_RESIDUAL_GATE, ODE_RESIDUAL_GATE, PERIOD_ERROR_GATE, Checks
 
 
 @dataclass
@@ -66,56 +67,6 @@ class CriterionResult:
         return f"{self.cid} {status} [{self.elapsed:6.2f}s] {self.title}"
 
 
-class Checks:
-    """Named checks, kept in the order they were made.  Criteria read the
-    `details` and `failures` views; command-line reports read `items`."""
-
-    def __init__(self) -> None:
-        self._checks: list[tuple[str, bool, str, dict]] = []  # name, passed, failure, detail
-
-    def _add(self, name: str, passed, failure: str, **detail) -> None:
-        self._checks.append((name, bool(passed), failure, detail))
-
-    def le(self, name: str, measured, bound) -> None:
-        """Passes when measured <= bound; a NaN measurement fails."""
-        failure = f"{name}: {measured!r} > {bound!r}"
-        self._add(name, measured <= bound, failure, measured=measured, tolerance=bound)
-
-    def true(self, name: str, condition, measured=None) -> None:
-        measured = bool(condition) if measured is None else measured
-        self._add(name, condition, f"{name}: expected true", measured=measured)
-
-    def equal(self, name: str, measured, expected) -> None:
-        failure = f"{name}: {measured!r} != {expected!r}"
-        self._add(name, measured == expected, failure, measured=measured, expected=expected)
-
-    def decreasing(self, name: str, values, measured=None) -> None:
-        """Passes when each value is below the one before it (a NaN fails); measured defaults to the values."""
-        values = list(values)
-        self.true(name, all(b < a for a, b in zip(values, values[1:])), values if measured is None else measured)
-
-    def note(self, name: str, measured) -> None:
-        """Record a measurement that has no pass condition."""
-        self._add(name, True, "", measured=measured)
-
-    @property
-    def details(self) -> dict:
-        return {name: detail for name, _, _, detail in self._checks}
-
-    @property
-    def failures(self) -> list[str]:
-        return [failure for _, passed, failure, _ in self._checks if not passed]
-
-    @property
-    def items(self) -> list[dict]:
-        return [{"name": name, "passed": passed, "tolerance": detail.get("tolerance"),
-                 "measured": detail["measured"]} for name, passed, _, detail in self._checks]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(passed for _, passed, _, _ in self._checks)
-
-
 def sample_fiber_points(t: complex, taus, rng: np.random.Generator) -> conifold.FiberPoint:
     """Generic points of V_t at prescribed radii, one FiberPoint stack: real
     rotations of the normal form preserve the fiber equation and the radius
@@ -147,11 +98,6 @@ def sample_resolved_points(radii, rng: np.random.Generator) -> tuple[np.ndarray,
 
 # ---------------------------------------------------------------------------
 # criteria
-
-# C03's gates on the ODE and Monge-Ampere residuals, C07's on the period's relative error and
-# the tau annulus of C06's sups; the metric and slag subcommands default to the same values
-ODE_RESIDUAL_GATE, MA_RESIDUAL_GATE, PERIOD_ERROR_GATE = 1e-8, 1e-7, 1e-4
-CONVERGENCE_ANNULUS = (1.0, 10.0)
 
 
 def criterion_01(profile: Profile) -> tuple[str, float, Checks]:
@@ -315,10 +261,10 @@ def criterion_09(profile: Profile) -> tuple[str, float, Checks]:
 
 def criterion_10(profile: Profile) -> tuple[str, float, Checks]:
     chk = Checks()
-    catalog = transitions.example_catalog()
+    catalog = hodge.example_catalog()
     chk.equal("catalog_size", len(catalog), 4)
     for rec in catalog:
-        rebuilt = transitions.apply_topology_change(
+        rebuilt = hodge.apply_topology_change(
             rec.hodge_before[0],
             rec.hodge_before[1],
             rec.betti_before,
@@ -330,7 +276,7 @@ def criterion_10(profile: Profile) -> tuple[str, float, Checks]:
                   (rec.hodge_after, rec.betti_after))
         chk.equal(
             f"{rec.name}_counts",
-            transitions.infer_counts(rec.hodge_before, rec.hodge_after, rec.N),
+            hodge.infer_counts(rec.hodge_before, rec.hodge_after, rec.N),
             (rec.k, rec.c),
         )
         chk.equal(f"{rec.name}_split", rec.N, rec.k + rec.c)

@@ -21,11 +21,8 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from conifold_lab import acceptance, hodge, metrics, slag, transitions
-from conifold_lab.acceptance import Checks
-from conifold_lab.transitions import InputError, abbreviated, require_within
+from conifold_lab import checks, hodge
+from conifold_lab.checks import Checks, InputError, abbreviated, require_within
 
 SCHEMA_VERSION = 1
 
@@ -163,6 +160,8 @@ METRIC_HEADER = ["family", "param", "tau", "f", "fp", "fpp", "ode_residual", "ma
 
 def _cmd_metric(args) -> int:
     require_within("the number of grid points", args.points, MIN_POINTS, MAX_POINTS, "points")
+    import numpy as np
+    from conifold_lab import metrics
     family = metrics.PotentialFamily(args.family, _parse_complex(args.t) if args.family == "smoothed" else 0.0, args.a)
     families = [family]
     if args.sweep == "convergence":
@@ -228,6 +227,7 @@ TAU_UNITS = {"smoothed": "|t|", "resolved": "a^3"}
 
 
 def _check_tau_window(family: metrics.PotentialFamily, lo: float, hi: float) -> None:
+    from conifold_lab import metrics
     wlo, whi = family.tau_window()
     if not (wlo <= lo and hi <= whi):
         window = f"[{wlo!r}, {whi!r}]"
@@ -239,7 +239,7 @@ def _check_tau_window(family: metrics.PotentialFamily, lo: float, hi: float) -> 
 def _default_tau_grid(family: metrics.PotentialFamily, sweep: str) -> tuple[float, float]:
     """The (tau-min, tau-max) a sweep takes when the flags are not given."""
     if sweep == "convergence":
-        return acceptance.CONVERGENCE_ANNULUS
+        return checks.CONVERGENCE_ANNULUS
     scale = max(family.scale, 1.0)
     if sweep == "deviation":
         return 100.0 * scale, 1e6 * scale
@@ -249,6 +249,7 @@ def _default_tau_grid(family: metrics.PotentialFamily, sweep: str) -> tuple[floa
 
 def _cmd_slag(args) -> int:
     t = _parse_complex(args.t)
+    from conifold_lab import slag
     value, rel_error = slag.cycle_period(t, args.resolution)
     exact = slag.exact_cycle_integral(t)
     results = {
@@ -273,7 +274,7 @@ def _cmd_transition(args) -> int:
                          "betti") from None
     assertions = Checks()
     if args.catalog:
-        catalog = transitions.example_catalog()
+        catalog = hodge.example_catalog()
         for rec in catalog:
             assertions.true(f"{rec.name}_split", rec.N == rec.k + rec.c, rec.N)
         results = {"catalog": [vars(rec) for rec in catalog]}
@@ -281,8 +282,8 @@ def _cmd_transition(args) -> int:
     missing = [k for k in ("h11", "h21", "N", "k", "c") if getattr(args, k) is None]
     if missing:
         raise InputError("required unless --catalog is given", *missing)
-    record = transitions.apply_topology_change(args.h11, args.h21, (b1, b2, b3), N=args.N, k=args.k, c=args.c)
-    k, c = transitions.infer_counts(record.hodge_before, record.hodge_after, record.N)
+    record = hodge.apply_topology_change(args.h11, args.h21, (b1, b2, b3), N=args.N, k=args.k, c=args.c)
+    k, c = hodge.infer_counts(record.hodge_before, record.hodge_after, record.N)
     assertions.true("round_trip", (k, c) == (record.k, record.c), [k, c])
     return _emit_report(args, vars(record), assertions)
 
@@ -290,6 +291,8 @@ def _cmd_transition(args) -> int:
 def _cmd_dwork(args) -> int:
     require_within("the number of smooth points", args.smooth_points, MIN_SMOOTH_POINTS, MAX_SMOOTH_POINTS,
                    "smooth_points")
+    import numpy as np
+    from conifold_lab import transitions
     assertions = Checks()
     exps = transitions.dwork_exponents()
     poly = transitions.DworkQuintic()
@@ -377,6 +380,7 @@ def _class_matrix(args) -> transitions.ClassMatrix:
         for entry in (x for row in rows for x in row if isinstance(x, str)):
             if _text_digits(entry) > MAX_ENTRY_DIGITS:
                 raise ValueError(f"entry {abbreviated(repr(entry))} has more than {MAX_ENTRY_DIGITS} digits")
+        from conifold_lab import transitions
         matrix = transitions.ClassMatrix(rows)
         limit = 10**MAX_ENTRY_DIGITS
         if max(map(max, matrix.rows)) >= limit or min(map(min, matrix.rows)) <= -limit:
@@ -393,6 +397,7 @@ def _class_matrix(args) -> transitions.ClassMatrix:
 
 def _cmd_friedman(args) -> int:
     matrix = _class_matrix(args)
+    from conifold_lab import transitions
     witness = transitions.friedman_witness(matrix)
     assertions = Checks()
     results = {
@@ -407,6 +412,7 @@ def _cmd_friedman(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    from conifold_lab import acceptance
     profile = acceptance.Profile.fast(args.seed) if args.fast else acceptance.Profile.full(args.seed)
     only = None if args.criteria is None else args.criteria.split(",")
     for i, cid in enumerate(only or []):
@@ -450,8 +456,8 @@ def _integer(text: str, nonnegative: bool = False) -> int:
 
 
 # The --tol names each subcommand reads, with their defaults; the others read none.
-TOLERANCES = {"metric": {"ode": acceptance.ODE_RESIDUAL_GATE, "ma": acceptance.MA_RESIDUAL_GATE},
-              "slag": {"slag": acceptance.PERIOD_ERROR_GATE}}
+TOLERANCES = {"metric": {"ode": checks.ODE_RESIDUAL_GATE, "ma": checks.MA_RESIDUAL_GATE},
+              "slag": {"slag": checks.PERIOD_ERROR_GATE}}
 
 
 def _tolerance(args, name: str) -> float:

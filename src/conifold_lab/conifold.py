@@ -36,12 +36,24 @@ import numpy as np
 
 from conifold_lab import exterior
 from conifold_lab.exterior import evaluate
-from conifold_lab.transitions import _product
 
 CHART_MARGIN_FACTOR = 0.25  # chart j usable iff |z_j| >= CHART_MARGIN_FACTOR * ||z||
 
 # row j - 1: the columns of chart j's basis 3-form, the complement of j in increasing order
 CHART_COMPLEMENT = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _product(*factors):
+    """The product of complex arrays (or scalars), taken left to right and
+    rounded as numpy's scalar complex product rounds it, with real and
+    imaginary parts (ar br - ai bi, ar bi + ai br).  The array product a * b
+    is vectorised with fused multiply-adds and can differ in the last bit."""
+    out = factors[0]
+    for b in factors[1:]:
+        a, out = out, np.empty(np.broadcast(out, b).shape, dtype=complex)
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exact Hodge diamonds of smooth projective hypersurfaces.
+"""Exact Hodge diamonds of smooth projective hypersurfaces, and the
+Hodge/Betti bookkeeping of a conifold transition.
 
 Everything here is integer arithmetic.  The only inputs are the ambient
 projective dimension n and the degree d of a smooth hypersurface
@@ -13,6 +14,10 @@ Smoothness of X is assumed, not checked: the formula is valid for any
 (n, d) but only computes Hodge numbers of an actual manifold when the
 hypersurface is smooth.  n and d are bounded (MAX_DIMENSION, MAX_DEGREE)
 so that the largest diamond takes well under a second.
+
+A transition contracts N rigid rational curves whose classes span rank k and
+smooths the N nodes (vanishing cycles of rank c = N - k): (h11, h21) ->
+(h11 - k, h21 + c), b2 -> b2 - k, b3 -> b3 + 2c.  Four worked examples ship.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from conifold_lab.transitions import require_within
+from conifold_lab.checks import InputError, abbreviated, require_within
 
 # The diamond costs about n^2 / 2 chained binomial steps on (n log2(n d))-bit
 # integers: n = 200, d = 300 takes about 30 ms on a 2-vCPU Xeon guest.
@@ -158,3 +163,89 @@ def moduli_dimension(n: int, d: int) -> int:
     """Dimension of the space of degree-d hypersurfaces in P^n modulo scaling
     and projective automorphisms: C(n+d, d) - 1 - ((n+1)^2 - 1)."""
     return math.comb(n + d, d) - 1 - ((n + 1) ** 2 - 1)
+
+
+# ---------------------------------------------------------------------------
+# topology change arithmetic
+
+
+def euler_characteristic_from_betti(betti) -> int:
+    """Topological Euler characteristic of a closed oriented 6-manifold from
+    (b1, b2, b3), using b0 = b6 = 1, b4 = b2, b5 = b1."""
+    b1, b2, b3 = betti
+    return 2 - 2 * b1 + 2 * b2 - b3
+
+
+@dataclass
+class TransitionRecord:
+    """Before/after topology of one conifold transition."""
+
+    name: str
+    N: int
+    k: int
+    c: int
+    hodge_before: tuple[int, int]  # (h11, h21)
+    hodge_after: tuple[int, int]
+    betti_before: tuple[int, int, int]  # (b1, b2, b3)
+    betti_after: tuple[int, int, int]
+    note: str = ""
+
+    def euler_drop(self) -> int:
+        return euler_characteristic_from_betti(self.betti_before) - euler_characteristic_from_betti(self.betti_after)
+
+
+def apply_topology_change(h11: int, h21: int, betti, N: int, k: int, c: int, name: str = "",
+                          note: str = "") -> TransitionRecord:
+    """Forward bookkeeping for contracting k independent curve classes among N
+    curves and smoothing: h11 drops by k, h21 grows by c, b2 drops by k, b3
+    grows by 2c, b1 is unchanged."""
+    b1, b2, b3 = betti
+    inputs = {"h11": h11, "h21": h21, "b1": b1, "b2": b2, "b3": b3, "k": k, "c": c}
+    negative = {name: value for name, value in inputs.items() if value < 0}
+    if negative:
+        got = ", ".join(f"{name}={abbreviated(str(value))}" for name, value in negative.items())
+        raise InputError(f"inputs must be nonnegative, got {got}", *negative)
+    if N != k + c:
+        raise InputError(f"node count must split: N={abbreviated(str(N))}, k+c={abbreviated(str(k + c))}", "N")
+    for flag, value, kind in (("h11", h11, "Hodge"), ("b2", b2, "Betti")):
+        if value < k:
+            raise InputError(f"{flag}={abbreviated(str(value))} < k={abbreviated(str(k))}: "
+                                   f"contraction would leave a negative {kind} number", flag, "k")
+    return TransitionRecord(name=name, N=N, k=k, c=c, hodge_before=(h11, h21), hodge_after=(h11 - k, h21 + c),
+                            betti_before=(b1, b2, b3), betti_after=(b1, b2 - k, b3 + 2 * c), note=note)
+
+
+def infer_counts(h_before, h_after, N: int) -> tuple[int, int]:
+    """Invert the Hodge bookkeeping: k from the h11 drop, c from the h21 rise;
+    they must sum to the node count."""
+    k = h_before[0] - h_after[0]
+    if k < 0:
+        raise ValueError(f"violated: h11_before - h11_after >= 0 (got {k})")
+    c = h_after[1] - h_before[1]
+    if c < 0:
+        raise ValueError(f"violated: h21_after - h21_before >= 0 (got {c})")
+    if N != k + c:
+        raise ValueError(f"violated: N = k + c (N={N}, k={k}, c={c})")
+    return k, c
+
+
+def example_catalog() -> list[TransitionRecord]:
+    """The four classical worked transitions with full before/after topology.
+
+    The generic nodal quintic is recorded in the resolution -> smoothing
+    direction with its single exceptional curve homologically trivial
+    (k = 0, c = 1); the interesting reading is the reverse one, where the
+    small resolution of a one-node quintic degeneration cannot be Kaehler.
+    """
+    return [
+        apply_topology_change(1, 100, (0, 1, 202), N=1, k=0, c=1, name="generic_nodal_quintic",
+                              note="Reverse-direction reading: the single exceptional curve is "
+                                   "homologically trivial, so the small resolution is non-Kaehler."),
+        apply_topology_change(25, 0, (0, 25, 2), N=125, k=24, c=101, name="schoen_quintic_resolution",
+                              note="Rigid projective small resolution of the 125-node quintic."),
+        apply_topology_change(101, 0, (0, 101, 2), N=1, k=0, c=1, name="mirror_quintic",
+                              note="Rigid non-Kaehler resolution of the one-node mirror-quintic degeneration."),
+        apply_topology_change(14, 23, (0, 14, 48), N=15, k=14, c=1, name="tian_yau",
+                              note="Fifteen curves spanning rank 14; the smoothing is a connected sum "
+                                   "of 25 copies of S^3 x S^3."),
+    ]

@@ -47,8 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from conifold_lab.checks import InputError, require_within
 from conifold_lab.conifold import CHART_COMPLEMENT, FiberPoint, _require, on_fiber
-from conifold_lab.transitions import InputError, require_within
 
 ODE_CONSTANT = 2.0 / 3.0
 

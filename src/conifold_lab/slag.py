@@ -43,8 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from conifold_lab.checks import InputError, abbreviated, require_within
 from conifold_lab.conifold import CHART_COMPLEMENT, _require
-from conifold_lab.transitions import InputError, abbreviated, require_within
 
 SPHERE_VOLUME = 2.0 * math.pi**2
 

@@ -1,12 +1,4 @@
-"""Topology bookkeeping for conifold transitions and nodal-quintic certification.
-
-Three independent pieces of machinery live here.
-
-* Exact Betti/Hodge accounting: contracting N disjoint rigid rational
-  curves whose classes span a rank-k subspace and smoothing the resulting
-  nodes (vanishing cycles spanning rank c) changes
-  (h11, h21) -> (h11 - k, h21 + c), b2 -> b2 - k, b3 -> b3 + 2c, with
-  N = k + c.  The four classical worked examples ship as a catalog.
+"""The smoothability criterion and the nodal quintic's certificate: two independent pieces of machinery.
 
 * The first-order smoothability criterion: the nodal variety smooths to
   first order iff some combination sum lambda_i [C_i] = 0 has every
@@ -38,29 +30,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from conifold_lab.checks import abbreviated
+from conifold_lab.conifold import _product
+
 # ---------------------------------------------------------------------------
 # the smoothability criterion
-
-
-def abbreviated(text: str) -> str:
-    """A value's text as a refusal quotes it: whole up to 32 characters,
-    otherwise its first 8 characters and its length, so that no input makes
-    a long message."""
-    return text if len(text) <= 32 else f"{text[:8]}... ({len(text)} characters)"
-
-
-class InputError(ValueError):
-    """A refusal of a caller's input; names holds the parameters it quotes."""
-
-    def __init__(self, message: str, *names: str):
-        super().__init__(message)
-        self.names = names
-
-
-def require_within(what: str, value, lo, hi, *names: str) -> None:
-    """Refuse value outside [lo, hi] (NaN too) as an InputError naming names."""
-    if not lo <= value <= hi:
-        raise InputError(f"{what} must lie in [{lo!r}, {hi!r}], got {abbreviated(repr(value))}", *names)
 
 
 def _as_exact(value) -> int | Fraction:
@@ -280,138 +254,6 @@ def friedman_witness(classes: ClassMatrix):
 
 
 # ---------------------------------------------------------------------------
-# topology change arithmetic
-
-
-def euler_characteristic_from_betti(betti) -> int:
-    """Topological Euler characteristic of a closed oriented 6-manifold from
-    (b1, b2, b3), using b0 = b6 = 1, b4 = b2, b5 = b1."""
-    b1, b2, b3 = betti
-    return 2 - 2 * b1 + 2 * b2 - b3
-
-
-@dataclass
-class TransitionRecord:
-    """Before/after topology of one conifold transition."""
-
-    name: str
-    N: int
-    k: int
-    c: int
-    hodge_before: tuple[int, int]  # (h11, h21)
-    hodge_after: tuple[int, int]
-    betti_before: tuple[int, int, int]  # (b1, b2, b3)
-    betti_after: tuple[int, int, int]
-    note: str = ""
-
-    def euler_drop(self) -> int:
-        return euler_characteristic_from_betti(self.betti_before) - euler_characteristic_from_betti(
-            self.betti_after
-        )
-
-
-def apply_topology_change(
-    h11: int, h21: int, betti, N: int, k: int, c: int, name: str = "", note: str = ""
-) -> TransitionRecord:
-    """Forward bookkeeping for contracting k independent curve classes among N
-    curves and smoothing: h11 drops by k, h21 grows by c, b2 drops by k, b3
-    grows by 2c, b1 is unchanged."""
-    b1, b2, b3 = betti
-    inputs = {"h11": h11, "h21": h21, "b1": b1, "b2": b2, "b3": b3, "k": k, "c": c}
-    negative = {name: value for name, value in inputs.items() if value < 0}
-    if negative:
-        got = ", ".join(f"{name}={abbreviated(str(value))}" for name, value in negative.items())
-        raise InputError(f"inputs must be nonnegative, got {got}", *negative)
-    if N != k + c:
-        raise InputError(f"node count must split: N={abbreviated(str(N))}, k+c={abbreviated(str(k + c))}", "N")
-    for flag, value, kind in (("h11", h11, "Hodge"), ("b2", b2, "Betti")):
-        if value < k:
-            raise InputError(f"{flag}={abbreviated(str(value))} < k={abbreviated(str(k))}: "
-                                   f"contraction would leave a negative {kind} number", flag, "k")
-    return TransitionRecord(
-        name=name,
-        N=N,
-        k=k,
-        c=c,
-        hodge_before=(h11, h21),
-        hodge_after=(h11 - k, h21 + c),
-        betti_before=(b1, b2, b3),
-        betti_after=(b1, b2 - k, b3 + 2 * c),
-        note=note,
-    )
-
-
-def infer_counts(h_before, h_after, N: int) -> tuple[int, int]:
-    """Invert the Hodge bookkeeping: k from the h11 drop, c from the h21 rise;
-    they must sum to the node count."""
-    k = h_before[0] - h_after[0]
-    if k < 0:
-        raise ValueError(f"violated: h11_before - h11_after >= 0 (got {k})")
-    c = h_after[1] - h_before[1]
-    if c < 0:
-        raise ValueError(f"violated: h21_after - h21_before >= 0 (got {c})")
-    if N != k + c:
-        raise ValueError(f"violated: N = k + c (N={N}, k={k}, c={c})")
-    return k, c
-
-
-def example_catalog() -> list[TransitionRecord]:
-    """The four classical worked transitions with full before/after topology.
-
-    The generic nodal quintic is recorded in the resolution -> smoothing
-    direction with its single exceptional curve homologically trivial
-    (k = 0, c = 1); the interesting reading is the reverse one, where the
-    small resolution of a one-node quintic degeneration cannot be Kaehler.
-    """
-    return [
-        apply_topology_change(
-            1,
-            100,
-            (0, 1, 202),
-            N=1,
-            k=0,
-            c=1,
-            name="generic_nodal_quintic",
-            note=(
-                "Reverse-direction reading: the single exceptional curve is "
-                "homologically trivial, so the small resolution is non-Kaehler."
-            ),
-        ),
-        apply_topology_change(
-            25,
-            0,
-            (0, 25, 2),
-            N=125,
-            k=24,
-            c=101,
-            name="schoen_quintic_resolution",
-            note="Rigid projective small resolution of the 125-node quintic.",
-        ),
-        apply_topology_change(
-            101,
-            0,
-            (0, 101, 2),
-            N=1,
-            k=0,
-            c=1,
-            name="mirror_quintic",
-            note="Rigid non-Kaehler resolution of the one-node mirror-quintic degeneration.",
-        ),
-        apply_topology_change(
-            14,
-            23,
-            (0, 14, 48),
-            N=15,
-            k=14,
-            c=1,
-            name="tian_yau",
-            note="Fifteen curves spanning rank 14; the smoothing is a connected sum "
-            "of 25 copies of S^3 x S^3.",
-        ),
-    ]
-
-
-# ---------------------------------------------------------------------------
 # the nodal quintic pencil member
 
 
@@ -456,19 +298,6 @@ def dwork_exact_check(exps) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the quintic in the chart Z_0 = 1 and the double-point certificate
-
-
-def _product(*factors):
-    """The product of complex arrays (or scalars), taken left to right and
-    rounded as numpy's scalar complex product rounds it, with real and
-    imaginary parts (ar br - ai bi, ar bi + ai br).  The array product a * b
-    is vectorised with fused multiply-adds and can differ in the last bit."""
-    out = factors[0]
-    for b in factors[1:]:
-        a, out = out, np.empty(np.broadcast(out, b).shape, dtype=complex)
-        out.real = a.real * b.real - a.imag * b.imag
-        out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 class DworkQuintic:

@@ -10,7 +10,8 @@ import math
 
 import pytest
 
-from conifold_lab.acceptance import CRITERIA, Checks, Profile, run_criteria, run_criterion
+from conifold_lab.acceptance import CRITERIA, Profile, run_criteria, run_criterion
+from conifold_lab.checks import Checks
 
 FULL = Profile.full(seed=0)
 

@@ -246,7 +246,13 @@ class TestPair:
             return {"passes": passes, "seed": 1, "kernel": "fraction", "requests": {"hodge": 7},
                     "samples": samples, "seconds": {"hodge": record.quartiles(samples["hodge"])}}
 
-        self.queried = []
+        def cold_start(root, argv):
+            self.started.append((root.name, argv[0]))
+            return float(len(self.started)), 10.0 * (root.name == "change") + 20.0
+
+        self.queried, self.started = [], []
+        monkeypatch.setattr(record, "cold_start", cold_start)
+        monkeypatch.setattr(record, "tier1_counts", lambda root: {"passed": len(root.name), "failed": 0})
         monkeypatch.setattr(record, "run_benchmark", run_benchmark)
         monkeypatch.setattr(record, "run_criterion_timings", run_criterion_timings)
         monkeypatch.setattr(record, "run_query_timings", run_query_timings)
@@ -294,6 +300,27 @@ class TestPair:
             assert rec["queries"]["passes"] == record.QUERY_ROUNDS * record.QUERY_PASSES
             assert rec["queries"]["samples"]["hodge"] == [float(i) for i in timed for _ in range(record.QUERY_PASSES)]
             assert rec["queries"]["requests"] == {"hodge": 7}
+
+    def test_cold_starts_alternate_request_by_request_and_tier1_counts_stay_with_their_tree(self, monkeypatch,
+                                                                                            tmp_path):
+        """The synthetic cold starts take the call count for seconds and a
+        peak RSS of 20 MB (parent) or 30 MB (change)."""
+        roots, _ = self._record_pair(monkeypatch, tmp_path)
+        records = record.record(roots, [1, 2, 3, 4, 5])
+        requests = list(record.COLD_REQUESTS)
+        turns = [(name, tree) for turn, name in enumerate(requests * record.COLD_ROUNDS)
+                 for tree in (("parent", "change") if turn % 2 == 0 else ("change", "parent"))]
+        assert self.started == [(tree, record.COLD_REQUESTS[name][0]) for name, tree in turns]
+        for tree, rec in zip(("parent", "change"), records):
+            cold = rec["cold_start"]
+            assert (cold["rounds"], cold["bytecode_caches"], cold["requests"]) == (
+                record.COLD_ROUNDS, False, record.COLD_REQUESTS)
+            for name in requests:
+                calls = [float(i + 1) for i, turn in enumerate(turns) if turn == (name, tree)]
+                assert cold["samples"][name]["seconds"] == calls
+                assert cold["seconds"][name] == record.quartiles(calls)
+                assert cold["peak_rss_mb"][name]["median"] == (30.0 if tree == "change" else 20.0)
+            assert rec["tier1"] == {"passed": len(tree), "failed": 0}
 
     def test_pair_command_writes_both_records(self, monkeypatch, tmp_path):
         roots, calls = self._record_pair(monkeypatch, tmp_path)
@@ -374,3 +401,58 @@ class TestQueryTimings:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(METRICS) + 2
         assert lines[-1].split() == ["queries", "hodge", "8.000", "ms", "->", "2.000", "ms", "x0.250", "per", "round"]
+
+
+class TestColdStart:
+    def test_every_request_starts_in_a_fresh_interpreter(self):
+        for name, argv in record.COLD_REQUESTS.items():
+            seconds, peak_mb = record.cold_start(ROOT, argv)
+            assert 0.0 < seconds < 30.0 and 1.0 < peak_mb < 500.0, name
+
+    def test_a_refused_request_raises(self):
+        with pytest.raises(RuntimeError, match="hodge --n 2 --d 5 exited with status 2"):
+            record.cold_start(ROOT, ["hodge", "--n", "2", "--d", "5"])
+
+    def test_peak_rss_tells_a_request_that_loads_numpy(self):
+        """dwork loads numpy and hodge does not: the peak RSS of the child,
+        not of its launcher, tells them apart."""
+        hodge = max(record.cold_start(ROOT, record.COLD_REQUESTS["hodge"])[1] for _ in range(2))
+        dwork = min(record.cold_start(ROOT, record.COLD_REQUESTS["dwork"])[1] for _ in range(2))
+        assert hodge + 5.0 < dwork
+
+    def test_compare_prints_each_request_started_in_both_records(self, tmp_path, capsys):
+        def cold(cached, **medians):
+            return {"bytecode_caches": cached,
+                    "seconds": {name: {"median": s, "q1": s, "q3": s} for name, (s, _) in medians.items()},
+                    "peak_rss_mb": {name: {"median": m, "q1": m, "q3": m} for name, (_, m) in medians.items()}}
+
+        base = _record({"exact_queries": TestCompare.BASE})
+        before = dict(base, cold_start=cold(False, hodge=(0.2, 32.0), dwork=(0.2, 33.0)),
+                      tier1={"passed": 9, "failed": 1})
+        after = dict(base, cold_start=cold(True, hodge=(0.08, 16.0)), tier1={"passed": 10, "failed": 0})
+        assert record.compare_cold_start(before, after) == [("hodge", 0.2, 0.08, 32.0, 16.0)]
+        assert record.compare_cold_start(base, after) == []
+        paths = tmp_path / "before.json", tmp_path / "after.json"
+        for path, rec in zip(paths, (before, after)):
+            path.write_text(json.dumps(rec))
+        assert record.main(["--compare", *map(str, paths)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(METRICS) + 3
+        assert lines[-3].split() == ["cold", "start", "hodge", "200.0", "ms", "->", "80.0", "ms", "x0.400",
+                                     "peak", "RSS", "32.0", "MB", "->", "16.0", "MB", "x0.500"]
+        assert lines[-2].startswith("cold start bytecode caches under src/: False -> True")
+        assert lines[-1].split() == ["tier-1", "passed", "9", "->", "10,", "failed", "1", "->", "0"]
+
+
+class TestTier1:
+    def test_counts_of_a_synthetic_tree(self, tmp_path):
+        """Two tests pass, one fails and one module does not import: an
+        error counts as failed, and the run goes on past it."""
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_a.py").write_text("def test_a():\n    pass\n\n\ndef test_b():\n    pass\n\n\n"
+                                                     "def test_c():\n    assert 1 == 2\n")
+        (tmp_path / "tests" / "test_b.py").write_text("import a_module_that_does_not_exist\n")
+        counts = record.tier1_counts(tmp_path)
+        assert (counts["passed"], counts["failed"]) == (2, 2)
+        assert counts["command"] == "python -m pytest -q --continue-on-collection-errors"
+        assert "1 failed, 2 passed, 1 error" in counts["summary"]

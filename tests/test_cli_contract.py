@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conifold_lab import acceptance, cli, hodge, metrics, slag, transitions
+from conifold_lab import checks, cli, hodge, metrics, slag
 
 with resources.files("conifold_lab").joinpath("report.schema.json").open() as fh:
     REPORT_SCHEMA = json.load(fh)
@@ -482,11 +482,21 @@ def test_readme_flag_table_states_the_bounds():
         f"{lo} <= a <= {hi}",
         f"in {_window('cone')} for the cone, {_window('smoothed', modulus)} for the smoothing and "
         f"{_window('resolved', 'a^3')} for the resolution",
-        "`--sweep convergence` takes [{:g}, {:g}]".format(*acceptance.CONVERGENCE_ANNULUS),
-        f"`metric` reads `ode` (default {_e(acceptance.ODE_RESIDUAL_GATE)}) and "
-        f"`ma` ({_e(acceptance.MA_RESIDUAL_GATE)}), `slag` reads `slag` ({_e(acceptance.PERIOD_ERROR_GATE)})",
+        "`--sweep convergence` takes [{:g}, {:g}]".format(*checks.CONVERGENCE_ANNULUS),
+        f"`metric` reads `ode` (default {_e(checks.ODE_RESIDUAL_GATE)}) and "
+        f"`ma` ({_e(checks.MA_RESIDUAL_GATE)}), `slag` reads `slag` ({_e(checks.PERIOD_ERROR_GATE)})",
     ]
     assert [bound for bound in bounds if bound not in table] == []
+
+
+def test_readme_names_the_home_of_refusals_and_gates():
+    """README names the module that defines InputError, the one range check
+    and the --tol defaults, so a move of them edits README too."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    names = {"InputError": "`conifold_lab.checks.InputError(message, *names)`",
+             "require_within": "`checks.require_within`", "ODE_RESIDUAL_GATE": "(`checks.ODE_RESIDUAL_GATE`, "}
+    assert all(hasattr(checks, name) for name in names)
+    assert [text for text in names.values() if text not in readme] == []
 
 
 def _options(command):
@@ -512,10 +522,10 @@ LIBRARY_REFUSALS = [
     ("slag", slag.sample_vanishing_cycle, (math.inf, 32)),
     ("slag", slag.sample_vanishing_cycle, (1.0, 7)),
     ("slag", slag.check_resolution, (9,)),
-    ("transition", transitions.apply_topology_change, (-1, 0, (0, -1, 0), 1, 0, 1)),
-    ("transition", transitions.apply_topology_change, (1, 1, (0, 1, 2), 2, 0, 1)),
-    ("transition", transitions.apply_topology_change, (1, 1, (0, 5, 2), 2, 2, 0)),
-    ("transition", transitions.apply_topology_change, (5, 1, (0, 1, 2), 2, 2, 0)),
+    ("transition", hodge.apply_topology_change, (-1, 0, (0, -1, 0), 1, 0, 1)),
+    ("transition", hodge.apply_topology_change, (1, 1, (0, 1, 2), 2, 0, 1)),
+    ("transition", hodge.apply_topology_change, (1, 1, (0, 5, 2), 2, 2, 0)),
+    ("transition", hodge.apply_topology_change, (5, 1, (0, 1, 2), 2, 2, 0)),
 ]
 
 
@@ -525,7 +535,7 @@ def test_library_refusal_names_options_of_its_subcommand(command, refuse, args):
     """Every library refusal a request can reach is an InputError whose names
     cli.main prints as flags of that request's subcommand, so a renamed
     parameter cannot print a flag that does not exist."""
-    with pytest.raises(transitions.InputError) as refusal:
+    with pytest.raises(checks.InputError) as refusal:
         refuse(*args)
     assert refusal.value.names
     assert _flags(refusal.value.names) <= _options(command)

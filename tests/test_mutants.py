@@ -306,16 +306,16 @@ class TestC10:
     def test_third_betti_number_grows_by_c(self, monkeypatch):
         """b3 + c instead of b3 + 2c after the transition: the records still
         round-trip, but the Euler characteristic no longer drops by 2N."""
-        apply = transitions.apply_topology_change
+        apply = hodge.apply_topology_change
 
         def short_b3(*args, **kwargs):
             rec = apply(*args, **kwargs)
             b1, b2, b3 = rec.betti_after
             return dataclasses.replace(rec, betti_after=(b1, b2, b3 - rec.c))
 
-        monkeypatch.setattr(transitions, "apply_topology_change", short_b3)
+        monkeypatch.setattr(hodge, "apply_topology_change", short_b3)
         failures = {f.partition(":")[0] for f in _failures(criterion_10)}
-        assert failures == {f"{rec.name}_euler_drop" for rec in transitions.example_catalog()} | {"tian_yau_b3"}
+        assert failures == {f"{rec.name}_euler_drop" for rec in hodge.example_catalog()} | {"tian_yau_b3"}
 
 
 class TestC11:

@@ -60,3 +60,30 @@ def test_only_the_refusal_table_spells_an_exit_2_line(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str) and head.match(node.value)]
     assert lines == [], f"{path.name}: strings that lead with 'error: ' at lines {lines}"
+
+
+def _layer_imports(path) -> set:
+    """numpy, if the module imports it anywhere, and each package module it
+    imports anywhere, as 'numpy' and 'conifold_lab.<module>'."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "conifold_lab":
+            names |= {f"conifold_lab.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+    return {"numpy" if name.split(".")[0] == "numpy" else name for name in names
+            if name.split(".")[0] in ("numpy", "conifold_lab")}
+
+
+def test_the_import_graph_keeps_its_layers():
+    """checks and hodge import neither numpy nor another package module than
+    checks, so an exact request loads no numpy; conifold, below the solver,
+    imports nothing from transitions; and only cli and acceptance, which run
+    the solver and the quintic, import transitions."""
+    imports = {path.stem: _layer_imports(path) for path in SOURCES}
+    for module in ("checks", "hodge"):
+        assert imports[module] <= {"conifold_lab.checks"}, f"{module} imports {sorted(imports[module])}"
+    assert "conifold_lab.transitions" not in imports["conifold"]
+    assert {module for module, names in imports.items() if "conifold_lab.transitions" in names} == {"cli", "acceptance"}

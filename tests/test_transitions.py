@@ -21,19 +21,16 @@ from conifold_lab.acceptance import (
     exhaustive_friedman_agreement,
     feasibility_oracle,
 )
+from conifold_lab.hodge import apply_topology_change, euler_characteristic_from_betti, example_catalog, infer_counts
 from conifold_lab.transitions import (
     ClassMatrix,
     DworkQuintic,
     NotOnVarietyError,
-    apply_topology_change,
     dwork_exact_check,
     dwork_exponents,
     dwork_nodes,
-    euler_characteristic_from_betti,
-    example_catalog,
     friedman_witness,
     friedman_witnesses,
-    infer_counts,
     random_dwork_smooth_points,
     verify_odp,
     verify_odps,
