@@ -367,9 +367,9 @@ def record(roots: list[Path], seeds: list[int]) -> list[dict]:
     for its run_seconds, on every tree back to back, after CRITERION_ROUNDS
     rounds of criterion timings taken the same way, and summarize one record
     per tree.  The trees take turns to go first (1 2, 2 1, 1 2, ... over the
-    seeds and over the rounds), and so do they after the request timings in
-    the cold-start table; each tree's tier-1 counts come last.  Each run's
-    metrics also go to stderr as it ends."""
+    seeds and over the rounds, and request by request in the cold-start
+    table, which follows the request timings); each tree's tier-1 counts
+    come last.  Each run's metrics also go to stderr as it ends."""
     spec = json.loads((roots[0] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics, seconds = [m["name"] for m in spec["end_to_end"]], spec["run_seconds"]
     timings, queries = [[] for _ in roots], [[] for _ in roots]
@@ -433,7 +433,7 @@ def main(argv=None) -> int:
                   f"peak RSS {old_mb:6.1f} MB -> {new_mb:6.1f} MB  x{new_mb / old_mb:.3f}")
         caches = [rec.get("cold_start", {}).get("bytecode_caches") for rec in (before, after)]
         if None not in caches and caches[0] != caches[1]:
-            print(f"cold start bytecode caches under src/: {caches[0]} -> {caches[1]}, compared with the code")
+            print(f"cold start bytecode caches under src/: {caches[0]} -> {caches[1]}, so the ratios compare them too")
         if "tier1" in before and "tier1" in after:
             old, new = before["tier1"], after["tier1"]
             print(f"tier-1     passed {old['passed']} -> {new['passed']}, failed {old['failed']} -> {new['failed']}")

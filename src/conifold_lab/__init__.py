@@ -9,12 +9,12 @@ smoothability criterion, and the exact topology-change bookkeeping of
 the standard worked examples.
 """
 
-import importlib
-
 __version__ = "0.1.0"
+
 
 def __getattr__(name: str):
     """Each module of the package as an attribute, imported where it is first read (PEP 562)."""
     if name not in {"acceptance", "checks", "cli", "conifold", "exterior", "hodge", "metrics", "slag", "transitions"}:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return importlib.import_module(f"{__name__}.{name}")
+    __import__(f"{__name__}.{name}")  # as an import statement imports it, so -X importtime lists it
+    return globals()[name]
