@@ -21,14 +21,19 @@ COLD_ROUNDS times in a fresh interpreter, as the ``conifold-lab`` script
 starts it, and keeps its wall time and peak RSS, read through a small
 launcher's ``os.wait4`` (a child's ru_maxrss counts its parent's peak
 too), beside whether the tree holds bytecode caches under src/; the
-children write none.  Last, it runs the tier-1 tests once per tree and
-keeps their passed and failed counts.
+children write none.  For each workload it reads, through the same
+launcher, the peak RSS of RSS_SAMPLES fresh children that each run the
+workload's warm-up and RSS_ROUNDS rounds at RSS_SEED as perfbench's child
+runs them: a fixed amount of work, where perfbench's peak_rss_mb grows
+with the operations a run completes.  Last, it runs the tier-1 tests once
+per tree and keeps their passed and failed counts.
 ``--pair`` records two trees in one interleaved sequence: for each workload
 and seed, and for each round of criterion or request timings, it runs both
 trees back to back, the parent first at the first seed and round and then
 each tree first in turn (parent, change, change, parent, ...), so that
 drift of the host falls on both records alike (the cold starts alternate
-request by request), and it warns when only one tree holds bytecode
+request by request, the fixed-round children workload by workload), and
+it warns when only one tree holds bytecode
 caches under src/.  Each record holds only its own
 tree's runs, in the format of a single recording.  The record also
 names the machine, the Python and numpy versions, the commit, a digest of
@@ -37,8 +42,8 @@ for every workload and metric, the ratio of the second record's median to
 the first's and whether the change stays inside the metric's BENCHMARK.json
 bound, then each workload's attempted and failed operations in both
 records; it exits 1 when a metric moves past its bound or a workload's
-failed share grows.  The criterion and request times and the cold starts
-have no bound: their ratios are printed after, then the tier-1 counts and
+failed share grows.  The criterion and request times, the cold starts
+and the fixed-round peak RSS have no bound: their ratios are printed after, then the tier-1 counts and
 the change in ``src/`` lines per module and in total, when both records
 hold them.
 """
@@ -62,6 +67,7 @@ MIN_SEEDS = 5
 CRITERION_ROUNDS, CRITERION_PASSES = 3, 5
 QUERY_ROUNDS, QUERY_PASSES, QUERY_SEED = 3, 40, 1
 COLD_ROUNDS = 10
+RSS_SAMPLES, RSS_ROUNDS, RSS_SEED = 5, 20, 1
 # the smallest accepted request of each subcommand
 COLD_REQUESTS = {
     "hodge": ["hodge", "--n", "3", "--d", "1"],
@@ -217,16 +223,74 @@ def query_timings(passes: int) -> dict:
             "seconds": {kind: quartiles(values) for kind, values in samples.items()}, "samples": samples}
 
 
-def run_in_tree(root: Path, call: str) -> dict:
-    """The JSON value of ``record.<call>`` in a fresh interpreter on the tree
-    at root: its src/ and perfbench/ come first on the path, and perfbench's
-    child environment (one BLAS thread) is set before numpy loads."""
+def fixed_rounds(workload: str, rounds: int) -> None:
+    """Run the workload's warm-up and rounds 0..rounds-1 at RSS_SEED through
+    perfbench's child.Runner, which keeps a record per operation as in a
+    benchmark run, with the modules its child imports.  It imports
+    conifold_lab and perfbench's modules from sys.path; a failed operation
+    raises."""
+    import child
+    import conifold_lab.acceptance
+    import conifold_lab.cli
+    import workloads
+
+    runner, records = child.Runner(conifold_lab), []
+    runner.run_round(workloads.warmup_ops(workload), records, "warmup")
+    for index in range(rounds):
+        runner.run_round(workloads.ROUNDS[workload](RSS_SEED, index), records, "run", index)
+    failed = next((rec for rec in records if rec["failures"]), None)
+    if failed is not None:
+        raise RuntimeError(f"a {failed['kind']} operation of round {failed['round']} failed: {failed['failures']}")
+
+
+def tree_command(root: Path, call: str) -> tuple[list[str], dict]:
+    """The argv and environment of a fresh interpreter on the tree at root
+    that runs the statement call after ``import record``: its src/ and
+    perfbench/ come first on the path, and perfbench's child environment
+    (one BLAS thread) is set before numpy loads."""
     path = os.pathsep.join(str(p) for p in (root / "src", root / "perfbench", Path(__file__).resolve().parent))
-    code = ("import json, os, pathlib, record, run; os.environ.update(run.child_env(pathlib.Path.cwd())); "
-            f"print(json.dumps(record.{call}))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    code = f"import os, pathlib, record, run; os.environ.update(run.child_env(pathlib.Path.cwd())); {call}"
+    return [sys.executable, "-c", code], dict(os.environ, PYTHONPATH=path)
+
+
+def run_in_tree(root: Path, call: str) -> dict:
+    """The JSON value of ``record.<call>`` in a fresh interpreter on the tree at root."""
+    command, env = tree_command(root, f"import json; print(json.dumps(record.{call}))")
+    return json.loads(subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, check=True).stdout)
+
+
+def fixed_rounds_rss(root: Path, workload: str, rounds: int) -> float:
+    """Peak RSS (MB) of fixed_rounds in a fresh interpreter on the tree at
+    root, read through the launcher; a child that does not exit 0 raises."""
+    command, env = tree_command(root, f"record.fixed_rounds({workload!r}, {rounds})")
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, *command], cwd=root, env=env, capture_output=True,
+                          text=True, check=True)
+    code, _, maxrss_kib = json.loads(proc.stdout)
+    if code != 0:
+        raise RuntimeError(f"{rounds} rounds of {workload} exited with status {code} on {root}")
+    return maxrss_kib / 1024
+
+
+def rss_table(roots: list[Path], workload_names: list[str], samples: int, rounds: int) -> list[dict]:
+    """Per tree, each workload's fixed-round peak RSS over samples children,
+    median and [q1, q3] beside the samples.  The trees take turns to go
+    first, workload by workload."""
+    peaks = [{name: [] for name in workload_names} for _ in roots]
+    for turn, (_, name) in enumerate(itertools.product(range(samples), workload_names)):
+        for root, tree in in_turn(list(zip(roots, peaks)), turn):
+            tree[name].append(fixed_rounds_rss(root, name, rounds))
+    return [{"rounds": rounds, "seed": RSS_SEED, "peak_rss_mb": {name: quartiles(mb) for name, mb in tree.items()},
+             "samples": tree} for tree in peaks]
+
+
+def compare_rss(before: dict, after: dict) -> list[tuple[str, float, float]]:
+    """Each workload whose fixed-round peak RSS both records hold, over the
+    same rounds, with its median MB in the first and in the second."""
+    old, new = (rec.get("fixed_rounds", {}) for rec in (before, after))
+    if old.get("rounds") != new.get("rounds"):
+        return []
+    return [(name, old["peak_rss_mb"][name]["median"], new["peak_rss_mb"][name]["median"])
+            for name in old.get("peak_rss_mb", {}) if name in new["peak_rss_mb"]]
 
 
 def run_criterion_timings(root: Path, passes: int) -> dict:
@@ -367,9 +431,10 @@ def record(roots: list[Path], seeds: list[int]) -> list[dict]:
     for its run_seconds, on every tree back to back, after CRITERION_ROUNDS
     rounds of criterion timings taken the same way, and summarize one record
     per tree.  The trees take turns to go first (1 2, 2 1, 1 2, ... over the
-    seeds and over the rounds, and request by request in the cold-start
-    table, which follows the request timings); each tree's tier-1 counts
-    come last.  Each run's metrics also go to stderr as it ends."""
+    seeds and over the rounds, request by request in the cold-start table,
+    which follows the request timings, and workload by workload in the
+    fixed-round peak RSS table after it); each tree's tier-1 counts come
+    last.  Each run's metrics also go to stderr as it ends."""
     spec = json.loads((roots[0] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics, seconds = [m["name"] for m in spec["end_to_end"]], spec["run_seconds"]
     timings, queries = [[] for _ in roots], [[] for _ in roots]
@@ -380,11 +445,13 @@ def record(roots: list[Path], seeds: list[int]) -> list[dict]:
         for root, rounds in in_turn(list(zip(roots, queries)), turn):
             rounds.append(run_query_timings(root, QUERY_PASSES))
     cold_starts = cold_start_table(roots, COLD_ROUNDS)
+    workload_names = [w["name"] for w in spec["workloads"]]
+    peaks = rss_table(roots, workload_names, RSS_SAMPLES, RSS_ROUNDS)
     results = [{"machine": machine(), "source": source_facts(root), "seeds": seeds, "seconds": seconds,
                 "criteria": merged_timings(rounds), "queries": merged_timings(query_rounds), "cold_start": cold,
-                "workloads": {}}
-               for root, rounds, query_rounds, cold in zip(roots, timings, queries, cold_starts)]
-    for workload in (w["name"] for w in spec["workloads"]):
+                "fixed_rounds": peak, "workloads": {}}
+               for root, rounds, query_rounds, cold, peak in zip(roots, timings, queries, cold_starts, peaks)]
+    for workload in workload_names:
         runs = [[] for _ in roots]
         for turn, seed in enumerate(seeds):
             for root, tree_runs in in_turn(list(zip(roots, runs)), turn):
@@ -431,6 +498,9 @@ def main(argv=None) -> int:
         for name, old, new, old_mb, new_mb in compare_cold_start(before, after):
             print(f"cold start {name:10s} {old * 1e3:7.1f} ms -> {new * 1e3:7.1f} ms  x{new / old:.3f}   "
                   f"peak RSS {old_mb:6.1f} MB -> {new_mb:6.1f} MB  x{new_mb / old_mb:.3f}")
+        for name, old_mb, new_mb in compare_rss(before, after):
+            print(f"fixed rounds {name:17s} peak RSS {old_mb:6.1f} MB -> {new_mb:6.1f} MB  x{new_mb / old_mb:.3f}  "
+                  f"over {after['fixed_rounds']['rounds']} rounds")
         caches = [rec.get("cold_start", {}).get("bytecode_caches") for rec in (before, after)]
         if None not in caches and caches[0] != caches[1]:
             print(f"cold start bytecode caches under src/: {caches[0]} -> {caches[1]}, so the ratios compare them too")

@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
-import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -119,10 +117,16 @@ def _write_output(path, payload: str) -> None:
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows([["%.17g" % x if isinstance(x, float) else x for x in row] for row in [header, *rows]])
-    _write_output(path, buf.getvalue())
+    """The header and rows as csv.writer writes them with LF line ends: a float cell is "%.17g" % x, a str cell
+    itself, and each run of rows with the same cell types goes through one % template.  No cell needs the quotes
+    csv gives a comma, a quote, a line break or a lone empty cell: the str cells are header names, a family name
+    from argparse's choices and the empty deviation, and every row has 3 or more cells."""
+    text = []
+    for kinds, run in itertools.groupby([header, *rows], lambda row: tuple(map(type, row))):
+        run = list(run)
+        line = ",".join("%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
+        text.append(line * len(run) % tuple(itertools.chain.from_iterable(run)))
+    _write_output(path, "".join(text))
 
 
 # ---------------------------------------------------------------------------

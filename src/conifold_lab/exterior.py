@@ -10,7 +10,8 @@ array of all k x k minors.  It multiplies one row at a time into the
 running product through a precomputed sign table per degree; D_SIGNS, the
 table for a 1-form times a 3-form, also maps Wirtinger partials of a 3-form
 to its exterior derivative.  Contraction with vectors is the wedge of their
-components.
+components.  ``_product`` multiplies complex arrays as numpy rounds one
+point's scalar product, for the fiber geometry and the quintic alike.
 """
 
 from __future__ import annotations
@@ -58,3 +59,16 @@ def evaluate(form: np.ndarray, vectors) -> complex:
     whose first three coordinates are the chart-4 ones)."""
     v = np.asarray(vectors, dtype=complex)[:, :3]
     return complex(form @ wedge(np.concatenate([v, v.conj()], axis=1)))
+
+
+def _product(*factors):
+    """The product of complex arrays (or scalars), taken left to right and
+    rounded as numpy's scalar complex product rounds it, with real and
+    imaginary parts (ar br - ai bi, ar bi + ai br).  The array product a * b
+    is vectorised with fused multiply-adds and can differ in the last bit."""
+    out = factors[0]
+    for b in factors[1:]:
+        a, out = out, np.empty(np.broadcast(out, b).shape, dtype=complex)
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
+    return out

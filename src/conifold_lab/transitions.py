@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from conifold_lab.checks import abbreviated
-from conifold_lab.conifold import _product
+from conifold_lab.exterior import _product
 
 # ---------------------------------------------------------------------------
 # the smoothability criterion

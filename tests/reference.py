@@ -68,6 +68,8 @@ against.  None of them runs on the package's own code paths.
   table over sorted tuples and a broadcast gather (class_table_gather, the
   oracle for the reflected class index), and C03's resolved sampler one
   point at a time (sample_resolved_points_per_point).
+* cli: the metric CSV written cell by cell through csv.writer (csv_text, the
+  oracle for the writer's one % template per run of rows).
 
 Not an oracle: bench_workloads loads perfbench/workloads.py, whose class-matrix
 generators make the benchmark's friedman requests.
@@ -79,8 +81,10 @@ importing this module does not load it.
 from __future__ import annotations
 
 import cmath
+import csv
 import functools
 import importlib.util
+import io
 import itertools
 import math
 import operator
@@ -1326,6 +1330,19 @@ def stacked_friedman_agreement(max_rows: int) -> tuple[int, int]:
             checked += len(mats)
             mismatches += int(np.count_nonzero(solver[inverse] != oracle))
     return checked, mismatches
+
+
+# ---------------------------------------------------------------------------
+# cli
+
+
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """The header and rows through csv.writer with LF line ends, each float
+    cell formatted on its own as "%.17g" % x."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([["%.17g" % x if isinstance(x, float) else x for x in row] for row in [header, *rows]])
+    return buf.getvalue()
 
 
 @functools.cache

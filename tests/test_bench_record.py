@@ -250,8 +250,13 @@ class TestPair:
             self.started.append((root.name, argv[0]))
             return float(len(self.started)), 10.0 * (root.name == "change") + 20.0
 
-        self.queried, self.started = [], []
+        def fixed_rounds_rss(root, workload, rounds):
+            self.peaked.append((root.name, workload))
+            return float(len(self.peaked)) + 100.0 * rounds
+
+        self.queried, self.started, self.peaked = [], [], []
         monkeypatch.setattr(record, "cold_start", cold_start)
+        monkeypatch.setattr(record, "fixed_rounds_rss", fixed_rounds_rss)
         monkeypatch.setattr(record, "tier1_counts", lambda root: {"passed": len(root.name), "failed": 0})
         monkeypatch.setattr(record, "run_benchmark", run_benchmark)
         monkeypatch.setattr(record, "run_criterion_timings", run_criterion_timings)
@@ -321,6 +326,23 @@ class TestPair:
                 assert cold["seconds"][name] == record.quartiles(calls)
                 assert cold["peak_rss_mb"][name]["median"] == (30.0 if tree == "change" else 20.0)
             assert rec["tier1"] == {"passed": len(tree), "failed": 0}
+
+    def test_fixed_round_children_alternate_workload_by_workload_and_stay_with_their_tree(self, monkeypatch,
+                                                                                          tmp_path):
+        """The synthetic peak RSS counts the calls, plus 100 MB a round."""
+        roots, _ = self._record_pair(monkeypatch, tmp_path)
+        records = record.record(roots, [1, 2, 3, 4, 5])
+        names = [w["name"] for w in SPEC["workloads"]]
+        turns = [(name, tree) for turn, name in enumerate(names * record.RSS_SAMPLES)
+                 for tree in (("parent", "change") if turn % 2 == 0 else ("change", "parent"))]
+        assert self.peaked == [(tree, name) for name, tree in turns]
+        for tree, rec in zip(("parent", "change"), records):
+            peaks = rec["fixed_rounds"]
+            assert (peaks["rounds"], peaks["seed"]) == (record.RSS_ROUNDS, record.RSS_SEED)
+            for name in names:
+                calls = [i + 1 + 100.0 * record.RSS_ROUNDS for i, turn in enumerate(turns) if turn == (name, tree)]
+                assert peaks["samples"][name] == calls
+                assert peaks["peak_rss_mb"][name] == record.quartiles(calls)
 
     def test_pair_command_writes_both_records(self, monkeypatch, tmp_path):
         roots, calls = self._record_pair(monkeypatch, tmp_path)
@@ -456,3 +478,47 @@ class TestTier1:
         assert (counts["passed"], counts["failed"]) == (2, 2)
         assert counts["command"] == "python -m pytest -q --continue-on-collection-errors"
         assert "1 failed, 2 passed, 1 error" in counts["summary"]
+
+
+class TestFixedRounds:
+    def test_a_failed_operation_raises(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from conifold_lab import hodge
+
+        build = hodge.hodge_diamond
+
+        def tampered(spec):
+            diamond = build(spec)
+            diamond.entries[0][0] = 2
+            return diamond
+
+        monkeypatch.setattr(hodge, "hodge_diamond", tampered)
+        with pytest.raises(RuntimeError, match="a hodge operation of round 0 failed"):
+            record.fixed_rounds("exact_queries", 1)
+
+    def test_a_fresh_interpreter_runs_the_rounds(self):
+        """The child's own peak, above numpy's import: more than the launcher's."""
+        assert 20.0 < record.fixed_rounds_rss(ROOT, "cycle_quadrature", 1) < 500.0
+
+    def test_an_unknown_workload_raises(self):
+        with pytest.raises(RuntimeError, match="1 rounds of nothing exited with status 1"):
+            record.fixed_rounds_rss(ROOT, "nothing", 1)
+
+    def test_compare_prints_each_workload_over_the_same_rounds(self, tmp_path, capsys):
+        def peaks(rounds, **medians):
+            return {"rounds": rounds, "peak_rss_mb": {w: {"median": m, "q1": m, "q3": m} for w, m in medians.items()}}
+
+        base = _record({"potential_sweep": TestCompare.BASE})
+        before = dict(base, fixed_rounds=peaks(20, potential_sweep=40.0, certify=46.0))
+        after = dict(base, fixed_rounds=peaks(20, potential_sweep=41.0))
+        assert record.compare_rss(before, after) == [("potential_sweep", 40.0, 41.0)]
+        assert record.compare_rss(before, dict(base, fixed_rounds=peaks(10, potential_sweep=41.0))) == []
+        assert record.compare_rss(base, after) == record.compare_rss(base, base) == []
+        paths = tmp_path / "before.json", tmp_path / "after.json"
+        for path, rec in zip(paths, (before, after)):
+            path.write_text(json.dumps(rec))
+        assert record.main(["--compare", *map(str, paths)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(METRICS) + 1
+        assert lines[-1].split() == ["fixed", "rounds", "potential_sweep", "peak", "RSS", "40.0", "MB", "->", "41.0",
+                                     "MB", "x1.025", "over", "20", "rounds"]

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -528,6 +530,68 @@ class TestReportEncoder:
             assert json.dumps(json.loads(text), indent=2, sort_keys=True, allow_nan=False) + "\n" == text
             checked += 1
         assert checked >= 8
+
+
+FLOAT_CELLS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, math.nan, math.inf, -math.inf]))
+METRIC_ROWS = st.builds(lambda family, cells, deviation: [family, *cells, deviation],
+                        st.sampled_from(["cone", "smoothed", "resolved"]),
+                        st.lists(FLOAT_CELLS, min_size=7, max_size=7), st.one_of(FLOAT_CELLS, st.just("")))
+
+
+def _written_csv(header, rows) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_csv(None, header, rows)
+    return out.getvalue()
+
+
+class TestCsvWriter:
+    """cli._write_csv against its oracle, csv.writer on one cell at a time
+    (reference.csv_text): the same bytes."""
+
+    @staticmethod
+    def request(argv, monkeypatch, capsys):
+        """The header and rows one CSV request hands the writer, and the text it writes."""
+        calls, write = [], cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda *args: calls.append(args) or write(*args))
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        (_, header, rows), = calls
+        return header, rows, capsys.readouterr().out
+
+    @pytest.mark.parametrize("points", [1, 2, 256])
+    @pytest.mark.parametrize("sweep", ["profile", "residuals", "deviation"])
+    @pytest.mark.parametrize("family", ["cone", "smoothed --t 0.7@40", "resolved --a 1.7"])
+    def test_metric_sweeps(self, family, sweep, points, monkeypatch, capsys):
+        argv = f"metric --family {family} --sweep {sweep} --points {points}".split()
+        header, rows, text = self.request(argv, monkeypatch, capsys)
+        assert len(rows) == points
+        assert text == reference.csv_text(header, rows)
+
+    def test_convergence(self, monkeypatch, capsys):
+        argv = ["metric", "--family", "smoothed", "--sweep", "convergence", "--params", "1,0.5,0.25", "--points", "50"]
+        header, rows, text = self.request(argv, monkeypatch, capsys)
+        assert header == ["family", "param", "sup_deviation"] and len(rows) == 3
+        assert text == reference.csv_text(header, rows)
+
+    @pytest.mark.parametrize("tau_min,tau_max,empty", [("2", "5", 50), ("2", "100", 21), ("20", "1e4", 0)])
+    def test_deviation_cells_empty_for_all_some_or_none(self, tau_min, tau_max, empty, monkeypatch, capsys):
+        """Below ten parameter scales a row's deviation cell is empty: a run of
+        rows with a str cell where the rows after it have a float."""
+        argv = ["metric", "--family", "smoothed", "--tau-min", tau_min, "--tau-max", tau_max]
+        header, rows, text = self.request(argv, monkeypatch, capsys)
+        assert [row[-1] for row in rows].count("") == empty
+        assert text == reference.csv_text(header, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(METRIC_ROWS, max_size=12))
+    def test_float_cells(self, rows):
+        assert _written_csv(cli.METRIC_HEADER, rows) == reference.csv_text(cli.METRIC_HEADER, rows)
+
+    @pytest.mark.parametrize("value,cell", [(-0.0, "-0"), (5e-324, "4.9406564584124654e-324"),
+                                            (1e308, "1e+308"), (math.nan, "nan"), (-math.inf, "-inf")])
+    def test_extreme_float_cells(self, value, cell):
+        rows = [["cone", value, 1.0]]
+        assert _written_csv(["family", "param", "sup_deviation"], rows) == f"family,param,sup_deviation\ncone,{cell},1\n"
 
 
 class TestVerifyAll:

@@ -1,5 +1,6 @@
-"""The exact subcommands run without numpy, and importing the command line
-alone still makes every layer of the package reachable as its attribute."""
+"""The exact subcommands run without numpy, the solver's subcommands without
+the fiber geometry, and importing the command line alone still makes every
+layer of the package reachable as its attribute."""
 
 import ast
 import contextlib
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import conifold_lab
 from conifold_lab import cli
@@ -60,6 +63,25 @@ def test_exact_requests_and_early_refusals_need_no_numpy():
     expected = [run(argv) for argv in argvs]
     assert [code for code, _, _ in expected] == [code for code, _ in NUMPY_FREE]
     assert json.loads(child.stdout) == expected
+
+
+# runs sys.argv[1] through cli.main and prints its exit code and whether conifold_lab.conifold was loaded
+MODULES_LOADED = """
+import contextlib, io, json, sys
+from conifold_lab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, "conifold_lab.conifold" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["friedman", "--classes-json", "[[1, 0], [0, 1], [-1, -1]]"], ["dwork"]])
+def test_solver_requests_load_no_fiber_geometry(argv):
+    """transitions takes _product from exterior, so a friedman or dwork
+    request neither imports conifold nor compiles it."""
+    child = subprocess.run([sys.executable, "-c", MODULES_LOADED, json.dumps(argv)], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=SRC), check=True)
+    assert json.loads(child.stdout) == [0, False]
 
 
 def _layers():

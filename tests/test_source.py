@@ -79,11 +79,13 @@ def _layer_imports(path) -> set:
 
 def test_the_import_graph_keeps_its_layers():
     """checks and hodge import neither numpy nor another package module than
-    checks, so an exact request loads no numpy; conifold, below the solver,
-    imports nothing from transitions; and only cli and acceptance, which run
-    the solver and the quintic, import transitions."""
+    checks, so an exact request loads no numpy; conifold and transitions, the
+    fiber geometry and the solver, import nothing from each other, so a
+    friedman or dwork request loads no fiber geometry; and only cli and
+    acceptance, which run the solver and the quintic, import transitions."""
     imports = {path.stem: _layer_imports(path) for path in SOURCES}
     for module in ("checks", "hodge"):
         assert imports[module] <= {"conifold_lab.checks"}, f"{module} imports {sorted(imports[module])}"
     assert "conifold_lab.transitions" not in imports["conifold"]
+    assert "conifold_lab.conifold" not in imports["transitions"]
     assert {module for module, names in imports.items() if "conifold_lab.transitions" in names} == {"cli", "acceptance"}
