@@ -33,9 +33,9 @@ trees back to back, the parent first at the first seed and round and then
 each tree first in turn (parent, change, change, parent, ...), so that
 drift of the host falls on both records alike (the cold starts alternate
 request by request, the fixed-round children workload by workload), and
-it warns when only one tree holds bytecode
-caches under src/.  Each record holds only its own
-tree's runs, in the format of a single recording.  The record also
+it warns when only one tree holds bytecode caches under src/.  Each
+record holds only its own tree's runs, in the format of a single
+recording.  The record also
 names the machine, the Python and numpy versions, the commit, a digest of
 ``src/`` and its line count, in total and per module.  Comparing prints,
 for every workload and metric, the ratio of the second record's median to
@@ -43,9 +43,9 @@ the first's and whether the change stays inside the metric's BENCHMARK.json
 bound, then each workload's attempted and failed operations in both
 records; it exits 1 when a metric moves past its bound or a workload's
 failed share grows.  The criterion and request times, the cold starts
-and the fixed-round peak RSS have no bound: their ratios are printed after, then the tier-1 counts and
-the change in ``src/`` lines per module and in total, when both records
-hold them.
+and the fixed-round peak RSS have no bound: their ratios are printed
+after, then the tier-1 counts and the change in ``src/`` lines per module
+and in total, when both records hold them.
 """
 
 from __future__ import annotations
