@@ -153,9 +153,9 @@ def _cmd_hodge(args) -> int:
 # at most 64 MiB.  A metric row peaks at about 1.6 KB (its profile, point and
 # (3, 3) Hessian arrays, the row lists and the report text; tracemalloc over
 # 2,000 and 8,000 rows of every sweep): at 2 KiB a row, 64 MiB is 32,768 rows.
-# A dwork smooth point peaks at about 0.7 KB (the sample, its (4, 4) Hessian
-# in the certificate stack and the certificate): at 1 KiB a point, 64 MiB is
-# 65,536 points.
+# A dwork smooth point peaks at about 0.35 KB (the sample and the certificate,
+# which forms no Hessian where the gradient does not vanish; tracemalloc at
+# 65,536 points): at 1 KiB a point, 64 MiB is 65,536 points.
 MIN_POINTS, MAX_POINTS = 1, 64 * 2**20 // 2048
 MIN_SMOOTH_POINTS, MAX_SMOOTH_POINTS = 0, 64 * 2**20 // 1024
 

@@ -348,7 +348,7 @@ class OdpRecord(NamedTuple):
     status: np.ndarray  # "odp" | "degenerate_singularity" | "not_singular"
     value: np.ndarray
     gradient_norm: np.ndarray
-    hessian_det: np.ndarray
+    hessian_det: np.ndarray  # the last three NaN (not formed) where not_singular
     hessian_scale: np.ndarray
     det_threshold: np.ndarray
 
@@ -371,15 +371,17 @@ def verify_odps(poly, points) -> OdpRecord:
     must be nondegenerate, which by the holomorphic Morse lemma puts the germ
     in the sum-of-squares normal form.
 
-    points has shape (N, 4).  Values, gradients and Hessians come from one
-    call each on the whole stack, and the spectral norms and determinants
-    from one call each.  Every number rounds as it does for one point alone:
-    |value| and |det| by np.hypot (np.abs rounds complex arrays
-    differently), gradient norms by np.vecdot (the BLAS dot of the
-    one-point norm), thresholds on Python floats.
+    points has shape (N, 4).  Values and gradients come from one call each
+    on the whole stack.  A point whose gradient does not vanish is
+    'not_singular' (implicit function theorem), so its Hessian is not
+    formed and its last three fields are NaN; the other points' Hessians,
+    spectral norms and determinants come from one call each.  Every number
+    rounds as it does for one point alone: |value| and |det| by np.hypot
+    (np.abs rounds complex arrays differently), gradient norms by np.vecdot
+    (the BLAS dot of the one-point norm), thresholds on Python floats.
 
     Raises NotOnVarietyError at the first point that misses the
-    hypersurface; a point whose gradient does not vanish is 'not_singular'.
+    hypersurface.
     """
     zs = np.asarray(points, dtype=complex)
     scale_refs = _scale_refs(zs)
@@ -390,13 +392,16 @@ def verify_odps(poly, points) -> OdpRecord:
         raise NotOnVarietyError(f"polynomial value {values[off[0]]:.3e} exceeds tolerance at the point")
     grads = poly.gradient(zs)
     grad_norms = np.sqrt(np.vecdot(grads.real, grads.real) + np.vecdot(grads.imag, grads.imag))
-    hessians = poly.hessian(zs)
-    hess_scales = np.linalg.norm(hessians, 2, axis=(-2, -1))
-    dets = np.linalg.det(hessians)
-    dets = np.hypot(dets.real, dets.imag)
-    thresholds = np.array([ODP_DET_RTOL * s**4 for s in hess_scales.tolist()])
+    smooth = grad_norms > ODP_GRADIENT_TOL * scale_refs
+    formed = np.flatnonzero(~smooth)
+    hessians = poly.hessian(zs[formed])
+    dets, hess_scales, thresholds = (np.full(len(zs), np.nan) for _ in range(3))
+    hess_scales[formed] = np.linalg.norm(hessians, 2, axis=(-2, -1))
+    det = np.linalg.det(hessians)
+    dets[formed] = np.hypot(det.real, det.imag)
+    thresholds[formed] = [ODP_DET_RTOL * s**4 for s in hess_scales[formed].tolist()]
     singular = np.where(dets > thresholds, "odp", "degenerate_singularity")
-    status = np.where(grad_norms > ODP_GRADIENT_TOL * scale_refs, "not_singular", singular)
+    status = np.where(smooth, "not_singular", singular)
     record = OdpRecord(status, values, grad_norms, dets, hess_scales, thresholds)
     for field in record:
         field.flags.writeable = False

@@ -1049,19 +1049,23 @@ def kernel_basis_witness(rows):
     raise AssertionError("witness search exceeded its deterministic bound")
 
 
-def _per_point(method):
-    """A one-point method of Polynomial4 that also takes a stack (N, 4) of
-    points, by calling it at each point in turn (transitions.verify_odps
-    evaluates its polynomial on the whole stack)."""
+def _per_point(shape):
+    """Make a one-point method of Polynomial4, whose result at a point has the
+    given shape, also take a stack (N, 4) of points, by calling it at each
+    point in turn (transitions.verify_odps evaluates its polynomial on the
+    whole stack, and its Hessians on a stack that may be empty)."""
 
-    @functools.wraps(method)
-    def stacked(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 1:
-            return method(self, z)
-        return np.array([method(self, point) for point in z], dtype=complex)
+    def wrap(method):
+        @functools.wraps(method)
+        def stacked(self, z):
+            z = np.asarray(z, dtype=complex)
+            if z.ndim == 1:
+                return method(self, z)
+            return np.array([method(self, point) for point in z], dtype=complex).reshape((len(z),) + shape)
 
-    return stacked
+        return stacked
+
+    return wrap
 
 
 @dataclass
@@ -1082,7 +1086,7 @@ class Polynomial4:
                 clean[exps] = complex(coeff)
         self.terms = clean
 
-    @_per_point
+    @_per_point(())
     def __call__(self, z) -> complex:
         z = np.asarray(z, dtype=complex)
         return sum(
@@ -1101,11 +1105,11 @@ class Polynomial4:
             out[key] = out.get(key, 0.0) + coeff * exps[i]
         return Polynomial4(out)
 
-    @_per_point
+    @_per_point((4,))
     def gradient(self, z) -> np.ndarray:
         return np.array([self.derivative(i)(z) for i in range(4)], dtype=complex)
 
-    @_per_point
+    @_per_point((4, 4))
     def hessian(self, z) -> np.ndarray:
         H = np.empty((4, 4), dtype=complex)
         for i in range(4):

@@ -435,3 +435,26 @@ class TestC12:
         out = tmp_path / "report.json"
         assert cli.main(["dwork", "--exact", "--output", str(out)]) == 1
         assert json.loads(out.read_text())["results"]["exact_cyclotomic"] is False
+
+    def test_a_node_in_the_smooth_sample(self, monkeypatch, tmp_path):
+        """A sampler whose first point is a node: its gradient vanishes, so
+        its Hessian is formed and it certifies as a double point, not as
+        smooth.  C12 fails on the smooth sample alone, and `dwork
+        --smooth-points 200` exits 1: forming Hessians only where the
+        gradient vanishes leaves the sample's certificate able to fail."""
+        sampler = transitions.random_dwork_smooth_points
+
+        def with_a_node(count, seed=0):
+            points = sampler(count, seed).copy()
+            points[0] = transitions.dwork_nodes()[0]
+            return points
+
+        monkeypatch.setattr(transitions, "random_dwork_smooth_points", with_a_node)
+        record = transitions.verify_odps(transitions.DworkQuintic(), with_a_node(200))
+        assert record.status.tolist() == ["odp"] + ["not_singular"] * 199
+        assert not np.isnan(record.hessian_det[0]) and np.isnan(record.hessian_det[1:]).all()
+        assert _failures(criterion_12) == ["smooth_points_not_singular: expected true"]
+        out = tmp_path / "report.json"
+        assert cli.main(["dwork", "--smooth-points", "200", "--output", str(out)]) == 1
+        failed = [a["name"] for a in json.loads(out.read_text())["assertions"] if not a["passed"]]
+        assert failed == ["smooth_sample_not_singular"]

@@ -907,6 +907,36 @@ def _oracle_columns(poly, points) -> list:
     return list(zip(*(reference.verify_odp_per_point(poly, z) for z in points)))
 
 
+def _assert_matches_the_oracle(record, poly, points) -> None:
+    """verify_odps' record against reference.verify_odp_per_point at each
+    point: status, value and gradient_norm bit for bit on every row; the
+    three Hessian fields bit for bit on every row that is not not_singular,
+    and NaN (not formed) on every row that is."""
+    columns = _oracle_columns(poly, points)
+    formed = np.asarray(columns[0]) != "not_singular"
+    _assert_same_record(record, columns[:3] + [np.where(formed, column, np.nan) for column in columns[3:]])
+    for field in record[3:]:
+        assert np.isnan(field[~formed]).all() and not np.isnan(field[formed]).any()
+
+
+class _HessianLog:
+    """A polynomial whose hessian method records the rows of each stack it
+    is given; its value and gradient are the wrapped polynomial's."""
+
+    def __init__(self, poly):
+        self.poly, self.stacks = poly, []
+
+    def __call__(self, z):
+        return self.poly(z)
+
+    def gradient(self, z):
+        return self.poly.gradient(z)
+
+    def hessian(self, z):
+        self.stacks.append(np.array(z))
+        return self.poly.hessian(z)
+
+
 class TestStackedQuintic:
     """DworkQuintic on a stack (N, 4) gives, row by row, the bits of the
     term-by-term reference at that one point: values, gradients and
@@ -1005,8 +1035,10 @@ def _mixed_points(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 class TestStackedCertificate:
-    """verify_odps stacks the Hessians for one spectral norm and one det
-    call; every row of its record keeps the per-point oracle's bits."""
+    """verify_odps forms the Hessians only of the rows whose gradient
+    vanishes, stacked for one spectral norm and one det call; every row of
+    its record keeps the per-point oracle's bits, except the Hessian fields
+    of not_singular rows, which are NaN."""
 
     def test_nodes_match_the_per_point_oracle(self):
         poly = DworkQuintic()
@@ -1017,7 +1049,10 @@ class TestStackedCertificate:
     def test_smooth_samples_match_the_per_point_oracle(self, seed):
         poly = DworkQuintic()
         sample = random_dwork_smooth_points(200, seed)
-        _assert_same_record(verify_odps(poly, sample), _oracle_columns(poly, sample))
+        record = verify_odps(poly, sample)
+        _assert_matches_the_oracle(record, poly, sample)
+        assert record.status.tolist() == ["not_singular"] * 200
+        assert all(np.isnan(field).all() for field in record[3:])
 
     def test_a_row_does_not_depend_on_its_batch(self):
         poly = _mixed_singularities()
@@ -1026,11 +1061,31 @@ class TestStackedCertificate:
         for _ in range(12):
             batch = _mixed_points(rng, int(rng.integers(1, 65)))
             record = verify_odps(poly, batch)
-            _assert_same_record(record, _oracle_columns(poly, batch))
+            _assert_matches_the_oracle(record, poly, batch)
             for i, z in enumerate(batch):
                 _assert_same_record(verify_odps(poly, z[None, :]), [field[i : i + 1] for field in record])
             statuses.update(record.status.tolist())
         assert statuses == {"odp", "degenerate_singularity", "not_singular"}
+
+    def test_hessians_only_where_the_gradient_vanishes(self):
+        """One hessian call per record, on exactly the rows that are not
+        not_singular, in order: none of a smooth sample, all 125 nodes, and
+        the double-point and degenerate rows of mixed batches."""
+        quintic = _HessianLog(DworkQuintic())
+        verify_odps(quintic, random_dwork_smooth_points(200, 0))
+        assert [stack.shape for stack in quintic.stacks] == [(0, 4)]
+        nodes = transitions.dwork_nodes()
+        verify_odps(quintic, nodes)
+        assert len(quintic.stacks) == 2 and np.array_equal(quintic.stacks[1], nodes)
+        poly = _mixed_singularities()
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            batch = _mixed_points(rng, int(rng.integers(1, 65)))
+            logged = _HessianLog(poly)
+            record = verify_odps(logged, batch)
+            _assert_same_record(record, verify_odps(poly, batch))
+            singular = np.asarray(_oracle_columns(poly, batch)[0]) != "not_singular"
+            assert len(logged.stacks) == 1 and np.array_equal(logged.stacks[0], batch[singular])
 
     def test_first_point_off_the_variety_raises_its_own_message(self):
         poly = DworkQuintic()
