@@ -919,24 +919,6 @@ def _assert_matches_the_oracle(record, poly, points) -> None:
         assert np.isnan(field[~formed]).all() and not np.isnan(field[formed]).any()
 
 
-class _HessianLog:
-    """A polynomial whose hessian method records the rows of each stack it
-    is given; its value and gradient are the wrapped polynomial's."""
-
-    def __init__(self, poly):
-        self.poly, self.stacks = poly, []
-
-    def __call__(self, z):
-        return self.poly(z)
-
-    def gradient(self, z):
-        return self.poly.gradient(z)
-
-    def hessian(self, z):
-        self.stacks.append(np.array(z))
-        return self.poly.hessian(z)
-
-
 class TestStackedQuintic:
     """DworkQuintic on a stack (N, 4) gives, row by row, the bits of the
     term-by-term reference at that one point: values, gradients and
@@ -1034,6 +1016,24 @@ def _mixed_points(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.array(points, dtype=complex)
 
 
+class _HessianLog:
+    """A polynomial whose hessian method records the rows of each stack it
+    is given; its value and gradient are the wrapped polynomial's."""
+
+    def __init__(self, poly):
+        self.poly, self.stacks = poly, []
+
+    def __call__(self, z):
+        return self.poly(z)
+
+    def gradient(self, z):
+        return self.poly.gradient(z)
+
+    def hessian(self, z):
+        self.stacks.append(np.array(z))
+        return self.poly.hessian(z)
+
+
 class TestStackedCertificate:
     """verify_odps forms the Hessians only of the rows whose gradient
     vanishes, stacked for one spectral norm and one det call; every row of
@@ -1052,7 +1052,6 @@ class TestStackedCertificate:
         record = verify_odps(poly, sample)
         _assert_matches_the_oracle(record, poly, sample)
         assert record.status.tolist() == ["not_singular"] * 200
-        assert all(np.isnan(field).all() for field in record[3:])
 
     def test_a_row_does_not_depend_on_its_batch(self):
         poly = _mixed_singularities()
